@@ -253,7 +253,7 @@ func main() {
 	}
 	var tl *sim.TraceLog
 	if horizon > engine.Time() {
-		steps := int((horizon - engine.Time()) / engine.DeltaT())
+		steps := int(math.Round((horizon - engine.Time()) / engine.DeltaT()))
 		if *traceOut != "" {
 			tl = sim.NewTraceLog(steps)
 			engine.RunTraced(steps, tl)

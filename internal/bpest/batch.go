@@ -61,7 +61,10 @@ func (b *BatchController) Name() string { return "BP-EST" }
 
 // DecideAll implements signal.BatchController: advance the estimators
 // and refresh the gain slab (fully, or only the change set), then run
-// each junction's Algorithm 1 phase logic over its slab window.
+// each junction's Algorithm 1 phase logic over its slab window. A quiet
+// junction keeps Current without deciding: its links are outside the
+// change set, so its estimators and gains are last round's, and the
+// eq. (12) threshold reads no clock.
 func (b *BatchController) DecideAll(batch *signal.Batch) {
 	if batch.AllChanged || !b.primed {
 		for ji, c := range b.juncs {
@@ -81,6 +84,10 @@ func (b *BatchController) DecideAll(batch *signal.Batch) {
 		}
 	}
 	for ji, c := range b.juncs {
+		if batch.IsQuiet(ji) {
+			batch.Decided[ji] = batch.Current[ji]
+			continue
+		}
 		batch.View(ji, &b.obs)
 		c.gains = b.gains[batch.JuncOff[ji]:batch.JuncOff[ji+1]]
 		batch.Decided[ji] = c.decideWithGains(&b.obs)

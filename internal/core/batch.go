@@ -36,6 +36,11 @@ type BatchController struct {
 	// primed reports whether the gain slab holds the previous round's
 	// values; until the first full sweep, change sets cannot be trusted.
 	primed bool
+	// skipQuiet reports whether quiet junctions may keep Current
+	// without deciding: true for eq. (12), which reads only W* and the
+	// µ of Lmax, false for a custom ThresholdFunc, which may read the
+	// clock through Obs.Step/Obs.Time.
+	skipQuiet bool
 }
 
 // NewBatchController builds the batched UTIL-BP controller for the given
@@ -44,7 +49,7 @@ func NewBatchController(infos []signal.JunctionInfo, opts Options) (*BatchContro
 	if len(infos) == 0 {
 		return nil, fmt.Errorf("core: batch controller needs at least one junction")
 	}
-	b := &BatchController{juncs: make([]*Controller, 0, len(infos))}
+	b := &BatchController{juncs: make([]*Controller, 0, len(infos)), skipQuiet: opts.Threshold == nil}
 	total := 0
 	for _, info := range infos {
 		c, err := New(info, opts)
@@ -71,7 +76,10 @@ func (b *BatchController) Name() string { return "UTIL-BP" }
 
 // DecideAll implements signal.BatchController: refresh the gain slab
 // (fully, or only the change set) in one flat sweep, then run each
-// junction's Algorithm 1 phase logic over its slab window.
+// junction's Algorithm 1 phase logic over its slab window. A quiet
+// junction keeps Current without deciding: with unchanged gains and
+// the same green, Case 2 and the selection return what they returned
+// last round, and neither touches the amber timer.
 func (b *BatchController) DecideAll(batch *signal.Batch) {
 	if batch.AllChanged || !b.primed {
 		for ji, c := range b.juncs {
@@ -90,6 +98,10 @@ func (b *BatchController) DecideAll(batch *signal.Batch) {
 		}
 	}
 	for ji, c := range b.juncs {
+		if b.skipQuiet && batch.IsQuiet(ji) {
+			batch.Decided[ji] = batch.Current[ji]
+			continue
+		}
 		batch.View(ji, &b.obs)
 		// Hand the junction its window of the shared gain slab; the
 		// decision tail reads c.gains exactly like the per-junction path.

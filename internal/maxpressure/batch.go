@@ -60,7 +60,10 @@ func (b *BatchController) Name() string { return "MAXPRESSURE" }
 
 // DecideAll implements signal.BatchController: refresh the weight slab
 // (fully, or only the change set), then run each junction's phase logic
-// over its slab window.
+// over its slab window. A quiet junction keeps Current without deciding
+// on every step but the one that ends its minimum green: before it the
+// hold returns Current, and after it last round's selection over the
+// same weights already returned Current.
 func (b *BatchController) DecideAll(batch *signal.Batch) {
 	if batch.AllChanged || !b.primed {
 		for ji, c := range b.juncs {
@@ -79,6 +82,10 @@ func (b *BatchController) DecideAll(batch *signal.Batch) {
 		}
 	}
 	for ji, c := range b.juncs {
+		if batch.IsQuiet(ji) && batch.Step-c.greenStart != c.opts.MinGreenSteps {
+			batch.Decided[ji] = batch.Current[ji]
+			continue
+		}
 		batch.View(ji, &b.obs)
 		c.weights = b.weights[batch.JuncOff[ji]:batch.JuncOff[ji+1]]
 		batch.Decided[ji] = c.decideWithWeights(&b.obs)

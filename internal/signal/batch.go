@@ -15,7 +15,8 @@ import (
 //
 // Junction j owns Links[JuncOff[j]:JuncOff[j+1]]; link li of junction j
 // therefore has the dense global index JuncOff[j]+li. A BatchController
-// reads Links/Current and writes Decided; everything else is input.
+// reads Links/Current/Quiet and writes Decided; everything else is
+// input.
 type Batch struct {
 	// Step is the discrete time index k; Time is t_k in seconds. They
 	// apply to every junction of the batch (the engine advances all
@@ -33,8 +34,9 @@ type Batch struct {
 	Current []Phase
 	// Decided receives c(k) per junction — the controller's output. The
 	// engine pre-fills it with Amber each round, so a controller that
-	// skips a junction leaves it inactive rather than replaying a stale
-	// decision.
+	// writes nothing for a junction leaves it inactive rather than
+	// replaying a stale decision (a quiet junction's kept phase is
+	// written explicitly).
 	Decided []Phase
 	// Infos holds the static junction descriptions, indexed like
 	// Current/Decided. Batched controllers normally capture what they
@@ -51,10 +53,24 @@ type Batch struct {
 	// bit-for-bit identical to the previous round.
 	Changed    []int32
 	AllChanged bool
+	// Quiet flags, per junction, a quiet fixed point: last round the
+	// junction decided its Current phase (a green, not amber, and not
+	// under a dark-mode override), and since then neither its link
+	// observations nor its Current changed. A controller whose decision
+	// is a pure function of those two, and whose keeping a green changes
+	// none of its state, may write Decided[j] = Current[j] for a quiet
+	// junction instead of re-running its decision tail; it must not if
+	// its decision also reads the clock (DESIGN.md §11, "Quiet
+	// junctions"). Nil means no junction is quiet.
+	Quiet []bool
 }
 
 // NumJunctions returns the number of junctions in the batch.
 func (b *Batch) NumJunctions() int { return len(b.Current) }
+
+// IsQuiet reports whether junction j is flagged quiet this round; a
+// batch without Quiet flags none.
+func (b *Batch) IsQuiet(j int) bool { return b.Quiet != nil && b.Quiet[j] }
 
 // JunctionLinks returns junction j's window of the link slab.
 func (b *Batch) JunctionLinks(j int) []LinkObs {
@@ -131,7 +147,9 @@ func (a *batchedAdapter) Name() string {
 	return "batched(" + a.ctrls[0].Name() + ")"
 }
 
-// DecideAll implements BatchController.
+// DecideAll implements BatchController. It ignores Quiet: the adapted
+// controllers may run on clocks (fixed slots, gap-out timers), so every
+// junction decides every round.
 func (a *batchedAdapter) DecideAll(b *Batch) {
 	for j := range a.ctrls {
 		b.View(j, &a.obs)

@@ -3,8 +3,9 @@
 // in-range decisions, replay determinism, amber insertion between
 // distinct greens, minimum green holding, max-green preemption,
 // factory independence, reset-rebuild coldness (Engine.Reset rebuilds
-// controllers through the factory), batched-dispatch equivalence, and
-// dark-mode fallback/recovery (the engine-side override of DESIGN.md
+// controllers through the factory), batched-dispatch equivalence,
+// quiet-skip equivalence (signal.Batch.Quiet), and dark-mode
+// fallback/recovery (the engine-side override of DESIGN.md
 // §12) — driven over a set of scripted observation scenarios.
 // Controller packages (internal/core, internal/bp, internal/fixedtime,
 // internal/maxpressure, internal/gapout, internal/bpest) run their
@@ -167,8 +168,36 @@ func scripts() []script {
 			setQueues(&links[3], 0, 0, 2, 0)
 			links[0].OutTurnJoins = [signal.NumTurns]int{step / 2, step / 7, step / 13}
 		}},
+		{frozenScript, 200, func(step int, links []signal.LinkObs) {
+			// Frozen stretches, where the engine offers Quiet: an empty
+			// junction before step 60, a short phase 2 load that turns
+			// phase 2 green, then a steady phase 1 load frozen from step
+			// 70. With MaxPressure's defaults phase 2 turns green at 65,
+			// so its 10-step minimum green ends at 75, on a quiet step
+			// where the selection must still run. From step 150 both
+			// phases hold load: eq. (12) keeps a phase 1 green although
+			// phase 2's total gain is higher, so a threshold that reads
+			// the clock can switch on a quiet step.
+			q0, q1, q2 := 0, 0, 0
+			switch {
+			case step >= 60 && step < 70:
+				q2 = 10
+			case step >= 70 && step < 150:
+				q0, q1 = 12, 8
+			case step >= 150:
+				q0, q2 = 12, 10
+			}
+			setQueues(&links[0], q0, 0, 0, 0)
+			setQueues(&links[1], q1, 0, 0, 0)
+			setQueues(&links[2], q2, 0, 0, 0)
+			setQueues(&links[3], q2, 0, 0, 0)
+		}},
 	}
 }
+
+// frozenScript names the script whose frozen stretches must offer
+// Quiet to every batch-capable family.
+const frozenScript = "frozen"
 
 // driveDark runs a script with the engine's dark-mode override applied
 // between onset and the policy's release boundary (DESIGN.md §12): the
@@ -266,15 +295,21 @@ func driveBatched(t *testing.T, f signal.Factory, info signal.JunctionInfo, sc s
 	if err != nil {
 		t.Fatalf("factory %s: New: %v", f.Name(), err)
 	}
-	return driveBatchController(t, signal.Batched(ctrl), []signal.JunctionInfo{info}, []script{sc})[0]
+	traces, _ := driveBatchController(t, signal.Batched(ctrl), []signal.JunctionInfo{info}, []script{sc}, true)
+	return traces[0]
 }
 
 // driveBatchController feeds per-junction scripts to a BatchController,
 // maintaining the batch exactly as the engine does: Current feeds back
 // the previous decisions, Decided is pre-filled with Amber, and the
 // change set lists the links whose observation differs from the
-// previous round (AllChanged on the first).
-func driveBatchController(t *testing.T, bc signal.BatchController, infos []signal.JunctionInfo, scs []script) [][]signal.Phase {
+// previous round (AllChanged on the first). With quiet set, Quiet flags
+// each junction that last round decided its Current green and none of
+// whose links changed since — the engine's settled && !ctrlDirty, with
+// the junction's own links standing in for its roads. With quiet unset
+// Quiet stays nil, "nothing quiet". It returns the traces and the number
+// of junction-rounds offered as quiet.
+func driveBatchController(t *testing.T, bc signal.BatchController, infos []signal.JunctionInfo, scs []script, quiet bool) ([][]signal.Phase, int) {
 	t.Helper()
 	if len(infos) != len(scs) {
 		t.Fatalf("driveBatchController: %d infos vs %d scripts", len(infos), len(scs))
@@ -299,6 +334,11 @@ func driveBatchController(t *testing.T, bc signal.BatchController, infos []signa
 	}
 	staticFill(b.Links)
 	prev := make([]signal.LinkObs, total)
+	settled := make([]bool, len(infos))
+	if quiet {
+		b.Quiet = make([]bool, len(infos))
+	}
+	offered := 0
 	out := make([][]signal.Phase, len(infos))
 	for j := range out {
 		out[j] = make([]signal.Phase, steps)
@@ -326,14 +366,31 @@ func driveBatchController(t *testing.T, bc signal.BatchController, infos []signa
 		b.Time = float64(k) * infos[0].DeltaT
 		for j := range infos {
 			b.Decided[j] = signal.Amber
+			if quiet {
+				b.Quiet[j] = settled[j] && !b.AllChanged && !changedIn(b.Changed, b.JuncOff[j], b.JuncOff[j+1])
+				if b.Quiet[j] {
+					offered++
+				}
+			}
 		}
 		bc.DecideAll(&b)
 		for j := range infos {
+			settled[j] = b.Decided[j] == b.Current[j] && b.Current[j] != signal.Amber
 			out[j][k] = b.Decided[j]
 			b.Current[j] = b.Decided[j]
 		}
 	}
-	return out
+	return out, offered
+}
+
+// changedIn reports whether the change set names a link in [lo, hi).
+func changedIn(changed []int32, lo, hi int32) bool {
+	for _, gl := range changed {
+		if gl >= lo && gl < hi {
+			return true
+		}
+	}
+	return false
 }
 
 // checkInRange fails on any decision outside [Amber, NumPhases] — the
@@ -476,10 +533,38 @@ func Run(t *testing.T, c Case) {
 			if err != nil {
 				t.Fatalf("NewBatch: %v", err)
 			}
-			traces := driveBatchController(t, bc, infos, picked)
+			traces, _ := driveBatchController(t, bc, infos, picked, true)
 			for j := range infos {
 				solo := drive(t, c.Factory, infos[j], picked[j])
 				sameOrFatal(t, solo, traces[j], fmt.Sprintf("batch junction %d", j))
+			}
+		})
+		t.Run("skip-equivalence", func(t *testing.T) {
+			// A batched controller may keep Current for a junction the
+			// engine flags quiet instead of deciding it; the skip must
+			// be invisible. On every script the trace with Quiet
+			// maintained must equal the trace with Quiet nil and the
+			// per-junction trace, and the frozen script must actually
+			// offer Quiet, or the comparison proves nothing.
+			infos := []signal.JunctionInfo{info}
+			for _, sc := range scs {
+				run := func(quiet bool) ([]signal.Phase, int) {
+					bc, err := bf.NewBatch(infos)
+					if err != nil {
+						t.Fatalf("NewBatch: %v", err)
+					}
+					traces, offered := driveBatchController(t, bc, infos, []script{sc}, quiet)
+					return traces[0], offered
+				}
+				plain, _ := run(false)
+				skipping, offered := run(true)
+				if !sameOrFatal(t, plain, skipping, sc.name+": Quiet maintained vs Quiet nil") ||
+					!sameOrFatal(t, drive(t, c.Factory, info, sc), skipping, sc.name+": Quiet maintained vs per-junction") {
+					return
+				}
+				if sc.name == frozenScript && offered == 0 {
+					t.Fatalf("%s: no junction-round was offered as quiet", sc.name)
+				}
 			}
 		})
 	}
@@ -554,13 +639,13 @@ func Run(t *testing.T, c Case) {
 			if err != nil {
 				t.Fatalf("NewBatch: %v", err)
 			}
-			driveBatchController(t, abandoned, infos, []script{partial})
+			driveBatchController(t, abandoned, infos, []script{partial}, true)
 			fresh, err := bf.NewBatch(infos)
 			if err != nil {
 				t.Fatalf("NewBatch: %v", err)
 			}
-			batchTrace := driveBatchController(t, fresh, infos, []script{sc})[0]
-			sameOrFatal(t, full, batchTrace, "rebuilt batched controller after partial run")
+			batchTraces, _ := driveBatchController(t, fresh, infos, []script{sc}, true)
+			sameOrFatal(t, full, batchTraces[0], "rebuilt batched controller after partial run")
 		}
 	})
 	t.Run("independence", func(t *testing.T) {

@@ -7,6 +7,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -118,6 +119,146 @@ func TestBatchedControlEquivalenceWorkloads(t *testing.T) {
 						t.Fatal("vehicle arenas diverge between dispatch modes")
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestBatchedControlEquivalenceDrain pins the quiet-junction control
+// skip (DESIGN.md §11) where it engages most: the 16×16 city grid with
+// its incident, dark junction and surge, demand cut at 600 s and run
+// until the grid is empty. TestBatchedControlEquivalenceWorkloads runs
+// 300 loaded steps, where few junctions are quiet; here most
+// junction-rounds of the tail are. For every family that may skip —
+// UTIL-BP, MaxPressure, BP-EST — the batched engine must match the
+// per-junction reference: identical phase traces, arenas and totals.
+// Its final snapshot bytes must equal those of the same per-junction
+// controllers run batched through the signal.Batched adapter, which
+// never skips and shares the batched snapshot layout. A restore from a
+// mid-drain snapshot, which clears the skip flags, must finish the run
+// bit-for-bit like the uninterrupted engine.
+func TestBatchedControlEquivalenceDrain(t *testing.T) {
+	const cutoff, mid = 600, 1200
+	w, ok := scenario.WorkloadByName("city-grid-incident")
+	if !ok {
+		t.Fatal("city-grid-incident is not registered")
+	}
+	setup := w.Setup
+	setup.Seed = 5
+	factories := []struct {
+		name string
+		mk   func() signal.Factory
+	}{
+		{"UTIL-BP", func() signal.Factory { return setup.UtilBP() }},
+		{"MAXPRESSURE", func() signal.Factory { return setup.MaxPressure(0) }},
+		{"BP-EST", func() signal.Factory { return setup.EstimatedBP(0) }},
+	}
+	for _, f := range factories {
+		f := f
+		t.Run(f.name, func(t *testing.T) {
+			newEngine := func(factory signal.Factory, mode signal.ControlMode) *sim.Engine {
+				t.Helper()
+				built, err := setup.Build(w.Pattern)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := sim.New(sim.Config{
+					Net:         built.Grid.Network,
+					Controllers: factory,
+					Demand:      &sim.CutoffDemand{Inner: built.Demand, CutoffStep: cutoff},
+					Router:      built.Router,
+					Routes:      built.Routes,
+					Sensor:      built.Sensor,
+					Control:     mode,
+					Events:      built.Events,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			record := func(e *sim.Engine, trace *[]phaseEvent) {
+				e.AddHooks(sim.Hooks{Phase: func(node network.NodeID, step int, phase signal.Phase) {
+					*trace = append(*trace, phaseEvent{node, step, phase})
+				}})
+			}
+
+			// The reference runs until the grid is empty, then 100 more
+			// steps of a fully quiet network; the other runs replay its
+			// step count.
+			ref := newEngine(f.mk(), signal.ControlPerJunction)
+			var refTrace []phaseEvent
+			record(ref, &refTrace)
+			steps := 0
+			for ; steps < 6000; steps += 100 {
+				tot := ref.Totals()
+				if steps > cutoff && tot.Exited == tot.Spawned {
+					break
+				}
+				ref.Run(100)
+			}
+			if tot := ref.Totals(); tot.Exited != tot.Spawned {
+				t.Fatalf("grid not empty after %d steps: %d of %d vehicles exited", steps, tot.Exited, tot.Spawned)
+			}
+			ref.Run(100)
+			steps += 100
+			if err := ref.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+
+			batched := newEngine(f.mk(), signal.ControlAuto)
+			if !batched.Batched() {
+				t.Fatal("batch-capable factory did not engage the batched plane")
+			}
+			var bTrace []phaseEvent
+			record(batched, &bTrace)
+			quiet := 0
+			batched.AddHooks(sim.Hooks{Step: func(e *sim.Engine, _ int) { quiet += sim.QuietOffered(e) }})
+			batched.Run(mid)
+			checkpoint := batched.Snapshot()
+			batched.Run(steps - mid)
+			if err := batched.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if quiet == 0 {
+				t.Fatal("no junction was offered as quiet during the drain")
+			}
+			t.Logf("%d steps, %d of %d junction-rounds offered as quiet", steps, quiet, steps*len(ref.Network().Junctions))
+			compareTraces(t, refTrace, bTrace)
+			if batched.Totals() != ref.Totals() {
+				t.Fatalf("totals diverge: per-junction %+v, batched %+v", ref.Totals(), batched.Totals())
+			}
+			if !reflect.DeepEqual(batched.Vehicles(), ref.Vehicles()) {
+				t.Fatal("vehicle arenas diverge between dispatch modes")
+			}
+
+			// The same per-junction controllers, batched through the
+			// adapter: no skip, same snapshot layout as the batched
+			// engine.
+			plain := f.mk()
+			adapted := newEngine(signal.FactoryFunc{Label: plain.Name(), Build: plain.New}, signal.ControlBatched)
+			adapted.Run(steps)
+			final := batched.Snapshot()
+			if !bytes.Equal(final, adapted.Snapshot()) {
+				t.Fatal("final snapshot bytes differ from the adapter-batched run")
+			}
+
+			restored := newEngine(f.mk(), signal.ControlAuto)
+			if err := restored.Restore(checkpoint); err != nil {
+				t.Fatal(err)
+			}
+			var rTrace []phaseEvent
+			record(restored, &rTrace)
+			restored.Run(steps - mid)
+			if err := restored.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if len(rTrace) == 0 || len(rTrace) > len(bTrace) || rTrace[0].step != mid {
+				t.Fatalf("restored run recorded %d phase events, want the uninterrupted run's events from step %d", len(rTrace), mid)
+			}
+			compareTraces(t, bTrace[len(bTrace)-len(rTrace):], rTrace)
+			if !bytes.Equal(final, restored.Snapshot()) {
+				t.Fatal("restored run's final snapshot differs from the uninterrupted run")
 			}
 		})
 	}

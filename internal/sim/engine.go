@@ -21,6 +21,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"utilbp/internal/event"
@@ -346,6 +347,26 @@ type Engine struct {
 	// peek before ever reading the outgoing road), so a dirty road needs
 	// to wake exactly this junction, not every junction touching it.
 	roadWakeJunc []int32
+
+	// Quiet-junction control skip (DESIGN.md §11). roadTailJunc[r] is
+	// the index of road r's tail junction — the one whose links read r
+	// as their Out road — or -1 (entry roads). A dirty road marks
+	// ctrlDirty on both its head (roadWakeJunc) and its tail junction:
+	// between them they own every link observation the road feeds.
+	// settled[j] records that junction j's last decision kept its
+	// Current green while live (not dark). The batched control substep
+	// offers batch.Quiet[j] = settled[j] && !ctrlDirty[j]. All three
+	// flag arrays are derived state, cleared on Reset and Restore.
+	roadTailJunc []int32
+	ctrlDirty    []bool
+	settled      []bool
+	// tailDue[r] is the stop-line arrival time at the head of road r's
+	// travel heap, +Inf while the heap is empty: the due-time index
+	// completeTravel scans instead of probing every heap. enterRoad
+	// lowers it, completeTravel refreshes it after a road's pops. It is
+	// derived state, rebuilt from the heaps on Reset and Restore and
+	// cross-checked by CheckInvariants.
+	tailDue []float64
 }
 
 // linkRef addresses one junction link in the engine's observation
@@ -546,7 +567,11 @@ func New(cfg Config) (*Engine, error) {
 		Decided: make([]signal.Phase, len(e.juncs)),
 		Infos:   infos,
 		Changed: make([]int32, 0, e.numLinks),
+		Quiet:   make([]bool, len(e.juncs)),
 	}
+	e.ctrlDirty = make([]bool, len(e.juncs))
+	e.settled = make([]bool, len(e.juncs))
+	e.tailDue = make([]float64, len(e.roads))
 	e.serveRef = cfg.Serve == ServeReference
 	e.buildServePlane()
 	if err := e.buildControlPlane(); err != nil {
@@ -560,8 +585,10 @@ func New(cfg Config) (*Engine, error) {
 	// pre-sized here so the step loop never allocates.
 	e.roadLinks = make([][]linkRef, len(e.net.Roads))
 	e.roadWakeJunc = make([]int32, len(e.net.Roads))
+	e.roadTailJunc = make([]int32, len(e.net.Roads))
 	for i := range e.roadWakeJunc {
 		e.roadWakeJunc[i] = -1
+		e.roadTailJunc[i] = -1
 	}
 	for ji := range e.juncs {
 		for li := range e.juncs[ji].j.Links {
@@ -569,6 +596,7 @@ func New(cfg Config) (*Engine, error) {
 			ref := linkRef{junc: int32(ji), link: int32(li)}
 			e.roadLinks[l.In] = append(e.roadLinks[l.In], ref)
 			e.roadWakeJunc[l.In] = int32(ji)
+			e.roadTailJunc[l.Out] = int32(ji)
 			if l.Out != l.In {
 				e.roadLinks[l.Out] = append(e.roadLinks[l.Out], ref)
 			}
@@ -585,6 +613,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.events = cfg.Events
+	e.resetDerived()
 	return e, nil
 }
 
@@ -828,9 +857,8 @@ func (e *Engine) Reset(seed uint64) error {
 		rs.queuedTotal = 0
 		rs.effCap = rs.road.Capacity
 	}
-	e.netQueued = 0
+	e.resetDerived()
 	e.evCursor = 0
-	e.resetServeSkip()
 	e.arena.Reset()
 	clear(e.hooks) // drop recorder closures before truncating
 	e.hooks = e.hooks[:0]
@@ -851,6 +879,35 @@ func (e *Engine) Reset(seed uint64) error {
 		e.rearmTelemetry()
 	}
 	return nil
+}
+
+// resetDerived rebuilds the engine's derived state from the road
+// states: the network queue total, the serve-skip flags, the control
+// skip flags and the travel due-time index. New, Reset and Restore call
+// it once the roads hold their final state. None of it is serialized.
+// Clearing the skip flags is conservative, never lossy: the next serve
+// pass and the next decision round run in full, and each re-derives
+// its flags (resetServeSkip; DESIGN.md §11, "Quiet junctions").
+func (e *Engine) resetDerived() {
+	e.netQueued = 0
+	for ri := range e.roads {
+		rs := &e.roads[ri]
+		e.netQueued += rs.queuedTotal
+		e.tailDue[ri] = rs.headDue()
+	}
+	e.resetServeSkip()
+	clear(e.ctrlDirty)
+	clear(e.settled)
+	clear(e.batch.Quiet)
+}
+
+// headDue returns the arrival time at the head of the road's travel
+// heap, +Inf when nothing is in transit.
+func (rs *roadState) headDue() float64 {
+	if a, ok := rs.tail.Peek(); ok {
+		return a.At
+	}
+	return math.Inf(1)
 }
 
 // clearObsDynamic rewinds the dynamic queue fields of a link
@@ -1072,10 +1129,11 @@ func (e *Engine) Run(steps int) {
 	}
 }
 
-// RunFor advances the simulation by the given number of seconds.
+// RunFor advances the simulation by the given number of seconds,
+// rounded to the nearest whole mini-slot: at Δt = 0.1 the quotient
+// 0.3/0.1 is 2.9999999999999996, which truncation would run as 2 steps.
 func (e *Engine) RunFor(seconds float64) {
-	steps := int(seconds / e.dt)
-	e.Run(steps)
+	e.Run(int(math.Round(seconds / e.dt)))
 }
 
 func (e *Engine) stepOnce() {
@@ -1266,12 +1324,7 @@ func (e *Engine) sense() {
 	sensor := e.sensor
 	for _, rd := range e.dirtyRoads {
 		e.roadDirty[rd] = false
-		// Wake the serve plane: the road's head junction must take a
-		// full serve pass this step (DESIGN.md §16); junctions the road
-		// feeds into are unaffected — their idle claims never read it.
-		if j := e.roadWakeJunc[rd]; j >= 0 {
-			e.juncWoke[j] = true
-		}
+		e.wake(rd)
 		for si := range e.roadSites[rd] {
 			s := &e.roadSites[rd][si]
 			if e.linkSeen[s.gl] == stamp {
@@ -1299,6 +1352,24 @@ func (e *Engine) sense() {
 	e.dirtyRoads = e.dirtyRoads[:0]
 }
 
+// wake fans one dirty road out to the junctions that read it. The serve
+// plane wakes the road's head junction only: it must take a full serve
+// pass this step (DESIGN.md §16), while junctions the road feeds into
+// keep their idle claims, which never read it. The control plane marks
+// both the head junction (the road is an In road of its links) and the
+// tail junction (an Out road): every observation the road feeds lives
+// at one of the two, so a junction left unmarked sees the same link
+// window as last round (DESIGN.md §11).
+func (e *Engine) wake(rd int32) {
+	if j := e.roadWakeJunc[rd]; j >= 0 {
+		e.juncWoke[j] = true
+		e.ctrlDirty[j] = true
+	}
+	if j := e.roadTailJunc[rd]; j >= 0 {
+		e.ctrlDirty[j] = true
+	}
+}
+
 // senseFull refreshes every link contiguously — the old full-walk
 // observation build, kept as the dense-dirty fast path of sense. It
 // produces the same truth as the incremental refresh (writing a clean
@@ -1311,9 +1382,7 @@ func (e *Engine) senseFull() {
 	// drained fringe of a loaded grid, where the skip pays most.
 	for _, rd := range e.dirtyRoads {
 		e.roadDirty[rd] = false
-		if j := e.roadWakeJunc[rd]; j >= 0 {
-			e.juncWoke[j] = true
-		}
+		e.wake(rd)
 	}
 	e.dirtyRoads = e.dirtyRoads[:0]
 	for i := range e.allSites {
@@ -1380,9 +1449,17 @@ func (e *Engine) applyDecision(js *junctionState, phase signal.Phase) {
 // controlBatched is the batched control substep: fill the batch's
 // per-junction inputs, make one DecideAll call, then apply the decisions
 // with the same phase-range coercion and hook firing as the per-junction
-// loop. Decided is pre-filled with Amber so a controller that skips a
-// junction leaves it inactive; the change set is consumed by exactly one
-// decision round.
+// loop. Decided is pre-filled with Amber so a controller that writes
+// nothing for a junction leaves it inactive; the change set and the
+// control dirty marks are consumed by exactly one decision round.
+//
+// Quiet is settled && !ctrlDirty (DESIGN.md §11, "Quiet junctions"): a
+// junction that last round decided its Current green while live, and
+// none of whose roads changed since. Link observations change only in
+// sense (for the links of dirty roads, which mark their head and tail
+// junctions), in setEffCap (which marks the road dirty) and on
+// Reset/Restore (which clear settled), so a quiet junction decides on
+// the same link window and the same Current as last round.
 func (e *Engine) controlBatched(t float64) {
 	b := &e.batch
 	b.Step = e.step
@@ -1392,12 +1469,17 @@ func (e *Engine) controlBatched(t float64) {
 		js.prev = js.current
 		b.Current[ji] = js.current
 		b.Decided[ji] = signal.Amber
+		b.Quiet[ji] = e.settled[ji] && !e.ctrlDirty[ji]
+		e.ctrlDirty[ji] = false
 	}
 	e.batchCtrl.DecideAll(b)
 	b.Changed = b.Changed[:0]
 	b.AllChanged = false
 	for ji := range e.juncs {
-		e.applyDecision(&e.juncs[ji], b.Decided[ji])
+		js := &e.juncs[ji]
+		cur, dec := b.Current[ji], b.Decided[ji]
+		e.settled[ji] = dec == cur && cur != signal.Amber && js.darkSince < 0
+		e.applyDecision(js, dec)
 	}
 }
 
@@ -1419,17 +1501,21 @@ func (e *Engine) exitVehicle(id vehicle.ID, t float64) {
 
 // completeTravel moves vehicles whose stop-line arrival falls inside this
 // mini-slot from the road into the turning lane for their next movement.
+// The due-time index names the roads with an arrival due; they are
+// visited in road order, so pops, dirty marks and every downstream
+// draw keep the order of a walk over all roads.
 func (e *Engine) completeTravel(t float64) {
 	deadline := t + e.dt
-	for ri := range e.roads {
+	for ri, due := range e.tailDue {
+		if due > deadline {
+			continue
+		}
 		rs := &e.roads[ri]
-		arrived := false
 		for {
 			a, ok := rs.tail.PopDue(deadline)
 			if !ok {
 				break
 			}
-			arrived = true
 			id := vehicle.ID(a.Vehicle)
 			if rs.exits {
 				// Vehicles never travel on exit roads in this model
@@ -1451,9 +1537,8 @@ func (e *Engine) completeTravel(t float64) {
 			rs.queuedTotal++
 			e.netQueued++
 		}
-		if arrived {
-			e.markDirty(network.RoadID(ri))
-		}
+		e.tailDue[ri] = rs.headDue()
+		e.markDirty(network.RoadID(ri))
 	}
 }
 
@@ -1467,7 +1552,11 @@ func (e *Engine) enterRoad(rs *roadState, id vehicle.ID, t float64) {
 		rs.transit[turn]++
 	}
 	e.arena.SetPendingTurn(id, turn)
-	rs.tail.Add(int(id), t+rs.road.TravelTime())
+	at := t + rs.road.TravelTime()
+	rs.tail.Add(int(id), at)
+	if at < e.tailDue[rs.road.ID] {
+		e.tailDue[rs.road.ID] = at
+	}
 }
 
 // turnFallbacks is the fixed preference order a vehicle's infeasible
@@ -1559,6 +1648,9 @@ func (e *Engine) CheckInvariants() error {
 		}
 		if rs.road.Bounded() && rs.occupancy > rs.road.Capacity {
 			return fmt.Errorf("sim: road %d occupancy %d exceeds capacity %d", ri, rs.occupancy, rs.road.Capacity)
+		}
+		if due, head := e.tailDue[ri], rs.headDue(); due != head {
+			return fmt.Errorf("sim: road %d due-time index %v != travel heap head %v", ri, due, head)
 		}
 		inNetwork += rs.occupancy
 	}

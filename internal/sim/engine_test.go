@@ -524,4 +524,27 @@ func TestRunFor(t *testing.T) {
 	if e.Step() != 60 || e.Time() != 60 {
 		t.Fatalf("RunFor(60): step=%d time=%v", e.Step(), e.Time())
 	}
+
+	// At Δt = 0.1 the float quotients land a hair off whole steps
+	// (0.3/0.1 = 2.9999999999999996); RunFor rounds to the nearest step.
+	fine, err := New(Config{
+		Net:         g.Network,
+		Controllers: staticFactory(1),
+		Demand:      NewScheduledDemand(),
+		DeltaT:      0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, c := range []struct {
+		seconds float64
+		steps   int
+	}{{0.3, 3}, {0.7, 7}, {0.1, 1}, {2.9, 29}, {0.04, 0}, {0.06, 1}, {60, 600}} {
+		fine.RunFor(c.seconds)
+		total += c.steps
+		if fine.Step() != total {
+			t.Fatalf("Δt=0.1: RunFor(%v) ran to step %d, want %d", c.seconds, fine.Step(), total)
+		}
+	}
 }

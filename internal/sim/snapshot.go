@@ -220,22 +220,16 @@ func (e *Engine) Restore(data []byte) error {
 			return fmt.Errorf("sim: road %d travel heap: %w", i, err)
 		}
 	}
-	// netQueued is derived state, not part of the stream: rebuild it
-	// from the restored per-road counters.
-	e.netQueued = 0
-	for i := range e.roads {
-		e.netQueued += e.roads[i].queuedTotal
-	}
+	// Derived state is not part of the stream: rebuild netQueued and
+	// the travel due-time index from the restored roads, and clear the
+	// serve and control skip flags. Cleared flags force full serve
+	// passes and full decisions, which re-derive them exactly
+	// (DESIGN.md §11, §16).
+	e.resetDerived()
 
 	if err := e.arena.RestoreState(r); err != nil {
 		return fmt.Errorf("sim: restore vehicle arena: %w", err)
 	}
-	// The serve-skip cache is derived state like netQueued: clearing it
-	// forces full passes, which over idle junctions perform exactly the
-	// idle tick's updates — conservative, never divergent (DESIGN.md
-	// §16).
-	e.resetServeSkip()
-
 	for i := range e.juncs {
 		js := &e.juncs[i]
 		js.current = signal.Phase(r.Int())
