@@ -478,11 +478,14 @@ func BenchmarkStepOnceInstrumented(b *testing.B) {
 	}
 }
 
-// stepOnceBench is the shared warm-and-replay body of the StepOnce
-// benchmarks. A nil factory runs the paper's UTIL-BP.
-func stepOnceBench(b *testing.B, setup Setup, factory signal.Factory, sensor sensing.Sensor) {
+// stepHorizon is the warm-and-replay horizon of the step benchmarks.
+const stepHorizon = 2000
+
+// stepOnceBench is the shared warm-and-replay body of the step
+// benchmarks; it returns the engine with the timer still running. A nil
+// factory runs the paper's UTIL-BP.
+func stepOnceBench(b *testing.B, setup Setup, factory signal.Factory, sensor sensing.Sensor) *sim.Engine {
 	b.Helper()
-	const horizon = 2000
 	if factory == nil {
 		factory = setup.UtilBP()
 	}
@@ -500,13 +503,14 @@ func stepOnceBench(b *testing.B, setup Setup, factory signal.Factory, sensor sen
 		Router:           built.Router,
 		Routes:           built.Routes,
 		Sensor:           sensor,
+		Control:          setup.Control,
 		Events:           built.Events,
-		ExpectedVehicles: built.ExpectedVehicles(horizon),
+		ExpectedVehicles: built.ExpectedVehicles(stepHorizon),
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine.Run(horizon) // grow the working set over one full horizon
+	engine.Run(stepHorizon) // grow the working set over one full horizon
 	if err := engine.Reset(setup.Seed); err != nil {
 		b.Fatal(err)
 	}
@@ -514,7 +518,7 @@ func stepOnceBench(b *testing.B, setup Setup, factory signal.Factory, sensor sen
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if used == horizon {
+		if used == stepHorizon {
 			// Rewind and replay the identical horizon; the replay never
 			// exceeds the grown capacity.
 			b.StopTimer()
@@ -527,6 +531,24 @@ func stepOnceBench(b *testing.B, setup Setup, factory signal.Factory, sensor sen
 		engine.Run(1)
 		used++
 	}
+	return engine
+}
+
+// reportSubstep stops the timer, replays the benchmark's horizon traced
+// (sim.Engine.RunTraced) and reports one substep's mean wall time per
+// step (substep indexes sim.SubstepNames) as the named metric.
+func reportSubstep(b *testing.B, engine *sim.Engine, seed uint64, substep int, metric string) {
+	b.StopTimer()
+	if err := engine.Reset(seed); err != nil {
+		b.Fatal(err)
+	}
+	tl := sim.NewTraceLog(stepHorizon)
+	engine.RunTraced(stepHorizon, tl)
+	var sum int64
+	for _, d := range tl.Spans[substep] {
+		sum += d.Nanoseconds()
+	}
+	b.ReportMetric(float64(sum)/stepHorizon, metric)
 }
 
 // BenchmarkControlPhasePerJunction and BenchmarkControlPhaseBatched
@@ -534,9 +556,9 @@ func stepOnceBench(b *testing.B, setup Setup, factory signal.Factory, sensor sen
 // BenchmarkStepOnce, 0 B/op / 0 allocs/op CI-gated) with the control
 // substep dispatched per-junction vs through the batched control plane
 // (DESIGN.md §11). The control_ns_per_step metric attributes the
-// control substep's share from an instrumented replay of the identical
-// horizon (sim.Engine.RunTimed), so the batched plane's win is visible
-// next to the headline ns/op.
+// control substep's share from a traced replay of the identical
+// horizon, so the batched plane's win is visible next to the headline
+// ns/op.
 func BenchmarkControlPhasePerJunction(b *testing.B) { controlPhaseBench(b, signal.ControlPerJunction) }
 
 // BenchmarkControlPhaseBatched is the batched-dispatch counterpart of
@@ -545,115 +567,19 @@ func BenchmarkControlPhaseBatched(b *testing.B) { controlPhaseBench(b, signal.Co
 
 // controlPhaseBench is the shared body of the ControlPhase benchmarks.
 func controlPhaseBench(b *testing.B, mode signal.ControlMode) {
-	b.Helper()
-	const horizon = 2000
 	setup := benchSetup()
 	setup.Control = mode
-	built, err := setup.Build(scenario.PatternI)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine, err := sim.New(sim.Config{
-		Net:              built.Grid.Network,
-		Controllers:      setup.UtilBP(),
-		Demand:           built.Demand,
-		Router:           built.Router,
-		Routes:           built.Routes,
-		Control:          setup.Control,
-		ExpectedVehicles: built.ExpectedVehicles(horizon),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine.Run(horizon) // grow the working set over one full horizon
-	if err := engine.Reset(setup.Seed); err != nil {
-		b.Fatal(err)
-	}
-	used := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if used == horizon {
-			b.StopTimer()
-			if err := engine.Reset(setup.Seed); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			used = 0
-		}
-		engine.Run(1)
-		used++
-	}
-	b.StopTimer()
-	if err := engine.Reset(setup.Seed); err != nil {
-		b.Fatal(err)
-	}
-	var pt sim.PhaseTimings
-	engine.RunTimed(horizon, &pt)
-	b.ReportMetric(float64(pt.Control.Nanoseconds())/float64(pt.Steps), "control_ns_per_step")
+	reportSubstep(b, stepOnceBench(b, setup, nil, nil), setup.Seed, 2, "control_ns_per_step")
 }
 
-// BenchmarkStepOnceServeBatched and BenchmarkStepOnceServeReference
-// time the full warm mini-slot (same warm-and-replay discipline as
-// BenchmarkStepOnce, 0 B/op / 0 allocs/op CI-gated) with the service
-// substep running through the batched serve plane vs the per-junction
-// reference loop (DESIGN.md §16). The serve_ns_per_step metric
-// attributes the serve substep's share from an instrumented replay of
-// the identical horizon (sim.Engine.RunTimed), so the idle-junction
-// skip's win is visible next to the headline ns/op.
-func BenchmarkStepOnceServeBatched(b *testing.B) { serveModeBench(b, sim.ServeBatched) }
-
-// BenchmarkStepOnceServeReference is the reference-loop counterpart of
-// BenchmarkStepOnceServeBatched.
-func BenchmarkStepOnceServeReference(b *testing.B) { serveModeBench(b, sim.ServeReference) }
-
-// serveModeBench is the shared body of the serve-mode benchmarks.
-func serveModeBench(b *testing.B, mode sim.ServeMode) {
-	b.Helper()
-	const horizon = 2000
+// BenchmarkStepOnceServeBatched times the full warm mini-slot (0 B/op /
+// 0 allocs/op CI-gated) and reports the serve substep's share of it —
+// the batched serve plane with its idle/sub-threshold skips (DESIGN.md
+// §16) — as serve_ns_per_step, from a traced replay of the identical
+// horizon.
+func BenchmarkStepOnceServeBatched(b *testing.B) {
 	setup := benchSetup()
-	built, err := setup.Build(scenario.PatternI)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine, err := sim.New(sim.Config{
-		Net:              built.Grid.Network,
-		Controllers:      setup.UtilBP(),
-		Demand:           built.Demand,
-		Router:           built.Router,
-		Routes:           built.Routes,
-		Serve:            mode,
-		ExpectedVehicles: built.ExpectedVehicles(horizon),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine.Run(horizon) // grow the working set over one full horizon
-	if err := engine.Reset(setup.Seed); err != nil {
-		b.Fatal(err)
-	}
-	used := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if used == horizon {
-			b.StopTimer()
-			if err := engine.Reset(setup.Seed); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			used = 0
-		}
-		engine.Run(1)
-		used++
-	}
-	b.StopTimer()
-	if err := engine.Reset(setup.Seed); err != nil {
-		b.Fatal(err)
-	}
-	var pt sim.PhaseTimings
-	engine.RunTimed(horizon, &pt)
-	b.ReportMetric(float64(pt.Serve.Nanoseconds())/float64(pt.Steps), "serve_ns_per_step")
+	reportSubstep(b, stepOnceBench(b, setup, nil, nil), setup.Seed, 3, "serve_ns_per_step")
 }
 
 func benchName(prefix string, v int) string {

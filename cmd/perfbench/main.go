@@ -57,7 +57,6 @@ type Report struct {
 	SteadyStep   StepReport               `json:"steady_step"`
 	Sensing      []SensorStepReport       `json:"sensing,omitempty"`
 	Control      []ControlStepReport      `json:"control,omitempty"`
-	Serve        []ServeStepReport        `json:"serve,omitempty"`
 	Instrumented []InstrumentedStepReport `json:"instrumented,omitempty"`
 	Sweeps       []SweepTime              `json:"sweeps"`
 	Matrix       *MatrixReport            `json:"matrix,omitempty"`
@@ -68,9 +67,9 @@ type Report struct {
 
 // StepReport summarizes a stepping measurement. The headline numbers
 // come from an uninstrumented run; Phases attributes time to the
-// mini-slot substeps from a second, instrumented run of an identical
-// engine (sim.Engine.RunTimed), whose clock reads add overhead — the
-// split is for attribution, not for absolute comparison.
+// mini-slot substeps from a second, traced run of an identical engine
+// (sim.Engine.RunTraced), whose clock reads add overhead — the split is
+// for attribution, not for absolute comparison.
 type StepReport struct {
 	Steps         int         `json:"steps"`
 	WallSeconds   float64     `json:"wall_seconds"`
@@ -110,19 +109,6 @@ type SensorStepReport struct {
 // control plane's win is visible in the phases.control_ns column next
 // to the per-junction reference.
 type ControlStepReport struct {
-	Workload string `json:"workload"`
-	Mode     string `json:"mode"`
-	StepReport
-}
-
-// ServeStepReport is one serve-mode measurement: steady-state stepping
-// of a workload with the serve substep dispatched batched (the skip-
-// capable serve plane of DESIGN.md §16) or through the per-junction
-// reference loop, so the serve plane's win is visible in the
-// phases.serve_ns column next to the reference. The two modes step
-// bit-identical states (pinned by the serve-equivalence harness); the
-// delta is pure dispatch cost.
-type ServeStepReport struct {
 	Workload string `json:"workload"`
 	Mode     string `json:"mode"`
 	StepReport
@@ -272,7 +258,6 @@ func main() {
 		workload  = flag.Bool("workloads", true, "time a short pooled sweep per registered workload")
 		sense     = flag.Bool("sensing", true, "measure sensing overhead (steady stepping per sensor model) and the penetration sweep wall time")
 		ctrlModes = flag.Bool("control-modes", true, "measure the control substep per dispatch mode (per-junction vs batched) on the paper and city grids")
-		srvModes  = flag.Bool("serve", true, "measure the serve substep per dispatch mode (batched vs reference) on the paper and city grids")
 		instr     = flag.Bool("instrumented", true, "measure telemetry-recording overhead (steady stepping with a recorder installed vs off) on the paper and city grids")
 		wlDur     = flag.Float64("workload-duration", 900, "horizon in seconds for the workload sweeps; when left at the default, city-scale workloads shorten it via their registered SweepHorizonSec")
 		matrix    = flag.Bool("matrix", true, "run the controller-zoo × sensor matrix sweep (experiment.MatrixSweep) on the paper grid and the city workloads")
@@ -337,20 +322,6 @@ func main() {
 				report.Control = append(report.Control, rep)
 				fmt.Printf("control %s/%s: %.0f ns/step (control %.0f ns), %.4f allocs/step\n",
 					wl, mode, rep.NsPerStep, rep.Phases.ControlNs, rep.AllocsPerStep)
-			}
-		}
-	}
-
-	if *srvModes {
-		for _, wl := range []string{"paper-grid", "city-grid"} {
-			for _, mode := range []sim.ServeMode{sim.ServeBatched, sim.ServeReference} {
-				rep, err := measureServeMode(wl, mode, *seed, *warmup, *steady)
-				if err != nil {
-					fatal(err)
-				}
-				report.Serve = append(report.Serve, rep)
-				fmt.Printf("serve %s/%s: %.0f ns/step (serve %.0f ns), %.4f allocs/step\n",
-					wl, mode, rep.NsPerStep, rep.Phases.ServeNs, rep.AllocsPerStep)
 			}
 		}
 	}
@@ -570,11 +541,11 @@ func measureLoaded(setup scenario.Setup, steps int) (StepReport, error) {
 	return rep, nil
 }
 
-// steadyEngine builds an engine for the workload's grid, sensor and
-// serve mode, warms it up under the workload's demand and cuts
-// arrivals, leaving the quiesced configuration whose contract is zero
-// allocations per step.
-func steadyEngine(setup scenario.Setup, pattern scenario.Pattern, sensor sensing.Sensor, serve sim.ServeMode, warmup int) (*sim.Engine, error) {
+// steadyEngine builds an engine for the workload's grid and sensor,
+// warms it up under the workload's demand and cuts arrivals, leaving
+// the quiesced configuration whose contract is zero allocations per
+// step.
+func steadyEngine(setup scenario.Setup, pattern scenario.Pattern, sensor sensing.Sensor, warmup int) (*sim.Engine, error) {
 	built, err := setup.Build(pattern)
 	if err != nil {
 		return nil, err
@@ -590,7 +561,6 @@ func steadyEngine(setup scenario.Setup, pattern scenario.Pattern, sensor sensing
 		Routes:      built.Routes,
 		Sensor:      sensor,
 		Control:     setup.Control,
-		Serve:       serve,
 	})
 	if err != nil {
 		return nil, err
@@ -604,12 +574,12 @@ func steadyEngine(setup scenario.Setup, pattern scenario.Pattern, sensor sensing
 // drains to the terminals the loop steps an empty network, and a long
 // window would average that in and overstate throughput.
 func measureSteady(setup scenario.Setup, warmup, steps int) (StepReport, error) {
-	engine, err := steadyEngine(setup, scenario.PatternI, nil, sim.ServeBatched, warmup)
+	engine, err := steadyEngine(setup, scenario.PatternI, nil, warmup)
 	if err != nil {
 		return StepReport{}, err
 	}
 	rep := timeSteps(engine, steps)
-	timed, err := steadyEngine(setup, scenario.PatternI, nil, sim.ServeBatched, warmup)
+	timed, err := steadyEngine(setup, scenario.PatternI, nil, warmup)
 	if err != nil {
 		return StepReport{}, err
 	}
@@ -654,42 +624,17 @@ func measureControlMode(workload string, mode signal.ControlMode, seed uint64, w
 	setup := w.Setup
 	setup.Seed = seed
 	setup.Control = mode
-	engine, err := steadyEngine(setup, w.Pattern, nil, sim.ServeBatched, warmup)
+	engine, err := steadyEngine(setup, w.Pattern, nil, warmup)
 	if err != nil {
 		return ControlStepReport{}, err
 	}
 	rep := timeSteps(engine, steps)
-	timed, err := steadyEngine(setup, w.Pattern, nil, sim.ServeBatched, warmup)
+	timed, err := steadyEngine(setup, w.Pattern, nil, warmup)
 	if err != nil {
 		return ControlStepReport{}, err
 	}
 	rep.Phases = phaseSplit(timed, steps)
 	return ControlStepReport{Workload: workload, Mode: mode.String(), StepReport: rep}, nil
-}
-
-// measureServeMode runs the steady-state measurement for one workload ×
-// serve dispatch mode, under the same seed and warmup as the sibling
-// stepping measurements. The batched and reference modes step
-// bit-identical states, so the delta is the serve plane's dispatch cost
-// alone — on draining grids mostly the idle/sub-threshold skips.
-func measureServeMode(workload string, mode sim.ServeMode, seed uint64, warmup, steps int) (ServeStepReport, error) {
-	w, ok := scenario.WorkloadByName(workload)
-	if !ok {
-		return ServeStepReport{}, fmt.Errorf("workload %q not registered", workload)
-	}
-	setup := w.Setup
-	setup.Seed = seed
-	engine, err := steadyEngine(setup, w.Pattern, nil, mode, warmup)
-	if err != nil {
-		return ServeStepReport{}, err
-	}
-	rep := timeSteps(engine, steps)
-	timed, err := steadyEngine(setup, w.Pattern, nil, mode, warmup)
-	if err != nil {
-		return ServeStepReport{}, err
-	}
-	rep.Phases = phaseSplit(timed, steps)
-	return ServeStepReport{Workload: workload, Mode: mode.String(), StepReport: rep}, nil
 }
 
 // measureInstrumented times steady-state stepping with a telemetry
@@ -704,12 +649,12 @@ func measureInstrumented(workload string, spec telemetry.Spec, seed uint64, warm
 	}
 	setup := w.Setup
 	setup.Seed = seed
-	base, err := steadyEngine(setup, w.Pattern, nil, sim.ServeBatched, warmup)
+	base, err := steadyEngine(setup, w.Pattern, nil, warmup)
 	if err != nil {
 		return InstrumentedStepReport{}, err
 	}
 	baseRep := timeSteps(base, steps)
-	inst, err := steadyEngine(setup, w.Pattern, nil, sim.ServeBatched, warmup)
+	inst, err := steadyEngine(setup, w.Pattern, nil, warmup)
 	if err != nil {
 		return InstrumentedStepReport{}, err
 	}
@@ -751,7 +696,7 @@ func measureSensing(workload, label string, spec sensing.Spec, explicit bool, se
 	if err != nil {
 		return SensorStepReport{}, err
 	}
-	engine, err := steadyEngine(setup, w.Pattern, sensor, sim.ServeBatched, warmup)
+	engine, err := steadyEngine(setup, w.Pattern, sensor, warmup)
 	if err != nil {
 		return SensorStepReport{}, err
 	}
@@ -760,7 +705,7 @@ func measureSensing(workload, label string, spec sensing.Spec, explicit bool, se
 	if err != nil {
 		return SensorStepReport{}, err
 	}
-	timed, err := steadyEngine(setup, w.Pattern, sensor, sim.ServeBatched, warmup)
+	timed, err := steadyEngine(setup, w.Pattern, sensor, warmup)
 	if err != nil {
 		return SensorStepReport{}, err
 	}
@@ -1007,19 +952,26 @@ func measureEngineHeap(w scenario.Workload) (HeapReport, error) {
 	}, nil
 }
 
-// phaseSplit advances an instrumented engine and attributes per-step
-// time to the mini-slot substeps.
+// phaseSplit advances a traced engine and attributes per-step time to
+// the mini-slot substeps: each substep's span row of the trace log,
+// summed and divided by the step count.
 func phaseSplit(engine *sim.Engine, steps int) *PhaseSplit {
-	var pt sim.PhaseTimings
-	engine.RunTimed(steps, &pt)
-	per := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(steps) }
+	tl := sim.NewTraceLog(steps)
+	engine.RunTraced(steps, tl)
+	var per [sim.NumSubsteps]float64
+	for s, row := range tl.Spans {
+		for _, d := range row {
+			per[s] += float64(d.Nanoseconds())
+		}
+		per[s] /= float64(steps)
+	}
 	return &PhaseSplit{
-		EventsNs:   per(pt.Events),
-		SenseNs:    per(pt.Sense),
-		ControlNs:  per(pt.Control),
-		ServeNs:    per(pt.Serve),
-		TravelNs:   per(pt.Travel),
-		ArrivalsNs: per(pt.Arrivals),
+		EventsNs:   per[0],
+		SenseNs:    per[1],
+		ControlNs:  per[2],
+		ServeNs:    per[3],
+		TravelNs:   per[4],
+		ArrivalsNs: per[5],
 	}
 }
 

@@ -62,7 +62,6 @@ func main() {
 		sensorFlag  = flag.String("sensor", "", "observation sensor: perfect | loop | cv:<rate> (default: the workload's sensor, else perfect)")
 		eventsFlag  = flag.String("events", "", "disruption schedule, ';'-separated event specs (see internal/event); REPLACES the workload's schedule — pass '' to run a disrupted workload clean")
 		controlFlag = flag.String("control", "", "controller dispatch mode: auto | per-junction | batched (default auto: batched when the controller supports it)")
-		serveFlag   = flag.String("serve", "", "serve dispatch mode: auto | batched | reference (default batched: the skip-capable serve plane; reference forces the per-junction loop — bit-identical, for pinning)")
 		snapAt      = flag.Float64("snapshot-at", 0, "capture an engine snapshot after this many simulated seconds (requires -snapshot-out)")
 		snapOut     = flag.String("snapshot-out", "", "write the -snapshot-at snapshot to this path and continue the run")
 		restoreFrom = flag.String("restore-from", "", "resume the run from a snapshot file written by -snapshot-out; the flags must rebuild the captured configuration")
@@ -180,10 +179,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	serveMode, err := sim.ParseServeMode(*serveFlag)
-	if err != nil {
-		fatal(err)
-	}
 	spec := experiment.Spec{
 		Setup:            setup,
 		Pattern:          pattern,
@@ -191,7 +186,6 @@ func main() {
 		DurationSec:      *duration,
 		MixedLanes:       *mixedLanes,
 		StartupLostSteps: *lost,
-		Serve:            serveMode,
 	}
 	if (*snapOut != "") != (*snapAt > 0) {
 		fatal(fmt.Errorf("-snapshot-at and -snapshot-out must be used together"))

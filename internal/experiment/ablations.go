@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"utilbp/internal/core"
 	"utilbp/internal/scenario"
@@ -30,8 +29,15 @@ type ablationSpec struct {
 	factory     func(scenario.Setup) signal.Factory
 }
 
+// ablationSpecs lists the full algorithm first, then one variant per
+// removed mechanism.
 func ablationSpecs() []ablationSpec {
 	return []ablationSpec{
+		{
+			name:        "full UTIL-BP",
+			description: "the complete algorithm",
+			factory:     func(s scenario.Setup) signal.Factory { return s.UtilBP() },
+		},
 		{
 			name:        "A1 no-W*-shift",
 			description: "clamp gains at zero: no service under negative pressure difference",
@@ -73,33 +79,23 @@ func ablationSpecs() []ablationSpec {
 }
 
 // Ablations runs the full UTIL-BP and every single-mechanism ablation on
-// one pattern, in parallel, and reports the degradation each removal
-// causes. The first returned row is the full algorithm (degradation 0).
+// one pattern, in parallel on the sweep runner, and reports the
+// degradation each removal causes. The first returned row is the full
+// algorithm (degradation 0).
 func Ablations(setup scenario.Setup, pattern scenario.Pattern, durationSec float64) ([]AblationRow, error) {
 	specs := ablationSpecs()
-	rows := make([]AblationRow, len(specs)+1)
-	errs := make([]error, len(specs)+1)
-	var wg sync.WaitGroup
-	run := func(i int, factory signal.Factory, name, desc string) {
-		defer wg.Done()
-		res, err := Run(Spec{Setup: setup, Pattern: pattern, Factory: factory, DurationSec: durationSec})
-		if err != nil {
-			errs[i] = fmt.Errorf("experiment: ablation %s: %w", name, err)
-			return
-		}
-		rows[i] = AblationRow{Name: name, Description: desc, MeanWait: res.Summary.MeanWait}
-	}
-	wg.Add(1)
-	go run(0, setup.UtilBP(), "full UTIL-BP", "the complete algorithm")
-	for i, spec := range specs {
-		wg.Add(1)
-		go run(i+1, spec.factory(setup), spec.name, spec.description)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	rows, err := runCells(len(specs), poolWidth(), nil,
+		func(i int) cellLabels { return cellLabels{pattern.String(), specs[i].name, setup.Sensor.String()} },
+		func(_ struct{}, i int) (AblationRow, error) {
+			spec := specs[i]
+			res, err := Run(Spec{Setup: setup, Pattern: pattern, Factory: spec.factory(setup), DurationSec: durationSec})
+			if err != nil {
+				return AblationRow{}, fmt.Errorf("experiment: ablation %s: %w", spec.name, err)
+			}
+			return AblationRow{Name: spec.name, Description: spec.description, MeanWait: res.Summary.MeanWait}, nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	base := rows[0].MeanWait
 	if base > 0 {

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"utilbp/internal/chaos"
 )
@@ -13,39 +11,23 @@ import (
 // starting at firstSeed — each a random-but-valid disruption schedule
 // crossed with a random grid, controller family and sensor — asserting
 // invariants, snapshot/restore equivalence and Reset replay per
-// scenario. Scenarios are independent, so they run on a GOMAXPROCS
-// pool; the returned descriptions are in seed order. Use it to soak
-// far past the CI fuzz smoke's budget:
+// scenario. Scenarios are independent, so they run on the pooled sweep
+// runner, which stops handing out seeds after the first failure; the
+// returned descriptions are in seed order. Use it to soak far past the
+// CI fuzz smoke's budget:
 //
 //	descs, err := experiment.ChaosSweep(1, 10000)
 func ChaosSweep(firstSeed uint64, n int) ([]string, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("experiment: ChaosSweep needs n > 0 scenarios, got %d", n)
 	}
-	descs := make([]string, n)
-	errs := make([]error, n)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	return runCells(n, poolWidth(), nil,
+		func(i int) cellLabels { return cellLabels{workload: fmt.Sprintf("chaos seed %d", firstSeed+uint64(i))} },
+		func(_ struct{}, i int) (string, error) {
 			sc, err := chaos.Generate(firstSeed + uint64(i))
 			if err != nil {
-				errs[i] = err
-				return
+				return "", err
 			}
-			descs[i] = sc.Describe()
-			errs[i] = chaos.Drill(sc)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return descs, nil
+			return sc.Describe(), chaos.Drill(sc)
+		})
 }

@@ -6,8 +6,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"utilbp/internal/analysis"
 	"utilbp/internal/scenario"
@@ -31,11 +29,6 @@ type Spec struct {
 	// StartupLostSteps overrides the engine's startup lost time
 	// (0 = engine default of 2 s, negative disables).
 	StartupLostSteps int
-	// Serve selects the serve-substep dispatch (DESIGN.md §16); the
-	// zero value is the batched serve plane, sim.ServeReference forces
-	// the per-junction reference loop. The two step bit-identical
-	// states, so this is a performance knob, not a semantic one.
-	Serve sim.ServeMode
 }
 
 // Result summarizes one run.
@@ -73,7 +66,6 @@ func Prepare(spec Spec) (*sim.Engine, *scenario.Instance, float64, error) {
 		Events:           built.Events,
 		MixedLanes:       spec.MixedLanes,
 		StartupLostSteps: spec.StartupLostSteps,
-		Serve:            spec.Serve,
 		ExpectedVehicles: built.ExpectedVehicles(duration),
 	})
 	if err != nil {
@@ -137,42 +129,24 @@ func CoarsePeriods() []int {
 }
 
 // SweepCAPPeriods runs CAP-BP over the given control periods for one
-// pattern, the solid curve of Figure 2. Runs execute in parallel (each
-// owns its engine); results are returned in period order.
+// pattern, the solid curve of Figure 2. Runs execute in parallel on the
+// sweep runner (each builds its own engine); results are returned in
+// period order.
 func SweepCAPPeriods(setup scenario.Setup, pattern scenario.Pattern, periods []int, durationSec float64) ([]PeriodPoint, error) {
 	if len(periods) == 0 {
 		periods = DefaultPeriods()
 	}
-	points := make([]PeriodPoint, len(periods))
-	errs := make([]error, len(periods))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, p := range periods {
-		wg.Add(1)
-		go func(i, p int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := Run(Spec{
-				Setup:       setup,
-				Pattern:     pattern,
-				Factory:     setup.CapBP(p),
-				DurationSec: durationSec,
-			})
+	return runCells(len(periods), poolWidth(), nil,
+		func(i int) cellLabels {
+			return cellLabels{pattern.String(), cellLabel(periods, i), setup.Sensor.String()}
+		},
+		func(_ struct{}, i int) (PeriodPoint, error) {
+			res, err := Run(Spec{Setup: setup, Pattern: pattern, Factory: setup.CapBP(periods[i]), DurationSec: durationSec})
 			if err != nil {
-				errs[i] = fmt.Errorf("experiment: CAP-BP period %d: %w", p, err)
-				return
+				return PeriodPoint{}, fmt.Errorf("experiment: CAP-BP period %d: %w", periods[i], err)
 			}
-			points[i] = PeriodPoint{PeriodSec: p, MeanWait: res.Summary.MeanWait}
-		}(i, p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return points, nil
+			return PeriodPoint{PeriodSec: periods[i], MeanWait: res.Summary.MeanWait}, nil
+		})
 }
 
 // BestPeriod returns the sweep point with the lowest mean wait.

@@ -2,10 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"utilbp/internal/analysis"
 	"utilbp/internal/scenario"
@@ -45,12 +42,11 @@ type matrixPlan struct {
 	sensors     []sensing.Spec
 	seeds       []uint64
 	durationSec float64
-}
-
-// matrixCell is one cell's raw outcome.
-type matrixCell struct {
-	meanWait   float64
-	completion float64
+	// setups holds one artifact base per distinct workload name;
+	// setupOf maps a workload index to its entry, so a workload listed
+	// twice shares one artifact and engine cache.
+	setups  []scenario.Setup
+	setupOf []int
 }
 
 func (p *matrixPlan) cells() int {
@@ -66,13 +62,19 @@ func (p *matrixPlan) cell(idx int) (wi, ci, si, ki int) {
 	return idx / len(p.controllers), ci, si, ki
 }
 
+// labels names a cell for the profiler.
+func (p *matrixPlan) labels(idx int) cellLabels {
+	wi, ci, si, _ := p.cell(idx)
+	return cellLabels{p.workloads[wi].Name, p.controllers[ci].String(), p.sensors[si].String()}
+}
+
 // runCell executes one (workload, controller, sensor, seed) cell. With
 // caches the cell runs on the worker's reused engine for the workload
 // through EngineCache.RunSensor (engines keyed by grid and controller
 // family, collaborators swapped per cell); with caches == nil it builds
 // a fresh scenario and engine — the serial reference path the pooled
 // scheduler is pinned against.
-func (p *matrixPlan) runCell(caches map[string]*EngineCache, idx int) (matrixCell, error) {
+func (p *matrixPlan) runCell(caches []*EngineCache, idx int) (Result, error) {
 	wi, ci, si, ki := p.cell(idx)
 	w, ctl, spec, seed := p.workloads[wi], p.controllers[ci], p.sensors[si], p.seeds[ki]
 	setup := w.Setup
@@ -80,7 +82,7 @@ func (p *matrixPlan) runCell(caches map[string]*EngineCache, idx int) (matrixCel
 	setup.Sensor = spec
 	factory, err := setup.Controller(ctl)
 	if err != nil {
-		return matrixCell{}, fmt.Errorf("experiment: workload %s controller %v: %w", w.Name, ctl, err)
+		return Result{}, fmt.Errorf("experiment: workload %s controller %v: %w", w.Name, ctl, err)
 	}
 	duration := w.SweepHorizon(p.durationSec)
 	var res Result
@@ -96,21 +98,21 @@ func (p *matrixPlan) runCell(caches map[string]*EngineCache, idx int) (matrixCel
 			// Specs of one family (e.g. gapout at different timers) share
 			// the cached engine, like CAP-BP periods in the Table III sweep.
 			family := ControllerFamily(ctl.Kind.String())
-			res, err = caches[w.Name].RunSensor(w.Pattern, family, factory, sensor, seed, duration)
+			res, err = caches[p.setupOf[wi]].RunSensor(w.Pattern, family, factory, sensor, seed, duration)
 		}
 	} else {
 		res, err = Run(Spec{Setup: setup, Pattern: w.Pattern, Factory: factory, DurationSec: duration})
 	}
 	if err != nil {
-		return matrixCell{}, fmt.Errorf("experiment: workload %s controller %v sensor %v seed %d: %w",
+		return Result{}, fmt.Errorf("experiment: workload %s controller %v sensor %v seed %d: %w",
 			w.Name, ctl, spec, seed, err)
 	}
-	return matrixCell{meanWait: res.Summary.MeanWait, completion: res.Summary.CompletionRate}, nil
+	return res, nil
 }
 
 // aggregate folds the per-cell outcomes into MatrixStats rows in plan
 // order (workload-major, then controller, then sensor).
-func (p *matrixPlan) aggregate(cells []matrixCell) []MatrixStats {
+func (p *matrixPlan) aggregate(cells []Result) []MatrixStats {
 	nk := len(p.seeds)
 	rows := make([]MatrixStats, 0, p.cells()/nk)
 	for idx := 0; idx < p.cells(); idx += nk {
@@ -123,8 +125,8 @@ func (p *matrixPlan) aggregate(cells []matrixCell) []MatrixStats {
 		}
 		comp := 0.0
 		for ki := 0; ki < nk; ki++ {
-			row.MeanWaits[ki] = cells[idx+ki].meanWait
-			comp += cells[idx+ki].completion
+			row.MeanWaits[ki] = cells[idx+ki].Summary.MeanWait
+			comp += cells[idx+ki].Summary.CompletionRate
 		}
 		row.Mean = analysis.Mean(row.MeanWaits)
 		row.Std = analysis.Std(row.MeanWaits)
@@ -153,12 +155,18 @@ func newMatrixPlan(workloadNames []string, controllers []scenario.ControllerSpec
 		seeds:       seeds,
 		durationSec: durationSec,
 	}
+	setupOf := map[string]int{}
 	for _, name := range workloadNames {
 		w, ok := scenario.WorkloadByName(name)
 		if !ok {
 			return nil, fmt.Errorf("experiment: unknown workload %q", name)
 		}
+		if _, ok := setupOf[name]; !ok {
+			setupOf[name] = len(p.setups)
+			p.setups = append(p.setups, w.Setup)
+		}
 		p.workloads = append(p.workloads, w)
+		p.setupOf = append(p.setupOf, setupOf[name])
 	}
 	for _, ctl := range controllers {
 		if err := ctl.Validate(); err != nil {
@@ -174,85 +182,34 @@ func newMatrixPlan(workloadNames []string, controllers []scenario.ControllerSpec
 }
 
 // MatrixSweep runs the full controller × sensor × workload × seed
-// matrix on the pooled scheduler: cells go onto a GOMAXPROCS worker
-// pool; every worker shares one concurrency-safe scenario.ArtifactCache
-// per workload (immutable network, rates and route table exist once per
-// process) and owns one EngineCache per workload, so a handful of
-// engines serve the whole matrix via ResetWith controller/sensor swaps.
-// Results are bit-for-bit identical to MatrixSweepSerial for the same
-// inputs (TestMatrixSweepPooledMatchesSerial, run under -race in CI).
+// matrix on the pooled sweep runner (runPlan): every worker shares one
+// concurrency-safe scenario.ArtifactCache per workload (immutable
+// network, rates and route table exist once per process) and owns one
+// EngineCache per workload, so a handful of engines serve the whole
+// matrix via ResetWith controller/sensor swaps. Results are bit-for-bit
+// identical to MatrixSweepSerial for the same inputs
+// (TestMatrixSweepPooledMatchesSerial, run under -race in CI).
 // durationSec is the flat horizon for workloads that do not suggest
 // their own sweep horizon; 0 means each workload's pattern default.
 func MatrixSweep(workloadNames []string, controllers []scenario.ControllerSpec, sensors []sensing.Spec, seeds []uint64, durationSec float64) ([]MatrixStats, error) {
-	plan, err := newMatrixPlan(workloadNames, controllers, sensors, seeds, durationSec)
-	if err != nil {
-		return nil, err
-	}
-	artifacts := make(map[string]*scenario.ArtifactCache, len(plan.workloads))
-	for _, w := range plan.workloads {
-		if _, ok := artifacts[w.Name]; !ok {
-			artifacts[w.Name] = scenario.NewArtifactCache(w.Setup)
-		}
-	}
-	n := plan.cells()
-	cells := make([]matrixCell, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			caches := make(map[string]*EngineCache, len(artifacts))
-			for name, a := range artifacts {
-				caches[name] = NewSharedEngineCache(a)
-			}
-			for idx := range jobs {
-				wi, ci, si, _ := plan.cell(idx)
-				withCellLabels(i, plan.workloads[wi].Name, plan.controllers[ci].String(), plan.sensors[si].String(), func() {
-					cells[idx], errs[idx] = plan.runCell(caches, idx)
-				})
-				if errs[idx] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < n && !failed.Load(); idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return plan.aggregate(cells), nil
+	return matrixSweep(workloadNames, controllers, sensors, seeds, durationSec, true)
 }
 
-// MatrixSweepSerial is the strictly sequential fresh-engine reference
-// implementation of MatrixSweep: cells in plan order, a new scenario
-// and engine per cell, no reuse anywhere. The pooled scheduler is
-// pinned bit-for-bit against it; keep the two in lockstep when changing
-// either.
+// MatrixSweepSerial is the fresh-engine reference of MatrixSweep: the
+// same runner at width 1 with no engine cache, a new scenario and
+// engine per cell. The pooled sweep is pinned bit-for-bit against it.
 func MatrixSweepSerial(workloadNames []string, controllers []scenario.ControllerSpec, sensors []sensing.Spec, seeds []uint64, durationSec float64) ([]MatrixStats, error) {
+	return matrixSweep(workloadNames, controllers, sensors, seeds, durationSec, false)
+}
+
+func matrixSweep(workloadNames []string, controllers []scenario.ControllerSpec, sensors []sensing.Spec, seeds []uint64, durationSec float64, pooled bool) ([]MatrixStats, error) {
 	plan, err := newMatrixPlan(workloadNames, controllers, sensors, seeds, durationSec)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]matrixCell, plan.cells())
-	for idx := range cells {
-		c, err := plan.runCell(nil, idx)
-		if err != nil {
-			return nil, err
-		}
-		cells[idx] = c
+	cells, err := runPlan(pooled, plan.setups, plan.cells(), plan.labels, plan.runCell)
+	if err != nil {
+		return nil, err
 	}
 	return plan.aggregate(cells), nil
 }

@@ -2,10 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"utilbp/internal/analysis"
 	"utilbp/internal/scenario"
@@ -30,9 +27,11 @@ type SeedStats struct {
 // deterministic (pattern, seed, period) order no matter which worker
 // finishes when.
 type sweepPlan struct {
-	patterns []scenario.Pattern
-	periods  []int
-	seeds    []uint64
+	base        scenario.Setup
+	patterns    []scenario.Pattern
+	periods     []int
+	seeds       []uint64
+	durationSec float64
 }
 
 // perGroup returns the number of cells in one (pattern, seed) group: the
@@ -51,17 +50,23 @@ func (p *sweepPlan) cell(idx int) (pi, si, job int) {
 	return group / len(p.seeds), group % len(p.seeds), job
 }
 
-// runCell executes one cell and returns its network-mean queuing time.
-// With a cache the cell runs on a reused engine (the pooled scheduler's
-// path); with cache == nil it builds a fresh scenario and engine per cell
-// (the serial reference path). Both paths are pinned bit-for-bit equal by
+// labels names a cell for the profiler.
+func (p *sweepPlan) labels(idx int) cellLabels {
+	pi, _, job := p.cell(idx)
+	return cellLabels{p.patterns[pi].String(), cellLabel(p.periods, job), p.base.Sensor.String()}
+}
+
+// runCell executes one cell. With caches the cell runs on a reused
+// engine (the pooled scheduler's path); with caches == nil it builds a
+// fresh scenario and engine per cell (the serial reference path). Both
+// paths are pinned bit-for-bit equal by
 // TestMultiSeedSchedulerDeterminism.
-func (p *sweepPlan) runCell(cache *EngineCache, base scenario.Setup, idx int, durationSec float64) (float64, error) {
+func (p *sweepPlan) runCell(caches []*EngineCache, idx int) (Result, error) {
 	pi, si, job := p.cell(idx)
 	pattern, seed := p.patterns[pi], p.seeds[si]
 	// Both paths share one factory built from the seed-patched setup, so
 	// a factory that ever consumes Setup.Seed keeps them in lockstep.
-	setup := base
+	setup := p.base
 	setup.Seed = seed
 	var (
 		family  ControllerFamily
@@ -74,16 +79,16 @@ func (p *sweepPlan) runCell(cache *EngineCache, base scenario.Setup, idx int, du
 	}
 	var res Result
 	var err error
-	if cache != nil {
-		res, err = cache.Run(pattern, family, factory, seed, durationSec)
+	if caches != nil {
+		res, err = caches[0].Run(pattern, family, factory, seed, p.durationSec)
 	} else {
-		res, err = Run(Spec{Setup: setup, Pattern: pattern, Factory: factory, DurationSec: durationSec})
+		res, err = Run(Spec{Setup: setup, Pattern: pattern, Factory: factory, DurationSec: p.durationSec})
 	}
 	if err != nil {
-		return 0, fmt.Errorf("experiment: pattern %v seed %d %s: %w",
+		return Result{}, fmt.Errorf("experiment: pattern %v seed %d %s: %w",
 			pattern, seed, cellLabel(p.periods, job), err)
 	}
-	return res.Summary.MeanWait, nil
+	return res, nil
 }
 
 func cellLabel(periods []int, job int) string {
@@ -94,19 +99,21 @@ func cellLabel(periods []int, job int) string {
 }
 
 // aggregate folds the per-cell mean waits into SeedStats rows, in pattern
-// order, reproducing exactly what the serial path computes: per (pattern,
-// seed) the best (first-minimum) CAP-BP period is the baseline the UTIL-BP
-// run is compared against.
-func (p *sweepPlan) aggregate(waits []float64) ([]SeedStats, error) {
+// order: per (pattern, seed) the best (first-minimum) CAP-BP period is
+// the baseline the UTIL-BP run is compared against.
+func (p *sweepPlan) aggregate(cells []Result) ([]SeedStats, error) {
 	out := make([]SeedStats, 0, len(p.patterns))
 	per := p.perGroup()
+	capWaits := make([]float64, len(p.periods))
 	for pi, pat := range p.patterns {
 		stats := SeedStats{Pattern: pat, Improvements: make([]float64, len(p.seeds))}
 		for si := range p.seeds {
-			group := waits[(pi*len(p.seeds)+si)*per:][:per]
-			capWaits := group[:len(p.periods)]
+			group := cells[(pi*len(p.seeds)+si)*per:][:per]
+			for job := range capWaits {
+				capWaits[job] = group[job].Summary.MeanWait
+			}
 			best := capWaits[analysis.ArgMin(capWaits)]
-			imp, err := analysis.Improvement(best, group[len(p.periods)])
+			imp, err := analysis.Improvement(best, group[len(p.periods)].Summary.MeanWait)
 			if err != nil {
 				return nil, err
 			}
@@ -122,7 +129,7 @@ func (p *sweepPlan) aggregate(waits []float64) ([]SeedStats, error) {
 	return out, nil
 }
 
-func newSweepPlan(patterns []scenario.Pattern, periods []int, seeds []uint64) (*sweepPlan, error) {
+func newSweepPlan(base scenario.Setup, patterns []scenario.Pattern, periods []int, seeds []uint64, durationSec float64) (*sweepPlan, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiment: at least one seed required")
 	}
@@ -132,96 +139,48 @@ func newSweepPlan(patterns []scenario.Pattern, periods []int, seeds []uint64) (*
 	if len(periods) == 0 {
 		periods = DefaultPeriods()
 	}
-	return &sweepPlan{patterns: patterns, periods: periods, seeds: seeds}, nil
+	return &sweepPlan{base: base, patterns: patterns, periods: periods, seeds: seeds, durationSec: durationSec}, nil
 }
 
 // TableIIIMultiSeed runs the Table III comparison across seeds and
 // aggregates the improvement distribution per pattern. Every
 // (pattern × seed × period) cell of the sweep — plus each group's UTIL-BP
-// run — is an independent job scheduled onto a worker pool sized to
-// runtime.GOMAXPROCS, so the whole sweep saturates the machine instead of
-// serializing behind per-pattern barriers. All workers share one
-// concurrency-safe scenario.ArtifactCache, so the immutable scenario
-// state (network topology, rate tables, interned route table) is built
-// once per pattern for the whole process; on top of it each worker owns
-// an EngineCache: engines are built once per (network, controller
-// family) and rewound between cells with sim.Engine.ResetWith instead of
-// being reconstructed, which removes per-cell scenario and engine
-// allocation from the sweep entirely (DESIGN.md §3, §5). Results are
-// written into cell-indexed slots and aggregated in plan order, making
-// the output bit-for-bit identical to TableIIIMultiSeedSerial for the
-// same inputs.
+// run — is an independent cell of the pooled sweep runner (runPlan), so
+// the whole sweep saturates the machine instead of serializing behind
+// per-pattern barriers. All workers share one concurrency-safe
+// scenario.ArtifactCache, so the immutable scenario state (network
+// topology, rate tables, interned route table) is built once per
+// pattern for the whole process; on top of it each worker owns an
+// EngineCache: engines are built once per (network, controller family)
+// and rewound between cells with sim.Engine.ResetWith instead of being
+// reconstructed, which removes per-cell scenario and engine allocation
+// from the sweep entirely (DESIGN.md §3, §5). Results land in
+// cell-indexed slots and are aggregated in plan order, making the
+// output bit-for-bit identical to TableIIIMultiSeedSerial for the same
+// inputs.
 func TableIIIMultiSeed(base scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64, seeds []uint64) ([]SeedStats, error) {
-	plan, err := newSweepPlan(patterns, periods, seeds)
-	if err != nil {
-		return nil, err
-	}
-	n := plan.cells()
-	waits := make([]float64, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	artifacts := scenario.NewArtifactCache(base)
-	// failed stops job submission early: a paper-scale sweep is minutes
-	// of compute, so once any cell errors the remaining cells are not
-	// worth running. In-flight cells still finish before wg.Wait
-	// returns, and the error reported is the first in cell order among
-	// those that ran.
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cache := NewSharedEngineCache(artifacts)
-			for idx := range jobs {
-				pi, _, job := plan.cell(idx)
-				withCellLabels(w, plan.patterns[pi].String(), cellLabel(plan.periods, job), base.Sensor.String(), func() {
-					waits[idx], errs[idx] = plan.runCell(cache, base, idx, durationSec)
-				})
-				if errs[idx] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < n && !failed.Load(); idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return plan.aggregate(waits)
+	return tableIIIMultiSeed(base, patterns, periods, durationSec, seeds, true)
 }
 
-// TableIIIMultiSeedSerial is the strictly sequential reference
-// implementation of TableIIIMultiSeed: one goroutine, cells executed in
-// plan order, and — unlike the pooled scheduler — a freshly built
-// scenario and engine for every cell, so engine reuse always has a
-// no-reuse baseline to be compared against. The pooled scheduler is
-// tested to produce bit-for-bit identical SeedStats; keep the two in
-// lockstep when changing either.
+// TableIIIMultiSeedSerial is the fresh-engine reference of
+// TableIIIMultiSeed: the same runner at width 1 with no engine cache,
+// so every cell builds its own scenario and engine and engine reuse
+// always has a no-reuse baseline to be compared against. The pooled
+// sweep is tested to produce bit-for-bit identical SeedStats.
 func TableIIIMultiSeedSerial(base scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64, seeds []uint64) ([]SeedStats, error) {
-	plan, err := newSweepPlan(patterns, periods, seeds)
+	return tableIIIMultiSeed(base, patterns, periods, durationSec, seeds, false)
+}
+
+func tableIIIMultiSeed(base scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64, seeds []uint64, pooled bool) ([]SeedStats, error) {
+	plan, err := newSweepPlan(base, patterns, periods, seeds, durationSec)
 	if err != nil {
 		return nil, err
 	}
-	waits := make([]float64, plan.cells())
-	for idx := range waits {
-		w, err := plan.runCell(nil, base, idx, durationSec)
-		if err != nil {
-			return nil, err
-		}
-		waits[idx] = w
+	cells, err := runPlan(pooled, []scenario.Setup{base}, plan.cells(), plan.labels, plan.runCell)
+	if err != nil {
+		return nil, err
 	}
-	return plan.aggregate(waits)
+	return plan.aggregate(cells)
 }
 
 // FormatSeedStats renders the multi-seed table.

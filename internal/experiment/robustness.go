@@ -3,10 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"utilbp/internal/analysis"
 	"utilbp/internal/event"
@@ -67,12 +64,13 @@ type RobustnessStats struct {
 // its own immutable artifact (and, pooled, its own engine/artifact
 // caches: schedules are per-artifact state).
 type robustnessPlan struct {
-	pattern   scenario.Pattern
-	families  []ControllerFamily
-	capFracs  []float64
-	setups    []scenario.Setup // per severity, incident armed
-	seeds     []uint64
-	periodSec int
+	pattern     scenario.Pattern
+	families    []ControllerFamily
+	capFracs    []float64
+	setups      []scenario.Setup // per severity, incident armed
+	seeds       []uint64
+	periodSec   int
+	durationSec float64
 }
 
 func (p *robustnessPlan) cells() int {
@@ -85,12 +83,17 @@ func (p *robustnessPlan) cell(idx int) (fi, ci, ki int) {
 	return row / len(p.capFracs), row % len(p.capFracs), ki
 }
 
-// runCell executes one cell and returns its network-mean queuing time
-// and throughput (exited vehicles). With caches the cell runs on the
+// labels names a cell for the profiler.
+func (p *robustnessPlan) labels(idx int) cellLabels {
+	fi, ci, _ := p.cell(idx)
+	return cellLabels{p.pattern.String(), string(p.families[fi]), p.setups[ci].Sensor.String()}
+}
+
+// runCell executes one cell. With caches the cell runs on the
 // severity's reused engine; with caches == nil it builds a fresh
 // scenario and engine per cell — the serial reference the pooled
 // scheduler is pinned against.
-func (p *robustnessPlan) runCell(caches []*EngineCache, idx int, durationSec float64) (wait, throughput float64, err error) {
+func (p *robustnessPlan) runCell(caches []*EngineCache, idx int) (Result, error) {
 	fi, ci, ki := p.cell(idx)
 	family, seed := p.families[fi], p.seeds[ki]
 	// Both paths share one factory built from the seed-patched setup, so
@@ -105,21 +108,22 @@ func (p *robustnessPlan) runCell(caches []*EngineCache, idx int, durationSec flo
 		factory = setup.UtilBP()
 	}
 	var res Result
+	var err error
 	if caches != nil {
-		res, err = caches[ci].Run(p.pattern, family, factory, seed, durationSec)
+		res, err = caches[ci].Run(p.pattern, family, factory, seed, p.durationSec)
 	} else {
-		res, err = Run(Spec{Setup: setup, Pattern: p.pattern, Factory: factory, DurationSec: durationSec})
+		res, err = Run(Spec{Setup: setup, Pattern: p.pattern, Factory: factory, DurationSec: p.durationSec})
 	}
 	if err != nil {
-		return 0, 0, fmt.Errorf("experiment: %s capacity %.2f seed %d: %w", family, p.capFracs[ci], seed, err)
+		return Result{}, fmt.Errorf("experiment: %s capacity %.2f seed %d: %w", family, p.capFracs[ci], seed, err)
 	}
-	return res.Summary.MeanWait, float64(res.Totals.Exited), nil
+	return res, nil
 }
 
 // aggregate folds the per-cell results into RobustnessStats rows in
 // (family, severity) order, with degradations computed per seed against
 // the family's CapFrac = 1 row.
-func (p *robustnessPlan) aggregate(waits, thrs []float64) []RobustnessStats {
+func (p *robustnessPlan) aggregate(cells []Result) []RobustnessStats {
 	baseline := -1
 	for ci, f := range p.capFracs {
 		if f == 1 {
@@ -139,10 +143,10 @@ func (p *robustnessPlan) aggregate(waits, thrs []float64) []RobustnessStats {
 			deg := 0.0
 			for ki := range p.seeds {
 				at := func(c int) int { return (fi*len(p.capFracs)+c)*len(p.seeds) + ki }
-				row.MeanWaits[ki] = waits[at(ci)]
-				row.Throughputs[ki] = thrs[at(ci)]
+				row.MeanWaits[ki] = cells[at(ci)].Summary.MeanWait
+				row.Throughputs[ki] = float64(cells[at(ci)].Totals.Exited)
 				if baseline >= 0 {
-					if ref := waits[at(baseline)]; ref > 0 {
+					if ref := cells[at(baseline)].Summary.MeanWait; ref > 0 {
 						deg += 100 * (row.MeanWaits[ki] - ref) / ref
 					}
 				}
@@ -174,11 +178,12 @@ func newRobustnessPlan(base scenario.Setup, pattern scenario.Pattern, capFracs [
 		durationSec = pattern.Duration()
 	}
 	p := &robustnessPlan{
-		pattern:   pattern,
-		families:  RobustnessFamilies(),
-		capFracs:  capFracs,
-		seeds:     seeds,
-		periodSec: DefaultRobustnessPeriodSec,
+		pattern:     pattern,
+		families:    RobustnessFamilies(),
+		capFracs:    capFracs,
+		seeds:       seeds,
+		periodSec:   DefaultRobustnessPeriodSec,
+		durationSec: durationSec,
 	}
 	t0, dur := durationSec/4, durationSec/2
 	for _, frac := range capFracs {
@@ -194,86 +199,35 @@ func newRobustnessPlan(base scenario.Setup, pattern scenario.Pattern, capFracs [
 // RobustnessSweep runs the throughput-under-capacity-loss experiment:
 // every controller family of RobustnessFamilies across the incident
 // severity axis and the seeds, on a mid-run central incident spanning
-// the middle half of the horizon. Cells are scheduled onto a
-// GOMAXPROCS worker pool; severities have distinct artifacts (the
-// disruption schedule is compiled into them), so the workers share one
+// the middle half of the horizon. Cells run on the pooled sweep runner
+// (runPlan); severities have distinct artifacts (the disruption
+// schedule is compiled into them), so the workers share one
 // concurrency-safe ArtifactCache per severity and each worker keeps
 // one EngineCache per severity on top. Results are bit-for-bit
 // identical to RobustnessSweepSerial for the same inputs
 // (TestRobustnessSweepPooledMatchesSerial).
 func RobustnessSweep(base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64) ([]RobustnessStats, error) {
-	plan, err := newRobustnessPlan(base, pattern, capFracs, seeds, durationSec)
-	if err != nil {
-		return nil, err
-	}
-	n := plan.cells()
-	waits := make([]float64, n)
-	thrs := make([]float64, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	shared := make([]*scenario.ArtifactCache, len(plan.setups))
-	for ci, setup := range plan.setups {
-		shared[ci] = scenario.NewArtifactCache(setup)
-	}
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			caches := make([]*EngineCache, len(shared))
-			for ci := range shared {
-				caches[ci] = NewSharedEngineCache(shared[ci])
-			}
-			for idx := range jobs {
-				fi, ci, _ := plan.cell(idx)
-				withCellLabels(w, plan.pattern.String(), string(plan.families[fi]), plan.setups[ci].Sensor.String(), func() {
-					waits[idx], thrs[idx], errs[idx] = plan.runCell(caches, idx, durationSec)
-				})
-				if errs[idx] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < n && !failed.Load(); idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return plan.aggregate(waits, thrs), nil
+	return robustnessSweep(base, pattern, capFracs, seeds, durationSec, true)
 }
 
-// RobustnessSweepSerial is the strictly sequential fresh-engine
-// reference implementation of RobustnessSweep: cells in plan order, a
-// new scenario and engine per cell, no reuse anywhere. The pooled
-// scheduler is pinned bit-for-bit against it; keep the two in lockstep
-// when changing either.
+// RobustnessSweepSerial is the fresh-engine reference of
+// RobustnessSweep: the same runner at width 1 with no engine cache, a
+// new scenario and engine per cell. The pooled sweep is pinned
+// bit-for-bit against it.
 func RobustnessSweepSerial(base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64) ([]RobustnessStats, error) {
+	return robustnessSweep(base, pattern, capFracs, seeds, durationSec, false)
+}
+
+func robustnessSweep(base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64, pooled bool) ([]RobustnessStats, error) {
 	plan, err := newRobustnessPlan(base, pattern, capFracs, seeds, durationSec)
 	if err != nil {
 		return nil, err
 	}
-	n := plan.cells()
-	waits := make([]float64, n)
-	thrs := make([]float64, n)
-	for idx := 0; idx < n; idx++ {
-		w, t, err := plan.runCell(nil, idx, durationSec)
-		if err != nil {
-			return nil, err
-		}
-		waits[idx], thrs[idx] = w, t
+	cells, err := runPlan(pooled, plan.setups, plan.cells(), plan.labels, plan.runCell)
+	if err != nil {
+		return nil, err
 	}
-	return plan.aggregate(waits, thrs), nil
+	return plan.aggregate(cells), nil
 }
 
 // FormatRobustnessStats renders the robustness sweep table.

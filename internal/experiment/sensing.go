@@ -2,10 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"utilbp/internal/analysis"
 	"utilbp/internal/scenario"
@@ -36,9 +33,11 @@ type SensingStats struct {
 // plan order regardless of completion order — the same scheme as the
 // Table III sweepPlan.
 type sensingPlan struct {
-	pattern scenario.Pattern
-	specs   []sensing.Spec
-	seeds   []uint64
+	base        scenario.Setup
+	pattern     scenario.Pattern
+	specs       []sensing.Spec
+	seeds       []uint64
+	durationSec float64
 }
 
 func (p *sensingPlan) cells() int { return len(p.specs) * len(p.seeds) }
@@ -47,15 +46,21 @@ func (p *sensingPlan) cell(idx int) (si, ki int) {
 	return idx / len(p.seeds), idx % len(p.seeds)
 }
 
-// runCell executes one (spec, seed) cell and returns its network-mean
-// queuing time. With a cache the cell runs on a reused engine through
-// EngineCache.RunSensor; with cache == nil it builds a fresh scenario
-// (Setup.Sensor carries the spec) and engine per cell — the serial
-// reference path the pooled scheduler is pinned against.
-func (p *sensingPlan) runCell(cache *EngineCache, base scenario.Setup, idx int, durationSec float64) (float64, error) {
+// labels names a cell for the profiler.
+func (p *sensingPlan) labels(idx int) cellLabels {
+	si, _ := p.cell(idx)
+	return cellLabels{p.pattern.String(), string(FamilyUtilBP), p.specs[si].String()}
+}
+
+// runCell executes one (spec, seed) cell. With caches the cell runs on
+// a reused engine through EngineCache.RunSensor; with caches == nil it
+// builds a fresh scenario (Setup.Sensor carries the spec) and engine
+// per cell — the serial reference path the pooled scheduler is pinned
+// against.
+func (p *sensingPlan) runCell(caches []*EngineCache, idx int) (Result, error) {
 	si, ki := p.cell(idx)
 	spec, seed := p.specs[si], p.seeds[ki]
-	setup := base
+	setup := p.base
 	setup.Seed = seed
 	setup.Sensor = spec
 	factory := setup.UtilBP()
@@ -63,7 +68,7 @@ func (p *sensingPlan) runCell(cache *EngineCache, base scenario.Setup, idx int, 
 		res Result
 		err error
 	)
-	if cache != nil {
+	if caches != nil {
 		var sensor sensing.Sensor
 		if !spec.Perfect() {
 			sensor, err = spec.New()
@@ -72,21 +77,21 @@ func (p *sensingPlan) runCell(cache *EngineCache, base scenario.Setup, idx int, 
 			}
 		}
 		if err == nil {
-			res, err = cache.RunSensor(p.pattern, FamilyUtilBP, factory, sensor, seed, durationSec)
+			res, err = caches[0].RunSensor(p.pattern, FamilyUtilBP, factory, sensor, seed, p.durationSec)
 		}
 	} else {
-		res, err = Run(Spec{Setup: setup, Pattern: p.pattern, Factory: factory, DurationSec: durationSec})
+		res, err = Run(Spec{Setup: setup, Pattern: p.pattern, Factory: factory, DurationSec: p.durationSec})
 	}
 	if err != nil {
-		return 0, fmt.Errorf("experiment: pattern %v sensor %v seed %d: %w", p.pattern, spec, seed, err)
+		return Result{}, fmt.Errorf("experiment: pattern %v sensor %v seed %d: %w", p.pattern, spec, seed, err)
 	}
-	return res.Summary.MeanWait, nil
+	return res, nil
 }
 
 // aggregate folds the per-cell mean waits into SensingStats rows in
 // spec order, with degradations computed per seed against the first
 // perfect spec of the sweep.
-func (p *sensingPlan) aggregate(waits []float64) []SensingStats {
+func (p *sensingPlan) aggregate(cells []Result) []SensingStats {
 	perfect := -1
 	for si, spec := range p.specs {
 		if spec.Perfect() {
@@ -99,10 +104,10 @@ func (p *sensingPlan) aggregate(waits []float64) []SensingStats {
 		row := SensingStats{Spec: spec, MeanWaits: make([]float64, len(p.seeds))}
 		deg := 0.0
 		for ki := range p.seeds {
-			w := waits[si*len(p.seeds)+ki]
+			w := cells[si*len(p.seeds)+ki].Summary.MeanWait
 			row.MeanWaits[ki] = w
 			if perfect >= 0 {
-				if ref := waits[perfect*len(p.seeds)+ki]; ref > 0 {
+				if ref := cells[perfect*len(p.seeds)+ki].Summary.MeanWait; ref > 0 {
 					deg += 100 * (w - ref) / ref
 				}
 			}
@@ -117,7 +122,7 @@ func (p *sensingPlan) aggregate(waits []float64) []SensingStats {
 	return out
 }
 
-func newSensingPlan(pattern scenario.Pattern, specs []sensing.Spec, seeds []uint64) (*sensingPlan, error) {
+func newSensingPlan(base scenario.Setup, pattern scenario.Pattern, specs []sensing.Spec, seeds []uint64, durationSec float64) (*sensingPlan, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("experiment: at least one sensor spec required")
 	}
@@ -129,81 +134,38 @@ func newSensingPlan(pattern scenario.Pattern, specs []sensing.Spec, seeds []uint
 			return nil, err
 		}
 	}
-	return &sensingPlan{pattern: pattern, specs: specs, seeds: seeds}, nil
+	return &sensingPlan{base: base, pattern: pattern, specs: specs, seeds: seeds, durationSec: durationSec}, nil
 }
 
 // SensingSweep runs UTIL-BP under every sensor spec across the seeds —
-// the Table-III-style sweep along the observation axis. Cells are
-// scheduled onto a GOMAXPROCS worker pool; all workers share one
+// the Table-III-style sweep along the observation axis. Cells run on
+// the pooled sweep runner (runPlan): all workers share one
 // concurrency-safe scenario.ArtifactCache and each owns an EngineCache,
 // so one engine per worker serves every (sensor × seed) cell via
 // ResetWith sensor swaps. Results are bit-for-bit identical to
 // SensingSweepSerial for the same inputs
 // (TestSensingSweepPooledMatchesSerial).
 func SensingSweep(base scenario.Setup, pattern scenario.Pattern, specs []sensing.Spec, seeds []uint64, durationSec float64) ([]SensingStats, error) {
-	plan, err := newSensingPlan(pattern, specs, seeds)
-	if err != nil {
-		return nil, err
-	}
-	n := plan.cells()
-	waits := make([]float64, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	artifacts := scenario.NewArtifactCache(base)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cache := NewSharedEngineCache(artifacts)
-			for idx := range jobs {
-				si, _ := plan.cell(idx)
-				withCellLabels(w, plan.pattern.String(), string(FamilyUtilBP), plan.specs[si].String(), func() {
-					waits[idx], errs[idx] = plan.runCell(cache, base, idx, durationSec)
-				})
-				if errs[idx] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < n && !failed.Load(); idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return plan.aggregate(waits), nil
+	return sensingSweep(base, pattern, specs, seeds, durationSec, true)
 }
 
-// SensingSweepSerial is the strictly sequential fresh-engine reference
-// implementation of SensingSweep: cells in plan order, a new scenario
-// and engine per cell, no reuse anywhere. The pooled scheduler is
-// pinned bit-for-bit against it; keep the two in lockstep when changing
-// either.
+// SensingSweepSerial is the fresh-engine reference of SensingSweep:
+// the same runner at width 1 with no engine cache, a new scenario and
+// engine per cell. The pooled sweep is pinned bit-for-bit against it.
 func SensingSweepSerial(base scenario.Setup, pattern scenario.Pattern, specs []sensing.Spec, seeds []uint64, durationSec float64) ([]SensingStats, error) {
-	plan, err := newSensingPlan(pattern, specs, seeds)
+	return sensingSweep(base, pattern, specs, seeds, durationSec, false)
+}
+
+func sensingSweep(base scenario.Setup, pattern scenario.Pattern, specs []sensing.Spec, seeds []uint64, durationSec float64, pooled bool) ([]SensingStats, error) {
+	plan, err := newSensingPlan(base, pattern, specs, seeds, durationSec)
 	if err != nil {
 		return nil, err
 	}
-	waits := make([]float64, plan.cells())
-	for idx := range waits {
-		w, err := plan.runCell(nil, base, idx, durationSec)
-		if err != nil {
-			return nil, err
-		}
-		waits[idx] = w
+	cells, err := runPlan(pooled, []scenario.Setup{base}, plan.cells(), plan.labels, plan.runCell)
+	if err != nil {
+		return nil, err
 	}
-	return plan.aggregate(waits), nil
+	return plan.aggregate(cells), nil
 }
 
 // PenetrationSpecs returns the canonical penetration-rate axis: the

@@ -2,10 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"utilbp/internal/analysis"
 	"utilbp/internal/scenario"
@@ -64,13 +61,14 @@ type StressStats struct {
 // (area, scale) pair is a derived Setup carrying the area incident and
 // the scaled demand, so each has its own immutable artifact.
 type stressPlan struct {
-	pattern   scenario.Pattern
-	families  []ControllerFamily
-	areas     []int
-	scales    []float64
-	setups    []scenario.Setup // per (area, scale), area incident armed
-	seeds     []uint64
-	periodSec int
+	pattern     scenario.Pattern
+	families    []ControllerFamily
+	areas       []int
+	scales      []float64
+	setups      []scenario.Setup // per (area, scale), area incident armed
+	seeds       []uint64
+	periodSec   int
+	durationSec float64
 }
 
 func (p *stressPlan) cells() int {
@@ -90,12 +88,17 @@ func (p *stressPlan) setupAt(ai, si int) scenario.Setup {
 	return p.setups[ai*len(p.scales)+si]
 }
 
-// runCell executes one cell and returns its network-mean queuing time
-// and throughput (exited vehicles). With caches the cell runs on the
+// labels names a cell for the profiler.
+func (p *stressPlan) labels(idx int) cellLabels {
+	fi, ai, si, _ := p.cell(idx)
+	return cellLabels{p.pattern.String(), string(p.families[fi]), p.setupAt(ai, si).Sensor.String()}
+}
+
+// runCell executes one cell. With caches the cell runs on the
 // (area, scale) pair's reused engine; with caches == nil it builds a
 // fresh scenario and engine per cell — the serial reference the pooled
 // scheduler is pinned against.
-func (p *stressPlan) runCell(caches []*EngineCache, idx int, durationSec float64) (wait, throughput float64, err error) {
+func (p *stressPlan) runCell(caches []*EngineCache, idx int) (Result, error) {
 	fi, ai, si, ki := p.cell(idx)
 	family, seed := p.families[fi], p.seeds[ki]
 	setup := p.setupAt(ai, si)
@@ -108,22 +111,23 @@ func (p *stressPlan) runCell(caches []*EngineCache, idx int, durationSec float64
 		factory = setup.UtilBP()
 	}
 	var res Result
+	var err error
 	if caches != nil {
-		res, err = caches[ai*len(p.scales)+si].Run(p.pattern, family, factory, seed, durationSec)
+		res, err = caches[ai*len(p.scales)+si].Run(p.pattern, family, factory, seed, p.durationSec)
 	} else {
-		res, err = Run(Spec{Setup: setup, Pattern: p.pattern, Factory: factory, DurationSec: durationSec})
+		res, err = Run(Spec{Setup: setup, Pattern: p.pattern, Factory: factory, DurationSec: p.durationSec})
 	}
 	if err != nil {
-		return 0, 0, fmt.Errorf("experiment: %s area %d scale %.2f seed %d: %w",
+		return Result{}, fmt.Errorf("experiment: %s area %d scale %.2f seed %d: %w",
 			family, p.areas[ai], p.scales[si], seed, err)
 	}
-	return res.Summary.MeanWait, float64(res.Totals.Exited), nil
+	return res, nil
 }
 
 // aggregate folds the per-cell results into StressStats rows in
 // (family, area, scale) order, with degradations computed per seed
 // against the family's AreaK = 0 row at the same demand scale.
-func (p *stressPlan) aggregate(waits, thrs []float64) []StressStats {
+func (p *stressPlan) aggregate(cells []Result) []StressStats {
 	baseline := -1
 	for ai, k := range p.areas {
 		if k == 0 {
@@ -147,10 +151,10 @@ func (p *stressPlan) aggregate(waits, thrs []float64) []StressStats {
 					at := func(a int) int {
 						return ((fi*len(p.areas)+a)*len(p.scales)+si)*len(p.seeds) + ki
 					}
-					row.MeanWaits[ki] = waits[at(ai)]
-					row.Throughputs[ki] = thrs[at(ai)]
+					row.MeanWaits[ki] = cells[at(ai)].Summary.MeanWait
+					row.Throughputs[ki] = float64(cells[at(ai)].Totals.Exited)
 					if baseline >= 0 {
-						if ref := waits[at(baseline)]; ref > 0 {
+						if ref := cells[at(baseline)].Summary.MeanWait; ref > 0 {
 							deg += 100 * (row.MeanWaits[ki] - ref) / ref
 						}
 					}
@@ -189,12 +193,13 @@ func newStressPlan(base scenario.Setup, pattern scenario.Pattern, areas []int, s
 		durationSec = pattern.Duration()
 	}
 	p := &stressPlan{
-		pattern:   pattern,
-		families:  RobustnessFamilies(),
-		areas:     areas,
-		scales:    scales,
-		seeds:     seeds,
-		periodSec: DefaultRobustnessPeriodSec,
+		pattern:     pattern,
+		families:    RobustnessFamilies(),
+		areas:       areas,
+		scales:      scales,
+		seeds:       seeds,
+		periodSec:   DefaultRobustnessPeriodSec,
+		durationSec: durationSec,
 	}
 	t0, dur := durationSec/4, durationSec/2
 	for _, k := range areas {
@@ -218,85 +223,33 @@ func newStressPlan(base scenario.Setup, pattern scenario.Pattern, areas []int, s
 // family of RobustnessFamilies across the area-size axis (k×k junction
 // neighborhoods losing their approaches mid-run) crossed with the
 // demand-scale axis and the seeds — the graceful-degradation surface
-// of DESIGN.md §14. Cells are scheduled onto a GOMAXPROCS worker pool;
+// of DESIGN.md §14. Cells run on the pooled sweep runner (runPlan);
 // (area, scale) pairs have distinct artifacts, so the workers share one
 // concurrency-safe ArtifactCache per pair and each worker keeps one
 // EngineCache per pair on top. Results are bit-for-bit identical to
 // StressSweepSerial for the same inputs
 // (TestStressSweepPooledMatchesSerial).
 func StressSweep(base scenario.Setup, pattern scenario.Pattern, areas []int, scales []float64, seeds []uint64, durationSec float64) ([]StressStats, error) {
-	plan, err := newStressPlan(base, pattern, areas, scales, seeds, durationSec)
-	if err != nil {
-		return nil, err
-	}
-	n := plan.cells()
-	waits := make([]float64, n)
-	thrs := make([]float64, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	shared := make([]*scenario.ArtifactCache, len(plan.setups))
-	for ci, setup := range plan.setups {
-		shared[ci] = scenario.NewArtifactCache(setup)
-	}
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			caches := make([]*EngineCache, len(shared))
-			for ci := range shared {
-				caches[ci] = NewSharedEngineCache(shared[ci])
-			}
-			for idx := range jobs {
-				fi, ai, si, _ := plan.cell(idx)
-				withCellLabels(w, plan.pattern.String(), string(plan.families[fi]), plan.setupAt(ai, si).Sensor.String(), func() {
-					waits[idx], thrs[idx], errs[idx] = plan.runCell(caches, idx, durationSec)
-				})
-				if errs[idx] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < n && !failed.Load(); idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return plan.aggregate(waits, thrs), nil
+	return stressSweep(base, pattern, areas, scales, seeds, durationSec, true)
 }
 
-// StressSweepSerial is the strictly sequential fresh-engine reference
-// implementation of StressSweep: cells in plan order, a new scenario
-// and engine per cell, no reuse anywhere. The pooled scheduler is
-// pinned bit-for-bit against it; keep the two in lockstep when
-// changing either.
+// StressSweepSerial is the fresh-engine reference of StressSweep: the
+// same runner at width 1 with no engine cache, a new scenario and
+// engine per cell. The pooled sweep is pinned bit-for-bit against it.
 func StressSweepSerial(base scenario.Setup, pattern scenario.Pattern, areas []int, scales []float64, seeds []uint64, durationSec float64) ([]StressStats, error) {
+	return stressSweep(base, pattern, areas, scales, seeds, durationSec, false)
+}
+
+func stressSweep(base scenario.Setup, pattern scenario.Pattern, areas []int, scales []float64, seeds []uint64, durationSec float64, pooled bool) ([]StressStats, error) {
 	plan, err := newStressPlan(base, pattern, areas, scales, seeds, durationSec)
 	if err != nil {
 		return nil, err
 	}
-	n := plan.cells()
-	waits := make([]float64, n)
-	thrs := make([]float64, n)
-	for idx := 0; idx < n; idx++ {
-		w, t, err := plan.runCell(nil, idx, durationSec)
-		if err != nil {
-			return nil, err
-		}
-		waits[idx], thrs[idx] = w, t
+	cells, err := runPlan(pooled, plan.setups, plan.cells(), plan.labels, plan.runCell)
+	if err != nil {
+		return nil, err
 	}
-	return plan.aggregate(waits, thrs), nil
+	return plan.aggregate(cells), nil
 }
 
 // FormatStressStats renders the stress-study table.

@@ -93,13 +93,6 @@ type Config struct {
 	// adapter-wrapping per-junction controllers when the factory has no
 	// batch implementation. The two paths are pinned bit-for-bit equal.
 	Control signal.ControlMode
-	// Serve selects the serve-substep implementation (DESIGN.md §16):
-	// the zero value (ServeBatched) runs the batched serve plane —
-	// dense phase-table rows over the engine's credit slab with idle
-	// junctions skipped via the exact credit tick; ServeReference
-	// forces the per-junction reference loop. The two paths are pinned
-	// bit-for-bit equal by the serve-equivalence harness.
-	Serve ServeMode
 }
 
 // Totals carries the conservation counters of a run.
@@ -330,9 +323,7 @@ type Engine struct {
 	// sub-threshold (credit + µΔt < 1 — the junction cannot serve the
 	// next mini-slot regardless of lane state). All three are derived
 	// state — cleared, not serialized, on Reset and Restore
-	// (resetServeSkip documents why clearing is exact). serveRef
-	// caches cfg.Serve == ServeReference.
-	serveRef   bool
+	// (resetServeSkip documents why clearing is exact).
 	phaseTab   signal.PhaseTable
 	serveSites []serveSite
 	creditSlab []float64
@@ -572,7 +563,6 @@ func New(cfg Config) (*Engine, error) {
 	e.ctrlDirty = make([]bool, len(e.juncs))
 	e.settled = make([]bool, len(e.juncs))
 	e.tailDue = make([]float64, len(e.roads))
-	e.serveRef = cfg.Serve == ServeReference
 	e.buildServePlane()
 	if err := e.buildControlPlane(); err != nil {
 		return nil, err
@@ -958,13 +948,6 @@ type ResetOptions struct {
 	// the same convention ClearSensor uses for "remove the sensor".
 	Control    signal.ControlMode
 	SetControl bool
-	// Serve switches the serve-substep implementation (batched plane vs
-	// per-junction reference, DESIGN.md §16) before the rewind. It
-	// applies only when SetServe is true — the zero ServeMode
-	// (ServeBatched) is itself meaningful, the same convention as
-	// Control/SetControl.
-	Serve    ServeMode
-	SetServe bool
 	// Events replaces the disruption schedule the run replays
 	// (DESIGN.md §12). Nil keeps the current schedule; to run the next
 	// cell undisrupted set ClearEvents instead (robustness sweeps swap
@@ -1018,10 +1001,6 @@ func (e *Engine) ResetWith(seed uint64, opts ResetOptions) error {
 	}
 	if opts.SetControl {
 		e.cfg.Control = opts.Control
-	}
-	if opts.SetServe {
-		e.cfg.Serve = opts.Serve
-		e.serveRef = opts.Serve == ServeReference
 	}
 	switch {
 	case opts.ClearEvents:
@@ -1125,7 +1104,7 @@ func (e *Engine) CurrentPhase(junction network.NodeID) signal.Phase {
 // Run advances the simulation by the given number of mini-slots.
 func (e *Engine) Run(steps int) {
 	for i := 0; i < steps; i++ {
-		e.stepOnce()
+		e.stepOnce(nil)
 	}
 }
 
@@ -1136,14 +1115,53 @@ func (e *Engine) RunFor(seconds float64) {
 	e.Run(int(math.Round(seconds / e.dt)))
 }
 
-func (e *Engine) stepOnce() {
+// stepOnce advances one mini-slot through the six substeps of
+// DESIGN.md §2, then the step tail. Run and RunTraced both step
+// through it: a non-nil d receives each substep's wall time (RunTraced),
+// from seven clock reads per step — one at the start and one closing
+// each substep. Run passes nil, so the untimed step pays only the nil
+// checks.
+func (e *Engine) stepOnce(d *[NumSubsteps]time.Duration) {
 	t := e.Time()
+	var mark time.Time
+	if d != nil {
+		mark = time.Now()
+	}
 	e.applyEvents()
+	if d != nil {
+		now := time.Now()
+		d[0], mark = now.Sub(mark), now
+	}
 	e.sense()
+	if d != nil {
+		now := time.Now()
+		d[1], mark = now.Sub(mark), now
+	}
 	e.control(t)
+	if d != nil {
+		now := time.Now()
+		d[2], mark = now.Sub(mark), now
+	}
 	e.serve(t)
+	if d != nil {
+		now := time.Now()
+		d[3], mark = now.Sub(mark), now
+	}
 	e.completeTravel(t)
+	if d != nil {
+		now := time.Now()
+		d[4], mark = now.Sub(mark), now
+	}
 	e.arrivals(t)
+	if d != nil {
+		d[5] = time.Since(mark)
+	}
+	e.endStep()
+}
+
+// endStep is the step tail every stepper runs after the substeps:
+// advance the clock, flush telemetry, fire Step hooks.
+func (e *Engine) endStep() {
 	e.step++
 	if e.telem != nil {
 		e.flushTelemetry()
@@ -1152,66 +1170,6 @@ func (e *Engine) stepOnce() {
 		for _, h := range e.hooks {
 			if h.Step != nil {
 				h.Step(e, e.step-1)
-			}
-		}
-	}
-}
-
-// PhaseTimings accumulates wall time per mini-slot substep over a
-// RunTimed window, the instrument behind perfbench's sense/control/
-// serve split (BENCH_4.json). The clock reads add measurable overhead,
-// so the split is for attribution — headline ns/step numbers come from
-// plain Run.
-type PhaseTimings struct {
-	// Events covers disruption-schedule transitions; Sense incremental
-	// observation maintenance (dirty-link refresh plus the sensor
-	// model); Control the controller decisions; Serve the service
-	// substep; Travel stop-line arrivals; Arrivals demand generation
-	// and spawn admission.
-	Events, Sense, Control, Serve, Travel, Arrivals time.Duration
-	// Steps counts the mini-slots the timings cover.
-	Steps int
-}
-
-// RunTimed advances the simulation like Run while attributing wall time
-// to the mini-slot substeps. It is behaviorally identical to Run (same
-// state evolution, same hooks); only the timing instrumentation
-// differs.
-func (e *Engine) RunTimed(steps int, pt *PhaseTimings) {
-	for i := 0; i < steps; i++ {
-		t := e.Time()
-		start := time.Now()
-		e.applyEvents()
-		mark := time.Now()
-		pt.Events += mark.Sub(start)
-		e.sense()
-		start = mark
-		mark = time.Now()
-		pt.Sense += mark.Sub(start)
-		e.control(t)
-		start = mark
-		mark = time.Now()
-		pt.Control += mark.Sub(start)
-		e.serve(t)
-		start = mark
-		mark = time.Now()
-		pt.Serve += mark.Sub(start)
-		e.completeTravel(t)
-		start = mark
-		mark = time.Now()
-		pt.Travel += mark.Sub(start)
-		e.arrivals(t)
-		pt.Arrivals += time.Since(mark)
-		e.step++
-		pt.Steps++
-		if e.telem != nil {
-			e.flushTelemetry()
-		}
-		if e.hasStepHook {
-			for _, h := range e.hooks {
-				if h.Step != nil {
-					h.Step(e, e.step-1)
-				}
 			}
 		}
 	}
@@ -1433,7 +1391,7 @@ func (e *Engine) applyDecision(js *junctionState, phase signal.Phase) {
 		// phase — advances its state the same way under either.
 		phase = js.darkPol.Phase(e.step-int(js.darkSince), len(js.j.Phases))
 	}
-	if phase < signal.Amber || int(phase) > len(js.j.Phases) {
+	if !js.hasPhase(phase) {
 		phase = signal.Amber
 	}
 	js.current = phase
@@ -1444,6 +1402,13 @@ func (e *Engine) applyDecision(js *junctionState, phase signal.Phase) {
 			}
 		}
 	}
+}
+
+// hasPhase reports whether the junction can actuate phase: Amber or
+// one of its 1-indexed control phases. applyDecision coerces anything
+// else to Amber, and Restore rejects it.
+func (js *junctionState) hasPhase(phase signal.Phase) bool {
+	return phase >= signal.Amber && int(phase) <= len(js.j.Phases)
 }
 
 // controlBatched is the batched control substep: fill the batch's

@@ -1,5 +1,7 @@
 package sim
 
+import "utilbp/internal/signal"
+
 // QuietOffered returns how many junctions the engine's last batched
 // control round offered as quiet (signal.Batch.Quiet), so tests can
 // assert that the quiet-junction skip engaged without a public counter.
@@ -11,4 +13,19 @@ func QuietOffered(e *Engine) int {
 		}
 	}
 	return n
+}
+
+// RunServeReference advances the engine like Run, with the reference
+// serve loop of serveref_test.go in place of the batched serve plane —
+// the oracle side of the serve-equivalence harness.
+func RunServeReference(e *Engine, steps int) {
+	for i := 0; i < steps; i++ {
+		e.stepServeReference()
+	}
+}
+
+// SetJunctionPhases overwrites junction ji's applied and previous
+// phase, so tests can write snapshot streams no controller produces.
+func SetJunctionPhases(e *Engine, ji int, current, prev signal.Phase) {
+	e.juncs[ji].current, e.juncs[ji].prev = current, prev
 }

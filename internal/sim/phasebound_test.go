@@ -73,3 +73,36 @@ func TestControlCoercesOutOfRangePhases(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreRejectsOutOfRangePhases extends the phase contract to the
+// snapshot boundary: a stream whose junction phase lies outside
+// [Amber, NumPhases] must fail Restore. Restoring it cleanly would let
+// the next decision round index per-phase tables with it, which panics
+// under UTIL-BP and BP-EST.
+func TestRestoreRejectsOutOfRangePhases(t *testing.T) {
+	setup := scenario.Default()
+	last := signal.Phase(len(buildZoo(t, 5, setup.UtilBP(), nil).Network().Junctions[0].Phases))
+	cases := []struct {
+		name          string
+		current, prev signal.Phase
+	}{
+		{"current-far-out", 99, 1},
+		{"current-negative", -3, 1},
+		{"current-one-past-last", last + 1, 1},
+		{"prev-far-out", 1, 99},
+		{"prev-negative", 1, -3},
+	}
+	for _, f := range []signal.Factory{setup.UtilBP(), setup.EstimatedBP(0)} {
+		for _, c := range cases {
+			t.Run(f.Name()+"/"+c.name, func(t *testing.T) {
+				src := buildZoo(t, 5, f, nil)
+				src.Run(60)
+				sim.SetJunctionPhases(src, 0, c.current, c.prev)
+				if err := buildZoo(t, 5, f, nil).Restore(src.Snapshot()); err == nil {
+					t.Fatalf("Restore accepted junction phases current=%d prev=%d (valid: %d..%d)",
+						c.current, c.prev, signal.Amber, last)
+				}
+			})
+		}
+	}
+}

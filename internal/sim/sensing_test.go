@@ -8,39 +8,21 @@
 package sim_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"utilbp/internal/scenario"
 	"utilbp/internal/sensing"
 	"utilbp/internal/sim"
 )
 
-// buildSensed builds a Pattern II engine with the given sensor (nil for
-// the perfect fast path), seeded for the run.
+// buildSensed builds a Pattern II UTIL-BP engine with the given sensor
+// (nil for the perfect fast path), seeded for the run.
 func buildSensed(t *testing.T, seed uint64, sensor sensing.Sensor) *sim.Engine {
 	t.Helper()
-	setup := scenario.Default()
-	setup.Seed = seed
-	built, err := setup.Build(scenario.PatternII)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sensor != nil {
-		sensor.Reseed(seed)
-	}
-	engine, err := sim.New(sim.Config{
-		Net:         built.Grid.Network,
-		Controllers: setup.UtilBP(),
-		Demand:      built.Demand,
-		Router:      built.Router,
-		Routes:      built.Routes,
-		Sensor:      sensor,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return engine
+	return buildZoo(t, seed, scenario.Default().UtilBP(), sensor)
 }
 
 // TestPerfectSensorMatchesSensorFree pins the acceptance contract: an
@@ -225,25 +207,42 @@ func TestSensedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRunTimedMatchesRun pins that the instrumented stepper evolves
-// state exactly like Run and attributes time to every substep.
-func TestRunTimedMatchesRun(t *testing.T) {
+// TestRunTracedMatchesRunSensed pins the substep clock on a sensed
+// engine: RunTraced evolves the sensor, arena and totals exactly like
+// Run (snapshot bytes included) and attributes time to the substeps
+// that do work on a loaded grid.
+func TestRunTracedMatchesRunSensed(t *testing.T) {
 	const steps = 600
-	plain := buildSensed(t, 29, nil)
-	timed := buildSensed(t, 29, nil)
+	mkSensor := func() sensing.Sensor {
+		return sensing.NewConnectedVehicle(sensing.ConnectedVehicleOptions{Rate: 0.3, NoiseStd: 1})
+	}
+	plain := buildSensed(t, 29, mkSensor())
+	traced := buildSensed(t, 29, mkSensor())
 	plain.Run(steps)
-	var pt sim.PhaseTimings
-	timed.RunTimed(steps, &pt)
-	if plain.Totals() != timed.Totals() {
-		t.Fatalf("RunTimed diverged from Run: %+v vs %+v", plain.Totals(), timed.Totals())
+	tl := sim.NewTraceLog(steps)
+	traced.RunTraced(steps, tl)
+	if plain.Totals() != traced.Totals() {
+		t.Fatalf("RunTraced diverged from Run: %+v vs %+v", plain.Totals(), traced.Totals())
 	}
-	if !reflect.DeepEqual(plain.Vehicles(), timed.Vehicles()) {
-		t.Fatal("RunTimed vehicle arena diverges from Run")
+	if !reflect.DeepEqual(plain.Vehicles(), traced.Vehicles()) {
+		t.Fatal("RunTraced vehicle arena diverges from Run")
 	}
-	if pt.Steps != steps {
-		t.Fatalf("PhaseTimings.Steps = %d, want %d", pt.Steps, steps)
+	if !bytes.Equal(plain.Snapshot(), traced.Snapshot()) {
+		t.Fatal("RunTraced snapshot diverges from Run")
 	}
-	if pt.Control <= 0 || pt.Serve <= 0 || pt.Travel <= 0 || pt.Arrivals <= 0 {
-		t.Fatalf("missing substep attribution: %+v", pt)
+	if tl.Steps() != steps {
+		t.Fatalf("trace log holds %d steps, want %d", tl.Steps(), steps)
+	}
+	for s, name := range sim.SubstepNames {
+		if name == "events" {
+			continue // no schedule armed: the cursor check can read as 0
+		}
+		var sum time.Duration
+		for _, d := range tl.Spans[s] {
+			sum += d
+		}
+		if sum <= 0 {
+			t.Fatalf("missing %s attribution: %v over %d steps", name, sum, steps)
+		}
 	}
 }

@@ -11,67 +11,25 @@
 // protocol doubles as the wake signal) provably serves nothing — its
 // pass reduces to the empty-lane credit recurrence, which the idle tick
 // replays exactly, so skipping is a pure cost optimization with
-// bit-identical state evolution. The reference per-junction loop is
-// kept selectable (Config.Serve) as the pin target of the
+// bit-identical state evolution. The pre-slab per-junction loop lives
+// on in test code (serveref_test.go) as the pin target of the
 // serve-equivalence harness.
 package sim
 
 import (
-	"fmt"
-	"strings"
-
 	"utilbp/internal/network"
 	"utilbp/internal/queue"
 	"utilbp/internal/signal"
 	"utilbp/internal/vehicle"
 )
 
-// ServeMode selects the serve-substep implementation (DESIGN.md §16).
-// The zero value is ServeBatched — the batched plane is the default
-// path; the reference loop exists as the equivalence pin.
-type ServeMode int
-
-// The serve modes: ServeBatched runs the batched serve plane (dense
-// phase-table rows over the credit slab, idle junctions skipped via
-// the exact credit tick); ServeReference forces the per-junction
-// reference loop the equivalence harness pins the batched plane
-// against. The two are bit-for-bit interchangeable.
-const (
-	ServeBatched ServeMode = iota
-	ServeReference
-)
-
-// String renders the mode in the CLI syntax accepted by
-// ParseServeMode.
-func (m ServeMode) String() string {
-	switch m {
-	case ServeBatched:
-		return "batched"
-	case ServeReference:
-		return "reference"
-	}
-	return fmt.Sprintf("serve(%d)", int(m))
-}
-
-// ParseServeMode parses the CLI serve-mode syntax: "batched" (alias
-// "auto", the default) or "reference".
-func ParseServeMode(arg string) (ServeMode, error) {
-	switch strings.ToLower(strings.TrimSpace(arg)) {
-	case "batched", "auto", "":
-		return ServeBatched, nil
-	case "reference":
-		return ServeReference, nil
-	}
-	return ServeBatched, fmt.Errorf("sim: unknown serve mode %q (want batched or reference)", arg)
-}
-
 // serveSite is one link's resolved serve state: the road states on both
 // ends and the per-slot service constants, precomputed once so the hot
 // loop performs no junction/link chasing and no repeated float
 // arithmetic. The constants are computed with exactly the reference
-// loop's expressions (muDt = l.Mu*Δt, creditCap = l.Mu*Δt+1, startDebt
-// = -float64(StartupLostSteps)*l.Mu*Δt, same association), so the
-// precomputed values are bit-identical to the reference's inline ones.
+// loop's expressions (serveref_test.go: muDt = l.Mu*Δt, creditCap =
+// l.Mu*Δt+1, startDebt = -float64(StartupLostSteps)*l.Mu*Δt, same
+// association), so they are bit-identical to its inline ones.
 type serveSite struct {
 	in, out   *roadState
 	muDt      float64
@@ -159,30 +117,21 @@ func (e *Engine) resetServeSkip() {
 // rate, physically blocked when the outgoing road is full. A fresh
 // green (the applied phase differs from the previous mini-slot's)
 // starts with a service debt of StartupLostSteps slots, modeling the
-// acceleration of the stopped queue. Dispatch follows Config.Serve;
-// both paths are pinned bit-for-bit equal by the serve-equivalence
-// harness.
+// acceleration of the stopped queue.
+//
+// The skip rule: a junction is eligible when its applied phase held
+// (current == prev — phase changes reset credits and must run the full
+// pass) AND its idle state from the previous pass still stands AND none
+// of its incoming roads changed since (juncWoke, fanned out by sense
+// from the dirty set to each dirty road's head junction). An eligible
+// held green runs the idle tick — the exact empty-lane credit
+// recurrence, see serveIdleTick — and an eligible held amber skips
+// outright (its credits are already zero). Independently, a held green
+// flagged sub-threshold takes the sub tick — it cannot serve this
+// mini-slot regardless of lane state or wake, see serveSubTick.
+// Everything else takes the full pass, which re-derives both skip
+// conditions.
 func (e *Engine) serve(t float64) {
-	if e.serveRef {
-		e.serveReference(t)
-		return
-	}
-	e.serveBatched(t)
-}
-
-// serveBatched is the batched serve plane's pass. The skip rule: a
-// junction is eligible when its applied phase held (current == prev —
-// phase changes reset credits and must run the full pass) AND its idle
-// state from the previous pass still stands AND none of its incoming
-// roads changed since (juncWoke, fanned out by sense from the dirty
-// set to each dirty road's head junction). An eligible held green runs
-// the idle tick — the exact empty-lane credit recurrence, see
-// serveIdleTick — and an eligible held amber skips outright (its
-// credits are already zero). Independently, a held green flagged
-// sub-threshold takes the sub tick — it cannot serve this mini-slot
-// regardless of lane state or wake, see serveSubTick. Everything else
-// takes the full pass, which re-derives both skip conditions.
-func (e *Engine) serveBatched(t float64) {
 	for ji := range e.juncs {
 		js := &e.juncs[ji]
 		cur := js.current
@@ -295,8 +244,13 @@ func (e *Engine) serveSubTick(ji int, cur signal.Phase) {
 	e.serveSub[ji] = sub
 }
 
-// serveLinkAt is serveLink over a resolved serve site — identical
-// service semantics, with the road states, movement and float constants
+// serveLinkAt grants link gl its per-slot service credit and serves
+// whole vehicles while credit, queue and downstream space allow. Credit
+// is capped at µΔt+1 so a capacity-blocked link cannot bank unbounded
+// credit and burst, and resets when the lane empties (the paper's
+// service condition requires at least µΔt waiting vehicles to reach the
+// maximum). These are the reference loop's semantics (serveLink in
+// serveref_test.go), with the road states, movement and float constants
 // loaded from the site instead of re-derived per call. It reports the
 // two per-link skip conditions: whether the lane ended the pass empty
 // (the idle condition; when it did, the stored credit is provably < 1)
@@ -370,106 +324,4 @@ func (e *Engine) serveLinkAt(gl int32, t float64) (empty, subNext bool) {
 		return in.mixed.Len() == 0, subNext
 	}
 	return in.lanes[s.turn].Len() == 0, subNext
-}
-
-// serveReference is the per-junction reference serve loop — the
-// pre-slab implementation, kept verbatim as the pin target: the
-// serve-equivalence harness runs it against serveBatched on every
-// registry workload and compares snapshot bytes.
-func (e *Engine) serveReference(t float64) {
-	for ji := range e.juncs {
-		js := &e.juncs[ji]
-		if js.current == signal.Amber {
-			for i := range js.credits {
-				js.credits[i] = 0
-			}
-			continue
-		}
-		links := js.j.Phases[js.current-1]
-		active := js.phaseActive[js.current-1]
-		for li := range js.credits {
-			if !active[li] {
-				js.credits[li] = 0
-			}
-		}
-		if js.current != js.prev {
-			for _, li := range links {
-				l := &js.j.Links[li]
-				js.credits[li] = -float64(e.cfg.StartupLostSteps) * l.Mu * e.dt
-			}
-		}
-		for _, li := range links {
-			e.serveLink(js, li, t)
-		}
-	}
-}
-
-// serveLink grants the link its per-slot service credit and serves whole
-// vehicles while credit, queue and downstream space allow. Credit is
-// capped at µΔt+1 so a capacity-blocked link cannot bank unbounded credit
-// and burst, and resets when the lane empties (the paper's service
-// condition requires at least µΔt waiting vehicles to reach the maximum).
-func (e *Engine) serveLink(js *junctionState, li int, t float64) {
-	l := &js.j.Links[li]
-	in := &e.roads[l.In]
-	out := &e.roads[l.Out]
-	credit := js.credits[li] + l.Mu*e.dt
-	if max := l.Mu*e.dt + 1; credit > max {
-		credit = max
-	}
-	served := false
-	for credit >= 1 {
-		var (
-			item queue.Item
-			ok   bool
-		)
-		if e.cfg.MixedLanes {
-			item, ok = in.mixed.Peek()
-			if ok && e.arena.PendingTurn(vehicle.ID(item.Vehicle)) != l.Turn {
-				// Head-of-line blocking: the head vehicle wants a
-				// different movement, so this link cannot serve now.
-				break
-			}
-		} else {
-			item, ok = in.lanes[l.Turn].Peek()
-		}
-		if !ok {
-			credit = 0
-			break
-		}
-		if !out.hasRoom() {
-			break
-		}
-		if e.cfg.MixedLanes {
-			in.mixed.Pop()
-			in.mixedCount[l.Turn]--
-		} else {
-			in.lanes[l.Turn].Pop()
-		}
-		in.queuedTotal--
-		e.netQueued--
-		credit--
-		served = true
-		id := vehicle.ID(item.Vehicle)
-		e.arena.Serve(id, t-item.EnqueuedAt)
-		in.occupancy--
-		e.totals.Served++
-		if out.exits {
-			e.exitVehicle(id, t)
-		} else {
-			out.occupancy++
-			e.enterRoad(out, id, t)
-		}
-	}
-	js.credits[li] = credit
-	if served {
-		// Both road states changed: the incoming road lost queued
-		// vehicles, the outgoing one gained occupancy and transit.
-		// Served-to-exit vehicles leave the outgoing road untouched
-		// (they never occupy it), so exit roads stay clean.
-		e.markDirty(l.In)
-		if !out.exits {
-			e.markDirty(l.Out)
-		}
-	}
 }

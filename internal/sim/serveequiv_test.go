@@ -1,7 +1,8 @@
 // Batched-vs-reference serve plane equivalence: the batched serve path
 // (dense phase-table rows over the credit slab with idle-junction
 // skipping, DESIGN.md §16) must be bit-for-bit indistinguishable from
-// the per-junction reference loop — identical snapshot bytes at random
+// the per-junction reference loop kept in serveref_test.go — Run
+// against sim.RunServeReference, identical snapshot bytes at random
 // mid-run checkpoints (the PR 8 state-hash property: equal states yield
 // equal snapshots), identical phase traces, vehicle arenas and totals —
 // on every registered workload, across controller families, sensing
@@ -21,19 +22,20 @@ import (
 	"utilbp/internal/sim"
 )
 
-// serveRun is one traced run under a serve mode: the phase trace, the
-// snapshot bytes captured at each checkpoint (the final step included),
-// and the finished engine.
+// serveRun is one traced run: the phase trace, the snapshot bytes
+// captured at each checkpoint (the final step included), and the
+// finished engine.
 type serveRun struct {
 	trace  []phaseEvent
 	snaps  [][]byte
 	engine *sim.Engine
 }
 
-// runServeTraced builds an engine for the setup/pattern/factory with
-// the given serve mode and runs it to steps, snapshotting at each
-// checkpoint boundary (checkpoints must be ascending, < steps).
-func runServeTraced(t *testing.T, setup scenario.Setup, pattern scenario.Pattern, factory signal.Factory, mode sim.ServeMode, steps int, checkpoints []int) serveRun {
+// runServeTraced builds an engine for the setup/pattern/factory and
+// advances it to steps ((*sim.Engine).Run or sim.RunServeReference),
+// snapshotting at each checkpoint boundary (checkpoints must be
+// ascending, < steps).
+func runServeTraced(t *testing.T, setup scenario.Setup, pattern scenario.Pattern, factory signal.Factory, advance func(*sim.Engine, int), steps int, checkpoints []int) serveRun {
 	t.Helper()
 	built, err := setup.Build(pattern)
 	if err != nil {
@@ -48,27 +50,26 @@ func runServeTraced(t *testing.T, setup scenario.Setup, pattern scenario.Pattern
 		Sensor:      built.Sensor,
 		Control:     setup.Control,
 		Events:      built.Events,
-		Serve:       mode,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := serveRun{engine: engine}
+	out := serveRun{engine: engine}
 	engine.AddHooks(sim.Hooks{Phase: func(node network.NodeID, step int, phase signal.Phase) {
-		run.trace = append(run.trace, phaseEvent{node, step, phase})
+		out.trace = append(out.trace, phaseEvent{node, step, phase})
 	}})
 	at := 0
 	for _, cp := range checkpoints {
-		engine.Run(cp - at)
+		advance(engine, cp-at)
 		at = cp
-		run.snaps = append(run.snaps, engine.Snapshot())
+		out.snaps = append(out.snaps, engine.Snapshot())
 	}
-	engine.Run(steps - at)
-	run.snaps = append(run.snaps, engine.Snapshot())
+	advance(engine, steps-at)
+	out.snaps = append(out.snaps, engine.Snapshot())
 	if err := engine.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	return run
+	return out
 }
 
 // TestBatchedServeEquivalenceWorkloads pins the batched serve plane to
@@ -145,8 +146,8 @@ func TestBatchedServeEquivalenceWorkloads(t *testing.T) {
 									t.Fatal(err)
 								}
 							}
-							ref := runServeTraced(t, setup, w.Pattern, f.mk(setup), sim.ServeReference, steps, checkpoints)
-							bat := runServeTraced(t, setup, w.Pattern, f.mk(setup), sim.ServeBatched, steps, checkpoints)
+							ref := runServeTraced(t, setup, w.Pattern, f.mk(setup), sim.RunServeReference, steps, checkpoints)
+							bat := runServeTraced(t, setup, w.Pattern, f.mk(setup), (*sim.Engine).Run, steps, checkpoints)
 							compareTraces(t, ref.trace, bat.trace)
 							for i := range ref.snaps {
 								if !bytes.Equal(ref.snaps[i], bat.snaps[i]) {
@@ -158,100 +159,12 @@ func TestBatchedServeEquivalenceWorkloads(t *testing.T) {
 								t.Fatalf("totals diverge: reference %+v, batched %+v", ref.engine.Totals(), bat.engine.Totals())
 							}
 							if !reflect.DeepEqual(ref.engine.Vehicles(), bat.engine.Vehicles()) {
-								t.Fatal("vehicle arenas diverge between serve modes")
+								t.Fatal("vehicle arenas diverge between the serve plane and the reference")
 							}
 						})
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestBatchedServeResetWithSwitch checks the mid-sweep serve-mode
-// switch: one engine rewound through ResetWith with SetServe flipping
-// batched → reference → batched must replay each leg bit-for-bit like a
-// freshly built engine in that mode (snapshot bytes included).
-func TestBatchedServeResetWithSwitch(t *testing.T) {
-	const steps = 500
-	setup := scenario.Default()
-	setup.Seed = 13
-	built, err := setup.Build(scenario.PatternII)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := sim.New(sim.Config{
-		Net:         built.Grid.Network,
-		Controllers: setup.UtilBP(),
-		Demand:      built.Demand,
-		Router:      built.Router,
-		Routes:      built.Routes,
-		Serve:       sim.ServeBatched,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.Run(steps)
-
-	legs := []struct {
-		mode sim.ServeMode
-		seed uint64
-	}{
-		{sim.ServeReference, 13},
-		{sim.ServeBatched, 14},
-		{sim.ServeReference, 14},
-	}
-	for _, leg := range legs {
-		if err := engine.ResetWith(leg.seed, sim.ResetOptions{
-			Serve:    leg.mode,
-			SetServe: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		engine.Run(steps)
-		if err := engine.CheckInvariants(); err != nil {
-			t.Fatalf("mode %v seed %d: %v", leg.mode, leg.seed, err)
-		}
-		refSetup := setup
-		refSetup.Seed = leg.seed
-		fresh := runServeTraced(t, refSetup, scenario.PatternII, refSetup.UtilBP(), leg.mode, steps, nil)
-		if engine.Totals() != fresh.engine.Totals() {
-			t.Fatalf("mode %v seed %d: switched totals %+v != fresh totals %+v",
-				leg.mode, leg.seed, engine.Totals(), fresh.engine.Totals())
-		}
-		if !bytes.Equal(engine.Snapshot(), fresh.snaps[len(fresh.snaps)-1]) {
-			t.Fatalf("mode %v seed %d: switched engine snapshot diverges from fresh run", leg.mode, leg.seed)
-		}
-	}
-}
-
-// TestParseServeMode pins the CLI serve-mode syntax.
-func TestParseServeMode(t *testing.T) {
-	cases := []struct {
-		arg  string
-		want sim.ServeMode
-		ok   bool
-	}{
-		{"batched", sim.ServeBatched, true},
-		{"auto", sim.ServeBatched, true},
-		{"", sim.ServeBatched, true},
-		{" Reference ", sim.ServeReference, true},
-		{"reference", sim.ServeReference, true},
-		{"slab", 0, false},
-	}
-	for _, c := range cases {
-		got, err := sim.ParseServeMode(c.arg)
-		if c.ok != (err == nil) {
-			t.Fatalf("ParseServeMode(%q) error = %v, want ok=%v", c.arg, err, c.ok)
-		}
-		if err == nil && got != c.want {
-			t.Fatalf("ParseServeMode(%q) = %v, want %v", c.arg, got, c.want)
-		}
-	}
-	if got, want := sim.ServeBatched.String(), "batched"; got != want {
-		t.Fatalf("ServeBatched.String() = %q, want %q", got, want)
-	}
-	if got, want := sim.ServeReference.String(), "reference"; got != want {
-		t.Fatalf("ServeReference.String() = %q, want %q", got, want)
 	}
 }

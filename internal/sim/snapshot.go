@@ -234,6 +234,10 @@ func (e *Engine) Restore(data []byte) error {
 		js := &e.juncs[i]
 		js.current = signal.Phase(r.Int())
 		js.prev = signal.Phase(r.Int())
+		if !js.hasPhase(js.current) || !js.hasPhase(js.prev) {
+			return fmt.Errorf("sim: snapshot junction %s phases current=%d prev=%d outside [%d, %d]",
+				js.info.Label, js.current, js.prev, signal.Amber, len(js.j.Phases))
+		}
 		js.darkSince = r.Int32()
 		js.darkPol.AllRedSteps = r.Int()
 		js.darkPol.GreenSteps = r.Int()

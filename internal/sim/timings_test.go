@@ -1,35 +1,32 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 	"time"
 )
 
-// TestPhaseTimingsAttribution exercises RunTimed directly (perfbench is
-// its only other caller): the zero value is usable, Steps attributes the
-// window, every bucket is non-negative and the buckets account for
-// roughly the wall time of the run (clock reads sit between substeps,
-// so the sum can only undershoot, never exceed wall time by more than
-// scheduling noise).
-func TestPhaseTimingsAttribution(t *testing.T) {
+// TestTraceLogAttribution exercises RunTraced's substep clock: every
+// span is non-negative and the spans account for roughly the wall time
+// of the run (clock reads sit between substeps, so the sum can only
+// undershoot, never exceed wall time by more than scheduling noise).
+func TestTraceLogAttribution(t *testing.T) {
 	e := snapTestEngine(t)
-	var pt PhaseTimings
+	tl := NewTraceLog(200)
 	wall := time.Now()
-	e.RunTimed(200, &pt)
+	e.RunTraced(200, tl)
 	elapsed := time.Since(wall)
-	if pt.Steps != 200 {
-		t.Fatalf("Steps = %d, want 200", pt.Steps)
-	}
-	buckets := []time.Duration{pt.Events, pt.Sense, pt.Control, pt.Serve, pt.Travel, pt.Arrivals}
 	var sum time.Duration
-	for i, b := range buckets {
-		if b < 0 {
-			t.Fatalf("bucket %d negative: %v", i, b)
+	for s := range tl.Spans {
+		for i, d := range tl.Spans[s] {
+			if d < 0 {
+				t.Fatalf("%s span of step %d negative: %v", SubstepNames[s], i, d)
+			}
+			sum += d
 		}
-		sum += b
 	}
 	if sum <= 0 {
-		t.Fatalf("buckets sum to %v over %d steps", sum, pt.Steps)
+		t.Fatalf("spans sum to %v over %d steps", sum, tl.Steps())
 	}
 	// Generous ceiling: clock granularity and preemption can stretch
 	// individual reads, but the attributed total cannot exceed wall time
@@ -37,24 +34,26 @@ func TestPhaseTimingsAttribution(t *testing.T) {
 	if sum > 2*elapsed+10*time.Millisecond {
 		t.Fatalf("attributed %v, wall clock only %v", sum, elapsed)
 	}
-	// Accumulation: a second window adds on top.
-	e.RunTimed(50, &pt)
-	if pt.Steps != 250 {
-		t.Fatalf("Steps after second window = %d, want 250", pt.Steps)
-	}
 }
 
-// TestRunTracedMatchesRun pins that the timeline stepper evolves state
-// exactly like Run, and that the log geometry is right: six equal-length
-// tracks, StartStep at the window start, Steps counting appends across
+// TestRunTracedMatchesRun pins that the substep clock is
+// observation-only: stepping one engine with Run and a twin with
+// RunTraced, the two snapshots are byte-identical at every step
+// boundary. It also checks the log geometry: six equal-length tracks,
+// StartStep at the window start, Steps counting appends across
 // windows.
 func TestRunTracedMatchesRun(t *testing.T) {
 	const steps = 150
 	plain := snapTestEngine(t)
 	traced := snapTestEngine(t)
-	plain.Run(steps)
 	tl := NewTraceLog(steps)
-	traced.RunTraced(steps, tl)
+	for i := 0; i < steps; i++ {
+		plain.Run(1)
+		traced.RunTraced(1, tl)
+		if !bytes.Equal(plain.Snapshot(), traced.Snapshot()) {
+			t.Fatalf("step %d: RunTraced state diverges from Run", i)
+		}
+	}
 	if plain.Totals() != traced.Totals() {
 		t.Fatalf("RunTraced diverged from Run: %+v vs %+v", traced.Totals(), plain.Totals())
 	}

@@ -11,14 +11,12 @@ const NumSubsteps = 6
 var SubstepNames = [NumSubsteps]string{"events", "sense", "control", "serve", "travel", "arrivals"}
 
 // TraceLog captures a per-step substep timeline: RunTraced appends, for
-// every executed step, the wall-clock duration of each substep. It
-// generalizes PhaseTimings (which folds the same clock reads into six
-// totals) into an exportable timeline — write it out as Chrome
-// trace-event JSON via trace.WriteTraceEvents and load it in
+// every executed step, the wall-clock duration of each substep. Sum a
+// Spans row for a substep's total over a window, or write the log out
+// as Chrome trace-event JSON via trace.WriteTraceEvents and load it in
 // chrome://tracing or Perfetto. Construct with NewTraceLog so the span
-// storage is pre-sized; like PhaseTimings, the clock reads add
-// overhead, so the timeline is for attribution, not absolute
-// comparison.
+// storage is pre-sized; the clock reads add overhead, so the timeline
+// is for attribution, not absolute comparison.
 type TraceLog struct {
 	// StartStep is the engine step of the first recorded entry (set on
 	// the first RunTraced append after construction or Reset).
@@ -62,47 +60,13 @@ func (tl *TraceLog) append(step int, d [NumSubsteps]time.Duration) {
 }
 
 // RunTraced advances the simulation like Run while recording every
-// step's substep durations into tl. It is behaviorally identical to
-// Run (same state evolution, same telemetry flush, same hooks); only
-// the timing instrumentation differs — the timeline counterpart of
-// RunTimed's aggregate split.
+// step's substep durations into tl. It steps through the same stepOnce
+// as Run, only with the substep clock switched on, so the state
+// evolution, telemetry flush and hooks are Run's.
 func (e *Engine) RunTraced(steps int, tl *TraceLog) {
+	var d [NumSubsteps]time.Duration
 	for i := 0; i < steps; i++ {
-		t := e.Time()
-		var d [NumSubsteps]time.Duration
-		start := time.Now()
-		e.applyEvents()
-		mark := time.Now()
-		d[0] = mark.Sub(start)
-		e.sense()
-		start = mark
-		mark = time.Now()
-		d[1] = mark.Sub(start)
-		e.control(t)
-		start = mark
-		mark = time.Now()
-		d[2] = mark.Sub(start)
-		e.serve(t)
-		start = mark
-		mark = time.Now()
-		d[3] = mark.Sub(start)
-		e.completeTravel(t)
-		start = mark
-		mark = time.Now()
-		d[4] = mark.Sub(start)
-		e.arrivals(t)
-		d[5] = time.Since(mark)
-		e.step++
+		e.stepOnce(&d)
 		tl.append(e.step-1, d)
-		if e.telem != nil {
-			e.flushTelemetry()
-		}
-		if e.hasStepHook {
-			for _, h := range e.hooks {
-				if h.Step != nil {
-					h.Step(e, e.step-1)
-				}
-			}
-		}
 	}
 }
