@@ -173,27 +173,32 @@ type RobustnessRow struct {
 	DegradationPct float64 `json:"degradation_pct"`
 }
 
-// RobustnessReport is the disruption-robustness measurement for one
-// workload: the throughput-vs-capacity-loss curve across controller
-// families, plus the queue-recovery metric of a worst-severity incident
-// run under UTIL-BP (experiment.MeasureRecovery) — recovery_sec is the
+// RecoveryProbe is the queue-recovery metric of one incident run under
+// UTIL-BP (experiment.MeasureRecovery) — recovery_sec is the
 // post-clearance drain time, -1 when the queues never returned to their
-// onset level within the horizon (DESIGN.md §12).
-type RobustnessReport struct {
-	Workload   string          `json:"workload"`
-	HorizonSec float64         `json:"horizon_sec"`
-	Seeds      int             `json:"seeds"`
-	Rows       []RobustnessRow `json:"rows"`
-	// The recovery probe runs at a stable operating point — demand
-	// scaled down so queues are stationary before the onset — because
-	// "drained back to the onset level" is only meaningful when the
-	// onset level is an equilibrium, not a point on a growth curve.
+// onset level within the horizon (DESIGN.md §12). The probe runs at a
+// stable operating point — demand scaled down so queues are stationary
+// before the onset — because "drained back to the onset level" is only
+// meaningful when the onset level is an equilibrium, not a point on a
+// growth curve.
+type RecoveryProbe struct {
 	RecoveryDemandScale float64 `json:"recovery_demand_scale"`
 	RecoveryHorizonSec  float64 `json:"recovery_horizon_sec"`
 	OnsetQueued         int     `json:"recovery_onset_queued"`
 	PeakQueued          int     `json:"recovery_peak_queued"`
 	RecoverySec         float64 `json:"recovery_sec"`
-	WallSeconds         float64 `json:"wall_seconds"`
+}
+
+// RobustnessReport is the disruption-robustness measurement for one
+// workload: the throughput-vs-capacity-loss curve across controller
+// families, plus the recovery probe of a worst-severity incident.
+type RobustnessReport struct {
+	Workload   string          `json:"workload"`
+	HorizonSec float64         `json:"horizon_sec"`
+	Seeds      int             `json:"seeds"`
+	Rows       []RobustnessRow `json:"rows"`
+	RecoveryProbe
+	WallSeconds float64 `json:"wall_seconds"`
 }
 
 // StressRow is one (controller family × area size × demand scale)
@@ -211,21 +216,16 @@ type StressRow struct {
 
 // StressReport is the area-incident stress study for one workload: the
 // degradation surface across controller families, area sizes and
-// demand scales, plus the queue-recovery metric of the largest area
-// incident under UTIL-BP at a stable operating point (the same probe
-// conventions as RobustnessReport; DESIGN.md §14).
+// demand scales, plus the recovery probe of the largest area incident
+// (DESIGN.md §14).
 type StressReport struct {
-	Workload            string      `json:"workload"`
-	HorizonSec          float64     `json:"horizon_sec"`
-	Seeds               int         `json:"seeds"`
-	Rows                []StressRow `json:"rows"`
-	RecoveryAreaK       int         `json:"recovery_area_k"`
-	RecoveryDemandScale float64     `json:"recovery_demand_scale"`
-	RecoveryHorizonSec  float64     `json:"recovery_horizon_sec"`
-	OnsetQueued         int         `json:"recovery_onset_queued"`
-	PeakQueued          int         `json:"recovery_peak_queued"`
-	RecoverySec         float64     `json:"recovery_sec"`
-	WallSeconds         float64     `json:"wall_seconds"`
+	Workload      string      `json:"workload"`
+	HorizonSec    float64     `json:"horizon_sec"`
+	Seeds         int         `json:"seeds"`
+	Rows          []StressRow `json:"rows"`
+	RecoveryAreaK int         `json:"recovery_area_k"`
+	RecoveryProbe
+	WallSeconds float64 `json:"wall_seconds"`
 }
 
 // HeapReport is the per-engine memory footprint of one workload: the
@@ -794,24 +794,35 @@ func measureRobustness(w scenario.Workload, seeds []uint64) (RobustnessReport, e
 			worst = f
 		}
 	}
-	// Recovery is probed at a stable operating point — uniform Pattern
-	// II demand at 0.6× the workload's scale, with the onset at
-	// mid-horizon so the fill transient (which runs ~1000 s on the
-	// 16×16 grid) has settled — because "drained back to the onset
-	// level" is only meaningful when the onset level is an equilibrium.
-	// The incident spans an eighth of the horizon; the drain gets the
-	// remaining 3/8.
+	rep.RecoveryProbe, err = measureRecoveryProbe(w, seeds[0], horizon, func(s scenario.Setup, t0, dur float64) (scenario.Setup, error) {
+		return s.WithCentralIncident(t0, dur, worst)
+	})
+	if err != nil {
+		return RobustnessReport{}, err
+	}
+	rep.WallSeconds = time.Since(start).Seconds()
+	return rep, nil
+}
+
+// measureRecoveryProbe runs the recovery probe of a sweep over the
+// given horizon on a workload, at a stable operating point: uniform
+// Pattern II demand at 0.6× the workload's scale over max(2 × horizon,
+// 2400 s), with the onset at mid-horizon so the fill transient (which
+// runs ~1000 s on the 16×16 grid) has settled. incident arms the probed
+// incident on the scaled setup from t0 for dur seconds: an eighth of
+// the probe horizon, leaving the drain the remaining 3/8.
+func measureRecoveryProbe(w scenario.Workload, seed uint64, horizon float64, incident func(s scenario.Setup, t0, dur float64) (scenario.Setup, error)) (RecoveryProbe, error) {
 	recHorizon := math.Max(2*horizon, 2400)
 	base := w.Setup
 	if base.DemandScale == 0 {
 		base.DemandScale = 1
 	}
 	base.DemandScale *= 0.6
-	setup, err := base.WithCentralIncident(recHorizon/2, recHorizon/8, worst)
+	setup, err := incident(base, recHorizon/2, recHorizon/8)
 	if err != nil {
-		return RobustnessReport{}, err
+		return RecoveryProbe{}, err
 	}
-	setup.Seed = seeds[0]
+	setup.Seed = seed
 	rec, err := experiment.MeasureRecovery(experiment.Spec{
 		Setup:       setup,
 		Pattern:     scenario.PatternII,
@@ -819,21 +830,20 @@ func measureRobustness(w scenario.Workload, seeds []uint64) (RobustnessReport, e
 		DurationSec: recHorizon,
 	})
 	if err != nil {
-		return RobustnessReport{}, err
+		return RecoveryProbe{}, err
 	}
-	rep.RecoveryDemandScale = base.DemandScale
-	rep.RecoveryHorizonSec = recHorizon
-	rep.OnsetQueued = rec.OnsetQueued
-	rep.PeakQueued = rec.PeakQueued
-	rep.RecoverySec = rec.RecoverySec
-	rep.WallSeconds = time.Since(start).Seconds()
-	return rep, nil
+	return RecoveryProbe{
+		RecoveryDemandScale: base.DemandScale,
+		RecoveryHorizonSec:  recHorizon,
+		OnsetQueued:         rec.OnsetQueued,
+		PeakQueued:          rec.PeakQueued,
+		RecoverySec:         rec.RecoverySec,
+	}, nil
 }
 
 // measureStress runs the area-incident stress study on a workload:
 // experiment.StressSweep across the default area and demand axes, plus
-// the recovery probe of the largest area incident under UTIL-BP at the
-// same stable operating point measureRobustness uses.
+// the recovery probe of the largest area incident.
 func measureStress(w scenario.Workload, seeds []uint64) (StressReport, error) {
 	// Like the robustness sweep, the stress study ignores shortened
 	// sweep horizons: the area incident spans the middle half of the
@@ -868,35 +878,13 @@ func measureStress(w scenario.Workload, seeds []uint64) (StressReport, error) {
 			worst = k
 		}
 	}
-	// Recovery probe conventions shared with measureRobustness: 0.6×
-	// uniform demand so the onset level is an equilibrium, onset at
-	// mid-horizon, the incident spanning an eighth of the horizon.
-	recHorizon := math.Max(2*horizon, 2400)
-	base := w.Setup
-	if base.DemandScale == 0 {
-		base.DemandScale = 1
-	}
-	base.DemandScale *= 0.6
-	setup, err := base.WithCornerAreaIncident(worst, recHorizon/2, recHorizon/8, experiment.DefaultStressCapFrac)
-	if err != nil {
-		return StressReport{}, err
-	}
-	setup.Seed = seeds[0]
-	rec, err := experiment.MeasureRecovery(experiment.Spec{
-		Setup:       setup,
-		Pattern:     scenario.PatternII,
-		Factory:     setup.UtilBP(),
-		DurationSec: recHorizon,
+	rep.RecoveryAreaK = worst
+	rep.RecoveryProbe, err = measureRecoveryProbe(w, seeds[0], horizon, func(s scenario.Setup, t0, dur float64) (scenario.Setup, error) {
+		return s.WithCornerAreaIncident(worst, t0, dur, experiment.DefaultStressCapFrac)
 	})
 	if err != nil {
 		return StressReport{}, err
 	}
-	rep.RecoveryAreaK = worst
-	rep.RecoveryDemandScale = base.DemandScale
-	rep.RecoveryHorizonSec = recHorizon
-	rep.OnsetQueued = rec.OnsetQueued
-	rep.PeakQueued = rec.PeakQueued
-	rep.RecoverySec = rec.RecoverySec
 	rep.WallSeconds = time.Since(start).Seconds()
 	return rep, nil
 }

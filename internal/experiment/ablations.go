@@ -79,27 +79,30 @@ func ablationSpecs() []ablationSpec {
 }
 
 // Ablations runs the full UTIL-BP and every single-mechanism ablation on
-// one pattern, in parallel on the sweep runner, and reports the
-// degradation each removal causes. The first returned row is the full
-// algorithm (degradation 0).
+// one pattern and the setup's seed, one cell per variant on the pooled
+// sweep runner — every variant is a UTIL-BP factory, so the variants
+// share cached UTIL-BP engines — and reports the degradation each
+// removal causes. The first returned row is the full algorithm
+// (degradation 0).
 func Ablations(setup scenario.Setup, pattern scenario.Pattern, durationSec float64) ([]AblationRow, error) {
 	specs := ablationSpecs()
-	rows, err := runCells(len(specs), poolWidth(), nil,
-		func(i int) cellLabels { return cellLabels{pattern.String(), specs[i].name, setup.Sensor.String()} },
-		func(_ struct{}, i int) (AblationRow, error) {
-			spec := specs[i]
-			res, err := Run(Spec{Setup: setup, Pattern: pattern, Factory: spec.factory(setup), DurationSec: durationSec})
-			if err != nil {
-				return AblationRow{}, fmt.Errorf("experiment: ablation %s: %w", spec.name, err)
-			}
-			return AblationRow{Name: spec.name, Description: spec.description, MeanWait: res.Summary.MeanWait}, nil
-		})
+	cells := make([]cell, len(specs))
+	for i, spec := range specs {
+		cells[i] = cell{
+			pattern: pattern, family: FamilyUtilBP, factory: spec.factory(setup),
+			sensor: setup.Sensor, seed: setup.Seed, horizon: durationSec,
+			workload: pattern.String(), controller: spec.name,
+		}
+	}
+	results, err := runSweep(true, []scenario.Setup{setup}, cells)
 	if err != nil {
 		return nil, err
 	}
-	base := rows[0].MeanWait
-	if base > 0 {
-		for i := 1; i < len(rows); i++ {
+	rows := make([]AblationRow, len(specs))
+	base := results[0].Summary.MeanWait
+	for i, spec := range specs {
+		rows[i] = AblationRow{Name: spec.name, Description: spec.description, MeanWait: results[i].Summary.MeanWait}
+		if i > 0 && base > 0 {
 			rows[i].DegradationPct = 100 * (rows[i].MeanWait - base) / base
 		}
 	}

@@ -71,3 +71,22 @@ func TestAblationsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationsMatchFreshRuns pins Ablations, whose variants share
+// cached UTIL-BP engines, to a fresh Run of each variant's factory.
+func TestAblationsMatchFreshRuns(t *testing.T) {
+	setup := quickSetup()
+	rows, err := Ablations(setup, scenario.PatternII, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range ablationSpecs() {
+		fresh, err := Run(Spec{Setup: setup, Pattern: scenario.PatternII, Factory: spec.factory(setup), DurationSec: 400})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[i].MeanWait != fresh.Summary.MeanWait {
+			t.Fatalf("%s: mean wait %v != fresh %v", spec.name, rows[i].MeanWait, fresh.Summary.MeanWait)
+		}
+	}
+}

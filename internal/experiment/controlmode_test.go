@@ -8,15 +8,21 @@ import (
 )
 
 // TestEngineCacheRunModeMatchesFresh pins the controller-mode axis of
-// the engine cache: one cached engine serving per-junction and batched
-// cells mid-sweep (the dispatch mode swapped on every rewind through
-// sim.ResetOptions) must match freshly built engines for each cell —
-// and the modes must match each other, since the batched control plane
-// is pinned bit-for-bit to the per-junction path.
+// the engine cache: a cache bound to a setup with a given Control mode
+// must match freshly built engines of that mode for each cell, across
+// seed switches and revisits — and the modes must match each other,
+// since the batched control plane is pinned bit-for-bit to the
+// per-junction path. (Switching the mode of one engine between rewinds
+// is pinned in internal/sim by TestControlModeResetWithSwitch.)
 func TestEngineCacheRunModeMatchesFresh(t *testing.T) {
 	base := scenario.Default()
 	base.Seed = 3
-	cache := NewEngineCache(base)
+	caches := map[signal.ControlMode]*EngineCache{}
+	for _, mode := range []signal.ControlMode{signal.ControlBatched, signal.ControlPerJunction} {
+		setup := base
+		setup.Control = mode
+		caches[mode] = NewEngineCache(setup)
+	}
 	const horizon = 600
 
 	cells := []struct {
@@ -34,11 +40,11 @@ func TestEngineCacheRunModeMatchesFresh(t *testing.T) {
 	for _, cell := range cells {
 		setup := base
 		setup.Seed = cell.seed
-		got, err := cache.RunMode(scenario.PatternII, FamilyUtilBP, setup.UtilBP(), cell.mode, cell.seed, horizon)
+		setup.Control = cell.mode
+		got, err := caches[cell.mode].Run(scenario.PatternII, FamilyUtilBP, setup.UtilBP(), setup.Sensor, cell.seed, horizon)
 		if err != nil {
 			t.Fatalf("%s: %v", cell.name, err)
 		}
-		setup.Control = cell.mode
 		fresh, err := Run(Spec{Setup: setup, Pattern: scenario.PatternII, Factory: setup.UtilBP(), DurationSec: horizon})
 		if err != nil {
 			t.Fatalf("%s fresh: %v", cell.name, err)

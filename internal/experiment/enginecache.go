@@ -72,47 +72,73 @@ func NewSharedEngineCache(artifacts *scenario.ArtifactCache) *EngineCache {
 	}
 }
 
-// Run executes one sweep cell — demand pattern, controller, seed — on a
-// cached engine, building scenario state and engine only on first use.
-// The run seed rewinds demand and routing exactly as a fresh
-// base.Build(pattern) with that seed would, so results are bit-for-bit
-// identical to experiment.Run for the same spec. The cell's observation
-// sensor is the instance's, derived from the base setup's Setup.Sensor
-// spec (nil for perfect).
-func (c *EngineCache) Run(pattern scenario.Pattern, family ControllerFamily, factory signal.Factory, seed uint64, durationSec float64) (Result, error) {
+// Run executes one sweep cell — demand pattern, controller, sensor
+// spec, seed — on a cached engine, building scenario state and engine
+// only on first use. The run seed rewinds demand and routing exactly as
+// a fresh base.Build(pattern) with that seed would, and the cell's
+// sensor comes from scenario.Artifact.NewSensor like a fresh run's
+// (outages included; nil, the sensor-free fast path, for perfect
+// observation with none scheduled), so results are bit-for-bit
+// identical to experiment.Run of the base setup with that Seed and
+// Sensor. One cached engine serves every (sensor × seed) cell of a
+// family: the sensor is swapped in, or cleared, through
+// sim.ResetOptions, so cells cannot leak sensors into each other.
+func (c *EngineCache) Run(pattern scenario.Pattern, family ControllerFamily, factory signal.Factory, sensor sensing.Spec, seed uint64, durationSec float64) (Result, error) {
+	if factory == nil {
+		return Result{}, fmt.Errorf("experiment: EngineCache.Run requires a factory")
+	}
 	inst, err := c.instance(pattern)
 	if err != nil {
 		return Result{}, err
 	}
-	return c.run(inst, pattern, family, factory, inst.Sensor, inst.Setup.Control, seed, durationSec)
-}
-
-// RunMode is Run with an explicit controller dispatch mode overriding
-// the base setup's — the controller-mode sweep axis: one cached engine
-// serves per-junction and batched cells alike, the mode switched
-// through sim.ResetOptions on every rewind so cells cannot leak their
-// mode into each other (the sensor-swap discipline of RunSensor,
-// applied to dispatch).
-func (c *EngineCache) RunMode(pattern scenario.Pattern, family ControllerFamily, factory signal.Factory, mode signal.ControlMode, seed uint64, durationSec float64) (Result, error) {
-	inst, err := c.instance(pattern)
+	s, err := inst.NewSensor(sensor, seed)
 	if err != nil {
 		return Result{}, err
 	}
-	return c.run(inst, pattern, family, factory, inst.Sensor, mode, seed, durationSec)
-}
-
-// RunSensor is Run with an explicit per-cell observation sensor
-// overriding the instance's spec-derived one — the sensor-sweep
-// primitive: one cached engine serves every (sensor × seed) cell, the
-// sensor swapped in through sim.ResetOptions. A nil sensor runs the
-// cell with perfect observation (any previously installed sensor is
-// cleared, so cells cannot leak sensors into each other).
-func (c *EngineCache) RunSensor(pattern scenario.Pattern, family ControllerFamily, factory signal.Factory, sensor sensing.Sensor, seed uint64, durationSec float64) (Result, error) {
-	inst, err := c.instance(pattern)
-	if err != nil {
+	duration := inst.Duration
+	if durationSec > 0 {
+		duration = durationSec
+	}
+	key := engineKey{grid: inst.Grid.Spec, family: family}
+	engine, ok := c.engines[key]
+	if !ok {
+		e, err := sim.New(sim.Config{
+			Net:              inst.Grid.Network,
+			Controllers:      factory,
+			Demand:           inst.Demand,
+			Router:           inst.Router,
+			Routes:           inst.Routes,
+			Sensor:           s,
+			Control:          inst.Setup.Control,
+			Events:           inst.Events,
+			ExpectedVehicles: inst.ExpectedVehicles(duration),
+		})
+		if err != nil {
+			return Result{}, err
+		}
+		c.engines[key] = e
+		engine = e
+	}
+	// ResetWith swaps the cell's collaborators in even when the engine
+	// was built for another pattern of the same grid: road IDs are dense
+	// and the builder is deterministic, so structurally identical grids
+	// agree on every ID the demand, router and route table use. The
+	// sensor and the disruption schedule are swapped the same way, so
+	// one engine serves cells with different observation models and
+	// event schedules without leaking either across cells.
+	if err := engine.ResetWith(seed, sim.ResetOptions{
+		Controllers: factory,
+		Demand:      inst.Demand,
+		Router:      inst.Router,
+		Routes:      inst.Routes,
+		Sensor:      s,
+		ClearSensor: s == nil,
+		Events:      inst.Events,
+		ClearEvents: inst.Events == nil,
+	}); err != nil {
 		return Result{}, err
 	}
-	return c.run(inst, pattern, family, factory, sensor, inst.Setup.Control, seed, durationSec)
+	return finishRun(engine, factory, pattern, duration)
 }
 
 // instance returns the per-worker mutable scenario instance for a
@@ -128,57 +154,4 @@ func (c *EngineCache) instance(pattern scenario.Pattern) (*scenario.Instance, er
 	inst := art.Instantiate()
 	c.instances[pattern] = inst
 	return inst, nil
-}
-
-func (c *EngineCache) run(inst *scenario.Instance, pattern scenario.Pattern, family ControllerFamily, factory signal.Factory, sensor sensing.Sensor, mode signal.ControlMode, seed uint64, durationSec float64) (Result, error) {
-	if factory == nil {
-		return Result{}, fmt.Errorf("experiment: EngineCache.Run requires a factory")
-	}
-	duration := inst.Duration
-	if durationSec > 0 {
-		duration = durationSec
-	}
-	key := engineKey{grid: inst.Grid.Spec, family: family}
-	engine, ok := c.engines[key]
-	if !ok {
-		e, err := sim.New(sim.Config{
-			Net:              inst.Grid.Network,
-			Controllers:      factory,
-			Demand:           inst.Demand,
-			Router:           inst.Router,
-			Routes:           inst.Routes,
-			Sensor:           sensor,
-			Control:          mode,
-			Events:           inst.Events,
-			ExpectedVehicles: inst.ExpectedVehicles(duration),
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		c.engines[key] = e
-		engine = e
-	}
-	// ResetWith swaps the cell's collaborators in even when the engine
-	// was built for another pattern of the same grid: road IDs are dense
-	// and the builder is deterministic, so structurally identical grids
-	// agree on every ID the demand, router and route table use. The
-	// sensor, the controller dispatch mode and the disruption schedule
-	// are swapped the same way, so one engine serves cells with
-	// different observation models, control modes and event schedules
-	// without leaking any of them across cells.
-	if err := engine.ResetWith(seed, sim.ResetOptions{
-		Controllers: factory,
-		Demand:      inst.Demand,
-		Router:      inst.Router,
-		Routes:      inst.Routes,
-		Sensor:      sensor,
-		ClearSensor: sensor == nil,
-		Control:     mode,
-		SetControl:  true,
-		Events:      inst.Events,
-		ClearEvents: inst.Events == nil,
-	}); err != nil {
-		return Result{}, err
-	}
-	return finishRun(engine, factory, pattern, duration)
 }

@@ -129,24 +129,29 @@ func CoarsePeriods() []int {
 }
 
 // SweepCAPPeriods runs CAP-BP over the given control periods for one
-// pattern, the solid curve of Figure 2. Runs execute in parallel on the
-// sweep runner (each builds its own engine); results are returned in
+// pattern, the solid curve of Figure 2: the CAP-BP half of a Table III
+// group on the setup's seed. The runs execute on the pooled sweep
+// runner (runSweep), reusing cached engines; results are returned in
 // period order.
 func SweepCAPPeriods(setup scenario.Setup, pattern scenario.Pattern, periods []int, durationSec float64) ([]PeriodPoint, error) {
 	if len(periods) == 0 {
 		periods = DefaultPeriods()
 	}
-	return runCells(len(periods), poolWidth(), nil,
-		func(i int) cellLabels {
-			return cellLabels{pattern.String(), cellLabel(periods, i), setup.Sensor.String()}
-		},
-		func(_ struct{}, i int) (PeriodPoint, error) {
-			res, err := Run(Spec{Setup: setup, Pattern: pattern, Factory: setup.CapBP(periods[i]), DurationSec: durationSec})
-			if err != nil {
-				return PeriodPoint{}, fmt.Errorf("experiment: CAP-BP period %d: %w", periods[i], err)
-			}
-			return PeriodPoint{PeriodSec: periods[i], MeanWait: res.Summary.MeanWait}, nil
-		})
+	results, err := runSweep(true, []scenario.Setup{setup}, periodCells(setup, pattern, periods, durationSec))
+	if err != nil {
+		return nil, err
+	}
+	return periodPoints(periods, results), nil
+}
+
+// periodPoints pairs the leading CAP-BP results of a Table III group
+// with their control periods.
+func periodPoints(periods []int, results []Result) []PeriodPoint {
+	points := make([]PeriodPoint, len(periods))
+	for i, p := range periods {
+		points[i] = PeriodPoint{PeriodSec: p, MeanWait: results[i].Summary.MeanWait}
+	}
+	return points
 }
 
 // BestPeriod returns the sweep point with the lowest mean wait.

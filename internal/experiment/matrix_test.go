@@ -104,17 +104,17 @@ func TestMatrixSweepValidation(t *testing.T) {
 
 // TestPenetrationMatrixSweep crosses the connected-vehicle penetration
 // axis through every controller family of the default matrix and checks
-// the plan-order contract: rows grouped per controller with the sensor
+// the row-order contract: rows grouped per controller with the sensor
 // axis running perfect, then the cv rates in ascending order, for every
 // family — the full sensing × control cross of DESIGN.md §13.
 func TestPenetrationMatrixSweep(t *testing.T) {
 	rates := []float64{0.3, 0.8}
-	rows, err := PenetrationMatrixSweep([]string{"paper-grid"}, rates, []uint64{1}, 200)
+	controllers := DefaultMatrixControllers()
+	wantSensors := PenetrationSpecs(rates)
+	rows, err := MatrixSweep([]string{"paper-grid"}, controllers, wantSensors, []uint64{1}, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	controllers := DefaultMatrixControllers()
-	wantSensors := PenetrationSpecs(rates)
 	if len(rows) != len(controllers)*len(wantSensors) {
 		t.Fatalf("%d rows, want %d", len(rows), len(controllers)*len(wantSensors))
 	}

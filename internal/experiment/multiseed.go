@@ -6,7 +6,6 @@ import (
 
 	"utilbp/internal/analysis"
 	"utilbp/internal/scenario"
-	"utilbp/internal/signal"
 )
 
 // SeedStats aggregates one Table III row over multiple seeds.
@@ -20,132 +19,135 @@ type SeedStats struct {
 	Wins int
 }
 
-// sweepPlan enumerates every independent cell of the Table III multi-seed
-// sweep: for each (pattern, seed) group, one CAP-BP run per period plus
-// one UTIL-BP run. Cells are identified by a flat index so workers can
-// write results into pre-sized slices and aggregation stays in
-// deterministic (pattern, seed, period) order no matter which worker
-// finishes when.
-type sweepPlan struct {
-	base        scenario.Setup
-	patterns    []scenario.Pattern
-	periods     []int
-	seeds       []uint64
-	durationSec float64
+// SeedRow is one row of a multi-seed sweep folded over its seeds: the
+// sensing, robustness, stress and matrix rows embed it.
+type SeedRow struct {
+	// MeanWaits and Throughputs are the per-seed network-mean queuing
+	// times and exited-vehicle counts, in the sweep's seed order.
+	MeanWaits   []float64
+	Throughputs []float64
+	// Mean and Std summarize MeanWaits; MeanThroughput summarizes
+	// Throughputs.
+	Mean, Std      float64
+	MeanThroughput float64
+	// CompletionRate is the mean per-seed fraction of spawned vehicles
+	// that exited within the horizon.
+	CompletionRate float64
+	// DegradationPct is the mean per-seed wait increase relative to the
+	// row's reference row, in percent; zero for a row without one.
+	DegradationPct float64
 }
 
-// perGroup returns the number of cells in one (pattern, seed) group: the
-// CAP-BP period sweep plus the UTIL-BP run.
-func (p *sweepPlan) perGroup() int { return len(p.periods) + 1 }
-
-// cells returns the total cell count.
-func (p *sweepPlan) cells() int { return len(p.patterns) * len(p.seeds) * p.perGroup() }
-
-// cell decomposes a flat index into (pattern index, seed index, job),
-// where job < len(periods) selects CAP-BP at periods[job] and
-// job == len(periods) selects the UTIL-BP run.
-func (p *sweepPlan) cell(idx int) (pi, si, job int) {
-	job = idx % p.perGroup()
-	group := idx / p.perGroup()
-	return group / len(p.seeds), group % len(p.seeds), job
-}
-
-// labels names a cell for the profiler.
-func (p *sweepPlan) labels(idx int) cellLabels {
-	pi, _, job := p.cell(idx)
-	return cellLabels{p.patterns[pi].String(), cellLabel(p.periods, job), p.base.Sensor.String()}
-}
-
-// runCell executes one cell. With caches the cell runs on a reused
-// engine (the pooled scheduler's path); with caches == nil it builds a
-// fresh scenario and engine per cell (the serial reference path). Both
-// paths are pinned bit-for-bit equal by
-// TestMultiSeedSchedulerDeterminism.
-func (p *sweepPlan) runCell(caches []*EngineCache, idx int) (Result, error) {
-	pi, si, job := p.cell(idx)
-	pattern, seed := p.patterns[pi], p.seeds[si]
-	// Both paths share one factory built from the seed-patched setup, so
-	// a factory that ever consumes Setup.Seed keeps them in lockstep.
-	setup := p.base
-	setup.Seed = seed
-	var (
-		family  ControllerFamily
-		factory signal.Factory
-	)
-	if job < len(p.periods) {
-		family, factory = FamilyCapBP, setup.CapBP(p.periods[job])
-	} else {
-		family, factory = FamilyUtilBP, setup.UtilBP()
-	}
-	var res Result
-	var err error
-	if caches != nil {
-		res, err = caches[0].Run(pattern, family, factory, seed, p.durationSec)
-	} else {
-		res, err = Run(Spec{Setup: setup, Pattern: pattern, Factory: factory, DurationSec: p.durationSec})
-	}
-	if err != nil {
-		return Result{}, fmt.Errorf("experiment: pattern %v seed %d %s: %w",
-			pattern, seed, cellLabel(p.periods, job), err)
-	}
-	return res, nil
-}
-
-func cellLabel(periods []int, job int) string {
-	if job < len(periods) {
-		return fmt.Sprintf("CAP-BP period %d", periods[job])
-	}
-	return "UTIL-BP"
-}
-
-// aggregate folds the per-cell mean waits into SeedStats rows, in pattern
-// order: per (pattern, seed) the best (first-minimum) CAP-BP period is
-// the baseline the UTIL-BP run is compared against.
-func (p *sweepPlan) aggregate(cells []Result) ([]SeedStats, error) {
-	out := make([]SeedStats, 0, len(p.patterns))
-	per := p.perGroup()
-	capWaits := make([]float64, len(p.periods))
-	for pi, pat := range p.patterns {
-		stats := SeedStats{Pattern: pat, Improvements: make([]float64, len(p.seeds))}
-		for si := range p.seeds {
-			group := cells[(pi*len(p.seeds)+si)*per:][:per]
-			for job := range capWaits {
-				capWaits[job] = group[job].Summary.MeanWait
-			}
-			best := capWaits[analysis.ArgMin(capWaits)]
-			imp, err := analysis.Improvement(best, group[len(p.periods)].Summary.MeanWait)
-			if err != nil {
-				return nil, err
-			}
-			stats.Improvements[si] = imp * 100
-			if stats.Improvements[si] > 0 {
-				stats.Wins++
+// seedRows folds a sweep's results, laid out as consecutive runs of
+// len(seeds) cells per row, into one SeedRow per row. ref maps a row to
+// the row its degradation is measured against, or -1 for none.
+func seedRows(results []Result, seeds []uint64, ref func(row int) int) []SeedRow {
+	nk := len(seeds)
+	rows := make([]SeedRow, len(results)/nk)
+	for r := range rows {
+		row := SeedRow{MeanWaits: make([]float64, nk), Throughputs: make([]float64, nk)}
+		rates := make([]float64, nk)
+		cells, base := results[r*nk:][:nk], ref(r)
+		deg := 0.0
+		for k, res := range cells {
+			row.MeanWaits[k] = res.Summary.MeanWait
+			row.Throughputs[k] = float64(res.Totals.Exited)
+			rates[k] = res.Summary.CompletionRate
+			if base >= 0 {
+				if w := results[base*nk+k].Summary.MeanWait; w > 0 {
+					deg += 100 * (row.MeanWaits[k] - w) / w
+				}
 			}
 		}
-		stats.Mean = analysis.Mean(stats.Improvements)
-		stats.Std = analysis.Std(stats.Improvements)
-		out = append(out, stats)
+		row.Mean = analysis.Mean(row.MeanWaits)
+		row.Std = analysis.Std(row.MeanWaits)
+		row.MeanThroughput = analysis.Mean(row.Throughputs)
+		row.CompletionRate = analysis.Mean(rates)
+		if base >= 0 {
+			row.DegradationPct = deg / float64(nk)
+		}
+		rows[r] = row
 	}
-	return out, nil
+	return rows
 }
 
-func newSweepPlan(base scenario.Setup, patterns []scenario.Pattern, periods []int, seeds []uint64, durationSec float64) (*sweepPlan, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: at least one seed required")
+// tableIIICells lays out the Table III sweep: per (pattern, seed)
+// group, one CAP-BP cell per period, then one UTIL-BP cell.
+func tableIIICells(base scenario.Setup, patterns []scenario.Pattern, periods []int, seeds []uint64, durationSec float64) []cell {
+	cells := make([]cell, 0, len(patterns)*len(seeds)*(len(periods)+1))
+	for _, pat := range patterns {
+		for _, seed := range seeds {
+			setup := base
+			setup.Seed = seed
+			cells = append(cells, periodCells(setup, pat, periods, durationSec)...)
+			cells = append(cells, cell{
+				pattern: pat, family: FamilyUtilBP, factory: setup.UtilBP(),
+				sensor: setup.Sensor, seed: seed, horizon: durationSec,
+				workload: pat.String(), controller: string(FamilyUtilBP),
+			})
+		}
 	}
+	return cells
+}
+
+// periodCells returns the CAP-BP cells of one Table III group, one per
+// control period, on setup's seed: the solid curve of Figure 2.
+func periodCells(setup scenario.Setup, pattern scenario.Pattern, periods []int, durationSec float64) []cell {
+	cells := make([]cell, len(periods))
+	for i, p := range periods {
+		cells[i] = cell{
+			pattern: pattern, family: FamilyCapBP, factory: setup.CapBP(p),
+			sensor: setup.Sensor, seed: setup.Seed, horizon: durationSec,
+			workload: pattern.String(), controller: fmt.Sprintf("CAP-BP period %d", p),
+		}
+	}
+	return cells
+}
+
+// tableIIIRows runs the Table III sweep and folds it into one row per
+// (pattern, seed) group, pattern-major: per group the best
+// (first-minimum) CAP-BP period is the baseline UTIL-BP is compared
+// against.
+func tableIIIRows(pooled bool, base scenario.Setup, patterns []scenario.Pattern, periods []int, seeds []uint64, durationSec float64) ([]TableIIIRow, error) {
 	if patterns == nil {
 		patterns = scenario.AllPatterns
 	}
 	if len(periods) == 0 {
 		periods = DefaultPeriods()
 	}
-	return &sweepPlan{base: base, patterns: patterns, periods: periods, seeds: seeds, durationSec: durationSec}, nil
+	results, err := runSweep(pooled, []scenario.Setup{base}, tableIIICells(base, patterns, periods, seeds, durationSec))
+	if err != nil {
+		return nil, err
+	}
+	per := len(periods) + 1
+	rows := make([]TableIIIRow, len(results)/per)
+	capWaits := make([]float64, len(periods))
+	for g := range rows {
+		group := results[g*per:][:per]
+		for i := range periods {
+			capWaits[i] = group[i].Summary.MeanWait
+		}
+		best := analysis.ArgMin(capWaits)
+		util := group[len(periods)].Summary.MeanWait
+		imp, err := analysis.Improvement(capWaits[best], util)
+		if err != nil {
+			return nil, err
+		}
+		rows[g] = TableIIIRow{
+			Pattern:        patterns[g/len(seeds)],
+			CAPPeriodSec:   periods[best],
+			CAPMeanWait:    capWaits[best],
+			UTILMeanWait:   util,
+			ImprovementPct: imp * 100,
+		}
+	}
+	return rows, nil
 }
 
 // TableIIIMultiSeed runs the Table III comparison across seeds and
 // aggregates the improvement distribution per pattern. Every
 // (pattern × seed × period) cell of the sweep — plus each group's UTIL-BP
-// run — is an independent cell of the pooled sweep runner (runPlan), so
+// run — is an independent cell of the pooled sweep runner (runSweep), so
 // the whole sweep saturates the machine instead of serializing behind
 // per-pattern barriers. All workers share one concurrency-safe
 // scenario.ArtifactCache, so the immutable scenario state (network
@@ -154,10 +156,9 @@ func newSweepPlan(base scenario.Setup, patterns []scenario.Pattern, periods []in
 // EngineCache: engines are built once per (network, controller family)
 // and rewound between cells with sim.Engine.ResetWith instead of being
 // reconstructed, which removes per-cell scenario and engine allocation
-// from the sweep entirely (DESIGN.md §3, §5). Results land in
-// cell-indexed slots and are aggregated in plan order, making the
-// output bit-for-bit identical to TableIIIMultiSeedSerial for the same
-// inputs.
+// from the sweep entirely (DESIGN.md §3, §5). Results come back in
+// cell order and are folded in that order, making the output
+// bit-for-bit identical to TableIIIMultiSeedSerial for the same inputs.
 func TableIIIMultiSeed(base scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64, seeds []uint64) ([]SeedStats, error) {
 	return tableIIIMultiSeed(base, patterns, periods, durationSec, seeds, true)
 }
@@ -172,15 +173,28 @@ func TableIIIMultiSeedSerial(base scenario.Setup, patterns []scenario.Pattern, p
 }
 
 func tableIIIMultiSeed(base scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64, seeds []uint64, pooled bool) ([]SeedStats, error) {
-	plan, err := newSweepPlan(base, patterns, periods, seeds, durationSec)
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("experiment: at least one seed required")
+	}
+	rows, err := tableIIIRows(pooled, base, patterns, periods, seeds, durationSec)
 	if err != nil {
 		return nil, err
 	}
-	cells, err := runPlan(pooled, []scenario.Setup{base}, plan.cells(), plan.labels, plan.runCell)
-	if err != nil {
-		return nil, err
+	out := make([]SeedStats, len(rows)/len(seeds))
+	for pi := range out {
+		group := rows[pi*len(seeds):][:len(seeds)]
+		stats := SeedStats{Pattern: group[0].Pattern, Improvements: make([]float64, len(seeds))}
+		for si, row := range group {
+			stats.Improvements[si] = row.ImprovementPct
+			if row.ImprovementPct > 0 {
+				stats.Wins++
+			}
+		}
+		stats.Mean = analysis.Mean(stats.Improvements)
+		stats.Std = analysis.Std(stats.Improvements)
+		out[pi] = stats
 	}
-	return plan.aggregate(cells)
+	return out, nil
 }
 
 // FormatSeedStats renders the multi-seed table.

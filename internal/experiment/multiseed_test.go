@@ -76,6 +76,28 @@ func TestMultiSeedSchedulerDeterminism(t *testing.T) {
 	}
 }
 
+// TestTableIIIMatchesMultiSeedSerial pins TableIII, which runs on
+// cached engines, to the fresh-engine serial multi-seed reference on the
+// setup's one seed: the same improvement per pattern, exactly.
+func TestTableIIIMatchesMultiSeedSerial(t *testing.T) {
+	setup := quickSetup()
+	patterns := []scenario.Pattern{scenario.PatternI, scenario.PatternIV}
+	periods := []int{18, 30}
+	rows, err := TableIII(setup, patterns, periods, 700)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := TableIIIMultiSeedSerial(setup, patterns, periods, 700, []uint64{setup.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		if row.ImprovementPct != serial[i].Improvements[0] {
+			t.Fatalf("pattern %v: TableIII improvement %v != serial %v", row.Pattern, row.ImprovementPct, serial[i].Improvements[0])
+		}
+	}
+}
+
 // TestEngineCacheMatchesFreshRuns drives one EngineCache the way a pool
 // worker does — cells arriving in arbitrary order, switching controller
 // family and pattern mid-stream, revisiting earlier cells — and pins
@@ -104,7 +126,7 @@ func TestEngineCacheMatchesFreshRuns(t *testing.T) {
 		if c.family == FamilyCapBP {
 			factory = setup.CapBP(c.period)
 		}
-		cached, err := cache.Run(c.pattern, c.family, factory, c.seed, 700)
+		cached, err := cache.Run(c.pattern, c.family, factory, setup.Sensor, c.seed, 700)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
@@ -200,7 +222,7 @@ func TestEngineCacheCityGridWorkload(t *testing.T) {
 		if c.family == FamilyCapBP {
 			factory = setup.CapBP(c.period)
 		}
-		cached, err := cache.Run(w.Pattern, c.family, factory, c.seed, horizon)
+		cached, err := cache.Run(w.Pattern, c.family, factory, setup.Sensor, c.seed, horizon)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"utilbp/internal/analysis"
 	"utilbp/internal/network"
 	"utilbp/internal/scenario"
 	"utilbp/internal/signal"
@@ -23,38 +22,10 @@ type TableIIIRow struct {
 
 // TableIII reproduces the paper's Table III over the given patterns
 // (nil = all five rows) and CAP-BP periods (nil = the Figure 2 sweep).
-// durationSec > 0 shortens every run for quick builds.
+// durationSec > 0 shortens every run for quick builds. It is the
+// pooled TableIIIMultiSeed sweep on the setup's one seed.
 func TableIII(setup scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64) ([]TableIIIRow, error) {
-	if patterns == nil {
-		patterns = scenario.AllPatterns
-	}
-	rows := make([]TableIIIRow, 0, len(patterns))
-	for _, pat := range patterns {
-		sweep, err := SweepCAPPeriods(setup, pat, periods, durationSec)
-		if err != nil {
-			return nil, err
-		}
-		best, err := BestPeriod(sweep)
-		if err != nil {
-			return nil, err
-		}
-		util, err := Run(Spec{Setup: setup, Pattern: pat, Factory: setup.UtilBP(), DurationSec: durationSec})
-		if err != nil {
-			return nil, err
-		}
-		imp, err := analysis.Improvement(best.MeanWait, util.Summary.MeanWait)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, TableIIIRow{
-			Pattern:        pat,
-			CAPPeriodSec:   best.PeriodSec,
-			CAPMeanWait:    best.MeanWait,
-			UTILMeanWait:   util.Summary.MeanWait,
-			ImprovementPct: imp * 100,
-		})
-	}
-	return rows, nil
+	return tableIIIRows(true, setup, patterns, periods, []uint64{setup.Seed}, durationSec)
 }
 
 // FormatTableIII renders rows like the paper's Table III.
@@ -79,17 +50,18 @@ type Fig2Data struct {
 	UTILWait float64
 }
 
-// Fig2 reproduces Figure 2. durationSec > 0 shortens the runs.
+// Fig2 reproduces Figure 2: the Table III group of the mixed pattern
+// on the setup's seed. durationSec > 0 shortens the runs.
 func Fig2(setup scenario.Setup, periods []int, durationSec float64) (Fig2Data, error) {
-	points, err := SweepCAPPeriods(setup, scenario.PatternMixed, periods, durationSec)
+	if len(periods) == 0 {
+		periods = DefaultPeriods()
+	}
+	cells := tableIIICells(setup, []scenario.Pattern{scenario.PatternMixed}, periods, []uint64{setup.Seed}, durationSec)
+	results, err := runSweep(true, []scenario.Setup{setup}, cells)
 	if err != nil {
 		return Fig2Data{}, err
 	}
-	util, err := Run(Spec{Setup: setup, Pattern: scenario.PatternMixed, Factory: setup.UtilBP(), DurationSec: durationSec})
-	if err != nil {
-		return Fig2Data{}, err
-	}
-	return Fig2Data{Points: points, UTILWait: util.Summary.MeanWait}, nil
+	return Fig2Data{Points: periodPoints(periods, results), UTILWait: results[len(periods)].Summary.MeanWait}, nil
 }
 
 // FormatFig2 renders the Figure 2 series as text.

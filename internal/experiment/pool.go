@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -9,25 +10,26 @@ import (
 	"sync/atomic"
 
 	"utilbp/internal/scenario"
+	"utilbp/internal/sensing"
+	"utilbp/internal/signal"
 )
 
 // cellLabels names a sweep cell along the profiling axes.
 type cellLabels struct{ workload, controller, sensor string }
 
-// runCells is the one sweep runner: it runs cells 0..n-1 on
-// min(width, n) worker goroutines and returns their results in cell
-// order. Cells are handed out in index order over an unbuffered channel.
-// Each worker builds its state with newWorker once, before its first
-// cell, and passes it to every cell it runs; a nil newWorker leaves the
-// zero S, which the plan sweeps read as "no caches, build a fresh
-// engine". Once a cell fails no further cell is handed out (a send
-// already under way may still complete) and cells already running
-// finish; the error returned is the first in cell order among the cells
-// that ran. Every cell runs under runtime/pprof
-// labels — workload, controller, sensor and worker index — so a CPU
-// profile of any sweep attributes samples per cell (`go tool pprof
-// -tagfocus`); the label set allocates, which is noise at cell
-// granularity.
+// runCells is the scheduler under runSweep and ChaosSweep: it runs
+// cells 0..n-1 on min(width, n) worker goroutines and returns their
+// results in cell order. Cells are handed out in index order over an
+// unbuffered channel. Each worker builds its state with newWorker once,
+// before its first cell, and passes it to every cell it runs; a nil
+// newWorker leaves the zero S, which runSweep reads as "no caches,
+// build a fresh engine". Once a cell fails no further cell is handed
+// out (a send already under way may still complete) and cells already
+// running finish; the error returned is the first in cell order among
+// the cells that ran. Every cell runs under runtime/pprof labels —
+// workload, controller, sensor and worker index — so a CPU profile of
+// any sweep attributes samples per cell (`go tool pprof -tagfocus`);
+// the label set allocates, which is noise at cell granularity.
 func runCells[S, R any](n, width int, newWorker func() S, label func(idx int) cellLabels, run func(s S, idx int) (R, error)) ([]R, error) {
 	out := make([]R, n)
 	errs := make([]error, n)
@@ -73,22 +75,62 @@ func runCells[S, R any](n, width int, newWorker func() S, label func(idx int) ce
 // GOMAXPROCS slot.
 func poolWidth() int { return runtime.GOMAXPROCS(0) }
 
-// runPlan runs the n cells of a plan sweep whose cells draw their
-// scenarios from the given setups. Pooled, it runs them on poolWidth
-// workers that share one concurrency-safe scenario.ArtifactCache per
-// setup and each own one EngineCache per setup on top (engines built
-// lazily, rewound per cell through sim.Engine.ResetWith). Serial, it is
-// the fresh-engine reference the pooled sweep is pinned against: width
-// 1 and nil caches, so every cell builds its own scenario and engine.
-func runPlan(pooled bool, setups []scenario.Setup, n int, label func(int) cellLabels, run func([]*EngineCache, int) (Result, error)) ([]Result, error) {
+// cell is one run of a sweep: a controller on one of the sweep's base
+// setups and demand patterns, observed through a sensor, for one seed.
+// Its factory is built from the base setup patched to the cell's seed
+// (and sensor), so the pooled and serial paths run the same factory.
+type cell struct {
+	setup   int // index of the cell's base setup in the sweep's setups
+	pattern scenario.Pattern
+	// family keys the cached engine: cells of one family share it.
+	family  ControllerFamily
+	factory signal.Factory
+	sensor  sensing.Spec
+	seed    uint64
+	// horizon overrides the pattern's default horizon when > 0.
+	horizon float64
+	// workload and controller name the cell in profiles and errors.
+	workload, controller string
+}
+
+// runSweep runs a sweep's cells, whose base setups are setups, and
+// returns their results in cell order. Pooled, the cells run on
+// poolWidth workers that share one concurrency-safe
+// scenario.ArtifactCache per setup and each own one EngineCache per
+// setup on top (engines built lazily, rewound per cell through
+// sim.Engine.ResetWith). Serial, it is the fresh-engine reference the
+// pooled sweep is pinned against: width 1 and nil caches, so every cell
+// builds its own scenario and engine through Run, with the base setup's
+// Seed and Sensor set to the cell's.
+func runSweep(pooled bool, setups []scenario.Setup, cells []cell) ([]Result, error) {
+	label := func(i int) cellLabels {
+		return cellLabels{cells[i].workload, cells[i].controller, cells[i].sensor.String()}
+	}
+	run := func(caches []*EngineCache, i int) (Result, error) {
+		c := &cells[i]
+		var res Result
+		var err error
+		if caches != nil {
+			res, err = caches[c.setup].Run(c.pattern, c.family, c.factory, c.sensor, c.seed, c.horizon)
+		} else {
+			setup := setups[c.setup]
+			setup.Seed, setup.Sensor = c.seed, c.sensor
+			res, err = Run(Spec{Setup: setup, Pattern: c.pattern, Factory: c.factory, DurationSec: c.horizon})
+		}
+		if err != nil {
+			return Result{}, fmt.Errorf("experiment: %s %s sensor %v seed %d: %w",
+				c.workload, c.controller, c.sensor, c.seed, err)
+		}
+		return res, nil
+	}
 	if !pooled {
-		return runCells(n, 1, nil, label, run)
+		return runCells(len(cells), 1, nil, label, run)
 	}
 	shared := make([]*scenario.ArtifactCache, len(setups))
 	for i, setup := range setups {
 		shared[i] = scenario.NewArtifactCache(setup)
 	}
-	return runCells(n, poolWidth(), func() []*EngineCache {
+	return runCells(len(cells), poolWidth(), func() []*EngineCache {
 		caches := make([]*EngineCache, len(shared))
 		for i, a := range shared {
 			caches[i] = NewSharedEngineCache(a)

@@ -3,9 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"strings"
 
-	"utilbp/internal/analysis"
 	"utilbp/internal/event"
 	"utilbp/internal/scenario"
 	"utilbp/internal/signal"
@@ -42,165 +40,45 @@ type RobustnessStats struct {
 	// CapFrac is the incident severity: the fraction of the disrupted
 	// road's capacity remaining (1 = undisrupted reference).
 	CapFrac float64
-	// MeanWaits and Throughputs are the per-seed network-mean queuing
-	// times and exited-vehicle counts, in the sweep's seed order.
-	MeanWaits   []float64
-	Throughputs []float64
-	// Mean and Std summarize MeanWaits; MeanThroughput summarizes
-	// Throughputs.
-	Mean, Std      float64
-	MeanThroughput float64
-	// DegradationPct is the mean per-seed wait increase relative to the
-	// same family's CapFrac = 1 row, in percent; zero when the severity
-	// axis carries no undisrupted reference.
-	DegradationPct float64
+	// SeedRow holds the row's per-seed results; DegradationPct is
+	// measured against the same family's CapFrac = 1 row, zero when the
+	// severity axis carries no undisrupted reference.
+	SeedRow
 }
 
-// robustnessPlan enumerates the independent cells of a robustness
-// sweep: one run per (family × severity × seed), identified by a flat
-// index so pooled workers write into pre-sized slots and aggregation
-// stays in plan order — the scheme of sweepPlan/sensingPlan. Each
-// severity is a derived Setup carrying the incident spec, so each has
-// its own immutable artifact (and, pooled, its own engine/artifact
-// caches: schedules are per-artifact state).
-type robustnessPlan struct {
-	pattern     scenario.Pattern
-	families    []ControllerFamily
-	capFracs    []float64
-	setups      []scenario.Setup // per severity, incident armed
-	seeds       []uint64
-	periodSec   int
-	durationSec float64
-}
-
-func (p *robustnessPlan) cells() int {
-	return len(p.families) * len(p.capFracs) * len(p.seeds)
-}
-
-func (p *robustnessPlan) cell(idx int) (fi, ci, ki int) {
-	ki = idx % len(p.seeds)
-	row := idx / len(p.seeds)
-	return row / len(p.capFracs), row % len(p.capFracs), ki
-}
-
-// labels names a cell for the profiler.
-func (p *robustnessPlan) labels(idx int) cellLabels {
-	fi, ci, _ := p.cell(idx)
-	return cellLabels{p.pattern.String(), string(p.families[fi]), p.setups[ci].Sensor.String()}
-}
-
-// runCell executes one cell. With caches the cell runs on the
-// severity's reused engine; with caches == nil it builds a fresh
-// scenario and engine per cell — the serial reference the pooled
-// scheduler is pinned against.
-func (p *robustnessPlan) runCell(caches []*EngineCache, idx int) (Result, error) {
-	fi, ci, ki := p.cell(idx)
-	family, seed := p.families[fi], p.seeds[ki]
-	// Both paths share one factory built from the seed-patched setup, so
-	// a factory that ever consumes Setup.Seed keeps them in lockstep.
-	setup := p.setups[ci]
-	setup.Seed = seed
-	var factory signal.Factory
-	switch family {
-	case FamilyCapBP:
-		factory = setup.CapBP(p.periodSec)
-	default:
-		factory = setup.UtilBP()
-	}
-	var res Result
-	var err error
-	if caches != nil {
-		res, err = caches[ci].Run(p.pattern, family, factory, seed, p.durationSec)
-	} else {
-		res, err = Run(Spec{Setup: setup, Pattern: p.pattern, Factory: factory, DurationSec: p.durationSec})
-	}
-	if err != nil {
-		return Result{}, fmt.Errorf("experiment: %s capacity %.2f seed %d: %w", family, p.capFracs[ci], seed, err)
-	}
-	return res, nil
-}
-
-// aggregate folds the per-cell results into RobustnessStats rows in
-// (family, severity) order, with degradations computed per seed against
-// the family's CapFrac = 1 row.
-func (p *robustnessPlan) aggregate(cells []Result) []RobustnessStats {
-	baseline := -1
-	for ci, f := range p.capFracs {
-		if f == 1 {
-			baseline = ci
-			break
-		}
-	}
-	out := make([]RobustnessStats, 0, len(p.families)*len(p.capFracs))
-	for fi, family := range p.families {
-		for ci, frac := range p.capFracs {
-			row := RobustnessStats{
-				Family:      family,
-				CapFrac:     frac,
-				MeanWaits:   make([]float64, len(p.seeds)),
-				Throughputs: make([]float64, len(p.seeds)),
-			}
-			deg := 0.0
-			for ki := range p.seeds {
-				at := func(c int) int { return (fi*len(p.capFracs)+c)*len(p.seeds) + ki }
-				row.MeanWaits[ki] = cells[at(ci)].Summary.MeanWait
-				row.Throughputs[ki] = float64(cells[at(ci)].Totals.Exited)
-				if baseline >= 0 {
-					if ref := cells[at(baseline)].Summary.MeanWait; ref > 0 {
-						deg += 100 * (row.MeanWaits[ki] - ref) / ref
-					}
+// familyCells lays out the robustness and stress sweeps: per
+// controller family of RobustnessFamilies, per derived setup, one cell
+// per seed — CAP-BP at DefaultRobustnessPeriodSec, UTIL-BP as is.
+func familyCells(setups []scenario.Setup, pattern scenario.Pattern, seeds []uint64, durationSec float64) []cell {
+	families := RobustnessFamilies()
+	cells := make([]cell, 0, len(families)*len(setups)*len(seeds))
+	for _, family := range families {
+		for si, base := range setups {
+			for _, seed := range seeds {
+				setup := base
+				setup.Seed = seed
+				var factory signal.Factory
+				if family == FamilyCapBP {
+					factory = setup.CapBP(DefaultRobustnessPeriodSec)
+				} else {
+					factory = setup.UtilBP()
 				}
+				cells = append(cells, cell{
+					setup: si, pattern: pattern, family: family, factory: factory,
+					sensor: setup.Sensor, seed: seed, horizon: durationSec,
+					workload: pattern.String(), controller: string(family),
+				})
 			}
-			row.Mean = analysis.Mean(row.MeanWaits)
-			row.Std = analysis.Std(row.MeanWaits)
-			row.MeanThroughput = analysis.Mean(row.Throughputs)
-			if baseline >= 0 {
-				row.DegradationPct = deg / float64(len(p.seeds))
-			}
-			out = append(out, row)
 		}
 	}
-	return out
-}
-
-// newRobustnessPlan derives the per-severity setups: each severity is
-// the base setup plus a central incident (scenario.WithCentralIncident)
-// spanning the middle half of the sweep horizon, so every run sees both
-// the degraded regime and the post-clearance recovery.
-func newRobustnessPlan(base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64) (*robustnessPlan, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: at least one seed required")
-	}
-	if len(capFracs) == 0 {
-		capFracs = DefaultCapFracs()
-	}
-	if durationSec <= 0 {
-		durationSec = pattern.Duration()
-	}
-	p := &robustnessPlan{
-		pattern:     pattern,
-		families:    RobustnessFamilies(),
-		capFracs:    capFracs,
-		seeds:       seeds,
-		periodSec:   DefaultRobustnessPeriodSec,
-		durationSec: durationSec,
-	}
-	t0, dur := durationSec/4, durationSec/2
-	for _, frac := range capFracs {
-		setup, err := base.WithCentralIncident(t0, dur, frac)
-		if err != nil {
-			return nil, err
-		}
-		p.setups = append(p.setups, setup)
-	}
-	return p, nil
+	return cells
 }
 
 // RobustnessSweep runs the throughput-under-capacity-loss experiment:
 // every controller family of RobustnessFamilies across the incident
 // severity axis and the seeds, on a mid-run central incident spanning
 // the middle half of the horizon. Cells run on the pooled sweep runner
-// (runPlan); severities have distinct artifacts (the disruption
+// (runSweep); severities have distinct artifacts (the disruption
 // schedule is compiled into them), so the workers share one
 // concurrency-safe ArtifactCache per severity and each worker keeps
 // one EngineCache per severity on top. Results are bit-for-bit
@@ -219,31 +97,46 @@ func RobustnessSweepSerial(base scenario.Setup, pattern scenario.Pattern, capFra
 }
 
 func robustnessSweep(base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64, pooled bool) ([]RobustnessStats, error) {
-	plan, err := newRobustnessPlan(base, pattern, capFracs, seeds, durationSec)
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("experiment: at least one seed required")
+	}
+	if len(capFracs) == 0 {
+		capFracs = DefaultCapFracs()
+	}
+	if durationSec <= 0 {
+		durationSec = pattern.Duration()
+	}
+	// Each severity is the base setup plus a central incident spanning
+	// the middle half of the sweep horizon, so every run sees both the
+	// degraded regime and the post-clearance recovery.
+	setups := make([]scenario.Setup, len(capFracs))
+	intact := -1
+	for i, frac := range capFracs {
+		var err error
+		if setups[i], err = base.WithCentralIncident(durationSec/4, durationSec/2, frac); err != nil {
+			return nil, err
+		}
+		if intact < 0 && frac == 1 {
+			intact = i
+		}
+	}
+	results, err := runSweep(pooled, setups, familyCells(setups, pattern, seeds, durationSec))
 	if err != nil {
 		return nil, err
 	}
-	cells, err := runPlan(pooled, plan.setups, plan.cells(), plan.labels, plan.runCell)
-	if err != nil {
-		return nil, err
+	// A row's reference is the same family's intact row.
+	rows := seedRows(results, seeds, func(row int) int {
+		if intact < 0 {
+			return -1
+		}
+		return row - row%len(setups) + intact
+	})
+	out := make([]RobustnessStats, len(rows))
+	families := RobustnessFamilies()
+	for r, row := range rows {
+		out[r] = RobustnessStats{Family: families[r/len(setups)], CapFrac: capFracs[r%len(setups)], SeedRow: row}
 	}
-	return plan.aggregate(cells), nil
-}
-
-// FormatRobustnessStats renders the robustness sweep table.
-func FormatRobustnessStats(rows []RobustnessStats, seeds []uint64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Throughput and queuing under capacity loss, %d seeds\n", len(seeds))
-	fmt.Fprintf(&b, "%-10s %-10s %-20s %-12s %s\n", "Family", "capacity", "wait mean ± std (s)", "throughput", "vs intact")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %-10s %-20s %-12.0f %+.1f%%\n",
-			r.Family,
-			fmt.Sprintf("%.0f%%", 100*r.CapFrac),
-			fmt.Sprintf("%.1f ± %.1f", r.Mean, r.Std),
-			r.MeanThroughput,
-			r.DegradationPct)
-	}
-	return b.String()
+	return out, nil
 }
 
 // RecoveryResult reports how a run absorbed its first incident: the

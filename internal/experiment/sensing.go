@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"utilbp/internal/analysis"
 	"utilbp/internal/scenario"
 	"utilbp/internal/sensing"
 )
@@ -16,130 +15,15 @@ import (
 type SensingStats struct {
 	// Spec is the sensor configuration of this row.
 	Spec sensing.Spec
-	// MeanWaits are the per-seed network-mean queuing times, in the
-	// sweep's seed order.
-	MeanWaits []float64
-	// Mean and Std summarize MeanWaits.
-	Mean, Std float64
-	// DegradationPct is the mean per-seed wait increase relative to the
-	// sweep's perfect-sensor reference, in percent; zero when the sweep
-	// carries no perfect spec.
-	DegradationPct float64
-}
-
-// sensingPlan enumerates the independent cells of a sensor sweep: one
-// UTIL-BP run per (sensor spec × seed), identified by a flat index so
-// pooled workers write into pre-sized slots and aggregation stays in
-// plan order regardless of completion order — the same scheme as the
-// Table III sweepPlan.
-type sensingPlan struct {
-	base        scenario.Setup
-	pattern     scenario.Pattern
-	specs       []sensing.Spec
-	seeds       []uint64
-	durationSec float64
-}
-
-func (p *sensingPlan) cells() int { return len(p.specs) * len(p.seeds) }
-
-func (p *sensingPlan) cell(idx int) (si, ki int) {
-	return idx / len(p.seeds), idx % len(p.seeds)
-}
-
-// labels names a cell for the profiler.
-func (p *sensingPlan) labels(idx int) cellLabels {
-	si, _ := p.cell(idx)
-	return cellLabels{p.pattern.String(), string(FamilyUtilBP), p.specs[si].String()}
-}
-
-// runCell executes one (spec, seed) cell. With caches the cell runs on
-// a reused engine through EngineCache.RunSensor; with caches == nil it
-// builds a fresh scenario (Setup.Sensor carries the spec) and engine
-// per cell — the serial reference path the pooled scheduler is pinned
-// against.
-func (p *sensingPlan) runCell(caches []*EngineCache, idx int) (Result, error) {
-	si, ki := p.cell(idx)
-	spec, seed := p.specs[si], p.seeds[ki]
-	setup := p.base
-	setup.Seed = seed
-	setup.Sensor = spec
-	factory := setup.UtilBP()
-	var (
-		res Result
-		err error
-	)
-	if caches != nil {
-		var sensor sensing.Sensor
-		if !spec.Perfect() {
-			sensor, err = spec.New()
-			if err == nil {
-				sensor.Reseed(seed)
-			}
-		}
-		if err == nil {
-			res, err = caches[0].RunSensor(p.pattern, FamilyUtilBP, factory, sensor, seed, p.durationSec)
-		}
-	} else {
-		res, err = Run(Spec{Setup: setup, Pattern: p.pattern, Factory: factory, DurationSec: p.durationSec})
-	}
-	if err != nil {
-		return Result{}, fmt.Errorf("experiment: pattern %v sensor %v seed %d: %w", p.pattern, spec, seed, err)
-	}
-	return res, nil
-}
-
-// aggregate folds the per-cell mean waits into SensingStats rows in
-// spec order, with degradations computed per seed against the first
-// perfect spec of the sweep.
-func (p *sensingPlan) aggregate(cells []Result) []SensingStats {
-	perfect := -1
-	for si, spec := range p.specs {
-		if spec.Perfect() {
-			perfect = si
-			break
-		}
-	}
-	out := make([]SensingStats, 0, len(p.specs))
-	for si, spec := range p.specs {
-		row := SensingStats{Spec: spec, MeanWaits: make([]float64, len(p.seeds))}
-		deg := 0.0
-		for ki := range p.seeds {
-			w := cells[si*len(p.seeds)+ki].Summary.MeanWait
-			row.MeanWaits[ki] = w
-			if perfect >= 0 {
-				if ref := cells[perfect*len(p.seeds)+ki].Summary.MeanWait; ref > 0 {
-					deg += 100 * (w - ref) / ref
-				}
-			}
-		}
-		row.Mean = analysis.Mean(row.MeanWaits)
-		row.Std = analysis.Std(row.MeanWaits)
-		if perfect >= 0 {
-			row.DegradationPct = deg / float64(len(p.seeds))
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-func newSensingPlan(base scenario.Setup, pattern scenario.Pattern, specs []sensing.Spec, seeds []uint64, durationSec float64) (*sensingPlan, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("experiment: at least one sensor spec required")
-	}
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: at least one seed required")
-	}
-	for _, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return &sensingPlan{base: base, pattern: pattern, specs: specs, seeds: seeds, durationSec: durationSec}, nil
+	// SeedRow holds the row's per-seed results; DegradationPct is
+	// measured against the sweep's first perfect spec, zero when the
+	// sweep carries none.
+	SeedRow
 }
 
 // SensingSweep runs UTIL-BP under every sensor spec across the seeds —
 // the Table-III-style sweep along the observation axis. Cells run on
-// the pooled sweep runner (runPlan): all workers share one
+// the pooled sweep runner (runSweep): all workers share one
 // concurrency-safe scenario.ArtifactCache and each owns an EngineCache,
 // so one engine per worker serves every (sensor × seed) cell via
 // ResetWith sensor swaps. Results are bit-for-bit identical to
@@ -157,15 +41,41 @@ func SensingSweepSerial(base scenario.Setup, pattern scenario.Pattern, specs []s
 }
 
 func sensingSweep(base scenario.Setup, pattern scenario.Pattern, specs []sensing.Spec, seeds []uint64, durationSec float64, pooled bool) ([]SensingStats, error) {
-	plan, err := newSensingPlan(base, pattern, specs, seeds, durationSec)
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("experiment: at least one sensor spec required")
+	}
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("experiment: at least one seed required")
+	}
+	perfect := -1
+	cells := make([]cell, 0, len(specs)*len(seeds))
+	for i, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+		if perfect < 0 && spec.Perfect() {
+			perfect = i
+		}
+		for _, seed := range seeds {
+			setup := base
+			setup.Seed, setup.Sensor = seed, spec
+			cells = append(cells, cell{
+				pattern: pattern, family: FamilyUtilBP, factory: setup.UtilBP(),
+				sensor: spec, seed: seed, horizon: durationSec,
+				workload: pattern.String(), controller: string(FamilyUtilBP),
+			})
+		}
+	}
+	results, err := runSweep(pooled, []scenario.Setup{base}, cells)
 	if err != nil {
 		return nil, err
 	}
-	cells, err := runPlan(pooled, []scenario.Setup{base}, plan.cells(), plan.labels, plan.runCell)
-	if err != nil {
-		return nil, err
+	rows := seedRows(results, seeds, func(int) int { return perfect })
+	out := make([]SensingStats, len(rows))
+	for i, row := range rows {
+		out[i] = SensingStats{Spec: specs[i], SeedRow: row}
 	}
-	return plan.aggregate(cells), nil
+	return out, nil
 }
 
 // PenetrationSpecs returns the canonical penetration-rate axis: the

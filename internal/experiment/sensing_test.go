@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"utilbp/internal/event"
+	"utilbp/internal/network"
 	"utilbp/internal/scenario"
 	"utilbp/internal/sensing"
 )
@@ -12,12 +14,27 @@ import (
 // still exercises warm queues and every sensor model.
 const sensingTestHorizon = 400
 
+// outageSetup returns the paper's 3×3 setup with a blank sensor outage
+// on the top-right junction's west approach from 40 s to 240 s.
+func outageSetup(t *testing.T) scenario.Setup {
+	t.Helper()
+	setup := scenario.Default()
+	g, err := network.Grid(setup.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	west := g.Junction(scenario.TopRight(g)).In[network.West]
+	setup.Events = []event.Spec{event.Outage(g.Road(west).Name, 40, 200, sensing.OutageBlank)}
+	return setup
+}
+
 // TestSensingSweepPooledMatchesSerial pins the sensing determinism
 // contract: the pooled scheduler — shared artifacts, per-worker engine
 // caches, per-cell sensor swaps through ResetWith — must reproduce the
 // serial fresh-engine reference bit-for-bit, sensor state included.
+// The outage case schedules a sensor outage on the base setup, which
+// must wrap every cell's sensor, perfect included, on both paths.
 func TestSensingSweepPooledMatchesSerial(t *testing.T) {
-	base := scenario.Default()
 	specs := []sensing.Spec{
 		{},
 		sensing.Loop(),
@@ -26,16 +43,26 @@ func TestSensingSweepPooledMatchesSerial(t *testing.T) {
 		{Kind: sensing.KindConnectedVehicle, Rate: 0.2, NoiseStd: 1.5, LatencySteps: 3},
 	}
 	seeds := []uint64{1, 2}
-	pooled, err := SensingSweep(base, scenario.PatternII, specs, seeds, sensingTestHorizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := SensingSweepSerial(base, scenario.PatternII, specs, seeds, sensingTestHorizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pooled, serial) {
-		t.Fatalf("pooled sensing sweep diverges from serial reference:\npooled: %+v\nserial: %+v", pooled, serial)
+	for _, c := range []struct {
+		name string
+		base scenario.Setup
+	}{
+		{"intact", scenario.Default()},
+		{"outage", outageSetup(t)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pooled, err := SensingSweep(c.base, scenario.PatternII, specs, seeds, sensingTestHorizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial, err := SensingSweepSerial(c.base, scenario.PatternII, specs, seeds, sensingTestHorizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(pooled, serial) {
+				t.Fatalf("pooled sensing sweep diverges from serial reference:\npooled: %+v\nserial: %+v", pooled, serial)
+			}
+		})
 	}
 }
 
@@ -113,33 +140,45 @@ func TestSensingSweepValidatesSpecs(t *testing.T) {
 	}
 }
 
-// TestEngineCacheRunSensorIsolation pins that a sensing cell cannot
-// leak its sensor into a later perfect cell on the same cached engine:
-// Run after RunSensor must match a fresh perfect-observation run.
+// TestEngineCacheRunSensorIsolation pins the sensor swap of
+// EngineCache.Run against fresh runs: a sensing cell cannot leak its
+// sensor into a later perfect cell on the same cached engine, and with a
+// sensor outage scheduled every cell, perfect included, observes through
+// the outage on the cached engine exactly as on a fresh one.
 func TestEngineCacheRunSensorIsolation(t *testing.T) {
-	base := scenario.Default()
-	cache := NewEngineCache(base)
-	setup := base
-	setup.Seed = 7
-	factory := setup.UtilBP()
-
-	sensor, err := sensing.CV(0.3).New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cache.RunSensor(scenario.PatternII, FamilyUtilBP, factory, sensor, 7, sensingTestHorizon); err != nil {
-		t.Fatal(err)
-	}
-	cached, err := cache.Run(scenario.PatternII, FamilyUtilBP, factory, 7, sensingTestHorizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Run(Spec{Setup: setup, Pattern: scenario.PatternII, Factory: factory, DurationSec: sensingTestHorizon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.Summary != fresh.Summary || cached.Totals != fresh.Totals {
-		t.Fatalf("sensor leaked into a perfect cell:\ncached: %+v %+v\nfresh:  %+v %+v",
-			cached.Summary, cached.Totals, fresh.Summary, fresh.Totals)
+	for _, c := range []struct {
+		name string
+		base scenario.Setup
+	}{
+		{"intact", scenario.Default()},
+		{"outage", outageSetup(t)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cache := NewEngineCache(c.base)
+			for _, cell := range []struct {
+				sensor sensing.Spec
+				seed   uint64
+			}{
+				{sensing.CV(0.3), 7},
+				{sensing.Spec{}, 7},
+				{sensing.CV(0.5), 8},
+			} {
+				setup := c.base
+				setup.Seed, setup.Sensor = cell.seed, cell.sensor
+				factory := setup.UtilBP()
+				cached, err := cache.Run(scenario.PatternII, FamilyUtilBP, factory, cell.sensor, cell.seed, sensingTestHorizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := Run(Spec{Setup: setup, Pattern: scenario.PatternII, Factory: factory, DurationSec: sensingTestHorizon})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cached.Summary != fresh.Summary || cached.Totals != fresh.Totals {
+					t.Fatalf("%v seed %d: cached run diverges from fresh:\ncached: %+v %+v\nfresh:  %+v %+v",
+						cell.sensor, cell.seed, cached.Summary, cached.Totals, fresh.Summary, fresh.Totals)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -106,5 +107,32 @@ func TestStressDemandAxisBites(t *testing.T) {
 	}
 	if scaledTh <= baseTh {
 		t.Fatalf("2x demand did not raise throughput: %.0f vs %.0f exited", scaledTh, baseTh)
+	}
+}
+
+// TestStressSweepRejectsBadAxes pins the axis contract: a negative area
+// size or a demand scale that is not positive (NaN included) is an
+// error on both paths, instead of a row that runs as the intact 1×
+// reference under the bad value's label.
+func TestStressSweepRejectsBadAxes(t *testing.T) {
+	base := scenario.Default()
+	for _, c := range []struct {
+		name   string
+		areas  []int
+		scales []float64
+	}{
+		{"negative area", []int{0, -2}, []float64{1}},
+		{"zero scale", []int{0}, []float64{1, 0}},
+		{"negative scale", []int{0}, []float64{1, -1}},
+		{"NaN scale", []int{0}, []float64{math.NaN()}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := StressSweep(base, scenario.PatternII, c.areas, c.scales, []uint64{1}, 60); err == nil {
+				t.Fatal("pooled sweep accepted the axes")
+			}
+			if _, err := StressSweepSerial(base, scenario.PatternII, c.areas, c.scales, []uint64{1}, 60); err == nil {
+				t.Fatal("serial sweep accepted the axes")
+			}
+		})
 	}
 }

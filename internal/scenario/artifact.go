@@ -41,8 +41,8 @@ type Artifact struct {
 	// undisrupted scenario. Like everything else here it is immutable
 	// and shared by reference: engines arm it per run via
 	// sim.Config.Events. Demand surges are already woven into Rate and
-	// sensor outages into each instance's Sensor, so callers only wire
-	// the schedule itself to the engine.
+	// sensor outages into every sensor NewSensor builds, so callers only
+	// wire the schedule itself to the engine.
 	Events *event.Schedule
 	// routes is the router's precomputed interned-ID layout.
 	routes *routeIndex
@@ -119,24 +119,37 @@ func (a *Artifact) Instantiate() *Instance {
 	demand.SetDerivation(func(seed uint64) *rng.Source {
 		return rng.New(seed).Split("demand")
 	})
-	var sensor sensing.Sensor
-	if !a.Setup.Sensor.Perfect() {
-		// The spec was validated at BuildArtifact; New cannot fail here.
-		sensor, _ = a.Setup.Sensor.New()
-	}
-	// Scheduled sensor outages wrap the per-run sensor (promoting a
-	// perfect scenario onto an explicit sensing.Perfect, since the
-	// engine's sensor-free fast path has nothing to intercept).
-	sensor = a.Events.WrapSensor(sensor)
-	if sensor != nil {
-		sensor.Reseed(a.Setup.Seed)
-	}
+	// The spec was validated at BuildArtifact; NewSensor cannot fail here.
+	sensor, _ := a.NewSensor(a.Setup.Sensor, a.Setup.Seed)
 	return &Instance{
 		Artifact: a,
 		Demand:   demand,
 		Router:   a.NewRouter(root.Split("routes")),
 		Sensor:   sensor,
 	}
+}
+
+// NewSensor builds the observation sensor a run of this artifact sees
+// under spec, seeded for the run seed: spec.New(), wrapped with the
+// schedule's sensor outages, then reseeded. It returns nil for a
+// perfect spec with no outage scheduled — the engine's sensor-free fast
+// path; with outages a perfect spec is promoted onto an explicit
+// sensing.Perfect, since the fast path has nothing to intercept. Every
+// run's sensor comes from here, fresh or on a cached engine, so the two
+// paths cannot disagree on what a cell observes.
+func (a *Artifact) NewSensor(spec sensing.Spec, seed uint64) (sensing.Sensor, error) {
+	var sensor sensing.Sensor
+	if !spec.Perfect() {
+		var err error
+		if sensor, err = spec.New(); err != nil {
+			return nil, err
+		}
+	}
+	sensor = a.Events.WrapSensor(sensor)
+	if sensor != nil {
+		sensor.Reseed(seed)
+	}
+	return sensor, nil
 }
 
 // ExpectedVehicles estimates how many vehicles the demand generates over
