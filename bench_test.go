@@ -1,9 +1,9 @@
 // Benchmarks regenerating the paper's evaluation artifacts, one target
 // per table/figure plus the ablation and sensitivity studies indexed in
 // DESIGN.md. Horizons are shortened (benchmarks are smoke-scale);
-// full-horizon numbers are regenerated with cmd/papereval, and the
-// performance trajectory (steps/sec, allocs/step, sweep wall time) is
-// tracked by cmd/perfbench in BENCH_*.json (see PERF.md).
+// full-horizon numbers are regenerated with cmd/papereval, and
+// end-to-end and per-layer performance is measured by the e2ebench
+// driver (see PERF.md).
 //
 // The interesting output is the custom metrics (cap_wait_s, util_wait_s,
 // improvement_pct, ...) reported next to the usual ns/op.
@@ -424,8 +424,8 @@ func BenchmarkStepOnceZoo(b *testing.B) {
 // on top of the full simulation step. Gated in CI at 0 B/op and
 // 0 allocs/op alongside its siblings — the recording path writes only
 // into storage pre-sized at Arm time (the zero-alloc telemetry
-// contract); the measured overhead vs the uninstrumented baseline is
-// tracked by perfbench's instrumented section (PERF.md).
+// contract). No e2ebench workload installs a recorder, so this
+// benchmark's ns/op is the only reading of the recording path's cost.
 func BenchmarkStepOnceInstrumented(b *testing.B) {
 	const horizon = 2000
 	w, ok := scenario.WorkloadByName("city-grid")

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"utilbp/internal/cli"
 	"utilbp/internal/experiment"
 	"utilbp/internal/scenario"
 	"utilbp/internal/sensing"
@@ -30,7 +31,7 @@ func main() {
 		fig2     = flag.Bool("fig2", false, "reproduce Figure 2 (period sweep, mixed pattern)")
 		figs     = flag.Bool("figs", false, "reproduce Figures 3-5 (phase timelines + queue series)")
 		matrix   = flag.Bool("matrix", false, "run the controller × sensor matrix sweep (DESIGN.md §13)")
-		stress   = flag.Bool("stress", false, "run the area-incident stress study (DESIGN.md §14)")
+		stress   = flag.Bool("stress", false, "run the capacity-loss and area-incident stress studies (DESIGN.md §12, §14)")
 		drain    = flag.Bool("drain", false, "render the incident drain curve: telemetry net series + recovery metric (DESIGN.md §15)")
 		drainW   = flag.String("drain-workload", "city-grid-incident", "workload for -drain (its setup must carry an incident event)")
 		all      = flag.Bool("all", false, "reproduce everything")
@@ -52,9 +53,9 @@ func main() {
 	if *mu > 0 {
 		setup.Grid.Mu = *mu
 	}
-	var periods []int
-	for p := *minP; p <= *maxP; p += *stepP {
-		periods = append(periods, p)
+	periods, err := cli.PeriodRange(*minP, *maxP, *stepP)
+	if err != nil {
+		fatal(err)
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -198,10 +199,10 @@ func main() {
 		}
 	}
 
-	// The matrix and stress studies are repo extensions beyond the
-	// paper's artifacts (DESIGN.md §13-14): they aggregate over a fixed
-	// pair of seeds derived from -seed, and default to a 900 s horizon
-	// because neither has a paper-mandated duration.
+	// The matrix, capacity-loss and stress studies are repo extensions
+	// beyond the paper's artifacts (DESIGN.md §12-14): they aggregate
+	// over a fixed pair of seeds derived from -seed, and default to a
+	// 900 s horizon because none has a paper-mandated duration.
 	if *matrix || *stress {
 		seedPair := []uint64{*seed, *seed + 1}
 		studyDuration := *duration
@@ -221,6 +222,13 @@ func main() {
 			fmt.Println()
 		}
 		if *stress {
+			capRows, err := experiment.RobustnessSweep(setup, scenario.PatternII, nil, seedPair, studyDuration)
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Println("== Capacity-loss robustness study (paper grid, Pattern II) ==")
+			fmt.Print(experiment.FormatRobustnessStats(capRows, seedPair))
+			fmt.Println()
 			rows, err := experiment.StressSweep(setup, scenario.PatternII, nil, nil, seedPair, studyDuration)
 			if err != nil {
 				fatal(err)

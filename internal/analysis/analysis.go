@@ -1,6 +1,6 @@
 // Package analysis provides the small numeric helpers the experiment
-// harness uses to post-process series: summaries, argmin/argmax, moving
-// averages and relative comparisons.
+// harness uses to post-process series: summaries, argmin, trends and
+// relative comparisons.
 package analysis
 
 import (
@@ -35,23 +35,6 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)))
 }
 
-// MinMax returns the smallest and largest values; zeros for empty input.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // ArgMin returns the index of the smallest value (-1 for empty input).
 // Ties resolve to the first occurrence.
 func ArgMin(xs []float64) int {
@@ -64,44 +47,6 @@ func ArgMin(xs []float64) int {
 	return best
 }
 
-// ArgMax returns the index of the largest value (-1 for empty input).
-func ArgMax(xs []float64) int {
-	best := -1
-	for i, x := range xs {
-		if best == -1 || x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// MovingAverage returns the centered moving average with the given odd
-// window (window <= 1 copies the input). Edges shrink the window.
-func MovingAverage(xs []float64, window int) []float64 {
-	out := make([]float64, len(xs))
-	if window <= 1 {
-		copy(out, xs)
-		return out
-	}
-	half := window / 2
-	for i := range xs {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		total := 0.0
-		for j := lo; j <= hi; j++ {
-			total += xs[j]
-		}
-		out[i] = total / float64(hi-lo+1)
-	}
-	return out
-}
-
 // Improvement returns the relative improvement of candidate over baseline
 // for a lower-is-better metric, e.g. 0.13 when the candidate is 13%
 // faster. It returns an error when the baseline is non-positive.
@@ -110,17 +55,6 @@ func Improvement(baseline, candidate float64) (float64, error) {
 		return 0, fmt.Errorf("analysis: baseline must be positive, got %v", baseline)
 	}
 	return (baseline - candidate) / baseline, nil
-}
-
-// CumulativeSum returns the running sum of xs.
-func CumulativeSum(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	total := 0.0
-	for i, x := range xs {
-		total += x
-		out[i] = total
-	}
-	return out
 }
 
 // Trend fits a least-squares line to (0..n-1, xs) and returns its slope;

@@ -26,25 +26,12 @@ func TestStd(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = %v,%v", min, max)
-	}
-	if min, max := MinMax(nil); min != 0 || max != 0 {
-		t.Error("empty MinMax not zero")
-	}
-}
-
 func TestArgMinMax(t *testing.T) {
 	xs := []float64{5, 2, 8, 2}
 	if ArgMin(xs) != 1 {
 		t.Errorf("ArgMin = %d (ties should take first)", ArgMin(xs))
 	}
-	if ArgMax(xs) != 2 {
-		t.Errorf("ArgMax = %d", ArgMax(xs))
-	}
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
+	if ArgMin(nil) != -1 {
 		t.Error("empty arg should be -1")
 	}
 }
@@ -67,23 +54,6 @@ func TestArgMinProperty(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	out := MovingAverage(xs, 3)
-	want := []float64{1.5, 2, 3, 4, 4.5}
-	for i := range want {
-		if !almost(out[i], want[i]) {
-			t.Errorf("ma[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	copyOut := MovingAverage(xs, 1)
-	for i := range xs {
-		if copyOut[i] != xs[i] {
-			t.Error("window 1 should copy")
-		}
-	}
-}
-
 func TestImprovement(t *testing.T) {
 	imp, err := Improvement(100, 87)
 	if err != nil || !almost(imp, 0.13) {
@@ -95,13 +65,6 @@ func TestImprovement(t *testing.T) {
 	neg, err := Improvement(100, 110)
 	if err != nil || !almost(neg, -0.1) {
 		t.Errorf("worse candidate: %v", neg)
-	}
-}
-
-func TestCumulativeSum(t *testing.T) {
-	out := CumulativeSum([]float64{1, 2, 3})
-	if out[0] != 1 || out[1] != 3 || out[2] != 6 {
-		t.Errorf("cumsum = %v", out)
 	}
 }
 

@@ -1,5 +1,6 @@
 // Package cli holds the flag-parsing helpers shared by the command-line
-// tools: pattern and controller-name resolution against a scenario setup.
+// tools: pattern and controller-name resolution against a scenario
+// setup, and the sweep period range.
 package cli
 
 import (
@@ -56,19 +57,12 @@ func PickFactory(setup scenario.Setup, name string, period int) (signal.Factory,
 	return setup.Controller(spec)
 }
 
-// ParsePeriodRange parses a "min:max:step" sweep specification in seconds
-// (e.g. "10:80:2") into the period list.
-func ParsePeriodRange(s string) ([]int, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("period range %q: want min:max:step", s)
-	}
-	var min, max, step int
-	if _, err := fmt.Sscanf(s, "%d:%d:%d", &min, &max, &step); err != nil {
-		return nil, fmt.Errorf("period range %q: %v", s, err)
-	}
+// PeriodRange returns the sweep periods min, min+step, ... up to max, in
+// seconds. It rejects a range that is empty or never ends: it needs
+// 0 < min <= max and step > 0.
+func PeriodRange(min, max, step int) ([]int, error) {
 	if min <= 0 || max < min || step <= 0 {
-		return nil, fmt.Errorf("period range %q: need 0 < min <= max and step > 0", s)
+		return nil, fmt.Errorf("period range %d..%d step %d: need 0 < min <= max and step > 0", min, max, step)
 	}
 	var out []int
 	for p := min; p <= max; p += step {

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"reflect"
 	"testing"
 
 	"utilbp/internal/scenario"
@@ -62,27 +63,26 @@ func TestControllerNamesResolvable(t *testing.T) {
 	}
 }
 
-func TestParsePeriodRange(t *testing.T) {
-	got, err := ParsePeriodRange("10:20:5")
+func TestPeriodRange(t *testing.T) {
+	got, err := PeriodRange(10, 20, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{10, 15, 20}
-	if len(got) != len(want) {
-		t.Fatalf("periods = %v", got)
+	if want := []int{10, 15, 20}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("periods = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("periods = %v, want %v", got, want)
-		}
-	}
-	single, err := ParsePeriodRange("16:16:2")
+	single, err := PeriodRange(16, 16, 2)
 	if err != nil || len(single) != 1 || single[0] != 16 {
 		t.Errorf("single period: %v, %v", single, err)
 	}
-	for _, bad := range []string{"", "10:20", "a:b:c", "0:10:2", "20:10:2", "10:20:0"} {
-		if _, err := ParsePeriodRange(bad); err == nil {
-			t.Errorf("range %q accepted", bad)
+	for _, bad := range []struct{ min, max, step int }{
+		{10, 20, 0},  // step 0 never advances
+		{10, 20, -2}, // negative step never reaches max
+		{0, 10, 2},   // min 0
+		{20, 10, 2},  // max < min
+	} {
+		if got, err := PeriodRange(bad.min, bad.max, bad.step); err == nil {
+			t.Errorf("PeriodRange(%d, %d, %d) = %v, want an error", bad.min, bad.max, bad.step, got)
 		}
 	}
 }

@@ -339,15 +339,6 @@ func ParseSpecs(arg string) ([]Spec, error) {
 	return out, nil
 }
 
-// FormatSpecs renders specs in the ParseSpecs syntax.
-func FormatSpecs(specs []Spec) string {
-	parts := make([]string, len(specs))
-	for i, s := range specs {
-		parts[i] = s.String()
-	}
-	return strings.Join(parts, ";")
-}
-
 // Summarize renders a compact per-kind census of the specs (e.g.
 // "incident+surge×2") for registry listings; it returns "" for an
 // empty slice.

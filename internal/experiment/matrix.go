@@ -31,7 +31,7 @@ type MatrixStats struct {
 // network, rates and route table exist once per process) and owns one
 // EngineCache per workload, so a handful of engines serve the whole
 // matrix via ResetWith controller/sensor swaps. Results are bit-for-bit
-// identical to MatrixSweepSerial for the same inputs
+// identical to the serial fresh-engine reference for the same inputs
 // (TestMatrixSweepPooledMatchesSerial, run under -race in CI).
 // durationSec is the flat horizon for workloads that do not suggest
 // their own sweep horizon; 0 means each workload's pattern default.
@@ -39,13 +39,8 @@ func MatrixSweep(workloadNames []string, controllers []scenario.ControllerSpec, 
 	return matrixSweep(workloadNames, controllers, sensors, seeds, durationSec, true)
 }
 
-// MatrixSweepSerial is the fresh-engine reference of MatrixSweep: the
-// same runner at width 1 with no engine cache, a new scenario and
-// engine per cell. The pooled sweep is pinned bit-for-bit against it.
-func MatrixSweepSerial(workloadNames []string, controllers []scenario.ControllerSpec, sensors []sensing.Spec, seeds []uint64, durationSec float64) ([]MatrixStats, error) {
-	return matrixSweep(workloadNames, controllers, sensors, seeds, durationSec, false)
-}
-
+// matrixSweep runs MatrixSweep pooled, or serial on fresh engines
+// (runSweep) as the reference the pooled-vs-serial pins compare against.
 func matrixSweep(workloadNames []string, controllers []scenario.ControllerSpec, sensors []sensing.Spec, seeds []uint64, durationSec float64, pooled bool) ([]MatrixStats, error) {
 	if len(workloadNames) == 0 {
 		return nil, fmt.Errorf("experiment: at least one workload required")

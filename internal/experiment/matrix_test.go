@@ -26,7 +26,7 @@ func TestMatrixSweepPooledMatchesSerial(t *testing.T) {
 	sensors := []sensing.Spec{{}, sensing.CV(0.3)}
 	seeds := []uint64{5, 6}
 
-	serial, err := MatrixSweepSerial(workloads, controllers, sensors, seeds, 120)
+	serial, err := matrixSweep(workloads, controllers, sensors, seeds, 120, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +48,47 @@ func TestMatrixSweepPooledMatchesSerial(t *testing.T) {
 	for _, r := range serial {
 		if r.Mean <= 0 {
 			t.Fatalf("degenerate row %+v: mean wait must be positive", r)
+		}
+	}
+}
+
+// TestMatrixSweepDefaultAxes runs the default matrix axes — every
+// controller family of DefaultMatrixControllers × {perfect, cv:0.3} ×
+// two seeds — on the paper grid and both city-scale workloads, the
+// 36-row matrix DESIGN.md §13 documents. Rows come back in workload →
+// controller → sensor order, every row carries traffic, and fixed-time,
+// which ignores observations, gives identical rows under both sensors.
+func TestMatrixSweepDefaultAxes(t *testing.T) {
+	workloads := []string{"paper-grid", "city-grid", "city-grid-incident"}
+	controllers := DefaultMatrixControllers()
+	sensors := []sensing.Spec{{}, sensing.CV(0.3)}
+	rows, err := MatrixSweep(workloads, controllers, sensors, []uint64{1, 2}, 900)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 36 {
+		t.Fatalf("%d rows, want 36", len(rows))
+	}
+	perWorkload := len(controllers) * len(sensors)
+	for i, r := range rows {
+		if want := workloads[i/perWorkload]; r.Workload != want {
+			t.Fatalf("row %d: workload %s, want %s", i, r.Workload, want)
+		}
+		if want := controllers[i%perWorkload/len(sensors)]; r.Controller != want {
+			t.Fatalf("row %d: controller %v, want %v", i, r.Controller, want)
+		}
+		if want := sensors[i%len(sensors)]; r.Sensor != want {
+			t.Fatalf("row %d: sensor %v, want %v", i, r.Sensor, want)
+		}
+		if !(r.Mean > 0) || !(r.CompletionRate > 0 && r.CompletionRate <= 1) {
+			t.Fatalf("row %d (%s %v %v): mean wait %v, completion rate %v",
+				i, r.Workload, r.Controller, r.Sensor, r.Mean, r.CompletionRate)
+		}
+		if r.Controller.Kind == scenario.ControllerFixed && r.Sensor == sensors[1] {
+			if perfect := rows[i-1]; !reflect.DeepEqual(perfect.SeedRow, r.SeedRow) {
+				t.Errorf("%s: fixed-time rows differ by sensor:\nperfect %+v\ncv      %+v",
+					r.Workload, perfect.SeedRow, r.SeedRow)
+			}
 		}
 	}
 }

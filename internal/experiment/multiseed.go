@@ -158,20 +158,14 @@ func tableIIIRows(pooled bool, base scenario.Setup, patterns []scenario.Pattern,
 // reconstructed, which removes per-cell scenario and engine allocation
 // from the sweep entirely (DESIGN.md §3, §5). Results come back in
 // cell order and are folded in that order, making the output
-// bit-for-bit identical to TableIIIMultiSeedSerial for the same inputs.
+// bit-for-bit identical to the serial fresh-engine reference
+// (tableIIIMultiSeed with pooled false) for the same inputs.
 func TableIIIMultiSeed(base scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64, seeds []uint64) ([]SeedStats, error) {
 	return tableIIIMultiSeed(base, patterns, periods, durationSec, seeds, true)
 }
 
-// TableIIIMultiSeedSerial is the fresh-engine reference of
-// TableIIIMultiSeed: the same runner at width 1 with no engine cache,
-// so every cell builds its own scenario and engine and engine reuse
-// always has a no-reuse baseline to be compared against. The pooled
-// sweep is tested to produce bit-for-bit identical SeedStats.
-func TableIIIMultiSeedSerial(base scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64, seeds []uint64) ([]SeedStats, error) {
-	return tableIIIMultiSeed(base, patterns, periods, durationSec, seeds, false)
-}
-
+// tableIIIMultiSeed runs TableIIIMultiSeed pooled, or serial on fresh engines
+// (runSweep) as the reference the pooled-vs-serial pins compare against.
 func tableIIIMultiSeed(base scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64, seeds []uint64, pooled bool) ([]SeedStats, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiment: at least one seed required")

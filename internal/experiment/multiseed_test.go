@@ -42,7 +42,7 @@ func TestTableIIIMultiSeedRequiresSeeds(t *testing.T) {
 	if _, err := TableIIIMultiSeed(quickSetup(), nil, []int{20}, 300, nil); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
-	if _, err := TableIIIMultiSeedSerial(quickSetup(), nil, []int{20}, 300, nil); err == nil {
+	if _, err := tableIIIMultiSeed(quickSetup(), nil, []int{20}, 300, nil, false); err == nil {
 		t.Fatal("empty seed list accepted by serial path")
 	}
 }
@@ -59,7 +59,7 @@ func TestMultiSeedSchedulerDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := TableIIIMultiSeedSerial(setup, patterns, periods, 700, seeds)
+	serial, err := tableIIIMultiSeed(setup, patterns, periods, 700, seeds, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestTableIIIMatchesMultiSeedSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := TableIIIMultiSeedSerial(setup, patterns, periods, 700, []uint64{setup.Seed})
+	serial, err := tableIIIMultiSeed(setup, patterns, periods, 700, []uint64{setup.Seed}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func pinPooledVsSerial(t *testing.T, w scenario.Workload, horizonSec float64, se
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := TableIIIMultiSeedSerial(w.Setup, patterns, periods, horizonSec, seeds)
+	serial, err := tableIIIMultiSeed(w.Setup, patterns, periods, horizonSec, seeds, false)
 	if err != nil {
 		t.Fatal(err)
 	}

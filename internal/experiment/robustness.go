@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"utilbp/internal/event"
 	"utilbp/internal/scenario"
@@ -82,20 +83,14 @@ func familyCells(setups []scenario.Setup, pattern scenario.Pattern, seeds []uint
 // schedule is compiled into them), so the workers share one
 // concurrency-safe ArtifactCache per severity and each worker keeps
 // one EngineCache per severity on top. Results are bit-for-bit
-// identical to RobustnessSweepSerial for the same inputs
+// identical to the serial fresh-engine reference for the same inputs
 // (TestRobustnessSweepPooledMatchesSerial).
 func RobustnessSweep(base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64) ([]RobustnessStats, error) {
 	return robustnessSweep(base, pattern, capFracs, seeds, durationSec, true)
 }
 
-// RobustnessSweepSerial is the fresh-engine reference of
-// RobustnessSweep: the same runner at width 1 with no engine cache, a
-// new scenario and engine per cell. The pooled sweep is pinned
-// bit-for-bit against it.
-func RobustnessSweepSerial(base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64) ([]RobustnessStats, error) {
-	return robustnessSweep(base, pattern, capFracs, seeds, durationSec, false)
-}
-
+// robustnessSweep runs RobustnessSweep pooled, or serial on fresh engines
+// (runSweep) as the reference the pooled-vs-serial pins compare against.
 func robustnessSweep(base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64, pooled bool) ([]RobustnessStats, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiment: at least one seed required")
@@ -137,6 +132,22 @@ func robustnessSweep(base scenario.Setup, pattern scenario.Pattern, capFracs []f
 		out[r] = RobustnessStats{Family: families[r/len(setups)], CapFrac: capFracs[r%len(setups)], SeedRow: row}
 	}
 	return out, nil
+}
+
+// FormatRobustnessStats renders the robustness sweep table.
+func FormatRobustnessStats(rows []RobustnessStats, seeds []uint64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Throughput and queuing under capacity loss, %d seeds\n", len(seeds))
+	fmt.Fprintf(&b, "%-10s %-10s %-20s %-12s %s\n", "Family", "capacity", "wait mean ± std (s)", "throughput", "vs intact")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-10s %-10s %-20s %-12.0f %+.1f%%\n",
+			r.Family,
+			fmt.Sprintf("%.0f%%", 100*r.CapFrac),
+			fmt.Sprintf("%.1f ± %.1f", r.Mean, r.Std),
+			r.MeanThroughput,
+			r.DegradationPct)
+	}
+	return b.String()
 }
 
 // RecoveryResult reports how a run absorbed its first incident: the

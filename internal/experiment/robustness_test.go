@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"utilbp/internal/scenario"
@@ -25,7 +26,7 @@ func TestRobustnessSweepPooledMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RobustnessSweepSerial(base, scenario.PatternII, capFracs, seeds, robustnessTestHorizon)
+	serial, err := robustnessSweep(base, scenario.PatternII, capFracs, seeds, robustnessTestHorizon, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +73,15 @@ func TestRobustnessSweepShape(t *testing.T) {
 		if worst.Mean <= intact.Mean {
 			t.Fatalf("%s: severe incident did not raise the mean wait (%.2f intact vs %.2f at %.0f%% capacity)",
 				intact.Family, intact.Mean, worst.Mean, 100*worst.CapFrac)
+		}
+	}
+	text := FormatRobustnessStats(rows, seeds)
+	if lines := strings.Split(strings.TrimSpace(text), "\n"); len(lines) != 2+len(rows) {
+		t.Fatalf("table has %d lines, want %d:\n%s", len(lines), 2+len(rows), text)
+	}
+	for _, want := range []string{"3 seeds", "UTIL-BP", "CAP-BP", "100%", "2%", "+0.0%"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("table lacks %q:\n%s", want, text)
 		}
 	}
 }

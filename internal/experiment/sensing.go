@@ -26,20 +26,15 @@ type SensingStats struct {
 // the pooled sweep runner (runSweep): all workers share one
 // concurrency-safe scenario.ArtifactCache and each owns an EngineCache,
 // so one engine per worker serves every (sensor × seed) cell via
-// ResetWith sensor swaps. Results are bit-for-bit identical to
-// SensingSweepSerial for the same inputs
+// ResetWith sensor swaps. Results are bit-for-bit identical to the
+// serial fresh-engine reference for the same inputs
 // (TestSensingSweepPooledMatchesSerial).
 func SensingSweep(base scenario.Setup, pattern scenario.Pattern, specs []sensing.Spec, seeds []uint64, durationSec float64) ([]SensingStats, error) {
 	return sensingSweep(base, pattern, specs, seeds, durationSec, true)
 }
 
-// SensingSweepSerial is the fresh-engine reference of SensingSweep:
-// the same runner at width 1 with no engine cache, a new scenario and
-// engine per cell. The pooled sweep is pinned bit-for-bit against it.
-func SensingSweepSerial(base scenario.Setup, pattern scenario.Pattern, specs []sensing.Spec, seeds []uint64, durationSec float64) ([]SensingStats, error) {
-	return sensingSweep(base, pattern, specs, seeds, durationSec, false)
-}
-
+// sensingSweep runs SensingSweep pooled, or serial on fresh engines
+// (runSweep) as the reference the pooled-vs-serial pins compare against.
 func sensingSweep(base scenario.Setup, pattern scenario.Pattern, specs []sensing.Spec, seeds []uint64, durationSec float64, pooled bool) ([]SensingStats, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("experiment: at least one sensor spec required")

@@ -55,7 +55,7 @@ func TestSensingSweepPooledMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := SensingSweepSerial(c.base, scenario.PatternII, specs, seeds, sensingTestHorizon)
+			serial, err := sensingSweep(c.base, scenario.PatternII, specs, seeds, sensingTestHorizon, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,8 +52,8 @@ type StressStats struct {
 // of DESIGN.md §14. Cells run on the pooled sweep runner (runSweep);
 // (area, scale) pairs have distinct artifacts, so the workers share one
 // concurrency-safe ArtifactCache per pair and each worker keeps one
-// EngineCache per pair on top. Results are bit-for-bit identical to
-// StressSweepSerial for the same inputs
+// EngineCache per pair on top. Results are bit-for-bit identical to the
+// serial fresh-engine reference for the same inputs
 // (TestStressSweepPooledMatchesSerial). A negative area size or a
 // demand scale that is not positive is an error, reported before any
 // cell runs.
@@ -61,13 +61,8 @@ func StressSweep(base scenario.Setup, pattern scenario.Pattern, areas []int, sca
 	return stressSweep(base, pattern, areas, scales, seeds, durationSec, true)
 }
 
-// StressSweepSerial is the fresh-engine reference of StressSweep: the
-// same runner at width 1 with no engine cache, a new scenario and
-// engine per cell. The pooled sweep is pinned bit-for-bit against it.
-func StressSweepSerial(base scenario.Setup, pattern scenario.Pattern, areas []int, scales []float64, seeds []uint64, durationSec float64) ([]StressStats, error) {
-	return stressSweep(base, pattern, areas, scales, seeds, durationSec, false)
-}
-
+// stressSweep runs StressSweep pooled, or serial on fresh engines
+// (runSweep) as the reference the pooled-vs-serial pins compare against.
 func stressSweep(base scenario.Setup, pattern scenario.Pattern, areas []int, scales []float64, seeds []uint64, durationSec float64, pooled bool) ([]StressStats, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiment: at least one seed required")

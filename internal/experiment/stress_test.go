@@ -28,7 +28,7 @@ func TestStressSweepPooledMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := StressSweepSerial(base, scenario.PatternII, areas, scales, seeds, stressTestHorizon)
+	serial, err := stressSweep(base, scenario.PatternII, areas, scales, seeds, stressTestHorizon, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestStressSweepShape(t *testing.T) {
 // point must push more vehicles into the network than the baseline.
 func TestStressDemandAxisBites(t *testing.T) {
 	base := scenario.Default()
-	rows, err := StressSweepSerial(base, scenario.PatternII, []int{0}, []float64{1, 2}, []uint64{3}, stressTestHorizon)
+	rows, err := stressSweep(base, scenario.PatternII, []int{0}, []float64{1, 2}, []uint64{3}, stressTestHorizon, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestStressSweepRejectsBadAxes(t *testing.T) {
 			if _, err := StressSweep(base, scenario.PatternII, c.areas, c.scales, []uint64{1}, 60); err == nil {
 				t.Fatal("pooled sweep accepted the axes")
 			}
-			if _, err := StressSweepSerial(base, scenario.PatternII, c.areas, c.scales, []uint64{1}, 60); err == nil {
+			if _, err := stressSweep(base, scenario.PatternII, c.areas, c.scales, []uint64{1}, 60, false); err == nil {
 				t.Fatal("serial sweep accepted the axes")
 			}
 		})

@@ -170,6 +170,3 @@ func (g *GridNetwork) Entries(side Dir) []RoadID { return g.entries[side] }
 
 // Exits returns the exit roads on the given boundary side.
 func (g *GridNetwork) Exits(side Dir) []RoadID { return g.exits[side] }
-
-// AllEntries returns every entry road keyed by its boundary side.
-func (g *GridNetwork) AllEntries() map[Dir][]RoadID { return g.entries }

@@ -2,13 +2,12 @@ package network
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
-// jsonNode, jsonRoad and jsonNetwork are the serialized forms used by
-// MarshalJSON/WriteJSON. Junction link/phase tables are derived data and
-// are rebuilt on load rather than serialized.
+// jsonNode, jsonRoad and jsonNetwork are the serialized forms written
+// by WriteJSON. Junction link/phase tables are derived data and are not
+// serialized.
 type jsonNode struct {
 	Kind string  `json:"kind"`
 	X    float64 `json:"x"`
@@ -30,15 +29,6 @@ type jsonNetwork struct {
 	Nodes []jsonNode `json:"nodes"`
 	Roads []jsonRoad `json:"roads"`
 	Mu    float64    `json:"mu,omitempty"`
-}
-
-func dirFromString(s string) (Dir, error) {
-	for _, d := range Dirs {
-		if d.String() == s {
-			return d, nil
-		}
-	}
-	return North, fmt.Errorf("network: unknown direction %q", s)
 }
 
 // WriteJSON serializes the network topology. Service rates are assumed
@@ -64,38 +54,4 @@ func (n *Network) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(jn)
-}
-
-// ReadJSON deserializes a network written by WriteJSON, rebuilding the
-// junction link and phase tables.
-func ReadJSON(r io.Reader) (*Network, error) {
-	var jn jsonNetwork
-	if err := json.NewDecoder(r).Decode(&jn); err != nil {
-		return nil, fmt.Errorf("network: decode: %w", err)
-	}
-	mu := jn.Mu
-	if mu <= 0 {
-		mu = 1
-	}
-	b := NewBuilder().SetMu(ConstantMu(mu))
-	for _, node := range jn.Nodes {
-		var kind NodeKind
-		switch node.Kind {
-		case JunctionNode.String():
-			kind = JunctionNode
-		case TerminalNode.String():
-			kind = TerminalNode
-		default:
-			return nil, fmt.Errorf("network: unknown node kind %q", node.Kind)
-		}
-		b.AddNode(kind, node.X, node.Y, node.Name)
-	}
-	for _, road := range jn.Roads {
-		heading, err := dirFromString(road.Heading)
-		if err != nil {
-			return nil, err
-		}
-		b.AddRoad(road.From, road.To, heading, road.Length, road.Speed, road.Capacity, road.Name)
-	}
-	return b.Build()
 }

@@ -193,7 +193,7 @@ type Setup struct {
 	// batched control plane whenever the controller factory supports
 	// it; signal.ControlPerJunction forces the per-junction Decide
 	// loop. The two are pinned bit-for-bit equal — the axis exists so
-	// sweeps and perfbench can compare their cost.
+	// trafficsim -control and the chaos drill can run either dispatch.
 	Control signal.ControlMode
 	// Events are the declarative disruption specs of the scenario
 	// (internal/event, DESIGN.md §12): incidents, junction dark-mode,
@@ -412,18 +412,6 @@ func (s Setup) WithCentralIncident(t0, dur, capFrac float64) (Setup, error) {
 	return s, nil
 }
 
-// WithAreaIncident returns a copy of the setup carrying a k×k area
-// incident centered on the grid's middle junction: every approach road
-// entering a junction of the neighborhood drops to capFrac of nominal
-// capacity for [t0, t0+dur) seconds. It models an area-wide incident —
-// a closed-off district, flooding, a parade route — rather than
-// WithCentralIncident's single blocked link, and is the severity axis
-// of the PR 8 stress study (experiment.StressSweep).
-func (s Setup) WithAreaIncident(k int, t0, dur, capFrac float64) (Setup, error) {
-	s = s.withDefaults()
-	return s.WithAreaIncidentAt(s.Grid.Rows/2, s.Grid.Cols/2, k, t0, dur, capFrac)
-}
-
 // WithCornerAreaIncident anchors the k×k area incident at the grid's
 // top-right junction — the corner the paper plots and the region the
 // boundary demand loads first, so the closure binds even on horizons
@@ -435,11 +423,14 @@ func (s Setup) WithCornerAreaIncident(k int, t0, dur, capFrac float64) (Setup, e
 	return s.WithAreaIncidentAt(0, s.Grid.Cols-1, k, t0, dur, capFrac)
 }
 
-// WithAreaIncidentAt is WithAreaIncident anchored at an explicit
-// junction (row, col): the affected neighborhood is the k×k block of
-// junctions centered there, clamped to the grid. Each road enters
-// exactly one junction, so the emitted incident specs are disjoint by
-// construction and pass event.Compile's overlap rejection.
+// WithAreaIncidentAt returns a copy of the setup carrying a k×k area
+// incident on the block of junctions centered on (row, col), clamped to
+// the grid: every approach road entering a junction of the block drops
+// to capFrac of nominal capacity for [t0, t0+dur) seconds. It models an
+// area-wide incident — a closed-off district, flooding, a parade route
+// — rather than WithCentralIncident's single blocked link. Each road
+// enters exactly one junction, so the emitted incident specs are
+// disjoint by construction and pass event.Compile's overlap rejection.
 func (s Setup) WithAreaIncidentAt(row, col, k int, t0, dur, capFrac float64) (Setup, error) {
 	s = s.withDefaults()
 	if k < 1 {

@@ -11,7 +11,7 @@ import (
 // Workload is a named, registered simulation workload: a Setup (grid
 // geometry, evaluation constants and the observation sensor spec,
 // Setup.Sensor) paired with a demand pattern. The registry lets the
-// experiment harness, CLI tools and perf trajectory exercise networks,
+// experiment harness, CLI tools and benchmark driver exercise networks,
 // demand shapes and sensing models beyond the paper's 3×3 grid by
 // name; the registered set is documented in DESIGN.md §4.
 type Workload struct {
@@ -29,7 +29,7 @@ type Workload struct {
 	// workloads keep the paper's controller.
 	Controller ControllerSpec
 	// SweepHorizonSec is the suggested horizon in seconds for sweep-style
-	// consumers (perf trajectory runs, pooled-vs-serial pins) that
+	// consumers (matrix sweeps, papereval -drain, pooled-vs-serial pins) that
 	// otherwise apply one flat horizon to every workload. Zero means "use
 	// the consumer's default"; city-scale grids set it so a sweep over
 	// the registry stays minutes, not hours.
@@ -82,16 +82,6 @@ func Workloads() []Workload {
 		out = append(out, w)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// WorkloadNames returns the sorted registry keys.
-func WorkloadNames() []string {
-	out := make([]string, 0, len(workloads))
-	for name := range workloads {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -27,7 +27,7 @@ type Batch struct {
 	// back-to-back in junction order.
 	Links []LinkObs
 	// JuncOff is the prefix-sum offset table: junction j's links are
-	// Links[JuncOff[j]:JuncOff[j+1]]. len(JuncOff) == NumJunctions()+1.
+	// Links[JuncOff[j]:JuncOff[j+1]]. len(JuncOff) == len(Current)+1.
 	JuncOff []int32
 	// Current is c(k-1) per junction: the phase applied during the
 	// previous mini-slot (Amber at the first step).
@@ -64,9 +64,6 @@ type Batch struct {
 	// junctions"). Nil means no junction is quiet.
 	Quiet []bool
 }
-
-// NumJunctions returns the number of junctions in the batch.
-func (b *Batch) NumJunctions() int { return len(b.Current) }
 
 // IsQuiet reports whether junction j is flagged quiet this round; a
 // batch without Quiet flags none.

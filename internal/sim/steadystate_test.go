@@ -179,9 +179,11 @@ func TestResetReplaysIdentically(t *testing.T) {
 // (Config.ExpectedVehicles) and the working set grown by a warmup run,
 // replaying the same seed must not allocate even while arrivals keep
 // flowing — route plans are compact values (vehicle.Plan) and the arena
-// append stays within its pre-sized capacity.
+// append stays within its pre-sized capacity. The horizon is the whole
+// Pattern I hour, so a Reset replay of a full loaded horizon allocates
+// nothing.
 func TestSpawnPathAllocs(t *testing.T) {
-	const horizon = 1500
+	const horizon = 3600
 	setup := scenario.Default()
 	setup.Seed = 7
 	built, err := setup.Build(scenario.PatternI)

@@ -4,7 +4,6 @@ import (
 	"utilbp/internal/network"
 	"utilbp/internal/signal"
 	"utilbp/internal/sim"
-	"utilbp/internal/vehicle"
 )
 
 // PhaseRecorder captures the phase applied at one junction every
@@ -192,45 +191,4 @@ func (o *OccupancySeries) Final() int {
 		return 0
 	}
 	return o.Values[len(o.Values)-1]
-}
-
-// ThroughputCounter counts exits per fixed window, giving a served-flow
-// series.
-type ThroughputCounter struct {
-	// WindowSlots is the window length in mini-slots.
-	WindowSlots int
-	// Windows[i] counts exits during window i.
-	Windows []int
-	exits   int
-}
-
-// NewThroughputCounter counts exits in windows of the given slot count.
-func NewThroughputCounter(windowSlots int) *ThroughputCounter {
-	if windowSlots < 1 {
-		windowSlots = 1
-	}
-	return &ThroughputCounter{WindowSlots: windowSlots}
-}
-
-// Hooks returns the sim hooks feeding the counter.
-func (t *ThroughputCounter) Hooks() sim.Hooks {
-	return sim.Hooks{
-		Exit: func(*vehicle.Vehicle) { t.exits++ },
-		Step: func(_ *sim.Engine, step int) {
-			if (step+1)%t.WindowSlots == 0 {
-				t.Windows = append(t.Windows, t.exits)
-				t.exits = 0
-			}
-		},
-	}
-}
-
-// Total returns the number of exits across all closed windows plus the
-// open one.
-func (t *ThroughputCounter) Total() int {
-	total := t.exits
-	for _, w := range t.Windows {
-		total += w
-	}
-	return total
 }

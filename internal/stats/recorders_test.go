@@ -105,9 +105,7 @@ func TestQueueSeries(t *testing.T) {
 func TestOccupancySeriesAndThroughput(t *testing.T) {
 	e, _ := testEngine(t)
 	oc := NewOccupancySeries(1)
-	tc := NewThroughputCounter(50)
 	e.AddHooks(oc.Hooks())
-	e.AddHooks(tc.Hooks())
 	e.Run(300)
 	if len(oc.Values) != 300 {
 		t.Fatalf("occupancy samples = %d", len(oc.Values))
@@ -116,13 +114,7 @@ func TestOccupancySeriesAndThroughput(t *testing.T) {
 	if oc.Final() != tot.Entered-tot.Exited {
 		t.Errorf("final occupancy %d != %d", oc.Final(), tot.Entered-tot.Exited)
 	}
-	if len(tc.Windows) != 6 {
-		t.Errorf("windows = %d, want 6", len(tc.Windows))
-	}
-	if tc.Total() != tot.Exited {
-		t.Errorf("throughput total %d != exited %d", tc.Total(), tot.Exited)
-	}
-	if NewOccupancySeries(0).Every != 1 || NewThroughputCounter(0).WindowSlots != 1 {
+	if NewOccupancySeries(0).Every != 1 {
 		t.Error("clamps failed")
 	}
 }

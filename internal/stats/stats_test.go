@@ -83,28 +83,3 @@ func TestPercentileSorted(t *testing.T) {
 		t.Error("single percentile wrong")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 3)
-	for _, v := range []float64{0, 5, 12, 25, 99, -3} {
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// bins: [0,10): {0,5,-3 clamped} = 3; [10,20): {12} = 1; [20,30): {25} = 1; overflow: {99}.
-	if h.Counts[0] != 3 || h.Counts[1] != 1 || h.Counts[2] != 1 || h.Overflow != 1 {
-		t.Errorf("counts = %v overflow %d", h.Counts, h.Overflow)
-	}
-	if got := h.Fraction(0); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("fraction = %v", got)
-	}
-	if h.Fraction(-1) != 0 || h.Fraction(5) != 0 {
-		t.Error("out-of-range fraction not 0")
-	}
-	deg := NewHistogram(0, 0)
-	deg.Add(0.5)
-	if deg.Total() != 1 {
-		t.Error("degenerate histogram unusable")
-	}
-}

@@ -132,51 +132,3 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Histogram is a fixed-width-bin histogram of queueing times.
-type Histogram struct {
-	// BinWidth is the width of each bin in seconds.
-	BinWidth float64
-	// Counts[i] counts values in [i*BinWidth, (i+1)*BinWidth); the last
-	// bin absorbs everything beyond.
-	Counts []int
-	// Overflow counts values beyond the last bin.
-	Overflow int
-	total    int
-}
-
-// NewHistogram builds a histogram with the given bin width and count.
-func NewHistogram(binWidth float64, bins int) *Histogram {
-	if binWidth <= 0 {
-		binWidth = 1
-	}
-	if bins <= 0 {
-		bins = 1
-	}
-	return &Histogram{BinWidth: binWidth, Counts: make([]int, bins)}
-}
-
-// Add records one value.
-func (h *Histogram) Add(v float64) {
-	h.total++
-	if v < 0 {
-		v = 0
-	}
-	bin := int(v / h.BinWidth)
-	if bin >= len(h.Counts) {
-		h.Overflow++
-		return
-	}
-	h.Counts[bin]++
-}
-
-// Total returns the number of recorded values.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the share of values in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 || i < 0 || i >= len(h.Counts) {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
