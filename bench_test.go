@@ -95,10 +95,10 @@ func BenchmarkFig2PeriodSweep(b *testing.B) {
 func timelineBench(b *testing.B, factory Factory) {
 	b.Helper()
 	setup := benchSetup()
-	var tl experiment.TimelineData
+	var tl experiment.JunctionTrace
 	for i := 0; i < b.N; i++ {
 		var err error
-		tl, err = experiment.PhaseTimeline(setup, scenario.PatternI, factory, figHorizon, 0, 2)
+		tl, err = experiment.TraceJunction(setup, scenario.PatternI, factory, figHorizon, 0, 2, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,16 +127,16 @@ func BenchmarkFig5QueueSeries(b *testing.B) {
 	var capMean, utilMean float64
 	var capMax, utilMax int
 	for i := 0; i < b.N; i++ {
-		capQS, err := experiment.EastQueueSeries(setup, scenario.PatternI, setup.CapBP(38), figHorizon, 0, 2, 5)
+		capTr, err := experiment.TraceJunction(setup, scenario.PatternI, setup.CapBP(38), figHorizon, 0, 2, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		utilQS, err := experiment.EastQueueSeries(setup, scenario.PatternI, setup.UtilBP(), figHorizon, 0, 2, 5)
+		utilTr, err := experiment.TraceJunction(setup, scenario.PatternI, setup.UtilBP(), figHorizon, 0, 2, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		capMean, utilMean = capQS.Mean, utilQS.Mean
-		capMax, utilMax = capQS.Max, utilQS.Max
+		capMean, utilMean = capTr.QueueMean, utilTr.QueueMean
+		capMax, utilMax = capTr.QueueMax, utilTr.QueueMax
 	}
 	b.ReportMetric(capMean, "cap_mean_queue")
 	b.ReportMetric(utilMean, "util_mean_queue")

@@ -20,6 +20,7 @@ import (
 	"utilbp/internal/experiment"
 	"utilbp/internal/scenario"
 	"utilbp/internal/sensing"
+	"utilbp/internal/signal"
 	"utilbp/internal/trace"
 )
 
@@ -140,32 +141,26 @@ func main() {
 		if setup.Grid.Cols == 0 {
 			col = 2
 		}
-		for _, c := range []struct {
-			name string
-			fig  string
-			fact func() (tl experiment.TimelineData, err error)
-		}{
-			{"CAP-BP", "fig3", func() (experiment.TimelineData, error) {
-				return experiment.PhaseTimeline(setup, scenario.PatternI, setup.CapBP(best.PeriodSec), figDuration, row, col)
-			}},
-			{"UTIL-BP", "fig4", func() (experiment.TimelineData, error) {
-				return experiment.PhaseTimeline(setup, scenario.PatternI, setup.UtilBP(), figDuration, row, col)
-			}},
-		} {
-			tl, err := c.fact()
+		// One run per controller feeds all three figures.
+		traces := make([]experiment.JunctionTrace, 2)
+		for i, factory := range []signal.Factory{setup.CapBP(best.PeriodSec), setup.UtilBP()} {
+			traces[i], err = experiment.TraceJunction(setup, scenario.PatternI, factory, figDuration, row, col, 5)
 			if err != nil {
 				fatal(err)
 			}
+		}
+		for i, fig := range []string{"fig3", "fig4"} {
+			tr := traces[i]
 			fmt.Printf("%s: %d transitions, %.1f%% amber, mean green run %.1f s, max %d s\n",
-				c.name, tl.Stats.Transitions,
-				100*float64(tl.Stats.AmberSlots)/float64(len(tl.Phases)),
-				tl.Stats.MeanGreenRun*tl.DT, tl.Stats.MaxGreenRun)
+				tr.Controller, tr.Stats.Transitions,
+				100*float64(tr.Stats.AmberSlots)/float64(len(tr.Phases)),
+				tr.Stats.MeanGreenRun*tr.DT, tr.Stats.MaxGreenRun)
 			if *outDir != "" {
-				f, err := os.Create(filepath.Join(*outDir, c.fig+".csv"))
+				f, err := os.Create(filepath.Join(*outDir, fig+".csv"))
 				if err != nil {
 					fatal(err)
 				}
-				if err := trace.WritePhaseTimeline(f, tl.DT, tl.Phases); err != nil {
+				if err := trace.WritePhaseTimeline(f, tr.DT, tr.Phases); err != nil {
 					fatal(err)
 				}
 				if err := f.Close(); err != nil {
@@ -173,26 +168,12 @@ func main() {
 				}
 			}
 		}
-		for _, c := range []struct {
-			name string
-			fig  string
-			run  func() (experiment.QueueSeriesData, error)
-		}{
-			{"CAP-BP", "fig5_cap", func() (experiment.QueueSeriesData, error) {
-				return experiment.EastQueueSeries(setup, scenario.PatternI, setup.CapBP(best.PeriodSec), figDuration, row, col, 5)
-			}},
-			{"UTIL-BP", "fig5_util", func() (experiment.QueueSeriesData, error) {
-				return experiment.EastQueueSeries(setup, scenario.PatternI, setup.UtilBP(), figDuration, row, col, 5)
-			}},
-		} {
-			qs, err := c.run()
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%s east-approach queue: mean %.2f, max %d\n", c.name, qs.Mean, qs.Max)
+		for i, fig := range []string{"fig5_cap", "fig5_util"} {
+			tr := traces[i]
+			fmt.Printf("%s east-approach queue: mean %.2f, max %d\n", tr.Controller, tr.QueueMean, tr.QueueMax)
 			if *outDir != "" {
-				if err := writeCSV(filepath.Join(*outDir, c.fig+".csv"),
-					[]string{"time_s", "queue"}, qs.Times, trace.IntsToFloats(qs.Values)); err != nil {
+				if err := writeCSV(filepath.Join(*outDir, fig+".csv"),
+					[]string{"time_s", "queue"}, tr.QueueTimes, trace.IntsToFloats(tr.Queue)); err != nil {
 					fatal(err)
 				}
 			}

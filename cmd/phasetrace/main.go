@@ -54,32 +54,32 @@ func main() {
 		fatal(err)
 	}
 
-	timeline, err := experiment.PhaseTimeline(setup, pattern, factory, *duration, *row, *col)
+	tr, err := experiment.TraceJunction(setup, pattern, factory, *duration, *row, *col, *stride)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("controller      %s\n", timeline.Controller)
+	fmt.Printf("controller      %s\n", tr.Controller)
 	fmt.Printf("junction        (%d,%d)\n", *row, *col)
 	fmt.Printf("horizon         %.0f s\n", *duration)
-	fmt.Printf("transitions     %d\n", timeline.Stats.Transitions)
-	fmt.Printf("amber slots     %d (%.1f%%)\n", timeline.Stats.AmberSlots,
-		100*float64(timeline.Stats.AmberSlots)/float64(len(timeline.Phases)))
-	fmt.Printf("mean green run  %.1f s\n", timeline.Stats.MeanGreenRun*timeline.DT)
-	fmt.Printf("max green run   %d s\n", timeline.Stats.MaxGreenRun)
+	fmt.Printf("transitions     %d\n", tr.Stats.Transitions)
+	fmt.Printf("amber slots     %d (%.1f%%)\n", tr.Stats.AmberSlots,
+		100*float64(tr.Stats.AmberSlots)/float64(len(tr.Phases)))
+	fmt.Printf("mean green run  %.1f s\n", tr.Stats.MeanGreenRun*tr.DT)
+	fmt.Printf("max green run   %d s\n", tr.Stats.MaxGreenRun)
 	var phases []signal.Phase
-	for p := range timeline.Stats.GreenSlots {
+	for p := range tr.Stats.GreenSlots {
 		phases = append(phases, p)
 	}
 	sort.Slice(phases, func(i, j int) bool { return phases[i] < phases[j] })
 	for _, p := range phases {
-		fmt.Printf("green in %v      %d s\n", p, timeline.Stats.GreenSlots[p])
+		fmt.Printf("green in %v      %d s\n", p, tr.Stats.GreenSlots[p])
 	}
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fatal(err)
 		}
-		if err := trace.WritePhaseTimeline(f, timeline.DT, timeline.Phases); err != nil {
+		if err := trace.WritePhaseTimeline(f, tr.DT, tr.Phases); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -88,18 +88,14 @@ func main() {
 		fmt.Printf("phase timeline  -> %s\n", *out)
 	}
 
-	series, err := experiment.EastQueueSeries(setup, pattern, factory, *duration, *row, *col, *stride)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("east approach queue: mean %.2f, max %d\n", series.Mean, series.Max)
+	fmt.Printf("east approach queue: mean %.2f, max %d\n", tr.QueueMean, tr.QueueMax)
 	if *queueOut != "" {
 		f, err := os.Create(*queueOut)
 		if err != nil {
 			fatal(err)
 		}
 		if err := trace.WriteSeries(f, []string{"time_s", "queue"},
-			series.Times, trace.IntsToFloats(series.Values)); err != nil {
+			tr.QueueTimes, trace.IntsToFloats(tr.Queue)); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -36,7 +36,6 @@ import (
 	"utilbp/internal/sensing"
 	"utilbp/internal/signal"
 	"utilbp/internal/sim"
-	"utilbp/internal/stats"
 	"utilbp/internal/telemetry"
 	"utilbp/internal/trace"
 )
@@ -193,14 +192,6 @@ func main() {
 	if *telemOut != "" && *telemFlag == "" {
 		fatal(fmt.Errorf("-telemetry-out requires -telemetry"))
 	}
-	if *vehOut == "" && *snapOut == "" && *restoreFrom == "" && *telemFlag == "" && *traceOut == "" {
-		res, err := experiment.Run(spec)
-		if err != nil {
-			fatal(err)
-		}
-		printResult(res)
-		return
-	}
 	engine, _, horizon, err := experiment.Prepare(spec)
 	if err != nil {
 		fatal(err)
@@ -236,43 +227,36 @@ func main() {
 		}
 		fmt.Printf("restored          <- %s (t=%.0fs)\n", *restoreFrom, engine.Time())
 	}
+	if err := checkWindow(engine.Time(), *snapAt, horizon); err != nil {
+		fatal(err)
+	}
 	if *snapOut != "" {
-		if *snapAt > engine.Time() {
-			engine.RunFor(*snapAt - engine.Time())
-		}
+		engine.RunFor(*snapAt - engine.Time())
 		if err := os.WriteFile(*snapOut, engine.Snapshot(), 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("snapshot          -> %s (t=%.0fs)\n", *snapOut, engine.Time())
 	}
+	steps := int(math.Round((horizon - engine.Time()) / engine.DeltaT()))
 	var tl *sim.TraceLog
-	if horizon > engine.Time() {
-		steps := int(math.Round((horizon - engine.Time()) / engine.DeltaT()))
-		if *traceOut != "" {
-			tl = sim.NewTraceLog(steps)
-			engine.RunTraced(steps, tl)
-		} else {
-			engine.Run(steps)
-		}
+	if *traceOut != "" {
+		tl = sim.NewTraceLog(steps)
+		engine.RunTraced(steps, tl)
+	} else {
+		engine.Run(steps)
 	}
-	engine.FinalizeWaits()
-	if err := engine.CheckInvariants(); err != nil {
+	res, err := experiment.Finish(engine, factory, pattern, horizon)
+	if err != nil {
 		fatal(err)
 	}
-	printResult(experiment.Result{
-		Controller:  factory.Name(),
-		Pattern:     pattern,
-		DurationSec: horizon,
-		Summary:     stats.SummarizeArena(engine.Arena()),
-		Totals:      engine.Totals(),
-	})
+	printResult(res)
 	if *telemOut != "" {
 		if err := writeTelemetry(*telemOut, rec); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("telemetry series  -> %s (%d steps, %d channels)\n", *telemOut, rec.Len(), len(rec.Headers()))
 	}
-	if *traceOut != "" && tl != nil {
+	if tl != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatal(err)
@@ -299,6 +283,20 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("vehicle records   -> %s\n", *vehOut)
+}
+
+// checkWindow rejects checkpoints outside the run, before any step and
+// any file: a snapshot restored (at restoredAt, 0 without one) past the
+// horizon, and a -snapshot-at (0 or less = none) that does not fall
+// after the restored time and within the horizon.
+func checkWindow(restoredAt, snapshotAt, horizon float64) error {
+	if restoredAt > horizon {
+		return fmt.Errorf("restored snapshot is at t=%g s, past the %g s horizon", restoredAt, horizon)
+	}
+	if snapshotAt > 0 && (snapshotAt <= restoredAt || snapshotAt > horizon) {
+		return fmt.Errorf("-snapshot-at %g s is outside the run: it must be after t=%g s and at most the %g s horizon", snapshotAt, restoredAt, horizon)
+	}
+	return nil
 }
 
 // writeTelemetry exports the recorded series: CSV columns by default,

@@ -22,11 +22,11 @@ func main() {
 	setup := scenario.Default()
 	setup.Seed = 3
 
-	capTL, err := experiment.PhaseTimeline(setup, scenario.PatternI, setup.CapBP(38), window, 0, 2)
+	capTL, err := experiment.TraceJunction(setup, scenario.PatternI, setup.CapBP(38), window, 0, 2, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	utilTL, err := experiment.PhaseTimeline(setup, scenario.PatternI, setup.UtilBP(), window, 0, 2)
+	utilTL, err := experiment.TraceJunction(setup, scenario.PatternI, setup.UtilBP(), window, 0, 2, 5)
 	if err != nil {
 		log.Fatal(err)
 	}

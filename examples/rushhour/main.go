@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"strings"
 
 	"utilbp/internal/core"
@@ -58,7 +59,11 @@ func main() {
 		"UTIL-BP": core.Factory(core.Options{AmberSteps: 4}),
 		"FIXED":   fixedtime.Factory(fixedtime.Options{GreenSteps: 20, AmberSteps: 4}),
 	}
-	series := map[string]*stats.OccupancySeries{}
+	// occupancy samples the vehicles in the network every `every`
+	// mini-slots of dt seconds.
+	const every = 120
+	var dt float64
+	occupancy := map[string][]int{}
 	waits := map[string]float64{}
 
 	for _, name := range []string{"UTIL-BP", "FIXED"} {
@@ -74,26 +79,29 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		oc := stats.NewOccupancySeries(120)
-		engine.AddHooks(oc.Hooks())
-		engine.RunFor(horizon)
+		dt = engine.DeltaT()
+		for k := 0; k < int(math.Round(horizon/dt)); k++ {
+			engine.Run(1)
+			if k%every == 0 {
+				tot := engine.Totals()
+				occupancy[name] = append(occupancy[name], tot.Entered-tot.Exited)
+			}
+		}
 		engine.FinalizeWaits()
-		series[name] = oc
 		waits[name] = stats.SummarizeArena(engine.Arena()).MeanWait
 	}
 
 	fmt.Println("Rush-hour surge on a 2x4 corridor (west entries x6 for 20 min)")
 	fmt.Println("\nvehicles in network (sampled every 2 min):")
 	fmt.Printf("%8s  %-30s %-30s\n", "time", "UTIL-BP", "FIXED @20s")
-	util, fixed := series["UTIL-BP"], series["FIXED"]
-	for i := range util.Values {
+	util, fixed := occupancy["UTIL-BP"], occupancy["FIXED"]
+	for i := range util {
 		mark := " "
-		t := util.Times[i]
+		t := float64(i*every) * dt
 		if t >= rushStart && t < rushEnd {
 			mark = "*"
 		}
-		fmt.Printf("%6.0f s%s  %-30s %-30s\n", t, mark,
-			bar(util.Values[i]), bar(fixed.Values[i]))
+		fmt.Printf("%6.0f s%s  %-30s %-30s\n", t, mark, bar(util[i]), bar(fixed[i]))
 	}
 	fmt.Println("(* = surge active; each # is 10 vehicles)")
 	fmt.Printf("\naverage queuing time: UTIL-BP %.1f s, FIXED %.1f s (%.0f%% better)\n",

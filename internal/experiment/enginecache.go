@@ -138,7 +138,8 @@ func (c *EngineCache) Run(pattern scenario.Pattern, family ControllerFamily, fac
 	}); err != nil {
 		return Result{}, err
 	}
-	return finishRun(engine, factory, pattern, duration)
+	engine.RunFor(duration)
+	return Finish(engine, factory, pattern, duration)
 }
 
 // instance returns the per-worker mutable scenario instance for a

@@ -40,9 +40,11 @@ type Result struct {
 	Totals      sim.Totals
 }
 
-// Prepare builds the engine for a spec so callers can attach recorders
-// before running. It returns the engine, the built scenario instance,
-// and the horizon in seconds.
+// Prepare builds the engine for a spec. It returns the engine, the
+// built scenario instance, and the horizon in seconds. Every single run
+// has one shape: Prepare, then the caller steps the engine (reading any
+// per-step series between Run calls, or off an installed telemetry
+// recorder), then Finish.
 func Prepare(spec Spec) (*sim.Engine, *scenario.Instance, float64, error) {
 	if spec.Factory == nil {
 		return nil, nil, 0, fmt.Errorf("experiment: Spec.Factory is required")
@@ -80,15 +82,15 @@ func Run(spec Spec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return finishRun(engine, spec.Factory, spec.Pattern, duration)
+	engine.RunFor(duration)
+	return Finish(engine, spec.Factory, spec.Pattern, duration)
 }
 
-// finishRun drives a prepared engine to the horizon, checks invariants
-// and summarizes it — the shared tail of Run and EngineCache.Run, kept
-// in one place so the fresh and engine-reusing paths cannot drift
-// apart.
-func finishRun(engine *sim.Engine, factory signal.Factory, pattern scenario.Pattern, duration float64) (Result, error) {
-	engine.RunFor(duration)
+// Finish is the one tail of every single run, once the caller has
+// stepped the engine to its horizon: it finalizes the waits of vehicles
+// still in the network, checks the engine's invariants and summarizes
+// the run. duration is reported as the run's horizon.
+func Finish(engine *sim.Engine, factory signal.Factory, pattern scenario.Pattern, duration float64) (Result, error) {
 	engine.FinalizeWaits()
 	if err := engine.CheckInvariants(); err != nil {
 		return Result{}, err

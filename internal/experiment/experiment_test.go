@@ -1,11 +1,14 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"utilbp/internal/network"
 	"utilbp/internal/scenario"
 	"utilbp/internal/signal"
+	"utilbp/internal/sim"
 )
 
 // quick returns a setup and a short horizon for fast runs.
@@ -136,47 +139,73 @@ func TestFig2ShortRun(t *testing.T) {
 	}
 }
 
-func TestPhaseTimelineShortRun(t *testing.T) {
+func TestTraceJunctionShortRun(t *testing.T) {
 	setup := quickSetup()
-	tl, err := PhaseTimeline(setup, scenario.PatternI, setup.UtilBP(), 300, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tl.Phases) != 300 {
-		t.Fatalf("timeline length = %d", len(tl.Phases))
-	}
-	if tl.Controller != "UTIL-BP" || tl.DT != 1 {
-		t.Errorf("metadata: %+v", tl)
-	}
-	greens := 0
-	for p := range tl.Stats.GreenSlots {
-		if p == signal.Amber {
-			t.Error("amber counted as green")
+	for _, c := range []struct {
+		factory signal.Factory
+		name    string
+	}{
+		{setup.UtilBP(), "UTIL-BP"},
+		{setup.CapBP(16), "CAP-BP"},
+	} {
+		tr, err := TraceJunction(setup, scenario.PatternI, c.factory, 300, 0, 2, 5)
+		if err != nil {
+			t.Fatal(err)
 		}
-		greens += tl.Stats.GreenSlots[p]
+		if len(tr.Phases) != 300 {
+			t.Fatalf("%s: timeline length = %d", c.name, len(tr.Phases))
+		}
+		if tr.Controller != c.name || tr.DT != 1 || tr.DurationSec != 300 {
+			t.Errorf("%s: metadata: controller %q, dt %v, horizon %v", c.name, tr.Controller, tr.DT, tr.DurationSec)
+		}
+		greens := 0
+		for p := range tr.Stats.GreenSlots {
+			if p == signal.Amber {
+				t.Errorf("%s: amber counted as green", c.name)
+			}
+			greens += tr.Stats.GreenSlots[p]
+		}
+		if greens+tr.Stats.AmberSlots != 300 {
+			t.Errorf("%s: slots don't add up: %d + %d", c.name, greens, tr.Stats.AmberSlots)
+		}
+		if len(tr.Queue) != 60 || len(tr.QueueTimes) != 60 {
+			t.Fatalf("%s: samples = %d, want 60", c.name, len(tr.Queue))
+		}
+		if tr.Summary.Spawned == 0 {
+			t.Errorf("%s: summary of an empty run: %+v", c.name, tr.Summary)
+		}
 	}
-	if greens+tl.Stats.AmberSlots != 300 {
-		t.Errorf("slots don't add up: %d + %d", greens, tl.Stats.AmberSlots)
-	}
-	if _, err := PhaseTimeline(setup, scenario.PatternI, setup.UtilBP(), 100, 9, 9); err == nil {
+	if _, err := TraceJunction(setup, scenario.PatternI, setup.UtilBP(), 100, 9, 9, 5); err == nil {
 		t.Error("bad junction accepted")
 	}
 }
 
-func TestEastQueueSeriesShortRun(t *testing.T) {
+// TestTraceJunctionMatchesPhaseHook pins TraceJunction's per-step phase
+// reads against the engine's Phase hook on a separately prepared engine
+// of the same spec: the hook fires at the decision itself, so it is an
+// independent oracle for reading CurrentPhase between single steps.
+func TestTraceJunctionMatchesPhaseHook(t *testing.T) {
 	setup := quickSetup()
-	qs, err := EastQueueSeries(setup, scenario.PatternI, setup.CapBP(16), 300, 0, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qs.Values) != 60 {
-		t.Fatalf("samples = %d, want 60", len(qs.Values))
-	}
-	if qs.Controller != "CAP-BP" {
-		t.Errorf("controller: %q", qs.Controller)
-	}
-	if _, err := EastQueueSeries(setup, scenario.PatternI, setup.CapBP(16), 100, 9, 9, 5); err == nil {
-		t.Error("bad junction accepted")
+	for _, factory := range []signal.Factory{setup.UtilBP(), setup.CapBP(16)} {
+		tr, err := TraceJunction(setup, scenario.PatternI, factory, 400, 0, 2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine, built, duration, err := Prepare(Spec{Setup: setup, Pattern: scenario.PatternI, Factory: factory, DurationSec: 400})
+		if err != nil {
+			t.Fatal(err)
+		}
+		junction := built.Grid.JunctionAt(0, 2)
+		var hooked []signal.Phase
+		engine.AddHooks(sim.Hooks{Phase: func(j network.NodeID, _ int, p signal.Phase) {
+			if j == junction {
+				hooked = append(hooked, p)
+			}
+		}})
+		engine.RunFor(duration)
+		if !reflect.DeepEqual(tr.Phases, hooked) {
+			t.Fatalf("%s: traced phases differ from the Phase hook recording (%d vs %d slots)", factory.Name(), len(tr.Phases), len(hooked))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"utilbp/internal/network"
@@ -75,75 +76,69 @@ func FormatFig2(d Fig2Data) string {
 	return b.String()
 }
 
-// TimelineData carries Figures 3/4: the phases applied at the top-right
-// junction over the horizon.
-type TimelineData struct {
-	Controller string
-	DT         float64
-	Phases     []signal.Phase
-	Stats      stats.PhaseStats
+// JunctionTrace carries Figures 3–5 for one run: the phases applied at
+// one junction every mini-slot and the sampled queue of its east
+// approach, next to the run's summary.
+type JunctionTrace struct {
+	Result
+	// DT is the mini-slot length in seconds.
+	DT float64
+	// Phases[k] is the phase applied during mini-slot k; Stats
+	// summarizes them.
+	Phases []signal.Phase
+	Stats  stats.PhaseStats
+	// QueueTimes and Queue are the east-approach samples (seconds,
+	// vehicles), taken every stride mini-slots; QueueMean and QueueMax
+	// summarize them.
+	QueueTimes []float64
+	Queue      []int
+	QueueMean  float64
+	QueueMax   int
 }
 
-// PhaseTimeline records the control phases applied at the junction at
-// (row, col) — Figures 3 and 4 use the top-right junction of Pattern I
-// for 2000 s.
-func PhaseTimeline(setup scenario.Setup, pattern scenario.Pattern, factory signal.Factory, durationSec float64, row, col int) (TimelineData, error) {
+// TraceJunction runs a spec once and traces the junction at (row, col):
+// the phase it applies every mini-slot and the queue on its east
+// approach every stride mini-slots (minimum 1), both read between
+// single steps. Figures 3–5 use the top-right junction under Pattern I.
+func TraceJunction(setup scenario.Setup, pattern scenario.Pattern, factory signal.Factory, durationSec float64, row, col, stride int) (JunctionTrace, error) {
 	engine, built, duration, err := Prepare(Spec{
 		Setup: setup, Pattern: pattern, Factory: factory, DurationSec: durationSec,
 	})
 	if err != nil {
-		return TimelineData{}, err
+		return JunctionTrace{}, err
 	}
 	junction := built.Grid.JunctionAt(row, col)
 	if junction == network.NoNode {
-		return TimelineData{}, fmt.Errorf("experiment: no junction at (%d,%d)", row, col)
-	}
-	rec := stats.NewPhaseRecorder(junction)
-	engine.AddHooks(rec.Hooks())
-	engine.RunFor(duration)
-	return TimelineData{
-		Controller: factory.Name(),
-		DT:         engine.DeltaT(),
-		Phases:     rec.Phases,
-		Stats:      rec.Analyze(),
-	}, nil
-}
-
-// QueueSeriesData carries Figure 5: a sampled queue-length series on one
-// approach road.
-type QueueSeriesData struct {
-	Controller string
-	Times      []float64
-	Values     []int
-	Mean       float64
-	Max        int
-}
-
-// EastQueueSeries samples the queue on the east approach of the junction
-// at (row, col) — Figure 5 uses the top-right junction under Pattern I.
-func EastQueueSeries(setup scenario.Setup, pattern scenario.Pattern, factory signal.Factory, durationSec float64, row, col, stride int) (QueueSeriesData, error) {
-	engine, built, duration, err := Prepare(Spec{
-		Setup: setup, Pattern: pattern, Factory: factory, DurationSec: durationSec,
-	})
-	if err != nil {
-		return QueueSeriesData{}, err
-	}
-	junction := built.Grid.JunctionAt(row, col)
-	if junction == network.NoNode {
-		return QueueSeriesData{}, fmt.Errorf("experiment: no junction at (%d,%d)", row, col)
+		return JunctionTrace{}, fmt.Errorf("experiment: no junction at (%d,%d)", row, col)
 	}
 	road := scenario.EastApproach(built.Grid, junction)
 	if road == network.NoRoad {
-		return QueueSeriesData{}, fmt.Errorf("experiment: junction (%d,%d) has no east approach", row, col)
+		return JunctionTrace{}, fmt.Errorf("experiment: junction (%d,%d) has no east approach", row, col)
 	}
-	series := stats.NewQueueSeries(road, stride)
-	engine.AddHooks(series.Hooks())
-	engine.RunFor(duration)
-	return QueueSeriesData{
-		Controller: factory.Name(),
-		Times:      series.Times,
-		Values:     series.Values,
-		Mean:       series.Mean(),
-		Max:        series.Max(),
-	}, nil
+	stride = max(stride, 1)
+	dt := engine.DeltaT()
+	steps := int(math.Round(duration / dt))
+	tr := JunctionTrace{DT: dt, Phases: make([]signal.Phase, 0, steps)}
+	queued := 0
+	for k := 0; k < steps; k++ {
+		engine.Run(1)
+		tr.Phases = append(tr.Phases, engine.CurrentPhase(junction))
+		if k%stride == 0 {
+			q := engine.ApproachQueue(road)
+			tr.QueueTimes = append(tr.QueueTimes, float64(k)*dt)
+			tr.Queue = append(tr.Queue, q)
+			queued += q
+			tr.QueueMax = max(tr.QueueMax, q)
+		}
+	}
+	if len(tr.Queue) > 0 {
+		tr.QueueMean = float64(queued) / float64(len(tr.Queue))
+	}
+	tr.Stats = stats.AnalyzePhases(tr.Phases)
+	res, err := Finish(engine, factory, pattern, duration)
+	if err != nil {
+		return JunctionTrace{}, err
+	}
+	tr.Result = res
+	return tr, nil
 }

@@ -221,8 +221,7 @@ func MeasureRecovery(spec Spec) (RecoveryResult, error) {
 		return RecoveryResult{}, err
 	}
 	engine.RunFor(duration)
-	engine.FinalizeWaits()
-	if err := engine.CheckInvariants(); err != nil {
+	if _, err := Finish(engine, spec.Factory, spec.Pattern, duration); err != nil {
 		return RecoveryResult{}, err
 	}
 	res := RecoveryResult{RecoverySec: -1}

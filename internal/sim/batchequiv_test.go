@@ -213,10 +213,14 @@ func TestBatchedControlEquivalenceDrain(t *testing.T) {
 			var bTrace []phaseEvent
 			record(batched, &bTrace)
 			quiet := 0
-			batched.AddHooks(sim.Hooks{Step: func(e *sim.Engine, _ int) { quiet += sim.QuietOffered(e) }})
-			batched.Run(mid)
-			checkpoint := batched.Snapshot()
-			batched.Run(steps - mid)
+			var checkpoint []byte
+			for k := 0; k < steps; k++ {
+				if k == mid {
+					checkpoint = batched.Snapshot()
+				}
+				batched.Run(1)
+				quiet += sim.QuietOffered(batched)
+			}
 			if err := batched.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}

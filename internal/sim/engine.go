@@ -108,17 +108,13 @@ type Totals struct {
 	RouteFallbacks int
 }
 
-// Hooks receive simulation events. Nil members are skipped.
+// Hooks receive simulation events. Nil members are skipped. Per-step
+// series are read between Run calls or off an installed telemetry
+// recorder (InstallTelemetry), not through hooks.
 type Hooks struct {
 	// Phase fires after a controller decision, once per junction per
 	// mini-slot.
 	Phase func(junction network.NodeID, step int, phase signal.Phase)
-	// Exit fires when a vehicle leaves the network. The Vehicle is a
-	// materialized view of the arena row, valid only for the duration
-	// of the call; writes to it are not written back to the arena.
-	Exit func(v *vehicle.Vehicle)
-	// Step fires after a mini-slot completes.
-	Step func(e *Engine, step int)
 }
 
 // roadState is the runtime state of one road: vehicles in transit toward
@@ -242,16 +238,11 @@ type Engine struct {
 	// node IDs are compact), -1 for non-junction nodes. It keeps
 	// CurrentPhase map-free.
 	juncIndex []int32
-	// hasPhaseHook/hasExitHook/hasStepHook cache whether any registered
-	// Hooks carries the respective callback, so the per-event hook loops
-	// vanish from the hot path when nothing listens.
+	// hasPhaseHook caches whether any registered Hooks carries a Phase
+	// callback, so the per-decision hook loop vanishes from the hot path
+	// when nothing listens.
 	hasPhaseHook bool
-	hasExitHook  bool
-	hasStepHook  bool
-	// exitScratch is the materialized vehicle view handed to Exit
-	// hooks, engine-owned so firing a hook never allocates.
-	exitScratch vehicle.Vehicle
-	finalized   bool
+	finalized    bool
 
 	// Incremental observation maintenance (DESIGN.md §10): instead of
 	// walking every link of every junction each mini-slot, the engine
@@ -299,7 +290,7 @@ type Engine struct {
 	// Telemetry plane (DESIGN.md §15): telem is non-nil exactly when a
 	// telemetry recorder is installed (InstallTelemetry) — the nil
 	// check is the hot path's fast-path gate, the same caching idea as
-	// hasStepHook. Unlike hooks the recorder survives Reset/ResetWith
+	// hasPhaseHook. Unlike hooks the recorder survives Reset/ResetWith
 	// and Restore (it is rewound/re-armed, not discarded) and is
 	// excluded from the snapshot byte stream: recorded series are
 	// observation-only. netQueued is the incrementally maintained sum of
@@ -852,7 +843,7 @@ func (e *Engine) Reset(seed uint64) error {
 	e.arena.Reset()
 	clear(e.hooks) // drop recorder closures before truncating
 	e.hooks = e.hooks[:0]
-	e.hasPhaseHook, e.hasExitHook, e.hasStepHook = false, false, false
+	e.hasPhaseHook = false
 	e.step = 0
 	e.totals = Totals{}
 	e.finalized = false
@@ -1026,8 +1017,6 @@ func (e *Engine) ResetWith(seed uint64, opts ResetOptions) error {
 func (e *Engine) AddHooks(h Hooks) {
 	e.hooks = append(e.hooks, h)
 	e.hasPhaseHook = e.hasPhaseHook || h.Phase != nil
-	e.hasExitHook = e.hasExitHook || h.Exit != nil
-	e.hasStepHook = e.hasStepHook || h.Step != nil
 }
 
 // Step returns the number of completed mini-slots.
@@ -1160,18 +1149,11 @@ func (e *Engine) stepOnce(d *[NumSubsteps]time.Duration) {
 }
 
 // endStep is the step tail every stepper runs after the substeps:
-// advance the clock, flush telemetry, fire Step hooks.
+// advance the clock, flush telemetry.
 func (e *Engine) endStep() {
 	e.step++
 	if e.telem != nil {
 		e.flushTelemetry()
-	}
-	if e.hasStepHook {
-		for _, h := range e.hooks {
-			if h.Step != nil {
-				h.Step(e, e.step-1)
-			}
-		}
 	}
 }
 
@@ -1448,20 +1430,10 @@ func (e *Engine) controlBatched(t float64) {
 	}
 }
 
-// exitVehicle records the vehicle leaving the network. Exit hooks get a
-// materialized view of the arena row (engine-owned scratch, so firing
-// never allocates); writes to it are not written back.
+// exitVehicle records the vehicle leaving the network.
 func (e *Engine) exitVehicle(id vehicle.ID, t float64) {
 	e.arena.Exit(id, t)
 	e.totals.Exited++
-	if e.hasExitHook {
-		e.exitScratch = e.arena.View(id)
-		for _, h := range e.hooks {
-			if h.Exit != nil {
-				h.Exit(&e.exitScratch)
-			}
-		}
-	}
 }
 
 // completeTravel moves vehicles whose stop-line arrival falls inside this

@@ -364,21 +364,11 @@ func TestHooksFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var phases, exits, steps int
-	e.AddHooks(Hooks{
-		Phase: func(j network.NodeID, step int, p signal.Phase) { phases++ },
-		Exit:  func(v *vehicle.Vehicle) { exits++ },
-		Step:  func(e *Engine, step int) { steps++ },
-	})
+	phases := 0
+	e.AddHooks(Hooks{Phase: func(j network.NodeID, step int, p signal.Phase) { phases++ }})
 	e.Run(200)
 	if phases != 200 {
 		t.Errorf("phase hooks = %d, want 200", phases)
-	}
-	if steps != 200 {
-		t.Errorf("step hooks = %d, want 200", steps)
-	}
-	if exits == 0 || exits != e.Totals().Exited {
-		t.Errorf("exit hooks = %d, totals %d", exits, e.Totals().Exited)
 	}
 }
 

@@ -285,7 +285,7 @@ func (e *Engine) Restore(data []byte) error {
 	// Reset: discard them.
 	clear(e.hooks)
 	e.hooks = e.hooks[:0]
-	e.hasPhaseHook, e.hasExitHook, e.hasStepHook = false, false, false
+	e.hasPhaseHook = false
 
 	// The telemetry recorder survives the jump but its series restart:
 	// recorded history is observation-only and not in the snapshot.

@@ -232,7 +232,7 @@ func TestSnapshotHooksDiscarded(t *testing.T) {
 	e.Run(30)
 	snap := e.Snapshot()
 	fired := 0
-	e.AddHooks(Hooks{Step: func(*Engine, int) { fired++ }})
+	e.AddHooks(Hooks{Phase: func(network.NodeID, int, signal.Phase) { fired++ }})
 	if err := e.Restore(snap); err != nil {
 		t.Fatalf("restore: %v", err)
 	}

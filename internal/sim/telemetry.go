@@ -36,8 +36,7 @@ type stepWindow struct{ start, end int32 }
 // InstallTelemetry installs a telemetry recorder as the engine-owned
 // metrics collector: the engine arms it against its mini-slot length
 // and junction table and flushes one sample set at every step boundary
-// (after the arrivals substep, before step hooks fire). Passing nil
-// uninstalls.
+// (after the arrivals substep). Passing nil uninstalls.
 //
 // Unlike hooks, the recorder survives Reset/ResetWith and Restore — it
 // is rewound and re-armed rather than discarded, so one recorder can

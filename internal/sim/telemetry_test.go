@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"utilbp/internal/network"
+	"utilbp/internal/signal"
 	"utilbp/internal/telemetry"
 )
 
@@ -175,10 +176,10 @@ func TestRestoreHookReregistration(t *testing.T) {
 		t.Fatalf("restore: %v", err)
 	}
 	fired := 0
-	e.AddHooks(Hooks{Step: func(*Engine, int) { fired++ }})
+	e.AddHooks(Hooks{Phase: func(network.NodeID, int, signal.Phase) { fired++ }})
 	e.Run(10)
-	if fired != 10 {
-		t.Fatalf("re-registered hook fired %d times, want 10", fired)
+	if want := 10 * len(e.Network().Junctions); fired != want {
+		t.Fatalf("re-registered hook fired %d times, want %d", fired, want)
 	}
 }
 

@@ -12,12 +12,12 @@ package stability
 
 import (
 	"fmt"
+	"math"
 
 	"utilbp/internal/analysis"
 	"utilbp/internal/experiment"
 	"utilbp/internal/scenario"
 	"utilbp/internal/signal"
-	"utilbp/internal/sim"
 )
 
 // Options configures a probe.
@@ -79,25 +79,14 @@ type Result struct {
 	Evaluations []Evaluation
 }
 
-// backlogRecorder samples spawned-minus-exited, which includes vehicles
-// blocked outside full entry roads — the quantity that grows without
-// bound when demand exceeds what the controller can serve.
-type backlogRecorder struct {
-	every  int
-	values []float64
-}
+// backlogEvery is the backlog sampling stride in mini-slots.
+const backlogEvery = 10
 
-func (r *backlogRecorder) hooks() sim.Hooks {
-	return sim.Hooks{Step: func(e *sim.Engine, step int) {
-		if step%r.every != 0 {
-			return
-		}
-		tot := e.Totals()
-		r.values = append(r.values, float64(tot.Spawned-tot.Exited))
-	}}
-}
-
-// Evaluate runs one scale and classifies it.
+// Evaluate runs one scale and classifies it. It samples the backlog,
+// spawned minus exited, every backlogEvery mini-slots: that count
+// includes vehicles blocked outside full entry roads, the quantity that
+// grows without bound when demand exceeds what the controller can
+// serve.
 func Evaluate(opts Options, scale float64) (Evaluation, error) {
 	opts = opts.withDefaults()
 	setup := opts.Setup
@@ -110,20 +99,30 @@ func Evaluate(opts Options, scale float64) (Evaluation, error) {
 	if err != nil {
 		return Evaluation{}, err
 	}
-	rec := &backlogRecorder{every: 10}
-	engine.AddHooks(rec.hooks())
-	engine.RunFor(opts.HorizonSec)
-	if len(rec.values) < 4 {
+	steps := int(math.Round(opts.HorizonSec / engine.DeltaT()))
+	var backlog []float64
+	for k := 0; k < steps; k++ {
+		engine.Run(1)
+		if k%backlogEvery == 0 {
+			tot := engine.Totals()
+			backlog = append(backlog, float64(tot.Spawned-tot.Exited))
+		}
+	}
+	if len(backlog) < 4 {
 		return Evaluation{}, fmt.Errorf("stability: horizon %v too short to classify", opts.HorizonSec)
 	}
-	half := rec.values[len(rec.values)/2:]
-	// Trend is per sample; samples are 10 steps of DeltaT seconds.
-	slope := analysis.Trend(half) / (10 * engine.DeltaT())
-	tot := engine.Totals()
+	res, err := experiment.Finish(engine, opts.Factory, opts.Pattern, opts.HorizonSec)
+	if err != nil {
+		return Evaluation{}, err
+	}
+	half := backlog[len(backlog)/2:]
+	// Trend is per sample; samples are backlogEvery steps of DeltaT
+	// seconds.
+	slope := analysis.Trend(half) / (backlogEvery * engine.DeltaT())
 	return Evaluation{
 		Scale:        scale,
 		Slope:        slope,
-		FinalBacklog: tot.Spawned - tot.Exited,
+		FinalBacklog: res.Totals.Spawned - res.Totals.Exited,
 		Stable:       slope <= opts.SlopeLimit,
 	}, nil
 }

@@ -8,25 +8,38 @@ import (
 	"utilbp/internal/vehicle"
 )
 
-func veh(wait float64, entered, exited float64) vehicle.Vehicle {
-	return vehicle.Vehicle{QueueWait: wait, EnteredAt: entered, ExitedAt: exited}
+// addVeh appends a vehicle with the given queuing time and entry and
+// exit times (vehicle.Unset for a stage not reached) to the arena,
+// through the lifecycle calls the engine makes.
+func addVeh(a *vehicle.Arena, wait, entered, exited float64) {
+	spawned := entered
+	if entered == vehicle.Unset {
+		spawned = 0
+	}
+	id := a.Spawn(0, spawned, 0)
+	if entered != vehicle.Unset {
+		a.Admit(id, entered)
+	}
+	a.AddQueueWait(id, wait)
+	if exited != vehicle.Unset {
+		a.Exit(id, exited)
+	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
+	s := SummarizeArena(&vehicle.Arena{})
 	if s.Spawned != 0 || s.MeanWait != 0 || s.CompletionRate != 1 {
 		t.Errorf("empty summary: %+v", s)
 	}
 }
 
 func TestSummarizeBasics(t *testing.T) {
-	vehs := []vehicle.Vehicle{
-		veh(10, 0, 100),
-		veh(20, 0, 120),
-		veh(30, 0, vehicle.Unset), // still in network
-		veh(40, vehicle.Unset, vehicle.Unset),
-	}
-	s := Summarize(vehs)
+	var a vehicle.Arena
+	addVeh(&a, 10, 0, 100)
+	addVeh(&a, 20, 0, 120)
+	addVeh(&a, 30, 0, vehicle.Unset) // still in network
+	addVeh(&a, 40, vehicle.Unset, vehicle.Unset)
+	s := SummarizeArena(&a)
 	if s.Spawned != 4 || s.Exited != 2 {
 		t.Fatalf("counts: %+v", s)
 	}
@@ -52,11 +65,11 @@ func TestSummarizePercentilesOrdered(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		vehs := make([]vehicle.Vehicle, len(raw))
-		for i, r := range raw {
-			vehs[i] = veh(float64(r), 0, vehicle.Unset)
+		var a vehicle.Arena
+		for _, r := range raw {
+			addVeh(&a, float64(r), 0, vehicle.Unset)
 		}
-		s := Summarize(vehs)
+		s := SummarizeArena(&a)
 		return s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.MaxWait+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

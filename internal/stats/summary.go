@@ -1,7 +1,7 @@
 // Package stats aggregates simulation output into the quantities the
-// paper reports: average queuing time per vehicle (Table III, Figure 2),
-// phase timelines (Figures 3-4) and queue-length series (Figure 5), plus
-// distributional summaries used by the wider test and benchmark suite.
+// paper reports: average queuing time per vehicle (Table III, Figure 2)
+// and phase-timeline statistics (Figures 3-4), plus distributional
+// summaries used by the wider test and benchmark suite.
 package stats
 
 import (
@@ -33,45 +33,10 @@ type WaitSummary struct {
 	CompletionRate float64
 }
 
-// Summarize computes a WaitSummary over a vehicle arena.
-func Summarize(vehs []vehicle.Vehicle) WaitSummary {
-	s := WaitSummary{Spawned: len(vehs), CompletionRate: 1}
-	if len(vehs) == 0 {
-		return s
-	}
-	waits := make([]float64, 0, len(vehs))
-	var total, totalExited, totalTrip float64
-	for i := range vehs {
-		v := &vehs[i]
-		waits = append(waits, v.QueueWait)
-		total += v.QueueWait
-		if v.QueueWait > s.MaxWait {
-			s.MaxWait = v.QueueWait
-		}
-		if v.Done() {
-			s.Exited++
-			totalExited += v.QueueWait
-			totalTrip += v.TripTime()
-		}
-	}
-	s.MeanWait = total / float64(len(vehs))
-	if s.Exited > 0 {
-		s.MeanWaitExited = totalExited / float64(s.Exited)
-		s.MeanTripTime = totalTrip / float64(s.Exited)
-	}
-	s.CompletionRate = float64(s.Exited) / float64(s.Spawned)
-	sort.Float64s(waits)
-	s.P50 = percentileSorted(waits, 50)
-	s.P90 = percentileSorted(waits, 90)
-	s.P99 = percentileSorted(waits, 99)
-	return s
-}
-
 // SummarizeArena computes a WaitSummary directly over the engine's
 // structure-of-arrays vehicle arena (DESIGN.md §16), streaming the
 // queue-wait and lifecycle columns without materializing []Vehicle
-// rows. It is the arena-native counterpart of Summarize; the two agree
-// exactly on the same state.
+// rows.
 func SummarizeArena(a *vehicle.Arena) WaitSummary {
 	n := a.Len()
 	s := WaitSummary{Spawned: n, CompletionRate: 1}

@@ -79,10 +79,10 @@ func TestPhaseTimelineGolden(t *testing.T) {
 		t.Fatal("no junction J00")
 	}
 	phases := make([]signal.Phase, 0, steps)
-	e.AddHooks(sim.Hooks{Step: func(e *sim.Engine, _ int) {
+	for k := 0; k < steps; k++ {
+		e.Run(1)
 		phases = append(phases, e.CurrentPhase(jn))
-	}})
-	e.Run(steps)
+	}
 	var buf bytes.Buffer
 	if err := trace.WritePhaseTimeline(&buf, e.DeltaT(), phases); err != nil {
 		t.Fatal(err)
