@@ -139,15 +139,27 @@ func TestFig2ShortRun(t *testing.T) {
 	}
 }
 
-func TestTraceJunctionShortRun(t *testing.T) {
-	setup := quickSetup()
-	for _, c := range []struct {
+// traceCases are the two controllers the TraceJunction short runs cover,
+// with the name each run's Result must carry.
+func traceCases(setup scenario.Setup) []struct {
+	factory signal.Factory
+	name    string
+} {
+	return []struct {
 		factory signal.Factory
 		name    string
 	}{
 		{setup.UtilBP(), "UTIL-BP"},
 		{setup.CapBP(16), "CAP-BP"},
-	} {
+	}
+}
+
+// TestPhaseTimelineShortRun checks the phase half of TraceJunction: one
+// phase per mini-slot, the run's metadata, and green plus amber slots
+// adding up to the horizon.
+func TestPhaseTimelineShortRun(t *testing.T) {
+	setup := quickSetup()
+	for _, c := range traceCases(setup) {
 		tr, err := TraceJunction(setup, scenario.PatternI, c.factory, 300, 0, 2, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -168,14 +180,33 @@ func TestTraceJunctionShortRun(t *testing.T) {
 		if greens+tr.Stats.AmberSlots != 300 {
 			t.Errorf("%s: slots don't add up: %d + %d", c.name, greens, tr.Stats.AmberSlots)
 		}
+	}
+	if _, err := TraceJunction(setup, scenario.PatternI, setup.UtilBP(), 100, 9, 9, 5); err == nil {
+		t.Error("bad junction accepted")
+	}
+}
+
+// TestEastQueueSeriesShortRun checks the queue half of TraceJunction: one
+// east-approach sample every stride mini-slots, and a run that ended in
+// Finish with vehicles in it.
+func TestEastQueueSeriesShortRun(t *testing.T) {
+	setup := quickSetup()
+	for _, c := range traceCases(setup) {
+		tr, err := TraceJunction(setup, scenario.PatternI, c.factory, 300, 0, 2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(tr.Queue) != 60 || len(tr.QueueTimes) != 60 {
 			t.Fatalf("%s: samples = %d, want 60", c.name, len(tr.Queue))
+		}
+		if tr.Controller != c.name {
+			t.Errorf("%s: controller: %q", c.name, tr.Controller)
 		}
 		if tr.Summary.Spawned == 0 {
 			t.Errorf("%s: summary of an empty run: %+v", c.name, tr.Summary)
 		}
 	}
-	if _, err := TraceJunction(setup, scenario.PatternI, setup.UtilBP(), 100, 9, 9, 5); err == nil {
+	if _, err := TraceJunction(setup, scenario.PatternI, setup.CapBP(16), 100, 9, 9, 5); err == nil {
 		t.Error("bad junction accepted")
 	}
 }
