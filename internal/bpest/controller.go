@@ -1,8 +1,6 @@
 package bpest
 
 import (
-	"fmt"
-
 	"utilbp/internal/core"
 	"utilbp/internal/signal"
 )
@@ -41,43 +39,34 @@ func (o Options) withDefaults() Options {
 // owns one TurnRatioEstimator per link — estimator state is controller
 // state, so an engine Reset (which rebuilds controllers through the
 // factory) starts every estimate back at the uniform prior and replays
-// are bit-for-bit (DESIGN.md §13).
+// are bit-for-bit (DESIGN.md §13). Its phase rule is UTIL-BP's
+// Algorithm 1 tail run on the estimated gains.
 type Controller struct {
-	info   signal.JunctionInfo
-	opts   Options
-	est    []TurnRatioEstimator
-	gains  []float64
-	scores []phaseScore
-	// amberUntil is the transition timer of Algorithm 1 Case 1.
-	amberUntil int
-}
-
-// phaseScore carries one phase's gains during selection.
-type phaseScore struct {
-	gmax, total float64
+	info  signal.JunctionInfo
+	opts  Options
+	est   []TurnRatioEstimator
+	gains []float64
+	// tail is the Algorithm 1 phase logic (amber timer, eq. (12)
+	// keep-phase, selection) with this family's gains and amber.
+	tail *core.Controller
 }
 
 // New builds an estimated-routing BP controller for a junction.
 func New(info signal.JunctionInfo, opts Options) (*Controller, error) {
-	if err := info.Validate(); err != nil {
-		return nil, err
-	}
 	opts = opts.withDefaults()
 	if err := validAlpha(opts.Alpha); err != nil {
 		return nil, err
 	}
-	if !(opts.GainAlpha < 0 && opts.GainBeta < 0) {
-		return nil, fmt.Errorf("bpest: gain alpha (%v) and beta (%v) must be negative", opts.GainAlpha, opts.GainBeta)
-	}
-	if opts.AmberSteps < 0 {
-		return nil, fmt.Errorf("bpest: AmberSteps must be non-negative, got %d", opts.AmberSteps)
+	tail, err := core.New(info, core.Options{Alpha: opts.GainAlpha, Beta: opts.GainBeta, AmberSteps: opts.AmberSteps})
+	if err != nil {
+		return nil, err
 	}
 	c := &Controller{
-		info:   info,
-		opts:   opts,
-		est:    make([]TurnRatioEstimator, info.NumLinks),
-		gains:  make([]float64, info.NumLinks),
-		scores: make([]phaseScore, len(info.Phases)),
+		info:  info,
+		opts:  opts,
+		est:   make([]TurnRatioEstimator, info.NumLinks),
+		gains: make([]float64, info.NumLinks),
+		tail:  tail,
 	}
 	for i := range c.est {
 		c.est[i] = NewTurnRatioEstimator(opts.Alpha)
@@ -88,13 +77,15 @@ func New(info signal.JunctionInfo, opts Options) (*Controller, error) {
 // Name implements signal.Controller.
 func (c *Controller) Name() string { return "BP-EST" }
 
-// updateLink folds the link's observed departure counters into its
-// estimator and returns the estimated-routing gain: beta when the
-// outgoing road is full, alpha when the lane is empty, otherwise the
-// pressure against the routing-rate-weighted downstream movement queues
-// shifted by W* (the eq. 8 structure with Σ_t r̂_t·q_{i',t} replacing
-// the aggregate b_{i'}).
-func (c *Controller) updateLink(li int, l *signal.LinkObs) float64 {
+// WeighLink implements signal.Weighted: it folds the link's observed
+// departure counters into its estimator and returns the
+// estimated-routing gain: beta when the outgoing road is full, alpha
+// when the lane is empty, otherwise the pressure against the
+// routing-rate-weighted downstream movement queues shifted by W* (the
+// eq. 8 structure with Σ_t r̂_t·q_{i',t} replacing the aggregate
+// b_{i'}). The estimator no-ops on unchanged join counters, so a link
+// outside the batch change set keeps its cached gain exactly.
+func (c *Controller) WeighLink(li int, l *signal.LinkObs) float64 {
 	c.est[li].Observe(l.OutTurnJoins)
 	if l.OutFull() {
 		return c.opts.GainBeta
@@ -109,100 +100,31 @@ func (c *Controller) updateLink(li int, l *signal.LinkObs) float64 {
 	return (float64(l.Queue) - down + float64(c.info.WStar)) * l.Mu
 }
 
+// Weigh implements signal.Weighted.
+func (c *Controller) Weigh(links []signal.LinkObs, gains []float64) {
+	for i := range links {
+		gains[i] = c.WeighLink(i, &links[i])
+	}
+}
+
+// DecideWeighted implements signal.Weighted with UTIL-BP's Algorithm 1
+// tail.
+func (c *Controller) DecideWeighted(gains []float64, obs *signal.Obs) signal.Phase {
+	return c.tail.DecideWeighted(gains, obs)
+}
+
 // Decide implements signal.Controller.
 func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
-	for i := range obs.Links {
-		c.gains[i] = c.updateLink(i, &obs.Links[i])
-	}
-	return c.decideWithGains(obs)
-}
-
-// decideWithGains is Algorithm 1's phase logic over the estimated
-// gains, the shared decision tail of Decide and the batched
-// controller's sweep (the same split core.Controller uses).
-func (c *Controller) decideWithGains(obs *signal.Obs) signal.Phase {
-	cur := obs.Current
-
-	// Case 1: the transition period has not expired.
-	if cur == signal.Amber && obs.Step < c.amberUntil {
-		return signal.Amber
-	}
-
-	// Case 2: keep the phase while its best link clears the threshold.
-	if cur != signal.Amber {
-		gmax, maxLink := core.PhaseMaxGain(c.gains, c.info.Phases[cur-1])
-		ctx := core.ThresholdContext{WStar: c.info.WStar, MaxLink: maxLink, Obs: obs}
-		if maxLink >= 0 {
-			ctx.MaxLinkObs = &obs.Links[maxLink]
-		}
-		if gmax > core.DefaultThreshold(ctx) {
-			return cur
-		}
-	}
-
-	// Case 3: select the best phase.
-	next := c.selectPhase(cur)
-	if next == cur || cur == signal.Amber {
-		return next
-	}
-	c.amberUntil = obs.Step + c.opts.AmberSteps
-	if c.opts.AmberSteps == 0 {
-		return next
-	}
-	return signal.Amber
-}
-
-// selectPhase mirrors Algorithm 1 lines 6-11 over the estimated gains:
-// among phases with gmax above the empty-lane gain, the highest total;
-// otherwise the highest single-link gain. Ties prefer the current
-// phase, then the lowest phase number.
-func (c *Controller) selectPhase(cur signal.Phase) signal.Phase {
-	scores := c.scores
-	anyUsable := false
-	for pi, phase := range c.info.Phases {
-		gmax, _ := core.PhaseMaxGain(c.gains, phase)
-		scores[pi] = phaseScore{gmax: gmax, total: core.PhaseGain(c.gains, phase)}
-		if gmax > c.opts.GainAlpha {
-			anyUsable = true
-		}
-	}
-	best := signal.Amber
-	var bestScore float64
-	better := func(p signal.Phase, score float64) bool {
-		switch {
-		case best == signal.Amber:
-			return true
-		case score > bestScore:
-			return true
-		case score == bestScore && p == cur && best != cur:
-			return true
-		default:
-			return false
-		}
-	}
-	for pi := range scores {
-		p := signal.Phase(pi + 1)
-		if anyUsable {
-			if scores[pi].gmax <= c.opts.GainAlpha {
-				continue
-			}
-			if better(p, scores[pi].total) {
-				best, bestScore = p, scores[pi].total
-			}
-		} else {
-			if better(p, scores[pi].gmax) {
-				best, bestScore = p, scores[pi].gmax
-			}
-		}
-	}
-	return best
+	c.Weigh(obs.Links, c.gains)
+	return c.tail.DecideWeighted(c.gains, obs)
 }
 
 // Factory returns a signal.Factory building estimated-routing BP
 // controllers with the given options. The returned factory also
-// implements signal.BatchFactory: the estimator no-ops on unchanged
-// join counters, so the batched controller's change-set gain cache is
-// exact and batched dispatch stays bit-for-bit equal to per-junction.
+// implements signal.BatchFactory through the shared weighted batch
+// (signal.NewWeightedBatch): the estimator no-ops on unchanged join
+// counters, so its change-set gain cache is exact and batched dispatch
+// stays bit-for-bit equal to per-junction.
 func Factory(opts Options) signal.Factory {
 	return factory{opts: opts}
 }
@@ -223,5 +145,5 @@ func (f factory) New(info signal.JunctionInfo) (signal.Controller, error) {
 
 // NewBatch implements signal.BatchFactory.
 func (f factory) NewBatch(infos []signal.JunctionInfo) (signal.BatchController, error) {
-	return NewBatchController(infos, f.opts)
+	return signal.NewWeightedBatch(f, infos)
 }

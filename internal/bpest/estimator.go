@@ -4,10 +4,10 @@
 // link carries an online turn-ratio estimator fed by the engine-owned
 // "departures per movement" observation (signal.LinkObs.OutTurnJoins),
 // and the link gain weighs the outgoing road's per-movement queues by
-// the estimated rates. The phase logic is Algorithm 1's (amber hold,
-// keep-phase threshold, best-phase selection), so the family composes
-// with the same conformance and equivalence harness as UTIL-BP
-// (DESIGN.md §13).
+// the estimated rates. The phase logic is UTIL-BP's own Algorithm 1
+// tail (core.Controller.DecideWeighted: amber hold, keep-phase
+// threshold, best-phase selection), so the family composes with the
+// same conformance and equivalence harness as UTIL-BP (DESIGN.md §13).
 package bpest
 
 import (

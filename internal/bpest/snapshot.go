@@ -8,13 +8,13 @@ import (
 )
 
 // SnapshotState implements signal.Snapshotter: the estimated-routing
-// controller carries the amber timer plus one turn-ratio estimator per
-// link — the ratio vector and the cumulative join counters it last
-// consumed. Restoring lastJoins alongside the ratios is what makes the
+// controller carries its Algorithm 1 tail's one-int state (the amber
+// timer) plus one turn-ratio estimator per link — the ratio vector and
+// the cumulative join counters it last consumed. Restoring lastJoins alongside the ratios is what makes the
 // first post-restore full sweep exact: Observe sees zero deltas on
 // unchanged links and no-ops, leaving the restored ratios bit-for-bit.
 func (c *Controller) SnapshotState(w *snap.Writer) {
-	w.Int(c.amberUntil)
+	c.tail.SnapshotState(w)
 	w.Int(len(c.est))
 	for i := range c.est {
 		e := &c.est[i]
@@ -29,7 +29,9 @@ func (c *Controller) SnapshotState(w *snap.Writer) {
 
 // RestoreState implements signal.Snapshotter.
 func (c *Controller) RestoreState(r *snap.Reader) error {
-	c.amberUntil = r.Int()
+	if err := c.tail.RestoreState(r); err != nil {
+		return err
+	}
 	n := r.Int()
 	if r.Err() == nil && n != len(c.est) {
 		return fmt.Errorf("bpest: snapshot holds %d link estimators, controller has %d", n, len(c.est))
@@ -44,16 +46,4 @@ func (c *Controller) RestoreState(r *snap.Reader) error {
 		}
 	}
 	return r.Err()
-}
-
-// SnapshotState implements signal.Snapshotter by delegating to the
-// per-junction controllers; the gain slab and primed flag are cache
-// rebuilt exactly by the first post-restore full sweep.
-func (b *BatchController) SnapshotState(w *snap.Writer) {
-	signal.SnapshotStates(w, b.juncs)
-}
-
-// RestoreState implements signal.Snapshotter.
-func (b *BatchController) RestoreState(r *snap.Reader) error {
-	return signal.RestoreStates(r, b.juncs)
 }

@@ -31,12 +31,6 @@ func ParsePattern(s string) (scenario.Pattern, error) {
 	return 0, fmt.Errorf("unknown pattern %q (want I, II, III, IV, mixed or rush)", s)
 }
 
-// ControllerNames lists the controller families PickFactory accepts,
-// delegating to the scenario-layer spec syntax.
-func ControllerNames() []string {
-	return scenario.ControllerSpecNames()
-}
-
 // PickFactory resolves a controller spec string ("util", "cap:20",
 // "maxpressure:12", "gapout:8,40,3", "bp-est:0.05", ...) to a factory
 // configured from the setup. The legacy -period flag still applies to
@@ -47,14 +41,22 @@ func PickFactory(setup scenario.Setup, name string, period int) (signal.Factory,
 	if err != nil {
 		return nil, err
 	}
-	if spec.PeriodSec == 0 && period > 0 {
-		switch spec.Kind {
-		case scenario.ControllerCap, scenario.ControllerCapNorm,
-			scenario.ControllerOrig, scenario.ControllerFixed:
-			spec.PeriodSec = period
-		}
+	if spec.PeriodSec == 0 && period > 0 && TakesPeriod(spec.Kind) {
+		spec.PeriodSec = period
 	}
 	return setup.Controller(spec)
+}
+
+// TakesPeriod reports whether a controller family runs on a period,
+// the fixed-slot control period or the pretimed green: cap, capnorm,
+// orig and fixed.
+func TakesPeriod(k scenario.ControllerKind) bool {
+	switch k {
+	case scenario.ControllerCap, scenario.ControllerCapNorm,
+		scenario.ControllerOrig, scenario.ControllerFixed:
+		return true
+	}
+	return false
 }
 
 // PeriodRange returns the sweep periods min, min+step, ... up to max, in

@@ -54,9 +54,11 @@ func TestPickFactory(t *testing.T) {
 	}
 }
 
+// TestControllerNamesResolvable requires every family name the spec
+// parser advertises to resolve through PickFactory.
 func TestControllerNamesResolvable(t *testing.T) {
 	setup := scenario.Default()
-	for _, name := range ControllerNames() {
+	for _, name := range scenario.ControllerSpecNames() {
 		if _, err := PickFactory(setup, name, 20); err != nil {
 			t.Errorf("advertised name %q not resolvable: %v", name, err)
 		}

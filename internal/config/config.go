@@ -29,10 +29,15 @@ type Grid struct {
 
 // Controller selects the signal-control algorithm.
 type Controller struct {
-	// Algorithm is one of util, cap, capnorm, orig, fixed.
+	// Algorithm is a controller spec in the scenario.ParseControllerSpec
+	// syntax: util, cap[:period], capnorm[:period], orig[:period],
+	// fixed[:green], maxpressure[:minGreen], gapout[:min,max,gap] or
+	// bp-est[:alpha].
 	Algorithm string `json:"algorithm"`
-	// PeriodSec is the control phase period for fixed-slot algorithms
-	// and the green time for the pretimed one; ignored by util.
+	// PeriodSec is the control phase period of cap, capnorm and orig and
+	// the green time of fixed, required by those four when Algorithm
+	// carries no period and overridden when it does; the other families
+	// ignore it.
 	PeriodSec int `json:"period_sec,omitempty"`
 }
 
@@ -79,10 +84,14 @@ func (e *Experiment) Validate() error {
 	if _, err := cli.ParsePattern(e.Pattern); err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
-	if _, err := cli.PickFactory(scenario.Default(), e.Controller.Algorithm, max(e.Controller.PeriodSec, 1)); err != nil {
+	spec, err := scenario.ParseControllerSpec(e.Controller.Algorithm)
+	if err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
-	if e.Controller.Algorithm != "util" && e.Controller.PeriodSec <= 0 {
+	if e.Controller.PeriodSec < 0 {
+		return fmt.Errorf("config: period_sec must be non-negative, got %d", e.Controller.PeriodSec)
+	}
+	if spec.PeriodSec == 0 && e.Controller.PeriodSec == 0 && cli.TakesPeriod(spec.Kind) {
 		return fmt.Errorf("config: controller %q requires period_sec > 0", e.Controller.Algorithm)
 	}
 	if e.DurationSec < 0 {
@@ -187,11 +196,4 @@ func (e *Experiment) Save(w io.Writer) error {
 		return fmt.Errorf("config: encode: %w", err)
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

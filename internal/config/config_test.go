@@ -20,6 +20,13 @@ func TestValidateRejects(t *testing.T) {
 		{Pattern: "V", Controller: Controller{Algorithm: "util"}},
 		{Pattern: "I", Controller: Controller{Algorithm: "quantum"}},
 		{Pattern: "I", Controller: Controller{Algorithm: "cap"}}, // no period
+		{Pattern: "I", Controller: Controller{Algorithm: "capnorm"}},
+		{Pattern: "I", Controller: Controller{Algorithm: "orig"}},
+		{Pattern: "I", Controller: Controller{Algorithm: "fixed"}},
+		{Pattern: "I", Controller: Controller{Algorithm: "cap", PeriodSec: -4}},
+		{Pattern: "I", Controller: Controller{Algorithm: "util", PeriodSec: -1}},
+		{Pattern: "I", Controller: Controller{Algorithm: "cap:0"}},
+		{Pattern: "I", Controller: Controller{Algorithm: "maxpressure:x"}},
 		{Pattern: "I", Controller: Controller{Algorithm: "util"}, DurationSec: -5},
 		{Pattern: "I", Controller: Controller{Algorithm: "util"}, Grid: &Grid{Rows: 0, Cols: 3, SpacingM: 100, SpeedMPS: 10, Capacity: 10, Mu: 1}},
 		{Pattern: "I", Controller: Controller{Algorithm: "util"}, Grid: &Grid{Rows: 2, Cols: 2, SpacingM: 100, SpeedMPS: 10, Capacity: 0, Mu: 1}},
@@ -27,6 +34,36 @@ func TestValidateRejects(t *testing.T) {
 	for i, e := range bad {
 		if err := e.Validate(); err == nil {
 			t.Errorf("config %d accepted: %+v", i, e)
+		}
+	}
+}
+
+// TestValidateAccepts loads every controller family the spec parser
+// accepts: period_sec is required only by cap, capnorm, orig and fixed
+// when the spec carries no period, and the others ignore it.
+func TestValidateAccepts(t *testing.T) {
+	good := []struct {
+		ctrl Controller
+		name string
+	}{
+		{Controller{Algorithm: "util-bp"}, "UTIL-BP"},
+		{Controller{Algorithm: "maxpressure"}, "MAXPRESSURE"},
+		{Controller{Algorithm: "maxpressure", PeriodSec: 16}, "MAXPRESSURE"},
+		{Controller{Algorithm: "gapout"}, "GAPOUT"},
+		{Controller{Algorithm: "bp-est"}, "BP-EST"},
+		{Controller{Algorithm: "cap:20"}, "CAP-BP"},
+		{Controller{Algorithm: "fixed:16"}, "FIXED"},
+		{Controller{Algorithm: "capnorm", PeriodSec: 24}, "CAP-BP-NORM"},
+	}
+	for _, g := range good {
+		e := Experiment{Pattern: "I", Controller: g.ctrl}
+		spec, err := e.Spec()
+		if err != nil {
+			t.Errorf("%+v rejected: %v", g.ctrl, err)
+			continue
+		}
+		if got := spec.Factory.Name(); got != g.name {
+			t.Errorf("%+v resolved to %q, want %q", g.ctrl, got, g.name)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"math"
 	"testing"
 
 	"utilbp/internal/core"
@@ -22,22 +21,9 @@ func TestConformanceUtilBP(t *testing.T) {
 		{Name: "UTIL-BP-wholeroad", Factory: core.Factory(core.Options{Variant: core.GainVariant{WholeRoadPressure: true}}), AmberSteps: 4},
 		{Name: "UTIL-BP-approaching", Factory: core.Factory(core.Options{Variant: core.GainVariant{CountApproaching: true}}), AmberSteps: 4},
 		{Name: "UTIL-BP-amber2", Factory: core.Factory(core.Options{AmberSteps: 2}), AmberSteps: 2},
-		// A keep-phase threshold that reads the clock: the batched
-		// controller must decide quiet junctions too, since the same
-		// observation can yield another decision later.
-		{Name: "UTIL-BP-clock-threshold", Factory: core.Factory(core.Options{Threshold: risingThreshold}), AmberSteps: 4},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.Name, func(t *testing.T) { signaltest.Run(t, c) })
 	}
-}
-
-// risingThreshold is eq. (12) until step 170 and past any gain after
-// it, so from then on Case 2 never keeps a phase.
-func risingThreshold(ctx core.ThresholdContext) float64 {
-	if ctx.Obs.Step >= 170 {
-		return math.MaxFloat64
-	}
-	return core.DefaultThreshold(ctx)
 }

@@ -14,8 +14,6 @@ type Options struct {
 	// AmberSteps is Δk, the transition-phase duration in mini-slots.
 	// Zero defaults to 4 (the paper's 4 s amber at Δt = 1 s).
 	AmberSteps int
-	// Threshold computes g*(k); nil defaults to eq. (12).
-	Threshold ThresholdFunc
 	// Variant applies the ablation switches to the link gain.
 	Variant GainVariant
 	// NoKeepPhase disables Algorithm 1's Case 2 (the mechanism limiting
@@ -34,9 +32,6 @@ func (o Options) withDefaults() Options {
 	if o.AmberSteps == 0 {
 		o.AmberSteps = 4
 	}
-	if o.Threshold == nil {
-		o.Threshold = DefaultThreshold
-	}
 	return o
 }
 
@@ -48,7 +43,9 @@ type Controller struct {
 	info   signal.JunctionInfo
 	opts   Options
 	params Params
-	gains  []float64
+	// gains is Decide's per-link scratch; the batched path hands
+	// DecideWeighted its window of the shared weight slab instead.
+	gains []float64
 	// scores is selectPhase's per-phase scratch space, kept on the
 	// controller so re-selection allocates nothing.
 	scores []phaseScore
@@ -89,17 +86,27 @@ func (c *Controller) Name() string { return "UTIL-BP" }
 
 // Decide implements signal.Controller with Algorithm 1.
 func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
-	c.gains = Gains(obs, c.params, c.opts.Variant, c.gains)
-	return c.decideWithGains(obs)
+	c.Weigh(obs.Links, c.gains)
+	return c.DecideWeighted(c.gains, obs)
 }
 
-// decideWithGains is Algorithm 1 with the link gains already evaluated
-// into c.gains. It is the shared decision tail of the per-junction
-// Decide and the batched controller's flat sweep (batch.go), kept in one
-// place so the two dispatch paths cannot drift: the batched path fills
-// c.gains from its change-set-maintained slab window and calls this
-// exact code.
-func (c *Controller) decideWithGains(obs *signal.Obs) signal.Phase {
+// Weigh implements signal.Weighted: the eq. (8) gain of every link.
+func (c *Controller) Weigh(links []signal.LinkObs, gains []float64) {
+	for i := range links {
+		gains[i] = LinkGain(&links[i], c.params, c.opts.Variant)
+	}
+}
+
+// WeighLink implements signal.Weighted.
+func (c *Controller) WeighLink(_ int, l *signal.LinkObs) float64 {
+	return LinkGain(l, c.params, c.opts.Variant)
+}
+
+// DecideWeighted implements signal.Weighted: Algorithm 1 over link
+// gains already evaluated. It is the one decision tail of the
+// per-junction Decide, of the batched controller and of BP-EST, which
+// hands it its estimated gains.
+func (c *Controller) DecideWeighted(gains []float64, obs *signal.Obs) signal.Phase {
 	cur := obs.Current
 
 	// Case 1 (lines 1-2): the transition period Δk has not expired.
@@ -108,21 +115,22 @@ func (c *Controller) decideWithGains(obs *signal.Obs) signal.Phase {
 	}
 
 	// Case 2 (lines 3-4): keep the current phase while its best link
-	// gain exceeds the non-negative threshold g*(k) — the mechanism
-	// that limits the number of transition phases.
+	// gain exceeds g*(k) = W*·µ(Lmax), eq. (12) — the mechanism that
+	// limits the number of transition phases. g* is 0 for an empty
+	// phase.
 	if cur != signal.Amber && !c.opts.NoKeepPhase {
-		gmax, maxLink := PhaseMaxGain(c.gains, c.info.Phases[cur-1])
-		ctx := ThresholdContext{WStar: c.info.WStar, MaxLink: maxLink, Obs: obs}
+		gmax, maxLink := PhaseMaxGain(gains, c.info.Phases[cur-1])
+		threshold := 0.0
 		if maxLink >= 0 {
-			ctx.MaxLinkObs = &obs.Links[maxLink]
+			threshold = float64(c.info.WStar) * obs.Links[maxLink].Mu
 		}
-		if gmax > c.opts.Threshold(ctx) {
+		if gmax > threshold {
 			return cur
 		}
 	}
 
 	// Case 3 (lines 5-17): select the best phase.
-	next := c.selectPhase(cur)
+	next := c.selectPhase(gains, cur)
 
 	// Lines 12-16: adopt it directly when it is the current phase or a
 	// transition just ended; otherwise start a transition of Δk slots.
@@ -142,12 +150,12 @@ func (c *Controller) decideWithGains(obs *signal.Obs) signal.Phase {
 // guarantee utilization, pick the highest single-link gain. Ties prefer
 // the current phase (avoiding a pointless transition), then the lowest
 // phase number.
-func (c *Controller) selectPhase(cur signal.Phase) signal.Phase {
+func (c *Controller) selectPhase(gains []float64, cur signal.Phase) signal.Phase {
 	scores := c.scores
 	anyUsable := false
 	for pi, phase := range c.info.Phases {
-		gmax, _ := PhaseMaxGain(c.gains, phase)
-		scores[pi] = phaseScore{gmax: gmax, total: PhaseGain(c.gains, phase)}
+		gmax, _ := PhaseMaxGain(gains, phase)
+		scores[pi] = phaseScore{gmax: gmax, total: PhaseGain(gains, phase)}
 		if gmax > c.params.Alpha {
 			anyUsable = true
 		}
@@ -189,7 +197,7 @@ func (c *Controller) selectPhase(cur signal.Phase) signal.Phase {
 // Factory returns a signal.Factory building UTIL-BP controllers with the
 // given options. The returned factory also implements
 // signal.BatchFactory, so engines in auto or batched control mode run
-// UTIL-BP through the batched control plane (NewBatchController) —
+// UTIL-BP through the shared weighted batch (signal.NewWeightedBatch) —
 // bit-for-bit equal to the per-junction path.
 func Factory(opts Options) signal.Factory {
 	return factory{opts: opts}
@@ -211,5 +219,5 @@ func (f factory) New(info signal.JunctionInfo) (signal.Controller, error) {
 
 // NewBatch implements signal.BatchFactory.
 func (f factory) NewBatch(infos []signal.JunctionInfo) (signal.BatchController, error) {
-	return NewBatchController(infos, f.opts)
+	return signal.NewWeightedBatch(f, infos)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -212,7 +213,7 @@ func TestAmberOptionValidation(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Alpha != -1 || o.Beta != -2 || o.AmberSteps != 4 || o.Threshold == nil {
+	if o.Alpha != -1 || o.Beta != -2 || o.AmberSteps != 4 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
 }
@@ -225,6 +226,12 @@ func TestNewValidatesInfo(t *testing.T) {
 	}
 	if _, err := New(testInfo(), Options{Alpha: 1}); err == nil {
 		t.Error("positive alpha accepted")
+	}
+	if _, err := New(testInfo(), Options{Alpha: math.NaN()}); err == nil {
+		t.Error("NaN alpha accepted")
+	}
+	if _, err := New(testInfo(), Options{Beta: math.NaN()}); err == nil {
+		t.Error("NaN beta accepted")
 	}
 }
 

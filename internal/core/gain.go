@@ -26,15 +26,10 @@ type Params struct {
 	WStar int
 }
 
-// DefaultParams returns the evaluation parameters of Section V:
-// alpha = -1, beta = -2 (WStar must still be set from the network).
-func DefaultParams(wstar int) Params {
-	return Params{Alpha: -1, Beta: -2, WStar: wstar}
-}
-
-// Validate checks eq. (9)'s sign requirements.
+// Validate checks eq. (9)'s sign requirements. The comparison is
+// written inverted so a NaN alpha or beta is rejected too.
 func (p Params) Validate() error {
-	if p.Alpha >= 0 || p.Beta >= 0 {
+	if !(p.Alpha < 0 && p.Beta < 0) {
 		return fmt.Errorf("core: alpha (%v) and beta (%v) must be negative", p.Alpha, p.Beta)
 	}
 	if p.WStar < 0 {
@@ -101,19 +96,6 @@ func LinkGain(l *signal.LinkObs, p Params, v GainVariant) float64 {
 	return (pressure + float64(p.WStar)) * l.Mu
 }
 
-// Gains evaluates every link gain of an observation into dst (allocated
-// when nil or short) and returns it.
-func Gains(obs *signal.Obs, p Params, v GainVariant, dst []float64) []float64 {
-	if cap(dst) < len(obs.Links) {
-		dst = make([]float64, len(obs.Links))
-	}
-	dst = dst[:len(obs.Links)]
-	for i := range obs.Links {
-		dst[i] = LinkGain(&obs.Links[i], p, v)
-	}
-	return dst
-}
-
 // PhaseGain is g(c_j, k) of eq. (10): the sum of the constituent link
 // gains. gains is indexed by link, phase lists link indexes.
 func PhaseGain(gains []float64, phase []int) float64 {
@@ -134,37 +116,4 @@ func PhaseMaxGain(gains []float64, phase []int) (float64, int) {
 		}
 	}
 	return best, bestLink
-}
-
-// ThresholdContext carries what a keep-phase threshold policy may use: the
-// junction constants plus the current phase's maximum-gain link Lmax
-// (eq. 12 keys the threshold on its service rate).
-type ThresholdContext struct {
-	// WStar is W* of eq. (7).
-	WStar int
-	// MaxLink is the index of Lmax(c(k-1), k); MaxLinkObs its state.
-	MaxLink    int
-	MaxLinkObs *signal.LinkObs
-	// Obs is the full observation for custom policies.
-	Obs *signal.Obs
-}
-
-// ThresholdFunc computes g*(k), the non-negative keep-phase threshold of
-// Algorithm 1 line 3. The paper requires g*(k) >= 0 so that work
-// conservation holds (Section IV Q2).
-type ThresholdFunc func(ctx ThresholdContext) float64
-
-// DefaultThreshold implements eq. (12): g*(k) = W* · µ of Lmax, so the
-// current phase is kept exactly while its best link still has a positive
-// pressure difference.
-func DefaultThreshold(ctx ThresholdContext) float64 {
-	if ctx.MaxLinkObs == nil {
-		return 0
-	}
-	return float64(ctx.WStar) * ctx.MaxLinkObs.Mu
-}
-
-// ConstantThreshold returns a ThresholdFunc with a fixed g*.
-func ConstantThreshold(g float64) ThresholdFunc {
-	return func(ThresholdContext) float64 { return g }
 }

@@ -116,6 +116,8 @@ func TestParamsValidate(t *testing.T) {
 		{Alpha: -1, Beta: 0, WStar: 1},
 		{Alpha: 1, Beta: -2, WStar: 1},
 		{Alpha: -1, Beta: -2, WStar: -1},
+		{Alpha: math.NaN(), Beta: -2, WStar: 1},
+		{Alpha: -1, Beta: math.NaN(), WStar: 1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -126,16 +128,6 @@ func TestParamsValidate(t *testing.T) {
 	// depending on the characteristics of the entire traffic network".
 	if err := (Params{Alpha: -2, Beta: -1, WStar: 1}).Validate(); err != nil {
 		t.Errorf("beta > alpha rejected: %v", err)
-	}
-}
-
-func TestDefaultParams(t *testing.T) {
-	p := DefaultParams(120)
-	if p.Alpha != -1 || p.Beta != -2 || p.WStar != 120 {
-		t.Errorf("DefaultParams = %+v", p)
-	}
-	if p.Beta >= p.Alpha || p.Alpha >= 0 {
-		t.Error("defaults violate eq. (9)")
 	}
 }
 
@@ -159,51 +151,25 @@ func TestPhaseGains(t *testing.T) {
 	}
 }
 
+// TestGainsBufferReuse pins Weigh's contract: it writes the eq. (8)
+// gains into the caller's slice in place, which is how the batched
+// controller fills its slab window.
 func TestGainsBufferReuse(t *testing.T) {
-	obs := &signal.Obs{Links: []signal.LinkObs{
+	links := []signal.LinkObs{
 		{Queue: 1, OutCapacity: 10, Mu: 1},
 		{Queue: 0, OutCapacity: 10, Mu: 1},
-	}}
-	p := Params{Alpha: -1, Beta: -2, WStar: 10}
-	buf := make([]float64, 2)
-	out := Gains(obs, p, GainVariant{}, buf)
-	if &out[0] != &buf[0] {
-		t.Error("Gains did not reuse the buffer")
 	}
-	if out[1] != -1 {
-		t.Errorf("gain[1] = %v, want alpha", out[1])
+	info := signal.JunctionInfo{Label: "J", NumLinks: 2, Phases: [][]int{{0}, {1}}, WStar: 10, DeltaT: 1}
+	c, err := New(info, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out2 := Gains(obs, p, GainVariant{}, nil); len(out2) != 2 {
-		t.Error("Gains with nil dst failed")
+	buf := []float64{7, 7, 7}
+	c.Weigh(links, buf[:2])
+	if buf[0] != 11 || buf[1] != -1 || buf[2] != 7 {
+		t.Errorf("Weigh wrote %v, want [11 -1 7] (gain, alpha, untouched)", buf)
 	}
-}
-
-func TestDefaultThreshold(t *testing.T) {
-	l := signal.LinkObs{Mu: 1.5}
-	ctx := ThresholdContext{WStar: 120, MaxLink: 0, MaxLinkObs: &l}
-	if got := DefaultThreshold(ctx); got != 180 {
-		t.Errorf("threshold = %v, want 180", got)
-	}
-	if got := DefaultThreshold(ThresholdContext{WStar: 120}); got != 0 {
-		t.Errorf("threshold without max link = %v, want 0", got)
-	}
-	// eq. (12) keeps the phase exactly while b_i^{i'} > b_{i'}: the gain
-	// (b - b' + W*)µ exceeds W*µ iff b > b'.
-	p := Params{Alpha: -1, Beta: -2, WStar: 120}
-	positive := signal.LinkObs{Queue: 31, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 1}
-	balanced := signal.LinkObs{Queue: 30, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 1}
-	thr := DefaultThreshold(ThresholdContext{WStar: 120, MaxLinkObs: &positive})
-	if LinkGain(&positive, p, GainVariant{}) <= thr {
-		t.Error("positive pressure difference should exceed the threshold")
-	}
-	if LinkGain(&balanced, p, GainVariant{}) > thr {
-		t.Error("balanced pressures should not exceed the threshold")
-	}
-}
-
-func TestConstantThreshold(t *testing.T) {
-	f := ConstantThreshold(42)
-	if f(ThresholdContext{}) != 42 {
-		t.Error("constant threshold wrong")
+	if g := c.WeighLink(1, &links[1]); g != buf[1] {
+		t.Errorf("WeighLink = %v, Weigh wrote %v", g, buf[1])
 	}
 }

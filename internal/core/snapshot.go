@@ -1,9 +1,6 @@
 package core
 
-import (
-	"utilbp/internal/signal"
-	"utilbp/internal/snap"
-)
+import "utilbp/internal/snap"
 
 // SnapshotState implements signal.Snapshotter. The only cross-step
 // state Algorithm 1 keeps is the transition timer t_Δk — the gain and
@@ -17,19 +14,4 @@ func (c *Controller) SnapshotState(w *snap.Writer) {
 func (c *Controller) RestoreState(r *snap.Reader) error {
 	c.amberUntil = r.Int()
 	return r.Err()
-}
-
-// SnapshotState implements signal.Snapshotter by delegating to the
-// per-junction controllers. The gain slab and primed flag are cache: a
-// restored controller starts unprimed, and its first DecideAll full
-// sweep recomputes the slab from the restored observations — the gain
-// is a pure function of the link observation, so the recomputed values
-// are bit-for-bit the cached ones.
-func (b *BatchController) SnapshotState(w *snap.Writer) {
-	signal.SnapshotStates(w, b.juncs)
-}
-
-// RestoreState implements signal.Snapshotter.
-func (b *BatchController) RestoreState(r *snap.Reader) error {
-	return signal.RestoreStates(r, b.juncs)
 }

@@ -67,8 +67,10 @@ func Weight(l *signal.LinkObs, countApproaching bool) float64 {
 // timers key on the observed applied phase (obs.Current), so dark-mode
 // overrides and both dispatch modes advance it identically.
 type Controller struct {
-	info    signal.JunctionInfo
-	opts    Options
+	info signal.JunctionInfo
+	opts Options
+	// weights is Decide's per-link scratch; the batched path hands
+	// DecideWeighted its window of the shared weight slab instead.
 	weights []float64
 	// prevCur tracks the last observed applied phase; greenStart the
 	// step the current green segment was first observed at.
@@ -103,18 +105,34 @@ func (c *Controller) Name() string { return "MAXPRESSURE" }
 
 // Decide implements signal.Controller.
 func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
-	for i := range obs.Links {
-		c.weights[i] = Weight(&obs.Links[i], c.opts.CountApproaching)
-	}
-	return c.decideWithWeights(obs)
+	c.Weigh(obs.Links, c.weights)
+	return c.DecideWeighted(c.weights, obs)
 }
 
-// decideWithWeights is the phase logic with the link weights already
-// evaluated into c.weights — the shared decision tail of the
-// per-junction Decide and the batched controller's flat sweep, kept in
-// one place so the two dispatch paths cannot drift (the same split
-// core.Controller uses).
-func (c *Controller) decideWithWeights(obs *signal.Obs) signal.Phase {
+// Weigh implements signal.Weighted: the Weight of every link.
+func (c *Controller) Weigh(links []signal.LinkObs, weights []float64) {
+	for i := range links {
+		weights[i] = Weight(&links[i], c.opts.CountApproaching)
+	}
+}
+
+// WeighLink implements signal.Weighted.
+func (c *Controller) WeighLink(_ int, l *signal.LinkObs) float64 {
+	return Weight(l, c.opts.CountApproaching)
+}
+
+// KeepsQuiet implements signal.QuietRule: a quiet junction keeps
+// Current on every step but the one that ends its minimum green. Before it the
+// hold returns Current, and after it last round's selection over the
+// same weights already returned Current.
+func (c *Controller) KeepsQuiet(step int) bool {
+	return step-c.greenStart != c.opts.MinGreenSteps
+}
+
+// DecideWeighted implements signal.Weighted: the phase logic over link
+// weights already evaluated, the one decision tail of the per-junction
+// Decide and the batched controller.
+func (c *Controller) DecideWeighted(weights []float64, obs *signal.Obs) signal.Phase {
 	cur := obs.Current
 	if cur != c.prevCur {
 		if cur != signal.Amber {
@@ -132,7 +150,7 @@ func (c *Controller) decideWithWeights(obs *signal.Obs) signal.Phase {
 	if cur != signal.Amber && obs.Step-c.greenStart < c.opts.MinGreenSteps {
 		return cur
 	}
-	next := c.selectPhase(cur)
+	next := c.selectPhase(weights, cur)
 	if next == cur || cur == signal.Amber {
 		return next
 	}
@@ -146,13 +164,13 @@ func (c *Controller) decideWithWeights(obs *signal.Obs) signal.Phase {
 // selectPhase returns the phase with the maximum total pressure. Ties
 // prefer the current phase (avoiding a pointless transition), then the
 // lowest phase number.
-func (c *Controller) selectPhase(cur signal.Phase) signal.Phase {
+func (c *Controller) selectPhase(weights []float64, cur signal.Phase) signal.Phase {
 	best := signal.Amber
 	bestScore := 0.0
 	for pi, phase := range c.info.Phases {
 		total := 0.0
 		for _, li := range phase {
-			total += c.weights[li]
+			total += weights[li]
 		}
 		p := signal.Phase(pi + 1)
 		switch {
@@ -171,8 +189,9 @@ func (c *Controller) selectPhase(cur signal.Phase) signal.Phase {
 // with the given options. The returned factory also implements
 // signal.BatchFactory — the link weight is a pure per-link function
 // like UTIL-BP's gain, so engines in auto or batched control mode run
-// MaxPressure through the batched control plane, bit-for-bit equal to
-// the per-junction path.
+// MaxPressure through the shared weighted batch
+// (signal.NewWeightedBatch), bit-for-bit equal to the per-junction
+// path.
 func Factory(opts Options) signal.Factory {
 	return factory{opts: opts}
 }
@@ -193,5 +212,5 @@ func (f factory) New(info signal.JunctionInfo) (signal.Controller, error) {
 
 // NewBatch implements signal.BatchFactory.
 func (f factory) NewBatch(infos []signal.JunctionInfo) (signal.BatchController, error) {
-	return NewBatchController(infos, f.opts)
+	return signal.NewWeightedBatch(f, infos)
 }

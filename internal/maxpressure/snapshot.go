@@ -22,16 +22,3 @@ func (c *Controller) RestoreState(r *snap.Reader) error {
 	c.amberUntil = r.Int()
 	return r.Err()
 }
-
-// SnapshotState implements signal.Snapshotter by delegating to the
-// per-junction controllers; the weight slab and primed flag are cache
-// rebuilt by the first post-restore full sweep (the link weight is a
-// pure function of the observation).
-func (b *BatchController) SnapshotState(w *snap.Writer) {
-	signal.SnapshotStates(w, b.juncs)
-}
-
-// RestoreState implements signal.Snapshotter.
-func (b *BatchController) RestoreState(r *snap.Reader) error {
-	return signal.RestoreStates(r, b.juncs)
-}

@@ -176,8 +176,8 @@ func scripts() []script {
 			// so its 10-step minimum green ends at 75, on a quiet step
 			// where the selection must still run. From step 150 both
 			// phases hold load: eq. (12) keeps a phase 1 green although
-			// phase 2's total gain is higher, so a threshold that reads
-			// the clock can switch on a quiet step.
+			// phase 2's total gain is higher, so quiet steps keep a
+			// green that a re-selection alone would leave.
 			q0, q1, q2 := 0, 0, 0
 			switch {
 			case step >= 60 && step < 70:
