@@ -374,6 +374,20 @@ func BenchmarkStepOnce(b *testing.B) { stepOnceBench(b, benchSetup(), nil, nil) 
 // must not reintroduce heap traffic on the hot path.
 func BenchmarkStepOnceSensed(b *testing.B) { stepOnceBench(b, benchSetup(), nil, sensing.Perfect{}) }
 
+// BenchmarkStepOnceSensedCV is BenchmarkStepOnce under 30 %
+// connected-vehicle penetration (cv:0.3), the sensor of zoo-downtown's
+// sensed cells: every mini-slot runs the connected-vehicle kernel over
+// the changed links. Gated in CI at 0 B/op and 0 allocs/op — the
+// kernel's scratch is fixed at construction, so no step allocates
+// however many trials it draws.
+func BenchmarkStepOnceSensedCV(b *testing.B) {
+	sensor, err := sensing.CV(0.3).New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	stepOnceBench(b, benchSetup(), nil, sensor)
+}
+
 // BenchmarkStepOnceDisrupted is BenchmarkStepOnce with an armed
 // disruption schedule: a mid-run capacity incident, a dark junction and
 // a demand surge (DESIGN.md §12). Gated in CI at 0 B/op and

@@ -32,7 +32,7 @@ func (c *Controller) RestoreState(r *snap.Reader) error {
 	if err := c.tail.RestoreState(r); err != nil {
 		return err
 	}
-	n := r.Int()
+	n := r.Count()
 	if r.Err() == nil && n != len(c.est) {
 		return fmt.Errorf("bpest: snapshot holds %d link estimators, controller has %d", n, len(c.est))
 	}

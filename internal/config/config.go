@@ -97,6 +97,9 @@ func (e *Experiment) Validate() error {
 	if e.DurationSec < 0 {
 		return fmt.Errorf("config: duration_sec must be non-negative")
 	}
+	if e.AmberSec < 0 {
+		return fmt.Errorf("config: amber_sec must be non-negative (0 = the paper's 4 s), got %d", e.AmberSec)
+	}
 	if e.Grid != nil {
 		if e.Grid.Rows < 1 || e.Grid.Cols < 1 {
 			return fmt.Errorf("config: grid must have at least 1x1 junctions")

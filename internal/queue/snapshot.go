@@ -23,9 +23,7 @@ func (l *Lane) SnapshotState(w *snap.Writer) {
 // only if the snapshot holds more items than the ring ever did).
 func (l *Lane) RestoreState(r *snap.Reader) error {
 	l.Reset()
-	n := r.Int()
-	// A corrupt count cannot run away: every item read past the stream's
-	// end trips the reader's sticky error and ends the loop.
+	n := r.Count()
 	for i := 0; i < n && r.Err() == nil; i++ {
 		v := r.Int()
 		at := r.Float64()
@@ -56,13 +54,8 @@ func (t *Travel) SnapshotState(w *snap.Writer) {
 func (t *Travel) RestoreState(r *snap.Reader) error {
 	t.Reset()
 	t.seq = r.Int32()
-	n := r.Int()
-	if n > 0 && n <= r.Len() {
-		// Pre-size only for plausible counts (each entry is 16 bytes); a
-		// corrupt count falls through to the loop, where the sticky
-		// reader error stops it on the first truncated entry.
-		t.Reserve(n)
-	}
+	n := r.Count()
+	t.Reserve(n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		t.h = append(t.h, Arrival{
 			At:      r.Float64(),

@@ -60,17 +60,27 @@ func New(seed uint64) *Source {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// next is the xoshiro256** step, the one place it is written: it
+// returns the output for state (s0, s1, s2, s3) and the advanced state.
+// It takes and returns the words by value so the bulk samplers below
+// keep the generator in registers across their loops.
+func next(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	out, s0, s1, s2, s3 := next(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return out
 }
 
 // Split derives an independent child generator identified by label.
@@ -162,6 +172,10 @@ func (r *Source) Bool(p float64) bool {
 // draw-free — p <= 0 returns 0 and p >= 1 returns n without consuming
 // any random bits — so a perfect-penetration sensor stays a pure
 // function of the observed state.
+//
+// The count equals that of n trials Float64() < p, and the stream ends
+// where those trials leave it (see bernoulliThreshold); the loop keeps
+// the generator state in locals and counts without a branch per trial.
 func (r *Source) Binomial(n int, p float64) int {
 	if n <= 0 || p <= 0 {
 		return 0
@@ -173,14 +187,67 @@ func (r *Source) Binomial(n int, p float64) int {
 	// capacity), so the exact O(n) method beats the setup cost of the
 	// usual inversion/BTPE samplers and keeps the draw count a simple
 	// deterministic function of n.
+	t := bernoulliThreshold(p)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var u uint64
 	k := 0
 	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			k++
-		}
+		u, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		k += int(success(u, t))
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return k
 }
+
+// BernoulliPrefix runs len(cum)-1 Bernoulli(p) trials and stores their
+// running success counts: cum[0] = 0 and cum[i] counts the successes
+// among the first i trials, so the successes of trials [a, b) are
+// cum[b]-cum[a]. Consecutive Binomial(n1, p), Binomial(n2, p), ... calls
+// equal the differences over consecutive runs of n1, n2, ... trials of
+// one BernoulliPrefix, with the stream left at the same place; that is
+// what lets a caller draw many counts in one loop. Degenerate p is
+// draw-free, as in Binomial. An empty cum is a no-op.
+func (r *Source) BernoulliPrefix(cum []int32, p float64) {
+	if len(cum) == 0 {
+		return
+	}
+	switch {
+	case p <= 0:
+		clear(cum)
+		return
+	case p >= 1:
+		for i := range cum {
+			cum[i] = int32(i)
+		}
+		return
+	}
+	t := bernoulliThreshold(p)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var u uint64
+	var k int32
+	cum[0] = 0
+	trials := cum[1:]
+	for i := range trials {
+		u, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		k += int32(success(u, t))
+		trials[i] = k
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// bernoulliThreshold returns ceil(p·2⁵³) for p in (0, 1), the integer
+// form of the test Float64() < p: Float64 is m/2⁵³ for the integer
+// m = u>>11 < 2⁵³, both the division and the product p·2⁵³ only rescale
+// by a power of two and are exact, and for an integer m, m < x holds
+// exactly when m < ceil(x).
+func bernoulliThreshold(p float64) uint64 {
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// success reports the trial (u>>11) < t as 1 or 0 without a branch:
+// both sides are below 2⁶³, so the difference wraps to a value with
+// its top bit set exactly when the left side is the smaller.
+func success(u, t uint64) uint64 { return (u>>11 - t) >> 63 }
 
 // Exp returns an exponentially distributed value with the given mean.
 // A non-positive mean yields 0.

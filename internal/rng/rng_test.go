@@ -346,3 +346,143 @@ func TestBinomialDegenerateDrawFree(t *testing.T) {
 		t.Error("degenerate Binomial parameters consumed random bits")
 	}
 }
+
+// oracleTrial is one trial as Binomial used to draw it: Float64() < p.
+func oracleTrial(r *Source, p float64) bool { return r.Float64() < p }
+
+// bernoulliProbs are the trial probabilities the exactness pins sweep:
+// tiny, common, the float64 sum 0.1+0.2 (0.30000000000000004, one ulp
+// above 0.3) and the largest float64 below 1.
+func bernoulliProbs() []float64 {
+	tenth, fifth := 0.1, 0.2 // variables: their sum is rounded
+	return []float64{1e-9, 0.1, 0.3, 1 - 0x1p-53, tenth + fifth}
+}
+
+// TestBernoulliThresholdExact pins the integer test behind Binomial and
+// BernoulliPrefix to Float64() < p at the boundary: for the outputs
+// whose top 53 bits sit just below, at and just above ceil(p·2⁵³), the
+// branch-free count agrees with the float comparison.
+func TestBernoulliThresholdExact(t *testing.T) {
+	probs := append(bernoulliProbs(), 0x1p-53, 0x1p-52*3, 0.5, math.SmallestNonzeroFloat64, math.Nextafter(1, 0))
+	for _, p := range probs {
+		th := bernoulliThreshold(p)
+		for _, m := range []uint64{0, 1, th - 2, th - 1, th, th + 1, 1<<53 - 1} {
+			if m >= 1<<53 || int64(m) < 0 {
+				continue
+			}
+			for _, low := range []uint64{0, 1<<11 - 1} {
+				u := m<<11 | low
+				want := float64(u>>11)/(1<<53) < p
+				if got := success(u, th) == 1; got != want {
+					t.Errorf("p=%v m=%d: success %v, Float64() < p %v", p, m, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBinomialMatchesFloat64Loop pins Binomial to the per-trial
+// Float64 loop it replaced: the same count and the same stream position
+// for every n up to 300.
+func TestBinomialMatchesFloat64Loop(t *testing.T) {
+	for _, p := range bernoulliProbs() {
+		r := New(101)
+		o := *r
+		for n := 0; n <= 300; n++ {
+			want := 0
+			for i := 0; i < n; i++ {
+				if oracleTrial(&o, p) {
+					want++
+				}
+			}
+			if got := r.Binomial(n, p); got != want {
+				t.Fatalf("p=%v: Binomial(%d) = %d, Float64 loop %d", p, n, got, want)
+			}
+			if r.State() != o.State() {
+				t.Fatalf("p=%v n=%d: stream position differs from the Float64 loop", p, n)
+			}
+		}
+	}
+}
+
+// TestBernoulliPrefixMatchesFloat64Loop pins the bulk primitive: every
+// prefix count equals the Float64 loop's running count, consecutive
+// Binomial calls equal the prefix differences, and the stream ends
+// where both loops end.
+func TestBernoulliPrefixMatchesFloat64Loop(t *testing.T) {
+	for _, p := range bernoulliProbs() {
+		for _, n := range []int{0, 1, 2, 7, 64, 299, 300} {
+			r := New(uint64(200 + n))
+			o, b := *r, *r
+			cum := make([]int32, n+1)
+			for i := range cum {
+				cum[i] = -1 // every entry must be written
+			}
+			r.BernoulliPrefix(cum, p)
+			var k int32
+			if cum[0] != 0 {
+				t.Fatalf("p=%v n=%d: cum[0] = %d", p, n, cum[0])
+			}
+			for i := 1; i <= n; i++ {
+				if oracleTrial(&o, p) {
+					k++
+				}
+				if cum[i] != k {
+					t.Fatalf("p=%v n=%d: cum[%d] = %d, Float64 loop %d", p, n, i, cum[i], k)
+				}
+			}
+			if r.State() != o.State() {
+				t.Fatalf("p=%v n=%d: stream position differs from the Float64 loop", p, n)
+			}
+			// The same trials as consecutive Binomial calls.
+			at := 0
+			for _, run := range []int{n / 3, n / 5, n - n/3 - n/5} {
+				if got, want := b.Binomial(run, p), int(cum[at+run]-cum[at]); got != want {
+					t.Fatalf("p=%v n=%d: Binomial(%d) = %d, prefix difference %d", p, n, run, got, want)
+				}
+				at += run
+			}
+			if b.State() != r.State() {
+				t.Fatalf("p=%v n=%d: Binomial runs end elsewhere in the stream", p, n)
+			}
+		}
+	}
+}
+
+// TestBernoulliPrefixDegenerateDrawFree mirrors the Binomial contract:
+// p <= 0 counts nothing and p >= 1 counts every trial, without drawing,
+// and an empty slice is a no-op.
+func TestBernoulliPrefixDegenerateDrawFree(t *testing.T) {
+	r := New(47)
+	before := *r
+	cum := make([]int32, 6)
+	for _, p := range []float64{0, -1} {
+		r.BernoulliPrefix(cum, p)
+		for i, c := range cum {
+			if c != 0 {
+				t.Fatalf("p=%v: cum[%d] = %d, want 0", p, i, c)
+			}
+		}
+	}
+	for _, p := range []float64{1, 2} {
+		r.BernoulliPrefix(cum, p)
+		for i, c := range cum {
+			if c != int32(i) {
+				t.Fatalf("p=%v: cum[%d] = %d, want %d", p, i, c, i)
+			}
+		}
+	}
+	r.BernoulliPrefix(nil, 0.5)
+	if *r != before {
+		t.Error("degenerate BernoulliPrefix consumed random bits")
+	}
+}
+
+// BenchmarkBinomial times Binomial(60, 0.3), a connected-vehicle
+// reading of a half-full road at 30 % penetration.
+func BenchmarkBinomial(b *testing.B) {
+	r := New(1)
+	for b.Loop() {
+		r.Binomial(60, 0.3)
+	}
+}

@@ -1,78 +1,33 @@
 package sensing
 
-import "fmt"
-
-// Sample is one raw sensor measurement of a link queue-state field.
-// Level is the measured queue level; Delta is the measured net change
-// since the previous measurement (count-based detectors observe flows,
-// not levels); Empty reports a positive empty-queue detection, the
-// resynchronization opportunity drifting integrators wait for.
-type Sample struct {
-	Level float64
-	Delta float64
-	Empty bool
-}
-
-// Estimator folds successive raw samples into a queue estimate. An
-// estimator is a stateless policy: the per-link state it evolves is the
-// single estimate value the caller stores and passes back in.
-type Estimator interface {
-	// Name identifies the estimator variant (e.g. "exp:0.50").
-	Name() string
-	// Update folds one sample into the running estimate est and
-	// returns the new estimate.
-	Update(est float64, s Sample) float64
-}
-
-// ExpFilter tracks the measured level with a first-order exponential
-// filter: est' = est + Alpha·(Level − est). A positively detected empty
-// queue snaps the estimate to zero, so the filter does not hold
-// phantom vehicles after a drain.
-type ExpFilter struct {
-	// Alpha is the filter gain in (0, 1]; 1 passes levels through.
-	Alpha float64
-}
-
-// Name implements Estimator.
-func (f ExpFilter) Name() string { return fmt.Sprintf("exp:%.2f", f.Alpha) }
-
-// Update implements Estimator.
-func (f ExpFilter) Update(est float64, s Sample) float64 {
-	if s.Empty {
+// expFilter is the connected-vehicle estimator: it tracks the measured
+// level with a first-order exponential filter, est' = est +
+// alpha·(level − est), with alpha in (0, 1] (1 passes levels through). A
+// positively detected empty queue snaps the estimate to zero, so the
+// filter does not hold phantom vehicles after a drain.
+func expFilter(est, level, alpha float64, empty bool) float64 {
+	if empty {
 		return 0
 	}
-	return est + f.Alpha*(s.Level-est)
+	return est + alpha*(level-est)
 }
 
-// CountIntegrator integrates measured flow deltas into a running count,
-// the classic queue estimator for crossing detectors: est' = est +
-// Delta, clamped to [0, Max]. Missed events make it drift (the lost
+// integrateCount is the loop detector's estimator, the classic queue
+// estimator for crossing detectors: it integrates the measured flow
+// delta into a running count, est' = est + delta, clamped to [0, max]
+// (max 0 leaves it unbounded). Missed events make it drift (the lost
 // deltas are never recovered); a positive empty-queue detection
 // resynchronizes it to zero.
-type CountIntegrator struct {
-	// Max bounds the estimate from above; 0 leaves it unbounded.
-	Max float64
-}
-
-// Name implements Estimator.
-func (CountIntegrator) Name() string { return "count" }
-
-// Update implements Estimator.
-func (c CountIntegrator) Update(est float64, s Sample) float64 {
-	if s.Empty {
+func integrateCount(est, delta, max float64, empty bool) float64 {
+	if empty {
 		return 0
 	}
-	est += s.Delta
+	est += delta
 	if est < 0 {
 		est = 0
 	}
-	if c.Max > 0 && est > c.Max {
-		est = c.Max
+	if max > 0 && est > max {
+		est = max
 	}
 	return est
 }
-
-var (
-	_ Estimator = ExpFilter{}
-	_ Estimator = CountIntegrator{}
-)

@@ -41,12 +41,14 @@ func (w *OutageWindow) covers(link, step int) bool {
 }
 
 // outageSensor decorates an inner sensor with scheduled blackout
-// windows. It keeps no state and draws no randomness of its own — all
-// stochastic behavior stays on the inner sensor's dedicated sensing RNG
-// stream — so wrapping never perturbs the readings outside the windows.
+// windows. It draws no randomness of its own — all stochastic behavior
+// stays on the inner sensor's dedicated sensing RNG stream — so wrapping
+// never perturbs the readings outside the windows. Its only state is
+// the scratch list of links it forwards, sized at Prepare.
 type outageSensor struct {
 	inner   Sensor
 	windows []OutageWindow
+	pass    []int32
 }
 
 // Outage wraps a sensor so the configured windows blank or freeze their
@@ -60,33 +62,55 @@ func Outage(inner Sensor, windows []OutageWindow) Sensor {
 // Name implements Sensor.
 func (o *outageSensor) Name() string { return o.inner.Name() + "+outage" }
 
-// Prepare implements Sensor by forwarding to the inner sensor.
-func (o *outageSensor) Prepare(nlinks int) { o.inner.Prepare(nlinks) }
+// Prepare implements Sensor: it sizes the forwarding list for nlinks
+// and forwards to the inner sensor.
+func (o *outageSensor) Prepare(nlinks int) {
+	if cap(o.pass) < nlinks {
+		o.pass = make([]int32, 0, nlinks)
+	}
+	o.inner.Prepare(nlinks)
+}
 
 // Reseed implements Sensor by forwarding to the inner sensor; the
 // windows themselves are deterministic schedule state.
 func (o *outageSensor) Reseed(seed uint64) { o.inner.Reseed(seed) }
 
-// SenseLink implements Sensor. A link inside an active window never
+// Sense implements Sensor. A link inside an active window never
 // reaches the inner sensor: blank zeroes the dynamic fields, freeze
 // leaves the latched observation untouched. Suppressed sensing events
 // are dropped entirely — like a real dead detector, the inner model's
 // per-link state (count snapshots, report clocks) does not advance and
-// resynchronizes from scratch when the feed returns.
-func (o *outageSensor) SenseLink(link int, truth, obs *signal.LinkObs, step int) {
+// resynchronizes from scratch when the feed returns. The other links
+// reach the inner sensor in order, in one call.
+func (o *outageSensor) Sense(links []int32, truth, obs []signal.LinkObs, step int) {
+	pass := o.pass[:0]
+	for _, l := range links {
+		if w := o.covering(int(l), step); w != nil {
+			if w.Mode == OutageBlank {
+				b := &obs[l]
+				b.Queue = 0
+				b.InTransit = 0
+				b.ApproachQueue = 0
+				b.OutQueue = 0
+				b.OutOccupancy = 0
+			}
+			continue
+		}
+		pass = append(pass, l)
+	}
+	o.pass = pass
+	o.inner.Sense(pass, truth, obs, step)
+}
+
+// covering returns the first window that suppresses the link at the
+// step, nil when none does.
+func (o *outageSensor) covering(link, step int) *OutageWindow {
 	for i := range o.windows {
 		if o.windows[i].covers(link, step) {
-			if o.windows[i].Mode == OutageBlank {
-				obs.Queue = 0
-				obs.InTransit = 0
-				obs.ApproachQueue = 0
-				obs.OutQueue = 0
-				obs.OutOccupancy = 0
-			}
-			return
+			return &o.windows[i]
 		}
 	}
-	o.inner.SenseLink(link, truth, obs, step)
+	return nil
 }
 
 var _ Sensor = (*outageSensor)(nil)

@@ -4,21 +4,22 @@
 // plant); a Sensor maps that ground truth onto the signal.Obs queue
 // values a controller actually sees — bit-for-bit for Perfect, through a
 // stop-bar count model for LoopDetector, or through per-vehicle
-// penetration sampling for ConnectedVehicle. Estimators (exponential
-// filter, count integration) turn the raw readings into queue estimates,
-// following the estimated-queue back-pressure literature
-// (arXiv:2006.15549, arXiv:1401.3357).
+// penetration sampling for ConnectedVehicle. Each sensor folds its raw
+// readings into queue estimates (count integration for the detector, an
+// exponential filter for probe vehicles), following the estimated-queue
+// back-pressure literature (arXiv:2006.15549, arXiv:1401.3357).
 //
 // Sensors are engine-local and event-driven: the engine marks a link
 // dirty whenever the underlying road state changes (spawn, serve,
-// stop-line arrival) and calls SenseLink only for dirty links, so a
-// link whose queues did not move keeps its previous reading — exactly
-// how count-based roadside detection behaves, and what keeps the
-// perfect-observation path cheaper than the old full walk (DESIGN.md
-// §10). All sensing randomness draws from a dedicated "sensing" stream
-// derived from the run seed (rng.New(seed).Split("sensing")), so
-// installing or tuning a sensor never perturbs the demand or routing
-// streams, and Engine.Reset replays runs bit-for-bit.
+// stop-line arrival) and, once per mini-slot, hands Sense the list of
+// links it refreshed, so a link whose queues did not move keeps its
+// previous reading — exactly how count-based roadside detection
+// behaves, and what keeps the perfect-observation path cheaper than the
+// old full walk (DESIGN.md §10). All sensing randomness draws from a
+// dedicated "sensing" stream derived from the run seed
+// (rng.New(seed).Split("sensing")), so installing or tuning a sensor
+// never perturbs the demand or routing streams, and Engine.Reset replays
+// runs bit-for-bit.
 package sensing
 
 import (
@@ -26,16 +27,18 @@ import (
 	"utilbp/internal/signal"
 )
 
-// Sensor maps the ground-truth state of a junction link onto the
-// observation its controller sees. Implementations are stateful (they
-// hold per-link estimates and their RNG stream) and are NOT safe for
-// concurrent use: one sensor serves one running engine at a time.
+// Sensor maps the ground-truth state of junction links onto the
+// observations their controllers see. Implementations are stateful
+// (they hold per-link estimates and their RNG stream) and are NOT safe
+// for concurrent use: one sensor serves one running engine at a time.
 //
-// The engine calls SenseLink only for links whose underlying road state
-// changed during the previous mini-slot; readings for unchanged links
-// persist in the observation. Sensors write only the dynamic queue
-// fields of obs (Queue, InTransit, ApproachQueue, OutQueue,
-// OutOccupancy) — the static fields (capacities, µ) are engine-owned.
+// The engine calls Sense once per mini-slot with the links whose
+// underlying road state changed during the previous mini-slot; readings
+// for unchanged links persist in the observation. Sensors write only the
+// dynamic queue fields of an observation (Queue, InTransit,
+// ApproachQueue, OutQueue, OutOccupancy) — the static fields
+// (capacities, µ) and the per-movement downstream fields are
+// engine-owned.
 type Sensor interface {
 	// Name identifies the sensor model (e.g. "cv:0.3").
 	Name() string
@@ -45,10 +48,15 @@ type Sensor interface {
 	// the sensor is installed on a reused engine; it must be callable
 	// repeatedly and must not discard state mid-run.
 	Prepare(nlinks int)
-	// SenseLink observes one link: truth is the exact state maintained
-	// by the engine, obs is the entry the controller will read. link is
-	// the engine's dense global link index, step the mini-slot index.
-	SenseLink(link int, truth, obs *signal.LinkObs, step int)
+	// Sense observes one mini-slot's changed links. links holds dense
+	// global link indexes, each at most once, in the order the engine
+	// refreshed them; for each l in links, truth[l] is the exact state
+	// the engine maintains and obs[l] the entry the controller will
+	// read. step is the mini-slot index; a link is sensed at most once
+	// per step. The result is the same as sensing the links one at a
+	// time in list order — no link's reading depends on another's — so
+	// implementations are free to batch the work across links.
+	Sense(links []int32, truth, obs []signal.LinkObs, step int)
 	// Reseed rewinds the sensor to the fresh deterministic state of a
 	// run with the given seed: per-link estimates cleared and the RNG
 	// rewound to rng.New(seed).Split("sensing"). Engine.Reset forwards
@@ -78,8 +86,12 @@ func (Perfect) Name() string { return "perfect" }
 // Prepare implements Sensor; the perfect sensor keeps no state.
 func (Perfect) Prepare(int) {}
 
-// SenseLink implements Sensor by copying the truth verbatim.
-func (Perfect) SenseLink(_ int, truth, obs *signal.LinkObs, _ int) { *obs = *truth }
+// Sense implements Sensor by copying the truth verbatim.
+func (Perfect) Sense(links []int32, truth, obs []signal.LinkObs, _ int) {
+	for _, l := range links {
+		obs[l] = truth[l]
+	}
+}
 
 // Reseed implements Sensor; the perfect sensor draws no randomness.
 func (Perfect) Reseed(uint64) {}
@@ -131,9 +143,6 @@ type LoopDetectorOptions struct {
 	// are lost and the estimate drifts until the next positive
 	// empty-queue detection resynchronizes it.
 	FailProb float64
-	// Estimator folds the per-event readings into the reported
-	// estimate. Nil defaults to CountIntegrator bounded by Saturation.
-	Estimator Estimator
 }
 
 // DefaultSaturation is the default detector-zone capacity: half the
@@ -142,14 +151,16 @@ type LoopDetectorOptions struct {
 const DefaultSaturation = 60
 
 // LoopDetector models stop-bar loop detection: it observes the flow
-// across the detector (the count delta between sensing events), feeds
-// it through its estimator, saturates at the detector-zone capacity and
-// occasionally misses an event entirely. Vehicles still rolling toward
-// the stop line are invisible to it, so InTransit reads zero.
-// Construct with NewLoopDetector.
+// across the detector (the count delta between sensing events),
+// integrates it into a running count bounded by the detector-zone
+// capacity, and occasionally misses an event entirely. Vehicles still
+// rolling toward the stop line are invisible to it, so InTransit reads
+// zero. Construct with NewLoopDetector.
 type LoopDetector struct {
-	opts  LoopDetectorOptions
-	est   Estimator
+	opts LoopDetectorOptions
+	// max bounds the integrated count: the saturation, or 0 (unbounded)
+	// when saturation is disabled.
+	max   float64
 	src   *rng.Source
 	links []loopLink
 	n     int
@@ -168,15 +179,11 @@ func NewLoopDetector(opts LoopDetectorOptions) *LoopDetector {
 	if opts.Saturation == 0 {
 		opts.Saturation = DefaultSaturation
 	}
-	est := opts.Estimator
-	if est == nil {
-		max := 0.0
-		if opts.Saturation > 0 {
-			max = float64(opts.Saturation)
-		}
-		est = CountIntegrator{Max: max}
+	ld := &LoopDetector{opts: opts, src: sensingStream(0)}
+	if opts.Saturation > 0 {
+		ld.max = float64(opts.Saturation)
 	}
-	return &LoopDetector{opts: opts, est: est, src: sensingStream(0)}
+	return ld
 }
 
 // Name implements Sensor.
@@ -201,11 +208,18 @@ func (ld *LoopDetector) Reseed(seed uint64) {
 	}
 }
 
-// SenseLink implements Sensor. Each sensing event observes the per-field
+// Sense implements Sensor. Each sensing event observes the per-field
 // count deltas since the previous event; a failed event loses them (the
 // estimate drifts) but an observed empty queue resynchronizes to zero.
-func (ld *LoopDetector) SenseLink(link int, truth, obs *signal.LinkObs, _ int) {
-	st := &ld.links[link]
+func (ld *LoopDetector) Sense(links []int32, truth, obs []signal.LinkObs, _ int) {
+	for _, l := range links {
+		ld.senseLink(&ld.links[l], &truth[l], &obs[l])
+	}
+}
+
+// senseLink is one link's sensing event: one failure draw, then the
+// per-field count integration.
+func (ld *LoopDetector) senseLink(st *loopLink, truth, obs *signal.LinkObs) {
 	failed := ld.src.Bool(ld.opts.FailProb)
 	tf := truthFields(truth)
 	for f := range tf {
@@ -214,15 +228,7 @@ func (ld *LoopDetector) SenseLink(link int, truth, obs *signal.LinkObs, _ int) {
 		if failed || f == fInTransit {
 			continue
 		}
-		level := tf[f]
-		if ld.opts.Saturation > 0 && level > ld.opts.Saturation {
-			level = ld.opts.Saturation
-		}
-		st.est[f] = ld.est.Update(st.est[f], Sample{
-			Level: float64(level),
-			Delta: float64(delta),
-			Empty: tf[f] == 0,
-		})
+		st.est[f] = integrateCount(st.est[f], float64(delta), ld.max, tf[f] == 0)
 	}
 	writeFields(obs, &st.est)
 	obs.InTransit = 0 // rolling vehicles never reach the stop-bar loop
@@ -242,14 +248,21 @@ type ConnectedVehicleOptions struct {
 	// reports the observation holds its last value. Zero reports on
 	// every sensing event.
 	LatencySteps int
-	// Estimator folds the per-report levels into the reported estimate.
-	// Nil defaults to ExpFilter{Alpha: DefaultCVAlpha}.
-	Estimator Estimator
+	// Alpha is the gain of the exponential filter that folds the
+	// per-report levels into the reported estimate, in (0, 1]; 1 passes
+	// levels through. Zero applies DefaultCVAlpha.
+	Alpha float64
 }
 
 // DefaultCVAlpha is the default exponential-filter gain for the
 // connected-vehicle sensor: half the weight on the newest report.
 const DefaultCVAlpha = 0.5
+
+// cvChunk bounds the Bernoulli trials one bulk draw of the
+// connected-vehicle kernel covers, and with it the kernel's scratch
+// (4 bytes a trial), independently of load. A step of the 8×8 downtown
+// grid at 30 % penetration draws 2–4 thousand trials: two chunks.
+const cvChunk = 2048
 
 // ConnectedVehicle models probe-vehicle sensing: each queued vehicle is
 // a connected vehicle with probability Rate, the scaled sample count
@@ -258,10 +271,12 @@ const DefaultCVAlpha = 0.5
 // NewConnectedVehicle.
 type ConnectedVehicle struct {
 	opts  ConnectedVehicleOptions
-	est   Estimator
 	src   *rng.Source
 	links []cvLink
 	n     int
+	// cum is the kernel's prefix-count scratch (senseKernel), reused
+	// across steps and Reseed.
+	cum [cvChunk + 1]int32
 }
 
 // cvLink is the per-link probe state: running estimates and the step of
@@ -279,11 +294,10 @@ func NewConnectedVehicle(opts ConnectedVehicleOptions) *ConnectedVehicle {
 	if opts.Rate <= 0 || opts.Rate > 1 {
 		opts.Rate = 1
 	}
-	est := opts.Estimator
-	if est == nil {
-		est = ExpFilter{Alpha: DefaultCVAlpha}
+	if opts.Alpha == 0 {
+		opts.Alpha = DefaultCVAlpha
 	}
-	return &ConnectedVehicle{opts: opts, est: est, src: sensingStream(0)}
+	return &ConnectedVehicle{opts: opts, src: sensingStream(0)}
 }
 
 // Name implements Sensor.
@@ -313,15 +327,38 @@ func (cv *ConnectedVehicle) Reseed(seed uint64) {
 	}
 }
 
-// SenseLink implements Sensor: per field, a Binomial(truth, Rate)
-// sample scaled by 1/Rate plus optional Gaussian noise, folded through
-// the estimator, subject to the per-link report latency.
-func (cv *ConnectedVehicle) SenseLink(link int, truth, obs *signal.LinkObs, step int) {
-	st := &cv.links[link]
-	if cv.opts.LatencySteps > 0 && st.lastReport >= 0 && step-int(st.lastReport) < cv.opts.LatencySteps {
-		return // reports are rate-limited; the observation holds
+// Sense implements Sensor: per field, a Binomial(truth, Rate) sample
+// scaled by 1/Rate plus optional Gaussian noise, folded through the
+// exponential filter, subject to the per-link report latency. The
+// latency rule runs first over the whole list; afterwards a link
+// reports this step exactly when its lastReport is step, since a link
+// is sensed at most once per step.
+func (cv *ConnectedVehicle) Sense(links []int32, truth, obs []signal.LinkObs, step int) {
+	now, lat := int32(step), cv.opts.LatencySteps
+	for _, l := range links {
+		st := &cv.links[l]
+		if lat > 0 && st.lastReport >= 0 && step-int(st.lastReport) < lat {
+			continue // reports are rate-limited; the observation holds
+		}
+		st.lastReport = now
 	}
-	st.lastReport = int32(step)
+	if cv.opts.NoiseStd > 0 || cv.opts.Rate >= 1 {
+		for _, l := range links {
+			if st := &cv.links[l]; st.lastReport == now {
+				cv.report(st, &truth[l], &obs[l])
+			}
+		}
+		return
+	}
+	cv.senseKernel(links, truth, obs, now)
+}
+
+// report is one link's reading, field by field: a Binomial draw, then
+// (with noise) a Gaussian one, folded through the filter. With noise the
+// two kinds of draw interleave, so this order is the sensor's definition;
+// at Rate 1 the Binomial is the exact count without a draw, and a
+// counted empty field snaps the estimate to zero.
+func (cv *ConnectedVehicle) report(st *cvLink, truth, obs *signal.LinkObs) {
 	tf := truthFields(truth)
 	for f := range tf {
 		seen := cv.src.Binomial(tf[f], cv.opts.Rate)
@@ -332,13 +369,70 @@ func (cv *ConnectedVehicle) SenseLink(link int, truth, obs *signal.LinkObs, step
 		if level < 0 {
 			level = 0
 		}
-		st.est[f] = cv.est.Update(st.est[f], Sample{
-			Level: level,
-			Delta: level - st.est[f],
-			Empty: tf[f] == 0 && seen == 0 && cv.opts.Rate >= 1,
-		})
+		empty := tf[f] == 0 && seen == 0 && cv.opts.Rate >= 1
+		st.est[f] = expFilter(st.est[f], level, cv.opts.Alpha, empty)
 	}
 	writeFields(obs, &st.est)
+}
+
+// senseKernel is Sense for a noiseless sensor below full penetration,
+// the setting of every spec ParseSpec accepts. The reporting links'
+// fields are consecutive runs of Bernoulli trials: one bulk draw covers
+// a chunk of links, and each field's count is a prefix difference.
+// These are the trials report's per-field Binomial calls make, in the
+// same order, so the readings and the stream position are the same. A
+// link with more trials than the scratch holds draws field by field on
+// its own, between the chunks around it.
+func (cv *ConnectedVehicle) senseKernel(links []int32, truth, obs []signal.LinkObs, now int32) {
+	first, n := 0, 0 // the pending chunk is links[first:k], n trials
+	for k, l := range links {
+		st := &cv.links[l]
+		if st.lastReport != now {
+			continue
+		}
+		d := trials(&truth[l])
+		if n+d <= cvChunk {
+			n += d
+			continue
+		}
+		cv.drawChunk(links[first:k], n, truth, obs, now)
+		first, n = k, d
+		if d > cvChunk {
+			cv.report(st, &truth[l], &obs[l])
+			first, n = k+1, 0
+		}
+	}
+	cv.drawChunk(links[first:], n, truth, obs, now)
+}
+
+// drawChunk draws the n trials of the reporting links in chunk in one
+// BernoulliPrefix and folds each field's count through the filter.
+func (cv *ConnectedVehicle) drawChunk(chunk []int32, n int, truth, obs []signal.LinkObs, now int32) {
+	cum := cv.cum[:n+1]
+	cv.src.BernoulliPrefix(cum, cv.opts.Rate)
+	rate, alpha := cv.opts.Rate, cv.opts.Alpha
+	at := 0
+	for _, l := range chunk {
+		st := &cv.links[l]
+		if st.lastReport != now {
+			continue
+		}
+		for f, c := range truthFields(&truth[l]) {
+			c = max(c, 0)
+			level := float64(cum[at+c]-cum[at]) / rate
+			at += c
+			st.est[f] = expFilter(st.est[f], level, alpha, false)
+		}
+		writeFields(&obs[l], &st.est)
+	}
+}
+
+// trials counts the Bernoulli trials of one link's reading: one per
+// vehicle in each field (Binomial draws nothing for a non-positive
+// count).
+func trials(o *signal.LinkObs) int {
+	return max(o.Queue, 0) + max(o.InTransit, 0) + max(o.ApproachQueue, 0) +
+		max(o.OutQueue, 0) + max(o.OutOccupancy, 0)
 }
 
 var (

@@ -15,10 +15,20 @@ func truthObs(queue, inTransit, approach, outQueue, outOcc int) signal.LinkObs {
 	}
 }
 
+// senseLink senses one link through Sense: the link's truth and
+// observation sit at index link of slabs sized to cover it.
+func senseLink(s Sensor, link int, truth, obs *signal.LinkObs, step int) {
+	truths := make([]signal.LinkObs, link+1)
+	obss := make([]signal.LinkObs, link+1)
+	truths[link], obss[link] = *truth, *obs
+	s.Sense([]int32{int32(link)}, truths, obss, step)
+	*obs = obss[link]
+}
+
 func TestPerfectCopiesTruth(t *testing.T) {
 	truth := truthObs(7, 3, 12, 5, 40)
 	var obs signal.LinkObs
-	Perfect{}.SenseLink(0, &truth, &obs, 4)
+	senseLink(Perfect{}, 0, &truth, &obs, 4)
 	if obs != truth {
 		t.Fatalf("Perfect obs %+v != truth %+v", obs, truth)
 	}
@@ -31,7 +41,7 @@ func TestLoopDetectorTracksAndSaturates(t *testing.T) {
 	var obs signal.LinkObs
 
 	truth := truthObs(6, 2, 6, 0, 0)
-	ld.SenseLink(1, &truth, &obs, 0)
+	senseLink(ld, 1, &truth, &obs, 0)
 	if obs.Queue != 6 || obs.ApproachQueue != 6 {
 		t.Fatalf("loop should count 6 crossings exactly, got %+v", obs)
 	}
@@ -41,14 +51,14 @@ func TestLoopDetectorTracksAndSaturates(t *testing.T) {
 
 	// Growth beyond the zone saturates at 10.
 	truth = truthObs(25, 0, 25, 0, 0)
-	ld.SenseLink(1, &truth, &obs, 1)
+	senseLink(ld, 1, &truth, &obs, 1)
 	if obs.Queue != 10 {
 		t.Fatalf("saturated queue = %d, want 10", obs.Queue)
 	}
 
 	// A positive empty detection resynchronizes to zero.
 	truth = truthObs(0, 0, 0, 0, 0)
-	ld.SenseLink(1, &truth, &obs, 2)
+	senseLink(ld, 1, &truth, &obs, 2)
 	if obs.Queue != 0 {
 		t.Fatalf("empty resync queue = %d, want 0", obs.Queue)
 	}
@@ -63,7 +73,7 @@ func TestLoopDetectorFailureDrifts(t *testing.T) {
 	var obs signal.LinkObs
 	for step := 0; step < 10; step++ {
 		truth := truthObs(step+1, 0, step+1, 0, 0)
-		ld.SenseLink(0, &truth, &obs, step)
+		senseLink(ld, 0, &truth, &obs, step)
 	}
 	if obs.Queue != 0 {
 		t.Fatalf("all-failing detector reported %d, want 0 (permanent drift)", obs.Queue)
@@ -72,19 +82,19 @@ func TestLoopDetectorFailureDrifts(t *testing.T) {
 
 func TestConnectedVehicleFullPenetrationExact(t *testing.T) {
 	// Rate 1, no noise, alpha 1: the sensor is a pass-through.
-	cv := NewConnectedVehicle(ConnectedVehicleOptions{Rate: 1, Estimator: ExpFilter{Alpha: 1}})
+	cv := NewConnectedVehicle(ConnectedVehicleOptions{Rate: 1, Alpha: 1})
 	cv.Prepare(2)
 	cv.Reseed(9)
 	truth := truthObs(8, 3, 11, 4, 77)
 	var obs signal.LinkObs
-	cv.SenseLink(0, &truth, &obs, 0)
+	senseLink(cv, 0, &truth, &obs, 0)
 	if obs.Queue != 8 || obs.InTransit != 3 || obs.ApproachQueue != 11 || obs.OutQueue != 4 || obs.OutOccupancy != 77 {
 		t.Fatalf("full-penetration pass-through diverged: %+v", obs)
 	}
 }
 
 func TestConnectedVehicleUnbiased(t *testing.T) {
-	cv := NewConnectedVehicle(ConnectedVehicleOptions{Rate: 0.3, Estimator: ExpFilter{Alpha: 1}})
+	cv := NewConnectedVehicle(ConnectedVehicleOptions{Rate: 0.3, Alpha: 1})
 	cv.Prepare(1)
 	cv.Reseed(11)
 	truth := truthObs(30, 0, 30, 0, 0)
@@ -92,7 +102,7 @@ func TestConnectedVehicleUnbiased(t *testing.T) {
 	sum := 0.0
 	const events = 4000
 	for step := 0; step < events; step++ {
-		cv.SenseLink(0, &truth, &obs, step)
+		senseLink(cv, 0, &truth, &obs, step)
 		sum += float64(obs.Queue)
 	}
 	mean := sum / events
@@ -102,21 +112,21 @@ func TestConnectedVehicleUnbiased(t *testing.T) {
 }
 
 func TestConnectedVehicleLatencyHoldsReports(t *testing.T) {
-	cv := NewConnectedVehicle(ConnectedVehicleOptions{Rate: 1, LatencySteps: 5, Estimator: ExpFilter{Alpha: 1}})
+	cv := NewConnectedVehicle(ConnectedVehicleOptions{Rate: 1, LatencySteps: 5, Alpha: 1})
 	cv.Prepare(1)
 	cv.Reseed(1)
 	var obs signal.LinkObs
 	truth := truthObs(4, 0, 4, 0, 0)
-	cv.SenseLink(0, &truth, &obs, 0) // first report is accepted
+	senseLink(cv, 0, &truth, &obs, 0) // first report is accepted
 	if obs.Queue != 4 {
 		t.Fatalf("first report rejected: %+v", obs)
 	}
 	truth = truthObs(9, 0, 9, 0, 0)
-	cv.SenseLink(0, &truth, &obs, 3) // inside the latency window: held
+	senseLink(cv, 0, &truth, &obs, 3) // inside the latency window: held
 	if obs.Queue != 4 {
 		t.Fatalf("report inside latency window accepted: %+v", obs)
 	}
-	cv.SenseLink(0, &truth, &obs, 5) // window over: the new level lands
+	senseLink(cv, 0, &truth, &obs, 5) // window over: the new level lands
 	if obs.Queue != 9 {
 		t.Fatalf("report after latency window rejected: %+v", obs)
 	}
@@ -130,7 +140,7 @@ func TestSensorReseedReplays(t *testing.T) {
 		var obs signal.LinkObs
 		for step := 0; step < 50; step++ {
 			truth := truthObs((step*7)%13, step%3, (step*7)%13+2, step%5, step%9)
-			s.SenseLink(step%3, &truth, &obs, step)
+			senseLink(s, step%3, &truth, &obs, step)
 			got = append(got, obs.Queue, obs.ApproachQueue, obs.OutQueue, obs.OutOccupancy)
 		}
 		return got
@@ -154,22 +164,23 @@ func TestSensorReseedReplays(t *testing.T) {
 }
 
 func TestEstimators(t *testing.T) {
-	f := ExpFilter{Alpha: 0.5}
-	if got := f.Update(10, Sample{Level: 20}); got != 15 {
-		t.Errorf("ExpFilter.Update(10, 20) = %v, want 15", got)
+	if got := expFilter(10, 20, 0.5, false); got != 15 {
+		t.Errorf("expFilter(10, 20) = %v, want 15", got)
 	}
-	if got := f.Update(10, Sample{Level: 20, Empty: true}); got != 0 {
-		t.Errorf("ExpFilter empty snap = %v, want 0", got)
+	if got := expFilter(10, 20, 0.5, true); got != 0 {
+		t.Errorf("expFilter empty snap = %v, want 0", got)
 	}
-	c := CountIntegrator{Max: 12}
-	if got := c.Update(10, Sample{Delta: 5}); got != 12 {
-		t.Errorf("CountIntegrator clamp = %v, want 12", got)
+	if got := integrateCount(10, 5, 12, false); got != 12 {
+		t.Errorf("integrateCount clamp = %v, want 12", got)
 	}
-	if got := c.Update(2, Sample{Delta: -5}); got != 0 {
-		t.Errorf("CountIntegrator floor = %v, want 0", got)
+	if got := integrateCount(2, -5, 12, false); got != 0 {
+		t.Errorf("integrateCount floor = %v, want 0", got)
 	}
-	if got := c.Update(7, Sample{Delta: 3, Empty: true}); got != 0 {
-		t.Errorf("CountIntegrator resync = %v, want 0", got)
+	if got := integrateCount(7, 3, 12, true); got != 0 {
+		t.Errorf("integrateCount resync = %v, want 0", got)
+	}
+	if got := integrateCount(100, 50, 0, false); got != 150 {
+		t.Errorf("unbounded integrateCount = %v, want 150", got)
 	}
 }
 

@@ -38,7 +38,7 @@ func (ld *LoopDetector) RestoreState(r *snap.Reader) error {
 		return r.Err()
 	}
 	ld.src.SetState(st)
-	n := r.Int()
+	n := r.Count()
 	if r.Err() == nil && n != ld.n {
 		return fmt.Errorf("sensing: snapshot holds %d loop-detector links, sensor prepared %d", n, ld.n)
 	}
@@ -82,7 +82,7 @@ func (cv *ConnectedVehicle) RestoreState(r *snap.Reader) error {
 		return r.Err()
 	}
 	cv.src.SetState(st)
-	n := r.Int()
+	n := r.Count()
 	if r.Err() == nil && n != cv.n {
 		return fmt.Errorf("sensing: snapshot holds %d connected-vehicle links, sensor prepared %d", n, cv.n)
 	}

@@ -106,15 +106,11 @@ func (s Spec) New() (Sensor, error) {
 			FailProb:   s.FailProb,
 		}), nil
 	default:
-		var est Estimator
-		if s.FilterAlpha > 0 {
-			est = ExpFilter{Alpha: s.FilterAlpha}
-		}
 		return NewConnectedVehicle(ConnectedVehicleOptions{
 			Rate:         s.Rate,
 			NoiseStd:     s.NoiseStd,
 			LatencySteps: s.LatencySteps,
-			Estimator:    est,
+			Alpha:        s.FilterAlpha,
 		}), nil
 	}
 }

@@ -61,7 +61,8 @@ type LinkObs struct {
 	// (MaxPressure, unknown-routing-rate BP) weight these by routing
 	// rates instead of using the aggregate OutQueue. Engine-owned like
 	// the capacity fields: sensors never write it (the engine copies
-	// truth to the sensed observation after SenseLink), so adding it
+	// it from the truth to the sensed observation of every changed link
+	// before its one sensing.Sensor.Sense call per step), so adding it
 	// perturbs no sensor's draw sequence. Zero for boundary sinks.
 	OutTurnQueue [NumTurns]int
 	// OutTurnJoins is the cumulative count of vehicles that have joined

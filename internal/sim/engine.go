@@ -270,9 +270,10 @@ type Engine struct {
 	// truthSlab is its sensor-mode counterpart backing the per-junction
 	// truth windows (nil until a sensor is first installed). batchCtrl
 	// is non-nil exactly when the control substep dispatches batched;
-	// trackChanged mirrors it, gating the per-link change-set appends in
-	// sense (the per-junction path never drains batch.Changed, so it
-	// must never fill it).
+	// trackChanged mirrors it. sense appends each refreshed link to
+	// batch.Changed when trackChanged is set or a sensor is installed
+	// (the sensor's list); the per-junction path never drains it, so
+	// there sense truncates the list again after the Sense call.
 	obsSlab      []signal.LinkObs
 	truthSlab    []signal.LinkObs
 	batch        signal.Batch
@@ -359,16 +360,16 @@ type linkRef struct {
 }
 
 // obsSite is one link's observation refresh site, fully resolved so
-// the sense hot loop performs no junction/link index chasing: direct
-// pointers to the truth and observation entries (identical when no
+// the sense hot loop performs no junction/link index chasing: a direct
+// pointer to the truth entry (the observation entry itself when no
 // sensor is installed), the incoming and outgoing road states, the
-// movement, and the link's dense global index. Sites are rebuilt by
+// movement, and the link's dense global index, which also addresses
+// the link's entries in truthSlab and obsSlab. Sites are rebuilt by
 // setSensor (installing a sensor moves the truth to a separate array);
 // the road states and observation arrays they point into are stable
 // for the engine's lifetime.
 type obsSite struct {
 	truth *signal.LinkObs
-	obs   *signal.LinkObs
 	in    *roadState
 	out   *roadState
 	turn  network.Turn
@@ -727,7 +728,6 @@ func (e *Engine) rebuildObsSites() {
 			l := &js.j.Links[li]
 			e.allSites = append(e.allSites, obsSite{
 				truth: &js.truth[li],
-				obs:   &js.obs.Links[li],
 				in:    &e.roads[l.In],
 				out:   &e.roads[l.Out],
 				turn:  l.Turn,
@@ -1244,7 +1244,11 @@ func (e *Engine) markDirty(rid network.RoadID) {
 // from the road state, and the installed sensor (if any) maps them onto
 // the observation the controller reads. Links reading two dirty roads
 // are refreshed once (linkSeen stamp). With no sensor the truth array
-// IS the observation, so the refresh alone completes the update.
+// IS the observation, so the refresh alone completes the update. With a
+// sensor, the refreshed links are listed in refresh order and sensed in
+// one Sense call at the end; that equals sensing each link right after
+// its refresh, because no link's refresh reads another link's
+// observation.
 //
 // When many roads are dirty — a loaded network — the scattered per-road
 // iteration plus dedup bookkeeping costs more than a contiguous walk
@@ -1261,7 +1265,13 @@ func (e *Engine) sense() {
 		return
 	}
 	stamp := int32(e.step)
-	sensor := e.sensor
+	// The refreshed links are listed in batch.Changed, the batched
+	// control plane's change set, when the control plane drains it or a
+	// sensor reads it. The stamp dedup guarantees one entry per link per
+	// step, so the buffer, pre-sized to the link count, never
+	// reallocates.
+	list := e.trackChanged || e.sensor != nil
+	start := len(e.batch.Changed)
 	for _, rd := range e.dirtyRoads {
 		e.roadDirty[rd] = false
 		e.wake(rd)
@@ -1272,24 +1282,29 @@ func (e *Engine) sense() {
 			}
 			e.linkSeen[s.gl] = stamp
 			s.refresh()
-			if sensor != nil {
-				sensor.SenseLink(int(s.gl), s.truth, s.obs, e.step)
-				// The per-movement downstream fields are engine-owned
-				// like the capacities: sensors never write them, so the
-				// exact counts flow to the observation regardless of the
-				// sensor model (and no sensor's draw sequence shifts).
-				s.obs.OutTurnQueue = s.truth.OutTurnQueue
-				s.obs.OutTurnJoins = s.truth.OutTurnJoins
-			}
-			if e.trackChanged {
-				// Feed the batched control plane's change set; the stamp
-				// dedup above guarantees one entry per link per step, so
-				// the pre-sized buffer never reallocates.
+			if list {
 				e.batch.Changed = append(e.batch.Changed, s.gl)
 			}
 		}
 	}
 	e.dirtyRoads = e.dirtyRoads[:0]
+	if e.sensor == nil {
+		return
+	}
+	changed := e.batch.Changed[start:]
+	for _, gl := range changed {
+		// The per-movement downstream fields are engine-owned like the
+		// capacities: sensors never write them, so the exact counts flow
+		// to the observation regardless of the sensor model (and no
+		// sensor's draw sequence shifts).
+		e.obsSlab[gl].OutTurnQueue = e.truthSlab[gl].OutTurnQueue
+		e.obsSlab[gl].OutTurnJoins = e.truthSlab[gl].OutTurnJoins
+	}
+	e.sensor.Sense(changed, e.truthSlab, e.obsSlab, e.step)
+	if !e.trackChanged {
+		// The per-junction control path never drains the change set.
+		e.batch.Changed = e.batch.Changed[:start]
+	}
 }
 
 // wake fans one dirty road out to the junctions that read it. The serve

@@ -15,6 +15,7 @@ import (
 
 	"utilbp/internal/scenario"
 	"utilbp/internal/sensing"
+	"utilbp/internal/signal"
 	"utilbp/internal/sim"
 )
 
@@ -244,5 +245,57 @@ func TestRunTracedMatchesRunSensed(t *testing.T) {
 		if sum <= 0 {
 			t.Fatalf("missing %s attribution: %v over %d steps", name, sum, steps)
 		}
+	}
+}
+
+// perLinkCV senses a step's links one Sense call each, the shape of the
+// per-link sensor interface the one-call Sense replaced; it keeps the
+// connected-vehicle sensor's state and snapshot.
+type perLinkCV struct{ *sensing.ConnectedVehicle }
+
+// Sense forwards each link on its own.
+func (p perLinkCV) Sense(links []int32, truth, obs []signal.LinkObs, step int) {
+	for i := range links {
+		p.ConnectedVehicle.Sense(links[i:i+1], truth, obs, step)
+	}
+}
+
+// TestSenseOneCallMatchesPerLink pins the engine's one Sense call per
+// step to sensing each refreshed link on its own: the same run, the
+// same snapshot bytes. UTIL-BP lists the links in the batched control
+// plane's change set; CAP-BP runs the per-junction loop, where sense
+// lists them for the sensor only and empties the list again.
+func TestSenseOneCallMatchesPerLink(t *testing.T) {
+	const steps = 900
+	setup := scenario.Default()
+	for _, tc := range []struct {
+		name    string
+		factory signal.Factory
+		batched bool
+		opts    sensing.ConnectedVehicleOptions
+	}{
+		{"UTIL-BP/cv", setup.UtilBP(), true, sensing.ConnectedVehicleOptions{Rate: 0.3}},
+		{"UTIL-BP/cv-latency", setup.UtilBP(), true, sensing.ConnectedVehicleOptions{Rate: 0.3, LatencySteps: 4}},
+		{"CAP-BP/cv", setup.CapBP(16), false, sensing.ConnectedVehicleOptions{Rate: 0.3}},
+		{"CAP-BP/cv-noise", setup.CapBP(16), false, sensing.ConnectedVehicleOptions{Rate: 0.5, NoiseStd: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			one := buildZoo(t, 31, tc.factory, sensing.NewConnectedVehicle(tc.opts))
+			each := buildZoo(t, 31, tc.factory, perLinkCV{sensing.NewConnectedVehicle(tc.opts)})
+			if one.Batched() != tc.batched || each.Batched() != tc.batched {
+				t.Fatalf("batched dispatch %v/%v, want %v", one.Batched(), each.Batched(), tc.batched)
+			}
+			one.Run(steps)
+			each.Run(steps)
+			if err := one.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if one.Totals() != each.Totals() {
+				t.Fatalf("one call %+v, per link %+v", one.Totals(), each.Totals())
+			}
+			if !bytes.Equal(one.Snapshot(), each.Snapshot()) {
+				t.Fatal("one Sense call per step diverges from one per link")
+			}
+		})
 	}
 }

@@ -262,8 +262,8 @@ func (e *Engine) Restore(data []byte) error {
 		e.roadDirty[rd] = false
 	}
 	e.dirtyRoads = e.dirtyRoads[:0]
-	nd := r.Int()
-	if r.Err() == nil && (nd < 0 || nd > len(e.roads)) {
+	nd := r.Count()
+	if r.Err() == nil && nd > len(e.roads) {
 		return fmt.Errorf("sim: snapshot dirty-road count %d for %d roads", nd, len(e.roads))
 	}
 	for i := 0; i < nd && r.Err() == nil; i++ {

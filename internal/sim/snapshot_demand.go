@@ -46,8 +46,8 @@ func (p *PoissonDemand) RestoreState(r *snap.Reader) error {
 		return r.Err()
 	}
 	p.root.SetState(st)
-	n := r.Int()
-	if n > len(p.streams) && r.Err() == nil {
+	n := r.Count()
+	if n > len(p.streams) {
 		grown := make([]poissonStream, n)
 		copy(grown, p.streams)
 		p.streams = grown

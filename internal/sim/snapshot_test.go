@@ -7,6 +7,7 @@ import (
 
 	"utilbp/internal/network"
 	"utilbp/internal/rng"
+	"utilbp/internal/sensing"
 	"utilbp/internal/signal"
 )
 
@@ -130,6 +131,61 @@ func TestResetWithRestoreFrom(t *testing.T) {
 // TestSnapshotRejectsMismatch checks the structural fingerprint guards:
 // foreign bytes, truncation and wrong-shaped engines all fail loudly
 // instead of silently corrupting state.
+// TestChangeSetEmptyBetweenSteps pins the inter-step fact the snapshot
+// format relies on: the batch change set is empty after every step. A
+// sensed engine lists every refreshed link there for its Sense call,
+// also under the per-junction control path, which never drains it.
+func TestChangeSetEmptyBetweenSteps(t *testing.T) {
+	for _, control := range []signal.ControlMode{signal.ControlPerJunction, signal.ControlBatched} {
+		g, err := network.Grid(network.DefaultGridSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(Config{
+			Net:         g.Network,
+			Controllers: staticFactory(1),
+			Demand:      NewPoissonDemand(rng.New(7), ConstantRate(0.15)),
+			Sensor:      sensing.NewConnectedVehicle(sensing.ConnectedVehicleOptions{Rate: 0.3}),
+			Control:     control,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Batched() != (control == signal.ControlBatched) {
+			t.Fatalf("control mode %v not in effect", control)
+		}
+		for step := 0; step < 300; step++ {
+			e.Run(1)
+			if n := len(e.batch.Changed); n != 0 {
+				t.Fatalf("control %v, after step %d: %d links left in the change set", control, step, n)
+			}
+		}
+	}
+}
+
+// TestRestoreRejectsCorruptCount flips the low bit of the high word of
+// the Poisson demand's stream count in a 137-step 2×2 snapshot, which
+// turns the count into 4 294 967 319 with 407 bytes left. Before counts
+// were bounded, the restore asked for that many demand streams (about
+// 100 GB) and died; it must fail with an error instead.
+func TestRestoreRejectsCorruptCount(t *testing.T) {
+	e := snapTestEngine(t)
+	e.Run(137)
+	b := e.Snapshot()
+	const size, at = 20301, 19834
+	if len(b) != size {
+		t.Fatalf("snapshot is %d bytes, want %d: byte %d no longer holds the demand count", len(b), size, at)
+	}
+	b[at] ^= 1
+	err := snapTestEngine(t).Restore(b)
+	if err == nil {
+		t.Fatal("restore of a corrupt demand count accepted")
+	}
+	if !strings.Contains(err.Error(), "corrupt count 4294967319") {
+		t.Fatalf("restore failed for another reason: %v", err)
+	}
+}
+
 func TestSnapshotRejectsMismatch(t *testing.T) {
 	e := snapTestEngine(t)
 	e.Run(40)

@@ -150,6 +150,24 @@ func (r *Reader) Uint64() uint64 {
 // Int reads a 64-bit two's-complement value as an int.
 func (r *Reader) Int() int { return int(int64(r.Uint64())) }
 
+// Count reads an element count written by Int. Every counted element
+// takes at least one stream byte, so a count that is negative or
+// exceeds the bytes left is corrupt: Count then fails the reader with
+// its sticky error and returns 0. Restore paths read every count they
+// loop over or size storage from through Count, so a corrupt stream
+// cannot make them allocate more than the stream itself implies.
+func (r *Reader) Count() int {
+	n := r.Int()
+	if r.err != nil {
+		return 0
+	}
+	if n < 0 || n > r.Len() {
+		r.fail("snap: corrupt count %d with %d bytes left", n, r.Len())
+		return 0
+	}
+	return n
+}
+
 // Int32 reads a little-endian 32-bit two's-complement value.
 func (r *Reader) Int32() int32 {
 	b := r.take(4)

@@ -242,6 +242,51 @@ func TestBoundsErrors(t *testing.T) {
 	}
 }
 
+// TestCount pins the bounded count read every restore path sizes or
+// loops from: a count fits when it is non-negative and no larger than
+// the bytes left after it; anything else fails the reader with its
+// sticky error and reads as 0.
+func TestCount(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		count int
+		tail  int // bytes written after the count
+		ok    bool
+	}{
+		{"zero", 0, 0, true},
+		{"exact", 3, 3, true},
+		{"below", 2, 5, true},
+		{"one-over", 4, 3, false},
+		{"negative", -1, 8, false},
+		{"huge", 1 << 32, 407, false},
+		{"min-int", math.MinInt64, 8, false},
+	} {
+		w := NewWriter(0)
+		w.Int(c.count)
+		for i := 0; i < c.tail; i++ {
+			w.Bool(true)
+		}
+		r := NewReader(w.Bytes())
+		n := r.Count()
+		if c.ok {
+			if r.Err() != nil || n != c.count {
+				t.Errorf("%s: Count = %d, %v; want %d", c.name, n, r.Err(), c.count)
+			}
+			continue
+		}
+		if r.Err() == nil || n != 0 {
+			t.Errorf("%s: Count = %d, %v; want 0 and an error", c.name, n, r.Err())
+		}
+		if r.Bool() {
+			t.Errorf("%s: read after a failed Count returned data", c.name)
+		}
+	}
+	r := NewReader(nil)
+	if r.Count() != 0 || r.Err() == nil {
+		t.Error("Count on an empty stream did not fail")
+	}
+}
+
 // TestCloseRejectsTrailingBytes pins the end-of-decode check: a reader
 // with unread bytes, at top level or in a section, fails Close.
 func TestCloseRejectsTrailingBytes(t *testing.T) {

@@ -1,8 +1,6 @@
 package vehicle
 
 import (
-	"fmt"
-
 	"utilbp/internal/network"
 	"utilbp/internal/snap"
 )
@@ -216,14 +214,9 @@ func (a *Arena) SnapshotState(w *snap.Writer) {
 // enough (the engine-reuse contract: restoring into a pooled engine
 // does not reallocate its arenas).
 func (a *Arena) RestoreState(r *snap.Reader) error {
-	n := r.Int()
+	n := r.Count()
 	if r.Err() != nil {
 		return r.Err()
-	}
-	// Each vehicle needs well over one stream byte, so a count beyond
-	// the remaining bytes is corrupt — reject it before sizing columns.
-	if n < 0 || n > r.Len() {
-		return fmt.Errorf("vehicle: snapshot arena count %d exceeds stream", n)
 	}
 	a.route = growTo(a.route, n)
 	a.pending = growTo(a.pending, n)
