@@ -1,10 +1,6 @@
 package network
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 func mustGrid(t *testing.T, spec GridSpec) *GridNetwork {
 	t.Helper()
@@ -202,40 +198,5 @@ func TestGridRectangular(t *testing.T) {
 	}
 	if got := len(g.Entries(East)); got != 2 {
 		t.Errorf("east entries = %d, want 2", got)
-	}
-}
-
-// TestNetworkJSONRoundTrip decodes WriteJSON's output back into its
-// serialized form and checks that every node, road and the service rate
-// come through unchanged.
-func TestNetworkJSONRoundTrip(t *testing.T) {
-	g := mustGrid(t, DefaultGridSpec())
-	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var jn jsonNetwork
-	if err := json.NewDecoder(&buf).Decode(&jn); err != nil {
-		t.Fatalf("decode WriteJSON output: %v", err)
-	}
-	if len(jn.Nodes) != len(g.Nodes) || len(jn.Roads) != len(g.Roads) {
-		t.Fatalf("round trip changed shape: %d nodes, %d roads; want %d, %d",
-			len(jn.Nodes), len(jn.Roads), len(g.Nodes), len(g.Roads))
-	}
-	for i, n := range g.Nodes {
-		want := jsonNode{Kind: n.Kind.String(), X: n.X, Y: n.Y, Name: n.Name}
-		if jn.Nodes[i] != want {
-			t.Fatalf("node %d: got %+v, want %+v", i, jn.Nodes[i], want)
-		}
-	}
-	for i, r := range g.Roads {
-		want := jsonRoad{From: r.From, To: r.To, Heading: r.Heading.String(),
-			Length: r.Length, Speed: r.SpeedLimit, Capacity: r.Capacity, Name: r.Name}
-		if jn.Roads[i] != want {
-			t.Fatalf("road %d: got %+v, want %+v", i, jn.Roads[i], want)
-		}
-	}
-	if want := g.Junctions[0].Links[0].Mu; jn.Mu != want {
-		t.Fatalf("mu = %v, want %v", jn.Mu, want)
 	}
 }

@@ -117,23 +117,25 @@ type Hooks struct {
 	Phase func(junction network.NodeID, step int, phase signal.Phase)
 }
 
-// roadState is the runtime state of one road: vehicles in transit toward
-// the stop line, the turning-lane queues, the entry spawn queue, and the
-// occupancy that capacity blocking applies to (transit + queued).
 // numTurns mirrors the three movements of network.Turns.
 const numTurns = 3
 
-type roadState struct {
-	road  *network.Road
-	tail  queue.Travel
-	lanes [numTurns]queue.Lane
+// roadRow is one road's counters: everything sense reads of the road
+// and everything serve, travel and arrivals update per vehicle. The
+// engine keeps the rows of all roads back to back in one slab indexed
+// by road ID (Engine.rows), so a link's refresh reads two 64-byte rows
+// instead of chasing two roadStates across the road array (DESIGN.md
+// §5). The counters are int32: a road holds at most Capacity vehicles,
+// and a cumulative join count is bounded by the vehicles spawned,
+// which the arena already caps at int32 IDs.
+type roadRow struct {
+	// queued[t] is q_i^{i'}, the vehicles queued for movement t: the
+	// length of turning lane t, or under Config.MixedLanes the vehicles
+	// in the mixed lane whose pending movement is t.
+	queued [numTurns]int32
 	// transit[t] counts vehicles on the road bound for movement t but
 	// not yet at the stop line.
-	transit [numTurns]int
-	// mixed replaces lanes when Config.MixedLanes is set; mixedCount
-	// tracks per-movement membership for the controller observation.
-	mixed      queue.Lane
-	mixedCount [numTurns]int
+	transit [numTurns]int32
 	// joins[t] is the cumulative count of vehicles that have joined the
 	// movement-t queue of this road since the last Reset — the
 	// "departures per movement" signal behind the engine-owned
@@ -141,49 +143,79 @@ type roadState struct {
 	// consumes (DESIGN.md §13). It increments exactly where a vehicle
 	// enters a turning (or mixed) lane, a path that already marks the
 	// road dirty, so the incremental sense protocol keeps it fresh.
-	joins     [numTurns]int
-	spawn     queue.Lane
-	occupancy int
-	// queuedTotal is the incrementally maintained sum of all turning-lane
-	// (and mixed-lane) lengths, excluding the spawn queue. Every lane
-	// push/pop updates it so observations don't re-sum the lanes; the
-	// O(lanes) recount lives in CheckInvariants.
-	queuedTotal int
-	exits       bool // road ends at a terminal
-	// effCap is the road's effective capacity: road.Capacity outside
+	joins [numTurns]int32
+	// total is the sum of queued over the movements: every vehicle at
+	// the stop line, the spawn queue excluded.
+	total int32
+	// occ is the occupancy capacity blocking applies to: vehicles in
+	// transit plus queued.
+	occ int32
+	// effCap is the road's effective capacity: Road.Capacity outside
 	// incident windows, the event schedule's reduced value inside them
 	// (clamped to >= 1 at compile time, so it never collides with the
-	// unbounded encoding). Admission checks read it; the lane and travel
-	// reservations stay sized to the nominal capacity, so lowering and
-	// restoring it mid-run never reallocates (DESIGN.md §12).
-	effCap int
+	// unbounded encoding 0). Admission checks read it; the lane and
+	// travel reservations stay sized to the nominal capacity, so
+	// lowering and restoring it mid-run never reallocates (DESIGN.md
+	// §12).
+	effCap int32
+	// bounded is 1 when the road has a finite capacity, 0 for the
+	// unbounded exit sinks.
+	bounded int32
+	_       [3]int32
+}
+
+// newRoadRow returns a road's counters at step zero.
+func newRoadRow(r *network.Road) roadRow {
+	row := roadRow{effCap: int32(r.Capacity)}
+	if r.Bounded() {
+		row.bounded = 1
+	}
+	return row
 }
 
 // hasRoom reports whether the road can accept one more vehicle at its
 // effective (possibly incident-reduced) capacity. Occupancy above the
 // effective capacity is legal transiently — vehicles already on the
 // road when an incident hits stay — it only blocks further admission.
-func (rs *roadState) hasRoom() bool {
-	return !rs.road.Bounded() || rs.occupancy < rs.effCap
+func (row *roadRow) hasRoom() bool {
+	return row.bounded == 0 || row.occ < row.effCap
 }
 
-func (rs *roadState) queued(turn network.Turn) int {
-	if rs == nil {
-		return 0
-	}
-	return rs.lanes[turn].Len() + rs.mixedCount[turn]
+// roadState is the rest of one road's runtime state: the queues (the
+// travel heap of vehicles heading for the stop line, the turning lanes
+// or the mixed lane, and the entry spawn queue) and the values New
+// derives once from the network, so serving a vehicle onto the road
+// reads nothing of the network. Its counters live in the road's
+// roadRow.
+type roadState struct {
+	// travel is Road.TravelTime(), the free-flow time to the stop line.
+	travel float64
+	// feasible has bit t set when movement t has a link at the junction
+	// ahead, for the road's approach; resolveTurn tests it instead of
+	// scanning the junction's links.
+	feasible uint8
+	exits    bool // road ends at a terminal
+	tail     queue.Travel
+	lanes    [numTurns]queue.Lane
+	// mixed replaces lanes when Config.MixedLanes is set.
+	mixed queue.Lane
+	spawn queue.Lane
 }
 
-func (rs *roadState) totalQueued() int { return rs.queuedTotal }
-
-// recountQueued recomputes totalQueued from the lanes, the slow path the
-// incremental counter is checked against.
-func (rs *roadState) recountQueued() int {
-	n := rs.mixed.Len()
-	for i := range rs.lanes {
-		n += rs.lanes[i].Len()
+// recountQueued recomputes a road's queued counters from its lanes, the
+// slow path the incremental counters are checked against. Under
+// MixedLanes the mixed lane counts by each vehicle's pending movement.
+func (e *Engine) recountQueued(rs *roadState) (perTurn [numTurns]int, total int) {
+	for t := range rs.lanes {
+		perTurn[t] = rs.lanes[t].Len()
 	}
-	return n
+	for i := 0; i < rs.mixed.Len(); i++ {
+		perTurn[e.arena.PendingTurn(vehicle.ID(rs.mixed.At(i).Vehicle))]++
+	}
+	for _, n := range perTurn {
+		total += n
+	}
+	return perTurn, total
 }
 
 // junctionState binds a junction to its controller.
@@ -223,11 +255,14 @@ type junctionState struct {
 // concurrent use. Engines may share read-only collaborators (network,
 // route table) with other engines; all mutable state is engine-local.
 type Engine struct {
-	cfg     Config
-	net     *network.Network
-	routes  *vehicle.RouteTable
-	dt      float64
-	step    int
+	cfg    Config
+	net    *network.Network
+	routes *vehicle.RouteTable
+	dt     float64
+	step   int
+	// rows is the counter slab, one roadRow per road indexed by road
+	// ID; roads holds the same roads' queues.
+	rows    []roadRow
 	roads   []roadState
 	juncs   []junctionState
 	arena   vehicle.Arena
@@ -362,33 +397,33 @@ type linkRef struct {
 // obsSite is one link's observation refresh site, fully resolved so
 // the sense hot loop performs no junction/link index chasing: a direct
 // pointer to the truth entry (the observation entry itself when no
-// sensor is installed), the incoming and outgoing road states, the
-// movement, and the link's dense global index, which also addresses
-// the link's entries in truthSlab and obsSlab. Sites are rebuilt by
-// setSensor (installing a sensor moves the truth to a separate array);
-// the road states and observation arrays they point into are stable
-// for the engine's lifetime.
+// sensor is installed), the IDs of the incoming and outgoing roads,
+// whose rows refresh reads, the movement, and the link's dense global
+// index, which also addresses the link's entries in truthSlab and
+// obsSlab. Sites are rebuilt by setSensor (installing a sensor moves
+// the truth to a separate array); the observation arrays they point
+// into are stable for the engine's lifetime.
 type obsSite struct {
-	truth *signal.LinkObs
-	in    *roadState
-	out   *roadState
-	turn  network.Turn
-	gl    int32
+	truth   *signal.LinkObs
+	in, out int32
+	gl      int32
+	turn    network.Turn
 }
 
-// refresh recomputes the site's ground-truth fields from the road
-// state.
-func (s *obsSite) refresh() {
+// refresh recomputes the site's ground-truth fields from the two road
+// rows it reads.
+func (s *obsSite) refresh(rows []roadRow) {
+	in, out := &rows[s.in], &rows[s.out]
 	tr := s.truth
-	tr.Queue = s.in.lanes[s.turn].Len() + s.in.mixedCount[s.turn]
-	tr.InTransit = s.in.transit[s.turn]
-	tr.ApproachQueue = s.in.queuedTotal
-	tr.OutQueue = s.out.queuedTotal
-	tr.OutOccupancy = s.out.occupancy
+	tr.Queue = int(in.queued[s.turn])
+	tr.InTransit = int(in.transit[s.turn])
+	tr.ApproachQueue = int(in.total)
+	tr.OutQueue = int(out.total)
+	tr.OutOccupancy = int(out.occ)
 	for t := range tr.OutTurnQueue {
-		tr.OutTurnQueue[t] = s.out.lanes[t].Len() + s.out.mixedCount[t]
+		tr.OutTurnQueue[t] = int(out.queued[t])
+		tr.OutTurnJoins[t] = int(out.joins[t])
 	}
-	tr.OutTurnJoins = s.out.joins
 }
 
 // New validates the configuration, instantiates one controller per
@@ -439,13 +474,23 @@ func New(cfg Config) (*Engine, error) {
 		e.arena.Reserve(cfg.ExpectedVehicles)
 	}
 
+	e.rows = make([]roadRow, len(e.net.Roads))
 	e.roads = make([]roadState, len(e.net.Roads))
 	for i := range e.net.Roads {
 		r := &e.net.Roads[i]
+		e.rows[i] = newRoadRow(r)
+		j := e.net.Junction(r.To)
 		rs := roadState{
-			road:   r,
-			exits:  e.net.Junction(r.To) == nil,
-			effCap: r.Capacity,
+			travel: r.TravelTime(),
+			exits:  j == nil,
+		}
+		if j != nil {
+			approach := r.Heading.Opposite()
+			for _, t := range network.Turns {
+				if j.LinkFor(approach, t) >= 0 {
+					rs.feasible |= 1 << t
+				}
+			}
 		}
 		// Pre-size the lane rings and the travel heap from the link
 		// capacity: a bounded road holds at most Capacity vehicles, so
@@ -476,7 +521,7 @@ func New(cfg Config) (*Engine, error) {
 		// The spawn queue is unbounded in principle; one road capacity
 		// of headroom covers everything short of sustained
 		// oversaturation, beyond which the ring doubles.
-		e.roads[rid].spawn.Reserve(e.roads[rid].road.Capacity)
+		e.roads[rid].spawn.Reserve(e.net.Roads[rid].Capacity)
 	}
 
 	wstar := e.net.MaxCapacity()
@@ -563,9 +608,24 @@ func New(cfg Config) (*Engine, error) {
 	// Incremental-observation adjacency: roadLinks[r] holds every link
 	// whose observation reads road r, either as its incoming road
 	// (Queue, InTransit, ApproachQueue) or its outgoing road (OutQueue,
-	// OutOccupancy). The dirty set and the per-link refresh stamps are
-	// pre-sized here so the step loop never allocates.
+	// OutOccupancy). Each road's list is a window of one slab, sized by
+	// a counting pass, so the adjacency costs one allocation instead of
+	// a few appends per road. The dirty set and the per-link refresh
+	// stamps are pre-sized here so the step loop never allocates.
+	deg := make([]int, len(e.net.Roads))
+	for ji := range e.juncs {
+		for _, l := range e.juncs[ji].j.Links {
+			deg[l.In]++
+			if l.Out != l.In {
+				deg[l.Out]++
+			}
+		}
+	}
+	refs := make([]linkRef, 2*e.numLinks)
 	e.roadLinks = make([][]linkRef, len(e.net.Roads))
+	for r, d := range deg {
+		e.roadLinks[r], refs = refs[:0:d], refs[d:]
+	}
 	e.roadWakeJunc = make([]int32, len(e.net.Roads))
 	e.roadTailJunc = make([]int32, len(e.net.Roads))
 	for i := range e.roadWakeJunc {
@@ -728,15 +788,20 @@ func (e *Engine) rebuildObsSites() {
 			l := &js.j.Links[li]
 			e.allSites = append(e.allSites, obsSite{
 				truth: &js.truth[li],
-				in:    &e.roads[l.In],
-				out:   &e.roads[l.Out],
-				turn:  l.Turn,
+				in:    int32(l.In),
+				out:   int32(l.Out),
 				gl:    js.linkBase + int32(li),
+				turn:  l.Turn,
 			})
 		}
 	}
 	if e.roadSites == nil {
+		// One slab holds every road's sites, windowed like roadLinks.
+		sites := make([]obsSite, 2*e.numLinks)
 		e.roadSites = make([][]obsSite, len(e.roads))
+		for rid, refs := range e.roadLinks {
+			e.roadSites[rid], sites = sites[:0:len(refs)], sites[len(refs):]
+		}
 	}
 	for rid, refs := range e.roadLinks {
 		sites := e.roadSites[rid][:0]
@@ -763,7 +828,7 @@ func (e *Engine) EffectiveCapacity(rid network.RoadID) int {
 	if int(rid) >= len(e.roads) || rid < 0 {
 		return 0
 	}
-	return e.roads[rid].effCap
+	return int(e.rows[rid].effCap)
 }
 
 // Dark reports whether the junction's controller is currently offline
@@ -828,15 +893,10 @@ func (e *Engine) Reset(seed uint64) error {
 		rs.tail.Reset()
 		for t := range rs.lanes {
 			rs.lanes[t].Reset()
-			rs.transit[t] = 0
-			rs.mixedCount[t] = 0
-			rs.joins[t] = 0
 		}
 		rs.mixed.Reset()
 		rs.spawn.Reset()
-		rs.occupancy = 0
-		rs.queuedTotal = 0
-		rs.effCap = rs.road.Capacity
+		e.rows[i] = newRoadRow(&e.net.Roads[i])
 	}
 	e.resetDerived()
 	e.evCursor = 0
@@ -872,9 +932,8 @@ func (e *Engine) Reset(seed uint64) error {
 func (e *Engine) resetDerived() {
 	e.netQueued = 0
 	for ri := range e.roads {
-		rs := &e.roads[ri]
-		e.netQueued += rs.queuedTotal
-		e.tailDue[ri] = rs.headDue()
+		e.netQueued += int(e.rows[ri].total)
+		e.tailDue[ri] = e.roads[ri].headDue()
 	}
 	e.resetServeSkip()
 	clear(e.ctrlDirty)
@@ -1050,7 +1109,7 @@ func (e *Engine) QueueLen(rid network.RoadID, turn network.Turn) int {
 	if int(rid) >= len(e.roads) || rid < 0 {
 		return 0
 	}
-	return e.roads[rid].queued(turn)
+	return int(e.rows[rid].queued[turn])
 }
 
 // ApproachQueue returns the total queued on a road across movements.
@@ -1058,7 +1117,7 @@ func (e *Engine) ApproachQueue(rid network.RoadID) int {
 	if int(rid) >= len(e.roads) || rid < 0 {
 		return 0
 	}
-	return e.roads[rid].totalQueued()
+	return int(e.rows[rid].total)
 }
 
 // Occupancy returns the vehicles on the road (in transit plus queued).
@@ -1066,7 +1125,7 @@ func (e *Engine) Occupancy(rid network.RoadID) int {
 	if int(rid) >= len(e.roads) || rid < 0 {
 		return 0
 	}
-	return e.roads[rid].occupancy
+	return int(e.rows[rid].occ)
 }
 
 // SpawnQueueLen returns the vehicles waiting to enter a full entry road.
@@ -1197,11 +1256,11 @@ func (e *Engine) applyEvents() {
 // sense path, which feeds the batched control plane's change set so
 // gain caches recompute exactly the affected links.
 func (e *Engine) setEffCap(rid network.RoadID, cap int) {
-	rs := &e.roads[rid]
-	if rs.effCap == cap {
+	row := &e.rows[rid]
+	if int(row.effCap) == cap {
 		return
 	}
-	rs.effCap = cap
+	row.effCap = int32(cap)
 	for _, lr := range e.roadLinks[rid] {
 		js := &e.juncs[lr.junc]
 		l := &js.j.Links[lr.link]
@@ -1281,7 +1340,7 @@ func (e *Engine) sense() {
 				continue
 			}
 			e.linkSeen[s.gl] = stamp
-			s.refresh()
+			s.refresh(e.rows)
 			if list {
 				e.batch.Changed = append(e.batch.Changed, s.gl)
 			}
@@ -1341,7 +1400,7 @@ func (e *Engine) senseFull() {
 	}
 	e.dirtyRoads = e.dirtyRoads[:0]
 	for i := range e.allSites {
-		e.allSites[i].refresh()
+		e.allSites[i].refresh(e.rows)
 	}
 	if e.trackChanged {
 		// Every link was rewritten; the batched controller must not
@@ -1462,7 +1521,7 @@ func (e *Engine) completeTravel(t float64) {
 		if due > deadline {
 			continue
 		}
-		rs := &e.roads[ri]
+		rs, row := &e.roads[ri], &e.rows[ri]
 		for {
 			a, ok := rs.tail.PopDue(deadline)
 			if !ok {
@@ -1473,20 +1532,20 @@ func (e *Engine) completeTravel(t float64) {
 				// Vehicles never travel on exit roads in this model
 				// (they leave at service), but a general topology can
 				// route an entry road straight into a terminal.
-				rs.occupancy--
+				row.occ--
 				e.exitVehicle(id, a.At)
 				continue
 			}
 			turn := e.arena.PendingTurn(id)
-			rs.transit[turn]--
+			row.transit[turn]--
 			if e.cfg.MixedLanes {
 				rs.mixed.Push(int(a.Vehicle), a.At)
-				rs.mixedCount[turn]++
 			} else {
 				rs.lanes[turn].Push(int(a.Vehicle), a.At)
 			}
-			rs.joins[turn]++
-			rs.queuedTotal++
+			row.queued[turn]++
+			row.joins[turn]++
+			row.total++
 			e.netQueued++
 		}
 		e.tailDue[ri] = rs.headDue()
@@ -1494,20 +1553,23 @@ func (e *Engine) completeTravel(t float64) {
 	}
 }
 
-// enterRoad puts a vehicle onto a road: its movement at the junction
-// ahead is resolved now (so controllers can see it approaching), and its
-// stop-line arrival is scheduled after the free-flow travel time.
-func (e *Engine) enterRoad(rs *roadState, id vehicle.ID, t float64) {
+// enterRoad puts a vehicle onto road ri: it counts toward the road's
+// occupancy, its movement at the junction ahead is resolved now (so
+// controllers can see it approaching), and its stop-line arrival is
+// scheduled after the free-flow travel time.
+func (e *Engine) enterRoad(ri int32, id vehicle.ID, t float64) {
+	rs, row := &e.roads[ri], &e.rows[ri]
+	row.occ++
 	turn := network.Straight
 	if !rs.exits {
-		turn = e.resolveTurn(rs, id)
-		rs.transit[turn]++
+		turn = e.resolveTurn(rs.feasible, id)
+		row.transit[turn]++
 	}
 	e.arena.SetPendingTurn(id, turn)
-	at := t + rs.road.TravelTime()
+	at := t + rs.travel
 	rs.tail.Add(int(id), at)
-	if at < e.tailDue[rs.road.ID] {
-		e.tailDue[rs.road.ID] = at
+	if at < e.tailDue[ri] {
+		e.tailDue[ri] = at
 	}
 }
 
@@ -1516,17 +1578,15 @@ func (e *Engine) enterRoad(rs *roadState, id vehicle.ID, t float64) {
 var turnFallbacks = [...]network.Turn{network.Straight, network.Right, network.Left}
 
 // resolveTurn maps the vehicle's planned movement onto a feasible link of
-// the junction ahead, falling back to straight/right/left when the plan
-// names a missing arm.
-func (e *Engine) resolveTurn(rs *roadState, id vehicle.ID) network.Turn {
-	j := e.net.Junction(rs.road.To)
-	approach := rs.road.Heading.Opposite()
+// the junction ahead, whose movements the road's feasible mask lists,
+// falling back to straight/right/left when the plan names a missing arm.
+func (e *Engine) resolveTurn(feasible uint8, id vehicle.ID) network.Turn {
 	want := e.routes.TurnAt(e.arena.Route(id), e.arena.Junctions(id))
-	if j.LinkFor(approach, want) >= 0 {
+	if feasible&(1<<want) != 0 {
 		return want
 	}
 	for _, alt := range turnFallbacks {
-		if alt != want && j.LinkFor(approach, alt) >= 0 {
+		if alt != want && feasible&(1<<alt) != 0 {
 			e.totals.RouteFallbacks++
 			return alt
 		}
@@ -1541,7 +1601,7 @@ func (e *Engine) resolveTurn(rs *roadState, id vehicle.ID) network.Turn {
 // roads with spare capacity, in road-ID order for determinism.
 func (e *Engine) arrivals(t float64) {
 	for _, rid := range e.entries {
-		rs := &e.roads[rid]
+		rs, row := &e.roads[rid], &e.rows[rid]
 		n := e.cfg.Demand.Arrivals(rid, e.step, t, e.dt)
 		for i := 0; i < n; i++ {
 			id := e.arena.Spawn(rid, t, e.cfg.Router.Route(rid, t))
@@ -1549,12 +1609,11 @@ func (e *Engine) arrivals(t float64) {
 			e.totals.Spawned++
 		}
 		admitted := false
-		for rs.spawn.Len() > 0 && rs.hasRoom() {
+		for rs.spawn.Len() > 0 && row.hasRoom() {
 			item, _ := rs.spawn.Pop()
 			id := vehicle.ID(item.Vehicle)
 			e.arena.Admit(id, t)
-			rs.occupancy++
-			e.enterRoad(rs, id, t)
+			e.enterRoad(int32(rid), id, t)
 			e.totals.Entered++
 			admitted = true
 		}
@@ -1586,33 +1645,77 @@ func (e *Engine) FinalizeWaits() {
 }
 
 // CheckInvariants verifies conservation and capacity invariants; tests
-// call it during and after runs.
+// call it during and after runs, Restore before it accepts a snapshot.
 func (e *Engine) CheckInvariants() error {
-	inNetwork := 0
+	// Lane/arena consistency across ring wrap-around: every queued item
+	// must reference a live arena row — spawned, admitted, not exited —
+	// whatever the ring geometry (head anywhere, wrapped or not). It
+	// runs first because the recount below reads the arena rows of the
+	// mixed lane's vehicles.
 	for ri := range e.roads {
 		rs := &e.roads[ri]
-		if got, want := rs.totalQueued(), rs.recountQueued(); got != want {
-			return fmt.Errorf("sim: road %d incremental queue total %d != lane recount %d", ri, got, want)
+		for _, lane := range []*queue.Lane{&rs.lanes[0], &rs.lanes[1], &rs.lanes[2], &rs.mixed} {
+			for i := 0; i < lane.Len(); i++ {
+				it := lane.At(i)
+				if it.Vehicle < 0 || it.Vehicle >= e.arena.Len() {
+					return fmt.Errorf("sim: road %d lane holds vehicle %d outside arena of %d", ri, it.Vehicle, e.arena.Len())
+				}
+				if !e.arena.InNetwork(vehicle.ID(it.Vehicle)) {
+					return fmt.Errorf("sim: road %d lane holds vehicle %d that is not in the network", ri, it.Vehicle)
+				}
+				if turn := e.arena.PendingTurn(vehicle.ID(it.Vehicle)); turn >= numTurns {
+					return fmt.Errorf("sim: road %d lane holds vehicle %d with movement %d", ri, it.Vehicle, turn)
+				}
+			}
 		}
-		onRoad := rs.tail.Len() + rs.totalQueued()
-		if onRoad != rs.occupancy {
-			return fmt.Errorf("sim: road %d occupancy %d != transit+queued %d", ri, rs.occupancy, onRoad)
+	}
+	inNetwork := 0
+	for ri := range e.roads {
+		rs, row, road := &e.roads[ri], &e.rows[ri], &e.net.Roads[ri]
+		perTurn, total := e.recountQueued(rs)
+		if int(row.total) != total {
+			return fmt.Errorf("sim: road %d incremental queue total %d != lane recount %d", ri, row.total, total)
 		}
-		if rs.road.Bounded() && rs.occupancy > rs.road.Capacity {
-			return fmt.Errorf("sim: road %d occupancy %d exceeds capacity %d", ri, rs.occupancy, rs.road.Capacity)
+		for t, n := range perTurn {
+			if int(row.queued[t]) != n {
+				return fmt.Errorf("sim: road %d movement %d queued count %d != lane recount %d", ri, t, row.queued[t], n)
+			}
+		}
+		transit := 0
+		for t := range row.transit {
+			if row.transit[t] < 0 || row.joins[t] < 0 {
+				return fmt.Errorf("sim: road %d movement %d transit %d / joins %d negative", ri, t, row.transit[t], row.joins[t])
+			}
+			transit += int(row.transit[t])
+		}
+		// Vehicles heading for a terminal carry no movement, so an exit
+		// road counts none in transit.
+		want := rs.tail.Len()
+		if rs.exits {
+			want = 0
+		}
+		if transit != want {
+			return fmt.Errorf("sim: road %d per-movement transit sums to %d, want %d", ri, transit, want)
+		}
+		onRoad := rs.tail.Len() + int(row.total)
+		if onRoad != int(row.occ) {
+			return fmt.Errorf("sim: road %d occupancy %d != transit+queued %d", ri, row.occ, onRoad)
+		}
+		if road.Bounded() && int(row.occ) > road.Capacity {
+			return fmt.Errorf("sim: road %d occupancy %d exceeds capacity %d", ri, row.occ, road.Capacity)
 		}
 		if due, head := e.tailDue[ri], rs.headDue(); due != head {
 			return fmt.Errorf("sim: road %d due-time index %v != travel heap head %v", ri, due, head)
 		}
-		inNetwork += rs.occupancy
+		inNetwork += int(row.occ)
 	}
 	waiting := 0
 	for _, rid := range e.entries {
 		waiting += e.roads[rid].spawn.Len()
 	}
 	queued := 0
-	for ri := range e.roads {
-		queued += e.roads[ri].queuedTotal
+	for ri := range e.rows {
+		queued += int(e.rows[ri].total)
 	}
 	if queued != e.netQueued {
 		return fmt.Errorf("sim: network queue total %d != per-road sum %d", e.netQueued, queued)
@@ -1643,23 +1746,6 @@ func (e *Engine) CheckInvariants() error {
 		return fmt.Errorf("sim: arena lifecycle columns count %d entered / %d exited, totals say %d / %d",
 			entered, exited, e.totals.Entered, e.totals.Exited)
 	}
-	// Lane/arena consistency across ring wrap-around: every queued item
-	// must reference a live arena row — spawned, admitted, not exited —
-	// whatever the ring geometry (head anywhere, wrapped or not).
-	for ri := range e.roads {
-		rs := &e.roads[ri]
-		for _, lane := range []*queue.Lane{&rs.lanes[0], &rs.lanes[1], &rs.lanes[2], &rs.mixed} {
-			for i := 0; i < lane.Len(); i++ {
-				it := lane.At(i)
-				if it.Vehicle < 0 || it.Vehicle >= e.arena.Len() {
-					return fmt.Errorf("sim: road %d lane holds vehicle %d outside arena of %d", ri, it.Vehicle, e.arena.Len())
-				}
-				if !e.arena.InNetwork(vehicle.ID(it.Vehicle)) {
-					return fmt.Errorf("sim: road %d lane holds vehicle %d that is not in the network", ri, it.Vehicle)
-				}
-			}
-		}
-	}
 	// Telemetry consistency: the recorder's latest network sample — if
 	// it covers the last completed step — must carry exactly the
 	// incrementally maintained netQueued counter, whatever the
@@ -1685,20 +1771,20 @@ func (e *Engine) CheckInvariants() error {
 			if e.roadDirty[l.In] || e.roadDirty[l.Out] {
 				continue
 			}
-			in := &e.roads[l.In]
-			out := &e.roads[l.Out]
+			in := &e.rows[l.In]
+			out := &e.rows[l.Out]
 			tr := &js.truth[li]
-			if tr.Queue != in.lanes[l.Turn].Len()+in.mixedCount[l.Turn] ||
-				tr.InTransit != in.transit[l.Turn] ||
-				tr.ApproachQueue != in.queuedTotal ||
-				tr.OutQueue != out.queuedTotal ||
-				tr.OutOccupancy != out.occupancy {
+			if tr.Queue != int(in.queued[l.Turn]) ||
+				tr.InTransit != int(in.transit[l.Turn]) ||
+				tr.ApproachQueue != int(in.total) ||
+				tr.OutQueue != int(out.total) ||
+				tr.OutOccupancy != int(out.occ) {
 				return fmt.Errorf("sim: junction %s link %d observation truth %+v is stale (roads %d->%d clean)",
 					js.info.Label, li, *tr, l.In, l.Out)
 			}
 			for t := 0; t < numTurns; t++ {
-				if tr.OutTurnQueue[t] != out.lanes[t].Len()+out.mixedCount[t] ||
-					tr.OutTurnJoins[t] != out.joins[t] {
+				if tr.OutTurnQueue[t] != int(out.queued[t]) ||
+					tr.OutTurnJoins[t] != int(out.joins[t]) {
 					return fmt.Errorf("sim: junction %s link %d per-movement truth %+v stale vs out road %d (turn %d)",
 						js.info.Label, li, *tr, l.Out, t)
 				}
@@ -1706,7 +1792,7 @@ func (e *Engine) CheckInvariants() error {
 			// The engine-owned capacity fields must track the effective
 			// capacities the event plane maintains (setEffCap writes
 			// them eagerly, so no dirty-set exemption applies).
-			if tr.OutCapacity != out.effCap || tr.InCapacity != in.effCap {
+			if tr.OutCapacity != int(out.effCap) || tr.InCapacity != int(in.effCap) {
 				return fmt.Errorf("sim: junction %s link %d observed capacities out=%d in=%d, effective %d / %d",
 					js.info.Label, li, tr.OutCapacity, tr.InCapacity, out.effCap, in.effCap)
 			}

@@ -1,6 +1,9 @@
 package sim
 
-import "utilbp/internal/signal"
+import (
+	"utilbp/internal/network"
+	"utilbp/internal/signal"
+)
 
 // QuietOffered returns how many junctions the engine's last batched
 // control round offered as quiet (signal.Batch.Quiet), so tests can
@@ -28,4 +31,10 @@ func RunServeReference(e *Engine, steps int) {
 // phase, so tests can write snapshot streams no controller produces.
 func SetJunctionPhases(e *Engine, ji int, current, prev signal.Phase) {
 	e.juncs[ji].current, e.juncs[ji].prev = current, prev
+}
+
+// RoadTables returns what New derived for road rid from the network:
+// its free-flow travel time and its feasible-movement mask.
+func RoadTables(e *Engine, rid network.RoadID) (travel float64, feasible uint8) {
+	return e.roads[rid].travel, e.roads[rid].feasible
 }

@@ -18,23 +18,23 @@ package sim
 
 import (
 	"utilbp/internal/network"
-	"utilbp/internal/queue"
 	"utilbp/internal/signal"
 	"utilbp/internal/vehicle"
 )
 
-// serveSite is one link's resolved serve state: the road states on both
-// ends and the per-slot service constants, precomputed once so the hot
-// loop performs no junction/link chasing and no repeated float
-// arithmetic. The constants are computed with exactly the reference
-// loop's expressions (serveref_test.go: muDt = l.Mu*Δt, creditCap =
-// l.Mu*Δt+1, startDebt = -float64(StartupLostSteps)*l.Mu*Δt, same
-// association), so they are bit-identical to its inline ones.
+// serveSite is one link's resolved serve state: the IDs of the roads on
+// both ends, which index the counter slab and the road states alike,
+// and the per-slot service constants, precomputed once so the hot loop
+// performs no junction/link chasing and no repeated float arithmetic.
+// The constants are computed with exactly the reference loop's
+// expressions (serveref_test.go: muDt = l.Mu*Δt, creditCap = l.Mu*Δt+1,
+// startDebt = -float64(StartupLostSteps)*l.Mu*Δt, same association), so
+// they are bit-identical to its inline ones.
 type serveSite struct {
-	in, out   *roadState
 	muDt      float64
 	creditCap float64
 	startDebt float64
+	in, out   int32
 	turn      network.Turn
 	outExits  bool
 }
@@ -70,9 +70,8 @@ const (
 // table, the per-link serve sites and the credit slab, rebinding every
 // junction's credit window onto the slab (snapshot encoding is
 // unchanged — the per-junction windows serialize exactly as the old
-// per-junction arrays did). It runs once at construction; the road
-// states and batch tables it resolves are stable for the engine's
-// lifetime.
+// per-junction arrays did). It runs once at construction; the batch
+// tables it resolves are stable for the engine's lifetime.
 func (e *Engine) buildServePlane() {
 	e.phaseTab = signal.BuildPhaseTable(e.batch.Infos, e.batch.JuncOff)
 	e.serveSites = make([]serveSite, e.numLinks)
@@ -87,8 +86,8 @@ func (e *Engine) buildServePlane() {
 		for li := range js.j.Links {
 			l := &js.j.Links[li]
 			e.serveSites[lo+int32(li)] = serveSite{
-				in:        &e.roads[l.In],
-				out:       &e.roads[l.Out],
+				in:        int32(l.In),
+				out:       int32(l.Out),
 				muDt:      l.Mu * e.dt,
 				creditCap: l.Mu*e.dt + 1,
 				startDebt: -float64(e.cfg.StartupLostSteps) * l.Mu * e.dt,
@@ -250,62 +249,57 @@ func (e *Engine) serveSubTick(ji int, cur signal.Phase) {
 // credit and burst, and resets when the lane empties (the paper's
 // service condition requires at least µΔt waiting vehicles to reach the
 // maximum). These are the reference loop's semantics (serveLink in
-// serveref_test.go), with the road states, movement and float constants
-// loaded from the site instead of re-derived per call. It reports the
-// two per-link skip conditions: whether the lane ended the pass empty
-// (the idle condition; when it did, the stored credit is provably < 1)
-// and whether the stored credit keeps the link sub-threshold for the
-// next mini-slot (credit + µΔt < 1 — the link cannot serve then no
-// matter how its lanes change).
+// serveref_test.go), with the road IDs, movement and float constants
+// loaded from the site instead of re-derived per call. The lane's
+// emptiness is read off the road's row, so a vehicle is served with one
+// Pop and no Peek. It reports the two per-link skip conditions: whether
+// the lane ended the pass empty (the idle condition; when it did, the
+// stored credit is provably < 1) and whether the stored credit keeps
+// the link sub-threshold for the next mini-slot (credit + µΔt < 1 — the
+// link cannot serve then no matter how its lanes change).
 func (e *Engine) serveLinkAt(gl int32, t float64) (empty, subNext bool) {
 	s := &e.serveSites[gl]
-	in, out := s.in, s.out
+	in, inRow, outRow := &e.roads[s.in], &e.rows[s.in], &e.rows[s.out]
 	credit := e.creditSlab[gl] + s.muDt
 	if credit > s.creditCap {
 		credit = s.creditCap
 	}
+	// The lane this link serves from and the count of its vehicles:
+	// turning lane t and q_i^{i'}, or the mixed lane and the road total.
+	lane, waiting := &in.lanes[s.turn], &inRow.queued[s.turn]
+	if e.cfg.MixedLanes {
+		lane, waiting = &in.mixed, &inRow.total
+	}
 	served := false
 	for credit >= 1 {
-		var (
-			item queue.Item
-			ok   bool
-		)
+		if *waiting == 0 {
+			credit = 0
+			break
+		}
 		if e.cfg.MixedLanes {
-			item, ok = in.mixed.Peek()
-			if ok && e.arena.PendingTurn(vehicle.ID(item.Vehicle)) != s.turn {
+			if head, _ := lane.HeadVehicle(); e.arena.PendingTurn(vehicle.ID(head)) != s.turn {
 				// Head-of-line blocking: the head vehicle wants a
 				// different movement, so this link cannot serve now.
 				break
 			}
-		} else {
-			item, ok = in.lanes[s.turn].Peek()
 		}
-		if !ok {
-			credit = 0
+		if !outRow.hasRoom() {
 			break
 		}
-		if !out.hasRoom() {
-			break
-		}
-		if e.cfg.MixedLanes {
-			in.mixed.Pop()
-			in.mixedCount[s.turn]--
-		} else {
-			in.lanes[s.turn].Pop()
-		}
-		in.queuedTotal--
+		item, _ := lane.Pop()
+		inRow.queued[s.turn]--
+		inRow.total--
 		e.netQueued--
 		credit--
 		served = true
 		id := vehicle.ID(item.Vehicle)
 		e.arena.Serve(id, t-item.EnqueuedAt)
-		in.occupancy--
+		inRow.occ--
 		e.totals.Served++
 		if s.outExits {
 			e.exitVehicle(id, t)
 		} else {
-			out.occupancy++
-			e.enterRoad(out, id, t)
+			e.enterRoad(s.out, id, t)
 		}
 	}
 	e.creditSlab[gl] = credit
@@ -314,14 +308,10 @@ func (e *Engine) serveLinkAt(gl int32, t float64) (empty, subNext bool) {
 		// vehicles, the outgoing one gained occupancy and transit.
 		// Served-to-exit vehicles leave the outgoing road untouched
 		// (they never occupy it), so exit roads stay clean.
-		e.markDirty(in.road.ID)
+		e.markDirty(network.RoadID(s.in))
 		if !s.outExits {
-			e.markDirty(out.road.ID)
+			e.markDirty(network.RoadID(s.out))
 		}
 	}
-	subNext = credit+s.muDt < 1
-	if e.cfg.MixedLanes {
-		return in.mixed.Len() == 0, subNext
-	}
-	return in.lanes[s.turn].Len() == 0, subNext
+	return *waiting == 0, credit+s.muDt < 1
 }

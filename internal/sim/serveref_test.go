@@ -64,8 +64,8 @@ func (e *Engine) serveReference(t float64) {
 // condition requires at least µΔt waiting vehicles to reach the maximum).
 func (e *Engine) serveLink(js *junctionState, li int, t float64) {
 	l := &js.j.Links[li]
-	in := &e.roads[l.In]
-	out := &e.roads[l.Out]
+	in, inRow := &e.roads[l.In], &e.rows[l.In]
+	out, outRow := &e.roads[l.Out], &e.rows[l.Out]
 	credit := js.credits[li] + l.Mu*e.dt
 	if max := l.Mu*e.dt + 1; credit > max {
 		credit = max
@@ -90,28 +90,27 @@ func (e *Engine) serveLink(js *junctionState, li int, t float64) {
 			credit = 0
 			break
 		}
-		if !out.hasRoom() {
+		if !outRow.hasRoom() {
 			break
 		}
 		if e.cfg.MixedLanes {
 			in.mixed.Pop()
-			in.mixedCount[l.Turn]--
 		} else {
 			in.lanes[l.Turn].Pop()
 		}
-		in.queuedTotal--
+		inRow.queued[l.Turn]--
+		inRow.total--
 		e.netQueued--
 		credit--
 		served = true
 		id := vehicle.ID(item.Vehicle)
 		e.arena.Serve(id, t-item.EnqueuedAt)
-		in.occupancy--
+		inRow.occ--
 		e.totals.Served++
 		if out.exits {
 			e.exitVehicle(id, t)
 		} else {
-			out.occupancy++
-			e.enterRoad(out, id, t)
+			e.enterRoad(int32(l.Out), id, t)
 		}
 	}
 	js.credits[li] = credit

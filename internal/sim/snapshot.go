@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"utilbp/internal/signal"
 	"utilbp/internal/snap"
@@ -86,15 +87,22 @@ func (e *Engine) Snapshot() []byte {
 	w.Int(e.evCursor)
 
 	// Roads: counters, effective capacity, lanes and the travel heap.
+	// The per-movement queued count goes out as the v2 mixed-lane count:
+	// under MixedLanes it is that count, and with separate turning lanes
+	// the lanes carry it and the field is 0.
 	for i := range e.roads {
-		rs := &e.roads[i]
-		w.Int(rs.effCap)
-		w.Int(rs.occupancy)
-		w.Int(rs.queuedTotal)
+		rs, row := &e.roads[i], &e.rows[i]
+		w.Int(int(row.effCap))
+		w.Int(int(row.occ))
+		w.Int(int(row.total))
 		for t := 0; t < numTurns; t++ {
-			w.Int(rs.transit[t])
-			w.Int(rs.mixedCount[t])
-			w.Int(rs.joins[t])
+			w.Int(int(row.transit[t]))
+			if e.cfg.MixedLanes {
+				w.Int(int(row.queued[t]))
+			} else {
+				w.Int(0)
+			}
+			w.Int(int(row.joins[t]))
 		}
 		for t := 0; t < numTurns; t++ {
 			rs.lanes[t].SnapshotState(w)
@@ -196,28 +204,8 @@ func (e *Engine) Restore(data []byte) error {
 	e.evCursor = r.Int()
 
 	for i := range e.roads {
-		rs := &e.roads[i]
-		rs.effCap = r.Int()
-		rs.occupancy = r.Int()
-		rs.queuedTotal = r.Int()
-		for t := 0; t < numTurns; t++ {
-			rs.transit[t] = r.Int()
-			rs.mixedCount[t] = r.Int()
-			rs.joins[t] = r.Int()
-		}
-		for t := 0; t < numTurns; t++ {
-			if err := rs.lanes[t].RestoreState(r); err != nil {
-				return fmt.Errorf("sim: road %d lane %d: %w", i, t, err)
-			}
-		}
-		if err := rs.mixed.RestoreState(r); err != nil {
-			return fmt.Errorf("sim: road %d mixed lane: %w", i, err)
-		}
-		if err := rs.spawn.RestoreState(r); err != nil {
-			return fmt.Errorf("sim: road %d spawn queue: %w", i, err)
-		}
-		if err := rs.tail.RestoreState(r); err != nil {
-			return fmt.Errorf("sim: road %d travel heap: %w", i, err)
+		if err := e.restoreRoad(r, i); err != nil {
+			return err
 		}
 	}
 	// Derived state is not part of the stream: rebuild netQueued and
@@ -318,7 +306,87 @@ func (e *Engine) Restore(data []byte) error {
 	if err := cr.Close(); err != nil {
 		return fmt.Errorf("sim: restore controllers: %w", err)
 	}
-	return r.Close()
+	if err := r.Close(); err != nil {
+		return err
+	}
+	// A stream can decode cleanly and still describe an impossible
+	// state — an occupancy that disagrees with the road's queues, a
+	// per-movement count that disagrees with its lane — and the run
+	// would go on from it silently. Accept only a state that passes the
+	// checks every finished run passes.
+	if err := e.CheckInvariants(); err != nil {
+		return fmt.Errorf("sim: restored state: %w", err)
+	}
+	return nil
+}
+
+// restoreRoad decodes road i's counters and queues, rejecting values
+// the road cannot hold: an effective capacity outside [1, Capacity] on
+// a bounded road or other than 0 on an unbounded one, a negative
+// counter, an occupancy, in-transit count or lane or heap length above
+// a bounded road's capacity, and any value that does not fit its
+// int32 row field. Consistency between the counters and the queues is
+// left to CheckInvariants, which Restore runs last. The per-movement
+// queued counts are rebuilt from the restored lanes plus the decoded
+// mixed-lane counts.
+func (e *Engine) restoreRoad(r *snap.Reader, i int) error {
+	road, rs, row := &e.net.Roads[i], &e.roads[i], &e.rows[i]
+	limit := math.MaxInt32
+	if road.Bounded() {
+		limit = road.Capacity
+	}
+	var bad error
+	counter := func(what string, hi int) int32 {
+		v := r.Int()
+		if bad == nil && r.Err() == nil && (v < 0 || v > hi) {
+			bad = fmt.Errorf("sim: road %d %s %d outside [0, %d]", i, what, v, hi)
+		}
+		return int32(v)
+	}
+	effCap := r.Int()
+	if r.Err() == nil && (road.Bounded() && (effCap < 1 || effCap > road.Capacity) || !road.Bounded() && effCap != 0) {
+		return fmt.Errorf("sim: road %d effective capacity %d, nominal capacity %d", i, effCap, road.Capacity)
+	}
+	row.effCap = int32(effCap)
+	row.occ = counter("occupancy", limit)
+	row.total = counter("queued total", limit)
+	var mixed [numTurns]int32
+	for t := 0; t < numTurns; t++ {
+		row.transit[t] = counter("in-transit count", limit)
+		mixed[t] = counter("mixed-lane count", limit)
+		row.joins[t] = counter("join count", math.MaxInt32)
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if bad != nil {
+		return bad
+	}
+	for t := 0; t < numTurns; t++ {
+		if err := rs.lanes[t].RestoreState(r); err != nil {
+			return fmt.Errorf("sim: road %d lane %d: %w", i, t, err)
+		}
+	}
+	if err := rs.mixed.RestoreState(r); err != nil {
+		return fmt.Errorf("sim: road %d mixed lane: %w", i, err)
+	}
+	if err := rs.spawn.RestoreState(r); err != nil {
+		return fmt.Errorf("sim: road %d spawn queue: %w", i, err)
+	}
+	if err := rs.tail.RestoreState(r); err != nil {
+		return fmt.Errorf("sim: road %d travel heap: %w", i, err)
+	}
+	for t := 0; t < numTurns; t++ {
+		q := rs.lanes[t].Len() + int(mixed[t])
+		if q > limit {
+			return fmt.Errorf("sim: road %d queues %d vehicles for movement %d, capacity %d", i, q, t, limit)
+		}
+		row.queued[t] = int32(q)
+	}
+	if n := max(rs.mixed.Len(), rs.tail.Len()); n > limit {
+		return fmt.Errorf("sim: road %d holds a queue of %d vehicles, capacity %d", i, n, limit)
+	}
+	return nil
 }
 
 // checkFingerprint validates the snapshot's structural facts against

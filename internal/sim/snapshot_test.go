@@ -2,8 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"utilbp/internal/network"
 	"utilbp/internal/rng"
@@ -14,7 +16,11 @@ import (
 // snapTestEngine builds a small 2×2 engine under Poisson demand with a
 // real stateful controller path (the static controller is stateless, so
 // a fixed phase would not exercise the controller sections).
-func snapTestEngine(t *testing.T) *Engine {
+func snapTestEngine(t *testing.T) *Engine { return newSnapTestEngine(t, false) }
+
+// newSnapTestEngine is snapTestEngine with separate turning lanes or,
+// when mixed is set, the mixed-lane extension.
+func newSnapTestEngine(t *testing.T, mixed bool) *Engine {
 	t.Helper()
 	spec := network.DefaultGridSpec()
 	spec.Rows, spec.Cols = 2, 2
@@ -28,6 +34,7 @@ func snapTestEngine(t *testing.T) *Engine {
 		Controllers: staticFactory(1),
 		Demand:      NewPoissonDemand(rng.New(7), ConstantRate(0.15)),
 		Router:      StraightRouter{},
+		MixedLanes:  mixed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +190,83 @@ func TestRestoreRejectsCorruptCount(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "corrupt count 4294967319") {
 		t.Fatalf("restore failed for another reason: %v", err)
+	}
+}
+
+// TestRestoreRejectsContradictoryRoad corrupts one loaded road of a
+// 137-step 2×2 engine, snapshots it and restores into a fresh engine.
+// Every corrupted stream decodes field by field; each describes a road
+// no run can reach, so Restore must fail instead of resuming from it.
+func TestRestoreRejectsContradictoryRoad(t *testing.T) {
+	// loaded returns the first bounded road holding queued vehicles.
+	loaded := func(e *Engine) int {
+		for ri := range e.rows {
+			if e.rows[ri].bounded == 1 && e.rows[ri].total > 0 {
+				return ri
+			}
+		}
+		t.Fatal("no bounded road holds a queue")
+		return -1
+	}
+	// marker stands in for a field's value so the test can find the
+	// field in the stream and overwrite it there.
+	const marker = 0x5a5a5a5
+	cases := []struct {
+		name    string
+		mixed   bool
+		corrupt func(row *roadRow)
+		// patch, when set, replaces the marker's 8 stream bytes with
+		// this value before the restore.
+		patch int64
+		want  string
+	}{
+		{"occupancy", false, func(row *roadRow) { row.occ++ }, 0, "occupancy"},
+		{"occupancy-above-capacity", false, func(row *roadRow) { row.occ = 41 }, 0, "occupancy 41 outside [0, 40]"},
+		{"effective-capacity", false, func(row *roadRow) { row.effCap++ }, 0, "effective capacity 41"},
+		{"zero-effective-capacity", false, func(row *roadRow) { row.effCap = 0 }, 0, "effective capacity 0"},
+		{"negative-joins", false, func(row *roadRow) { row.joins[network.Right] = -1 }, 0, "join count -1"},
+		{"joins-past-int32", false, func(row *roadRow) { row.joins[network.Right] = marker }, 1 << 31, "join count 2147483648"},
+		{"mixed-movement-count", true, func(row *roadRow) {
+			row.queued[network.Straight]--
+			row.queued[network.Left]++
+		}, 0, "movement 0 queued count"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Engine { return newSnapTestEngine(t, tc.mixed) }
+			e := build()
+			e.Run(137)
+			if err := build().Restore(e.Snapshot()); err != nil {
+				t.Fatalf("intact snapshot rejected: %v", err)
+			}
+			tc.corrupt(&e.rows[loaded(e)])
+			b := e.Snapshot()
+			if tc.patch != 0 {
+				var want, with [8]byte
+				binary.LittleEndian.PutUint64(want[:], marker)
+				binary.LittleEndian.PutUint64(with[:], uint64(tc.patch))
+				at := bytes.Index(b, want[:])
+				if at < 0 || bytes.Index(b[at+1:], want[:]) >= 0 {
+					t.Fatal("the marker does not occur exactly once in the stream")
+				}
+				copy(b[at:], with[:])
+			}
+			err := build().Restore(b)
+			if err == nil {
+				t.Fatal("restore of a contradictory road accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore failed for another reason: %v", err)
+			}
+		})
+	}
+}
+
+// TestRoadRowIsOneCacheLine pins the counter row at 64 bytes, so a
+// slab that starts on a cache line keeps every row on one line.
+func TestRoadRowIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(roadRow{}); n != 64 {
+		t.Fatalf("roadRow is %d bytes, want 64", n)
 	}
 }
 
