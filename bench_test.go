@@ -388,6 +388,24 @@ func BenchmarkStepOnceSensedCV(b *testing.B) {
 	stepOnceBench(b, benchSetup(), nil, sensor)
 }
 
+// BenchmarkStepOnceSensedLoop is BenchmarkStepOnce under a stop-bar
+// loop detector that misses 5 % of its events, behind a blank outage
+// window on the four approaches of the central junction (steps
+// 400–1000 of the 2 000-step horizon): every mini-slot runs the
+// outage wrapper's forwarding list and the detector's count
+// integration over the changed links, and inside the window the
+// wrapper blanks the covered links. No other gated benchmark and no
+// e2ebench workload runs either writer. Gated in CI at 0 B/op and
+// 0 allocs/op.
+func BenchmarkStepOnceSensedLoop(b *testing.B) {
+	setup := benchSetup()
+	setup.Sensor = sensing.Spec{Kind: sensing.KindLoop, FailProb: 0.05}
+	for _, road := range []string{"J01->J11", "J10->J11", "J12->J11", "J21->J11"} {
+		setup.Events = append(setup.Events, event.Outage(road, 400, 600, sensing.OutageBlank))
+	}
+	stepOnceBench(b, setup, nil, nil)
+}
+
 // BenchmarkStepOnceDisrupted is BenchmarkStepOnce with an armed
 // disruption schedule: a mid-run capacity incident, a dark junction and
 // a demand surge (DESIGN.md §12). Gated in CI at 0 B/op and
@@ -497,7 +515,8 @@ const stepHorizon = 2000
 
 // stepOnceBench is the shared warm-and-replay body of the step
 // benchmarks; it returns the engine with the timer still running. A nil
-// factory runs the paper's UTIL-BP.
+// factory runs the paper's UTIL-BP; a nil sensor runs the sensor the
+// setup builds (none for a perfect spec without outages).
 func stepOnceBench(b *testing.B, setup Setup, factory signal.Factory, sensor sensing.Sensor) *sim.Engine {
 	b.Helper()
 	if factory == nil {
@@ -509,6 +528,8 @@ func stepOnceBench(b *testing.B, setup Setup, factory signal.Factory, sensor sen
 	}
 	if sensor != nil {
 		sensor.Reseed(setup.Seed)
+	} else {
+		sensor = built.Sensor
 	}
 	engine, err := sim.New(sim.Config{
 		Net:              built.Grid.Network,

@@ -17,7 +17,7 @@ func info2() signal.JunctionInfo {
 	}
 }
 
-func obs4(step int, current signal.Phase, queues, out [4]int) *signal.Obs {
+func obs4(step int, current signal.Phase, queues, out [4]int32) *signal.Obs {
 	o := &signal.Obs{Step: step, Time: float64(step), Current: current}
 	for i := 0; i < 4; i++ {
 		o.Links = append(o.Links, signal.LinkObs{
@@ -83,11 +83,11 @@ func TestNormalizedCapacityAwareGain(t *testing.T) {
 func TestGainsNonNegativeProperty(t *testing.T) {
 	f := func(q, aq, occ uint16, cap uint8) bool {
 		l := signal.LinkObs{
-			Queue:         int(q % 200),
-			ApproachQueue: int(aq % 200),
-			OutQueue:      int(occ % 200),
-			OutOccupancy:  int(occ % 200),
-			OutCapacity:   int(cap),
+			Queue:         int32(q % 200),
+			ApproachQueue: int32(aq % 200),
+			OutQueue:      int32(occ % 200),
+			OutOccupancy:  int32(occ % 200),
+			OutCapacity:   int32(cap),
 			InCapacity:    120,
 			Mu:            1,
 		}
@@ -104,9 +104,9 @@ func TestFixedSlotHoldsPhaseForPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Phase 1 heavy at the boundary.
-	heavy1 := [4]int{20, 20, 0, 0}
-	heavy2 := [4]int{0, 0, 20, 20}
-	out := [4]int{0, 0, 0, 0}
+	heavy1 := [4]int32{20, 20, 0, 0}
+	heavy2 := [4]int32{0, 0, 20, 20}
+	out := [4]int32{0, 0, 0, 0}
 	cur := c.Decide(obs4(0, signal.Amber, heavy1, out))
 	if cur != 1 {
 		t.Fatalf("first slot phase = %v, want 1", cur)
@@ -144,8 +144,8 @@ func TestFixedSlotNoAmberWhenPhaseUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy1 := [4]int{20, 20, 0, 0}
-	out := [4]int{0, 0, 0, 0}
+	heavy1 := [4]int32{20, 20, 0, 0}
+	out := [4]int32{0, 0, 0, 0}
 	cur := signal.Amber
 	for k := 0; k < 25; k++ {
 		cur = c.Decide(obs4(k, cur, heavy1, out))
@@ -161,8 +161,8 @@ func TestFixedSlotAmberEveryBoundaryByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy1 := [4]int{20, 20, 0, 0}
-	out := [4]int{0, 0, 0, 0}
+	heavy1 := [4]int32{20, 20, 0, 0}
+	out := [4]int32{0, 0, 0, 0}
 	cur := signal.Amber
 	ambers := 0
 	for k := 0; k < 50; k++ {
@@ -182,9 +182,9 @@ func TestFixedSlotKeepsCurrentWhenAllGainsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy1 := [4]int{20, 20, 0, 0}
-	empty := [4]int{0, 0, 0, 0}
-	out := [4]int{0, 0, 0, 0}
+	heavy1 := [4]int32{20, 20, 0, 0}
+	empty := [4]int32{0, 0, 0, 0}
+	out := [4]int32{0, 0, 0, 0}
 	cur := c.Decide(obs4(0, signal.Amber, heavy1, out))
 	if cur != 1 {
 		t.Fatalf("start phase %v", cur)
@@ -204,9 +204,9 @@ func TestFixedSlotZeroAmberSwitchesDirectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy1 := [4]int{20, 20, 0, 0}
-	heavy2 := [4]int{0, 0, 20, 20}
-	out := [4]int{0, 0, 0, 0}
+	heavy1 := [4]int32{20, 20, 0, 0}
+	heavy2 := [4]int32{0, 0, 20, 20}
+	out := [4]int32{0, 0, 0, 0}
 	cur := c.Decide(obs4(0, signal.Amber, heavy1, out))
 	for k := 1; k < 4; k++ {
 		cur = c.Decide(obs4(k, cur, heavy2, out))

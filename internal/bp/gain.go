@@ -45,7 +45,7 @@ func CapacityAwareGainApproaching(l *signal.LinkObs) float64 {
 	if l.OutFull() {
 		return 0
 	}
-	g := (float64(l.Queue+l.InTransit) - float64(l.OutQueue)) * l.Mu
+	g := (float64(int(l.Queue)+int(l.InTransit)) - float64(l.OutQueue)) * l.Mu
 	if g < 0 {
 		return 0
 	}

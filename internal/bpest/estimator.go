@@ -55,12 +55,12 @@ func NewTurnRatioEstimator(alpha float64) TurnRatioEstimator {
 //
 // so one call per mini-slot and one call per event history are
 // identical, and n = 0 changes nothing.
-func (e *TurnRatioEstimator) Observe(joins [signal.NumTurns]int) {
+func (e *TurnRatioEstimator) Observe(joins [signal.NumTurns]int32) {
 	n := 0
 	var d [signal.NumTurns]int
 	for t, j := range joins {
-		d[t] = j - e.lastJoins[t]
-		e.lastJoins[t] = j
+		d[t] = int(j) - e.lastJoins[t]
+		e.lastJoins[t] = int(j)
 		if d[t] < 0 {
 			// Counters only rewind on engine reset, which rebuilds
 			// controllers; tolerate a rewind defensively as "no events".

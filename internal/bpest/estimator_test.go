@@ -21,7 +21,7 @@ func TestTurnRatioEstimatorConverges(t *testing.T) {
 	for _, alpha := range []float64{0.01, 0.05} {
 		e := NewTurnRatioEstimator(alpha)
 		r := rng.New(7)
-		var joins [signal.NumTurns]int
+		var joins [signal.NumTurns]int32
 		var avg [signal.NumTurns]float64
 		for step := 0; step < steps; step++ {
 			// One to three vehicles join per step, each routed by truth.
@@ -63,9 +63,9 @@ func TestTurnRatioEstimatorConverges(t *testing.T) {
 // estimator state bit-for-bit identical.
 func TestTurnRatioEstimatorNoEventNoOp(t *testing.T) {
 	e := NewTurnRatioEstimator(0.05)
-	e.Observe([signal.NumTurns]int{4, 2, 1})
+	e.Observe([signal.NumTurns]int32{4, 2, 1})
 	before := e
-	e.Observe([signal.NumTurns]int{4, 2, 1})
+	e.Observe([signal.NumTurns]int32{4, 2, 1})
 	if e != before {
 		t.Fatalf("no-event Observe changed state: %+v -> %+v", before, e)
 	}
@@ -77,12 +77,12 @@ func TestTurnRatioEstimatorNoEventNoOp(t *testing.T) {
 // the estimate.
 func TestTurnRatioEstimatorBatchOrderInvariance(t *testing.T) {
 	one := NewTurnRatioEstimator(0.1)
-	one.Observe([signal.NumTurns]int{3, 0, 0})
+	one.Observe([signal.NumTurns]int32{3, 0, 0})
 
 	step := NewTurnRatioEstimator(0.1)
-	step.Observe([signal.NumTurns]int{1, 0, 0})
-	step.Observe([signal.NumTurns]int{2, 0, 0})
-	step.Observe([signal.NumTurns]int{3, 0, 0})
+	step.Observe([signal.NumTurns]int32{1, 0, 0})
+	step.Observe([signal.NumTurns]int32{2, 0, 0})
+	step.Observe([signal.NumTurns]int32{3, 0, 0})
 
 	for turn := range one.Ratios() {
 		got, want := step.Ratios()[turn], one.Ratios()[turn]

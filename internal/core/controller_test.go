@@ -22,7 +22,7 @@ func testInfo() signal.JunctionInfo {
 
 // obsWith builds an observation with the given per-link queues; all
 // outgoing roads have capacity 120 and occupancy out.
-func obsWith(step int, current signal.Phase, queues [4]int, out [4]int) *signal.Obs {
+func obsWith(step int, current signal.Phase, queues [4]int32, out [4]int32) *signal.Obs {
 	o := &signal.Obs{Step: step, Time: float64(step), Current: current}
 	for i := 0; i < 4; i++ {
 		o.Links = append(o.Links, signal.LinkObs{
@@ -50,7 +50,7 @@ func newCtrl(t *testing.T, opts Options) *Controller {
 func TestFirstDecisionPicksBestPhaseImmediately(t *testing.T) {
 	c := newCtrl(t, Options{})
 	// Phase 2's links hold all the traffic.
-	obs := obsWith(0, signal.Amber, [4]int{0, 0, 9, 4}, [4]int{0, 0, 0, 0})
+	obs := obsWith(0, signal.Amber, [4]int32{0, 0, 9, 4}, [4]int32{0, 0, 0, 0})
 	if got := c.Decide(obs); got != 2 {
 		t.Fatalf("first decision = %v, want phase 2", got)
 	}
@@ -60,7 +60,7 @@ func TestKeepPhaseWhilePressurePositive(t *testing.T) {
 	c := newCtrl(t, Options{})
 	// Current phase 1; its best link has queue 10 > outgoing 3, so the
 	// eq. (12) threshold keeps it even though phase 2 has more traffic.
-	obs := obsWith(5, 1, [4]int{10, 0, 50, 50}, [4]int{3, 0, 0, 0})
+	obs := obsWith(5, 1, [4]int32{10, 0, 50, 50}, [4]int32{3, 0, 0, 0})
 	if got := c.Decide(obs); got != 1 {
 		t.Fatalf("kept phase = %v, want 1", got)
 	}
@@ -70,7 +70,7 @@ func TestSwitchWhenPressureExhausted(t *testing.T) {
 	c := newCtrl(t, Options{})
 	// Current phase 1 balanced (queue == outgoing ⇒ gain == g*), so the
 	// controller re-selects; phase 2 wins and amber starts.
-	obs := obsWith(5, 1, [4]int{3, 0, 50, 50}, [4]int{3, 0, 0, 0})
+	obs := obsWith(5, 1, [4]int32{3, 0, 50, 50}, [4]int32{3, 0, 0, 0})
 	if got := c.Decide(obs); got != signal.Amber {
 		t.Fatalf("decision = %v, want amber before switching", got)
 	}
@@ -78,8 +78,8 @@ func TestSwitchWhenPressureExhausted(t *testing.T) {
 
 func TestAmberDurationRespected(t *testing.T) {
 	c := newCtrl(t, Options{AmberSteps: 4})
-	queues := [4]int{0, 0, 9, 9}
-	out := [4]int{0, 0, 0, 0}
+	queues := [4]int32{0, 0, 9, 9}
+	out := [4]int32{0, 0, 0, 0}
 	// Start in phase 1 with nothing to serve: switch to amber at k=10.
 	if got := c.Decide(obsWith(10, 1, queues, out)); got != signal.Amber {
 		t.Fatalf("no amber at switch: %v", got)
@@ -101,7 +101,7 @@ func TestNoAmberWhenReselectingSamePhase(t *testing.T) {
 	// Current phase 1 at threshold (gain == g*, not >) triggers a
 	// re-selection, but phase 1 is still the only usable phase:
 	// lines 12-13 keep it with no transition.
-	obs := obsWith(5, 1, [4]int{3, 0, 0, 0}, [4]int{3, 0, 0, 0})
+	obs := obsWith(5, 1, [4]int32{3, 0, 0, 0}, [4]int32{3, 0, 0, 0})
 	if got := c.Decide(obs); got != 1 {
 		t.Fatalf("reselected same phase via amber: %v", got)
 	}
@@ -112,7 +112,7 @@ func TestSelectionPrefersTotalGainAmongUsablePhases(t *testing.T) {
 	// Phase 1: links 10+10; phase 2: one link 25, one empty (alpha).
 	// Totals: phase1 = 2*(10-0+120) = 260, phase2 = (25+120) + (-1) =
 	// 144. Both usable (gmax > alpha); phase 1 wins on total gain.
-	obs := obsWith(0, signal.Amber, [4]int{10, 10, 25, 0}, [4]int{0, 0, 0, 0})
+	obs := obsWith(0, signal.Amber, [4]int32{10, 10, 25, 0}, [4]int32{0, 0, 0, 0})
 	if got := c.Decide(obs); got != 1 {
 		t.Fatalf("selected %v, want phase 1 on total gain", got)
 	}
@@ -147,8 +147,8 @@ func TestWorkConservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		queues := [4]int{int(q0 % 30), int(q1 % 30), int(q2 % 30), int(q3 % 30)}
-		out := [4]int{0, 0, 0, 0}
+		queues := [4]int32{int32(q0 % 30), int32(q1 % 30), int32(q2 % 30), int32(q3 % 30)}
+		out := [4]int32{0, 0, 0, 0}
 		// Randomly saturate one outgoing road.
 		if full%2 == 0 {
 			out[full%4] = 120
@@ -189,7 +189,7 @@ func TestNoKeepPhaseAblation(t *testing.T) {
 	// With NoKeepPhase the controller re-selects every slot: given a
 	// better competing phase it abandons the current one even though the
 	// keep-phase condition holds.
-	obs := obsWith(5, 1, [4]int{10, 0, 50, 50}, [4]int{3, 0, 0, 0})
+	obs := obsWith(5, 1, [4]int32{10, 0, 50, 50}, [4]int32{3, 0, 0, 0})
 	keep := newCtrl(t, Options{})
 	if got := keep.Decide(obs); got != 1 {
 		t.Fatalf("baseline kept %v, want 1", got)
@@ -258,9 +258,9 @@ func TestVaryingPhaseLengths(t *testing.T) {
 	// Heavy traffic on phase 1's links, light on phase 2's. Simulate
 	// service: active phase drains one vehicle per slot from its links,
 	// arrivals keep phase-1 lanes loaded.
-	queues := [4]int{40, 40, 2, 2}
+	queues := [4]int32{40, 40, 2, 2}
 	for k := 0; k < 200; k++ {
-		out := [4]int{0, 0, 0, 0}
+		out := [4]int32{0, 0, 0, 0}
 		cur = c.Decide(obsWith(k, cur, queues, out))
 		if cur != signal.Amber {
 			greens[cur]++

@@ -123,8 +123,8 @@ func TestDifferentialAgainstPaperTranscription(t *testing.T) {
 			obs := signal.Obs{Step: k, Time: float64(k)}
 			for li := 0; li < info.NumLinks; li++ {
 				l := signal.LinkObs{
-					Queue:       src.Intn(12),
-					OutQueue:    src.Intn(12),
+					Queue:       int32(src.Intn(12)),
+					OutQueue:    int32(src.Intn(12)),
 					OutCapacity: 40,
 					InCapacity:  40,
 					Mu:          1,
@@ -139,7 +139,7 @@ func TestDifferentialAgainstPaperTranscription(t *testing.T) {
 				default:
 					l.OutOccupancy = l.OutQueue
 				}
-				l.ApproachQueue = l.Queue + src.Intn(5)
+				l.ApproachQueue = l.Queue + int32(src.Intn(5))
 				obs.Links = append(obs.Links, l)
 			}
 			obsProd := obs
@@ -180,14 +180,14 @@ func TestDifferentialHeavyCongestion(t *testing.T) {
 	for k := 0; k < 2000; k++ {
 		obs := signal.Obs{Step: k, Time: float64(k)}
 		for li := 0; li < info.NumLinks; li++ {
-			occ := 8 + src.Intn(3) // 8..10 of capacity 10: often full
+			occ := int32(8 + src.Intn(3)) // 8..10 of capacity 10: often full
 			obs.Links = append(obs.Links, signal.LinkObs{
-				Queue:         src.Intn(3),
+				Queue:         int32(src.Intn(3)),
 				OutQueue:      occ,
 				OutOccupancy:  occ,
 				OutCapacity:   10,
 				InCapacity:    10,
-				ApproachQueue: src.Intn(6),
+				ApproachQueue: int32(src.Intn(6)),
 				Mu:            1,
 			})
 		}

@@ -69,9 +69,9 @@ type GainVariant struct {
 //
 // with the variant switches applied for ablation studies.
 func LinkGain(l *signal.LinkObs, p Params, v GainVariant) float64 {
-	laneQueue := l.Queue
+	laneQueue := int(l.Queue)
 	if v.CountApproaching {
-		laneQueue += l.InTransit
+		laneQueue += int(l.InTransit)
 	}
 	if !v.NoSpecialCases {
 		if l.OutFull() {

@@ -48,8 +48,8 @@ func TestLinkGainFormula(t *testing.T) {
 func TestLinkGainAlwaysPositiveWhenServiceable(t *testing.T) {
 	p := Params{Alpha: -1, Beta: -2, WStar: 120}
 	f := func(q uint16, occ uint16, mu uint8) bool {
-		queue := int(q%120) + 1          // >= 1
-		outOcc := int(occ % 120)         // < capacity
+		queue := int32(q%120) + 1        // >= 1
+		outOcc := int32(occ % 120)       // < capacity
 		rate := float64(mu%4)/2.0 + 0.25 // 0.25..1.75
 		l := signal.LinkObs{
 			Queue: queue, OutQueue: outOcc, OutOccupancy: outOcc, OutCapacity: 120,
@@ -66,7 +66,7 @@ func TestLinkGainAlwaysPositiveWhenServiceable(t *testing.T) {
 func TestLinkGainMonotonicInQueue(t *testing.T) {
 	p := Params{Alpha: -1, Beta: -2, WStar: 120}
 	prev := math.Inf(-1)
-	for q := 1; q <= 120; q++ {
+	for q := int32(1); q <= 120; q++ {
 		l := signal.LinkObs{Queue: q, OutQueue: 40, OutOccupancy: 40, OutCapacity: 120, Mu: 1}
 		g := LinkGain(&l, p, GainVariant{})
 		if g <= prev {

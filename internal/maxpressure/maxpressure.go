@@ -52,13 +52,13 @@ func (o Options) withDefaults() Options {
 // observation, which is what lets the batched controller cache it per
 // link under the change-set contract.
 func Weight(l *signal.LinkObs, countApproaching bool) float64 {
-	q := l.Queue
+	q := int(l.Queue)
 	if countApproaching {
-		q += l.InTransit
+		q += int(l.InTransit)
 	}
 	down := 0
 	for t := 0; t < signal.NumTurns; t++ {
-		down += l.OutTurnQueue[t]
+		down += int(l.OutTurnQueue[t])
 	}
 	return (float64(q) - float64(down)/signal.NumTurns) * l.Mu
 }

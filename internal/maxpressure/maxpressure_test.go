@@ -15,7 +15,7 @@ func testInfo() signal.JunctionInfo {
 // movement queue) · µ, with InTransit folded in only under the
 // approach-counting variant.
 func TestWeight(t *testing.T) {
-	l := signal.LinkObs{Queue: 10, InTransit: 4, Mu: 0.5, OutTurnQueue: [signal.NumTurns]int{6, 3, 0}}
+	l := signal.LinkObs{Queue: 10, InTransit: 4, Mu: 0.5, OutTurnQueue: [signal.NumTurns]int32{6, 3, 0}}
 	if got, want := Weight(&l, false), (10.0-3.0)*0.5; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Weight = %v, want %v", got, want)
 	}
@@ -24,7 +24,7 @@ func TestWeight(t *testing.T) {
 	}
 	// Congested downstream drives the weight negative: the pressure
 	// term de-prioritises feeding a saturated road.
-	l.OutTurnQueue = [signal.NumTurns]int{40, 40, 40}
+	l.OutTurnQueue = [signal.NumTurns]int32{40, 40, 40}
 	if got := Weight(&l, false); got >= 0 {
 		t.Errorf("Weight with saturated downstream = %v, want negative", got)
 	}

@@ -46,11 +46,14 @@ func (l *Lane) Reserve(capacity int) {
 	l.regrow(capacity)
 }
 
-// regrow moves the rings into fresh storage of the given capacity,
-// unwrapping them so head returns to index 0.
+// regrow moves the rings into fresh storage of the given capacity.
 func (l *Lane) regrow(capacity int) {
-	veh := make([]int32, capacity)
-	at := make([]float64, capacity)
+	l.moveTo(make([]int32, capacity), make([]float64, capacity))
+}
+
+// moveTo moves the rings into the given storage of equal length,
+// unwrapping them so head returns to index 0.
+func (l *Lane) moveTo(veh []int32, at []float64) {
 	for i := 0; i < l.n; i++ {
 		j := (l.head + i) % len(l.veh)
 		veh[i] = l.veh[j]
@@ -240,4 +243,59 @@ func (t *Travel) Peek() (Arrival, bool) {
 		return Arrival{}, false
 	}
 	return t.h[0], true
+}
+
+// Slab is shared backing storage for many lanes and travel heaps: one
+// array of vehicle ids and one of enqueue times for the lane rings, and
+// one array of arrivals for the heaps. An engine sizes it once from its
+// roads' capacities and carves every reservation out of it, so
+// reserving all its queues costs three allocations instead of two per
+// lane and one per heap (DESIGN.md §5).
+//
+// Each reservation is a capacity-clamped window: a lane or heap that
+// outgrows its window — a spawn queue under sustained oversaturation —
+// regrows into fresh storage, and never writes into its neighbour's.
+type Slab struct {
+	veh []int32
+	at  []float64
+	arr []Arrival
+}
+
+// NewSlab allocates a slab holding laneSlots lane-ring slots and
+// travelSlots heap entries.
+func NewSlab(laneSlots, travelSlots int) *Slab {
+	return &Slab{
+		veh: make([]int32, laneSlots),
+		at:  make([]float64, laneSlots),
+		arr: make([]Arrival, travelSlots),
+	}
+}
+
+// ReserveLane is Lane.Reserve with the rings carved from the slab. A
+// lane already holding capacity slots keeps its rings; a request the
+// slab has no room left for falls back to fresh storage.
+func (s *Slab) ReserveLane(l *Lane, capacity int) {
+	switch {
+	case capacity <= len(l.veh):
+	case capacity > len(s.veh):
+		l.Reserve(capacity)
+	default:
+		l.moveTo(s.veh[:capacity:capacity], s.at[:capacity:capacity])
+		s.veh, s.at = s.veh[capacity:], s.at[capacity:]
+	}
+}
+
+// ReserveTravel is Travel.Reserve with the heap carved from the slab,
+// under the same rules as ReserveLane.
+func (s *Slab) ReserveTravel(t *Travel, capacity int) {
+	switch {
+	case capacity <= cap(t.h):
+	case capacity > len(s.arr):
+		t.Reserve(capacity)
+	default:
+		h := s.arr[:len(t.h):capacity]
+		copy(h, t.h)
+		t.h = h
+		s.arr = s.arr[capacity:]
+	}
 }

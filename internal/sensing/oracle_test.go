@@ -170,11 +170,11 @@ func randomTruth(r *rng.Source, truth []signal.LinkObs) {
 		if r.Intn(40) == 0 {
 			hi = 700
 		}
-		field := func() int {
+		field := func() int32 {
 			if r.Intn(6) == 0 {
 				return 0
 			}
-			return r.Intn(hi)
+			return int32(r.Intn(hi))
 		}
 		truth[i] = signal.LinkObs{
 			Queue:         field(),

@@ -23,6 +23,8 @@
 package sensing
 
 import (
+	"math"
+
 	"utilbp/internal/rng"
 	"utilbp/internal/signal"
 )
@@ -109,13 +111,14 @@ const (
 )
 
 // truthFields gathers the dynamic fields of a link observation into a
-// vector so sensors can apply one model uniformly per field.
+// vector so sensors can apply one model uniformly per field, widened so
+// sums and deltas of them cannot wrap.
 func truthFields(o *signal.LinkObs) [numFields]int {
-	return [numFields]int{o.Queue, o.InTransit, o.ApproachQueue, o.OutQueue, o.OutOccupancy}
+	return [numFields]int{int(o.Queue), int(o.InTransit), int(o.ApproachQueue), int(o.OutQueue), int(o.OutOccupancy)}
 }
 
-// writeFields stores rounded, non-negative estimates into the dynamic
-// fields of a link observation.
+// writeFields stores rounded estimates, saturated to [0, MaxInt32],
+// into the dynamic fields of a link observation.
 func writeFields(o *signal.LinkObs, est *[numFields]float64) {
 	o.Queue = roundCount(est[fQueue])
 	o.InTransit = roundCount(est[fInTransit])
@@ -124,12 +127,18 @@ func writeFields(o *signal.LinkObs, est *[numFields]float64) {
 	o.OutOccupancy = roundCount(est[fOutOcc])
 }
 
-// roundCount rounds an estimate to a vehicle count, clamped at zero.
-func roundCount(v float64) int {
-	if v <= 0 {
+// roundCount rounds an estimate to a vehicle count, saturated to
+// [0, MaxInt32]. A NaN estimate reads 0: the comparison is written
+// inverted so NaN takes the zero branch instead of an undefined
+// conversion.
+func roundCount(v float64) int32 {
+	if !(v > 0) {
 		return 0
 	}
-	return int(v + 0.5)
+	if v >= math.MaxInt32 {
+		return math.MaxInt32
+	}
+	return int32(v + 0.5)
 }
 
 // LoopDetectorOptions configures the stop-bar detector model.
@@ -429,10 +438,11 @@ func (cv *ConnectedVehicle) drawChunk(chunk []int32, n int, truth, obs []signal.
 
 // trials counts the Bernoulli trials of one link's reading: one per
 // vehicle in each field (Binomial draws nothing for a non-positive
-// count).
+// count). The sum is taken in int, since five int32 counts can pass
+// int32.
 func trials(o *signal.LinkObs) int {
-	return max(o.Queue, 0) + max(o.InTransit, 0) + max(o.ApproachQueue, 0) +
-		max(o.OutQueue, 0) + max(o.OutOccupancy, 0)
+	return max(int(o.Queue), 0) + max(int(o.InTransit), 0) + max(int(o.ApproachQueue), 0) +
+		max(int(o.OutQueue), 0) + max(int(o.OutOccupancy), 0)
 }
 
 var (

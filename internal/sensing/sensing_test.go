@@ -9,8 +9,8 @@ import (
 
 func truthObs(queue, inTransit, approach, outQueue, outOcc int) signal.LinkObs {
 	return signal.LinkObs{
-		Queue: queue, InTransit: inTransit, ApproachQueue: approach,
-		OutQueue: outQueue, OutOccupancy: outOcc,
+		Queue: int32(queue), InTransit: int32(inTransit), ApproachQueue: int32(approach),
+		OutQueue: int32(outQueue), OutOccupancy: int32(outOcc),
 		OutCapacity: 120, InCapacity: 120, Mu: 0.5,
 	}
 }
@@ -133,10 +133,10 @@ func TestConnectedVehicleLatencyHoldsReports(t *testing.T) {
 }
 
 func TestSensorReseedReplays(t *testing.T) {
-	run := func(s Sensor) []int {
+	run := func(s Sensor) []int32 {
 		s.Prepare(3)
 		s.Reseed(42)
-		var got []int
+		var got []int32
 		var obs signal.LinkObs
 		for step := 0; step < 50; step++ {
 			truth := truthObs((step*7)%13, step%3, (step*7)%13+2, step%5, step%9)
@@ -231,6 +231,8 @@ func TestSpecNewAndValidate(t *testing.T) {
 	for _, spec := range []Spec{
 		CV(0), CV(-0.2), CV(2),
 		{Kind: KindConnectedVehicle, Rate: 0.5, NoiseStd: -1},
+		{Kind: KindConnectedVehicle, Rate: 0.5, NoiseStd: math.Inf(1)},
+		{Kind: KindConnectedVehicle, Rate: 0.5, NoiseStd: math.NaN()},
 		{Kind: KindConnectedVehicle, Rate: 0.5, LatencySteps: -1},
 		{Kind: KindConnectedVehicle, Rate: 0.5, FilterAlpha: 2},
 		{Kind: KindLoop, FailProb: 1},
@@ -238,6 +240,34 @@ func TestSpecNewAndValidate(t *testing.T) {
 	} {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("Spec %+v validated", spec)
+		}
+	}
+}
+
+// TestCVEstimatesSaturate pins the range of a connected-vehicle
+// reading: however wild the noise, every count the sensor writes lies
+// in [0, MaxInt32]. Spec.Validate rejects an infinite noise std, but
+// NewConnectedVehicle takes its options as given, so both an infinite
+// std and a finite one far past the int32 range are sensed here.
+func TestCVEstimatesSaturate(t *testing.T) {
+	for _, noise := range []float64{math.Inf(1), 1e12} {
+		cv := NewConnectedVehicle(ConnectedVehicleOptions{Rate: 0.3, NoiseStd: noise})
+		cv.Prepare(1)
+		cv.Reseed(3)
+		var obs signal.LinkObs
+		saturated := false
+		for step := 0; step < 40; step++ {
+			truth := truthObs(7, 3, 12, 5, 40)
+			senseLink(cv, 0, &truth, &obs, step)
+			for _, c := range []int32{obs.Queue, obs.InTransit, obs.ApproachQueue, obs.OutQueue, obs.OutOccupancy} {
+				if c < 0 {
+					t.Fatalf("noise std %g, step %d: negative count in %+v", noise, step, obs)
+				}
+				saturated = saturated || c == math.MaxInt32
+			}
+		}
+		if !saturated {
+			t.Errorf("noise std %g: no reading saturated at MaxInt32", noise)
 		}
 	}
 }

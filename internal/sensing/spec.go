@@ -2,6 +2,7 @@ package sensing
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -74,8 +75,9 @@ func (s Spec) Validate() error {
 		if !(s.Rate > 0 && s.Rate <= 1) {
 			return fmt.Errorf("sensing: connected-vehicle penetration rate %v outside (0, 1]", s.Rate)
 		}
-		if !(s.NoiseStd >= 0) {
-			return fmt.Errorf("sensing: negative noise std %v", s.NoiseStd)
+		// An infinite std turns every noisy reading into ±Inf or NaN.
+		if !(s.NoiseStd >= 0 && s.NoiseStd <= math.MaxFloat64) {
+			return fmt.Errorf("sensing: noise std %v is not a finite non-negative value", s.NoiseStd)
 		}
 		if s.LatencySteps < 0 {
 			return fmt.Errorf("sensing: negative report latency %d", s.LatencySteps)

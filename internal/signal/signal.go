@@ -28,31 +28,40 @@ func (p Phase) String() string { return fmt.Sprintf("c%d", int(p)) }
 
 // LinkObs is the observable state of one feasible link L_i^{i'} at a
 // decision instant k.
+//
+// The counts are int32 and the struct is 64 bytes, one cache line: the
+// engine rewrites the observations of the changed links every step and
+// the controllers re-read them in their weight sweep, so the width is
+// the memory traffic of both (DESIGN.md §6). A road holds at most its
+// capacity and a cumulative join count at most the vehicles spawned,
+// so the engine's counts fit; a sensor saturates its estimates to
+// [0, math.MaxInt32]. Readers widen before they sum counts that could
+// pass int32, and float64 of an int32 is exact.
 type LinkObs struct {
 	// Queue is q_i^{i'}(k): the number of vehicles in this link's
 	// dedicated turning lane (stopped at the stop line).
-	Queue int
+	Queue int32
 	// InTransit counts vehicles already on the incoming road and bound
 	// for this link's lane but still rolling toward the stop line. The
 	// paper's queuing-network model treats the whole road as the queue,
 	// so gain variants may add this to Queue.
-	InTransit int
+	InTransit int32
 	// ApproachQueue is q_i(k): the total queued on the incoming road
 	// across all its turning lanes (eq. 1). ORIG-BP's gain (eq. 5) and
 	// ablation A4 use it instead of Queue.
-	ApproachQueue int
+	ApproachQueue int32
 	// OutQueue is q_{i'}(k): the total queue length on the outgoing
 	// road (vehicles stopped at its downstream stop line), the pressure
 	// term b_{i'} of eq. (5)/(6).
-	OutQueue int
+	OutQueue int32
 	// OutOccupancy counts all vehicles currently on the outgoing road
 	// (travelling + queued); capacity blocking applies to it.
-	OutOccupancy int
+	OutOccupancy int32
 	// OutCapacity is W_{i'}; 0 means unbounded (a boundary sink).
-	OutCapacity int
+	OutCapacity int32
 	// InCapacity is W_i of the incoming road, used by capacity-
 	// normalized pressure variants; 0 means unbounded.
-	InCapacity int
+	InCapacity int32
 	// Mu is the link's full service rate µ_i^{i'} in veh/s.
 	Mu float64
 	// OutTurnQueue resolves OutQueue per turning movement of the
@@ -64,14 +73,14 @@ type LinkObs struct {
 	// it from the truth to the sensed observation of every changed link
 	// before its one sensing.Sensor.Sense call per step), so adding it
 	// perturbs no sensor's draw sequence. Zero for boundary sinks.
-	OutTurnQueue [NumTurns]int
+	OutTurnQueue [NumTurns]int32
 	// OutTurnJoins is the cumulative count of vehicles that have joined
 	// each turning movement's queue on the outgoing road since engine
 	// reset — the observable "departures per movement" signal an online
 	// turn-ratio estimator consumes in place of the frozen
 	// vehicle.RouteTable (PAPERS.md 1401.3357). Engine-owned like
 	// OutTurnQueue. Zero for boundary sinks.
-	OutTurnJoins [NumTurns]int
+	OutTurnJoins [NumTurns]int32
 }
 
 // OutFull reports whether the outgoing road has reached its capacity, the

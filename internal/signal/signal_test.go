@@ -3,6 +3,7 @@ package signal
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPhaseString(t *testing.T) {
@@ -33,7 +34,7 @@ func TestOutFull(t *testing.T) {
 
 func TestOutFullProperty(t *testing.T) {
 	f := func(occ uint16, cap uint16) bool {
-		l := LinkObs{OutOccupancy: int(occ), OutCapacity: int(cap)}
+		l := LinkObs{OutOccupancy: int32(occ), OutCapacity: int32(cap)}
 		if cap == 0 {
 			return !l.OutFull()
 		}
@@ -101,5 +102,13 @@ func TestFactoryFunc(t *testing.T) {
 	}
 	if c.Decide(&Obs{}) != Amber {
 		t.Error("controller decision wrong")
+	}
+}
+
+// TestLinkObsIsOneCacheLine pins the observation at 64 bytes, so the
+// engine's observation slab keeps one link per cache line.
+func TestLinkObsIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(LinkObs{}); n != 64 {
+		t.Fatalf("LinkObs is %d bytes, want 64", n)
 	}
 }

@@ -78,14 +78,19 @@ func staticFill(links []signal.LinkObs) {
 // script to shape — it must be monotone in the step for engine
 // fidelity, which a fill that never touches it (frozen at zero)
 // trivially satisfies.
-func setQueues(l *signal.LinkObs, queue, inTransit, outQueue, outExtra int) {
+func setQueues(l *signal.LinkObs, queue, inTransit, outQueue, outExtra int32) {
 	l.Queue = queue
 	l.InTransit = inTransit
 	l.ApproachQueue = queue + inTransit
 	l.OutQueue = outQueue
 	l.OutOccupancy = outQueue + outExtra
 	third := outQueue / 3
-	l.OutTurnQueue = [signal.NumTurns]int{outQueue - 2*third, third, third}
+	l.OutTurnQueue = [signal.NumTurns]int32{outQueue - 2*third, third, third}
+}
+
+// joins returns a link's cumulative per-movement join counters.
+func joins(left, straight, right int) [signal.NumTurns]int32 {
+	return [signal.NumTurns]int32{int32(left), int32(straight), int32(right)}
 }
 
 // splitmix is a tiny deterministic PRNG for the noisy script; it must
@@ -116,8 +121,8 @@ func scripts() []script {
 			setQueues(&links[1], 9, 1, 2, 0)
 			setQueues(&links[2], 2, 0, 4, 1)
 			setQueues(&links[3], 1, 0, 5, 2)
-			links[0].OutTurnJoins = [signal.NumTurns]int{step / 3, step / 5, step / 11}
-			links[2].OutTurnJoins = [signal.NumTurns]int{step / 4, 0, step / 6}
+			links[0].OutTurnJoins = joins(step/3, step/5, step/11)
+			links[2].OutTurnJoins = joins(step/4, 0, step/6)
 		}},
 		{"alternating", 320, func(step int, links []signal.LinkObs) {
 			// The heavy side flips every 40 slots, forcing transitions.
@@ -129,7 +134,7 @@ func scripts() []script {
 			setQueues(&links[heavy+1], 12, 2, 3, 0)
 			setQueues(&links[light], 1, 0, 6, 2)
 			setQueues(&links[light+1], 0, 1, 4, 1)
-			links[1].OutTurnJoins = [signal.NumTurns]int{step / 2, step / 8, 0}
+			links[1].OutTurnJoins = joins(step/2, step/8, 0)
 		}},
 		{"downstream-full", 200, func(step int, links []signal.LinkObs) {
 			// Phase 1's outgoing roads sit at capacity (the eq. 8 beta
@@ -142,15 +147,13 @@ func scripts() []script {
 		{"noisy", 400, func(step int, links []signal.LinkObs) {
 			state := uint64(step)*2654435761 + 12345
 			for i := range links {
-				q := int(splitmix(&state) % 20)
-				it := int(splitmix(&state) % 6)
-				oq := int(splitmix(&state) % 15)
-				ox := int(splitmix(&state) % 30)
+				q := int32(splitmix(&state) % 20)
+				it := int32(splitmix(&state) % 6)
+				oq := int32(splitmix(&state) % 15)
+				ox := int32(splitmix(&state) % 30)
 				setQueues(&links[i], q, it, oq, ox)
 				// Monotone departure counters with per-link cadence.
-				links[i].OutTurnJoins = [signal.NumTurns]int{
-					step * (i + 1) / 4, step / 3, step / 5,
-				}
+				links[i].OutTurnJoins = joins(step*(i+1)/4, step/3, step/5)
 			}
 		}},
 		{"burst-gap", 260, func(step int, links []signal.LinkObs) {
@@ -158,7 +161,7 @@ func scripts() []script {
 			// slots — the actuated gap-out pattern: greens extend under
 			// the burst and gap out after it; phase 2 never presents
 			// demand, so only the min-green and gap timers govern it.
-			q := 0
+			q := int32(0)
 			if step%50 < 15 {
 				q = 12
 			}
@@ -166,7 +169,7 @@ func scripts() []script {
 			setQueues(&links[1], q/2, 0, 1, 0)
 			setQueues(&links[2], 0, 0, 3, 1)
 			setQueues(&links[3], 0, 0, 2, 0)
-			links[0].OutTurnJoins = [signal.NumTurns]int{step / 2, step / 7, step / 13}
+			links[0].OutTurnJoins = joins(step/2, step/7, step/13)
 		}},
 		{frozenScript, 200, func(step int, links []signal.LinkObs) {
 			// Frozen stretches, where the engine offers Quiet: an empty
@@ -178,7 +181,7 @@ func scripts() []script {
 			// phases hold load: eq. (12) keeps a phase 1 green although
 			// phase 2's total gain is higher, so quiet steps keep a
 			// green that a re-selection alone would leave.
-			q0, q1, q2 := 0, 0, 0
+			var q0, q1, q2 int32
 			switch {
 			case step >= 60 && step < 70:
 				q2 = 10

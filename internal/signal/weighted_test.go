@@ -90,7 +90,7 @@ func countingBatch(t *testing.T) (bc BatchController, b *Batch, fakes []*countin
 		Infos:   infos,
 	}
 	for gl := range b.Links {
-		b.Links[gl].Queue = 10 + gl
+		b.Links[gl].Queue = int32(10 + gl)
 	}
 	return bc, b, fakes, clock
 }

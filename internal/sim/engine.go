@@ -411,19 +411,18 @@ type obsSite struct {
 }
 
 // refresh recomputes the site's ground-truth fields from the two road
-// rows it reads.
+// rows it reads: five scalar copies and two array copies, since the
+// observation's counts are int32 like the rows' (DESIGN.md §10).
 func (s *obsSite) refresh(rows []roadRow) {
 	in, out := &rows[s.in], &rows[s.out]
 	tr := s.truth
-	tr.Queue = int(in.queued[s.turn])
-	tr.InTransit = int(in.transit[s.turn])
-	tr.ApproachQueue = int(in.total)
-	tr.OutQueue = int(out.total)
-	tr.OutOccupancy = int(out.occ)
-	for t := range tr.OutTurnQueue {
-		tr.OutTurnQueue[t] = int(out.queued[t])
-		tr.OutTurnJoins[t] = int(out.joins[t])
-	}
+	tr.Queue = in.queued[s.turn]
+	tr.InTransit = in.transit[s.turn]
+	tr.ApproachQueue = in.total
+	tr.OutQueue = out.total
+	tr.OutOccupancy = out.occ
+	tr.OutTurnQueue = out.queued
+	tr.OutTurnJoins = out.joins
 }
 
 // New validates the configuration, instantiates one controller per
@@ -476,14 +475,48 @@ func New(cfg Config) (*Engine, error) {
 
 	e.rows = make([]roadRow, len(e.net.Roads))
 	e.roads = make([]roadState, len(e.net.Roads))
+	e.entries = append(e.entries, e.net.EntryRoads()...)
+	// Pre-size the lane rings and the travel heap from the link
+	// capacity: a bounded road holds at most Capacity vehicles, so
+	// neither the lanes it feeds nor its in-transit set can ever
+	// outgrow that — they never allocate after this (DESIGN.md §5).
+	// Roads into terminals never queue at a stop line (vehicles leave
+	// at service or at travel completion), so they skip the lane
+	// reservations; their travel heap is still reserved when bounded,
+	// covering topologies that route a bounded road straight into a
+	// terminal. Grid exit roads are unbounded sinks and reserve
+	// nothing. The spawn queue of an entry road is unbounded in
+	// principle; one road capacity of headroom covers everything short
+	// of sustained oversaturation, beyond which the ring doubles. A
+	// counting pass sizes one slab for all of it, so the reservations
+	// below are windows of three allocations.
+	lanesPerRoad := numTurns
+	if cfg.MixedLanes {
+		lanesPerRoad = 1
+	}
+	laneSlots, travelSlots := 0, 0
+	for i := range e.net.Roads {
+		r := &e.net.Roads[i]
+		if r.Capacity > math.MaxInt32 {
+			return nil, fmt.Errorf("sim: road %q capacity %d does not fit an int32 counter", r.Name, r.Capacity)
+		}
+		if r.Bounded() {
+			if e.net.Junction(r.To) != nil {
+				laneSlots += lanesPerRoad * r.Capacity
+			}
+			travelSlots += r.Capacity
+		}
+	}
+	for _, rid := range e.entries {
+		laneSlots += e.net.Roads[rid].Capacity
+	}
+	slab := queue.NewSlab(laneSlots, travelSlots)
 	for i := range e.net.Roads {
 		r := &e.net.Roads[i]
 		e.rows[i] = newRoadRow(r)
 		j := e.net.Junction(r.To)
-		rs := roadState{
-			travel: r.TravelTime(),
-			exits:  j == nil,
-		}
+		rs := &e.roads[i]
+		rs.travel, rs.exits = r.TravelTime(), j == nil
 		if j != nil {
 			approach := r.Heading.Opposite()
 			for _, t := range network.Turns {
@@ -492,36 +525,21 @@ func New(cfg Config) (*Engine, error) {
 				}
 			}
 		}
-		// Pre-size the lane rings and the travel heap from the link
-		// capacity: a bounded road holds at most Capacity vehicles, so
-		// neither the lanes it feeds nor its in-transit set can ever
-		// outgrow that — they never allocate after this (DESIGN.md §5).
-		// Roads into terminals never queue at a stop line (vehicles
-		// leave at service or at travel completion), so they skip the
-		// lane reservations; their travel heap is still reserved when
-		// bounded, covering topologies that route a bounded road
-		// straight into a terminal. Grid exit roads are unbounded sinks
-		// and reserve nothing.
 		if r.Bounded() {
 			if !rs.exits {
 				if cfg.MixedLanes {
-					rs.mixed.Reserve(r.Capacity)
+					slab.ReserveLane(&rs.mixed, r.Capacity)
 				} else {
 					for t := range rs.lanes {
-						rs.lanes[t].Reserve(r.Capacity)
+						slab.ReserveLane(&rs.lanes[t], r.Capacity)
 					}
 				}
 			}
-			rs.tail.Reserve(r.Capacity)
+			slab.ReserveTravel(&rs.tail, r.Capacity)
 		}
-		e.roads[i] = rs
 	}
-	e.entries = append(e.entries, e.net.EntryRoads()...)
 	for _, rid := range e.entries {
-		// The spawn queue is unbounded in principle; one road capacity
-		// of headroom covers everything short of sustained
-		// oversaturation, beyond which the ring doubles.
-		e.roads[rid].spawn.Reserve(e.net.Roads[rid].Capacity)
+		slab.ReserveLane(&e.roads[rid].spawn, e.net.Roads[rid].Capacity)
 	}
 
 	wstar := e.net.MaxCapacity()
@@ -565,8 +583,8 @@ func New(cfg Config) (*Engine, error) {
 		for li := range j.Links {
 			l := &j.Links[li]
 			obsLinks[li] = signal.LinkObs{
-				OutCapacity: e.net.Roads[l.Out].Capacity,
-				InCapacity:  e.net.Roads[l.In].Capacity,
+				OutCapacity: int32(e.net.Roads[l.Out].Capacity),
+				InCapacity:  int32(e.net.Roads[l.In].Capacity),
 				Mu:          l.Mu,
 			}
 		}
@@ -876,7 +894,7 @@ func (e *Engine) Reset(seed uint64) error {
 		clearObsDynamic(js.truth)
 		for li := range js.j.Links {
 			l := &js.j.Links[li]
-			outCap, inCap := e.net.Roads[l.Out].Capacity, e.net.Roads[l.In].Capacity
+			outCap, inCap := int32(e.net.Roads[l.Out].Capacity), int32(e.net.Roads[l.In].Capacity)
 			js.obs.Links[li].OutCapacity, js.obs.Links[li].InCapacity = outCap, inCap
 			js.truth[li].OutCapacity, js.truth[li].InCapacity = outCap, inCap
 		}
@@ -957,8 +975,8 @@ func clearObsDynamic(links []signal.LinkObs) {
 	for i := range links {
 		o := &links[i]
 		o.Queue, o.InTransit, o.ApproachQueue, o.OutQueue, o.OutOccupancy = 0, 0, 0, 0, 0
-		o.OutTurnQueue = [signal.NumTurns]int{}
-		o.OutTurnJoins = [signal.NumTurns]int{}
+		o.OutTurnQueue = [signal.NumTurns]int32{}
+		o.OutTurnJoins = [signal.NumTurns]int32{}
 	}
 }
 
@@ -1234,7 +1252,7 @@ func (e *Engine) applyEvents() {
 		e.evCursor++
 		switch tr.Kind {
 		case event.TransCapacity:
-			e.setEffCap(tr.Road, int(tr.Cap))
+			e.setEffCap(tr.Road, tr.Cap)
 		case event.TransMark:
 			e.markDirty(tr.Road)
 		case event.TransDarkOn:
@@ -1255,12 +1273,12 @@ func (e *Engine) applyEvents() {
 // installed). The dirty mark routes the change through the incremental
 // sense path, which feeds the batched control plane's change set so
 // gain caches recompute exactly the affected links.
-func (e *Engine) setEffCap(rid network.RoadID, cap int) {
+func (e *Engine) setEffCap(rid network.RoadID, cap int32) {
 	row := &e.rows[rid]
-	if int(row.effCap) == cap {
+	if row.effCap == cap {
 		return
 	}
-	row.effCap = int32(cap)
+	row.effCap = cap
 	for _, lr := range e.roadLinks[rid] {
 		js := &e.juncs[lr.junc]
 		l := &js.j.Links[lr.link]
@@ -1774,25 +1792,22 @@ func (e *Engine) CheckInvariants() error {
 			in := &e.rows[l.In]
 			out := &e.rows[l.Out]
 			tr := &js.truth[li]
-			if tr.Queue != int(in.queued[l.Turn]) ||
-				tr.InTransit != int(in.transit[l.Turn]) ||
-				tr.ApproachQueue != int(in.total) ||
-				tr.OutQueue != int(out.total) ||
-				tr.OutOccupancy != int(out.occ) {
+			if tr.Queue != in.queued[l.Turn] ||
+				tr.InTransit != in.transit[l.Turn] ||
+				tr.ApproachQueue != in.total ||
+				tr.OutQueue != out.total ||
+				tr.OutOccupancy != out.occ {
 				return fmt.Errorf("sim: junction %s link %d observation truth %+v is stale (roads %d->%d clean)",
 					js.info.Label, li, *tr, l.In, l.Out)
 			}
-			for t := 0; t < numTurns; t++ {
-				if tr.OutTurnQueue[t] != int(out.queued[t]) ||
-					tr.OutTurnJoins[t] != int(out.joins[t]) {
-					return fmt.Errorf("sim: junction %s link %d per-movement truth %+v stale vs out road %d (turn %d)",
-						js.info.Label, li, *tr, l.Out, t)
-				}
+			if tr.OutTurnQueue != out.queued || tr.OutTurnJoins != out.joins {
+				return fmt.Errorf("sim: junction %s link %d per-movement truth %+v stale vs out road %d",
+					js.info.Label, li, *tr, l.Out)
 			}
 			// The engine-owned capacity fields must track the effective
 			// capacities the event plane maintains (setEffCap writes
 			// them eagerly, so no dirty-set exemption applies).
-			if tr.OutCapacity != int(out.effCap) || tr.InCapacity != int(in.effCap) {
+			if tr.OutCapacity != out.effCap || tr.InCapacity != in.effCap {
 				return fmt.Errorf("sim: junction %s link %d observed capacities out=%d in=%d, effective %d / %d",
 					js.info.Label, li, tr.OutCapacity, tr.InCapacity, out.effCap, in.effCap)
 			}

@@ -61,6 +61,8 @@ func TestNewValidation(t *testing.T) {
 		{Net: g.Network, Demand: demand},
 		{Net: g.Network, Controllers: staticFactory(1)},
 		{Net: g.Network, Controllers: staticFactory(1), Demand: demand, DeltaT: -1},
+		// A capacity past the int32 counters and observation fields.
+		{Net: grid1x1Cap(t, 1<<31).Network, Controllers: staticFactory(1), Demand: demand},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

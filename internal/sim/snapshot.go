@@ -235,13 +235,17 @@ func (e *Engine) Restore(data []byte) error {
 		}
 	}
 
-	readObsSlab(r, e.obsSlab)
+	if err := readObsSlab(r, e.obsSlab, "observation"); err != nil {
+		return err
+	}
 	sensed := r.Bool()
 	if r.Err() == nil && sensed != (e.sensor != nil) {
 		return fmt.Errorf("sim: snapshot sensed=%v, engine sensed=%v", sensed, e.sensor != nil)
 	}
 	if sensed {
-		readObsSlab(r, e.truthSlab[:e.numLinks])
+		if err := readObsSlab(r, e.truthSlab[:e.numLinks], "truth"); err != nil {
+			return err
+		}
 	}
 
 	// Dirty set: clear the engine's current flags, then install the
@@ -452,46 +456,63 @@ func (e *Engine) snapshotSizeHint() int {
 
 // writeObsSlab serializes a link-observation slab in full — the dynamic
 // queue fields and the engine-owned capacity/service fields (capacity
-// events mutate the latter mid-run).
+// events mutate the latter mid-run). Each int32 count goes out widened
+// to the 8-byte word of the v2 format.
 func writeObsSlab(w *snap.Writer, links []signal.LinkObs) {
 	for i := range links {
 		o := &links[i]
-		w.Int(o.Queue)
-		w.Int(o.InTransit)
-		w.Int(o.ApproachQueue)
-		w.Int(o.OutQueue)
-		w.Int(o.OutOccupancy)
-		w.Int(o.OutCapacity)
-		w.Int(o.InCapacity)
+		w.Int(int(o.Queue))
+		w.Int(int(o.InTransit))
+		w.Int(int(o.ApproachQueue))
+		w.Int(int(o.OutQueue))
+		w.Int(int(o.OutOccupancy))
+		w.Int(int(o.OutCapacity))
+		w.Int(int(o.InCapacity))
 		w.Float64(o.Mu)
 		for t := 0; t < signal.NumTurns; t++ {
-			w.Int(o.OutTurnQueue[t])
+			w.Int(int(o.OutTurnQueue[t]))
 		}
 		for t := 0; t < signal.NumTurns; t++ {
-			w.Int(o.OutTurnJoins[t])
+			w.Int(int(o.OutTurnJoins[t]))
 		}
 	}
 }
 
-// readObsSlab is writeObsSlab's inverse.
-func readObsSlab(r *snap.Reader, links []signal.LinkObs) {
+// readObsSlab is writeObsSlab's inverse. It rejects a count outside
+// [0, MaxInt32]: every writer of an observation — the refresh from the
+// road rows, a sensor's saturated estimate, an outage's blanking, the
+// capacities — writes a value in that range, so a word outside it is a
+// corrupt stream, not a reading, and would not fit the int32 field.
+func readObsSlab(r *snap.Reader, links []signal.LinkObs, what string) error {
+	var bad error
+	count := func(li int, field string) int32 {
+		v := r.Int()
+		if bad == nil && r.Err() == nil && (v < 0 || v > math.MaxInt32) {
+			bad = fmt.Errorf("sim: snapshot %s link %d %s %d outside [0, %d]", what, li, field, v, math.MaxInt32)
+		}
+		return int32(v)
+	}
 	for i := range links {
 		o := &links[i]
-		o.Queue = r.Int()
-		o.InTransit = r.Int()
-		o.ApproachQueue = r.Int()
-		o.OutQueue = r.Int()
-		o.OutOccupancy = r.Int()
-		o.OutCapacity = r.Int()
-		o.InCapacity = r.Int()
+		o.Queue = count(i, "queue")
+		o.InTransit = count(i, "in-transit count")
+		o.ApproachQueue = count(i, "approach queue")
+		o.OutQueue = count(i, "outgoing queue")
+		o.OutOccupancy = count(i, "outgoing occupancy")
+		o.OutCapacity = count(i, "outgoing capacity")
+		o.InCapacity = count(i, "incoming capacity")
 		o.Mu = r.Float64()
 		for t := 0; t < signal.NumTurns; t++ {
-			o.OutTurnQueue[t] = r.Int()
+			o.OutTurnQueue[t] = count(i, "outgoing movement queue")
 		}
 		for t := 0; t < signal.NumTurns; t++ {
-			o.OutTurnJoins[t] = r.Int()
+			o.OutTurnJoins[t] = count(i, "outgoing movement joins")
 		}
 	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return bad
 }
 
 // writeComponent records a collaborator's state in its own bounded

@@ -262,6 +262,50 @@ func TestRestoreRejectsContradictoryRoad(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsObservedCountOutOfRange pins the obs-slab bounds:
+// a loop-sensed engine's snapshot whose observed Queue is patched to a
+// word outside [0, MaxInt32] must not restore. Nothing cross-checks
+// the sensed slab against the roads, so without the bound such a
+// stream would restore and run on with a reading no sensor writes, and
+// 2⁴⁰ would truncate into the int32 field.
+func TestRestoreRejectsObservedCountOutOfRange(t *testing.T) {
+	build := func() *Engine {
+		e := snapTestEngine(t)
+		e.setSensor(sensing.NewLoopDetector(sensing.LoopDetectorOptions{}))
+		if err := e.Reset(7); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	// marker stands in for link 0's observed Queue so the test can find
+	// the word in the stream and overwrite it there.
+	const marker = 0x5a5a5a5
+	for _, patch := range []int64{1 << 40, -1, -(1 << 40)} {
+		e := build()
+		e.Run(60)
+		if err := build().Restore(e.Snapshot()); err != nil {
+			t.Fatalf("intact snapshot rejected: %v", err)
+		}
+		e.obsSlab[0].Queue = marker
+		b := e.Snapshot()
+		var want, with [8]byte
+		binary.LittleEndian.PutUint64(want[:], marker)
+		binary.LittleEndian.PutUint64(with[:], uint64(patch))
+		at := bytes.Index(b, want[:])
+		if at < 0 || bytes.Index(b[at+1:], want[:]) >= 0 {
+			t.Fatal("the marker does not occur exactly once in the stream")
+		}
+		copy(b[at:], with[:])
+		err := build().Restore(b)
+		if err == nil {
+			t.Fatalf("observed queue %d restored", patch)
+		}
+		if !strings.Contains(err.Error(), "observation link 0 queue") {
+			t.Fatalf("observed queue %d: restore failed for another reason: %v", patch, err)
+		}
+	}
+}
+
 // TestRoadRowIsOneCacheLine pins the counter row at 64 bytes, so a
 // slab that starts on a cache line keeps every row on one line.
 func TestRoadRowIsOneCacheLine(t *testing.T) {

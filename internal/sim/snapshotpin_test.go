@@ -1,7 +1,7 @@
 // The v2 snapshot format pinned across commits: the equivalence tests
 // compare two snapshots taken by one binary, so a layout change that
 // reorders or re-encodes a field consistently on both sides passes
-// them. This test hashes the bytes of three fixed runs instead, so any
+// them. This test hashes the bytes of fixed runs instead, so any
 // change to what Snapshot writes shows up as a hash mismatch.
 package sim_test
 
@@ -9,17 +9,36 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"utilbp/internal/core"
+	"utilbp/internal/event"
+	"utilbp/internal/network"
 	"utilbp/internal/scenario"
+	"utilbp/internal/sensing"
+	"utilbp/internal/signal"
 	"utilbp/internal/sim"
 )
 
-// TestSnapshotBytesPinned pins the FNV-64a hash of Snapshot() for three
-// runs: the paper grid under Pattern I at step 600 with separate
-// turning lanes and with the mixed lane, and city-grid-incident at step
-// 100, inside its incident window, so the stream carries a reduced
-// effective capacity. A change to the engine that keeps the format must
-// reproduce these hashes; one that changes the format bumps
-// snapshotVersion and re-records them.
+// TestSnapshotBytesPinned pins the FNV-64a hash of Snapshot() for
+// three engine runs and for every controller family and sensor.
+//
+// The engine runs: the paper grid under Pattern I at step 600 with
+// separate turning lanes and with the mixed lane, and
+// city-grid-incident at step 100, inside its incident window, so the
+// stream carries a reduced effective capacity.
+//
+// The family runs take the paper grid under Pattern I, seed 1, to step
+// 300: each of the eight families under perfect sensing, a loop
+// detector that misses 5 % of its events and 30 % connected-vehicle
+// penetration; UTIL-BP under the noisy, rate-limited connected-vehicle
+// sensor (the per-field path) and behind blank and freeze outage
+// windows; and the four gain variants, each of which reads different
+// observation fields. The stream carries every observation field of
+// both slabs and each collaborator's state, so a change to how a
+// family reads or a sensor writes an observation shows up here.
+//
+// A change to the engine that keeps the format must reproduce these
+// hashes; one that changes the format bumps snapshotVersion and
+// re-records them.
 func TestSnapshotBytesPinned(t *testing.T) {
 	city, ok := scenario.WorkloadByName("city-grid-incident")
 	if !ok {
@@ -65,11 +84,147 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			if wantReduced := tc.setup.Events != nil; reduced != wantReduced {
 				t.Fatalf("a reduced effective capacity at step %d: %v, want %v", tc.steps, reduced, wantReduced)
 			}
-			h := fnv.New64a()
-			h.Write(e.Snapshot())
-			if got := h.Sum64(); got != tc.want {
+			if got := snapshotHash(e); got != tc.want {
 				t.Fatalf("snapshot hash %#016x, want %#016x", got, tc.want)
 			}
 		})
 	}
+
+	loop := sensing.Spec{Kind: sensing.KindLoop, FailProb: 0.05}
+	cv := sensing.CV(0.3)
+	noisyCV := sensing.Spec{Kind: sensing.KindConnectedVehicle, Rate: 0.3, NoiseStd: 1, LatencySteps: 3}
+	sensors := []struct {
+		name string
+		spec sensing.Spec
+	}{{"perfect", sensing.Spec{}}, {"loop", loop}, {"cv:0.3", cv}}
+	// want holds the hash of each family under each of sensors, in
+	// that order.
+	families := []struct {
+		spec string
+		want [3]uint64
+	}{
+		{"util", [3]uint64{0xc62bdf015994ca16, 0xa875680e1af2da6a, 0xd9d5cfae0a11a180}},
+		{"cap:20", [3]uint64{0x9b2d3a94259db92d, 0x85423267c0849396, 0xad872efa85222465}},
+		{"capnorm:20", [3]uint64{0x26e740dcd7252bc9, 0xbd4010c040284f4e, 0xfbdef8969e59d7cb}},
+		{"orig:20", [3]uint64{0x3096279e376cc7fa, 0xada6183fd82544c7, 0x9f5252e6bba16856}},
+		{"fixed:20", [3]uint64{0x13abcea63c9940e2, 0x3e3dd316c71a6120, 0xba90e5044dc73f60}},
+		{"maxpressure", [3]uint64{0xd6d88bd497c7cac9, 0xa0195c78d00f5465, 0x422ac29111b73391}},
+		{"gapout", [3]uint64{0xc1e85f9bc135262c, 0xc2be57c685730ff5, 0x22d3fe43e40b5e3d}},
+		{"bp-est", [3]uint64{0x11973be101c3b73a, 0x0a6e0e9f055b6c10, 0xdef229933fb7fad6}},
+	}
+	for _, f := range families {
+		spec, err := scenario.ParseControllerSpec(f.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, s := range sensors {
+			t.Run(f.spec+"/"+s.name, func(t *testing.T) {
+				setup := scenario.Default()
+				setup.Sensor = s.spec
+				factory, err := setup.Controller(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPinnedRun(t, setup, factory, f.want[si])
+			})
+		}
+	}
+
+	variants := []struct {
+		name    string
+		variant core.GainVariant
+		want    uint64
+	}{
+		{"A1-no-wstar-shift", core.GainVariant{NoWStarShift: true}, 0x8ec51b62e762f313},
+		{"A3-no-special-cases", core.GainVariant{NoSpecialCases: true}, 0x89257e9f484d0dc9},
+		{"A4-whole-road-pressure", core.GainVariant{WholeRoadPressure: true}, 0xbe401db01bab9cde},
+		{"count-approaching", core.GainVariant{CountApproaching: true}, 0x58aa7472e190f71a},
+	}
+	for _, v := range variants {
+		t.Run("util-variant/"+v.name, func(t *testing.T) {
+			setup := scenario.Default()
+			// UtilBPVariant takes the detector convention from the
+			// setup, so the counting variant is set there.
+			setup.CountApproaching = v.variant.CountApproaching
+			checkPinnedRun(t, setup, setup.UtilBPVariant(v.variant, false), v.want)
+		})
+	}
+
+	sensed := []struct {
+		name   string
+		spec   sensing.Spec
+		outage bool
+		mode   sensing.OutageMode
+		want   uint64
+	}{
+		{"cv:0.3,noise=1,lat=3", noisyCV, false, 0, 0xc9b8b347f5d2da71},
+		{"perfect+blank", sensing.Spec{}, true, sensing.OutageBlank, 0x6cb7bef3fe484802},
+		{"loop+blank", loop, true, sensing.OutageBlank, 0x17850c31e612bd8d},
+		{"perfect+freeze", sensing.Spec{}, true, sensing.OutageFreeze, 0x8794552f238df36f},
+		{"cv:0.3+freeze", cv, true, sensing.OutageFreeze, 0xa7908bf4c1c91e13},
+	}
+	for _, s := range sensed {
+		t.Run("util/"+s.name, func(t *testing.T) {
+			setup := scenario.Default()
+			setup.Sensor = s.spec
+			if s.outage {
+				setup.Events = centralOutage(t, setup, 150, 200, s.mode)
+			}
+			checkPinnedRun(t, setup, setup.UtilBP(), s.want)
+		})
+	}
+}
+
+// checkPinnedRun runs the setup's Pattern I engine under the factory
+// for 300 steps and compares its snapshot hash with want.
+func checkPinnedRun(t *testing.T, setup scenario.Setup, factory signal.Factory, want uint64) {
+	t.Helper()
+	built, err := setup.Build(scenario.PatternI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.New(sim.Config{
+		Net:         built.Grid.Network,
+		Controllers: factory,
+		Demand:      built.Demand,
+		Router:      built.Router,
+		Routes:      built.Routes,
+		Sensor:      built.Sensor,
+		Events:      built.Events,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run(300)
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotHash(e); got != want {
+		t.Fatalf("snapshot hash %#016x, want %#016x", got, want)
+	}
+}
+
+// centralOutage returns an outage window over every approach of the
+// grid's central junction, from t0 for dur seconds.
+func centralOutage(t *testing.T, setup scenario.Setup, t0, dur float64, mode sensing.OutageMode) []event.Spec {
+	t.Helper()
+	g, err := network.Grid(setup.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := g.Junction(g.JunctionAt(g.Rows()/2, g.Cols()/2))
+	var specs []event.Spec
+	for _, dir := range network.Dirs {
+		if rid := j.In[dir]; rid != network.NoRoad {
+			specs = append(specs, event.Outage(g.Road(rid).Name, t0, dur, mode))
+		}
+	}
+	return specs
+}
+
+// snapshotHash is the FNV-64a hash of the engine's snapshot.
+func snapshotHash(e *sim.Engine) uint64 {
+	h := fnv.New64a()
+	h.Write(e.Snapshot())
+	return h.Sum64()
 }

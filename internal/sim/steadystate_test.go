@@ -288,3 +288,37 @@ func TestResetWithSwapsCollaborators(t *testing.T) {
 		t.Fatal("ResetWith vehicle arena diverges from fresh run")
 	}
 }
+
+// TestNewAllocsCityGrid bounds what constructing a city-grid engine
+// allocates: the lane rings and travel heaps of its 1 000-odd roads
+// are windows of one queue slab (queue.Slab), not two allocations per
+// lane and one per heap, so a sweep that builds an engine per cell
+// does not pay for each reservation separately.
+func TestNewAllocsCityGrid(t *testing.T) {
+	w, ok := scenario.WorkloadByName("city-grid")
+	if !ok {
+		t.Fatal("city-grid is not registered")
+	}
+	built, err := w.Setup.Build(w.Pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{
+		Net:         built.Grid.Network,
+		Controllers: w.Setup.UtilBP(),
+		Demand:      built.Demand,
+		Router:      built.Router,
+		Routes:      built.Routes,
+		Sensor:      built.Sensor,
+		Events:      built.Events,
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := sim.New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("sim.New on city-grid: %.0f allocations", allocs)
+	if allocs > 5000 {
+		t.Fatalf("sim.New on city-grid made %.0f allocations, want at most 5000", allocs)
+	}
+}

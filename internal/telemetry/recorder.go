@@ -255,13 +255,13 @@ func (r *Recorder) RecordJunc(ji int, links []signal.LinkObs, applied signal.Pha
 	errN := 0
 	for li := range links {
 		l := &links[li]
-		queued += l.Queue
+		queued += int(l.Queue)
 		if active != nil && active[li] {
-			pressure += l.Queue - l.OutQueue
+			pressure += int(l.Queue) - int(l.OutQueue)
 		}
 		total := 0
 		for _, j := range l.OutTurnJoins {
-			total += j
+			total += int(j)
 		}
 		if total > 0 {
 			if int32(total) != jc.lastTotal[li] {

@@ -200,7 +200,7 @@ func TestRecorderEstimatorError(t *testing.T) {
 	// uniform prior and must converge toward the realized ratios, so
 	// the error series must shrink.
 	links := make([]signal.LinkObs, 1)
-	joins := [signal.NumTurns]int{}
+	joins := [signal.NumTurns]int32{}
 	var first, last float64
 	for step := 0; step < 60; step++ {
 		joins[0] += 6
