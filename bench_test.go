@@ -624,3 +624,117 @@ func benchName(prefix string, v int) string {
 	}
 	return prefix + "=" + digits[v/10:v/10+1] + digits[v%10:v%10+1]
 }
+
+// BenchmarkWeighCityGrid times UTIL-BP's weight sweep alone: every
+// junction's Weigh over observation slabs captured from a city-grid run
+// (16×16, Pattern II, seed 1) at six steps of its loaded hour, one slab
+// per iteration in turn. It reports ns per link weighed. PERF.md
+// records it; it is not gated.
+func BenchmarkWeighCityGrid(b *testing.B) {
+	slabs, ctrls, off := cityGridSlabs(b)
+	w := make([]float64, off[len(off)-1])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		links := slabs[i%len(slabs)]
+		for j, c := range ctrls {
+			c.Weigh(links[off[j]:off[j+1]], w[off[j]:off[j+1]])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(w)), "ns/link")
+}
+
+// cityGridSlabs runs city-grid for an hour under per-junction UTIL-BP
+// and returns the junctions' link observations at steps 599, 1199, …,
+// 3599, one dense slab per step in junction order, together with a
+// UTIL-BP controller per junction and the slab offset of each
+// junction's links.
+func cityGridSlabs(b *testing.B) ([][]signal.LinkObs, []signal.Weighted, []int) {
+	b.Helper()
+	const every, n = 600, 6
+	w, ok := scenario.WorkloadByName("city-grid")
+	if !ok {
+		b.Fatal("city-grid workload not registered")
+	}
+	setup := w.Setup
+	setup.Seed = 1
+	built, err := setup.Build(w.Pattern)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := &obsCapture{inner: setup.UtilBP(), every: every, off: []int{0}}
+	engine, err := sim.New(sim.Config{
+		Net:              built.Grid.Network,
+		Controllers:      c,
+		Demand:           built.Demand,
+		Router:           built.Router,
+		Routes:           built.Routes,
+		ExpectedVehicles: built.ExpectedVehicles(every * n),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	total := c.off[len(c.off)-1]
+	for range n {
+		c.slabs = append(c.slabs, make([]signal.LinkObs, total))
+	}
+	engine.Run(every * n)
+	for k, slab := range c.slabs {
+		queued := 0
+		for i := range slab {
+			queued += int(slab[i].Queue)
+		}
+		if queued == 0 {
+			b.Fatalf("slab %d captured no queued vehicle", k)
+		}
+	}
+	ctrls := make([]signal.Weighted, len(c.infos))
+	for j, info := range c.infos {
+		ctrl, err := setup.UtilBP().New(info)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctrls[j] = ctrl.(signal.Weighted)
+	}
+	return c.slabs, ctrls, c.off
+}
+
+// obsCapture is a per-junction signal.Factory whose controllers decide
+// as inner's do and copy the links they are shown at every step k with
+// k%every == every-1 into slab k/every, at their junction's offset.
+type obsCapture struct {
+	inner signal.Factory
+	every int
+	infos []signal.JunctionInfo
+	off   []int
+	slabs [][]signal.LinkObs
+}
+
+// Name implements signal.Factory.
+func (o *obsCapture) Name() string { return o.inner.Name() }
+
+// New implements signal.Factory.
+func (o *obsCapture) New(info signal.JunctionInfo) (signal.Controller, error) {
+	c, err := o.inner.New(info)
+	if err != nil {
+		return nil, err
+	}
+	j := len(o.infos)
+	o.infos = append(o.infos, info)
+	o.off = append(o.off, o.off[j]+info.NumLinks)
+	return &capturingController{Controller: c, o: o, lo: o.off[j]}, nil
+}
+
+// capturingController is one obsCapture junction.
+type capturingController struct {
+	signal.Controller
+	o  *obsCapture
+	lo int
+}
+
+// Decide implements signal.Controller.
+func (c *capturingController) Decide(obs *signal.Obs) signal.Phase {
+	if k := obs.Step / c.o.every; obs.Step%c.o.every == c.o.every-1 && k < len(c.o.slabs) {
+		copy(c.o.slabs[k][c.lo:], obs.Links)
+	}
+	return c.Controller.Decide(obs)
+}

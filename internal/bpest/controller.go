@@ -42,12 +42,13 @@ func (o Options) withDefaults() Options {
 // are bit-for-bit (DESIGN.md §13). Its phase rule is UTIL-BP's
 // Algorithm 1 tail run on the estimated gains.
 type Controller struct {
-	info  signal.JunctionInfo
-	opts  Options
-	est   []TurnRatioEstimator
+	est []TurnRatioEstimator
+	// gains is Decide's per-link scratch, allocated by the first
+	// Decide; a batch-built controller holds none.
 	gains []float64
 	// tail is the Algorithm 1 phase logic (amber timer, eq. (12)
-	// keep-phase, selection) with this family's gains and amber.
+	// keep-phase, selection) with this family's gains and amber, and
+	// its compiled eq. (8) is the gain rule.
 	tail *core.Controller
 }
 
@@ -62,11 +63,8 @@ func New(info signal.JunctionInfo, opts Options) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		info:  info,
-		opts:  opts,
-		est:   make([]TurnRatioEstimator, info.NumLinks),
-		gains: make([]float64, info.NumLinks),
-		tail:  tail,
+		est:  make([]TurnRatioEstimator, info.NumLinks),
+		tail: tail,
 	}
 	for i := range c.est {
 		c.est[i] = NewTurnRatioEstimator(opts.Alpha)
@@ -79,25 +77,20 @@ func (c *Controller) Name() string { return "BP-EST" }
 
 // WeighLink implements signal.Weighted: it folds the link's observed
 // departure counters into its estimator and returns the
-// estimated-routing gain: beta when the outgoing road is full, alpha
-// when the lane is empty, otherwise the pressure against the
-// routing-rate-weighted downstream movement queues shifted by W* (the
-// eq. 8 structure with Σ_t r̂_t·q_{i',t} replacing the aggregate
-// b_{i'}). The estimator no-ops on unchanged join counters, so a link
-// outside the batch change set keeps its cached gain exactly.
+// estimated-routing gain, UTIL-BP's eq. (8) kernel (core.Rule.Gain)
+// with the routing-rate-weighted downstream movement queues
+// Σ_t r̂_t·q_{i',t} as the downstream pressure in place of the
+// aggregate b_{i'}. The estimator no-ops on unchanged join counters, so
+// a link outside the batch change set keeps its cached gain exactly.
 func (c *Controller) WeighLink(li int, l *signal.LinkObs) float64 {
-	c.est[li].Observe(l.OutTurnJoins)
-	if l.OutFull() {
-		return c.opts.GainBeta
-	}
-	if l.Queue == 0 {
-		return c.opts.GainAlpha
-	}
+	e := &c.est[li]
+	e.Observe(l.OutTurnJoins)
 	down := 0.0
 	for t := 0; t < signal.NumTurns; t++ {
-		down += c.est[li].ratios[t] * float64(l.OutTurnQueue[t])
+		down += e.ratios[t] * float64(l.OutTurnQueue[t])
 	}
-	return (float64(l.Queue) - down + float64(c.info.WStar)) * l.Mu
+	q := int(l.Queue)
+	return c.tail.Rule().Gain(l, q, q, down)
 }
 
 // Weigh implements signal.Weighted.
@@ -115,6 +108,9 @@ func (c *Controller) DecideWeighted(gains []float64, obs *signal.Obs) signal.Pha
 
 // Decide implements signal.Controller.
 func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
+	if c.gains == nil {
+		c.gains = make([]float64, len(obs.Links))
+	}
 	c.Weigh(obs.Links, c.gains)
 	return c.tail.DecideWeighted(c.gains, obs)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"utilbp/internal/signal"
 )
@@ -40,11 +41,17 @@ func (o Options) withDefaults() Options {
 // varying-length control phases: a phase lasts exactly as long as its
 // best link keeps clearing vehicles faster than the threshold g*(k).
 type Controller struct {
-	info   signal.JunctionInfo
-	opts   Options
-	params Params
-	// gains is Decide's per-link scratch; the batched path hands
-	// DecideWeighted its window of the shared weight slab instead.
+	// phases is the junction's phase table and wStar its W*, the
+	// factor of the keep-phase threshold g* of eq. (12).
+	phases [][]int
+	wStar  int
+	// rule is eq. (8) compiled from the options.
+	rule        Rule
+	amberSteps  int
+	noKeepPhase bool
+	// gains is Decide's per-link scratch, allocated by the first
+	// Decide: the batched path hands DecideWeighted its window of the
+	// shared weight slab instead, so a batch-built controller holds none.
 	gains []float64
 	// scores is selectPhase's per-phase scratch space, kept on the
 	// controller so re-selection allocates nothing.
@@ -73,11 +80,12 @@ func New(info signal.JunctionInfo, opts Options) (*Controller, error) {
 		return nil, err
 	}
 	return &Controller{
-		info:   info,
-		opts:   opts,
-		params: params,
-		gains:  make([]float64, info.NumLinks),
-		scores: make([]phaseScore, len(info.Phases)),
+		phases:      info.Phases,
+		wStar:       info.WStar,
+		rule:        compile(params, opts.Variant),
+		amberSteps:  opts.AmberSteps,
+		noKeepPhase: opts.NoKeepPhase,
+		scores:      make([]phaseScore, len(info.Phases)),
 	}, nil
 }
 
@@ -86,21 +94,33 @@ func (c *Controller) Name() string { return "UTIL-BP" }
 
 // Decide implements signal.Controller with Algorithm 1.
 func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
+	if c.gains == nil {
+		c.gains = make([]float64, len(obs.Links))
+	}
 	c.Weigh(obs.Links, c.gains)
 	return c.DecideWeighted(c.gains, obs)
 }
 
-// Weigh implements signal.Weighted: the eq. (8) gain of every link.
+// Weigh implements signal.Weighted: the eq. (8) gain of every link,
+// with the rule's kernel inlined, so the sweep makes no call per link.
 func (c *Controller) Weigh(links []signal.LinkObs, gains []float64) {
+	r := &c.rule
 	for i := range links {
-		gains[i] = LinkGain(&links[i], c.params, c.opts.Variant)
+		l := &links[i]
+		lane, in := r.counts(l)
+		gains[i] = r.Gain(l, lane, in, float64(l.OutQueue))
 	}
 }
 
 // WeighLink implements signal.Weighted.
 func (c *Controller) WeighLink(_ int, l *signal.LinkObs) float64 {
-	return LinkGain(l, c.params, c.opts.Variant)
+	lane, in := c.rule.counts(l)
+	return c.rule.Gain(l, lane, in, float64(l.OutQueue))
 }
+
+// Rule is the controller's compiled eq. (8). BP-EST evaluates its
+// estimated gain with its tail's rule.
+func (c *Controller) Rule() *Rule { return &c.rule }
 
 // DecideWeighted implements signal.Weighted: Algorithm 1 over link
 // gains already evaluated. It is the one decision tail of the
@@ -118,11 +138,11 @@ func (c *Controller) DecideWeighted(gains []float64, obs *signal.Obs) signal.Pha
 	// gain exceeds g*(k) = W*·µ(Lmax), eq. (12) — the mechanism that
 	// limits the number of transition phases. g* is 0 for an empty
 	// phase.
-	if cur != signal.Amber && !c.opts.NoKeepPhase {
-		gmax, maxLink := PhaseMaxGain(gains, c.info.Phases[cur-1])
+	if cur != signal.Amber && !c.noKeepPhase {
+		gmax, maxLink := PhaseMaxGain(gains, c.phases[cur-1])
 		threshold := 0.0
 		if maxLink >= 0 {
-			threshold = float64(c.info.WStar) * obs.Links[maxLink].Mu
+			threshold = float64(c.wStar) * obs.Links[maxLink].Mu
 		}
 		if gmax > threshold {
 			return cur
@@ -137,8 +157,8 @@ func (c *Controller) DecideWeighted(gains []float64, obs *signal.Obs) signal.Pha
 	if next == cur || cur == signal.Amber {
 		return next
 	}
-	c.amberUntil = obs.Step + c.opts.AmberSteps
-	if c.opts.AmberSteps == 0 {
+	c.amberUntil = obs.Step + c.amberSteps
+	if c.amberSteps == 0 {
 		return next
 	}
 	return signal.Amber
@@ -152,11 +172,12 @@ func (c *Controller) DecideWeighted(gains []float64, obs *signal.Obs) signal.Pha
 // phase number.
 func (c *Controller) selectPhase(gains []float64, cur signal.Phase) signal.Phase {
 	scores := c.scores
+	alpha := math.Float64frombits(c.rule.alpha)
 	anyUsable := false
-	for pi, phase := range c.info.Phases {
+	for pi, phase := range c.phases {
 		gmax, _ := PhaseMaxGain(gains, phase)
 		scores[pi] = phaseScore{gmax: gmax, total: PhaseGain(gains, phase)}
-		if gmax > c.params.Alpha {
+		if gmax > alpha {
 			anyUsable = true
 		}
 	}
@@ -178,7 +199,7 @@ func (c *Controller) selectPhase(gains []float64, cur signal.Phase) signal.Phase
 		p := signal.Phase(pi + 1)
 		if anyUsable {
 			// Lines 6-8: C' = {c_j : gmax > alpha}; argmax total gain.
-			if scores[pi].gmax <= c.params.Alpha {
+			if scores[pi].gmax <= alpha {
 				continue
 			}
 			if better(p, scores[pi].total) {

@@ -206,8 +206,8 @@ func TestAmberOptionValidation(t *testing.T) {
 	}
 	// The option's zero value means the paper default Δk = 4 s.
 	d := newCtrl(t, Options{})
-	if d.opts.AmberSteps != 4 {
-		t.Fatalf("default amber = %d, want 4", d.opts.AmberSteps)
+	if d.amberSteps != 4 {
+		t.Fatalf("default amber = %d, want 4", d.amberSteps)
 	}
 }
 

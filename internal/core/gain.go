@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"utilbp/internal/signal"
 )
@@ -61,39 +62,101 @@ type GainVariant struct {
 	CountApproaching bool
 }
 
-// LinkGain computes g(L_i^{i'}, k) per eq. (8):
-//
-//	beta                              if the outgoing road is full,
-//	alpha                             if the incoming lane is empty,
-//	(b_i^{i'} - b_{i'} + W*) · µ      otherwise,
-//
-// with the variant switches applied for ablation studies.
-func LinkGain(l *signal.LinkObs, p Params, v GainVariant) float64 {
-	laneQueue := int(l.Queue)
-	if v.CountApproaching {
-		laneQueue += int(l.InTransit)
+// Rule is eq. (8) compiled for one controller: the Params and every
+// GainVariant switch folded into constants, so that one link's gain is
+// straight-line code with no branch on the observation (DESIGN.md §11).
+// UTIL-BP's Weigh and WeighLink and BP-EST's estimated gain evaluate it
+// through Gain.
+type Rule struct {
+	// alpha and beta are the special-scenario gains as math.Float64bits:
+	// the compiler selects an integer with a conditional move, a
+	// float64 with a branch.
+	alpha, beta uint64
+	// shift is W* (0 under A1), and floor is the gain's lower clamp:
+	// -Inf, which never binds, or 0 under A1.
+	shift, floor float64
+	// emptyAt is the lane count that gives alpha: 0, or -1 under A3.
+	// The outgoing road is full, giving beta, when its capacity exceeds
+	// fullAbove and its occupancy reaches that capacity: fullAbove is 0,
+	// or MaxInt32 under A3. Every count lies in [0, MaxInt32], so the A3
+	// gates never fire.
+	emptyAt, fullAbove int32
+	// transit masks InTransit into the lane count: -1 under
+	// CountApproaching, else 0. whole selects the whole-road pressure
+	// q_i (A4).
+	transit int32
+	whole   bool
+}
+
+// compile folds p and v into the Rule of eq. (8).
+func compile(p Params, v GainVariant) Rule {
+	r := Rule{
+		alpha: math.Float64bits(p.Alpha),
+		beta:  math.Float64bits(p.Beta),
+		shift: float64(p.WStar),
+		floor: math.Inf(-1),
+		whole: v.WholeRoadPressure,
 	}
-	if !v.NoSpecialCases {
-		if l.OutFull() {
-			return p.Beta
-		}
-		if laneQueue == 0 {
-			return p.Alpha
-		}
-	}
-	in := float64(laneQueue)
-	if v.WholeRoadPressure {
-		in = float64(l.ApproachQueue)
-	}
-	pressure := in - float64(l.OutQueue)
 	if v.NoWStarShift {
-		g := pressure * l.Mu
-		if g < 0 {
-			return 0
-		}
-		return g
+		r.shift, r.floor = 0, 0
 	}
-	return (pressure + float64(p.WStar)) * l.Mu
+	if v.NoSpecialCases {
+		r.emptyAt, r.fullAbove = -1, math.MaxInt32
+	}
+	if v.CountApproaching {
+		r.transit = -1
+	}
+	return r
+}
+
+// Gain is g(L_i^{i'}, k) of eq. (8) for the link observed by l:
+//
+//	beta                    if the outgoing road is full,
+//	alpha                   if the incoming lane is empty,
+//	(in - down + W*) · µ    otherwise,
+//
+// where lane is the incoming lane's count, in the pressure count
+// b_i^{i'} and down the downstream pressure: b_{i'} = OutQueue for
+// UTIL-BP, the estimated Σ r̂_t·q_{i',t} for BP-EST. It must stay
+// within the inliner's budget, so that a sweep over links makes no
+// call per link (CI checks that it is inlined); it costs 77 of 80, and
+// naming the result saves two of those. The two special cases
+// are selects on the gain's bits, which the compiler emits as
+// conditional moves when both arms are in registers: α is loaded into a
+// local first, because a select whose arm loads a field stays a branch.
+// Full is written as two selects, since a && would stay a branch, and
+// it comes last so that a full road wins over an empty lane. The clamp
+// stays a comparison on floats: max would turn -0 into +0.
+func (r *Rule) Gain(l *signal.LinkObs, lane, in int, down float64) (g float64) {
+	a := r.alpha
+	g = (float64(in) - down + r.shift) * l.Mu
+	if g < r.floor {
+		g = r.floor
+	}
+	bits := math.Float64bits(g)
+	if lane == int(r.emptyAt) {
+		bits = a
+	}
+	f := r.beta
+	if l.OutOccupancy < l.OutCapacity {
+		f = bits
+	}
+	if l.OutCapacity > r.fullAbove {
+		bits = f
+	}
+	return math.Float64frombits(bits)
+}
+
+// counts returns UTIL-BP's lane count, q_i^{i'} plus the approaching
+// vehicles under CountApproaching (widened, so the sum cannot
+// overflow), and its pressure count: the lane count, or q_i under A4.
+func (r *Rule) counts(l *signal.LinkObs) (lane, in int) {
+	lane = int(l.Queue) + int(l.InTransit&r.transit)
+	in = lane
+	if r.whole {
+		in = int(l.ApproachQueue)
+	}
+	return lane, in
 }
 
 // PhaseGain is g(c_j, k) of eq. (10): the sum of the constituent link

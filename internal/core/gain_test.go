@@ -11,17 +11,17 @@ import (
 func TestLinkGainSpecialCases(t *testing.T) {
 	p := Params{Alpha: -1, Beta: -2, WStar: 120}
 	full := signal.LinkObs{Queue: 10, OutOccupancy: 50, OutCapacity: 50, Mu: 1}
-	if got := LinkGain(&full, p, GainVariant{}); got != -2 {
+	if got := gainOf(&full, p, GainVariant{}); got != -2 {
 		t.Errorf("full outgoing road gain = %v, want beta=-2", got)
 	}
 	empty := signal.LinkObs{Queue: 0, OutQueue: 10, OutOccupancy: 10, OutCapacity: 50, Mu: 1}
-	if got := LinkGain(&empty, p, GainVariant{}); got != -1 {
+	if got := gainOf(&empty, p, GainVariant{}); got != -1 {
 		t.Errorf("empty incoming lane gain = %v, want alpha=-1", got)
 	}
 	// The full-outgoing case takes precedence over the empty-incoming
 	// case, per eq. (8)'s ordering.
 	both := signal.LinkObs{Queue: 0, OutOccupancy: 50, OutCapacity: 50, Mu: 1}
-	if got := LinkGain(&both, p, GainVariant{}); got != -2 {
+	if got := gainOf(&both, p, GainVariant{}); got != -2 {
 		t.Errorf("full+empty gain = %v, want beta=-2", got)
 	}
 }
@@ -31,13 +31,13 @@ func TestLinkGainFormula(t *testing.T) {
 	// eq. (6): (b_i^{i'} - b_{i'} + W*)·µ.
 	l := signal.LinkObs{Queue: 7, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 2}
 	want := (7.0 - 30.0 + 120.0) * 2
-	if got := LinkGain(&l, p, GainVariant{}); got != want {
+	if got := gainOf(&l, p, GainVariant{}); got != want {
 		t.Errorf("gain = %v, want %v", got, want)
 	}
 	// Negative pressure difference still yields a positive gain thanks
 	// to the W* shift — the paper's utilization mechanism.
 	neg := signal.LinkObs{Queue: 3, OutQueue: 100, OutOccupancy: 100, OutCapacity: 120, Mu: 1}
-	if got := LinkGain(&neg, p, GainVariant{}); got <= 0 {
+	if got := gainOf(&neg, p, GainVariant{}); got <= 0 {
 		t.Errorf("negative-pressure gain = %v, want positive", got)
 	}
 }
@@ -55,7 +55,7 @@ func TestLinkGainAlwaysPositiveWhenServiceable(t *testing.T) {
 			Queue: queue, OutQueue: outOcc, OutOccupancy: outOcc, OutCapacity: 120,
 			InCapacity: 120, Mu: rate,
 		}
-		g := LinkGain(&l, p, GainVariant{})
+		g := gainOf(&l, p, GainVariant{})
 		return g > 0 && g > p.Alpha && g > p.Beta
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -68,7 +68,7 @@ func TestLinkGainMonotonicInQueue(t *testing.T) {
 	prev := math.Inf(-1)
 	for q := int32(1); q <= 120; q++ {
 		l := signal.LinkObs{Queue: q, OutQueue: 40, OutOccupancy: 40, OutCapacity: 120, Mu: 1}
-		g := LinkGain(&l, p, GainVariant{})
+		g := gainOf(&l, p, GainVariant{})
 		if g <= prev {
 			t.Fatalf("gain not strictly increasing at queue %d: %v <= %v", q, g, prev)
 		}
@@ -81,28 +81,28 @@ func TestLinkGainVariants(t *testing.T) {
 	l := signal.LinkObs{Queue: 5, ApproachQueue: 40, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 1}
 
 	// A4: whole-road pressure uses q_i instead of q_i^{i'}.
-	whole := LinkGain(&l, p, GainVariant{WholeRoadPressure: true})
+	whole := gainOf(&l, p, GainVariant{WholeRoadPressure: true})
 	if want := (40.0 - 30.0 + 120.0) * 1; whole != want {
 		t.Errorf("whole-road gain = %v, want %v", whole, want)
 	}
 
 	// A1: no W* shift clamps at zero.
 	neg := signal.LinkObs{Queue: 5, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 1}
-	if got := LinkGain(&neg, p, GainVariant{NoWStarShift: true}); got != 0 {
+	if got := gainOf(&neg, p, GainVariant{NoWStarShift: true}); got != 0 {
 		t.Errorf("no-shift negative gain = %v, want 0", got)
 	}
 	pos := signal.LinkObs{Queue: 50, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 1}
-	if got := LinkGain(&pos, p, GainVariant{NoWStarShift: true}); got != 20 {
+	if got := gainOf(&pos, p, GainVariant{NoWStarShift: true}); got != 20 {
 		t.Errorf("no-shift positive gain = %v, want 20", got)
 	}
 
 	// A3: no special cases scores full/empty links by the formula.
 	full := signal.LinkObs{Queue: 10, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}
-	if got := LinkGain(&full, p, GainVariant{NoSpecialCases: true}); got != 10 {
+	if got := gainOf(&full, p, GainVariant{NoSpecialCases: true}); got != 10 {
 		t.Errorf("no-special full gain = %v, want 10", got)
 	}
 	empty := signal.LinkObs{Queue: 0, OutQueue: 0, OutOccupancy: 0, OutCapacity: 120, Mu: 1}
-	if got := LinkGain(&empty, p, GainVariant{NoSpecialCases: true}); got != 120 {
+	if got := gainOf(&empty, p, GainVariant{NoSpecialCases: true}); got != 120 {
 		t.Errorf("no-special empty gain = %v, want 120", got)
 	}
 }

@@ -69,8 +69,9 @@ func Weight(l *signal.LinkObs, countApproaching bool) float64 {
 type Controller struct {
 	info signal.JunctionInfo
 	opts Options
-	// weights is Decide's per-link scratch; the batched path hands
-	// DecideWeighted its window of the shared weight slab instead.
+	// weights is Decide's per-link scratch, allocated by the first
+	// Decide: the batched path hands DecideWeighted its window of the
+	// shared weight slab instead, so a batch-built controller holds none.
 	weights []float64
 	// prevCur tracks the last observed applied phase; greenStart the
 	// step the current green segment was first observed at.
@@ -93,11 +94,7 @@ func New(info signal.JunctionInfo, opts Options) (*Controller, error) {
 	if opts.AmberSteps < 0 {
 		return nil, fmt.Errorf("maxpressure: AmberSteps must be non-negative, got %d", opts.AmberSteps)
 	}
-	return &Controller{
-		info:    info,
-		opts:    opts,
-		weights: make([]float64, info.NumLinks),
-	}, nil
+	return &Controller{info: info, opts: opts}, nil
 }
 
 // Name implements signal.Controller.
@@ -105,6 +102,9 @@ func (c *Controller) Name() string { return "MAXPRESSURE" }
 
 // Decide implements signal.Controller.
 func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
+	if c.weights == nil {
+		c.weights = make([]float64, len(obs.Links))
+	}
 	c.Weigh(obs.Links, c.weights)
 	return c.DecideWeighted(c.weights, obs)
 }

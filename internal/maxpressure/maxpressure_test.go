@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"utilbp/internal/signal"
+	"utilbp/internal/signal/signaltest"
 )
 
 func testInfo() signal.JunctionInfo {
@@ -52,5 +53,16 @@ func TestOptionsValidation(t *testing.T) {
 				t.Fatalf("New(%+v) succeeded, want error", c.opts)
 			}
 		})
+	}
+}
+
+// TestBatchBuiltHoldsNoScratch checks that a controller built for the
+// weighted batch allocates no Decide scratch: the batch hands it its
+// window of the shared weight slab.
+func TestBatchBuiltHoldsNoScratch(t *testing.T) {
+	for j, bc := range signaltest.WeightedBatchControllers(t, Factory(Options{})) {
+		if c := bc.(*Controller); c.weights != nil {
+			t.Fatalf("batch-built controller %d holds %d weights", j, len(c.weights))
+		}
 	}
 }

@@ -386,6 +386,42 @@ func driveBatchController(t *testing.T, bc signal.BatchController, infos []signa
 	return out, offered
 }
 
+// WeightedBatchControllers builds the weighted batch of a Weighted
+// family, as its BatchFactory does (signal.NewWeightedBatch), over one
+// junction per script, drives every script through it, and returns the
+// controllers the batch built, in junction order. A family checks on
+// them what a batch-built controller holds, such as no Decide scratch.
+func WeightedBatchControllers(t *testing.T, f signal.Factory) []signal.Controller {
+	t.Helper()
+	scs := scripts()
+	infos := make([]signal.JunctionInfo, len(scs))
+	for i := range infos {
+		infos[i] = testJunction(fmt.Sprintf("J%d", i))
+	}
+	rec := &recordingFactory{Factory: f}
+	bc, err := signal.NewWeightedBatch(rec, infos)
+	if err != nil {
+		t.Fatalf("factory %s: NewWeightedBatch: %v", f.Name(), err)
+	}
+	driveBatchController(t, bc, infos, scs, true)
+	return rec.built
+}
+
+// recordingFactory keeps every controller its factory builds.
+type recordingFactory struct {
+	signal.Factory
+	built []signal.Controller
+}
+
+// New implements signal.Factory.
+func (r *recordingFactory) New(info signal.JunctionInfo) (signal.Controller, error) {
+	c, err := r.Factory.New(info)
+	if err == nil {
+		r.built = append(r.built, c)
+	}
+	return c, err
+}
+
 // changedIn reports whether the change set names a link in [lo, hi).
 func changedIn(changed []int32, lo, hi int32) bool {
 	for _, gl := range changed {

@@ -1777,6 +1777,30 @@ func (e *Engine) CheckInvariants() error {
 			}
 		}
 	}
+	// Service credits (DESIGN.md §16): each lies in [startDebt, µΔt+1],
+	// the range the serve recurrence keeps it in, which rejects NaN and
+	// the infinities too; and a link outside the junction's current
+	// phase, every link under amber, holds none. Serve relies on the
+	// second: it zeroes the inactive credits only when the phase
+	// changes.
+	for ji := range e.juncs {
+		js := &e.juncs[ji]
+		var active []bool
+		if js.current != signal.Amber {
+			active = js.phaseActive[js.current-1]
+		}
+		for li, c := range js.credits {
+			s := &e.serveSites[js.linkBase+int32(li)]
+			if !(c >= s.startDebt && c <= s.creditCap) {
+				return fmt.Errorf("sim: junction %s link %d credit %v outside [%v, %v]",
+					js.info.Label, li, c, s.startDebt, s.creditCap)
+			}
+			if c != 0 && (active == nil || !active[li]) {
+				return fmt.Errorf("sim: junction %s link %d holds credit %v outside its phase %d",
+					js.info.Label, li, c, js.current)
+			}
+		}
+	}
 	// Incremental-observation consistency: for every link neither of
 	// whose roads is pending in the dirty set, the maintained truth must
 	// equal a fresh recompute from the road state. (Links with a pending

@@ -170,14 +170,18 @@ func (e *Engine) serve(t float64) {
 			e.serveIdle[ji] = serveIdleAmber
 			continue
 		}
-		active := js.phaseActive[cur-1]
-		for li := range js.credits {
-			if !active[li] {
-				js.credits[li] = 0
-			}
-		}
 		row := e.phaseTab.Row(ji, cur)
 		if cur != js.prev {
+			// A fresh green zeroes the credits of the links it does not
+			// serve. A held green's are zero already: the pass that
+			// opened it zeroed them, and the idle and sub ticks write
+			// only its row (CheckInvariants checks it).
+			active := js.phaseActive[cur-1]
+			for li := range js.credits {
+				if !active[li] {
+					js.credits[li] = 0
+				}
+			}
 			for _, gl := range row {
 				e.creditSlab[gl] = e.serveSites[gl].startDebt
 			}

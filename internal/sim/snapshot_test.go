@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -256,6 +258,48 @@ func TestRestoreRejectsContradictoryRoad(t *testing.T) {
 				t.Fatal("restore of a contradictory road accepted")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore failed for another reason: %v", err)
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsImpossibleCredit pins the credit invariant at the
+// snapshot boundary: a credit that is NaN or outside [startDebt, µΔt+1]
+// on a link of the junction's current phase, or any credit on a link
+// outside it, fails Restore. Restored, a NaN or -1e9 credit would stop
+// its link serving for the rest of the run, and serve, which zeroes
+// inactive credits only when the phase changes, would carry an
+// inactive one along.
+func TestRestoreRejectsImpossibleCredit(t *testing.T) {
+	cases := []struct {
+		name   string
+		active bool
+		credit float64
+	}{
+		{"active-nan", true, math.NaN()},
+		{"active-debt", true, -1e9},
+		{"active-surplus", true, 1e9},
+		{"inactive", false, 0.5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := snapTestEngine(t)
+			e.Run(200)
+			if err := snapTestEngine(t).Restore(e.Snapshot()); err != nil {
+				t.Fatalf("intact snapshot rejected: %v", err)
+			}
+			js := &e.juncs[0]
+			if js.current == signal.Amber {
+				t.Fatal("junction 0 is in amber at step 200")
+			}
+			li := slices.Index(js.phaseActive[js.current-1], tc.active)
+			js.credits[li] = tc.credit
+			err := snapTestEngine(t).Restore(e.Snapshot())
+			if err == nil {
+				t.Fatalf("restore of credit %v on link %d (active %v) accepted", tc.credit, li, tc.active)
+			}
+			if !strings.Contains(err.Error(), "credit") {
 				t.Fatalf("restore failed for another reason: %v", err)
 			}
 		})
