@@ -138,6 +138,11 @@ func (c *EngineCache) Run(pattern scenario.Pattern, family ControllerFamily, fac
 	}); err != nil {
 		return Result{}, err
 	}
+	// The engine may have been built for a shorter horizon than this
+	// cell's (the Table III sweep's 4 h mixed pattern after its 1 h
+	// ones); reserving here sizes the arena and the link store once
+	// instead of growing them by doubling during the run.
+	engine.Reserve(inst.ExpectedVehicles(duration))
 	engine.RunFor(duration)
 	return Finish(engine, factory, pattern, duration)
 }

@@ -3,32 +3,33 @@ package queue
 import "testing"
 
 // TestLaneClampChurnKeepsFIFOAndStorage models an incident clamping a
-// road's effective capacity (internal/event): the lane stays reserved at
-// the pre-disruption link capacity while admission is throttled, so
-// churning the queue across the clamp — occupancy dropping to the
-// reduced level, the head wrapping around the ring, then refilling to
-// the full bound after the revert — must preserve FIFO order and never
-// touch the ring storage.
+// road's effective capacity (internal/event): admission is throttled
+// while the lane keeps queuing through the engine's store, so churning
+// the queue across the clamp — occupancy dropping to the reduced level,
+// vehicles re-queuing behind the ones still waiting, then refilling to
+// the full bound after the revert — must preserve FIFO order and
+// enqueue times and never grow the store.
 func TestLaneClampChurnKeepsFIFOAndStorage(t *testing.T) {
 	const full, reduced = 48, 19
+	var s Store
+	s.Reserve(full)
+	size := len(s.links)
 	var l Lane
-	l.Reserve(full)
-	ringCap := l.Cap()
 	next, expect := 0, 0
 	push := func(n int) {
 		for i := 0; i < n; i++ {
-			l.Push(next, float64(next))
+			s.Push(&l, int32(next%full), float64(next))
 			next++
 		}
 	}
 	pop := func(n int) {
 		for i := 0; i < n; i++ {
-			it, ok := l.Pop()
+			it, ok := s.Pop(&l)
 			if !ok {
 				t.Fatalf("pop %d: lane empty", expect)
 			}
-			if it.Vehicle != expect || it.EnqueuedAt != float64(expect) {
-				t.Fatalf("FIFO broken: got vehicle %d (at %v), want %d", it.Vehicle, it.EnqueuedAt, expect)
+			if it.Vehicle != expect%full || it.EnqueuedAt != float64(expect) {
+				t.Fatalf("FIFO broken: got vehicle %d (at %v), want %d (at %d)", it.Vehicle, it.EnqueuedAt, expect%full, expect)
 			}
 			expect++
 		}
@@ -36,7 +37,7 @@ func TestLaneClampChurnKeepsFIFOAndStorage(t *testing.T) {
 
 	push(full) // pre-incident: loaded to the bound
 	// Incident window: drain to the reduced level, then churn at that
-	// level long enough to wrap the head past the ring boundary many
+	// level long enough to cycle every vehicle through the lane many
 	// times over.
 	pop(full - reduced)
 	for round := 0; round < 10; round++ {
@@ -49,34 +50,35 @@ func TestLaneClampChurnKeepsFIFOAndStorage(t *testing.T) {
 	if l.Len() != 0 {
 		t.Fatalf("lane not empty after drain: %d", l.Len())
 	}
-	if l.Cap() != ringCap {
-		t.Fatalf("ring storage changed across the clamp: cap %d -> %d", ringCap, l.Cap())
+	if len(s.links) != size {
+		t.Fatalf("store changed across the clamp: %d -> %d links", size, len(s.links))
 	}
 }
 
 // TestLaneClampChurnAllocs is the allocation half of the contract: the
 // clamp-churn-revert cycle above runs without a single heap allocation
-// once the ring is reserved, no matter where the head sits when the
-// cycle starts.
+// once the store covers the lane's vehicles, no matter which vehicle
+// heads the lane when the cycle starts.
 func TestLaneClampChurnAllocs(t *testing.T) {
 	const full, reduced = 48, 19
+	var s Store
+	s.Reserve(full)
 	var l Lane
-	l.Reserve(full)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < full; i++ {
-			l.Push(i, 0)
+			s.Push(&l, int32(i), 0)
 		}
 		for i := 0; i < full-reduced; i++ {
-			l.Pop()
+			s.Pop(&l)
 		}
 		for round := 0; round < 4; round++ {
 			for i := 0; i < reduced; i++ {
-				l.Pop()
-				l.Push(i, 1)
+				it, _ := s.Pop(&l)
+				s.Push(&l, int32(it.Vehicle), 1)
 			}
 		}
 		for l.Len() > 0 {
-			l.Pop()
+			s.Pop(&l)
 		}
 	})
 	if allocs != 0 {

@@ -3,18 +3,21 @@
 // enqueue times) and a time-ordered heap for vehicles travelling along a
 // road toward it.
 //
-// Lane is a ring buffer over structure-of-arrays storage: the vehicle
-// ids and enqueue times live in two parallel rings rather than one
-// []Item ring, so the serve hot loop — which peeks ids far more often
-// than it needs times — streams a dense 4-byte-per-entry array instead
-// of 16-byte pairs (DESIGN.md §16). Pre-sized to its road's link
-// capacity a lane never touches the heap again — no append growth and
-// no compaction copy, no matter how the queue churns (see DESIGN.md
-// §5). Travel implements its sift operations directly on []Arrival
-// rather than through container/heap, whose interface methods box every
-// element and would put two heap allocations on the per-vehicle hot
-// path.
+// A vehicle waits in at most one lane at a time, so lanes own no
+// storage: a Lane is a 12-byte header (head, tail, count) threaded
+// through one Store, which holds a 16-byte link per vehicle ID — its
+// enqueue time and the next vehicle in its lane. The store grows with
+// the vehicles it has seen and never shrinks, so the lanes of an engine
+// whose store is reserved for its expected vehicles never allocate, no
+// matter how long a queue grows or how it churns; a pop reads one link
+// and a push writes two, the new vehicle's and the old tail's
+// (DESIGN.md §5). Travel implements its sift
+// operations directly on []Arrival rather than through container/heap,
+// whose interface methods box every element and would put two heap
+// allocations on the per-vehicle hot path.
 package queue
+
+import "iter"
 
 // Item is one queued vehicle: its identifier and the time it joined the
 // queue, from which waiting time is computed at service.
@@ -23,119 +26,112 @@ type Item struct {
 	EnqueuedAt float64
 }
 
-// Lane is a FIFO queue of vehicles, implemented as a ring buffer over
-// two parallel arrays (vehicle ids and enqueue times). The zero value
-// is an empty lane ready to use; Reserve pre-sizes the rings so a lane
-// bounded by its road's capacity never allocates after construction.
-// An unreserved (or overfull) lane grows by doubling — the storage
-// never shrinks and elements are never reshuffled on pop.
+// Lane is a FIFO queue of vehicles threaded through a Store: the IDs
+// of its oldest and newest vehicles and its length. The zero value is
+// an empty lane. A lane is only meaningful together with the store its
+// vehicles were pushed through; head and tail are stale while it is
+// empty.
 type Lane struct {
-	veh  []int32   // ring of vehicle ids; len(veh) is the fixed capacity
-	at   []float64 // parallel ring of enqueue times
-	head int       // index of the oldest element
-	n    int       // number of queued elements
-}
-
-// Reserve grows the ring storage to hold at least capacity items without
-// further allocation. It never shrinks. Call it at engine construction,
-// sized from the road's link capacity.
-func (l *Lane) Reserve(capacity int) {
-	if capacity <= len(l.veh) {
-		return
-	}
-	l.regrow(capacity)
-}
-
-// regrow moves the rings into fresh storage of the given capacity.
-func (l *Lane) regrow(capacity int) {
-	l.moveTo(make([]int32, capacity), make([]float64, capacity))
-}
-
-// moveTo moves the rings into the given storage of equal length,
-// unwrapping them so head returns to index 0.
-func (l *Lane) moveTo(veh []int32, at []float64) {
-	for i := 0; i < l.n; i++ {
-		j := (l.head + i) % len(l.veh)
-		veh[i] = l.veh[j]
-		at[i] = l.at[j]
-	}
-	l.veh = veh
-	l.at = at
-	l.head = 0
+	head, tail int32
+	n          int32
 }
 
 // Len returns the number of queued vehicles.
-func (l *Lane) Len() int { return l.n }
+func (l *Lane) Len() int { return int(l.n) }
 
-// Cap returns the ring capacity (how many vehicles fit without growth).
-func (l *Lane) Cap() int { return len(l.veh) }
-
-// Push appends a vehicle to the tail of the lane, doubling the rings
-// only when they are full (never for a lane reserved at its bound).
-func (l *Lane) Push(vehicle int, at float64) {
-	if l.n == len(l.veh) {
-		next := 2 * len(l.veh)
-		if next < 8 {
-			next = 8
-		}
-		l.regrow(next)
-	}
-	// head < len and n <= len, so one conditional subtract wraps the tail.
-	tail := l.head + l.n
-	if tail >= len(l.veh) {
-		tail -= len(l.veh)
-	}
-	l.veh[tail] = int32(vehicle)
-	l.at[tail] = at
-	l.n++
-}
-
-// Pop removes and returns the head of the lane. The second result is false
-// when the lane is empty.
-func (l *Lane) Pop() (Item, bool) {
-	if l.n == 0 {
-		return Item{}, false
-	}
-	it := Item{Vehicle: int(l.veh[l.head]), EnqueuedAt: l.at[l.head]}
-	l.head++
-	if l.head == len(l.veh) {
-		l.head = 0
-	}
-	l.n--
-	return it, true
-}
-
-// Peek returns the head of the lane without removing it.
-func (l *Lane) Peek() (Item, bool) {
-	if l.n == 0 {
-		return Item{}, false
-	}
-	return Item{Vehicle: int(l.veh[l.head]), EnqueuedAt: l.at[l.head]}, true
-}
-
-// HeadVehicle returns the id of the head vehicle without touching the
-// enqueue-time ring — the mixed-lane head-of-line check needs only the
-// id, and the narrower load keeps that probe on one cache line. The
-// second result is false when the lane is empty.
-func (l *Lane) HeadVehicle() (int32, bool) {
+// Head returns the ID of the head vehicle without touching the store —
+// the mixed-lane head-of-line check needs only the ID. The second
+// result is false when the lane is empty.
+func (l *Lane) Head() (int32, bool) {
 	if l.n == 0 {
 		return 0, false
 	}
-	return l.veh[l.head], true
+	return l.head, true
 }
 
-// At returns the i-th queued item counted from the head (0-based). It is
-// intended for end-of-run accounting and assertions; callers must keep
-// i < Len().
-func (l *Lane) At(i int) Item {
-	j := (l.head + i) % len(l.veh)
-	return Item{Vehicle: int(l.veh[j]), EnqueuedAt: l.at[j]}
+// Reset empties the lane. Its vehicles' links stay in the store,
+// unread until the vehicles are pushed again.
+func (l *Lane) Reset() { l.n = 0 }
+
+// link is one vehicle's entry in a Store: when it joined its lane and
+// the vehicle behind it there, which is read only while the vehicle is
+// not its lane's tail.
+type link struct {
+	at   float64
+	next int32
 }
 
-// Reset empties the lane, keeping the ring storage.
-func (l *Lane) Reset() {
-	l.head = 0
-	l.n = 0
+// Store holds the links of every lane of one engine, one per vehicle
+// ID. Its zero value is ready to use; it grows to cover each vehicle
+// pushed, so Reserve it for the vehicles a run expects to keep pushes
+// free of allocation. A vehicle must be in at most one of the store's
+// lanes at a time: pushing a queued vehicle again corrupts both lanes.
+type Store struct {
+	links []link
+}
+
+// Reserve grows the store to cover vehicle IDs below n. It never
+// shrinks. Growth appends zeroed links, which the runtime does in
+// place while the capacity lasts, so Push, which calls it, stays
+// within the inliner's budget on the serve, travel and spawn paths.
+func (s *Store) Reserve(n int) {
+	if n > len(s.links) {
+		s.links = append(s.links, make([]link, n-len(s.links))...)
+	}
+}
+
+// Push appends vehicle v, queued since at, to the tail of lane l. It
+// allocates only when v lies beyond every vehicle the store has seen
+// and its reservation.
+func (s *Store) Push(l *Lane, v int32, at float64) {
+	if int(v) >= len(s.links) {
+		s.Reserve(int(v) + 1)
+	}
+	s.links[v].at = at
+	if l.n == 0 {
+		l.head = v
+	} else {
+		s.links[l.tail].next = v
+	}
+	l.tail = v
+	l.n++
+}
+
+// Pop removes and returns the head of lane l. The second result is
+// false when the lane is empty.
+func (s *Store) Pop(l *Lane) (Item, bool) {
+	if l.n == 0 {
+		return Item{}, false
+	}
+	v := l.head
+	k := &s.links[v]
+	l.head = k.next
+	l.n--
+	return Item{Vehicle: int(v), EnqueuedAt: k.at}, true
+}
+
+// Peek returns the head of lane l without removing it.
+func (s *Store) Peek(l *Lane) (Item, bool) {
+	if l.n == 0 {
+		return Item{}, false
+	}
+	return Item{Vehicle: int(l.head), EnqueuedAt: s.links[l.head].at}, true
+}
+
+// Items returns an iterator over lane l's vehicles, head to tail. It
+// yields at most Len items, so a walk ends even on a list whose links a
+// bug or a corrupt restore turned into a cycle.
+func (s *Store) Items(l *Lane) iter.Seq[Item] {
+	return func(yield func(Item) bool) {
+		v := l.head
+		for left := l.n; left > 0; left-- {
+			k := &s.links[v]
+			if !yield(Item{Vehicle: int(v), EnqueuedAt: k.at}) {
+				return
+			}
+			v = k.next
+		}
+	}
 }
 
 // Arrival is a vehicle in transit: it reaches the stop line (and joins a
@@ -179,6 +175,11 @@ func (t *Travel) Reserve(capacity int) {
 
 // Len returns the number of vehicles in transit.
 func (t *Travel) Len() int { return len(t.h) }
+
+// At returns the i-th arrival in heap array order, 0 <= i < Len(). The
+// order is the heap's, not the arrival order; it is for assertions
+// that visit every vehicle in transit.
+func (t *Travel) At(i int) Arrival { return t.h[i] }
 
 // Add schedules a vehicle to reach the stop line at time at.
 func (t *Travel) Add(vehicle int, at float64) {
@@ -245,48 +246,26 @@ func (t *Travel) Peek() (Arrival, bool) {
 	return t.h[0], true
 }
 
-// Slab is shared backing storage for many lanes and travel heaps: one
-// array of vehicle ids and one of enqueue times for the lane rings, and
-// one array of arrivals for the heaps. An engine sizes it once from its
-// roads' capacities and carves every reservation out of it, so
-// reserving all its queues costs three allocations instead of two per
-// lane and one per heap (DESIGN.md §5).
+// Slab is shared backing storage for many travel heaps: one array of
+// arrivals an engine sizes once from its roads' capacities and carves
+// every heap's reservation out of, so reserving all its heaps costs one
+// allocation instead of one per heap (DESIGN.md §5).
 //
-// Each reservation is a capacity-clamped window: a lane or heap that
-// outgrows its window — a spawn queue under sustained oversaturation —
-// regrows into fresh storage, and never writes into its neighbour's.
+// Each reservation is a capacity-clamped window: a heap that outgrows
+// its window regrows into fresh storage, and never writes into its
+// neighbour's.
 type Slab struct {
-	veh []int32
-	at  []float64
 	arr []Arrival
 }
 
-// NewSlab allocates a slab holding laneSlots lane-ring slots and
-// travelSlots heap entries.
-func NewSlab(laneSlots, travelSlots int) *Slab {
-	return &Slab{
-		veh: make([]int32, laneSlots),
-		at:  make([]float64, laneSlots),
-		arr: make([]Arrival, travelSlots),
-	}
+// NewSlab allocates a slab holding travelSlots heap entries.
+func NewSlab(travelSlots int) *Slab {
+	return &Slab{arr: make([]Arrival, travelSlots)}
 }
 
-// ReserveLane is Lane.Reserve with the rings carved from the slab. A
-// lane already holding capacity slots keeps its rings; a request the
-// slab has no room left for falls back to fresh storage.
-func (s *Slab) ReserveLane(l *Lane, capacity int) {
-	switch {
-	case capacity <= len(l.veh):
-	case capacity > len(s.veh):
-		l.Reserve(capacity)
-	default:
-		l.moveTo(s.veh[:capacity:capacity], s.at[:capacity:capacity])
-		s.veh, s.at = s.veh[capacity:], s.at[capacity:]
-	}
-}
-
-// ReserveTravel is Travel.Reserve with the heap carved from the slab,
-// under the same rules as ReserveLane.
+// ReserveTravel is Travel.Reserve with the heap carved from the slab.
+// A heap already holding capacity slots keeps its storage; a request
+// the slab has no room left for falls back to fresh storage.
 func (s *Slab) ReserveTravel(t *Travel, capacity int) {
 	switch {
 	case capacity <= cap(t.h):

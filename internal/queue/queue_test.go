@@ -6,33 +6,44 @@ import (
 	"testing/quick"
 )
 
+// laneItems returns the lane's contents, head first.
+func laneItems(s *Store, l *Lane) []Item {
+	var items []Item
+	for it := range s.Items(l) {
+		items = append(items, it)
+	}
+	return items
+}
+
 func TestLaneFIFO(t *testing.T) {
+	var s Store
 	var l Lane
 	for i := 0; i < 10; i++ {
-		l.Push(i, float64(i))
+		s.Push(&l, int32(i), float64(i))
 	}
 	if l.Len() != 10 {
 		t.Fatalf("Len = %d", l.Len())
 	}
 	for i := 0; i < 10; i++ {
-		it, ok := l.Pop()
+		it, ok := s.Pop(&l)
 		if !ok || it.Vehicle != i || it.EnqueuedAt != float64(i) {
 			t.Fatalf("pop %d: %+v ok=%v", i, it, ok)
 		}
 	}
-	if _, ok := l.Pop(); ok {
+	if _, ok := s.Pop(&l); ok {
 		t.Fatal("pop from empty lane succeeded")
 	}
 }
 
 func TestLanePeek(t *testing.T) {
+	var s Store
 	var l Lane
-	if _, ok := l.Peek(); ok {
+	if _, ok := s.Peek(&l); ok {
 		t.Fatal("peek on empty lane succeeded")
 	}
-	l.Push(7, 1.5)
-	it, ok := l.Peek()
-	if !ok || it.Vehicle != 7 {
+	s.Push(&l, 7, 1.5)
+	it, ok := s.Peek(&l)
+	if !ok || it.Vehicle != 7 || it.EnqueuedAt != 1.5 {
 		t.Fatalf("peek: %+v ok=%v", it, ok)
 	}
 	if l.Len() != 1 {
@@ -40,105 +51,131 @@ func TestLanePeek(t *testing.T) {
 	}
 }
 
+// TestLaneRingBounded pins that a lane owns no storage: sustained
+// push/pop traffic that re-queues the same few vehicles, as vehicles
+// move from lane to lane in a run, keeps FIFO order however often the
+// head passes the tail's old position, and the store never grows past
+// the highest vehicle ID it has seen.
 func TestLaneRingBounded(t *testing.T) {
+	const pool = 8
+	var s Store
 	var l Lane
-	// Sustained push/pop traffic on a ring: storage must stay at the
-	// high-water capacity (no unbounded growth, no reshuffling), and FIFO
-	// order must be preserved throughout, including across wraparound.
 	next, expect := 0, 0
 	for round := 0; round < 1000; round++ {
 		for i := 0; i < 5; i++ {
-			l.Push(next, 0)
+			s.Push(&l, int32(next%pool), float64(next))
 			next++
 		}
 		for i := 0; i < 5; i++ {
-			it, ok := l.Pop()
-			if !ok || it.Vehicle != expect {
-				t.Fatalf("round %d: got %+v want vehicle %d", round, it, expect)
+			it, ok := s.Pop(&l)
+			if !ok || it.Vehicle != expect%pool || it.EnqueuedAt != float64(expect) {
+				t.Fatalf("round %d: got %+v want vehicle %d", round, it, expect%pool)
 			}
 			expect++
 		}
 	}
-	if l.Cap() > 16 {
-		t.Fatalf("ring storage grew to %d for a depth-5 queue", l.Cap())
+	if len(s.links) > 2*pool {
+		t.Fatalf("store grew to %d links for %d vehicles", len(s.links), pool)
 	}
 }
 
+// TestLaneReserveNeverGrows pins the reservation contract: a store
+// reserved for n vehicle IDs never allocates or grows while its lanes
+// queue those vehicles, whatever the lane length, and a smaller
+// reservation never shrinks it.
 func TestLaneReserveNeverGrows(t *testing.T) {
-	var l Lane
-	l.Reserve(32)
-	if l.Cap() != 32 {
-		t.Fatalf("Cap = %d after Reserve(32)", l.Cap())
+	const n = 32
+	var s Store
+	s.Reserve(n)
+	if len(s.links) < n {
+		t.Fatalf("store covers %d vehicles after Reserve(%d)", len(s.links), n)
 	}
-	// Push/pop churn within the reservation must never change capacity.
+	size := len(s.links)
+	var l Lane
 	next, expect := 0, 0
-	for round := 0; round < 500; round++ {
-		for i := 0; i < 30; i++ {
-			l.Push(next, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		// The whole reservation in one lane, then churn across it.
+		for i := 0; i < n; i++ {
+			s.Push(&l, int32(next%n), 0)
 			next++
 		}
-		for i := 0; i < 30; i++ {
-			it, _ := l.Pop()
-			if it.Vehicle != expect {
-				t.Fatalf("round %d: got %+v want %d", round, it, expect)
+		for i := 0; i < n; i++ {
+			it, _ := s.Pop(&l)
+			if it.Vehicle != expect%n {
+				t.Fatalf("got %+v want %d", it, expect%n)
 			}
 			expect++
 		}
+	})
+	if allocs != 0 {
+		t.Fatalf("lane churn within the reservation made %v allocations, want 0", allocs)
 	}
-	if l.Cap() != 32 {
-		t.Fatalf("reserved ring regrew to %d", l.Cap())
+	if len(s.links) != size {
+		t.Fatalf("reserved store regrew from %d to %d", size, len(s.links))
 	}
-	// Shrinking reservations are ignored.
-	l.Reserve(4)
-	if l.Cap() != 32 {
-		t.Fatal("Reserve shrank the ring")
+	s.Reserve(4)
+	if len(s.links) != size {
+		t.Fatal("Reserve shrank the store")
 	}
 }
 
+// TestLaneReserveKeepsContents pins that growing the store under
+// queued lanes keeps every lane's order and enqueue times.
 func TestLaneReserveKeepsContents(t *testing.T) {
+	var s Store
 	var l Lane
 	for i := 0; i < 10; i++ {
-		l.Push(i, float64(i))
+		s.Push(&l, int32(i), float64(i))
 	}
 	for i := 0; i < 4; i++ {
-		l.Pop()
+		s.Pop(&l)
 	}
-	l.Push(10, 10) // wraps in a small ring
-	l.Reserve(64)
+	s.Push(&l, 10, 10)
+	s.Reserve(64)
 	for want := 4; want <= 10; want++ {
-		it, ok := l.Pop()
+		it, ok := s.Pop(&l)
 		if !ok || it.Vehicle != want || it.EnqueuedAt != float64(want) {
 			t.Fatalf("after Reserve: got %+v ok=%v, want vehicle %d", it, ok, want)
 		}
 	}
 }
 
+// TestLaneAtAndReset pins the walk (the successor of indexing a ring
+// by position) and Reset: a walk sees the queue head to tail without
+// consuming it, and a reset lane is empty.
 func TestLaneAtAndReset(t *testing.T) {
+	var s Store
 	var l Lane
-	l.Push(1, 0)
-	l.Push(2, 0.5)
-	l.Pop()
-	if l.Len() != 1 || l.At(0).Vehicle != 2 || l.At(0).EnqueuedAt != 0.5 {
-		t.Fatalf("At(0) = %+v len=%d", l.At(0), l.Len())
+	s.Push(&l, 1, 0)
+	s.Push(&l, 2, 0.5)
+	s.Push(&l, 3, 0.75)
+	s.Pop(&l)
+	got := laneItems(&s, &l)
+	if len(got) != 2 || got[0] != (Item{2, 0.5}) || got[1] != (Item{3, 0.75}) || l.Len() != 2 {
+		t.Fatalf("walk = %+v, len %d", got, l.Len())
 	}
 	l.Reset()
-	if l.Len() != 0 {
+	if l.Len() != 0 || len(laneItems(&s, &l)) != 0 {
 		t.Fatal("Reset did not empty the lane")
 	}
-	if _, ok := l.Pop(); ok {
+	if _, ok := s.Pop(&l); ok {
 		t.Fatal("pop after Reset succeeded")
+	}
+	if _, ok := l.Head(); ok {
+		t.Fatal("Head after Reset succeeded")
 	}
 }
 
 func TestLanePropertyFIFO(t *testing.T) {
 	f := func(ops []bool) bool {
+		var s Store
 		var l Lane
 		next, expect := 0, 0
 		for _, push := range ops {
 			if push {
-				l.Push(next, 0)
+				s.Push(&l, int32(next), 0)
 				next++
-			} else if it, ok := l.Pop(); ok {
+			} else if it, ok := s.Pop(&l); ok {
 				if it.Vehicle != expect {
 					return false
 				}

@@ -1,54 +1,41 @@
 package queue
 
 import (
+	"slices"
 	"testing"
 
 	"utilbp/internal/snap"
 )
 
-// laneItems returns the lane's contents, head first.
-func laneItems(l *Lane) []Item {
-	items := make([]Item, l.Len())
-	for i := range items {
-		items[i] = l.At(i)
-	}
-	return items
-}
-
-// TestSlabLaneOverflowKeepsNeighbour pins the capacity clamp of a
-// slab window: a lane pushed past its window regrows into fresh
-// storage, and the lane whose window follows it in the slab keeps its
-// contents, wrapped ring included.
+// TestSlabLaneOverflowKeepsNeighbour pins that a lane never disturbs
+// another lane on the same store: lane a, pushed far past what b holds
+// and past the store's reservation, grows the store under b, and b
+// keeps its vehicles, order and enqueue times, also across churn.
 func TestSlabLaneOverflowKeepsNeighbour(t *testing.T) {
-	const capacity = 4
-	s := NewSlab(2*capacity, 0)
+	const held = 4
+	var s Store
+	s.Reserve(2 * held)
 	var a, b Lane
-	s.ReserveLane(&a, capacity)
-	s.ReserveLane(&b, capacity)
-	if a.Cap() != capacity || b.Cap() != capacity {
-		t.Fatalf("window capacities %d, %d, want %d", a.Cap(), b.Cap(), capacity)
+	for i := 0; i <= held; i++ {
+		s.Push(&b, int32(i), float64(i))
 	}
-	// Wrap b's ring so its head sits mid-window.
-	for i := 0; i < capacity; i++ {
-		b.Push(100+i, float64(100+i))
-	}
-	b.Pop()
-	b.Pop()
-	b.Push(200, 200)
-	want := laneItems(&b)
+	s.Pop(&b)
+	s.Pop(&b)
+	want := laneItems(&s, &b)
 
-	for i := 0; i < 3*capacity; i++ {
-		a.Push(i, float64(i))
+	const base = 100
+	for i := 0; i < 3*held; i++ {
+		s.Push(&a, int32(base+i), float64(i))
 	}
-	if a.Cap() <= capacity {
-		t.Fatalf("overfull lane kept capacity %d", a.Cap())
+	if len(s.links) < base+3*held {
+		t.Fatalf("store covers %d vehicles, want at least %d", len(s.links), base+3*held)
 	}
-	for i := 0; i < 3*capacity; i++ {
-		if it := a.At(i); it.Vehicle != i || it.EnqueuedAt != float64(i) {
-			t.Fatalf("overfull lane item %d = %+v", i, it)
+	for i, it := range laneItems(&s, &a) {
+		if it.Vehicle != base+i || it.EnqueuedAt != float64(i) {
+			t.Fatalf("long lane item %d = %+v", i, it)
 		}
 	}
-	got := laneItems(&b)
+	got := laneItems(&s, &b)
 	if len(got) != len(want) {
 		t.Fatalf("neighbour holds %d items, want %d", len(got), len(want))
 	}
@@ -57,13 +44,19 @@ func TestSlabLaneOverflowKeepsNeighbour(t *testing.T) {
 			t.Fatalf("neighbour item %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	// Churn within b's window never regrows it.
-	for i := 0; i < 2*capacity; i++ {
-		b.Pop()
-		b.Push(300+i, float64(300+i))
+	// Churn on both lanes: each keeps its own order.
+	for i := 0; i < 2*held; i++ {
+		ia, _ := s.Pop(&a)
+		s.Push(&a, int32(ia.Vehicle), float64(300+i))
+		ib, _ := s.Pop(&b)
+		if ib != want[0] {
+			t.Fatalf("neighbour pop %d = %+v, want %+v", i, ib, want[0])
+		}
+		want = append(want[1:], Item{Vehicle: ib.Vehicle, EnqueuedAt: float64(400 + i)})
+		s.Push(&b, int32(ib.Vehicle), float64(400+i))
 	}
-	if b.Cap() != capacity {
-		t.Fatalf("neighbour regrew to %d under churn within its window", b.Cap())
+	if got := laneItems(&s, &b); !slices.Equal(got, want) {
+		t.Fatalf("neighbour after churn = %+v, want %+v", got, want)
 	}
 }
 
@@ -72,7 +65,7 @@ func TestSlabLaneOverflowKeepsNeighbour(t *testing.T) {
 // heap's window.
 func TestSlabTravelOverflowKeepsNeighbour(t *testing.T) {
 	const capacity = 4
-	s := NewSlab(0, 2*capacity)
+	s := NewSlab(2 * capacity)
 	var a, b Travel
 	s.ReserveTravel(&a, capacity)
 	s.ReserveTravel(&b, capacity)
@@ -100,7 +93,7 @@ func TestSlabTravelOverflowKeepsNeighbour(t *testing.T) {
 // allocates nothing.
 func TestSlabTravelRestoreAllocatesNothing(t *testing.T) {
 	const capacity = 16
-	s := NewSlab(0, 2*capacity)
+	s := NewSlab(2 * capacity)
 	var src, dst Travel
 	s.ReserveTravel(&src, capacity)
 	s.ReserveTravel(&dst, capacity)
@@ -123,16 +116,29 @@ func TestSlabTravelRestoreAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestSlabExhaustedFallsBack pins the fallback of a request the slab
-// has no room for: the lane and the heap get fresh storage of the
-// requested capacity.
+// TestSlabExhaustedFallsBack pins the fallbacks: a travel heap the
+// slab has no room for gets fresh storage of the requested capacity,
+// and a lane on a store with no reservation at all holds any number of
+// vehicles, the store growing to cover them.
 func TestSlabExhaustedFallsBack(t *testing.T) {
-	s := NewSlab(2, 2)
-	var l Lane
+	s := NewSlab(2)
 	var tr Travel
-	s.ReserveLane(&l, 5)
 	s.ReserveTravel(&tr, 5)
-	if l.Cap() != 5 || cap(tr.h) != 5 {
-		t.Fatalf("fallback capacities %d, %d, want 5", l.Cap(), cap(tr.h))
+	if cap(tr.h) != 5 {
+		t.Fatalf("fallback heap capacity %d, want 5", cap(tr.h))
+	}
+	var st Store
+	var l Lane
+	const n = 5000
+	for i := 0; i < n; i++ {
+		st.Push(&l, int32(i), float64(i))
+	}
+	if l.Len() != n || len(st.links) < n {
+		t.Fatalf("unreserved store holds a lane of %d, covers %d vehicles", l.Len(), len(st.links))
+	}
+	for i := 0; i < n; i++ {
+		if it, ok := st.Pop(&l); !ok || it.Vehicle != i || it.EnqueuedAt != float64(i) {
+			t.Fatalf("pop %d = %+v, %v", i, it, ok)
+		}
 	}
 }

@@ -1,35 +1,41 @@
 package queue
 
-import "utilbp/internal/snap"
+import (
+	"fmt"
 
-// SnapshotState implements snap.Snapshotter: the lane is serialized
-// logically, head-to-tail, so the bytes are independent of where the
-// ring's contents happen to sit in storage — two lanes holding the same
-// vehicles in the same order snapshot identically regardless of their
-// push/pop history. Ring capacity is not captured: it is a performance
-// property (reserved from road capacity at engine construction), not
-// simulation state.
-func (l *Lane) SnapshotState(w *snap.Writer) {
-	w.Int(l.n)
-	for i := 0; i < l.n; i++ {
-		it := l.At(i)
+	"utilbp/internal/snap"
+)
+
+// SnapshotLane writes lane l as its length and then its (vehicle,
+// enqueue time) pairs head to tail. The bytes depend only on which
+// vehicles the lane holds, in which order and since when, so two lanes
+// holding the same vehicles write the same bytes whatever their push
+// and pop history and wherever the store keeps their links.
+func (s *Store) SnapshotLane(w *snap.Writer, l *Lane) {
+	w.Int(l.Len())
+	for it := range s.Items(l) {
 		w.Int(it.Vehicle)
 		w.Float64(it.EnqueuedAt)
 	}
 }
 
-// RestoreState implements snap.Snapshotter, rebuilding the queue
-// contents in FIFO order over the existing ring storage (growing it
-// only if the snapshot holds more items than the ring ever did).
-func (l *Lane) RestoreState(r *snap.Reader) error {
-	l.Reset()
+// ReadLane decodes one lane SnapshotLane wrote, appending its pairs to
+// dst head first. It rejects a lane longer than limit before reading
+// its pairs, so a corrupt length cannot grow dst past what the caller
+// allows; whether each pair names a vehicle the lane may hold is left to
+// the caller, which pushes the pairs once it can tell.
+func ReadLane(r *snap.Reader, dst []Item, limit int) ([]Item, error) {
 	n := r.Count()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		v := r.Int()
-		at := r.Float64()
-		l.Push(v, at)
+	if err := r.Err(); err != nil {
+		return dst, err
 	}
-	return r.Err()
+	if n > limit {
+		return dst, fmt.Errorf("queue: %d vehicles queued, at most %d allowed", n, limit)
+	}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		dst = append(dst, Item{Vehicle: r.Int(), EnqueuedAt: r.Float64()})
+	}
+	return dst, r.Err()
 }
 
 // SnapshotState implements snap.Snapshotter: the heap's backing array

@@ -62,9 +62,10 @@ type Config struct {
 	// only the head vehicle's movement can be served.
 	MixedLanes bool
 	// ExpectedVehicles pre-sizes the vehicle arena (and the parallel
-	// per-vehicle bookkeeping) for the expected spawn count of the run's
-	// demand horizon, so the spawn path never grows a slice mid-run.
-	// Zero leaves the arena to grow on demand.
+	// per-vehicle bookkeeping, the lanes' link store included) for the
+	// expected spawn count of the run's demand horizon, so the spawn
+	// path never grows a slice mid-run. Zero leaves the arena to grow on
+	// demand.
 	ExpectedVehicles int
 	// Sensor filters the queue observations controllers see
 	// (internal/sensing, DESIGN.md §10). Nil means perfect observation:
@@ -153,10 +154,10 @@ type roadRow struct {
 	// effCap is the road's effective capacity: Road.Capacity outside
 	// incident windows, the event schedule's reduced value inside them
 	// (clamped to >= 1 at compile time, so it never collides with the
-	// unbounded encoding 0). Admission checks read it; the lane and
-	// travel reservations stay sized to the nominal capacity, so
-	// lowering and restoring it mid-run never reallocates (DESIGN.md
-	// §12).
+	// unbounded encoding 0). Admission checks read it; the travel
+	// reservations stay sized to the nominal capacity and lanes own no
+	// storage, so lowering and restoring it mid-run never reallocates
+	// (DESIGN.md §12).
 	effCap int32
 	// bounded is 1 when the road has a finite capacity, 0 for the
 	// unbounded exit sinks.
@@ -186,7 +187,8 @@ func (row *roadRow) hasRoom() bool {
 // or the mixed lane, and the entry spawn queue) and the values New
 // derives once from the network, so serving a vehicle onto the road
 // reads nothing of the network. Its counters live in the road's
-// roadRow.
+// roadRow. The lanes and the spawn queue are headers threaded through
+// the engine's link store (Engine.store).
 type roadState struct {
 	// travel is Road.TravelTime(), the free-flow time to the stop line.
 	travel float64
@@ -202,6 +204,22 @@ type roadState struct {
 	spawn queue.Lane
 }
 
+// A road's queues in snapshot order: the turning lanes, the mixed lane,
+// then the spawn queue.
+const (
+	spawnQueue    = numTurns + 1
+	queuesPerRoad = numTurns + 2
+)
+
+// queueNames names each of a road's queues, in snapshot order, for
+// errors.
+var queueNames = [queuesPerRoad]string{"lane 0", "lane 1", "lane 2", "mixed lane", "spawn queue"}
+
+// queues returns the road's queues in snapshot order.
+func (rs *roadState) queues() [queuesPerRoad]*queue.Lane {
+	return [...]*queue.Lane{&rs.lanes[0], &rs.lanes[1], &rs.lanes[2], &rs.mixed, &rs.spawn}
+}
+
 // recountQueued recomputes a road's queued counters from its lanes, the
 // slow path the incremental counters are checked against. Under
 // MixedLanes the mixed lane counts by each vehicle's pending movement.
@@ -209,8 +227,8 @@ func (e *Engine) recountQueued(rs *roadState) (perTurn [numTurns]int, total int)
 	for t := range rs.lanes {
 		perTurn[t] = rs.lanes[t].Len()
 	}
-	for i := 0; i < rs.mixed.Len(); i++ {
-		perTurn[e.arena.PendingTurn(vehicle.ID(rs.mixed.At(i).Vehicle))]++
+	for it := range e.store.Items(&rs.mixed) {
+		perTurn[e.arena.PendingTurn(vehicle.ID(it.Vehicle))]++
 	}
 	for _, n := range perTurn {
 		total += n
@@ -269,6 +287,20 @@ type Engine struct {
 	entries []network.RoadID
 	hooks   []Hooks
 	totals  Totals
+	// store links every lane and spawn queue of the engine through one
+	// entry per vehicle ID (a vehicle waits in at most one queue at a
+	// time). It is reserved with the arena, grows with it when spawns
+	// pass ExpectedVehicles, and survives Reset.
+	store queue.Store
+	// where is CheckInvariants' and Restore's per-vehicle scratch: the
+	// kind of queue (queuedNone, queuedOnRoad, queuedWaiting) each
+	// vehicle was found in, so a vehicle listed twice or nowhere is
+	// caught. staged holds the lane and spawn-queue pairs Restore
+	// decodes before the arena it validates them against, and stagedLen
+	// each queue's length, queuesPerRoad per road. None of it is state.
+	where     []uint8
+	staged    []queue.Item
+	stagedLen []int32
 	// juncIndex maps a junction's node to its index in juncs (dense:
 	// node IDs are compact), -1 for non-junction nodes. It keeps
 	// CurrentPhase map-free.
@@ -471,46 +503,31 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.ExpectedVehicles > 0 {
 		e.arena.Reserve(cfg.ExpectedVehicles)
+		e.store.Reserve(cfg.ExpectedVehicles)
 	}
 
 	e.rows = make([]roadRow, len(e.net.Roads))
 	e.roads = make([]roadState, len(e.net.Roads))
 	e.entries = append(e.entries, e.net.EntryRoads()...)
-	// Pre-size the lane rings and the travel heap from the link
-	// capacity: a bounded road holds at most Capacity vehicles, so
-	// neither the lanes it feeds nor its in-transit set can ever
-	// outgrow that — they never allocate after this (DESIGN.md §5).
-	// Roads into terminals never queue at a stop line (vehicles leave
-	// at service or at travel completion), so they skip the lane
-	// reservations; their travel heap is still reserved when bounded,
-	// covering topologies that route a bounded road straight into a
-	// terminal. Grid exit roads are unbounded sinks and reserve
-	// nothing. The spawn queue of an entry road is unbounded in
-	// principle; one road capacity of headroom covers everything short
-	// of sustained oversaturation, beyond which the ring doubles. A
-	// counting pass sizes one slab for all of it, so the reservations
-	// below are windows of three allocations.
-	lanesPerRoad := numTurns
-	if cfg.MixedLanes {
-		lanesPerRoad = 1
-	}
-	laneSlots, travelSlots := 0, 0
+	// Pre-size each bounded road's travel heap from the link capacity:
+	// a bounded road holds at most Capacity vehicles, so its in-transit
+	// set can never outgrow that and never allocates after this
+	// (DESIGN.md §5). Grid exit roads are unbounded sinks and reserve
+	// nothing. A counting pass sizes one slab for all of it, so the
+	// reservations below are windows of one allocation. The lanes and
+	// spawn queues reserve nothing: they thread through the link store,
+	// which holds one entry per vehicle whatever its queue.
+	travelSlots := 0
 	for i := range e.net.Roads {
 		r := &e.net.Roads[i]
 		if r.Capacity > math.MaxInt32 {
 			return nil, fmt.Errorf("sim: road %q capacity %d does not fit an int32 counter", r.Name, r.Capacity)
 		}
 		if r.Bounded() {
-			if e.net.Junction(r.To) != nil {
-				laneSlots += lanesPerRoad * r.Capacity
-			}
 			travelSlots += r.Capacity
 		}
 	}
-	for _, rid := range e.entries {
-		laneSlots += e.net.Roads[rid].Capacity
-	}
-	slab := queue.NewSlab(laneSlots, travelSlots)
+	slab := queue.NewSlab(travelSlots)
 	for i := range e.net.Roads {
 		r := &e.net.Roads[i]
 		e.rows[i] = newRoadRow(r)
@@ -526,20 +543,8 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}
 		if r.Bounded() {
-			if !rs.exits {
-				if cfg.MixedLanes {
-					slab.ReserveLane(&rs.mixed, r.Capacity)
-				} else {
-					for t := range rs.lanes {
-						slab.ReserveLane(&rs.lanes[t], r.Capacity)
-					}
-				}
-			}
 			slab.ReserveTravel(&rs.tail, r.Capacity)
 		}
-	}
-	for _, rid := range e.entries {
-		slab.ReserveLane(&e.roads[rid].spawn, e.net.Roads[rid].Capacity)
 	}
 
 	wstar := e.net.MaxCapacity()
@@ -862,7 +867,7 @@ func (e *Engine) Dark(junction network.NodeID) bool {
 }
 
 // Reset rewinds the engine to step zero for another run with the given
-// seed, reusing the vehicle arena, lane slices and travel heaps so
+// seed, reusing the vehicle arena, lane link store and travel heaps so
 // repeated runs (sweeps, multi-seed aggregation) stop re-allocating whole
 // engines. Controllers are rebuilt through the configured factory (they
 // are stateful); the demand process and router are reseeded when they
@@ -1088,6 +1093,16 @@ func (e *Engine) ResetWith(seed uint64, opts ResetOptions) error {
 		return e.Restore(opts.RestoreFrom)
 	}
 	return nil
+}
+
+// Reserve grows the vehicle arena and the lanes' link store to hold
+// vehicles without further allocation. It never shrinks. The sweep's
+// engine cache calls it before each cell, whose horizon may be longer
+// than the one the engine was built for, so a run does not grow both
+// by doubling as it spawns.
+func (e *Engine) Reserve(vehicles int) {
+	e.arena.Reserve(vehicles)
+	e.store.Reserve(vehicles)
 }
 
 // AddHooks registers an event listener.
@@ -1557,9 +1572,9 @@ func (e *Engine) completeTravel(t float64) {
 			turn := e.arena.PendingTurn(id)
 			row.transit[turn]--
 			if e.cfg.MixedLanes {
-				rs.mixed.Push(int(a.Vehicle), a.At)
+				e.store.Push(&rs.mixed, a.Vehicle, a.At)
 			} else {
-				rs.lanes[turn].Push(int(a.Vehicle), a.At)
+				e.store.Push(&rs.lanes[turn], a.Vehicle, a.At)
 			}
 			row.queued[turn]++
 			row.joins[turn]++
@@ -1623,12 +1638,12 @@ func (e *Engine) arrivals(t float64) {
 		n := e.cfg.Demand.Arrivals(rid, e.step, t, e.dt)
 		for i := 0; i < n; i++ {
 			id := e.arena.Spawn(rid, t, e.cfg.Router.Route(rid, t))
-			rs.spawn.Push(int(id), t)
+			e.store.Push(&rs.spawn, int32(id), t)
 			e.totals.Spawned++
 		}
 		admitted := false
 		for rs.spawn.Len() > 0 && row.hasRoom() {
-			item, _ := rs.spawn.Pop()
+			item, _ := e.store.Pop(&rs.spawn)
 			id := vehicle.ID(item.Vehicle)
 			e.arena.Admit(id, t)
 			e.enterRoad(int32(rid), id, t)
@@ -1652,40 +1667,125 @@ func (e *Engine) FinalizeWaits() {
 	e.finalized = true
 	t := e.Time()
 	for ri := range e.roads {
-		rs := &e.roads[ri]
-		for _, lane := range []*queue.Lane{&rs.lanes[0], &rs.lanes[1], &rs.lanes[2], &rs.mixed, &rs.spawn} {
-			for i := 0; i < lane.Len(); i++ {
-				it := lane.At(i)
+		for _, lane := range e.roads[ri].queues() {
+			for it := range e.store.Items(lane) {
 				e.arena.AddQueueWait(vehicle.ID(it.Vehicle), t-it.EnqueuedAt)
 			}
 		}
 	}
 }
 
-// CheckInvariants verifies conservation and capacity invariants; tests
-// call it during and after runs, Restore before it accepts a snapshot.
-func (e *Engine) CheckInvariants() error {
-	// Lane/arena consistency across ring wrap-around: every queued item
-	// must reference a live arena row — spawned, admitted, not exited —
-	// whatever the ring geometry (head anywhere, wrapped or not). It
-	// runs first because the recount below reads the arena rows of the
-	// mixed lane's vehicles.
+// Kinds of queue a vehicle is listed in, as Engine.where records them.
+const (
+	queuedNone    uint8 = iota // listed nowhere: exited, or not seen yet
+	queuedOnRoad               // a turning lane, the mixed lane or a travel heap
+	queuedWaiting              // its entry road's spawn queue
+)
+
+// queueKind returns the kind of queue vehicle id's lifecycle puts it
+// in: a lane or travel heap from admission to exit, its spawn queue
+// before admission, none after exit.
+func (e *Engine) queueKind(id vehicle.ID) uint8 {
+	switch {
+	case e.arena.Done(id):
+		return queuedNone
+	case e.arena.EnteredAt(id) != vehicle.Unset:
+		return queuedOnRoad
+	}
+	return queuedWaiting
+}
+
+// clearWhere sizes the membership scratch to the arena and marks every
+// vehicle as listed nowhere.
+func (e *Engine) clearWhere() {
+	n := e.arena.Len()
+	if cap(e.where) < n {
+		e.where = make([]uint8, n)
+		return
+	}
+	e.where = e.where[:n]
+	clear(e.where)
+}
+
+// listQueued records that a queue of the given kind on road ri lists
+// vehicle v. It rejects a vehicle outside the arena, one listed before
+// (served twice, and linked twice a cycle in its lane), one whose
+// lifecycle puts it in another kind of queue, and a waiting vehicle in
+// a spawn queue other than its entry road's.
+func (e *Engine) listQueued(ri int, what string, v int, kind uint8) error {
+	if v < 0 || v >= e.arena.Len() {
+		return fmt.Errorf("sim: road %d %s holds vehicle %d outside arena of %d", ri, what, v, e.arena.Len())
+	}
+	id := vehicle.ID(v)
+	if e.where[v] != queuedNone {
+		return fmt.Errorf("sim: road %d %s holds vehicle %d, which another queue lists too", ri, what, v)
+	}
+	if e.queueKind(id) != kind {
+		return fmt.Errorf("sim: road %d %s holds vehicle %d (entered %v, exited %v), which cannot wait there",
+			ri, what, v, e.arena.EnteredAt(id), e.arena.ExitedAt(id))
+	}
+	if kind == queuedWaiting && e.arena.EntryRoad(id) != network.RoadID(ri) {
+		return fmt.Errorf("sim: road %d %s holds vehicle %d, which spawned onto road %d", ri, what, v, e.arena.EntryRoad(id))
+	}
+	e.where[v] = kind
+	return nil
+}
+
+// checkQueues verifies queue membership: every vehicle of the arena is
+// listed exactly where its lifecycle puts it — in one lane or travel
+// heap while in the network, in its entry road's spawn queue while
+// waiting, nowhere once exited — and a turning lane holds only vehicles
+// bound for its movement. Each walk stops after its lane's count, so a
+// corrupt list fails here instead of hanging.
+func (e *Engine) checkQueues() error {
+	e.clearWhere()
 	for ri := range e.roads {
 		rs := &e.roads[ri]
-		for _, lane := range []*queue.Lane{&rs.lanes[0], &rs.lanes[1], &rs.lanes[2], &rs.mixed} {
-			for i := 0; i < lane.Len(); i++ {
-				it := lane.At(i)
-				if it.Vehicle < 0 || it.Vehicle >= e.arena.Len() {
-					return fmt.Errorf("sim: road %d lane holds vehicle %d outside arena of %d", ri, it.Vehicle, e.arena.Len())
+		for t := range rs.lanes {
+			for it := range e.store.Items(&rs.lanes[t]) {
+				if err := e.listQueued(ri, "lane", it.Vehicle, queuedOnRoad); err != nil {
+					return err
 				}
-				if !e.arena.InNetwork(vehicle.ID(it.Vehicle)) {
-					return fmt.Errorf("sim: road %d lane holds vehicle %d that is not in the network", ri, it.Vehicle)
-				}
-				if turn := e.arena.PendingTurn(vehicle.ID(it.Vehicle)); turn >= numTurns {
-					return fmt.Errorf("sim: road %d lane holds vehicle %d with movement %d", ri, it.Vehicle, turn)
+				if turn := e.arena.PendingTurn(vehicle.ID(it.Vehicle)); turn != network.Turn(t) {
+					return fmt.Errorf("sim: road %d lane %d holds vehicle %d bound for movement %d", ri, t, it.Vehicle, turn)
 				}
 			}
 		}
+		for it := range e.store.Items(&rs.mixed) {
+			if err := e.listQueued(ri, "mixed lane", it.Vehicle, queuedOnRoad); err != nil {
+				return err
+			}
+			if turn := e.arena.PendingTurn(vehicle.ID(it.Vehicle)); turn >= numTurns {
+				return fmt.Errorf("sim: road %d mixed lane holds vehicle %d with movement %d", ri, it.Vehicle, turn)
+			}
+		}
+		for it := range e.store.Items(&rs.spawn) {
+			if err := e.listQueued(ri, "spawn queue", it.Vehicle, queuedWaiting); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < rs.tail.Len(); i++ {
+			if err := e.listQueued(ri, "travel heap", int(rs.tail.At(i).Vehicle), queuedOnRoad); err != nil {
+				return err
+			}
+		}
+	}
+	for v, got := range e.where {
+		if want := e.queueKind(vehicle.ID(v)); got != want {
+			return fmt.Errorf("sim: vehicle %d (entered %v, exited %v) is listed in no queue",
+				v, e.arena.EnteredAt(vehicle.ID(v)), e.arena.ExitedAt(vehicle.ID(v)))
+		}
+	}
+	return nil
+}
+
+// CheckInvariants verifies conservation and capacity invariants; tests
+// call it during and after runs, Restore before it accepts a snapshot.
+func (e *Engine) CheckInvariants() error {
+	// Queue membership runs first because the recount below reads the
+	// arena rows of the mixed lane's vehicles.
+	if err := e.checkQueues(); err != nil {
+		return err
 	}
 	inNetwork := 0
 	for ri := range e.roads {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"utilbp/internal/fixedtime"
@@ -183,6 +184,69 @@ func TestCapacityBlocking(t *testing.T) {
 	}
 	if e.SpawnQueueLen(north) == 0 {
 		t.Fatal("spawn queue should hold the overflow")
+	}
+}
+
+// TestOversaturatedEntryAllocs pins the allocation contract on the
+// loaded path: a 2×2 grid of capacity 10 fed 2 veh/s on each entry road
+// and held in one static phase builds spawn queues far past its road
+// capacity, and with the arena reserved for every spawn, at
+// construction or through Reserve, steps 2–600 of a fresh engine
+// allocate nothing — no queue owns storage to outgrow.
+// Step 1 is left out: the demand starts its per-entry streams on first
+// use.
+func TestOversaturatedEntryAllocs(t *testing.T) {
+	const steps = 600
+	spec := network.DefaultGridSpec()
+	spec.Rows, spec.Cols = 2, 2
+	spec.Capacity = 10
+	g, err := network.Grid(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(expected int) *Engine {
+		e, err := New(Config{
+			Net:              g.Network,
+			Controllers:      staticFactory(1),
+			Demand:           NewPoissonDemand(rng.New(11), ConstantRate(2)),
+			ExpectedVehicles: expected,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	probe := build(0)
+	probe.Run(steps)
+	longest := 0
+	for _, rid := range g.Network.EntryRoads() {
+		longest = max(longest, probe.SpawnQueueLen(rid))
+	}
+	if longest < 100*spec.Capacity {
+		t.Fatalf("longest spawn queue holds %d vehicles; the test needs one far past capacity %d", longest, spec.Capacity)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// The arena is reserved at construction (Config.ExpectedVehicles)
+	// or afterwards (Engine.Reserve, as a pooled engine is).
+	reserved := build(probe.Totals().Spawned)
+	late := build(0)
+	late.Reserve(probe.Totals().Spawned)
+	for name, e := range map[string]*Engine{"ExpectedVehicles": reserved, "Reserve": late} {
+		e.Run(1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.Run(steps - 1)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("%s: steps 2-%d made %d allocations (%d B), want 0", name, steps, n, after.TotalAlloc-before.TotalAlloc)
+		}
+		if e.Totals() != probe.Totals() {
+			t.Fatalf("%s: reserved engine totals %+v, probe %+v", name, e.Totals(), probe.Totals())
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

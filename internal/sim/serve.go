@@ -281,7 +281,7 @@ func (e *Engine) serveLinkAt(gl int32, t float64) (empty, subNext bool) {
 			break
 		}
 		if e.cfg.MixedLanes {
-			if head, _ := lane.HeadVehicle(); e.arena.PendingTurn(vehicle.ID(head)) != s.turn {
+			if head, _ := lane.Head(); e.arena.PendingTurn(vehicle.ID(head)) != s.turn {
 				// Head-of-line blocking: the head vehicle wants a
 				// different movement, so this link cannot serve now.
 				break
@@ -290,7 +290,7 @@ func (e *Engine) serveLinkAt(gl int32, t float64) (empty, subNext bool) {
 		if !outRow.hasRoom() {
 			break
 		}
-		item, _ := lane.Pop()
+		item, _ := e.store.Pop(lane)
 		inRow.queued[s.turn]--
 		inRow.total--
 		e.netQueued--

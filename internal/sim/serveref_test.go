@@ -77,14 +77,14 @@ func (e *Engine) serveLink(js *junctionState, li int, t float64) {
 			ok   bool
 		)
 		if e.cfg.MixedLanes {
-			item, ok = in.mixed.Peek()
+			item, ok = e.store.Peek(&in.mixed)
 			if ok && e.arena.PendingTurn(vehicle.ID(item.Vehicle)) != l.Turn {
 				// Head-of-line blocking: the head vehicle wants a
 				// different movement, so this link cannot serve now.
 				break
 			}
 		} else {
-			item, ok = in.lanes[l.Turn].Peek()
+			item, ok = e.store.Peek(&in.lanes[l.Turn])
 		}
 		if !ok {
 			credit = 0
@@ -94,9 +94,9 @@ func (e *Engine) serveLink(js *junctionState, li int, t float64) {
 			break
 		}
 		if e.cfg.MixedLanes {
-			in.mixed.Pop()
+			e.store.Pop(&in.mixed)
 		} else {
-			in.lanes[l.Turn].Pop()
+			e.store.Pop(&in.lanes[l.Turn])
 		}
 		inRow.queued[l.Turn]--
 		inRow.total--

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"utilbp/internal/queue"
 	"utilbp/internal/signal"
 	"utilbp/internal/snap"
 )
@@ -104,11 +105,9 @@ func (e *Engine) Snapshot() []byte {
 			}
 			w.Int(int(row.joins[t]))
 		}
-		for t := 0; t < numTurns; t++ {
-			rs.lanes[t].SnapshotState(w)
+		for _, l := range rs.queues() {
+			e.store.SnapshotLane(w, l)
 		}
-		rs.mixed.SnapshotState(w)
-		rs.spawn.SnapshotState(w)
 		rs.tail.SnapshotState(w)
 	}
 
@@ -203,6 +202,7 @@ func (e *Engine) Restore(data []byte) error {
 	e.finalized = r.Bool()
 	e.evCursor = r.Int()
 
+	e.staged, e.stagedLen = e.staged[:0], e.stagedLen[:0]
 	for i := range e.roads {
 		if err := e.restoreRoad(r, i); err != nil {
 			return err
@@ -217,6 +217,9 @@ func (e *Engine) Restore(data []byte) error {
 
 	if err := e.arena.RestoreState(r); err != nil {
 		return fmt.Errorf("sim: restore vehicle arena: %w", err)
+	}
+	if err := e.linkStaged(); err != nil {
+		return err
 	}
 	for i := range e.juncs {
 		js := &e.juncs[i]
@@ -328,10 +331,13 @@ func (e *Engine) Restore(data []byte) error {
 // the road cannot hold: an effective capacity outside [1, Capacity] on
 // a bounded road or other than 0 on an unbounded one, a negative
 // counter, an occupancy, in-transit count or lane or heap length above
-// a bounded road's capacity, and any value that does not fit its
-// int32 row field. Consistency between the counters and the queues is
-// left to CheckInvariants, which Restore runs last. The per-movement
-// queued counts are rebuilt from the restored lanes plus the decoded
+// a bounded road's capacity, a spawn queue longer than the vehicles
+// spawned and not admitted, and any value that does not fit its int32
+// row field. The lanes' and the spawn queue's pairs are staged, and
+// linked by linkStaged once the arena they name is restored.
+// Consistency between the counters and the queues is left to
+// CheckInvariants, which Restore runs last. The per-movement queued
+// counts are rebuilt from the decoded lane lengths plus the decoded
 // mixed-lane counts.
 func (e *Engine) restoreRoad(r *snap.Reader, i int) error {
 	road, rs, row := &e.net.Roads[i], &e.roads[i], &e.rows[i]
@@ -366,29 +372,63 @@ func (e *Engine) restoreRoad(r *snap.Reader, i int) error {
 	if bad != nil {
 		return bad
 	}
-	for t := 0; t < numTurns; t++ {
-		if err := rs.lanes[t].RestoreState(r); err != nil {
-			return fmt.Errorf("sim: road %d lane %d: %w", i, t, err)
+	var lens [queuesPerRoad]int
+	for k, what := range queueNames {
+		lim := limit
+		if k == spawnQueue {
+			lim = max(e.totals.Spawned-e.totals.Entered, 0)
 		}
-	}
-	if err := rs.mixed.RestoreState(r); err != nil {
-		return fmt.Errorf("sim: road %d mixed lane: %w", i, err)
-	}
-	if err := rs.spawn.RestoreState(r); err != nil {
-		return fmt.Errorf("sim: road %d spawn queue: %w", i, err)
+		before := len(e.staged)
+		var err error
+		if e.staged, err = queue.ReadLane(r, e.staged, lim); err != nil {
+			return fmt.Errorf("sim: road %d %s: %w", i, what, err)
+		}
+		lens[k] = len(e.staged) - before
+		e.stagedLen = append(e.stagedLen, int32(lens[k]))
 	}
 	if err := rs.tail.RestoreState(r); err != nil {
 		return fmt.Errorf("sim: road %d travel heap: %w", i, err)
 	}
 	for t := 0; t < numTurns; t++ {
-		q := rs.lanes[t].Len() + int(mixed[t])
+		q := lens[t] + int(mixed[t])
 		if q > limit {
 			return fmt.Errorf("sim: road %d queues %d vehicles for movement %d, capacity %d", i, q, t, limit)
 		}
 		row.queued[t] = int32(q)
 	}
-	if n := max(rs.mixed.Len(), rs.tail.Len()); n > limit {
+	if n := rs.tail.Len(); n > limit {
 		return fmt.Errorf("sim: road %d holds a queue of %d vehicles, capacity %d", i, n, limit)
+	}
+	return nil
+}
+
+// linkStaged pushes the pairs restoreRoad staged into the lanes and
+// spawn queues, now that the arena they name is restored. A pair is
+// linked only when its vehicle lies in the arena, is where its queue
+// says — in the network for a lane, spawned onto this road and not yet
+// admitted for a spawn queue — and is not queued already: a vehicle
+// listed twice would be served twice while another, listed nowhere,
+// never left, and linking it twice would turn its lane into a cycle.
+func (e *Engine) linkStaged() error {
+	e.clearWhere()
+	items, lens := e.staged, e.stagedLen
+	for ri := range e.roads {
+		for k, lane := range e.roads[ri].queues() {
+			kind := queuedOnRoad
+			if k == spawnQueue {
+				kind = queuedWaiting
+			}
+			lane.Reset()
+			n := lens[k]
+			for _, it := range items[:n] {
+				if err := e.listQueued(ri, queueNames[k], it.Vehicle, kind); err != nil {
+					return err
+				}
+				e.store.Push(lane, int32(it.Vehicle), it.EnqueuedAt)
+			}
+			items = items[n:]
+		}
+		lens = lens[queuesPerRoad:]
 	}
 	return nil
 }

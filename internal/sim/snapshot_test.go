@@ -22,7 +22,7 @@ func snapTestEngine(t *testing.T) *Engine { return newSnapTestEngine(t, false) }
 
 // newSnapTestEngine is snapTestEngine with separate turning lanes or,
 // when mixed is set, the mixed-lane extension.
-func newSnapTestEngine(t *testing.T, mixed bool) *Engine {
+func newSnapTestEngine(t testing.TB, mixed bool) *Engine {
 	t.Helper()
 	spec := network.DefaultGridSpec()
 	spec.Rows, spec.Cols = 2, 2

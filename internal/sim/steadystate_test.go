@@ -7,6 +7,7 @@ package sim_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"utilbp/internal/network"
@@ -38,13 +39,12 @@ func warmEngine(t testing.TB, warmup int) *sim.Engine {
 }
 
 // TestStepOnceSteadyStateAllocs is the zero-allocation regression gate:
-// with the arena and heaps grown during warmup, the lane rings pre-sized
-// from link capacity at construction, and no fresh arrivals, advancing
-// the simulation must perform zero heap allocations — over the FULL
-// drain window, from loaded network through complete drain-out to empty
-// stepping. (Before the ring-buffer lanes, drain reshuffling could grow
-// a lane past its warm high-water mark and allocate ~0.008 times per
-// step outside a strict window; the rings retire that caveat.)
+// with the arena, its link store and the heaps grown during warmup, and
+// no fresh arrivals, advancing the simulation must perform zero heap
+// allocations — over the FULL drain window, from loaded network through
+// complete drain-out to empty stepping. Lanes own no storage (they
+// thread through the store's link per vehicle), so however the drain
+// reorders them, none can outgrow anything.
 func TestStepOnceSteadyStateAllocs(t *testing.T) {
 	engine := warmEngine(t, 600)
 	if engine.Totals().Spawned == 0 {
@@ -290,10 +290,10 @@ func TestResetWithSwapsCollaborators(t *testing.T) {
 }
 
 // TestNewAllocsCityGrid bounds what constructing a city-grid engine
-// allocates: the lane rings and travel heaps of its 1 000-odd roads
-// are windows of one queue slab (queue.Slab), not two allocations per
-// lane and one per heap, so a sweep that builds an engine per cell
-// does not pay for each reservation separately.
+// allocates: the travel heaps of its 1 000-odd roads are windows of one
+// queue slab (queue.Slab), not one allocation per heap, and the lanes
+// reserve nothing, so a sweep that builds an engine per cell does not
+// pay for each reservation separately.
 func TestNewAllocsCityGrid(t *testing.T) {
 	w, ok := scenario.WorkloadByName("city-grid")
 	if !ok {
@@ -320,5 +320,52 @@ func TestNewAllocsCityGrid(t *testing.T) {
 	t.Logf("sim.New on city-grid: %.0f allocations", allocs)
 	if allocs > 5000 {
 		t.Fatalf("sim.New on city-grid made %.0f allocations, want at most 5000", allocs)
+	}
+}
+
+// TestNewBytesCityGrid bounds the bytes constructing a city-grid engine
+// allocates, its arena reserved for the hour's expected vehicles as the
+// benchmark driver reserves it: the lanes and spawn queues own no
+// storage — they thread through one 16-byte link per expected vehicle —
+// so what remains is that link store, the arena, the travel heaps and
+// the control plane. With lanes reserved at road capacity it was
+// 9.6 MiB.
+func TestNewBytesCityGrid(t *testing.T) {
+	const (
+		horizon = 3600
+		limit   = 6.5 * (1 << 20)
+	)
+	w, ok := scenario.WorkloadByName("city-grid")
+	if !ok {
+		t.Fatal("city-grid is not registered")
+	}
+	built, err := w.Setup.Build(w.Pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{
+		Net:              built.Grid.Network,
+		Controllers:      w.Setup.UtilBP(),
+		Demand:           built.Demand,
+		Router:           built.Router,
+		Routes:           built.Routes,
+		Sensor:           built.Sensor,
+		Events:           built.Events,
+		ExpectedVehicles: built.ExpectedVehicles(horizon),
+	}
+	if _, err := sim.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := sim.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("sim.New on city-grid: %.2f MiB in %d allocations", float64(bytes)/(1<<20), after.Mallocs-before.Mallocs)
+	if bytes > limit {
+		t.Fatalf("sim.New on city-grid allocated %.2f MiB, want at most %.1f MiB", float64(bytes)/(1<<20), limit/(1<<20))
 	}
 }

@@ -251,7 +251,7 @@ func TestTelemetryUninstall(t *testing.T) {
 // the newest samples, the final queued sample equals both the
 // incremental netQueued counter (via CheckInvariants, which
 // cross-checks it against the recorder) and a from-scratch recount of
-// the approach queues over the SoA lanes.
+// the approach queues over the lanes.
 func TestTelemetryWrapConsistency(t *testing.T) {
 	const ringCap, steps = 16, 120
 	e := snapTestEngine(t)
