@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -135,12 +136,14 @@ func disruptedSensedSetup(t *testing.T) scenario.Setup {
 	return setup
 }
 
-// TestSnapshotRejectsV1Stream pins the version-gate contract after the
-// v2 (column-major arena) layout change: a v1 stream must be rejected
-// up front with a clear structural error naming both versions — never
-// handed to the section decoders, where the old row-major vehicle
-// records would misparse or panic. There is no cross-version migration;
-// snapshots are checkpoints of a running experiment, not archives.
+// TestSnapshotRejectsV1Stream pins the version-gate contract: a stream
+// of an older layout — v1 (row-major vehicle records) or v2 (the travel
+// heap's array order and tie-break numbers, before the v3 transit
+// lists) — must be rejected up front with a clear structural error
+// naming both versions, never handed to the section decoders, where the
+// old layout would misparse or panic. There is no cross-version
+// migration; snapshots are checkpoints of a running experiment, not
+// archives.
 func TestSnapshotRejectsV1Stream(t *testing.T) {
 	factory, err := scenario.Default().Controller(scenario.ControllerSpec{Kind: scenario.ControllerUtil})
 	if err != nil {
@@ -159,16 +162,18 @@ func TestSnapshotRejectsV1Stream(t *testing.T) {
 	good := engine.Snapshot()
 
 	// Bytes [8:16) hold the little-endian format version (after the
-	// 8-byte magic); rewrite them to claim version 1.
-	v1 := bytes.Clone(good)
-	binary.LittleEndian.PutUint64(v1[8:16], 1)
-	err = engine.Restore(v1)
-	if err == nil {
-		t.Fatal("v1 stream accepted")
-	}
-	for _, want := range []string{"snapshot version 1", "supports 2"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("v1 rejection error %q does not mention %q", err, want)
+	// 8-byte magic); rewrite them to claim each older version.
+	for _, v := range []uint64{1, 2} {
+		old := bytes.Clone(good)
+		binary.LittleEndian.PutUint64(old[8:16], v)
+		err = engine.Restore(old)
+		if err == nil {
+			t.Fatalf("v%d stream accepted", v)
+		}
+		for _, want := range []string{fmt.Sprintf("snapshot version %d", v), "supports 3"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("v%d rejection error %q does not mention %q", v, err, want)
+			}
 		}
 	}
 

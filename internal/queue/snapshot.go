@@ -2,6 +2,7 @@ package queue
 
 import (
 	"fmt"
+	"slices"
 
 	"utilbp/internal/snap"
 )
@@ -38,36 +39,39 @@ func ReadLane(r *snap.Reader, dst []Item, limit int) ([]Item, error) {
 	return dst, r.Err()
 }
 
-// SnapshotState implements snap.Snapshotter: the heap's backing array
-// is captured verbatim — array order, per-entry tie-break sequence
-// numbers and the running counter — because PopDue's tie-breaking
-// depends on the exact heap shape, not just the multiset of arrivals.
-// Restoring the array byte-for-byte is what keeps a restored run's
-// service order identical to the uninterrupted one.
+// SnapshotState implements snap.Snapshotter: the arrivals in the order
+// PopDue releases them, by (At, seq), written as SnapshotLane writes a
+// lane — the count, then (vehicle, arrival time) pairs. The heap's
+// array order and tie-break numbers stay out of the bytes: PopDue's
+// order is all a restored run depends on.
 func (t *Travel) SnapshotState(w *snap.Writer) {
-	w.Int32(t.seq)
-	w.Int(len(t.h))
-	for i := range t.h {
-		a := &t.h[i]
+	order := slices.Clone(t.h)
+	slices.SortFunc(order, func(a, b Arrival) int {
+		switch {
+		case a.less(b):
+			return -1
+		case b.less(a):
+			return 1
+		}
+		return 0
+	})
+	w.Int(len(order))
+	for _, a := range order {
+		w.Int(int(a.Vehicle))
 		w.Float64(a.At)
-		w.Int32(a.Vehicle)
-		w.Int32(a.seq)
 	}
 }
 
-// RestoreState implements snap.Snapshotter, reinstating the exact heap
-// array and sequence counter a SnapshotState captured.
+// RestoreState implements snap.Snapshotter, re-adding the arrivals a
+// SnapshotState wrote in their release order, so PopDue releases them
+// in that order again.
 func (t *Travel) RestoreState(r *snap.Reader) error {
 	t.Reset()
-	t.seq = r.Int32()
 	n := r.Count()
 	t.Reserve(n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		t.h = append(t.h, Arrival{
-			At:      r.Float64(),
-			Vehicle: r.Int32(),
-			seq:     r.Int32(),
-		})
+		v := r.Int()
+		t.Add(v, r.Float64())
 	}
 	return r.Err()
 }

@@ -24,6 +24,7 @@ package sensing
 
 import (
 	"math"
+	"strconv"
 
 	"utilbp/internal/rng"
 	"utilbp/internal/signal"
@@ -42,7 +43,10 @@ import (
 // (capacities, µ) and the per-movement downstream fields are
 // engine-owned.
 type Sensor interface {
-	// Name identifies the sensor model (e.g. "cv:0.3").
+	// Name identifies the sensor model and every option that changes
+	// what it writes (e.g. "cv:0.3", "loop:10,fail=0.3"). The engine's
+	// snapshot fingerprint compares it, so two sensors that can write
+	// different observations must have different names.
 	Name() string
 	// Prepare sizes the per-link state for an engine whose junctions
 	// expose nlinks links in total (the engine's dense global link
@@ -195,8 +199,25 @@ func NewLoopDetector(opts LoopDetectorOptions) *LoopDetector {
 	return ld
 }
 
-// Name implements Sensor.
-func (ld *LoopDetector) Name() string { return "loop" }
+// Name implements Sensor: "loop", then the saturation when it is not
+// DefaultSaturation (":unsaturated" when disabled) and the failure
+// probability when it is not zero, each written exactly.
+func (ld *LoopDetector) Name() string {
+	name := "loop"
+	switch {
+	case ld.max == 0:
+		name += ":unsaturated"
+	case ld.max != DefaultSaturation:
+		name += ":" + strconv.Itoa(ld.opts.Saturation)
+	}
+	if ld.opts.FailProb != 0 {
+		name += ",fail=" + exact(ld.opts.FailProb)
+	}
+	return name
+}
+
+// exact renders v with the fewest digits that parse back to v.
+func exact(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Prepare implements Sensor.
 func (ld *LoopDetector) Prepare(nlinks int) {
@@ -309,9 +330,21 @@ func NewConnectedVehicle(opts ConnectedVehicleOptions) *ConnectedVehicle {
 	return &ConnectedVehicle{opts: opts, src: sensingStream(0)}
 }
 
-// Name implements Sensor.
+// Name implements Sensor: "cv:<rate>", then the noise std, the report
+// latency and the filter gain wherever they differ from their
+// defaults, each written exactly.
 func (cv *ConnectedVehicle) Name() string {
-	return Spec{Kind: KindConnectedVehicle, Rate: cv.opts.Rate}.String()
+	name := "cv:" + exact(cv.opts.Rate)
+	if cv.opts.NoiseStd != 0 {
+		name += ",noise=" + exact(cv.opts.NoiseStd)
+	}
+	if cv.opts.LatencySteps != 0 {
+		name += ",lat=" + strconv.Itoa(cv.opts.LatencySteps)
+	}
+	if cv.opts.Alpha != DefaultCVAlpha {
+		name += ",alpha=" + exact(cv.opts.Alpha)
+	}
+	return name
 }
 
 // Prepare implements Sensor.

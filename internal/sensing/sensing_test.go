@@ -244,6 +244,42 @@ func TestSpecNewAndValidate(t *testing.T) {
 	}
 }
 
+// TestSensorNamesCarryOptions pins the names the engine's snapshot
+// fingerprint compares: a sensor at its defaults keeps its short name,
+// and every option that changes what it writes appears, written
+// exactly, without Spec.String's rounding, so two sensors that can
+// write different observations never share a name.
+func TestSensorNamesCarryOptions(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Loop(), "loop"},
+		{Spec{Kind: KindLoop, Saturation: DefaultSaturation}, "loop"},
+		{Spec{Kind: KindLoop, Saturation: 10, FailProb: 0.3}, "loop:10,fail=0.3"},
+		{Spec{Kind: KindLoop, Saturation: -1}, "loop:unsaturated"},
+		{Spec{Kind: KindLoop, FailProb: 0.125}, "loop,fail=0.125"},
+		{CV(0.4), "cv:0.4"},
+		{Spec{Kind: KindConnectedVehicle, Rate: 0.3, FilterAlpha: DefaultCVAlpha}, "cv:0.3"},
+		{Spec{Kind: KindConnectedVehicle, Rate: 0.3, NoiseStd: 2, LatencySteps: 5}, "cv:0.3,noise=2,lat=5"},
+		{Spec{Kind: KindConnectedVehicle, Rate: 0.125, NoiseStd: 0.25, FilterAlpha: 0.75}, "cv:0.125,noise=0.25,alpha=0.75"},
+	} {
+		s, err := tc.spec.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Name(); got != tc.want {
+			t.Errorf("Spec %+v: sensor name %q, want %q", tc.spec, got, tc.want)
+		}
+	}
+	// Spec.String rounds the noise to one decimal; the name does not.
+	a, _ := Spec{Kind: KindConnectedVehicle, Rate: 0.3, NoiseStd: 1.01}.New()
+	b, _ := Spec{Kind: KindConnectedVehicle, Rate: 0.3, NoiseStd: 1.04}.New()
+	if a.Name() == b.Name() {
+		t.Fatalf("noise 1.01 and 1.04 share the name %q", a.Name())
+	}
+}
+
 // TestCVEstimatesSaturate pins the range of a connected-vehicle
 // reading: however wild the noise, every count the sensor writes lies
 // in [0, MaxInt32]. Spec.Validate rejects an infinite noise std, but

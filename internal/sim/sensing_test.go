@@ -9,7 +9,9 @@ package sim_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,6 +128,47 @@ func TestResetWithSwapsSensor(t *testing.T) {
 	}
 	if !reflect.DeepEqual(engine.Vehicles(), bare.Vehicles()) {
 		t.Fatal("sensor clear: vehicle arena diverges from fresh run")
+	}
+}
+
+// TestRestoreRejectsSensorParameters pins that a snapshot restores only
+// into a sensor that writes what the captured one wrote. The
+// fingerprint compares sensor names, and a name carries every option
+// that changes the observations, so a snapshot taken under a noisy,
+// latent connected-vehicle sensor or a saturating, failing loop
+// detector is refused by the default sensor of its kind, and an
+// identical sensor restores it.
+func TestRestoreRejectsSensorParameters(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		from, into sensing.Spec
+	}{
+		{"cv:0.3,noise=2,lat=5", sensing.Spec{Kind: sensing.KindConnectedVehicle, Rate: 0.3, NoiseStd: 2, LatencySteps: 5}, sensing.CV(0.3)},
+		{"loop:10,fail=0.3", sensing.Spec{Kind: sensing.KindLoop, Saturation: 10, FailProb: 0.3}, sensing.Loop()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(spec sensing.Spec) *sim.Engine {
+				s, err := spec.New()
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Reseed(5)
+				return buildSensed(t, 5, s)
+			}
+			e := build(tc.from)
+			e.Run(200)
+			b := e.Snapshot()
+			err := build(tc.into).Restore(b)
+			if err == nil {
+				t.Fatalf("snapshot under %s restored into %v", tc.name, tc.into)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("snapshot sensor %q", tc.name)) {
+				t.Fatalf("restore failed for another reason: %v", err)
+			}
+			if err := build(tc.from).Restore(b); err != nil {
+				t.Fatalf("restore into an identical sensor: %v", err)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"utilbp/internal/rng"
 	"utilbp/internal/sensing"
 	"utilbp/internal/signal"
+	"utilbp/internal/snap"
 )
 
 // snapTestEngine builds a small 2×2 engine under Poisson demand with a
@@ -174,23 +176,33 @@ func TestChangeSetEmptyBetweenSteps(t *testing.T) {
 
 // TestRestoreRejectsCorruptCount flips the low bit of the high word of
 // the Poisson demand's stream count in a 137-step 2×2 snapshot, which
-// turns the count into 4 294 967 319 with 407 bytes left. Before counts
-// were bounded, the restore asked for that many demand streams (about
-// 100 GB) and died; it must fail with an error instead.
+// adds 2³² to the count. Before counts were bounded, the restore asked
+// for that many demand streams (about 100 GB) and died; it must fail
+// with an error instead. The count is found from the stream: the
+// demand's section occurs once, and the count follows its length word
+// and the root stream's four state words.
 func TestRestoreRejectsCorruptCount(t *testing.T) {
 	e := snapTestEngine(t)
 	e.Run(137)
 	b := e.Snapshot()
-	const size, at = 20301, 19834
-	if len(b) != size {
-		t.Fatalf("snapshot is %d bytes, want %d: byte %d no longer holds the demand count", len(b), size, at)
+	w := snap.NewWriter(0)
+	writeComponent(w, e.cfg.Demand)
+	section := w.Bytes()
+	at := bytes.Index(b, section)
+	if at < 0 || bytes.Index(b[at+1:], section) >= 0 {
+		t.Fatal("the demand section does not occur exactly once in the snapshot")
 	}
-	b[at] ^= 1
+	count := at + 8 + 4*8
+	n := binary.LittleEndian.Uint64(b[count:])
+	if n != uint64(len(e.cfg.Demand.(*PoissonDemand).streams)) {
+		t.Fatalf("word at byte %d is %d, not the demand's stream count", count, n)
+	}
+	b[count+4] ^= 1
 	err := snapTestEngine(t).Restore(b)
 	if err == nil {
 		t.Fatal("restore of a corrupt demand count accepted")
 	}
-	if !strings.Contains(err.Error(), "corrupt count 4294967319") {
+	if want := fmt.Sprintf("corrupt count %d", n+1<<32); !strings.Contains(err.Error(), want) {
 		t.Fatalf("restore failed for another reason: %v", err)
 	}
 }
