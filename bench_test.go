@@ -354,11 +354,11 @@ func BenchmarkEngineSteps(b *testing.B) {
 }
 
 // BenchmarkStepOnce measures the full mini-slot including the spawn
-// path: the engine is warmed up under Pattern I demand until lanes,
-// heaps and the pre-sized vehicle arena have reached their working-set
-// size, then the same seed is replayed in horizon-sized chunks via
-// Engine.Reset so arrivals keep flowing for any -benchtime without the
-// arena growing. The per-chunk rewind itself runs outside the timer —
+// path: the engine is warmed up under Pattern I demand until the queues'
+// link store and the pre-sized vehicle arena have reached their
+// working-set size, then the same seed is replayed in horizon-sized
+// chunks via Engine.Reset so arrivals keep flowing for any -benchtime
+// without the arena growing. The per-chunk rewind itself runs outside the timer —
 // Engine.Reset rebuilds the (stateful) controllers through the factory,
 // which is real but amortized work, not step cost. The contract —
 // enforced by TestSpawnPathAllocs and TestStepOnceSteadyStateAllocs and
@@ -410,8 +410,8 @@ func BenchmarkStepOnceSensedLoop(b *testing.B) {
 // disruption schedule: a mid-run capacity incident, a dark junction and
 // a demand surge (DESIGN.md §12). Gated in CI at 0 B/op and
 // 0 allocs/op alongside its siblings — applying and reverting scheduled
-// transitions must not reintroduce heap traffic on the hot path (queue
-// reservations stay sized to the pre-disruption capacity; the schedule
+// transitions must not reintroduce heap traffic on the hot path (queues
+// own no storage, so a clamped capacity resizes nothing; the schedule
 // is immutable and replayed by cursor).
 func BenchmarkStepOnceDisrupted(b *testing.B) {
 	setup, err := benchSetup().WithCentralIncident(400, 600, 0.5)

@@ -86,33 +86,36 @@ func TestLaneClampChurnAllocs(t *testing.T) {
 	}
 }
 
-// TestTravelClampChurnKeepsOrderAndStorage is the Travel counterpart:
-// the in-transit heap stays reserved at the road's pre-disruption
-// capacity, and cycling it between the reduced and full occupancy
-// levels must keep arrivals draining in time order without growing the
-// backing array.
+// TestTravelClampChurnKeepsOrderAndStorage is the transit-list
+// counterpart: a road's in-transit vehicles share the engine's store
+// with its lanes, and cycling the list between the reduced and full
+// occupancy levels of an incident must keep arrivals draining in time
+// order, without growing the store or allocating.
 func TestTravelClampChurnKeepsOrderAndStorage(t *testing.T) {
 	const full, reduced = 48, 19
-	var tr Travel
-	tr.Reserve(full)
-	clock := 0.0
+	var s Store
+	s.Reserve(full)
+	size := len(s.links)
+	var l Lane
+	clock, next := 0.0, 0
 	add := func(n int) {
 		for i := 0; i < n; i++ {
 			clock++
-			tr.Add(int(clock), clock)
+			s.Push(&l, int32(next%full), clock)
+			next++
 		}
 	}
 	lastAt := 0.0
 	drain := func(n int) {
 		for i := 0; i < n; i++ {
-			a, ok := tr.PopDue(clock + 1)
+			it, ok := popDue(&s, &l, clock+1)
 			if !ok {
-				t.Fatal("heap empty mid-drain")
+				t.Fatal("transit list empty mid-drain")
 			}
-			if a.At < lastAt {
-				t.Fatalf("time order broken: popped %v after %v", a.At, lastAt)
+			if it.EnqueuedAt < lastAt {
+				t.Fatalf("time order broken: popped %v after %v", it.EnqueuedAt, lastAt)
 			}
-			lastAt = a.At
+			lastAt = it.EnqueuedAt
 		}
 	}
 
@@ -124,19 +127,22 @@ func TestTravelClampChurnKeepsOrderAndStorage(t *testing.T) {
 	}
 	add(full - reduced)
 	drain(full)
-	if tr.Len() != 0 {
-		t.Fatalf("heap not empty after drain: %d", tr.Len())
+	if l.Len() != 0 {
+		t.Fatalf("transit list not empty after drain: %d", l.Len())
+	}
+	if len(s.links) != size {
+		t.Fatalf("store changed across the clamp: %d -> %d links", size, len(s.links))
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < full; i++ {
-			tr.Add(i, float64(i))
+			s.Push(&l, int32(i), float64(i))
 		}
-		for tr.Len() > 0 {
-			tr.PopDue(float64(full))
+		for l.Len() > 0 {
+			popDue(&s, &l, float64(full))
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("reserved Travel churn allocates: %v allocs per cycle, want 0", allocs)
+		t.Fatalf("reserved transit churn allocates: %v allocs per cycle, want 0", allocs)
 	}
 }

@@ -168,10 +168,13 @@ func TestStoreManyLanesProperty(t *testing.T) {
 	}
 }
 
-// TestTravelRandomOpsProperty checks the transit heap against a sorted
-// reference: arbitrary Add/PopDue interleavings must dequeue strictly
-// by (arrival time, insertion order), and PopDue must never release a
-// vehicle past its deadline.
+// TestTravelRandomOpsProperty checks a road's transit list against the
+// order the travel heap it replaced released vehicles in: sorted by
+// (arrival time, insertion order). Vehicles enter as the engine enters
+// them, at clock + travel with one travel time and a clock that never
+// decreases (coarse steps force equal times), and arbitrary interleavings
+// of pushes and due-pops must release exactly the reference's head each
+// time, never a vehicle past its deadline and never withhold a due one.
 func TestTravelRandomOpsProperty(t *testing.T) {
 	type entry struct {
 		at  float64
@@ -180,19 +183,21 @@ func TestTravelRandomOpsProperty(t *testing.T) {
 	}
 	for _, seed := range []uint64{3, 11, 0x7AFE} {
 		src := rng.New(seed)
-		var tr Travel
+		travel := 1 + src.Float64()*30
+		var s Store
+		var l Lane
 		var model []entry
 		seq := 0
 		clock := 0.0
 		for op := 0; op < 2000; op++ {
 			if src.Intn(3) > 0 {
-				// Coarse times force At ties, exercising the seq tiebreak.
-				at := clock + float64(src.Intn(8))
-				tr.Add(seq+1000, at)
+				at := clock + travel
+				s.Push(&l, int32(seq+1000), at)
 				model = append(model, entry{at: at, veh: seq + 1000, seq: seq})
 				seq++
 			} else {
-				clock += src.Float64() * 3
+				clock += float64(src.Intn(3))
+				deadline := clock + 1
 				sort.SliceStable(model, func(i, j int) bool {
 					if model[i].at != model[j].at {
 						return model[i].at < model[j].at
@@ -200,33 +205,33 @@ func TestTravelRandomOpsProperty(t *testing.T) {
 					return model[i].seq < model[j].seq
 				})
 				for {
-					a, ok := tr.PopDue(clock)
+					it, ok := popDue(&s, &l, deadline)
 					if !ok {
-						if len(model) > 0 && model[0].at <= clock {
-							t.Fatalf("seed %d op %d: PopDue(%g) withheld due arrival %+v",
-								seed, op, clock, model[0])
+						if len(model) > 0 && model[0].at <= deadline {
+							t.Fatalf("seed %d op %d: due-pop(%g) withheld due arrival %+v",
+								seed, op, deadline, model[0])
 						}
 						break
 					}
-					if a.At > clock {
-						t.Fatalf("seed %d op %d: PopDue(%g) released future arrival at %g", seed, op, clock, a.At)
+					if it.EnqueuedAt > deadline {
+						t.Fatalf("seed %d op %d: due-pop(%g) released future arrival at %g", seed, op, deadline, it.EnqueuedAt)
 					}
-					if len(model) == 0 || int(a.Vehicle) != model[0].veh || a.At != model[0].at {
-						t.Fatalf("seed %d op %d: PopDue = veh %d at %g, model head %+v",
-							seed, op, a.Vehicle, a.At, model)
+					if len(model) == 0 || it.Vehicle != model[0].veh || it.EnqueuedAt != model[0].at {
+						t.Fatalf("seed %d op %d: due-pop = veh %d at %g, reference head %+v",
+							seed, op, it.Vehicle, it.EnqueuedAt, model)
 					}
 					model = model[1:]
 				}
 			}
-			if tr.Len() != len(model) {
-				t.Fatalf("seed %d op %d: Len = %d, model %d", seed, op, tr.Len(), len(model))
+			if l.Len() != len(model) {
+				t.Fatalf("seed %d op %d: Len = %d, model %d", seed, op, l.Len(), len(model))
 			}
-			if p, ok := tr.Peek(); ok && p.At > clock {
-				// Peek result must be the true minimum: nothing in the model
-				// may be earlier.
+			if p, ok := s.Peek(&l); ok {
+				// The head is the earliest arrival: nothing in the
+				// reference may be earlier.
 				for _, e := range model {
-					if e.at < p.At {
-						t.Fatalf("seed %d op %d: Peek at %g but model holds %g", seed, op, p.At, e.at)
+					if e.at < p.EnqueuedAt {
+						t.Fatalf("seed %d op %d: head at %g but the reference holds %g", seed, op, p.EnqueuedAt, e.at)
 					}
 				}
 			}

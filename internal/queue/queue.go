@@ -1,26 +1,26 @@
-// Package queue provides the FIFO primitives of the traffic model: the
-// dedicated turning-lane queue (vehicles waiting at a stop line with their
-// enqueue times) and a time-ordered heap for vehicles travelling along a
-// road toward it.
+// Package queue provides the one FIFO primitive of the traffic model: a
+// lane of vehicles, each with a time — a road's vehicles in transit with
+// their stop-line arrival times, a turning lane's or a spawn queue's
+// waiting vehicles with their enqueue times. A road delivers its
+// vehicles in the order they entered, since they share one free-flow
+// travel time and enter in clock order, so its transit list is a lane
+// too (DESIGN.md §2).
 //
-// A vehicle waits in at most one lane at a time, so lanes own no
-// storage: a Lane is a 12-byte header (head, tail, count) threaded
-// through one Store, which holds a 16-byte link per vehicle ID — its
-// enqueue time and the next vehicle in its lane. The store grows with
-// the vehicles it has seen and never shrinks, so the lanes of an engine
-// whose store is reserved for its expected vehicles never allocate, no
-// matter how long a queue grows or how it churns; a pop reads one link
-// and a push writes two, the new vehicle's and the old tail's
-// (DESIGN.md §5). Travel implements its sift
-// operations directly on []Arrival rather than through container/heap,
-// whose interface methods box every element and would put two heap
-// allocations on the per-vehicle hot path.
+// A vehicle is in at most one lane at a time, so lanes own no storage:
+// a Lane is a 12-byte header (head, tail, count) threaded through one
+// Store, which holds a 16-byte link per vehicle ID — its time and the
+// next vehicle in its lane. The store grows with the vehicles it has
+// seen and never shrinks, so the lanes of an engine whose store is
+// reserved for its expected vehicles never allocate, no matter how long
+// a queue grows or how it churns; a pop reads one link and a push
+// writes two, the new vehicle's and the old tail's (DESIGN.md §5).
 package queue
 
 import "iter"
 
-// Item is one queued vehicle: its identifier and the time it joined the
-// queue, from which waiting time is computed at service.
+// Item is one queued vehicle: its identifier and its time — when it
+// joined a waiting queue, from which waiting time is computed at
+// service, or when it reaches the stop line, for a vehicle in transit.
 type Item struct {
 	Vehicle    int
 	EnqueuedAt float64
@@ -53,9 +53,10 @@ func (l *Lane) Head() (int32, bool) {
 // unread until the vehicles are pushed again.
 func (l *Lane) Reset() { l.n = 0 }
 
-// link is one vehicle's entry in a Store: when it joined its lane and
-// the vehicle behind it there, which is read only while the vehicle is
-// not its lane's tail.
+// link is one vehicle's entry in a Store: its time in its lane (when it
+// joined a waiting queue, or reaches the stop line in transit) and the
+// vehicle behind it there, which is read only while the vehicle is not
+// its lane's tail.
 type link struct {
 	at   float64
 	next int32
@@ -80,7 +81,7 @@ func (s *Store) Reserve(n int) {
 	}
 }
 
-// Push appends vehicle v, queued since at, to the tail of lane l. It
+// Push appends vehicle v with time at to the tail of lane l. It
 // allocates only when v lies beyond every vehicle the store has seen
 // and its reservation.
 func (s *Store) Push(l *Lane, v int32, at float64) {
@@ -131,150 +132,5 @@ func (s *Store) Items(l *Lane) iter.Seq[Item] {
 			}
 			v = k.next
 		}
-	}
-}
-
-// Arrival is a vehicle in transit: it reaches the stop line (and joins a
-// lane) at time At. Seq breaks ties so equal arrival times dequeue in
-// insertion order, keeping simulations deterministic. The 32-bit fields
-// keep the entry at 16 bytes — heaps are pre-sized per road from link
-// capacity, so the entry size is a direct per-engine memory term.
-type Arrival struct {
-	At      float64
-	Vehicle int32
-	seq     int32
-}
-
-// less orders arrivals by (At, seq).
-func (a Arrival) less(b Arrival) bool {
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	return a.seq < b.seq
-}
-
-// Travel holds vehicles in transit along one road, ordered by stop-line
-// arrival time. The zero value is ready to use; Reserve pre-sizes the
-// backing storage so a heap bounded by its road's capacity never
-// allocates after construction.
-type Travel struct {
-	h   []Arrival
-	seq int32
-}
-
-// Reserve grows the heap's backing storage to hold at least capacity
-// arrivals without further allocation. It never shrinks.
-func (t *Travel) Reserve(capacity int) {
-	if capacity <= cap(t.h) {
-		return
-	}
-	grown := make([]Arrival, len(t.h), capacity)
-	copy(grown, t.h)
-	t.h = grown
-}
-
-// Len returns the number of vehicles in transit.
-func (t *Travel) Len() int { return len(t.h) }
-
-// At returns the i-th arrival in heap array order, 0 <= i < Len(). The
-// order is the heap's, not the arrival order; it is for assertions
-// that visit every vehicle in transit.
-func (t *Travel) At(i int) Arrival { return t.h[i] }
-
-// Add schedules a vehicle to reach the stop line at time at.
-func (t *Travel) Add(vehicle int, at float64) {
-	t.seq++
-	t.h = append(t.h, Arrival{At: at, Vehicle: int32(vehicle), seq: t.seq})
-	// Sift up.
-	h := t.h
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].less(h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// PopDue removes and returns the earliest vehicle whose arrival time is
-// at or before deadline. The second result is false when none is due.
-func (t *Travel) PopDue(deadline float64) (Arrival, bool) {
-	if len(t.h) == 0 || t.h[0].At > deadline {
-		return Arrival{}, false
-	}
-	h := t.h
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = Arrival{}
-	h = h[:n]
-	t.h = h
-	// Sift down.
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && h[r].less(h[child]) {
-			child = r
-		}
-		if !h[child].less(h[i]) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	return top, true
-}
-
-// Reset empties the transit set, keeping the backing storage and the
-// sequence counter (determinism only needs relative order within a run,
-// but Reset rewinds the counter too so replays are byte-identical).
-func (t *Travel) Reset() {
-	t.h = t.h[:0]
-	t.seq = 0
-}
-
-// Peek returns the earliest in-transit vehicle without removing it.
-func (t *Travel) Peek() (Arrival, bool) {
-	if len(t.h) == 0 {
-		return Arrival{}, false
-	}
-	return t.h[0], true
-}
-
-// Slab is shared backing storage for many travel heaps: one array of
-// arrivals an engine sizes once from its roads' capacities and carves
-// every heap's reservation out of, so reserving all its heaps costs one
-// allocation instead of one per heap (DESIGN.md §5).
-//
-// Each reservation is a capacity-clamped window: a heap that outgrows
-// its window regrows into fresh storage, and never writes into its
-// neighbour's.
-type Slab struct {
-	arr []Arrival
-}
-
-// NewSlab allocates a slab holding travelSlots heap entries.
-func NewSlab(travelSlots int) *Slab {
-	return &Slab{arr: make([]Arrival, travelSlots)}
-}
-
-// ReserveTravel is Travel.Reserve with the heap carved from the slab.
-// A heap already holding capacity slots keeps its storage; a request
-// the slab has no room left for falls back to fresh storage.
-func (s *Slab) ReserveTravel(t *Travel, capacity int) {
-	switch {
-	case capacity <= cap(t.h):
-	case capacity > len(s.arr):
-		t.Reserve(capacity)
-	default:
-		h := s.arr[:len(t.h):capacity]
-		copy(h, t.h)
-		t.h = h
-		s.arr = s.arr[capacity:]
 	}
 }

@@ -192,80 +192,113 @@ func TestLanePropertyFIFO(t *testing.T) {
 	}
 }
 
-func TestTravelOrdering(t *testing.T) {
-	var tr Travel
-	tr.Add(1, 5)
-	tr.Add(2, 3)
-	tr.Add(3, 4)
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d", tr.Len())
+// popDue pops the head of transit list l when it reaches the stop line
+// by deadline, as the engine's travel substep does: Peek, then Pop.
+func popDue(s *Store, l *Lane, deadline float64) (Item, bool) {
+	if it, ok := s.Peek(l); !ok || it.EnqueuedAt > deadline {
+		return Item{}, false
 	}
-	want := []int{2, 3, 1}
-	for _, w := range want {
-		a, ok := tr.PopDue(100)
-		if !ok || int(a.Vehicle) != w {
-			t.Fatalf("got %+v, want vehicle %d", a, w)
+	return s.Pop(l)
+}
+
+// TestTravelOrdering pins a road's transit list: vehicles entering a
+// road at non-decreasing clocks with one travel time reach the stop
+// line in the order they entered, and the list releases them in that
+// order.
+func TestTravelOrdering(t *testing.T) {
+	const travel = 21.6
+	var s Store
+	var l Lane
+	for v, clock := range []float64{0, 1, 1, 2, 5} {
+		s.Push(&l, int32(v), clock+travel)
+	}
+	if l.Len() != 5 {
+		t.Fatalf("Len = %d", l.Len())
+	}
+	for want := 0; want < 5; want++ {
+		it, ok := popDue(&s, &l, 100)
+		if !ok || it.Vehicle != want {
+			t.Fatalf("got %+v, want vehicle %d", it, want)
 		}
 	}
 }
 
+// TestTravelDeadline pins the due test of the travel substep: a
+// vehicle arriving after the deadline stays in transit, one arriving
+// exactly at it leaves.
 func TestTravelDeadline(t *testing.T) {
-	var tr Travel
-	tr.Add(1, 10)
-	if _, ok := tr.PopDue(9.99); ok {
+	var s Store
+	var l Lane
+	s.Push(&l, 1, 10)
+	if _, ok := popDue(&s, &l, 9.99); ok {
 		t.Fatal("popped a vehicle before its arrival time")
 	}
-	if a, ok := tr.PopDue(10); !ok || a.Vehicle != 1 {
+	if it, ok := popDue(&s, &l, 10); !ok || it.Vehicle != 1 {
 		t.Fatal("vehicle due exactly at deadline not popped")
 	}
+	if _, ok := popDue(&s, &l, 100); ok {
+		t.Fatal("popped from an empty transit list")
+	}
 }
 
+// TestTravelTieBreakInsertionOrder pins that vehicles with equal
+// arrival times leave in the order they were pushed, the order the
+// heap's tie-break sequence gave them.
 func TestTravelTieBreakInsertionOrder(t *testing.T) {
-	var tr Travel
+	var s Store
+	var l Lane
 	for i := 0; i < 20; i++ {
-		tr.Add(i, 7) // identical arrival times
+		s.Push(&l, int32(i), 7) // identical arrival times
 	}
 	for i := 0; i < 20; i++ {
-		a, ok := tr.PopDue(7)
-		if !ok || int(a.Vehicle) != i {
-			t.Fatalf("tie-break violated at %d: got %+v", i, a)
+		it, ok := popDue(&s, &l, 7)
+		if !ok || it.Vehicle != i {
+			t.Fatalf("tie-break violated at %d: got %+v", i, it)
 		}
 	}
 }
 
+// TestTravelPeek pins that Peek returns the earliest arrival, the head,
+// without consuming it.
 func TestTravelPeek(t *testing.T) {
-	var tr Travel
-	if _, ok := tr.Peek(); ok {
-		t.Fatal("peek on empty travel succeeded")
+	var s Store
+	var l Lane
+	if _, ok := s.Peek(&l); ok {
+		t.Fatal("peek on an empty transit list succeeded")
 	}
-	tr.Add(9, 2)
-	a, ok := tr.Peek()
-	if !ok || a.Vehicle != 9 || tr.Len() != 1 {
-		t.Fatalf("peek: %+v len=%d", a, tr.Len())
+	s.Push(&l, 9, 2)
+	s.Push(&l, 4, 3)
+	it, ok := s.Peek(&l)
+	if !ok || it.Vehicle != 9 || it.EnqueuedAt != 2 || l.Len() != 2 {
+		t.Fatalf("peek: %+v len=%d", it, l.Len())
 	}
 }
 
+// TestTravelPropertySorted pins that a transit list fed as the engine
+// feeds it — arrival times clock + travel at non-decreasing clocks —
+// releases every vehicle, in non-decreasing time order.
 func TestTravelPropertySorted(t *testing.T) {
-	f := func(times []float64) bool {
-		var tr Travel
-		for i, at := range times {
-			if at < 0 {
-				at = -at
-			}
-			tr.Add(i, at)
+	f := func(steps []uint8, travel uint16) bool {
+		var s Store
+		var l Lane
+		clock := 0.0
+		for i, dt := range steps {
+			clock += float64(dt % 4)
+			s.Push(&l, int32(i), clock+float64(travel)/8)
 		}
-		last := -1.0
+		last, n := math.Inf(-1), 0
 		for {
-			a, ok := tr.PopDue(math.Inf(1))
+			it, ok := popDue(&s, &l, math.Inf(1))
 			if !ok {
 				break
 			}
-			if a.At < last {
+			if it.EnqueuedAt < last || it.Vehicle != n {
 				return false
 			}
-			last = a.At
+			last = it.EnqueuedAt
+			n++
 		}
-		return tr.Len() == 0
+		return n == len(steps) && l.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -60,72 +60,104 @@ func TestSlabLaneOverflowKeepsNeighbour(t *testing.T) {
 	}
 }
 
-// TestSlabTravelOverflowKeepsNeighbour is the heap counterpart: an
-// Add past the window appends into fresh storage, never into the next
-// heap's window.
+// TestSlabTravelOverflowKeepsNeighbour is the transit-list
+// counterpart: a road's transit list grows the store past its
+// reservation under a lane on the same store, and the lane keeps its
+// vehicles, order and times; arrivals then join the lane behind them,
+// as the travel substep moves them, and the list keeps the rest in
+// order.
 func TestSlabTravelOverflowKeepsNeighbour(t *testing.T) {
 	const capacity = 4
-	s := NewSlab(2 * capacity)
-	var a, b Travel
-	s.ReserveTravel(&a, capacity)
-	s.ReserveTravel(&b, capacity)
+	var s Store
+	s.Reserve(2 * capacity)
+	var transit, lane Lane
 	for i := 0; i < capacity; i++ {
-		b.Add(100+i, float64(100+i))
+		s.Push(&lane, int32(100+i), float64(i))
 	}
+	want := laneItems(&s, &lane)
 	for i := 0; i < 3*capacity; i++ {
-		a.Add(i, float64(3*capacity-i))
+		s.Push(&transit, int32(i), float64(10+i))
+	}
+	if got := laneItems(&s, &lane); !slices.Equal(got, want) {
+		t.Fatalf("lane after the transit pushes = %+v, want %+v", got, want)
 	}
 	for i := 0; i < capacity; i++ {
-		got, ok := b.PopDue(1000)
-		if !ok || got.Vehicle != int32(100+i) || got.At != float64(100+i) {
-			t.Fatalf("neighbour pop %d = %+v, %v", i, got, ok)
+		it, ok := popDue(&s, &transit, float64(10+capacity-1))
+		if !ok || it.Vehicle != i {
+			t.Fatalf("arrival %d = %+v, %v", i, it, ok)
 		}
+		s.Push(&lane, int32(it.Vehicle), it.EnqueuedAt)
+		want = append(want, it)
 	}
-	for i := 3*capacity - 1; i >= 0; i-- {
-		if got, ok := a.PopDue(1000); !ok || got.Vehicle != int32(i) {
-			t.Fatalf("overfull heap pop = %+v, %v, want vehicle %d", got, ok, i)
+	if _, ok := popDue(&s, &transit, float64(10+capacity-1)); ok {
+		t.Fatal("released an arrival past the deadline")
+	}
+	if got := laneItems(&s, &lane); !slices.Equal(got, want) {
+		t.Fatalf("lane after the arrivals = %+v, want %+v", got, want)
+	}
+	for i, it := range laneItems(&s, &transit) {
+		if v := capacity + i; it != (Item{Vehicle: v, EnqueuedAt: float64(10 + v)}) {
+			t.Fatalf("transit item %d = %+v", i, it)
 		}
 	}
 }
 
-// TestSlabTravelRestoreAllocatesNothing pins that restoring a heap
-// into its slab window reuses the window: a restore that fits it
-// allocates nothing.
+// TestSlabTravelRestoreAllocatesNothing pins that restoring a transit
+// list — decoding its pairs into a staging buffer of the list's size
+// and pushing them onto a store reserved for its vehicles, as Restore
+// does — allocates nothing and reproduces the list.
 func TestSlabTravelRestoreAllocatesNothing(t *testing.T) {
 	const capacity = 16
-	s := NewSlab(2 * capacity)
-	var src, dst Travel
-	s.ReserveTravel(&src, capacity)
-	s.ReserveTravel(&dst, capacity)
+	var s Store
+	s.Reserve(2 * capacity)
+	var src, dst Lane
 	for i := 0; i < capacity; i++ {
-		src.Add(i, float64(i%5))
+		s.Push(&src, int32(i), float64(i/5))
 	}
 	w := snap.NewWriter(0)
-	src.SnapshotState(w)
+	s.SnapshotLane(w, &src)
 	stream := w.Bytes()
+	staged := make([]Item, 0, capacity)
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := dst.RestoreState(snap.NewReader(stream)); err != nil {
+		var err error
+		if staged, err = ReadLane(snap.NewReader(stream), staged[:0], capacity); err != nil {
 			t.Fatal(err)
+		}
+		dst.Reset()
+		for _, it := range staged {
+			s.Push(&dst, int32(capacity+it.Vehicle), it.EnqueuedAt)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("restore within the window made %v allocations, want 0", allocs)
+		t.Fatalf("restore into the reserved store made %v allocations, want 0", allocs)
 	}
-	if cap(dst.h) != capacity {
-		t.Fatalf("restored heap capacity %d, want the window's %d", cap(dst.h), capacity)
+	got, want := laneItems(&s, &dst), laneItems(&s, &src)
+	for i := range want {
+		want[i].Vehicle += capacity
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("restored list = %+v, want %+v", got, want)
 	}
 }
 
-// TestSlabExhaustedFallsBack pins the fallbacks: a travel heap the
-// slab has no room for gets fresh storage of the requested capacity,
+// TestSlabExhaustedFallsBack pins the fallbacks: a transit list pushed
+// past its store's reservation grows the store and keeps its order,
 // and a lane on a store with no reservation at all holds any number of
 // vehicles, the store growing to cover them.
 func TestSlabExhaustedFallsBack(t *testing.T) {
-	s := NewSlab(2)
-	var tr Travel
-	s.ReserveTravel(&tr, 5)
-	if cap(tr.h) != 5 {
-		t.Fatalf("fallback heap capacity %d, want 5", cap(tr.h))
+	var small Store
+	small.Reserve(2)
+	var tr Lane
+	for i := 0; i < 5; i++ {
+		small.Push(&tr, int32(i), float64(i))
+	}
+	if len(small.links) < 5 {
+		t.Fatalf("store covers %d vehicles after 5 transit pushes", len(small.links))
+	}
+	for i := 0; i < 5; i++ {
+		if it, ok := popDue(&small, &tr, 10); !ok || it.Vehicle != i {
+			t.Fatalf("transit pop %d = %+v, %v", i, it, ok)
+		}
 	}
 	var st Store
 	var l Lane

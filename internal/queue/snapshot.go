@@ -2,16 +2,15 @@ package queue
 
 import (
 	"fmt"
-	"slices"
 
 	"utilbp/internal/snap"
 )
 
-// SnapshotLane writes lane l as its length and then its (vehicle,
-// enqueue time) pairs head to tail. The bytes depend only on which
-// vehicles the lane holds, in which order and since when, so two lanes
-// holding the same vehicles write the same bytes whatever their push
-// and pop history and wherever the store keeps their links.
+// SnapshotLane writes lane l as its length and then its (vehicle, time)
+// pairs head to tail. The bytes depend only on which vehicles the lane
+// holds, in which order and with which times, so two lanes holding the
+// same vehicles write the same bytes whatever their push and pop
+// history and wherever the store keeps their links.
 func (s *Store) SnapshotLane(w *snap.Writer, l *Lane) {
 	w.Int(l.Len())
 	for it := range s.Items(l) {
@@ -37,41 +36,4 @@ func ReadLane(r *snap.Reader, dst []Item, limit int) ([]Item, error) {
 		dst = append(dst, Item{Vehicle: r.Int(), EnqueuedAt: r.Float64()})
 	}
 	return dst, r.Err()
-}
-
-// SnapshotState implements snap.Snapshotter: the arrivals in the order
-// PopDue releases them, by (At, seq), written as SnapshotLane writes a
-// lane — the count, then (vehicle, arrival time) pairs. The heap's
-// array order and tie-break numbers stay out of the bytes: PopDue's
-// order is all a restored run depends on.
-func (t *Travel) SnapshotState(w *snap.Writer) {
-	order := slices.Clone(t.h)
-	slices.SortFunc(order, func(a, b Arrival) int {
-		switch {
-		case a.less(b):
-			return -1
-		case b.less(a):
-			return 1
-		}
-		return 0
-	})
-	w.Int(len(order))
-	for _, a := range order {
-		w.Int(int(a.Vehicle))
-		w.Float64(a.At)
-	}
-}
-
-// RestoreState implements snap.Snapshotter, re-adding the arrivals a
-// SnapshotState wrote in their release order, so PopDue releases them
-// in that order again.
-func (t *Travel) RestoreState(r *snap.Reader) error {
-	t.Reset()
-	n := r.Count()
-	t.Reserve(n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		v := r.Int()
-		t.Add(v, r.Float64())
-	}
-	return r.Err()
 }

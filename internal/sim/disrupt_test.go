@@ -390,7 +390,7 @@ func TestDisruptedSteppingAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine.Run(horizon) // grow lanes, heaps and arena across the disruption
+	engine.Run(horizon) // grow the link store and arena across the disruption
 	if err := engine.Reset(setup.Seed); err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@
 //     entry roads with spare capacity.
 //
 // Everything is deterministic given the seed: iteration follows slice
-// order, arrival streams are split per road, and travel-time ties break
-// by insertion sequence.
+// order, arrival streams are split per road, and a road's vehicles reach
+// its stop line in the order they entered it.
 package sim
 
 import (
@@ -183,12 +183,12 @@ func (row *roadRow) hasRoom() bool {
 }
 
 // roadState is the rest of one road's runtime state: the queues (the
-// travel heap of vehicles heading for the stop line, the turning lanes
-// or the mixed lane, and the entry spawn queue) and the values New
+// turning lanes or the mixed lane, the entry spawn queue and the transit
+// list of vehicles heading for the stop line) and the values New
 // derives once from the network, so serving a vehicle onto the road
 // reads nothing of the network. Its counters live in the road's
-// roadRow. The lanes and the spawn queue are headers threaded through
-// the engine's link store (Engine.store).
+// roadRow. Every queue is a header threaded through the engine's link
+// store (Engine.store).
 type roadState struct {
 	// travel is Road.TravelTime(), the free-flow time to the stop line.
 	travel float64
@@ -197,27 +197,32 @@ type roadState struct {
 	// scanning the junction's links.
 	feasible uint8
 	exits    bool // road ends at a terminal
-	tail     queue.Travel
 	lanes    [numTurns]queue.Lane
 	// mixed replaces lanes when Config.MixedLanes is set.
 	mixed queue.Lane
 	spawn queue.Lane
+	// transit lists the vehicles travelling toward the stop line with
+	// their arrival times. They share the travel time and enter in
+	// clock order, so the list is in arrival order, head first.
+	transit queue.Lane
 }
 
 // A road's queues in snapshot order: the turning lanes, the mixed lane,
-// then the spawn queue.
+// the spawn queue, then the transit list. The ones before transitList
+// hold waiting vehicles.
 const (
 	spawnQueue    = numTurns + 1
-	queuesPerRoad = numTurns + 2
+	transitList   = numTurns + 2
+	queuesPerRoad = numTurns + 3
 )
 
 // queueNames names each of a road's queues, in snapshot order, for
 // errors.
-var queueNames = [queuesPerRoad]string{"lane 0", "lane 1", "lane 2", "mixed lane", "spawn queue"}
+var queueNames = [queuesPerRoad]string{"lane 0", "lane 1", "lane 2", "mixed lane", "spawn queue", "transit list"}
 
 // queues returns the road's queues in snapshot order.
 func (rs *roadState) queues() [queuesPerRoad]*queue.Lane {
-	return [...]*queue.Lane{&rs.lanes[0], &rs.lanes[1], &rs.lanes[2], &rs.mixed, &rs.spawn}
+	return [...]*queue.Lane{&rs.lanes[0], &rs.lanes[1], &rs.lanes[2], &rs.mixed, &rs.spawn, &rs.transit}
 }
 
 // recountQueued recomputes a road's queued counters from its lanes, the
@@ -287,17 +292,17 @@ type Engine struct {
 	entries []network.RoadID
 	hooks   []Hooks
 	totals  Totals
-	// store links every lane and spawn queue of the engine through one
-	// entry per vehicle ID (a vehicle waits in at most one queue at a
-	// time). It is reserved with the arena, grows with it when spawns
-	// pass ExpectedVehicles, and survives Reset.
+	// store links every queue of the engine — lanes, spawn queues and
+	// transit lists — through one entry per vehicle ID (a vehicle is in
+	// at most one queue at a time). It is reserved with the arena, grows
+	// with it when spawns pass ExpectedVehicles, and survives Reset.
 	store queue.Store
 	// where is CheckInvariants' and Restore's per-vehicle scratch: the
 	// kind of queue (queuedNone, queuedOnRoad, queuedWaiting) each
 	// vehicle was found in, so a vehicle listed twice or nowhere is
-	// caught. staged holds the lane and spawn-queue pairs Restore
-	// decodes before the arena it validates them against, and stagedLen
-	// each queue's length, queuesPerRoad per road. None of it is state.
+	// caught. staged holds the queue pairs Restore decodes before the
+	// arena it validates them against, and stagedLen each queue's
+	// length, queuesPerRoad per road. None of it is state.
 	where     []uint8
 	staged    []queue.Item
 	stagedLen []int32
@@ -411,10 +416,10 @@ type Engine struct {
 	ctrlDirty    []bool
 	settled      []bool
 	// tailDue[r] is the stop-line arrival time at the head of road r's
-	// travel heap, +Inf while the heap is empty: the due-time index
-	// completeTravel scans instead of probing every heap. enterRoad
+	// transit list, +Inf while the list is empty: the due-time index
+	// completeTravel scans instead of probing every list. enterRoad
 	// lowers it, completeTravel refreshes it after a road's pops. It is
-	// derived state, rebuilt from the heaps on Reset and Restore and
+	// derived state, rebuilt from the lists on Reset and Restore and
 	// cross-checked by CheckInvariants.
 	tailDue []float64
 }
@@ -509,27 +514,14 @@ func New(cfg Config) (*Engine, error) {
 	e.rows = make([]roadRow, len(e.net.Roads))
 	e.roads = make([]roadState, len(e.net.Roads))
 	e.entries = append(e.entries, e.net.EntryRoads()...)
-	// Pre-size each bounded road's travel heap from the link capacity:
-	// a bounded road holds at most Capacity vehicles, so its in-transit
-	// set can never outgrow that and never allocates after this
-	// (DESIGN.md §5). Grid exit roads are unbounded sinks and reserve
-	// nothing. A counting pass sizes one slab for all of it, so the
-	// reservations below are windows of one allocation. The lanes and
-	// spawn queues reserve nothing: they thread through the link store,
-	// which holds one entry per vehicle whatever its queue.
-	travelSlots := 0
+	// A road's queues reserve nothing: they thread through the link
+	// store, which holds one entry per vehicle whatever its queue
+	// (DESIGN.md §5).
 	for i := range e.net.Roads {
 		r := &e.net.Roads[i]
 		if r.Capacity > math.MaxInt32 {
 			return nil, fmt.Errorf("sim: road %q capacity %d does not fit an int32 counter", r.Name, r.Capacity)
 		}
-		if r.Bounded() {
-			travelSlots += r.Capacity
-		}
-	}
-	slab := queue.NewSlab(travelSlots)
-	for i := range e.net.Roads {
-		r := &e.net.Roads[i]
 		e.rows[i] = newRoadRow(r)
 		j := e.net.Junction(r.To)
 		rs := &e.roads[i]
@@ -541,9 +533,6 @@ func New(cfg Config) (*Engine, error) {
 					rs.feasible |= 1 << t
 				}
 			}
-		}
-		if r.Bounded() {
-			slab.ReserveTravel(&rs.tail, r.Capacity)
 		}
 	}
 
@@ -867,7 +856,7 @@ func (e *Engine) Dark(junction network.NodeID) bool {
 }
 
 // Reset rewinds the engine to step zero for another run with the given
-// seed, reusing the vehicle arena, lane link store and travel heaps so
+// seed, reusing the vehicle arena and the queues' link store so
 // repeated runs (sweeps, multi-seed aggregation) stop re-allocating whole
 // engines. Controllers are rebuilt through the configured factory (they
 // are stateful); the demand process and router are reseeded when they
@@ -912,13 +901,9 @@ func (e *Engine) Reset(seed uint64) error {
 	}
 	e.dirtyRoads = e.dirtyRoads[:0]
 	for i := range e.roads {
-		rs := &e.roads[i]
-		rs.tail.Reset()
-		for t := range rs.lanes {
-			rs.lanes[t].Reset()
+		for _, q := range e.roads[i].queues() {
+			q.Reset()
 		}
-		rs.mixed.Reset()
-		rs.spawn.Reset()
 		e.rows[i] = newRoadRow(&e.net.Roads[i])
 	}
 	e.resetDerived()
@@ -956,7 +941,7 @@ func (e *Engine) resetDerived() {
 	e.netQueued = 0
 	for ri := range e.roads {
 		e.netQueued += int(e.rows[ri].total)
-		e.tailDue[ri] = e.roads[ri].headDue()
+		e.tailDue[ri] = e.headDue(ri)
 	}
 	e.resetServeSkip()
 	clear(e.ctrlDirty)
@@ -964,11 +949,11 @@ func (e *Engine) resetDerived() {
 	clear(e.batch.Quiet)
 }
 
-// headDue returns the arrival time at the head of the road's travel
-// heap, +Inf when nothing is in transit.
-func (rs *roadState) headDue() float64 {
-	if a, ok := rs.tail.Peek(); ok {
-		return a.At
+// headDue returns the arrival time at the head of road ri's transit
+// list, +Inf when nothing is in transit.
+func (e *Engine) headDue(ri int) float64 {
+	if a, ok := e.store.Peek(&e.roads[ri].transit); ok {
+		return a.EnqueuedAt
 	}
 	return math.Inf(1)
 }
@@ -1544,10 +1529,11 @@ func (e *Engine) exitVehicle(id vehicle.ID, t float64) {
 }
 
 // completeTravel moves vehicles whose stop-line arrival falls inside this
-// mini-slot from the road into the turning lane for their next movement.
-// The due-time index names the roads with an arrival due; they are
-// visited in road order, so pops, dirty marks and every downstream
-// draw keep the order of a walk over all roads.
+// mini-slot from the head of the road's transit list into the turning
+// lane for their next movement, where their arrival time is their
+// enqueue time. The due-time index names the roads with an arrival
+// due; they are visited in road order, so pops, dirty marks and every
+// downstream draw keep the order of a walk over all roads.
 func (e *Engine) completeTravel(t float64) {
 	deadline := t + e.dt
 	for ri, due := range e.tailDue {
@@ -1556,40 +1542,43 @@ func (e *Engine) completeTravel(t float64) {
 		}
 		rs, row := &e.roads[ri], &e.rows[ri]
 		for {
-			a, ok := rs.tail.PopDue(deadline)
-			if !ok {
+			a, ok := e.store.Peek(&rs.transit)
+			if !ok || a.EnqueuedAt > deadline {
 				break
 			}
+			e.store.Pop(&rs.transit)
 			id := vehicle.ID(a.Vehicle)
 			if rs.exits {
 				// Vehicles never travel on exit roads in this model
 				// (they leave at service), but a general topology can
 				// route an entry road straight into a terminal.
 				row.occ--
-				e.exitVehicle(id, a.At)
+				e.exitVehicle(id, a.EnqueuedAt)
 				continue
 			}
 			turn := e.arena.PendingTurn(id)
 			row.transit[turn]--
 			if e.cfg.MixedLanes {
-				e.store.Push(&rs.mixed, a.Vehicle, a.At)
+				e.store.Push(&rs.mixed, int32(id), a.EnqueuedAt)
 			} else {
-				e.store.Push(&rs.lanes[turn], a.Vehicle, a.At)
+				e.store.Push(&rs.lanes[turn], int32(id), a.EnqueuedAt)
 			}
 			row.queued[turn]++
 			row.joins[turn]++
 			row.total++
 			e.netQueued++
 		}
-		e.tailDue[ri] = rs.headDue()
+		e.tailDue[ri] = e.headDue(ri)
 		e.markDirty(network.RoadID(ri))
 	}
 }
 
 // enterRoad puts a vehicle onto road ri: it counts toward the road's
 // occupancy, its movement at the junction ahead is resolved now (so
-// controllers can see it approaching), and its stop-line arrival is
-// scheduled after the free-flow travel time.
+// controllers can see it approaching), and it joins the tail of the
+// road's transit list with its stop-line arrival after the free-flow
+// travel time. The clock t never decreases, so neither does the
+// arrival time down the list.
 func (e *Engine) enterRoad(ri int32, id vehicle.ID, t float64) {
 	rs, row := &e.roads[ri], &e.rows[ri]
 	row.occ++
@@ -1600,7 +1589,7 @@ func (e *Engine) enterRoad(ri int32, id vehicle.ID, t float64) {
 	}
 	e.arena.SetPendingTurn(id, turn)
 	at := t + rs.travel
-	rs.tail.Add(int(id), at)
+	e.store.Push(&rs.transit, int32(id), at)
 	if at < e.tailDue[ri] {
 		e.tailDue[ri] = at
 	}
@@ -1658,7 +1647,8 @@ func (e *Engine) arrivals(t float64) {
 
 // FinalizeWaits adds the waiting time accrued by vehicles still queued
 // (in turning lanes or spawn queues) at the current clock to their
-// QueueWait, so end-of-horizon averages count unfinished vehicles. It is
+// QueueWait, so end-of-horizon averages count unfinished vehicles. Time
+// in transit is not queue wait, so it skips the transit lists. It is
 // idempotent per run end; call it once after the last Run.
 func (e *Engine) FinalizeWaits() {
 	if e.finalized {
@@ -1667,7 +1657,8 @@ func (e *Engine) FinalizeWaits() {
 	e.finalized = true
 	t := e.Time()
 	for ri := range e.roads {
-		for _, lane := range e.roads[ri].queues() {
+		qs := e.roads[ri].queues()
+		for _, lane := range qs[:transitList] {
 			for it := range e.store.Items(lane) {
 				e.arena.AddQueueWait(vehicle.ID(it.Vehicle), t-it.EnqueuedAt)
 			}
@@ -1678,12 +1669,12 @@ func (e *Engine) FinalizeWaits() {
 // Kinds of queue a vehicle is listed in, as Engine.where records them.
 const (
 	queuedNone    uint8 = iota // listed nowhere: exited, or not seen yet
-	queuedOnRoad               // a turning lane, the mixed lane or a travel heap
+	queuedOnRoad               // a turning lane, the mixed lane or a transit list
 	queuedWaiting              // its entry road's spawn queue
 )
 
 // queueKind returns the kind of queue vehicle id's lifecycle puts it
-// in: a lane or travel heap from admission to exit, its spawn queue
+// in: a lane or transit list from admission to exit, its spawn queue
 // before admission, none after exit.
 func (e *Engine) queueKind(id vehicle.ID) uint8 {
 	switch {
@@ -1732,11 +1723,13 @@ func (e *Engine) listQueued(ri int, what string, v int, kind uint8) error {
 }
 
 // checkQueues verifies queue membership: every vehicle of the arena is
-// listed exactly where its lifecycle puts it — in one lane or travel
-// heap while in the network, in its entry road's spawn queue while
+// listed exactly where its lifecycle puts it — in one lane or transit
+// list while in the network, in its entry road's spawn queue while
 // waiting, nowhere once exited — and a turning lane holds only vehicles
-// bound for its movement. Each walk stops after its lane's count, so a
-// corrupt list fails here instead of hanging.
+// bound for its movement. A transit list must be one enterRoad can
+// build: arrival times that never decrease head to tail, none later
+// than now plus the road's travel time. Each walk stops after its
+// lane's count, so a corrupt list fails here instead of hanging.
 func (e *Engine) checkQueues() error {
 	e.clearWhere()
 	for ri := range e.roads {
@@ -1764,10 +1757,20 @@ func (e *Engine) checkQueues() error {
 				return err
 			}
 		}
-		for i := 0; i < rs.tail.Len(); i++ {
-			if err := e.listQueued(ri, "travel heap", int(rs.tail.At(i).Vehicle), queuedOnRoad); err != nil {
+		latest, prev := e.Time()+rs.travel, math.Inf(-1)
+		for it := range e.store.Items(&rs.transit) {
+			if err := e.listQueued(ri, "transit list", it.Vehicle, queuedOnRoad); err != nil {
 				return err
 			}
+			if !(it.EnqueuedAt >= prev) {
+				return fmt.Errorf("sim: road %d transit list holds vehicle %d arriving at %v behind one arriving at %v",
+					ri, it.Vehicle, it.EnqueuedAt, prev)
+			}
+			if it.EnqueuedAt > latest {
+				return fmt.Errorf("sim: road %d transit list holds vehicle %d arriving at %v, after now plus travel time %v",
+					ri, it.Vehicle, it.EnqueuedAt, latest)
+			}
+			prev = it.EnqueuedAt
 		}
 	}
 	for v, got := range e.where {
@@ -1808,22 +1811,22 @@ func (e *Engine) CheckInvariants() error {
 		}
 		// Vehicles heading for a terminal carry no movement, so an exit
 		// road counts none in transit.
-		want := rs.tail.Len()
+		want := rs.transit.Len()
 		if rs.exits {
 			want = 0
 		}
 		if transit != want {
 			return fmt.Errorf("sim: road %d per-movement transit sums to %d, want %d", ri, transit, want)
 		}
-		onRoad := rs.tail.Len() + int(row.total)
+		onRoad := rs.transit.Len() + int(row.total)
 		if onRoad != int(row.occ) {
 			return fmt.Errorf("sim: road %d occupancy %d != transit+queued %d", ri, row.occ, onRoad)
 		}
 		if road.Bounded() && int(row.occ) > road.Capacity {
 			return fmt.Errorf("sim: road %d occupancy %d exceeds capacity %d", ri, row.occ, road.Capacity)
 		}
-		if due, head := e.tailDue[ri], rs.headDue(); due != head {
-			return fmt.Errorf("sim: road %d due-time index %v != travel heap head %v", ri, due, head)
+		if due, head := e.tailDue[ri], e.headDue(ri); due != head {
+			return fmt.Errorf("sim: road %d due-time index %v != transit list head %v", ri, due, head)
 		}
 		inNetwork += int(row.occ)
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -18,17 +19,19 @@ import (
 // counts.
 const roadCounterWords = 3 + 3*numTurns
 
-// queueSplicer rewrites the lane and spawn-queue entries of one engine
-// snapshot and keeps every other byte, so a test can hand Restore queue
-// contents no engine can hold — a vehicle listed twice, an ID outside
-// the arena — which the engine's own store could not even represent.
+// queueSplicer rewrites the queue entries of one engine snapshot — the
+// lanes, spawn queues and transit lists — and keeps every other byte,
+// so a test can hand Restore queue contents no engine can hold — a
+// vehicle listed twice, an ID outside the arena, a transit list out of
+// arrival order — which the engine's own store could not even
+// represent.
 type queueSplicer struct {
 	base []byte
-	// spans[ri] is the byte range of road ri's five queues in base.
+	// spans[ri] is the byte range of road ri's six queues in base.
 	spans [][2]int
 	// queues holds every road's queues in stream order, queuesPerRoad
 	// per road: the three turning lanes, the mixed lane, the spawn
-	// queue.
+	// queue, the transit list.
 	queues [][]queue.Item
 }
 
@@ -97,19 +100,22 @@ func (sp *queueSplicer) clone() [][]queue.Item {
 
 // TestRestoreRejectsQueueMembership rewrites the queues of a 137-step
 // 2×2 snapshot so they no longer list each vehicle exactly where the
-// arena puts it, or list more vehicles than the queue may hold. Each
-// stream decodes field by field, and the membership cases keep every
-// count, so only the checks on the queues can refuse them: restored,
-// the duplicate would be served twice while the vehicle it displaced,
-// listed nowhere, never left.
+// arena puts it, list more vehicles than the queue may hold, or list a
+// road's vehicles in transit in an order or at a time no run produces.
+// Each stream decodes field by field, and the membership and transit
+// cases keep every count, so only the checks on the queues can refuse
+// them: restored, the duplicate would be served twice while the
+// vehicle it displaced, listed nowhere, never left, and a vehicle
+// listed behind a later arrival would wait for it.
 func TestRestoreRejectsQueueMembership(t *testing.T) {
 	e := snapTestEngine(t)
 	e.Run(137)
 	sp := newQueueSplicer(t, e)
 	// The first turning lane holding two vehicles, its road's spawn
-	// queue, a vehicle in transit bound for the lane's movement and one
-	// that has left the network.
-	lane, inTransit := -1, -1
+	// queue, a vehicle in transit bound for the lane's movement, the
+	// first transit list whose head and tail arrive at different times,
+	// and a vehicle that has left the network.
+	lane, inTransit, transit := -1, -1, -1
 	for q, items := range sp.queues {
 		if q%queuesPerRoad < numTurns && len(items) >= 2 {
 			lane = q
@@ -120,16 +126,24 @@ func TestRestoreRejectsQueueMembership(t *testing.T) {
 		t.Fatal("no turning lane holds two vehicles")
 	}
 	spawn := lane - lane%queuesPerRoad + spawnQueue
-	for ri := range e.roads {
-		tail := &e.roads[ri].tail
-		for i := 0; i < tail.Len() && inTransit < 0; i++ {
-			if v := tail.At(i).Vehicle; int(e.arena.PendingTurn(vehicle.ID(v))) == lane%queuesPerRoad {
-				inTransit = int(v)
+	for q, items := range sp.queues {
+		if q%queuesPerRoad != transitList {
+			continue
+		}
+		for _, it := range items {
+			if inTransit < 0 && int(e.arena.PendingTurn(vehicle.ID(it.Vehicle))) == lane%queuesPerRoad {
+				inTransit = it.Vehicle
 			}
+		}
+		if transit < 0 && len(items) >= 2 && items[0].EnqueuedAt < items[len(items)-1].EnqueuedAt {
+			transit = q
 		}
 	}
 	if inTransit < 0 {
 		t.Fatal("no vehicle in transit for the lane's movement")
+	}
+	if transit < 0 {
+		t.Fatal("no transit list holds two arrival times")
 	}
 	exited := -1
 	for v := 0; v < e.arena.Len() && exited < 0; v++ {
@@ -146,6 +160,7 @@ func TestRestoreRejectsQueueMembership(t *testing.T) {
 	}
 	capacity := e.net.Roads[lane/queuesPerRoad].Capacity
 	waiting := e.totals.Spawned - e.totals.Entered
+	latest := e.Time() + e.roads[transit/queuesPerRoad].travel
 	cases := []struct {
 		name string
 		edit func(qs [][]queue.Item)
@@ -167,6 +182,22 @@ func TestRestoreRejectsQueueMembership(t *testing.T) {
 				qs[spawn] = append(qs[spawn], qs[lane][0])
 			}
 		}, fmt.Sprintf("spawn queue: queue: %d vehicles queued, at most %d allowed", waiting+1, waiting)},
+		// A transit list must be one enterRoad can build: arrival times
+		// that never decrease head to tail, none past now plus the
+		// road's travel time, and at most W vehicles.
+		{"transit-swapped", func(qs [][]queue.Item) {
+			q := qs[transit]
+			q[0], q[len(q)-1] = q[len(q)-1], q[0]
+		}, "behind one arriving at"},
+		{"transit-past-travel", func(qs [][]queue.Item) {
+			q := qs[transit]
+			q[len(q)-1].EnqueuedAt = math.Nextafter(latest, math.Inf(1))
+		}, "after now plus travel time"},
+		{"transit-past-capacity", func(qs [][]queue.Item) {
+			for len(qs[transit]) <= capacity {
+				qs[transit] = append(qs[transit], qs[transit][0])
+			}
+		}, fmt.Sprintf("transit list: queue: %d vehicles queued, at most %d allowed", capacity+1, capacity)},
 	}
 	if err := snapTestEngine(t).Restore(sp.stream(sp.queues)); err != nil {
 		t.Fatalf("intact snapshot rejected: %v", err)
@@ -186,12 +217,13 @@ func TestRestoreRejectsQueueMembership(t *testing.T) {
 	}
 }
 
-// FuzzRestoreQueues rewrites the lane and spawn-queue entries of a
-// 137-step 2×2 snapshot, with separate turning lanes or the mixed lane:
-// vehicle IDs (inside the arena, outside it, negative), duplicates,
-// swaps and moves between queues. Whatever the edit, Restore either
-// fails or yields an engine that passes CheckInvariants and keeps
-// passing them over 100 more steps; no input may panic or hang.
+// FuzzRestoreQueues rewrites the queue entries — lanes, spawn queues
+// and transit lists — of a 137-step 2×2 snapshot, with separate turning
+// lanes or the mixed lane: vehicle IDs (inside the arena, outside it,
+// negative), duplicates, swaps, moves between queues and shifted
+// times. Whatever the edit, Restore either fails or yields an engine
+// that passes CheckInvariants and keeps passing them over 100 more
+// steps; no input may panic or hang.
 func FuzzRestoreQueues(f *testing.F) {
 	splicers := [2]*queueSplicer{}
 	for i, mixed := range []bool{false, true} {
@@ -203,6 +235,7 @@ func FuzzRestoreQueues(f *testing.F) {
 	f.Add(false, []byte{0, 3, 1, 255})           // an ID outside the arena
 	f.Add(false, []byte{2, 0, 0, 4})             // move a vehicle to another queue
 	f.Add(true, []byte{3, 0, 0, 1, 0, 2, 7, 90}) // swap, then rewrite
+	f.Add(false, []byte{4, 5, 0, 200})           // shift a time later
 	f.Fuzz(func(t *testing.T, mixed bool, ops []byte) {
 		sp := splicers[0]
 		if mixed {
@@ -219,7 +252,7 @@ func FuzzRestoreQueues(f *testing.F) {
 			return -1
 		}
 		for i := 0; i+3 < len(ops); i += 4 {
-			kind, a, b, c := ops[i]%4, ops[i+1], ops[i+2], ops[i+3]
+			kind, a, b, c := ops[i]%5, ops[i+1], ops[i+2], ops[i+3]
 			src := nonEmpty(a)
 			if src < 0 {
 				break
@@ -239,6 +272,8 @@ func FuzzRestoreQueues(f *testing.F) {
 			case 3: // swap two queued vehicles
 				j := int(c) % len(qs[dst])
 				qs[src][pos], qs[dst][j] = qs[dst][j], qs[src][pos]
+			case 4: // shift a time by up to 32 s either way
+				qs[src][pos].EnqueuedAt += float64(int(c)-128) / 4
 			}
 		}
 		e := newSnapTestEngine(t, mixed)

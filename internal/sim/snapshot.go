@@ -46,7 +46,7 @@ const (
 
 // Snapshot captures the engine's complete mutable state as a versioned
 // byte stream: step and conservation counters, every road's lanes,
-// travel heap and effective capacity, the vehicle arena, per-junction
+// transit list and effective capacity, the vehicle arena, per-junction
 // phase and dark-mode state, the observation (and sensed-truth) slabs,
 // the pending dirty-road set, the event cursor, and the state of every
 // stateful collaborator (demand, router, sensor, controllers) via
@@ -91,10 +91,11 @@ func (e *Engine) Snapshot() []byte {
 	w.Bool(e.finalized)
 	w.Int(e.evCursor)
 
-	// Roads: counters, effective capacity, lanes and the travel heap.
-	// The per-movement queued count goes out as the v2 mixed-lane count:
-	// under MixedLanes it is that count, and with separate turning lanes
-	// the lanes carry it and the field is 0.
+	// Roads: counters, effective capacity, then the queues in queues()
+	// order, the transit list last. The per-movement queued count goes
+	// out as the v2 mixed-lane count: under MixedLanes it is that count,
+	// and with separate turning lanes the lanes carry it and the field
+	// is 0.
 	for i := range e.roads {
 		rs, row := &e.roads[i], &e.rows[i]
 		w.Int(int(row.effCap))
@@ -112,7 +113,6 @@ func (e *Engine) Snapshot() []byte {
 		for _, l := range rs.queues() {
 			e.store.SnapshotLane(w, l)
 		}
-		rs.tail.SnapshotState(w)
 	}
 
 	// Vehicle arena, column-major (the v2 format delta): the arena
@@ -212,19 +212,18 @@ func (e *Engine) Restore(data []byte) error {
 			return err
 		}
 	}
-	// Derived state is not part of the stream: rebuild netQueued and
-	// the travel due-time index from the restored roads, and clear the
-	// serve and control skip flags. Cleared flags force full serve
-	// passes and full decisions, which re-derive them exactly
-	// (DESIGN.md §11, §16).
-	e.resetDerived()
-
 	if err := e.arena.RestoreState(r); err != nil {
 		return fmt.Errorf("sim: restore vehicle arena: %w", err)
 	}
 	if err := e.linkStaged(); err != nil {
 		return err
 	}
+	// Derived state is not part of the stream: rebuild netQueued and
+	// the travel due-time index from the linked roads, and clear the
+	// serve and control skip flags. Cleared flags force full serve
+	// passes and full decisions, which re-derive them exactly
+	// (DESIGN.md §11, §16).
+	e.resetDerived()
 	for i := range e.juncs {
 		js := &e.juncs[i]
 		js.current = signal.Phase(r.Int())
@@ -334,17 +333,18 @@ func (e *Engine) Restore(data []byte) error {
 // restoreRoad decodes road i's counters and queues, rejecting values
 // the road cannot hold: an effective capacity outside [1, Capacity] on
 // a bounded road or other than 0 on an unbounded one, a negative
-// counter, an occupancy, in-transit count or lane or heap length above
-// a bounded road's capacity, a spawn queue longer than the vehicles
-// spawned and not admitted, and any value that does not fit its int32
-// row field. The lanes' and the spawn queue's pairs are staged, and
-// linked by linkStaged once the arena they name is restored.
+// counter, an occupancy, in-transit count, lane or transit-list length
+// above a bounded road's capacity, a spawn queue longer than the
+// vehicles spawned and not admitted, and any value that does not fit
+// its int32 row field. Every queue's length is checked before its
+// pairs are staged; linkStaged links them once the arena they name is
+// restored.
 // Consistency between the counters and the queues is left to
 // CheckInvariants, which Restore runs last. The per-movement queued
 // counts are rebuilt from the decoded lane lengths plus the decoded
 // mixed-lane counts.
 func (e *Engine) restoreRoad(r *snap.Reader, i int) error {
-	road, rs, row := &e.net.Roads[i], &e.roads[i], &e.rows[i]
+	road, row := &e.net.Roads[i], &e.rows[i]
 	limit := math.MaxInt32
 	if road.Bounded() {
 		limit = road.Capacity
@@ -390,9 +390,6 @@ func (e *Engine) restoreRoad(r *snap.Reader, i int) error {
 		lens[k] = len(e.staged) - before
 		e.stagedLen = append(e.stagedLen, int32(lens[k]))
 	}
-	if err := rs.tail.RestoreState(r); err != nil {
-		return fmt.Errorf("sim: road %d travel heap: %w", i, err)
-	}
 	for t := 0; t < numTurns; t++ {
 		q := lens[t] + int(mixed[t])
 		if q > limit {
@@ -400,17 +397,15 @@ func (e *Engine) restoreRoad(r *snap.Reader, i int) error {
 		}
 		row.queued[t] = int32(q)
 	}
-	if n := rs.tail.Len(); n > limit {
-		return fmt.Errorf("sim: road %d holds a queue of %d vehicles, capacity %d", i, n, limit)
-	}
 	return nil
 }
 
-// linkStaged pushes the pairs restoreRoad staged into the lanes and
-// spawn queues, now that the arena they name is restored. A pair is
-// linked only when its vehicle lies in the arena, is where its queue
-// says — in the network for a lane, spawned onto this road and not yet
-// admitted for a spawn queue — and is not queued already: a vehicle
+// linkStaged pushes the pairs restoreRoad staged into the lanes, spawn
+// queues and transit lists, now that the arena they name is restored.
+// A pair is linked only when its vehicle lies in the arena, is where
+// its queue says — in the network for a lane or transit list, spawned
+// onto this road and not yet admitted for a spawn queue — and is not
+// queued already: a vehicle
 // listed twice would be served twice while another, listed nowhere,
 // never left, and linking it twice would turn its lane into a cycle.
 func (e *Engine) linkStaged() error {
@@ -486,7 +481,7 @@ func (e *Engine) checkFingerprint(r *snap.Reader) error {
 // buffer once; an underestimate only costs an append regrow.
 func (e *Engine) snapshotSizeHint() int {
 	const (
-		roadFixed = 8 * (3 + 3*numTurns + 5 + 2) // counters + lane/heap headers
+		roadFixed = 8 * (3 + 3*numTurns + queuesPerRoad) // counters + queue lengths
 		vehBytes  = 8*7 + 4 + 4
 		linkBytes = 8 * (8 + 2*signal.NumTurns)
 	)

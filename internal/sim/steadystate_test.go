@@ -39,12 +39,12 @@ func warmEngine(t testing.TB, warmup int) *sim.Engine {
 }
 
 // TestStepOnceSteadyStateAllocs is the zero-allocation regression gate:
-// with the arena, its link store and the heaps grown during warmup, and
-// no fresh arrivals, advancing the simulation must perform zero heap
-// allocations — over the FULL drain window, from loaded network through
-// complete drain-out to empty stepping. Lanes own no storage (they
-// thread through the store's link per vehicle), so however the drain
-// reorders them, none can outgrow anything.
+// with the arena and its link store grown during warmup, and no fresh
+// arrivals, advancing the simulation must perform zero heap allocations
+// — over the FULL drain window, from loaded network through complete
+// drain-out to empty stepping. Queues own no storage (they thread
+// through the store's link per vehicle), so however the drain reorders
+// them, none can outgrow anything.
 func TestStepOnceSteadyStateAllocs(t *testing.T) {
 	engine := warmEngine(t, 600)
 	if engine.Totals().Spawned == 0 {
@@ -200,7 +200,7 @@ func TestSpawnPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine.Run(horizon) // grow lanes, heaps and arena to the working set
+	engine.Run(horizon) // grow the link store and arena to the working set
 	if engine.Totals().Spawned == 0 {
 		t.Fatal("warmup spawned no vehicles")
 	}
@@ -290,10 +290,9 @@ func TestResetWithSwapsCollaborators(t *testing.T) {
 }
 
 // TestNewAllocsCityGrid bounds what constructing a city-grid engine
-// allocates: the travel heaps of its 1 000-odd roads are windows of one
-// queue slab (queue.Slab), not one allocation per heap, and the lanes
-// reserve nothing, so a sweep that builds an engine per cell does not
-// pay for each reservation separately.
+// allocates: the queues of its 1 000-odd roads — lanes, spawn queues
+// and transit lists — reserve nothing, so a sweep that builds an engine
+// per cell pays no allocation per road.
 func TestNewAllocsCityGrid(t *testing.T) {
 	w, ok := scenario.WorkloadByName("city-grid")
 	if !ok {
@@ -325,15 +324,15 @@ func TestNewAllocsCityGrid(t *testing.T) {
 
 // TestNewBytesCityGrid bounds the bytes constructing a city-grid engine
 // allocates, its arena reserved for the hour's expected vehicles as the
-// benchmark driver reserves it: the lanes and spawn queues own no
-// storage — they thread through one 16-byte link per expected vehicle —
-// so what remains is that link store, the arena, the travel heaps and
-// the control plane. With lanes reserved at road capacity it was
-// 9.6 MiB.
+// benchmark driver reserves it: no queue owns storage — every lane,
+// spawn queue and transit list threads through one 16-byte link per
+// expected vehicle — so what remains is that link store, the arena and
+// the control plane, 3.73 MiB. With lanes reserved at road capacity it
+// was 9.6 MiB, and 5.6 MiB with the travel heaps reserved there.
 func TestNewBytesCityGrid(t *testing.T) {
 	const (
 		horizon = 3600
-		limit   = 6.5 * (1 << 20)
+		limit   = 4.5 * (1 << 20)
 	)
 	w, ok := scenario.WorkloadByName("city-grid")
 	if !ok {
