@@ -37,7 +37,7 @@ const (
 	// arena — per-column streams instead of per-vehicle records, and no
 	// ID column (a vehicle's ID is its arena row index). See DESIGN.md
 	// §16 for the exact format delta.
-	// v3 (PR 25): a road's in-transit vehicles go out as a lane does,
+	// v3: a road's in-transit vehicles go out as a lane does,
 	// (vehicle, arrival time) pairs head to tail, with no heap order or
 	// tie-break numbers, and the fingerprint's sensor name carries every
 	// option that changes what the sensor writes (DESIGN.md §14).
