@@ -143,10 +143,16 @@ type factory struct {
 	label string
 	gain  GainFunc
 	opts  SlotOptions
+	// approaching tells CAPBPApproaching's gain from CAPBP's, which
+	// share a label.
+	approaching bool
 }
 
 // Name implements signal.Factory.
 func (f factory) Name() string { return f.label }
+
+// Params implements signal.Parameterized.
+func (f factory) Params() string { return fmt.Sprintf("%+v approaching=%v", f.opts, f.approaching) }
 
 // New implements signal.Factory.
 func (f factory) New(info signal.JunctionInfo) (signal.Controller, error) {
@@ -162,7 +168,7 @@ func CAPBP(opts SlotOptions) signal.Factory {
 // CAPBPApproaching returns CAP-BP with approaching vehicles counted in
 // the incoming pressure, matching UTIL-BP's detector convention.
 func CAPBPApproaching(opts SlotOptions) signal.Factory {
-	return factory{label: "CAP-BP", gain: CapacityAwareGainApproaching, opts: opts}
+	return factory{label: "CAP-BP", gain: CapacityAwareGainApproaching, opts: opts, approaching: true}
 }
 
 // CAPBPNormalized returns the capacity-normalized CAP-BP variant.

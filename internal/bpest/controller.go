@@ -1,6 +1,8 @@
 package bpest
 
 import (
+	"fmt"
+
 	"utilbp/internal/core"
 	"utilbp/internal/signal"
 )
@@ -133,6 +135,9 @@ type factory struct {
 
 // Name implements signal.Factory.
 func (f factory) Name() string { return "BP-EST" }
+
+// Params implements signal.Parameterized.
+func (f factory) Params() string { return fmt.Sprintf("%+v", f.opts.withDefaults()) }
 
 // New implements signal.Factory.
 func (f factory) New(info signal.JunctionInfo) (signal.Controller, error) {

@@ -137,9 +137,11 @@ func disruptedSensedSetup(t *testing.T) scenario.Setup {
 }
 
 // TestSnapshotRejectsV1Stream pins the version-gate contract: a stream
-// of an older layout — v1 (row-major vehicle records) or v2 (the travel
+// of an older layout — v1 (row-major vehicle records), v2 (the travel
 // heap's array order and tie-break numbers, before the v3 transit
-// lists) — must be rejected up front with a clear structural error
+// lists) or v3 (derived counters, capacities, cursor, totals and
+// observations, before the v4 state-only stream) — must be rejected up
+// front with a clear structural error
 // naming both versions, never handed to the section decoders, where the
 // old layout would misparse or panic. There is no cross-version
 // migration; snapshots are checkpoints of a running experiment, not
@@ -163,14 +165,14 @@ func TestSnapshotRejectsV1Stream(t *testing.T) {
 
 	// Bytes [8:16) hold the little-endian format version (after the
 	// 8-byte magic); rewrite them to claim each older version.
-	for _, v := range []uint64{1, 2} {
+	for _, v := range []uint64{1, 2, 3} {
 		old := bytes.Clone(good)
 		binary.LittleEndian.PutUint64(old[8:16], v)
 		err = engine.Restore(old)
 		if err == nil {
 			t.Fatalf("v%d stream accepted", v)
 		}
-		for _, want := range []string{fmt.Sprintf("snapshot version %d", v), "supports 3"} {
+		for _, want := range []string{fmt.Sprintf("snapshot version %d", v), "supports 4"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Fatalf("v%d rejection error %q does not mention %q", v, err, want)
 			}

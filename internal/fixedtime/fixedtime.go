@@ -62,10 +62,23 @@ func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 
 // Factory returns a signal.Factory building pretimed controllers.
 func Factory(opts Options) signal.Factory {
-	return signal.FactoryFunc{
-		Label: "FIXED",
-		Build: func(info signal.JunctionInfo) (signal.Controller, error) {
-			return New(info, opts)
-		},
-	}
+	return factory{opts: opts}
 }
+
+// factory is the pretimed factory. Its controllers keep no state, so
+// the fingerprint (Params) is the only place a snapshot records the
+// cycle they follow.
+type factory struct {
+	opts Options
+}
+
+// Name implements signal.Factory.
+func (f factory) Name() string { return "FIXED" }
+
+// New implements signal.Factory.
+func (f factory) New(info signal.JunctionInfo) (signal.Controller, error) {
+	return New(info, f.opts)
+}
+
+// Params implements signal.Parameterized.
+func (f factory) Params() string { return fmt.Sprintf("%+v", f.opts) }

@@ -159,10 +159,23 @@ func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 // cheap per-junction loop; forcing signal.ControlBatched still works
 // through the engine-built signal.Batched adapter.
 func Factory(opts Options) signal.Factory {
-	return signal.FactoryFunc{
-		Label: "GAPOUT",
-		Build: func(info signal.JunctionInfo) (signal.Controller, error) {
-			return New(info, opts)
-		},
-	}
+	return factory{opts: opts}
 }
+
+// factory is the gap-out factory. Its controllers' timers are state,
+// but their bounds are not, so the fingerprint (Params) is where a
+// snapshot records them.
+type factory struct {
+	opts Options
+}
+
+// Name implements signal.Factory.
+func (f factory) Name() string { return "GAPOUT" }
+
+// New implements signal.Factory.
+func (f factory) New(info signal.JunctionInfo) (signal.Controller, error) {
+	return New(info, f.opts)
+}
+
+// Params implements signal.Parameterized.
+func (f factory) Params() string { return fmt.Sprintf("%+v", f.opts.withDefaults()) }

@@ -205,6 +205,9 @@ type factory struct {
 // Name implements signal.Factory.
 func (f factory) Name() string { return "MAXPRESSURE" }
 
+// Params implements signal.Parameterized.
+func (f factory) Params() string { return fmt.Sprintf("%+v", f.opts.withDefaults()) }
+
 // New implements signal.Factory.
 func (f factory) New(info signal.JunctionInfo) (signal.Controller, error) {
 	return New(info, f.opts)

@@ -162,6 +162,17 @@ type Factory interface {
 	New(info JunctionInfo) (Controller, error)
 }
 
+// Parameterized is implemented by a Factory whose controllers decide by
+// parameters beyond the family its Name labels. Params writes every
+// option that changes a decision, with its defaults filled in and each
+// float in the shortest form that parses back to it (fmt's %v), so
+// factories whose controllers can decide differently return different
+// strings. The engine's snapshot fingerprint compares it, while Name
+// stays the family label that tables print.
+type Parameterized interface {
+	Params() string
+}
+
 // FactoryFunc adapts a function to the Factory interface.
 type FactoryFunc struct {
 	// Label is returned by Name.

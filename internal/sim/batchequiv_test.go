@@ -239,8 +239,7 @@ func TestBatchedControlEquivalenceDrain(t *testing.T) {
 			// The same per-junction controllers, batched through the
 			// adapter: no skip, same snapshot layout as the batched
 			// engine.
-			plain := f.mk()
-			adapted := newEngine(signal.FactoryFunc{Label: plain.Name(), Build: plain.New}, signal.ControlBatched)
+			adapted := newEngine(perJunctionFactory{f.mk()}, signal.ControlBatched)
 			adapted.Run(steps)
 			final := batched.Snapshot()
 			if !bytes.Equal(final, adapted.Snapshot()) {
@@ -267,6 +266,15 @@ func TestBatchedControlEquivalenceDrain(t *testing.T) {
 		})
 	}
 }
+
+// perJunctionFactory hides a factory's batch implementation, keeping
+// its name, its controllers and the parameters the snapshot
+// fingerprint names: embedded as a signal.Factory, the wrapped value
+// lends it Name and New only.
+type perJunctionFactory struct{ signal.Factory }
+
+// Params implements signal.Parameterized.
+func (f perJunctionFactory) Params() string { return f.Factory.(signal.Parameterized).Params() }
 
 // TestControlModeResetWithSwitch checks the mid-sweep mode switch the
 // engine cache relies on: one engine rewound through ResetWith with

@@ -9,6 +9,7 @@ package sim_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"utilbp/internal/scenario"
@@ -133,5 +134,48 @@ func TestGapOutTimerResetAcrossResetWith(t *testing.T) {
 	}
 	if !reflect.DeepEqual(swapped.Vehicles(), fresh.Vehicles()) {
 		t.Fatal("controller swap: vehicle arena diverges from fresh gap-out run")
+	}
+}
+
+// TestRestoreRejectsControllerParameters pins the controller entry of
+// the snapshot fingerprint: a snapshot restores only into controllers
+// built with the same parameters, not just the same family. Each case
+// snapshots a Pattern II engine after 300 steps and restores it into an
+// engine whose factory differs in one parameter that changes decisions
+// (restored, a CAP-BP(20 s) run went on as CAP-BP(40 s) and exited 749
+// instead of 709 vehicles 300 s later), then into an identical one.
+func TestRestoreRejectsControllerParameters(t *testing.T) {
+	setup := scenario.Default()
+	other := scenario.Default()
+	other.Alpha, other.Beta = -3, -5
+	for _, tc := range []struct {
+		name string
+		// from builds the snapshot's factory (twice: the second build
+		// is the identical target), into the differing one.
+		from func() signal.Factory
+		into signal.Factory
+	}{
+		{"cap-period", func() signal.Factory { return setup.CapBP(20) }, setup.CapBP(40)},
+		{"util-alpha-beta", setup.UtilBP, other.UtilBP()},
+		{"fixed-green", func() signal.Factory { return setup.FixedTime(20) }, setup.FixedTime(25)},
+		{"gapout-timers", func() signal.Factory { return setup.GapOut(0, 0, 0) }, setup.GapOut(8, 40, 5)},
+		{"maxpressure-min-green", func() signal.Factory { return setup.MaxPressure(0) }, setup.MaxPressure(15)},
+		{"bp-est-alpha", func() signal.Factory { return setup.EstimatedBP(0) }, setup.EstimatedBP(0.1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := buildZoo(t, 5, tc.from(), nil)
+			e.Run(300)
+			b := e.Snapshot()
+			err := buildZoo(t, 5, tc.into, nil).Restore(b)
+			if err == nil {
+				t.Fatal("snapshot restored into a factory with other parameters")
+			}
+			if !strings.Contains(err.Error(), "snapshot controller") {
+				t.Fatalf("restore failed for another reason: %v", err)
+			}
+			if err := buildZoo(t, 5, tc.from(), nil).Restore(b); err != nil {
+				t.Fatalf("restore into an identical factory: %v", err)
+			}
+		})
 	}
 }

@@ -300,12 +300,10 @@ type Engine struct {
 	// where is CheckInvariants' and Restore's per-vehicle scratch: the
 	// kind of queue (queuedNone, queuedOnRoad, queuedWaiting) each
 	// vehicle was found in, so a vehicle listed twice or nowhere is
-	// caught. staged holds the queue pairs Restore decodes before the
-	// arena it validates them against, and stagedLen each queue's
-	// length, queuesPerRoad per road. None of it is state.
-	where     []uint8
-	staged    []queue.Item
-	stagedLen []int32
+	// caught. staged holds the pairs of the one queue Restore is
+	// decoding. Neither is state.
+	where  []uint8
+	staged []queue.Item
 	// juncIndex maps a junction's node to its index in juncs (dense:
 	// node IDs are compact), -1 for non-junction nodes. It keeps
 	// CurrentPhase map-free.
@@ -906,7 +904,6 @@ func (e *Engine) Reset(seed uint64) error {
 		}
 		e.rows[i] = newRoadRow(&e.net.Roads[i])
 	}
-	e.resetDerived()
 	e.evCursor = 0
 	e.arena.Reset()
 	clear(e.hooks) // drop recorder closures before truncating
@@ -915,6 +912,7 @@ func (e *Engine) Reset(seed uint64) error {
 	e.step = 0
 	e.totals = Totals{}
 	e.finalized = false
+	e.resetDerived()
 	if r, ok := e.cfg.Demand.(Reseeder); ok {
 		r.Reseed(seed)
 	}
@@ -930,18 +928,112 @@ func (e *Engine) Reset(seed uint64) error {
 	return nil
 }
 
-// resetDerived rebuilds the engine's derived state from the road
-// states: the network queue total, the serve-skip flags, the control
-// skip flags and the travel due-time index. New, Reset and Restore call
-// it once the roads hold their final state. None of it is serialized.
+// resetDerived rebuilds everything the engine derives from its state
+// (DESIGN.md §3, §14). New, Reset and Restore all end here, once the
+// queues, the arena, the step and each road's join counts hold their
+// final values, so the three cannot disagree, and the snapshot stream
+// carries none of it:
+//   - each road row: queued[t] and total from its lanes (the mixed
+//     lane by each vehicle's pending turn), transit[t] from the pending
+//     turns on its transit list, occ, bounded and the nominal effCap;
+//   - the network queue total and the travel due-time index;
+//   - the event cursor, as the number of transitions due before the
+//     current step, and the effective capacities and dark state those
+//     transitions leave, replayed in order;
+//   - Spawned, Entered, Exited and Served from the arena;
+//   - every link's truth, and under a sensor the observation fields the
+//     engine owns, from the rows (the sensed fields are state);
+//   - the refresh stamps and the serve and control skip flags.
+//
 // Clearing the skip flags is conservative, never lossy: the next serve
 // pass and the next decision round run in full, and each re-derives
 // its flags (resetServeSkip; DESIGN.md §11, "Quiet junctions").
 func (e *Engine) resetDerived() {
 	e.netQueued = 0
 	for ri := range e.roads {
-		e.netQueued += int(e.rows[ri].total)
+		rs, row, road := &e.roads[ri], &e.rows[ri], &e.net.Roads[ri]
+		*row = roadRow{joins: row.joins, effCap: int32(road.Capacity)}
+		if road.Bounded() {
+			row.bounded = 1
+		}
+		perTurn, total := e.recountQueued(rs)
+		for t, n := range perTurn {
+			row.queued[t] = int32(n)
+		}
+		if !rs.exits {
+			for it := range e.store.Items(&rs.transit) {
+				row.transit[e.arena.PendingTurn(vehicle.ID(it.Vehicle))]++
+			}
+		}
+		row.total = int32(total)
+		row.occ = int32(rs.transit.Len() + total)
+		e.netQueued += total
 		e.tailDue[ri] = e.headDue(ri)
+	}
+
+	// Replay the transitions applyEvents fired before this step, minus
+	// their dirty marks: the dirty set is state.
+	e.evCursor = 0
+	for i := range e.juncs {
+		e.juncs[i].darkSince, e.juncs[i].darkPol = -1, signal.DarkPolicy{}
+	}
+	if e.events != nil {
+		trs := e.events.Transitions()
+		for ; e.evCursor < len(trs) && int(trs[e.evCursor].Step) < e.step; e.evCursor++ {
+			tr := &trs[e.evCursor]
+			switch tr.Kind {
+			case event.TransCapacity:
+				e.rows[tr.Road].effCap = tr.Cap
+			case event.TransDarkOn:
+				js := &e.juncs[e.juncIndex[tr.Junction]]
+				js.darkSince, js.darkPol = tr.Step, tr.Policy
+			case event.TransDarkOff:
+				e.juncs[e.juncIndex[tr.Junction]].darkSince = -1
+			}
+		}
+	}
+
+	e.totals = Totals{Spawned: e.arena.Len(), RouteFallbacks: e.totals.RouteFallbacks}
+	for v := range e.arena.Len() {
+		id := vehicle.ID(v)
+		if e.arena.EnteredAt(id) != vehicle.Unset {
+			e.totals.Entered++
+		}
+		if e.arena.Done(id) {
+			e.totals.Exited++
+		}
+		e.totals.Served += e.arena.Junctions(id)
+	}
+
+	for ji := range e.juncs {
+		js := &e.juncs[ji]
+		for li := range js.j.Links {
+			l := &js.j.Links[li]
+			in, out, tr := &e.rows[l.In], &e.rows[l.Out], &js.truth[li]
+			*tr = signal.LinkObs{
+				Queue:         in.queued[l.Turn],
+				InTransit:     in.transit[l.Turn],
+				ApproachQueue: in.total,
+				OutQueue:      out.total,
+				OutOccupancy:  out.occ,
+				OutCapacity:   out.effCap,
+				InCapacity:    in.effCap,
+				Mu:            l.Mu,
+				OutTurnQueue:  out.queued,
+				OutTurnJoins:  out.joins,
+			}
+			if e.sensor != nil {
+				o := &js.obs.Links[li]
+				o.OutCapacity, o.InCapacity, o.Mu = tr.OutCapacity, tr.InCapacity, tr.Mu
+				o.OutTurnQueue, o.OutTurnJoins = tr.OutTurnQueue, tr.OutTurnJoins
+			}
+		}
+	}
+
+	// Refresh stamps only deduplicate within the step that wrote them;
+	// at inter-step points every stamp is stale, so -1 is equivalent.
+	for i := range e.linkSeen {
+		e.linkSeen[i] = -1
 	}
 	e.resetServeSkip()
 	clear(e.ctrlDirty)
@@ -1701,7 +1793,8 @@ func (e *Engine) clearWhere() {
 // listQueued records that a queue of the given kind on road ri lists
 // vehicle v. It rejects a vehicle outside the arena, one listed before
 // (served twice, and linked twice a cycle in its lane), one whose
-// lifecycle puts it in another kind of queue, and a waiting vehicle in
+// lifecycle puts it in another kind of queue, a vehicle on a road with
+// no movement to index the road's counters by, and a waiting vehicle in
 // a spawn queue other than its entry road's.
 func (e *Engine) listQueued(ri int, what string, v int, kind uint8) error {
 	if v < 0 || v >= e.arena.Len() {
@@ -1714,6 +1807,9 @@ func (e *Engine) listQueued(ri int, what string, v int, kind uint8) error {
 	if e.queueKind(id) != kind {
 		return fmt.Errorf("sim: road %d %s holds vehicle %d (entered %v, exited %v), which cannot wait there",
 			ri, what, v, e.arena.EnteredAt(id), e.arena.ExitedAt(id))
+	}
+	if turn := e.arena.PendingTurn(id); kind == queuedOnRoad && turn >= numTurns {
+		return fmt.Errorf("sim: road %d %s holds vehicle %d with movement %d", ri, what, v, turn)
 	}
 	if kind == queuedWaiting && e.arena.EntryRoad(id) != network.RoadID(ri) {
 		return fmt.Errorf("sim: road %d %s holds vehicle %d, which spawned onto road %d", ri, what, v, e.arena.EntryRoad(id))
@@ -1728,8 +1824,11 @@ func (e *Engine) listQueued(ri int, what string, v int, kind uint8) error {
 // waiting, nowhere once exited — and a turning lane holds only vehicles
 // bound for its movement. A transit list must be one enterRoad can
 // build: arrival times that never decrease head to tail, none later
-// than now plus the road's travel time. Each walk stops after its
-// lane's count, so a corrupt list fails here instead of hanging.
+// than now plus the road's travel time, and on a road with a junction
+// ahead as many vehicles bound for each movement as the road's
+// per-movement transit count, which resetDerived rebuilds from them.
+// Each walk stops after its lane's count, so a corrupt list fails here
+// instead of hanging.
 func (e *Engine) checkQueues() error {
 	e.clearWhere()
 	for ri := range e.roads {
@@ -1748,9 +1847,6 @@ func (e *Engine) checkQueues() error {
 			if err := e.listQueued(ri, "mixed lane", it.Vehicle, queuedOnRoad); err != nil {
 				return err
 			}
-			if turn := e.arena.PendingTurn(vehicle.ID(it.Vehicle)); turn >= numTurns {
-				return fmt.Errorf("sim: road %d mixed lane holds vehicle %d with movement %d", ri, it.Vehicle, turn)
-			}
 		}
 		for it := range e.store.Items(&rs.spawn) {
 			if err := e.listQueued(ri, "spawn queue", it.Vehicle, queuedWaiting); err != nil {
@@ -1758,9 +1854,13 @@ func (e *Engine) checkQueues() error {
 			}
 		}
 		latest, prev := e.Time()+rs.travel, math.Inf(-1)
+		var bound [numTurns]int32
 		for it := range e.store.Items(&rs.transit) {
 			if err := e.listQueued(ri, "transit list", it.Vehicle, queuedOnRoad); err != nil {
 				return err
+			}
+			if !rs.exits {
+				bound[e.arena.PendingTurn(vehicle.ID(it.Vehicle))]++
 			}
 			if !(it.EnqueuedAt >= prev) {
 				return fmt.Errorf("sim: road %d transit list holds vehicle %d arriving at %v behind one arriving at %v",
@@ -1771,6 +1871,9 @@ func (e *Engine) checkQueues() error {
 					ri, it.Vehicle, it.EnqueuedAt, latest)
 			}
 			prev = it.EnqueuedAt
+		}
+		if transit := e.rows[ri].transit; transit != bound {
+			return fmt.Errorf("sim: road %d per-movement transit %v, its transit list is bound for %v", ri, transit, bound)
 		}
 	}
 	for v, got := range e.where {
@@ -1854,7 +1957,7 @@ func (e *Engine) CheckInvariants() error {
 	if e.arena.Len() != e.totals.Spawned {
 		return fmt.Errorf("sim: arena holds %d vehicles, %d spawned", e.arena.Len(), e.totals.Spawned)
 	}
-	exited, entered := 0, 0
+	exited, entered, served := 0, 0, 0
 	for id := 0; id < e.arena.Len(); id++ {
 		if e.arena.EnteredAt(vehicle.ID(id)) != vehicle.Unset {
 			entered++
@@ -1862,10 +1965,15 @@ func (e *Engine) CheckInvariants() error {
 		if e.arena.Done(vehicle.ID(id)) {
 			exited++
 		}
+		served += e.arena.Junctions(vehicle.ID(id))
 	}
 	if entered != e.totals.Entered || exited != e.totals.Exited {
 		return fmt.Errorf("sim: arena lifecycle columns count %d entered / %d exited, totals say %d / %d",
 			entered, exited, e.totals.Entered, e.totals.Exited)
+	}
+	// Each service event counts one junction on the vehicle served.
+	if served != e.totals.Served {
+		return fmt.Errorf("sim: arena junction counts sum to %d, totals say %d served", served, e.totals.Served)
 	}
 	// Telemetry consistency: the recorder's latest network sample — if
 	// it covers the last completed step — must carry exactly the

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"utilbp/internal/network"
 	"utilbp/internal/signal"
 )
@@ -37,4 +39,115 @@ func SetJunctionPhases(e *Engine, ji int, current, prev signal.Phase) {
 // its free-flow travel time and its feasible-movement mask.
 func RoadTables(e *Engine, rid network.RoadID) (travel float64, feasible uint8) {
 	return e.roads[rid].travel, e.roads[rid].feasible
+}
+
+// DiffDerived compares every value resetDerived rebuilds on two engines
+// at the same step — road rows with their effective capacities, the
+// network queue total and due-time index, the event cursor, each
+// junction's dark state, the totals, and the truth and observation of
+// every link whose roads are both clean — and returns the first
+// difference, nil when they agree. A link with a dirty road is
+// skipped: the next sense substep refreshes it, and until then a
+// restored engine holds it fresh where the uninterrupted one still
+// holds the previous step's values.
+func DiffDerived(got, want *Engine) error {
+	for ri := range want.rows {
+		if got.rows[ri] != want.rows[ri] {
+			return fmt.Errorf("road %d row %+v, want %+v", ri, got.rows[ri], want.rows[ri])
+		}
+		if got.tailDue[ri] != want.tailDue[ri] {
+			return fmt.Errorf("road %d due time %v, want %v", ri, got.tailDue[ri], want.tailDue[ri])
+		}
+	}
+	if got.netQueued != want.netQueued {
+		return fmt.Errorf("network queue total %d, want %d", got.netQueued, want.netQueued)
+	}
+	if got.evCursor != want.evCursor {
+		return fmt.Errorf("event cursor %d, want %d", got.evCursor, want.evCursor)
+	}
+	if got.totals != want.totals {
+		return fmt.Errorf("totals %+v, want %+v", got.totals, want.totals)
+	}
+	for ji := range want.juncs {
+		g, w := &got.juncs[ji], &want.juncs[ji]
+		if g.darkSince != w.darkSince || g.darkPol != w.darkPol {
+			return fmt.Errorf("junction %s dark since %d under %+v, want %d under %+v",
+				w.info.Label, g.darkSince, g.darkPol, w.darkSince, w.darkPol)
+		}
+		for li := range w.j.Links {
+			l := &w.j.Links[li]
+			if want.roadDirty[l.In] || want.roadDirty[l.Out] {
+				continue
+			}
+			if g.truth[li] != w.truth[li] || g.obs.Links[li] != w.obs.Links[li] {
+				return fmt.Errorf("junction %s link %d truth %+v obs %+v, want %+v and %+v",
+					w.info.Label, li, g.truth[li], g.obs.Links[li], w.truth[li], w.obs.Links[li])
+			}
+		}
+	}
+	return nil
+}
+
+// CorruptDerived overwrites one value resetDerived rebuilds, in
+// memory, so a test can check that Snapshot carries no trace of it:
+//   - "transit-moved": one vehicle in transit on a dirty road counted
+//     under the next movement instead;
+//   - "cursor": the event cursor set to -1;
+//   - "dark-zero-policy": a dark junction's policy zeroed;
+//   - "occupancy", "occupancy-above-capacity": the first loaded road's
+//     occupancy one higher, or one past its capacity;
+//   - "effective-capacity", "zero-effective-capacity": that road's
+//     effective capacity one higher, or 0;
+//   - "mixed-movement-count": one of its queued vehicles counted under
+//     another movement.
+func CorruptDerived(e *Engine, what string) error {
+	loaded := -1
+	for ri := range e.rows {
+		if e.rows[ri].bounded == 1 && e.rows[ri].total > 0 {
+			loaded = ri
+			break
+		}
+	}
+	if loaded < 0 {
+		return fmt.Errorf("no bounded road holds a queue")
+	}
+	row := &e.rows[loaded]
+	switch what {
+	case "transit-moved":
+		for _, rd := range e.dirtyRoads {
+			tr := &e.rows[rd].transit
+			for t := range tr {
+				if tr[t] > 0 {
+					tr[t]--
+					tr[(t+1)%numTurns]++
+					return nil
+				}
+			}
+		}
+		return fmt.Errorf("no dirty road has a vehicle in transit")
+	case "cursor":
+		e.evCursor = -1
+	case "dark-zero-policy":
+		for i := range e.juncs {
+			if e.juncs[i].darkSince >= 0 {
+				e.juncs[i].darkPol = signal.DarkPolicy{}
+				return nil
+			}
+		}
+		return fmt.Errorf("no junction is dark")
+	case "occupancy":
+		row.occ++
+	case "occupancy-above-capacity":
+		row.occ = int32(e.net.Roads[loaded].Capacity) + 1
+	case "effective-capacity":
+		row.effCap++
+	case "zero-effective-capacity":
+		row.effCap = 0
+	case "mixed-movement-count":
+		row.queued[network.Straight]--
+		row.queued[network.Left]++
+	default:
+		return fmt.Errorf("unknown corruption %q", what)
+	}
+	return nil
 }

@@ -14,10 +14,8 @@ import (
 )
 
 // roadCounterWords is the number of 8-byte counters a road's snapshot
-// record carries ahead of its queues: effective capacity, occupancy,
-// queued total, and per movement the transit, mixed-lane and join
-// counts.
-const roadCounterWords = 3 + 3*numTurns
+// record carries ahead of its queues: one join count per movement.
+const roadCounterWords = numTurns
 
 // queueSplicer rewrites the queue entries of one engine snapshot — the
 // lanes, spawn queues and transit lists — and keeps every other byte,
@@ -36,16 +34,16 @@ type queueSplicer struct {
 }
 
 // newQueueSplicer snapshots e and locates each road's queues in the
-// stream: flipping the low bit of a road's effective capacity, the
-// first word of its record, changes exactly the record's first byte,
-// and the queues follow its counters.
+// stream: flipping the low bit of a road's first join count, the first
+// word of its record, changes exactly the record's first byte, and the
+// queues follow its counters.
 func newQueueSplicer(t testing.TB, e *Engine) *queueSplicer {
 	t.Helper()
 	sp := &queueSplicer{base: e.Snapshot()}
 	for ri := range e.roads {
-		e.rows[ri].effCap ^= 1
+		e.rows[ri].joins[0] ^= 1
 		flipped := e.Snapshot()
-		e.rows[ri].effCap ^= 1
+		e.rows[ri].joins[0] ^= 1
 		at := 0
 		for at < len(flipped) && flipped[at] == sp.base[at] {
 			at++
@@ -171,7 +169,7 @@ func TestRestoreRejectsQueueMembership(t *testing.T) {
 		{"outside-arena", second(e.arena.Len() + 5), "outside arena"},
 		{"negative-id", second(-1), "outside arena"},
 		{"exited-vehicle", second(exited), "cannot wait there"},
-		// The length bounds apply before any pair is staged.
+		// The length bounds apply before any pair is read.
 		{"lane-past-capacity", func(qs [][]queue.Item) {
 			for len(qs[lane]) <= capacity {
 				qs[lane] = append(qs[lane], qs[lane][0])

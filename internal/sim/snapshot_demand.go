@@ -7,11 +7,15 @@ import (
 )
 
 // SnapshotState implements snap.Snapshotter: the root stream's RNG
-// state plus every materialized per-road stream (its RNG state and the
-// cached sampler limit). The materialized set is captured exactly —
-// which streams exist is itself a deterministic function of the run
-// history, and restoring it byte-for-byte keeps later snapshots of a
-// restored run identical to the uninterrupted run's.
+// state plus every materialized per-road stream's RNG state. The
+// materialized set is captured exactly — which streams exist is itself
+// a deterministic function of the run history, and restoring it
+// byte-for-byte keeps later snapshots of a restored run identical to
+// the uninterrupted run's. A stream's cached mean and sampler limit are
+// not written: the limit is exp(−mean), whose last bits depend on the
+// CPU's math path, and the stream holds no value a transcendental
+// function computed (DESIGN.md §7). RestoreState clears the cache, so
+// the next draw recomputes it from the same mean.
 func (p *PoissonDemand) SnapshotState(w *snap.Writer) {
 	st := p.root.State()
 	for _, v := range st {
@@ -28,8 +32,6 @@ func (p *PoissonDemand) SnapshotState(w *snap.Writer) {
 		for _, v := range sst {
 			w.Uint64(v)
 		}
-		w.Float64(s.mean)
-		w.Float64(s.limit)
 	}
 }
 
@@ -69,8 +71,7 @@ func (p *PoissonDemand) RestoreState(r *snap.Reader) error {
 			s.src = p.root.SplitIndexed("arrivals", i)
 		}
 		s.src.SetState(sst)
-		s.mean = r.Float64()
-		s.limit = r.Float64()
+		s.mean, s.limit = 0, 0
 	}
 	for i := n; i < len(p.streams) && r.Err() == nil; i++ {
 		p.streams[i] = poissonStream{}

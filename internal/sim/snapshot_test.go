@@ -207,10 +207,13 @@ func TestRestoreRejectsCorruptCount(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsContradictoryRoad corrupts one loaded road of a
-// 137-step 2×2 engine, snapshots it and restores into a fresh engine.
-// Every corrupted stream decodes field by field; each describes a road
-// no run can reach, so Restore must fail instead of resuming from it.
+// TestRestoreRejectsContradictoryRoad corrupts the join counts of one
+// loaded road of a 137-step 2×2 engine, snapshots it and restores into
+// a fresh engine. The join counts are the only road counters the
+// stream carries (the others are derived from the queues,
+// TestRestoreDerivesState); each corrupted stream decodes field by
+// field and describes a count no run reaches or no int32 holds, so
+// Restore must fail instead of resuming from it.
 func TestRestoreRejectsContradictoryRoad(t *testing.T) {
 	// loaded returns the first bounded road holding queued vehicles.
 	loaded := func(e *Engine) int {
@@ -227,30 +230,20 @@ func TestRestoreRejectsContradictoryRoad(t *testing.T) {
 	const marker = 0x5a5a5a5
 	cases := []struct {
 		name    string
-		mixed   bool
 		corrupt func(row *roadRow)
 		// patch, when set, replaces the marker's 8 stream bytes with
 		// this value before the restore.
 		patch int64
 		want  string
 	}{
-		{"occupancy", false, func(row *roadRow) { row.occ++ }, 0, "occupancy"},
-		{"occupancy-above-capacity", false, func(row *roadRow) { row.occ = 41 }, 0, "occupancy 41 outside [0, 40]"},
-		{"effective-capacity", false, func(row *roadRow) { row.effCap++ }, 0, "effective capacity 41"},
-		{"zero-effective-capacity", false, func(row *roadRow) { row.effCap = 0 }, 0, "effective capacity 0"},
-		{"negative-joins", false, func(row *roadRow) { row.joins[network.Right] = -1 }, 0, "join count -1"},
-		{"joins-past-int32", false, func(row *roadRow) { row.joins[network.Right] = marker }, 1 << 31, "join count 2147483648"},
-		{"mixed-movement-count", true, func(row *roadRow) {
-			row.queued[network.Straight]--
-			row.queued[network.Left]++
-		}, 0, "movement 0 queued count"},
+		{"negative-joins", func(row *roadRow) { row.joins[network.Right] = -1 }, 0, "join count -1"},
+		{"joins-past-int32", func(row *roadRow) { row.joins[network.Right] = marker }, 1 << 31, "join count 2147483648"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func() *Engine { return newSnapTestEngine(t, tc.mixed) }
-			e := build()
+			e := snapTestEngine(t)
 			e.Run(137)
-			if err := build().Restore(e.Snapshot()); err != nil {
+			if err := snapTestEngine(t).Restore(e.Snapshot()); err != nil {
 				t.Fatalf("intact snapshot rejected: %v", err)
 			}
 			tc.corrupt(&e.rows[loaded(e)])
@@ -265,7 +258,7 @@ func TestRestoreRejectsContradictoryRoad(t *testing.T) {
 				}
 				copy(b[at:], with[:])
 			}
-			err := build().Restore(b)
+			err := snapTestEngine(t).Restore(b)
 			if err == nil {
 				t.Fatal("restore of a contradictory road accepted")
 			}
@@ -318,12 +311,12 @@ func TestRestoreRejectsImpossibleCredit(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsObservedCountOutOfRange pins the obs-slab bounds:
-// a loop-sensed engine's snapshot whose observed Queue is patched to a
-// word outside [0, MaxInt32] must not restore. Nothing cross-checks
-// the sensed slab against the roads, so without the bound such a
-// stream would restore and run on with a reading no sensor writes, and
-// 2⁴⁰ would truncate into the int32 field.
+// TestRestoreRejectsObservedCountOutOfRange pins the bound on the
+// sensed fields: a loop-sensed engine's snapshot whose observed Queue
+// is patched to a negative int32 must not restore. Nothing
+// cross-checks a sensor's readings against the roads, and every sensor
+// writes a count saturated to [0, MaxInt32], so without the bound such
+// a stream would restore and run on with a reading no sensor writes.
 func TestRestoreRejectsObservedCountOutOfRange(t *testing.T) {
 	build := func() *Engine {
 		e := snapTestEngine(t)
@@ -336,7 +329,7 @@ func TestRestoreRejectsObservedCountOutOfRange(t *testing.T) {
 	// marker stands in for link 0's observed Queue so the test can find
 	// the word in the stream and overwrite it there.
 	const marker = 0x5a5a5a5
-	for _, patch := range []int64{1 << 40, -1, -(1 << 40)} {
+	for _, patch := range []int32{-1, -(1 << 20), math.MinInt32} {
 		e := build()
 		e.Run(60)
 		if err := build().Restore(e.Snapshot()); err != nil {
@@ -344,9 +337,9 @@ func TestRestoreRejectsObservedCountOutOfRange(t *testing.T) {
 		}
 		e.obsSlab[0].Queue = marker
 		b := e.Snapshot()
-		var want, with [8]byte
-		binary.LittleEndian.PutUint64(want[:], marker)
-		binary.LittleEndian.PutUint64(with[:], uint64(patch))
+		var want, with [4]byte
+		binary.LittleEndian.PutUint32(want[:], marker)
+		binary.LittleEndian.PutUint32(with[:], uint32(patch))
 		at := bytes.Index(b, want[:])
 		if at < 0 || bytes.Index(b[at+1:], want[:]) >= 0 {
 			t.Fatal("the marker does not occur exactly once in the stream")
@@ -356,7 +349,7 @@ func TestRestoreRejectsObservedCountOutOfRange(t *testing.T) {
 		if err == nil {
 			t.Fatalf("observed queue %d restored", patch)
 		}
-		if !strings.Contains(err.Error(), "observation link 0 queue") {
+		if !strings.Contains(err.Error(), "observation link 0 counts") {
 			t.Fatalf("observed queue %d: restore failed for another reason: %v", patch, err)
 		}
 	}

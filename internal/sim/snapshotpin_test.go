@@ -1,4 +1,4 @@
-// The v3 snapshot format pinned across commits: the equivalence tests
+// The v4 snapshot format pinned across commits: the equivalence tests
 // compare two snapshots taken by one binary, so a layout change that
 // reorders or re-encodes a field consistently on both sides passes
 // them. This test hashes the bytes of fixed runs instead, so any
@@ -23,8 +23,8 @@ import (
 //
 // The engine runs: the paper grid under Pattern I at step 600 with
 // separate turning lanes and with the mixed lane, and
-// city-grid-incident at step 100, inside its incident window, so the
-// stream carries a reduced effective capacity.
+// city-grid-incident at step 100, inside its incident window, whose
+// reduced effective capacity the restore derives from the step.
 //
 // The family runs take the paper grid under Pattern I, seed 1, to step
 // 300: each of the eight families under perfect sensing, a loop
@@ -32,13 +32,15 @@ import (
 // penetration; UTIL-BP under the noisy, rate-limited connected-vehicle
 // sensor (the per-field path) and behind blank and freeze outage
 // windows; and the four gain variants, each of which reads different
-// observation fields. The stream carries every observation field of
-// both slabs and each collaborator's state, so a change to how a
-// family reads or a sensor writes an observation shows up here.
+// observation fields. The stream carries the fields a sensor writes and
+// each collaborator's state, and the run's queues and arena follow
+// every decision, so a change to how a family reads or a sensor writes
+// an observation shows up here.
 //
 // A change to the engine that keeps the format must reproduce these
 // hashes; one that changes the format bumps snapshotVersion and
-// re-records them.
+// re-records them. No hash depends on the CPU's math path: CI runs
+// this test with GODEBUG=cpu.fma=off too.
 func TestSnapshotBytesPinned(t *testing.T) {
 	city, ok := scenario.WorkloadByName("city-grid-incident")
 	if !ok {
@@ -52,9 +54,9 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		steps   int
 		want    uint64
 	}{
-		{"paper-grid/I/separate", scenario.Default(), scenario.PatternI, false, 600, 0xcf958030a7ba1fb2},
-		{"paper-grid/I/mixed", scenario.Default(), scenario.PatternI, true, 600, 0x96807386952031ce},
-		{"city-grid-incident/100", city.Setup, city.Pattern, false, 100, 0xf9ee430d287dbb19},
+		{"paper-grid/I/separate", scenario.Default(), scenario.PatternI, false, 600, 0xc6fa9c0af6ab60b1},
+		{"paper-grid/I/mixed", scenario.Default(), scenario.PatternI, true, 600, 0xf362387c25f90442},
+		{"city-grid-incident/100", city.Setup, city.Pattern, false, 100, 0x3179ef8746d734e2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,14 +105,14 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		spec string
 		want [3]uint64
 	}{
-		{"util", [3]uint64{0xd568a30108d8a862, 0xce98c667b821f758, 0xd678856e52e0f34d}},
-		{"cap:20", [3]uint64{0x4684809358f46e8c, 0x5ba78a1996d025e3, 0xff388a54aa3e476b}},
-		{"capnorm:20", [3]uint64{0xe4cef70f499bed2c, 0x3a43d1e69c3e890d, 0x0cd749da17b5462c}},
-		{"orig:20", [3]uint64{0xad33f9977df1a173, 0x9ba73e0a38a0218b, 0xe0befac9d63c71c2}},
-		{"fixed:20", [3]uint64{0xa48e09c0b5a4f3f3, 0x7f4478d43629e325, 0x2a6f1fd79815f84d}},
-		{"maxpressure", [3]uint64{0xe965f5151dd290cd, 0xdb080d581e9987c0, 0xc12fc41bbcc83f6c}},
-		{"gapout", [3]uint64{0x5aa24c92b4189b07, 0x32af7c40478ddff6, 0x09b24626d3c559c9}},
-		{"bp-est", [3]uint64{0xe25cfe810378aace, 0x74bdcf945c7d785f, 0x1f49842292410ab0}},
+		{"util", [3]uint64{0x228a062dacfa76c4, 0x0be3deab0e38f635, 0x87217ba36294e115}},
+		{"cap:20", [3]uint64{0x984f5d9dd5be6575, 0xab67d73bbe5324fc, 0xbd2f2f45730c6e94}},
+		{"capnorm:20", [3]uint64{0x8ebcdd042c9ccef2, 0xa6be5335279543bc, 0xe74dd14a5d372b26}},
+		{"orig:20", [3]uint64{0xe6ba68123e8e60ca, 0x771ae72eebef08a8, 0x3d18f0e2d7a95271}},
+		{"fixed:20", [3]uint64{0xb62f9f9e943740c4, 0x15b3f0640cb4f62a, 0x3e83617703499d44}},
+		{"maxpressure", [3]uint64{0x4abbcaf2005a5ed6, 0x0b0ecbab9efb1c17, 0x2d2c352fdd247b38}},
+		{"gapout", [3]uint64{0x8d395d2aa006b5a8, 0xfd464c74cd8bc47a, 0xe638be87e56d329a}},
+		{"bp-est", [3]uint64{0x28054210904cf0ea, 0xa8d4dea9046524f2, 0x3bc0ffe6ee643ec9}},
 	}
 	for _, f := range families {
 		spec, err := scenario.ParseControllerSpec(f.spec)
@@ -135,10 +137,10 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		variant core.GainVariant
 		want    uint64
 	}{
-		{"A1-no-wstar-shift", core.GainVariant{NoWStarShift: true}, 0x2d23ac130e20a4e7},
-		{"A3-no-special-cases", core.GainVariant{NoSpecialCases: true}, 0x1023476d90cbd8d5},
-		{"A4-whole-road-pressure", core.GainVariant{WholeRoadPressure: true}, 0x3fbcce2792377c5e},
-		{"count-approaching", core.GainVariant{CountApproaching: true}, 0xf231d4c8e2985e3c},
+		{"A1-no-wstar-shift", core.GainVariant{NoWStarShift: true}, 0xa89b9790598b0519},
+		{"A3-no-special-cases", core.GainVariant{NoSpecialCases: true}, 0xff0c3dadacc4ecbd},
+		{"A4-whole-road-pressure", core.GainVariant{WholeRoadPressure: true}, 0x431159f754cefa77},
+		{"count-approaching", core.GainVariant{CountApproaching: true}, 0xd7c44d4606768868},
 	}
 	for _, v := range variants {
 		t.Run("util-variant/"+v.name, func(t *testing.T) {
@@ -157,11 +159,11 @@ func TestSnapshotBytesPinned(t *testing.T) {
 		mode   sensing.OutageMode
 		want   uint64
 	}{
-		{"cv:0.3,noise=1,lat=3", noisyCV, false, 0, 0xc11d54396bf8e66e},
-		{"perfect+blank", sensing.Spec{}, true, sensing.OutageBlank, 0x5cff3cd0172aefc7},
-		{"loop+blank", loop, true, sensing.OutageBlank, 0x823d4683ce7e52d2},
-		{"perfect+freeze", sensing.Spec{}, true, sensing.OutageFreeze, 0x5ea126bc3a078b7a},
-		{"cv:0.3+freeze", cv, true, sensing.OutageFreeze, 0xa44544a9b7865d95},
+		{"cv:0.3,noise=1,lat=3", noisyCV, false, 0, 0xbe3deb174c946813},
+		{"perfect+blank", sensing.Spec{}, true, sensing.OutageBlank, 0x11ac8af466941c97},
+		{"loop+blank", loop, true, sensing.OutageBlank, 0x98211755f7f2b764},
+		{"perfect+freeze", sensing.Spec{}, true, sensing.OutageFreeze, 0xa61e1e66c6f6a9f0},
+		{"cv:0.3+freeze", cv, true, sensing.OutageFreeze, 0xd395d543d1c15b70},
 	}
 	for _, s := range sensed {
 		t.Run("util/"+s.name, func(t *testing.T) {
