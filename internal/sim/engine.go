@@ -165,15 +165,6 @@ type roadRow struct {
 	_       [3]int32
 }
 
-// newRoadRow returns a road's counters at step zero.
-func newRoadRow(r *network.Road) roadRow {
-	row := roadRow{effCap: int32(r.Capacity)}
-	if r.Bounded() {
-		row.bounded = 1
-	}
-	return row
-}
-
 // hasRoom reports whether the road can accept one more vehicle at its
 // effective (possibly incident-reduced) capacity. Occupancy above the
 // effective capacity is legal transiently — vehicles already on the
@@ -270,6 +261,8 @@ type junctionState struct {
 	// policy applied while it is. The controller keeps deciding every
 	// step — its state advances identically under both dispatch modes —
 	// but applyDecision discards the decision and actuates the policy.
+	// Both follow from the schedule and the step: resetDerived replays
+	// them.
 	darkSince int32
 	darkPol   signal.DarkPolicy
 }
@@ -352,9 +345,9 @@ type Engine struct {
 
 	// Event plane (DESIGN.md §12): events is cfg.Events hoisted for the
 	// hot path, evCursor the next pending transition in its sorted
-	// transition list. Reset rewinds the cursor (and restores effective
-	// capacities and dark state), so the same schedule replays
-	// bit-for-bit.
+	// transition list: the number of transitions due before the step,
+	// which resetDerived counts (replaying the effective capacities and
+	// dark state they leave), so the same schedule replays bit-for-bit.
 	events   *event.Schedule
 	evCursor int
 
@@ -520,7 +513,6 @@ func New(cfg Config) (*Engine, error) {
 		if r.Capacity > math.MaxInt32 {
 			return nil, fmt.Errorf("sim: road %q capacity %d does not fit an int32 counter", r.Name, r.Capacity)
 		}
-		e.rows[i] = newRoadRow(r)
 		j := e.net.Junction(r.To)
 		rs := &e.roads[i]
 		rs.travel, rs.exits = r.TravelTime(), j == nil
@@ -567,19 +559,10 @@ func New(cfg Config) (*Engine, error) {
 				phaseActive[pi][li] = true
 			}
 		}
-		// Static link observation fields (capacities, service rates) never
-		// change after construction; the sense substep only refreshes the
-		// dynamic queue state around them every mini-slot.
+		// resetDerived fills the observations, the service rates and
+		// capacities included, from the network and the road rows.
 		base := e.numLinks
 		obsLinks := e.obsSlab[base : base+len(j.Links) : base+len(j.Links)]
-		for li := range j.Links {
-			l := &j.Links[li]
-			obsLinks[li] = signal.LinkObs{
-				OutCapacity: int32(e.net.Roads[l.Out].Capacity),
-				InCapacity:  int32(e.net.Roads[l.In].Capacity),
-				Mu:          l.Mu,
-			}
-		}
 		e.juncIndex[j.Node] = int32(len(e.juncs))
 		e.juncs = append(e.juncs, junctionState{
 			j:       j,
@@ -591,7 +574,6 @@ func New(cfg Config) (*Engine, error) {
 			truth:       obsLinks, // aliased until a sensor is installed
 			linkBase:    int32(base),
 			phaseActive: phaseActive,
-			darkSince:   -1,
 		})
 		juncOff = append(juncOff, int32(base))
 		infos = append(infos, info)
@@ -657,9 +639,6 @@ func New(cfg Config) (*Engine, error) {
 	e.dirtyRoads = make([]int32, 0, len(e.net.Roads))
 	e.roadDirty = make([]bool, len(e.net.Roads))
 	e.linkSeen = make([]int32, e.numLinks)
-	for i := range e.linkSeen {
-		e.linkSeen[i] = -1
-	}
 	e.setSensor(cfg.Sensor)
 	if err := e.checkEvents(cfg.Events); err != nil {
 		return nil, err
@@ -757,7 +736,7 @@ func (e *Engine) Batched() bool { return e.batchCtrl != nil }
 // observation aliases the truth storage; with one, the truth moves to a
 // separate slab the sensor maps onto the observation. Callers rewind
 // the engine afterwards (New starts at step zero, ResetWith resets), so
-// the dynamic fields of both arrays are consistent.
+// resetDerived fills both arrays.
 func (e *Engine) setSensor(s sensing.Sensor) {
 	e.cfg.Sensor = s
 	e.sensor = s
@@ -772,9 +751,7 @@ func (e *Engine) setSensor(s sensing.Sensor) {
 			js.truth = js.obs.Links
 		case s != nil && aliased:
 			lo, hi := js.linkBase, js.linkBase+int32(len(js.obs.Links))
-			truth := e.truthSlab[lo:hi:hi]
-			copy(truth, js.obs.Links) // carry the static fields over
-			js.truth = truth
+			js.truth = e.truthSlab[lo:hi:hi]
 		}
 	}
 	if s != nil {
@@ -871,28 +848,13 @@ func (e *Engine) Reset(seed uint64) error {
 		js := &e.juncs[i]
 		js.current = signal.Amber
 		js.prev = signal.Amber
-		js.darkSince = -1
-		js.darkPol = signal.DarkPolicy{}
-		for li := range js.credits {
-			js.credits[li] = 0
-		}
-		// Observations are maintained incrementally, so the dynamic
-		// queue fields must be rewound explicitly (a fresh engine starts
-		// them at zero); the static fields survive — except the capacity
-		// fields, which a capacity event may have left reduced mid-run,
-		// so they are restored to nominal unconditionally. The truth
-		// array is the same storage when no sensor is installed.
-		clearObsDynamic(js.obs.Links)
-		clearObsDynamic(js.truth)
-		for li := range js.j.Links {
-			l := &js.j.Links[li]
-			outCap, inCap := int32(e.net.Roads[l.Out].Capacity), int32(e.net.Roads[l.In].Capacity)
-			js.obs.Links[li].OutCapacity, js.obs.Links[li].InCapacity = outCap, inCap
-			js.truth[li].OutCapacity, js.truth[li].InCapacity = outCap, inCap
-		}
+		clear(js.credits)
 	}
-	for i := range e.linkSeen {
-		e.linkSeen[i] = -1
+	// A sensor's readings are state, and it starts the run having read
+	// nothing. Without one the slab is the truth, which resetDerived
+	// rewrites whole.
+	if e.sensor != nil {
+		clear(e.obsSlab)
 	}
 	for _, rid := range e.dirtyRoads {
 		e.roadDirty[rid] = false
@@ -902,9 +864,8 @@ func (e *Engine) Reset(seed uint64) error {
 		for _, q := range e.roads[i].queues() {
 			q.Reset()
 		}
-		e.rows[i] = newRoadRow(&e.net.Roads[i])
+		e.rows[i].joins = [numTurns]int32{}
 	}
-	e.evCursor = 0
 	e.arena.Reset()
 	clear(e.hooks) // drop recorder closures before truncating
 	e.hooks = e.hooks[:0]
@@ -951,23 +912,28 @@ func (e *Engine) Reset(seed uint64) error {
 func (e *Engine) resetDerived() {
 	e.netQueued = 0
 	for ri := range e.roads {
-		rs, row, road := &e.roads[ri], &e.rows[ri], &e.net.Roads[ri]
-		*row = roadRow{joins: row.joins, effCap: int32(road.Capacity)}
+		rs, road := &e.roads[ri], &e.net.Roads[ri]
+		row := roadRow{joins: e.rows[ri].joins, effCap: int32(road.Capacity)}
 		if road.Bounded() {
 			row.bounded = 1
 		}
-		perTurn, total := e.recountQueued(rs)
-		for t, n := range perTurn {
-			row.queued[t] = int32(n)
+		// recountQueued's count, inline: as a call it made Reset about
+		// 15 % slower on a 16×16 grid.
+		for t := range rs.lanes {
+			row.queued[t] = int32(rs.lanes[t].Len())
+		}
+		for it := range e.store.Items(&rs.mixed) {
+			row.queued[e.arena.PendingTurn(vehicle.ID(it.Vehicle))]++
 		}
 		if !rs.exits {
 			for it := range e.store.Items(&rs.transit) {
 				row.transit[e.arena.PendingTurn(vehicle.ID(it.Vehicle))]++
 			}
 		}
-		row.total = int32(total)
-		row.occ = int32(rs.transit.Len() + total)
-		e.netQueued += total
+		row.total = row.queued[0] + row.queued[1] + row.queued[2]
+		row.occ = int32(rs.transit.Len()) + row.total
+		e.rows[ri] = row
+		e.netQueued += int(row.total)
 		e.tailDue[ri] = e.headDue(ri)
 	}
 
@@ -1010,18 +976,10 @@ func (e *Engine) resetDerived() {
 		for li := range js.j.Links {
 			l := &js.j.Links[li]
 			in, out, tr := &e.rows[l.In], &e.rows[l.Out], &js.truth[li]
-			*tr = signal.LinkObs{
-				Queue:         in.queued[l.Turn],
-				InTransit:     in.transit[l.Turn],
-				ApproachQueue: in.total,
-				OutQueue:      out.total,
-				OutOccupancy:  out.occ,
-				OutCapacity:   out.effCap,
-				InCapacity:    in.effCap,
-				Mu:            l.Mu,
-				OutTurnQueue:  out.queued,
-				OutTurnJoins:  out.joins,
-			}
+			tr.Queue, tr.InTransit, tr.ApproachQueue = in.queued[l.Turn], in.transit[l.Turn], in.total
+			tr.OutQueue, tr.OutOccupancy = out.total, out.occ
+			tr.OutCapacity, tr.InCapacity, tr.Mu = out.effCap, in.effCap, l.Mu
+			tr.OutTurnQueue, tr.OutTurnJoins = out.queued, out.joins
 			if e.sensor != nil {
 				o := &js.obs.Links[li]
 				o.OutCapacity, o.InCapacity, o.Mu = tr.OutCapacity, tr.InCapacity, tr.Mu
@@ -1048,18 +1006,6 @@ func (e *Engine) headDue(ri int) float64 {
 		return a.EnqueuedAt
 	}
 	return math.Inf(1)
-}
-
-// clearObsDynamic rewinds the dynamic queue fields of a link
-// observation array, preserving the static capacity and service-rate
-// fields filled at construction.
-func clearObsDynamic(links []signal.LinkObs) {
-	for i := range links {
-		o := &links[i]
-		o.Queue, o.InTransit, o.ApproachQueue, o.OutQueue, o.OutOccupancy = 0, 0, 0, 0, 0
-		o.OutTurnQueue = [signal.NumTurns]int32{}
-		o.OutTurnJoins = [signal.NumTurns]int32{}
-	}
 }
 
 // ResetOptions selects collaborators ResetWith swaps before rewinding the
