@@ -19,6 +19,10 @@ type telemetryState struct {
 	// juncs are the engine junction indices tracked by the recorder, in
 	// the recorder's channel order.
 	juncs []int32
+	// links is the scratch a tracked junction's links are refreshed into
+	// from the road rows before they are recorded, sized to the most
+	// links any tracked junction has.
+	links []signal.LinkObs
 	// evWindows are the armed schedule's event windows in mini-slots,
 	// recomputed whenever the recorder re-arms (the schedule can change
 	// across ResetWith).
@@ -84,7 +88,11 @@ func (e *Engine) InstallTelemetry(rec *telemetry.Recorder) error {
 		return fmt.Errorf("sim: telemetry spec %q records nothing; install no recorder instead", spec)
 	}
 	rec.Arm(e.dt, metas)
-	e.telem = &telemetryState{rec: rec, juncs: idx}
+	n := 0
+	for _, m := range metas {
+		n = max(n, m.NumLinks)
+	}
+	e.telem = &telemetryState{rec: rec, juncs: idx, links: make([]signal.LinkObs, n)}
 	e.rearmTelemetry()
 	return nil
 }
@@ -126,6 +134,10 @@ func (e *Engine) rearmTelemetry() {
 // loop with e.step already advanced (the completed step is e.step-1),
 // reads only ground-truth engine state, and performs no heap
 // allocation (the CI-gated BenchmarkStepOnceInstrumented contract).
+// Every channel samples the state the step left, the state a caller
+// sees between Run(1) calls: a junction's links are refreshed from the
+// road rows into the scratch, since the truth the engine keeps is
+// refreshed only by the next step's sense substep (DESIGN.md §15).
 func (e *Engine) flushTelemetry() {
 	ts := e.telem
 	step := e.step - 1
@@ -154,10 +166,16 @@ func (e *Engine) flushTelemetry() {
 	ts.lastExited = e.totals.Exited
 	for k, ji := range ts.juncs {
 		js := &e.juncs[ji]
+		links := ts.links[:len(js.j.Links)]
+		for li := range links {
+			site := e.allSites[int(js.linkBase)+li]
+			site.truth = &links[li]
+			site.refresh(e.rows)
+		}
 		var row []bool
 		if js.current != signal.Amber {
 			row = js.phaseActive[int(js.current)-1]
 		}
-		ts.rec.RecordJunc(k, js.truth, js.current, row, js.darkSince >= 0)
+		ts.rec.RecordJunc(k, links, js.current, row, js.darkSince >= 0)
 	}
 }

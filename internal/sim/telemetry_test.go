@@ -282,3 +282,33 @@ func TestTelemetryWrapConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestTelemetryJunctionsSamplePostStep pins the instant the junction
+// channels sample (DESIGN.md §15): the state the step left, like the
+// network channels. Every link of the 2×2 grid belongs to one junction
+// and every queued vehicle waits on some link, so the junctions'
+// queued channels must sum to the network's queued channel at every
+// step. Read from the truth the next sense substep refreshes, they
+// summed to the previous step's queue.
+func TestTelemetryJunctionsSamplePostStep(t *testing.T) {
+	const steps = 600
+	e := snapTestEngine(t)
+	rec := telemTestRecorder(t, e, telemetry.Full(), steps)
+	e.Run(steps)
+	cols := rec.Columns()
+	const netChannels, juncChannels = 8, 6
+	net := cols[2]
+	mismatched := 0
+	for i := range net {
+		sum := 0.0
+		for c := netChannels; c < len(cols); c += juncChannels {
+			sum += cols[c][i]
+		}
+		if sum != net[i] {
+			mismatched++
+		}
+	}
+	if mismatched > 0 {
+		t.Fatalf("junction queued channels sum to the network queue in %d of %d steps", steps-mismatched, steps)
+	}
+}
