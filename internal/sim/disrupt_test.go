@@ -406,3 +406,35 @@ func TestDisruptedSteppingAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRestoreBitFlipsDarkWindow flips every bit of the scalar section
+// (step, route fallbacks, finalized) and of the junction section (phase
+// pairs and credits) of a disrupted engine's snapshot taken at step 380,
+// inside J11's dark window, one bit at a time, and restores each
+// stream. No flip may panic Restore or the 20 steps after it, and no
+// accepted stream may fail the invariants in them. Before the stream
+// held state only, the event cursor sat in the scalar section, and its
+// bit 63 restored and panicked the next step.
+func TestRestoreBitFlipsDarkWindow(t *testing.T) {
+	setup := disruptedSetup(t, 3)
+	e, _ := newDisrupted(t, setup, scenario.PatternII)
+	e.Run(380)
+	dark := false
+	for _, j := range e.Network().Junctions {
+		dark = dark || e.Dark(j.Node)
+	}
+	if !dark {
+		t.Fatal("no junction is dark at step 380")
+	}
+	b := e.Snapshot()
+	var bits []int
+	scalars, juncs := sim.SnapshotSections(e)
+	for _, span := range [][2]int{scalars, juncs} {
+		for bit := 8 * span[0]; bit < 8*span[1]; bit++ {
+			bits = append(bits, bit)
+		}
+	}
+	target, _ := newDisrupted(t, setup, scenario.PatternII)
+	rejected, accepted := sim.FlipSweep(t, target, 3, b, bits)
+	t.Logf("%d bits: %d flips rejected, %d accepted", len(bits), rejected, accepted)
+}

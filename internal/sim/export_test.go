@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"testing"
 
 	"utilbp/internal/network"
 	"utilbp/internal/signal"
@@ -150,4 +151,68 @@ func CorruptDerived(e *Engine, what string) error {
 		return fmt.Errorf("unknown corruption %q", what)
 	}
 	return nil
+}
+
+// SnapshotSections returns the byte ranges, in e's snapshot, of the
+// scalar section (step, route fallbacks, finalized) and of the junction
+// section (each junction's phase pair and credits). Each is found by
+// flipping the low bit of its first field in memory, which changes the
+// field's first byte in the stream.
+func SnapshotSections(e *Engine) (scalars, juncs [2]int) {
+	base := e.Snapshot()
+	first := func(flip func()) int {
+		flip()
+		b := e.Snapshot()
+		flip()
+		at := 0
+		for b[at] == base[at] {
+			at++
+		}
+		return at
+	}
+	s := first(func() { e.step ^= 1 })
+	j := first(func() { e.juncs[0].current ^= 1 })
+	n := 0
+	for i := range e.juncs {
+		n += 16 + 8*len(e.juncs[i].credits)
+	}
+	return [2]int{s, s + 17}, [2]int{j, j + n}
+}
+
+// FlipSweep flips the given bits of snapshot b one at a time (bit k of
+// byte i is 8i+k) and hands each stream to e through
+// ResetWith(seed, RestoreFrom). When e accepts a stream it runs 20
+// steps, checking the invariants after each. A panic in the restore or
+// the steps, or an invariant failure, fails t. It returns how many
+// flipped streams e rejected and accepted; b is left as it was.
+func FlipSweep(t testing.TB, e *Engine, seed uint64, b []byte, bits []int) (rejected, accepted int) {
+	t.Helper()
+	for _, bit := range bits {
+		if t.Failed() {
+			return rejected, accepted
+		}
+		i, mask := bit/8, byte(1)<<(bit%8)
+		b[i] ^= mask
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("byte %d bit %d flipped: panic: %v", i, bit%8, r)
+				}
+			}()
+			if err := e.ResetWith(seed, ResetOptions{RestoreFrom: b}); err != nil {
+				rejected++
+				return
+			}
+			accepted++
+			for s := 1; s <= 20; s++ {
+				e.Run(1)
+				if err := e.CheckInvariants(); err != nil {
+					t.Errorf("byte %d bit %d flipped: restored, and %d steps on: %v", i, bit%8, s, err)
+					return
+				}
+			}
+		}()
+		b[i] ^= mask
+	}
+	return rejected, accepted
 }
