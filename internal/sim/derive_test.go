@@ -89,8 +89,20 @@ func deriveEngine(t *testing.T, setup scenario.Setup, pattern scenario.Pattern, 
 // TestRestoreDerivesState restores a mid-run snapshot of each engine
 // into a fresh one and requires every derived value to equal the
 // uninterrupted engine's, at the restore and again 50 steps on.
+//
+// Its corrupt/ subtests then corrupt one derived value of a mid-run
+// engine in memory and snapshot it. The snapshot must equal the
+// uncorrupted engine's byte for byte, the restored engine must hold the
+// uncorrupted derived values, and it must run 300 steps with no panic
+// and no invariant failure. Before the stream held state only, each
+// corruption was written and restored: the moved transit count failed
+// the invariants 52 steps on, cursor -1 panicked with index -1, the
+// zero dark policy with an integer divide by zero, and the stream with
+// any of the other five was refused.
 func TestRestoreDerivesState(t *testing.T) {
+	cases := map[string]deriveCase{}
 	for _, tc := range deriveCases() {
+		cases[tc.name] = tc
 		t.Run(tc.name, func(t *testing.T) {
 			want := tc.build(t)
 			want.Run(tc.k)
@@ -111,22 +123,6 @@ func TestRestoreDerivesState(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestRestoreIgnoresCorruptDerived corrupts one derived value of a
-// mid-run engine in memory and snapshots it. The snapshot must equal
-// the uncorrupted engine's byte for byte, the restored engine must hold
-// the uncorrupted derived values, and it must run 300 steps with no
-// panic and no invariant failure. Before the stream held state only,
-// each corruption was written and restored: the moved transit count
-// failed the invariants 52 steps on, cursor -1 panicked with index -1,
-// the zero dark policy with an integer divide by zero, and the stream
-// with any of the other five was refused.
-func TestRestoreIgnoresCorruptDerived(t *testing.T) {
-	cases := map[string]deriveCase{}
-	for _, c := range deriveCases() {
-		cases[c.name] = c
-	}
 	for _, tc := range []struct {
 		corruption, engine string
 	}{
@@ -139,7 +135,7 @@ func TestRestoreIgnoresCorruptDerived(t *testing.T) {
 		{"zero-effective-capacity", "paper-grid/separate"},
 		{"mixed-movement-count", "paper-grid/mixed"},
 	} {
-		t.Run(tc.corruption, func(t *testing.T) {
+		t.Run("corrupt/"+tc.corruption, func(t *testing.T) {
 			c := cases[tc.engine]
 			e := c.build(t)
 			e.Run(c.k)

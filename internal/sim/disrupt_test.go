@@ -412,7 +412,7 @@ func TestDisruptedSteppingAllocs(t *testing.T) {
 // pairs and credits) of a disrupted engine's snapshot taken at step 380,
 // inside J11's dark window, one bit at a time, and restores each
 // stream. No flip may panic Restore or the 20 steps after it, and no
-// accepted stream may fail the invariants in them. Before the stream
+// accepted stream may fail the invariants after them. Before the stream
 // held state only, the event cursor sat in the scalar section, and its
 // bit 63 restored and panicked the next step.
 func TestRestoreBitFlipsDarkWindow(t *testing.T) {

@@ -358,10 +358,10 @@ func TestRestoreRejectsObservedCountOutOfRange(t *testing.T) {
 // TestRestoreBitFlips flips the low bit of every byte of a 137-step 2×2
 // snapshot, one byte at a time, and restores each stream. No flip may
 // panic Restore or the 20 steps after it, and no stream Restore accepts
-// may fail the invariants in those steps. The v4 stream of this run has
-// 12 820 bytes, of which 3 773 flips are rejected and 9 047 accepted;
-// the v3 stream had 20 205, and 198 of its 10 555 accepted flips failed
-// the invariants within the 20 steps.
+// may fail the invariants after those steps. The v4 stream of this run
+// has 12 820 bytes, of which 3 773 flips are rejected and 9 047
+// accepted; the v3 stream had 20 205, and 198 of its 10 555 accepted
+// flips failed the invariants within the 20 steps.
 func TestRestoreBitFlips(t *testing.T) {
 	e := snapTestEngine(t)
 	e.Run(137)
