@@ -959,17 +959,8 @@ func (e *Engine) resetDerived() {
 		}
 	}
 
-	e.totals = Totals{Spawned: e.arena.Len(), RouteFallbacks: e.totals.RouteFallbacks}
-	for v := range e.arena.Len() {
-		id := vehicle.ID(v)
-		if e.arena.EnteredAt(id) != vehicle.Unset {
-			e.totals.Entered++
-		}
-		if e.arena.Done(id) {
-			e.totals.Exited++
-		}
-		e.totals.Served += e.arena.Junctions(id)
-	}
+	e.totals.Spawned = e.arena.Len()
+	e.totals.Entered, e.totals.Exited, e.totals.Served = e.arena.Counts()
 
 	for ji := range e.juncs {
 		js := &e.juncs[ji]
@@ -1754,8 +1745,8 @@ func (e *Engine) listQueued(ri int, what string, v int, kind uint8) error {
 		return fmt.Errorf("sim: road %d %s holds vehicle %d (entered %v, exited %v), which cannot wait there",
 			ri, what, v, e.arena.EnteredAt(id), e.arena.ExitedAt(id))
 	}
-	if turn := e.arena.PendingTurn(id); kind == queuedOnRoad && turn >= numTurns {
-		return fmt.Errorf("sim: road %d %s holds vehicle %d with movement %d", ri, what, v, turn)
+	if kind == queuedOnRoad && e.arena.PendingTurn(id) >= numTurns {
+		return fmt.Errorf("sim: road %d %s holds vehicle %d with movement %d", ri, what, v, e.arena.PendingTurn(id))
 	}
 	if kind == queuedWaiting && e.arena.EntryRoad(id) != network.RoadID(ri) {
 		return fmt.Errorf("sim: road %d %s holds vehicle %d, which spawned onto road %d", ri, what, v, e.arena.EntryRoad(id))
@@ -1903,16 +1894,7 @@ func (e *Engine) CheckInvariants() error {
 	if e.arena.Len() != e.totals.Spawned {
 		return fmt.Errorf("sim: arena holds %d vehicles, %d spawned", e.arena.Len(), e.totals.Spawned)
 	}
-	exited, entered, served := 0, 0, 0
-	for id := 0; id < e.arena.Len(); id++ {
-		if e.arena.EnteredAt(vehicle.ID(id)) != vehicle.Unset {
-			entered++
-		}
-		if e.arena.Done(vehicle.ID(id)) {
-			exited++
-		}
-		served += e.arena.Junctions(vehicle.ID(id))
-	}
+	entered, exited, served := e.arena.Counts()
 	if entered != e.totals.Entered || exited != e.totals.Exited {
 		return fmt.Errorf("sim: arena lifecycle columns count %d entered / %d exited, totals say %d / %d",
 			entered, exited, e.totals.Entered, e.totals.Exited)

@@ -117,6 +117,27 @@ func (a *Arena) Admit(id ID, t float64) {
 // Exit records the vehicle leaving the network at time t.
 func (a *Arena) Exit(id ID, t float64) { a.exitedAt[id] = t }
 
+// Counts returns how many vehicles have entered the network, how many
+// have left it, and the junctions they have been served through, summed
+// over every vehicle: the totals an engine derives from its arena. Each
+// is one pass over one column.
+func (a *Arena) Counts() (entered, exited, served int) {
+	for _, t := range a.enteredAt {
+		if t != Unset {
+			entered++
+		}
+	}
+	for _, t := range a.exitedAt {
+		if t != Unset {
+			exited++
+		}
+	}
+	for _, n := range a.junctions {
+		served += int(n)
+	}
+	return entered, exited, served
+}
+
 // EntryRoad returns the road the vehicle spawned onto.
 func (a *Arena) EntryRoad(id ID) network.RoadID { return a.entryRoad[id] }
 

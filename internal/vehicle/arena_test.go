@@ -117,6 +117,20 @@ func TestArenaLifecycleProperty(t *testing.T) {
 		if !reflect.DeepEqual(got, []Vehicle(m)) {
 			t.Fatalf("seed %d: Vehicles() diverges from the model", seed)
 		}
+		// Counts agrees with the model's lifecycle and junction counts.
+		var want [3]int
+		for _, v := range m {
+			if v.EnteredAt != Unset {
+				want[0]++
+			}
+			if v.Done() {
+				want[1]++
+			}
+			want[2] += v.Junctions
+		}
+		if e, x, s := a.Counts(); [3]int{e, x, s} != want {
+			t.Fatalf("seed %d: Counts() = %d, %d, %d, model %v", seed, e, x, s, want)
+		}
 		// Vehicles appends to dst without clobbering its prefix.
 		pre := []Vehicle{{ID: 999}}
 		both := a.Vehicles(pre)
