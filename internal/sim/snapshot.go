@@ -25,7 +25,6 @@ import (
 	"utilbp/internal/queue"
 	"utilbp/internal/signal"
 	"utilbp/internal/snap"
-	"utilbp/internal/vehicle"
 )
 
 const (
@@ -195,15 +194,10 @@ func (e *Engine) Restore(data []byte) error {
 	if err := e.arena.RestoreState(r); err != nil {
 		return fmt.Errorf("sim: restore vehicle arena: %w", err)
 	}
-	waiting := 0
-	for v := range e.arena.Len() {
-		if e.arena.EnteredAt(vehicle.ID(v)) == vehicle.Unset {
-			waiting++
-		}
-	}
+	entered, _, _ := e.arena.Counts()
 	e.clearWhere()
 	for i := range e.roads {
-		if err := e.restoreRoad(r, i, waiting); err != nil {
+		if err := e.restoreRoad(r, i, e.arena.Len()-entered); err != nil {
 			return err
 		}
 	}
