@@ -1727,13 +1727,20 @@ func (e *Engine) clearWhere() {
 	clear(e.where)
 }
 
-// listQueued records that a queue of the given kind on road ri lists
-// vehicle v. It rejects a vehicle outside the arena, one listed before
-// (served twice, and linked twice a cycle in its lane), one whose
-// lifecycle puts it in another kind of queue, a vehicle on a road with
-// no movement to index the road's counters by, and a waiting vehicle in
-// a spawn queue other than its entry road's.
-func (e *Engine) listQueued(ri int, what string, v int, kind uint8) error {
+// listQueued records that queue k of road ri (in queues() order) lists
+// vehicle v. It rejects a vehicle outside the arena; one listed before
+// (served twice, and linked twice a cycle in its lane); one whose
+// lifecycle puts it in another kind of queue; a waiting vehicle in a
+// spawn queue other than its entry road's; and a vehicle where no run
+// puts it and serve would never take it from: waiting at the stop line
+// of a road with no junction ahead, bound for a movement the junction
+// ahead has no link for, in a lane of the lane mode the engine does
+// not run, or in a turning lane other than its movement's. Restore
+// links a queue only through it, and resetDerived counts the road's
+// counters from the queues, so each vehicle must be where a run would
+// have put it.
+func (e *Engine) listQueued(ri, k, v int) error {
+	what := queueNames[k]
 	if v < 0 || v >= e.arena.Len() {
 		return fmt.Errorf("sim: road %d %s holds vehicle %d outside arena of %d", ri, what, v, e.arena.Len())
 	}
@@ -1741,28 +1748,42 @@ func (e *Engine) listQueued(ri int, what string, v int, kind uint8) error {
 	if e.where[v] != queuedNone {
 		return fmt.Errorf("sim: road %d %s holds vehicle %d, which another queue lists too", ri, what, v)
 	}
+	kind := queuedOnRoad
+	if k == spawnQueue {
+		kind = queuedWaiting
+	}
 	if e.queueKind(id) != kind {
 		return fmt.Errorf("sim: road %d %s holds vehicle %d (entered %v, exited %v), which cannot wait there",
 			ri, what, v, e.arena.EnteredAt(id), e.arena.ExitedAt(id))
 	}
-	if kind == queuedOnRoad && e.arena.PendingTurn(id) >= numTurns {
-		return fmt.Errorf("sim: road %d %s holds vehicle %d with movement %d", ri, what, v, e.arena.PendingTurn(id))
-	}
-	if kind == queuedWaiting && e.arena.EntryRoad(id) != network.RoadID(ri) {
-		return fmt.Errorf("sim: road %d %s holds vehicle %d, which spawned onto road %d", ri, what, v, e.arena.EntryRoad(id))
+	rs, turn := &e.roads[ri], e.arena.PendingTurn(id)
+	switch {
+	case kind == queuedWaiting:
+		if e.arena.EntryRoad(id) != network.RoadID(ri) {
+			return fmt.Errorf("sim: road %d %s holds vehicle %d, which spawned onto road %d", ri, what, v, e.arena.EntryRoad(id))
+		}
+	case rs.exits:
+		if k != transitList {
+			return fmt.Errorf("sim: road %d %s holds vehicle %d, but no junction is ahead", ri, what, v)
+		}
+	case turn >= numTurns || rs.feasible&(1<<turn) == 0:
+		return fmt.Errorf("sim: road %d %s holds vehicle %d bound for movement %d, which the junction ahead lacks", ri, what, v, turn)
+	case k < numTurns && (e.cfg.MixedLanes || turn != network.Turn(k)):
+		return fmt.Errorf("sim: road %d %s holds vehicle %d bound for movement %d (mixed lanes %v)", ri, what, v, turn, e.cfg.MixedLanes)
+	case k == numTurns && !e.cfg.MixedLanes:
+		return fmt.Errorf("sim: road %d %s holds vehicle %d with separate turning lanes", ri, what, v)
 	}
 	e.where[v] = kind
 	return nil
 }
 
 // checkQueues verifies queue membership: every vehicle of the arena is
-// listed exactly where its lifecycle puts it — in one lane or transit
-// list while in the network, in its entry road's spawn queue while
-// waiting, nowhere once exited — and a turning lane holds only vehicles
-// bound for its movement. A transit list must be one enterRoad can
-// build: arrival times that never decrease head to tail, none later
-// than now plus the road's travel time, and on a road with a junction
-// ahead as many vehicles bound for each movement as the road's
+// listed exactly where its lifecycle puts it (listQueued) — in one lane
+// or transit list while in the network, in its entry road's spawn queue
+// while waiting, nowhere once exited. A transit list must be one
+// enterRoad can build: arrival times that never decrease head to tail,
+// none later than now plus the road's travel time, and on a road with a
+// junction ahead as many vehicles bound for each movement as the road's
 // per-movement transit count, which resetDerived rebuilds from them.
 // Each walk stops after its lane's count, so a corrupt list fails here
 // instead of hanging.
@@ -1770,30 +1791,18 @@ func (e *Engine) checkQueues() error {
 	e.clearWhere()
 	for ri := range e.roads {
 		rs := &e.roads[ri]
-		for t := range rs.lanes {
-			for it := range e.store.Items(&rs.lanes[t]) {
-				if err := e.listQueued(ri, "lane", it.Vehicle, queuedOnRoad); err != nil {
+		qs := rs.queues()
+		for k, lane := range qs[:transitList] {
+			for it := range e.store.Items(lane) {
+				if err := e.listQueued(ri, k, it.Vehicle); err != nil {
 					return err
 				}
-				if turn := e.arena.PendingTurn(vehicle.ID(it.Vehicle)); turn != network.Turn(t) {
-					return fmt.Errorf("sim: road %d lane %d holds vehicle %d bound for movement %d", ri, t, it.Vehicle, turn)
-				}
-			}
-		}
-		for it := range e.store.Items(&rs.mixed) {
-			if err := e.listQueued(ri, "mixed lane", it.Vehicle, queuedOnRoad); err != nil {
-				return err
-			}
-		}
-		for it := range e.store.Items(&rs.spawn) {
-			if err := e.listQueued(ri, "spawn queue", it.Vehicle, queuedWaiting); err != nil {
-				return err
 			}
 		}
 		latest, prev := e.Time()+rs.travel, math.Inf(-1)
 		var bound [numTurns]int32
 		for it := range e.store.Items(&rs.transit) {
-			if err := e.listQueued(ri, "transit list", it.Vehicle, queuedOnRoad); err != nil {
+			if err := e.listQueued(ri, transitList, it.Vehicle); err != nil {
 				return err
 			}
 			if !rs.exits {

@@ -234,6 +234,7 @@ func FuzzRestoreQueues(f *testing.F) {
 	f.Add(false, []byte{2, 0, 0, 4})             // move a vehicle to another queue
 	f.Add(true, []byte{3, 0, 0, 1, 0, 2, 7, 90}) // swap, then rewrite
 	f.Add(false, []byte{4, 5, 0, 200})           // shift a time later
+	f.Add(true, []byte("9001"))                  // move a vehicle into a turning lane the mixed mode never serves
 	f.Fuzz(func(t *testing.T, mixed bool, ops []byte) {
 		sp := splicers[0]
 		if mixed {

@@ -296,7 +296,7 @@ func (e *Engine) Restore(data []byte) error {
 // lane or transit list longer than a bounded road's capacity, a spawn
 // queue longer than the arena's waiting vehicles — each length before
 // its pairs are read — and any vehicle listQueued refuses: one outside
-// the arena, queued already, or not where its lifecycle puts it.
+// the arena, queued already, or not where a run would have put it.
 func (e *Engine) restoreRoad(r *snap.Reader, i, waiting int) error {
 	road, row := &e.net.Roads[i], &e.rows[i]
 	for t := range row.joins {
@@ -311,9 +311,9 @@ func (e *Engine) restoreRoad(r *snap.Reader, i, waiting int) error {
 		limit = road.Capacity
 	}
 	for k, lane := range e.roads[i].queues() {
-		lim, kind := limit, queuedOnRoad
+		lim := limit
 		if k == spawnQueue {
-			lim, kind = waiting, queuedWaiting
+			lim = waiting
 		}
 		var err error
 		if e.staged, err = queue.ReadLane(r, e.staged[:0], lim); err != nil {
@@ -321,7 +321,7 @@ func (e *Engine) restoreRoad(r *snap.Reader, i, waiting int) error {
 		}
 		lane.Reset()
 		for _, it := range e.staged {
-			if err := e.listQueued(i, queueNames[k], it.Vehicle, kind); err != nil {
+			if err := e.listQueued(i, k, it.Vehicle); err != nil {
 				return err
 			}
 			e.store.Push(lane, int32(it.Vehicle), it.EnqueuedAt)
