@@ -198,6 +198,14 @@ type roadState struct {
 	transit queue.Lane
 }
 
+// canQueue reports whether a run can queue a vehicle bound for movement
+// t on the road: the junction ahead has a link for t, or has none for
+// the road's approach at all, in which case resolveTurn keeps each
+// vehicle's planned movement.
+func (rs *roadState) canQueue(t network.Turn) bool {
+	return t < numTurns && (rs.feasible == 0 || rs.feasible>>t&1 != 0)
+}
+
 // A road's queues in snapshot order: the turning lanes, the mixed lane,
 // the spawn queue, then the transit list. The ones before transitList
 // hold waiting vehicles.
@@ -1731,22 +1739,19 @@ func (e *Engine) clearWhere() {
 // vehicle v. It rejects a vehicle outside the arena; one listed before
 // (served twice, and linked twice a cycle in its lane); one whose
 // lifecycle puts it in another kind of queue; a waiting vehicle in a
-// spawn queue other than its entry road's; and a vehicle where no run
-// puts it and serve would never take it from: waiting at the stop line
-// of a road with no junction ahead, bound for a movement the junction
-// ahead has no link for, in a lane of the lane mode the engine does
-// not run, or in a turning lane other than its movement's. Restore
-// links a queue only through it, and resetDerived counts the road's
-// counters from the queues, so each vehicle must be where a run would
-// have put it.
+// spawn queue other than its entry road's; a vehicle in a turning lane
+// other than its movement's; and one in the mixed lane, or in transit
+// toward a junction, bound for a movement no run queues on the road
+// (canQueue). Restore links a vehicle only through it, and
+// resetDerived counts a road's counters by these movements. checkLane
+// holds the rules on whole queues.
 func (e *Engine) listQueued(ri, k, v int) error {
-	what := queueNames[k]
 	if v < 0 || v >= e.arena.Len() {
-		return fmt.Errorf("sim: road %d %s holds vehicle %d outside arena of %d", ri, what, v, e.arena.Len())
+		return fmt.Errorf("sim: road %d %s holds vehicle %d outside arena of %d", ri, queueNames[k], v, e.arena.Len())
 	}
 	id := vehicle.ID(v)
 	if e.where[v] != queuedNone {
-		return fmt.Errorf("sim: road %d %s holds vehicle %d, which another queue lists too", ri, what, v)
+		return fmt.Errorf("sim: road %d %s holds vehicle %d, which another queue lists too", ri, queueNames[k], v)
 	}
 	kind := queuedOnRoad
 	if k == spawnQueue {
@@ -1754,33 +1759,48 @@ func (e *Engine) listQueued(ri, k, v int) error {
 	}
 	if e.queueKind(id) != kind {
 		return fmt.Errorf("sim: road %d %s holds vehicle %d (entered %v, exited %v), which cannot wait there",
-			ri, what, v, e.arena.EnteredAt(id), e.arena.ExitedAt(id))
+			ri, queueNames[k], v, e.arena.EnteredAt(id), e.arena.ExitedAt(id))
 	}
-	rs, turn := &e.roads[ri], e.arena.PendingTurn(id)
 	switch {
 	case kind == queuedWaiting:
 		if e.arena.EntryRoad(id) != network.RoadID(ri) {
-			return fmt.Errorf("sim: road %d %s holds vehicle %d, which spawned onto road %d", ri, what, v, e.arena.EntryRoad(id))
+			return fmt.Errorf("sim: road %d %s holds vehicle %d, which spawned onto road %d", ri, queueNames[k], v, e.arena.EntryRoad(id))
 		}
-	case rs.exits:
-		if k != transitList {
-			return fmt.Errorf("sim: road %d %s holds vehicle %d, but no junction is ahead", ri, what, v)
+	case k < numTurns:
+		if turn := e.arena.PendingTurn(id); turn != network.Turn(k) {
+			return fmt.Errorf("sim: road %d %s holds vehicle %d bound for movement %d", ri, queueNames[k], v, turn)
 		}
-	case turn >= numTurns || rs.feasible&(1<<turn) == 0:
-		return fmt.Errorf("sim: road %d %s holds vehicle %d bound for movement %d, which the junction ahead lacks", ri, what, v, turn)
-	case k < numTurns && (e.cfg.MixedLanes || turn != network.Turn(k)):
-		return fmt.Errorf("sim: road %d %s holds vehicle %d bound for movement %d (mixed lanes %v)", ri, what, v, turn, e.cfg.MixedLanes)
-	case k == numTurns && !e.cfg.MixedLanes:
-		return fmt.Errorf("sim: road %d %s holds vehicle %d with separate turning lanes", ri, what, v)
+	case k == numTurns || !e.roads[ri].exits:
+		if turn := e.arena.PendingTurn(id); !e.roads[ri].canQueue(turn) {
+			return fmt.Errorf("sim: road %d %s holds vehicle %d bound for movement %d, which the junction ahead lacks",
+				ri, queueNames[k], v, turn)
+		}
 	}
 	e.where[v] = kind
 	return nil
 }
 
+// checkLane rejects n vehicles in queue k of road ri where no run
+// queues one: at the stop line of a road with no junction ahead, in a
+// lane of the lane mode the engine does not run (serve never takes from
+// it), or in a turning lane whose movement no run queues on the road.
+// The spawn queue and the transit list may hold vehicles on any road.
+func (e *Engine) checkLane(ri, k, n int) error {
+	if n == 0 || k > numTurns {
+		return nil
+	}
+	rs := &e.roads[ri]
+	if rs.exits || (k == numTurns) != e.cfg.MixedLanes || k < numTurns && !rs.canQueue(network.Turn(k)) {
+		return fmt.Errorf("sim: road %d %s holds %d vehicles (junction ahead %v, mixed lanes %v), which serve never takes",
+			ri, queueNames[k], n, !rs.exits, e.cfg.MixedLanes)
+	}
+	return nil
+}
+
 // checkQueues verifies queue membership: every vehicle of the arena is
-// listed exactly where its lifecycle puts it (listQueued) — in one lane
-// or transit list while in the network, in its entry road's spawn queue
-// while waiting, nowhere once exited. A transit list must be one
+// listed exactly where its lifecycle puts it (checkLane, listQueued) —
+// in one lane or transit list while in the network, in its entry road's
+// spawn queue while waiting, nowhere once exited. A transit list must be one
 // enterRoad can build: arrival times that never decrease head to tail,
 // none later than now plus the road's travel time, and on a road with a
 // junction ahead as many vehicles bound for each movement as the road's
@@ -1793,6 +1813,11 @@ func (e *Engine) checkQueues() error {
 		rs := &e.roads[ri]
 		qs := rs.queues()
 		for k, lane := range qs[:transitList] {
+			if n := lane.Len(); n > 0 && k <= numTurns {
+				if err := e.checkLane(ri, k, n); err != nil {
+					return err
+				}
+			}
 			for it := range e.store.Items(lane) {
 				if err := e.listQueued(ri, k, it.Vehicle); err != nil {
 					return err

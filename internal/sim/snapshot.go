@@ -295,8 +295,9 @@ func (e *Engine) Restore(data []byte) error {
 // queue's vehicles, rejecting a join count outside [0, MaxInt32], a
 // lane or transit list longer than a bounded road's capacity, a spawn
 // queue longer than the arena's waiting vehicles — each length before
-// its pairs are read — and any vehicle listQueued refuses: one outside
-// the arena, queued already, or not where a run would have put it.
+// its pairs are read — a queue checkLane refuses, and any vehicle
+// listQueued refuses: one outside the arena, queued already, or not
+// where a run would have put it.
 func (e *Engine) restoreRoad(r *snap.Reader, i, waiting int) error {
 	road, row := &e.net.Roads[i], &e.rows[i]
 	for t := range row.joins {
@@ -318,6 +319,9 @@ func (e *Engine) restoreRoad(r *snap.Reader, i, waiting int) error {
 		var err error
 		if e.staged, err = queue.ReadLane(r, e.staged[:0], lim); err != nil {
 			return fmt.Errorf("sim: road %d %s: %w", i, queueNames[k], err)
+		}
+		if err := e.checkLane(i, k, len(e.staged)); err != nil {
+			return err
 		}
 		lane.Reset()
 		for _, it := range e.staged {

@@ -119,21 +119,18 @@ func (a *Arena) Exit(id ID, t float64) { a.exitedAt[id] = t }
 
 // Counts returns how many vehicles have entered the network, how many
 // have left it, and the junctions they have been served through, summed
-// over every vehicle: the totals an engine derives from its arena. Each
-// is one pass over one column.
+// over every vehicle: the totals an engine derives from its arena, in
+// one pass over the three columns.
 func (a *Arena) Counts() (entered, exited, served int) {
-	for _, t := range a.enteredAt {
+	exitedAt, junctions := a.exitedAt[:len(a.enteredAt)], a.junctions[:len(a.enteredAt)]
+	for i, t := range a.enteredAt {
 		if t != Unset {
 			entered++
 		}
-	}
-	for _, t := range a.exitedAt {
-		if t != Unset {
+		if exitedAt[i] != Unset {
 			exited++
 		}
-	}
-	for _, n := range a.junctions {
-		served += int(n)
+		served += int(junctions[i])
 	}
 	return entered, exited, served
 }
