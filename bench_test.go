@@ -626,29 +626,28 @@ func benchName(prefix string, v int) string {
 }
 
 // BenchmarkWeighCityGrid times UTIL-BP's weight sweep alone: every
-// junction's Weigh over observation slabs captured from a city-grid run
-// (16×16, Pattern II, seed 1) at six steps of its loaded hour, one slab
-// per iteration in turn. It reports ns per link weighed. PERF.md
-// records it; it is not gated.
+// junction's Weigh over its window of the link table and road rows
+// captured from a city-grid run (16×16, Pattern II, seed 1) at six
+// steps of its loaded hour, one capture per iteration in turn. It
+// reports ns per link weighed. PERF.md records it; it is not gated.
 func BenchmarkWeighCityGrid(b *testing.B) {
-	slabs, ctrls, off := cityGridSlabs(b)
+	rows, links, ctrls, off := cityGridRows(b)
 	w := make([]float64, off[len(off)-1])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		links := slabs[i%len(slabs)]
+		r := rows[i%len(rows)]
 		for j, c := range ctrls {
-			c.Weigh(links[off[j]:off[j+1]], w[off[j]:off[j+1]])
+			c.Weigh(links[off[j]:off[j+1]], r, w[off[j]:off[j+1]])
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(w)), "ns/link")
 }
 
-// cityGridSlabs runs city-grid for an hour under per-junction UTIL-BP
-// and returns the junctions' link observations at steps 599, 1199, …,
-// 3599, one dense slab per step in junction order, together with a
-// UTIL-BP controller per junction and the slab offset of each
-// junction's links.
-func cityGridSlabs(b *testing.B) ([][]signal.LinkObs, []signal.Weighted, []int) {
+// cityGridRows runs city-grid for an hour under per-junction UTIL-BP
+// and returns the road rows at steps 599, 1199, …, 3599, one copy per
+// step, and the link table, together with a UTIL-BP controller per
+// junction and the table offset of each junction's links.
+func cityGridRows(b *testing.B) ([][]signal.Row, []signal.Link, []signal.Weighted, []int) {
 	b.Helper()
 	const every, n = 600, 6
 	w, ok := scenario.WorkloadByName("city-grid")
@@ -661,7 +660,7 @@ func cityGridSlabs(b *testing.B) ([][]signal.LinkObs, []signal.Weighted, []int) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := &obsCapture{inner: setup.UtilBP(), every: every, off: []int{0}}
+	c := &obsCapture{inner: setup.UtilBP(), every: every, off: []int{0}, rows: make([][]signal.Row, n)}
 	engine, err := sim.New(sim.Config{
 		Net:              built.Grid.Network,
 		Controllers:      c,
@@ -673,18 +672,15 @@ func cityGridSlabs(b *testing.B) ([][]signal.LinkObs, []signal.Weighted, []int) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	total := c.off[len(c.off)-1]
-	for range n {
-		c.slabs = append(c.slabs, make([]signal.LinkObs, total))
-	}
+	c.links = make([]signal.Link, c.off[len(c.off)-1])
 	engine.Run(every * n)
-	for k, slab := range c.slabs {
+	for k, rows := range c.rows {
 		queued := 0
-		for i := range slab {
-			queued += int(slab[i].Queue)
+		for i := range rows {
+			queued += int(rows[i].Total)
 		}
 		if queued == 0 {
-			b.Fatalf("slab %d captured no queued vehicle", k)
+			b.Fatalf("capture %d holds no queued vehicle", k)
 		}
 	}
 	ctrls := make([]signal.Weighted, len(c.infos))
@@ -695,18 +691,20 @@ func cityGridSlabs(b *testing.B) ([][]signal.LinkObs, []signal.Weighted, []int) 
 		}
 		ctrls[j] = ctrl.(signal.Weighted)
 	}
-	return c.slabs, ctrls, c.off
+	return c.rows, c.links, ctrls, c.off
 }
 
 // obsCapture is a per-junction signal.Factory whose controllers decide
-// as inner's do and copy the links they are shown at every step k with
-// k%every == every-1 into slab k/every, at their junction's offset.
+// as inner's do and copy their window of the link table into links, at
+// their junction's offset; the first junction also copies the rows it
+// is shown at every step k with k%every == every-1 into rows[k/every].
 type obsCapture struct {
 	inner signal.Factory
 	every int
 	infos []signal.JunctionInfo
 	off   []int
-	slabs [][]signal.LinkObs
+	links []signal.Link
+	rows  [][]signal.Row
 }
 
 // Name implements signal.Factory.
@@ -733,8 +731,9 @@ type capturingController struct {
 
 // Decide implements signal.Controller.
 func (c *capturingController) Decide(obs *signal.Obs) signal.Phase {
-	if k := obs.Step / c.o.every; obs.Step%c.o.every == c.o.every-1 && k < len(c.o.slabs) {
-		copy(c.o.slabs[k][c.lo:], obs.Links)
+	copy(c.o.links[c.lo:], obs.Links)
+	if k := obs.Step / c.o.every; c.lo == 0 && obs.Step%c.o.every == c.o.every-1 && k < len(c.o.rows) {
+		c.o.rows[k] = append([]signal.Row(nil), obs.Rows...)
 	}
 	return c.Controller.Decide(obs)
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"utilbp/internal/signal"
+	"utilbp/internal/signal/signaltest"
 )
 
 func info2() signal.JunctionInfo {
@@ -19,8 +20,9 @@ func info2() signal.JunctionInfo {
 
 func obs4(step int, current signal.Phase, queues, out [4]int32) *signal.Obs {
 	o := &signal.Obs{Step: step, Time: float64(step), Current: current}
+	var links []signaltest.LinkObs
 	for i := 0; i < 4; i++ {
-		o.Links = append(o.Links, signal.LinkObs{
+		links = append(links, signaltest.LinkObs{
 			Queue:         queues[i],
 			ApproachQueue: queues[i] + 1, // whole-road pressure differs
 			OutQueue:      out[i],
@@ -30,59 +32,66 @@ func obs4(step int, current signal.Phase, queues, out [4]int32) *signal.Obs {
 			Mu:            1,
 		})
 	}
+	o.Links, o.Rows = signaltest.Pairs(links...)
 	return o
 }
 
+// gain scores the scripted link l with f.
+func gain(f GainFunc, l signaltest.LinkObs) float64 {
+	table, rows := signaltest.Pairs(l)
+	return f(&table[0], rows)
+}
+
 func TestOriginalGain(t *testing.T) {
-	l := signal.LinkObs{Queue: 5, ApproachQueue: 12, OutQueue: 4, OutOccupancy: 4, Mu: 2}
+	l := signaltest.LinkObs{Queue: 5, ApproachQueue: 12, OutQueue: 4, OutOccupancy: 4, Mu: 2}
 	// eq. (5) uses the whole-road queue b_i.
-	if got := OriginalGain(&l); got != 16 {
+	if got := gain(OriginalGain, l); got != 16 {
 		t.Errorf("OriginalGain = %v, want (12-4)*2 = 16", got)
 	}
-	neg := signal.LinkObs{Queue: 5, ApproachQueue: 2, OutQueue: 9, OutOccupancy: 9, Mu: 1}
-	if got := OriginalGain(&neg); got != 0 {
+	neg := signaltest.LinkObs{Queue: 5, ApproachQueue: 2, OutQueue: 9, OutOccupancy: 9, Mu: 1}
+	if got := gain(OriginalGain, neg); got != 0 {
 		t.Errorf("negative pressure gain = %v, want clamp to 0", got)
 	}
 }
 
 func TestCapacityAwareGain(t *testing.T) {
-	full := signal.LinkObs{Queue: 50, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}
-	if got := CapacityAwareGain(&full); got != 0 {
+	full := signaltest.LinkObs{Queue: 50, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}
+	if got := gain(CapacityAwareGain, full); got != 0 {
 		t.Errorf("full downstream gain = %v, want 0", got)
 	}
-	l := signal.LinkObs{Queue: 9, OutQueue: 4, OutOccupancy: 4, OutCapacity: 120, Mu: 1}
-	if got := CapacityAwareGain(&l); got != 5 {
+	l := signaltest.LinkObs{Queue: 9, OutQueue: 4, OutOccupancy: 4, OutCapacity: 120, Mu: 1}
+	if got := gain(CapacityAwareGain, l); got != 5 {
 		t.Errorf("gain = %v, want 5", got)
 	}
-	neg := signal.LinkObs{Queue: 2, OutQueue: 9, OutOccupancy: 9, OutCapacity: 120, Mu: 1}
-	if got := CapacityAwareGain(&neg); got != 0 {
+	neg := signaltest.LinkObs{Queue: 2, OutQueue: 9, OutOccupancy: 9, OutCapacity: 120, Mu: 1}
+	if got := gain(CapacityAwareGain, neg); got != 0 {
 		t.Errorf("negative pressure gain = %v, want 0", got)
 	}
 }
 
 func TestNormalizedCapacityAwareGain(t *testing.T) {
-	l := signal.LinkObs{Queue: 60, InCapacity: 120, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 2}
+	l := signaltest.LinkObs{Queue: 60, InCapacity: 120, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 2}
 	// (60/120 - 30/120) * 2 = 0.5.
-	if got := NormalizedCapacityAwareGain(&l); got != 0.5 {
+	if got := gain(NormalizedCapacityAwareGain, l); got != 0.5 {
 		t.Errorf("normalized gain = %v, want 0.5", got)
 	}
-	full := signal.LinkObs{Queue: 60, InCapacity: 120, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}
-	if got := NormalizedCapacityAwareGain(&full); got != 0 {
+	full := signaltest.LinkObs{Queue: 60, InCapacity: 120, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}
+	if got := gain(NormalizedCapacityAwareGain, full); got != 0 {
 		t.Errorf("full downstream normalized gain = %v, want 0", got)
 	}
-	unboundedOut := signal.LinkObs{Queue: 60, InCapacity: 120, OutQueue: 500, OutOccupancy: 500, Mu: 1}
-	if got := NormalizedCapacityAwareGain(&unboundedOut); got != 0.5 {
+	unboundedOut := signaltest.LinkObs{Queue: 60, InCapacity: 120, OutQueue: 500, OutOccupancy: 500, Mu: 1}
+	if got := gain(NormalizedCapacityAwareGain, unboundedOut); got != 0.5 {
 		t.Errorf("unbounded-out normalized gain = %v, want 0.5", got)
 	}
-	unboundedIn := signal.LinkObs{Queue: 3, OutQueue: 0, OutOccupancy: 0, OutCapacity: 120, Mu: 1}
-	if got := NormalizedCapacityAwareGain(&unboundedIn); got != 1 {
+	unboundedIn := signaltest.LinkObs{Queue: 3, OutQueue: 0, OutOccupancy: 0, OutCapacity: 120, Mu: 1}
+	if got := gain(NormalizedCapacityAwareGain, unboundedIn); got != 1 {
 		t.Errorf("unbounded-in normalized gain = %v, want 1", got)
 	}
 }
 
 func TestGainsNonNegativeProperty(t *testing.T) {
 	f := func(q, aq, occ uint16, cap uint8) bool {
-		l := signal.LinkObs{
+		l := signaltest.LinkObs{
 			Queue:         int32(q % 200),
 			ApproachQueue: int32(aq % 200),
 			OutQueue:      int32(occ % 200),
@@ -91,7 +100,7 @@ func TestGainsNonNegativeProperty(t *testing.T) {
 			InCapacity:    120,
 			Mu:            1,
 		}
-		return OriginalGain(&l) >= 0 && CapacityAwareGain(&l) >= 0 && NormalizedCapacityAwareGain(&l) >= 0
+		return gain(OriginalGain, l) >= 0 && gain(CapacityAwareGain, l) >= 0 && gain(NormalizedCapacityAwareGain, l) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -254,11 +263,11 @@ func TestFactories(t *testing.T) {
 // road (if whole-road pressure difference is positive), CAP-BP does not —
 // the distinction the paper draws between [3] and [4].
 func TestOrigVsCapOnFullDownstream(t *testing.T) {
-	l := signal.LinkObs{Queue: 50, ApproachQueue: 200, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}
-	if OriginalGain(&l) <= 0 {
+	l := signaltest.LinkObs{Queue: 50, ApproachQueue: 200, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}
+	if gain(OriginalGain, l) <= 0 {
 		t.Error("ORIG-BP should ignore capacity")
 	}
-	if CapacityAwareGain(&l) != 0 {
+	if gain(CapacityAwareGain, l) != 0 {
 		t.Error("CAP-BP should zero a full downstream link")
 	}
 }

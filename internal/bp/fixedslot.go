@@ -112,7 +112,7 @@ func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 // number; with every gain at zero the current phase is kept.
 func (c *Controller) selectPhase(obs *signal.Obs) signal.Phase {
 	for li := range obs.Links {
-		c.gains[li] = c.gain(&obs.Links[li])
+		c.gains[li] = c.gain(&obs.Links[li], obs.Rows)
 	}
 	best := signal.Amber
 	bestTotal := 0.0

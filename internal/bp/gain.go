@@ -7,14 +7,15 @@ package bp
 
 import "utilbp/internal/signal"
 
-// GainFunc scores one link for phase selection at a slot boundary.
-type GainFunc func(l *signal.LinkObs) float64
+// GainFunc scores one link, read from its two rows, for phase selection
+// at a slot boundary.
+type GainFunc func(l *signal.Link, rows []signal.Row) float64
 
 // OriginalGain is eq. (5): g_o = max(0, (b_i - b_{i'}) µ), using the
 // whole-road incoming pressure b_i and clamping negative pressure
 // differences to zero (no service toward more-congested roads).
-func OriginalGain(l *signal.LinkObs) float64 {
-	g := (float64(l.ApproachQueue) - float64(l.OutQueue)) * l.Mu
+func OriginalGain(l *signal.Link, rows []signal.Row) float64 {
+	g := (float64(rows[l.In].Total) - float64(rows[l.Out].Total)) * l.Mu
 	if g < 0 {
 		return 0
 	}
@@ -26,11 +27,12 @@ func OriginalGain(l *signal.LinkObs) float64 {
 // otherwise the non-negative pressure difference. It uses the per-lane
 // incoming queue, the stronger variant, so the headline comparison
 // against UTIL-BP is conservative (see DESIGN.md §2).
-func CapacityAwareGain(l *signal.LinkObs) float64 {
-	if l.OutFull() {
+func CapacityAwareGain(l *signal.Link, rows []signal.Row) float64 {
+	out := &rows[l.Out]
+	if out.Full() {
 		return 0
 	}
-	g := (float64(l.Queue) - float64(l.OutQueue)) * l.Mu
+	g := (float64(rows[l.In].Queued[l.Turn]) - float64(out.Total)) * l.Mu
 	if g < 0 {
 		return 0
 	}
@@ -41,11 +43,12 @@ func CapacityAwareGain(l *signal.LinkObs) float64 {
 // vehicles included in the incoming pressure — the same detector
 // convention as UTIL-BP's CountApproaching variant, keeping comparisons
 // apples-to-apples.
-func CapacityAwareGainApproaching(l *signal.LinkObs) float64 {
-	if l.OutFull() {
+func CapacityAwareGainApproaching(l *signal.Link, rows []signal.Row) float64 {
+	in, out := &rows[l.In], &rows[l.Out]
+	if out.Full() {
 		return 0
 	}
-	g := (float64(int(l.Queue)+int(l.InTransit)) - float64(l.OutQueue)) * l.Mu
+	g := (float64(int(in.Queued[l.Turn])+int(in.Transit[l.Turn])) - float64(out.Total)) * l.Mu
 	if g < 0 {
 		return 0
 	}
@@ -56,19 +59,21 @@ func CapacityAwareGainApproaching(l *signal.LinkObs) float64 {
 // to [4]'s formulation: pressures are queue fractions of road capacity,
 // so a nearly full downstream road repels service even before saturating.
 // Unbounded roads contribute zero pressure.
-func NormalizedCapacityAwareGain(l *signal.LinkObs) float64 {
-	if l.OutFull() {
+func NormalizedCapacityAwareGain(l *signal.Link, rows []signal.Row) float64 {
+	inRow, outRow := &rows[l.In], &rows[l.Out]
+	if outRow.Full() {
 		return 0
 	}
+	queue := inRow.Queued[l.Turn]
 	in := 0.0
-	if l.InCapacity > 0 {
-		in = float64(l.Queue) / float64(l.InCapacity)
-	} else if l.Queue > 0 {
+	if inRow.Cap > 0 {
+		in = float64(queue) / float64(inRow.Cap)
+	} else if queue > 0 {
 		in = 1
 	}
 	out := 0.0
-	if l.OutCapacity > 0 {
-		out = float64(l.OutQueue) / float64(l.OutCapacity)
+	if outRow.Cap > 0 {
+		out = float64(outRow.Total) / float64(outRow.Cap)
 	}
 	g := (in - out) * l.Mu
 	if g < 0 {

@@ -77,28 +77,29 @@ func New(info signal.JunctionInfo, opts Options) (*Controller, error) {
 // Name implements signal.Controller.
 func (c *Controller) Name() string { return "BP-EST" }
 
-// WeighLink implements signal.Weighted: it folds the link's observed
-// departure counters into its estimator and returns the
-// estimated-routing gain, UTIL-BP's eq. (8) kernel (core.Rule.Gain)
+// WeighLink implements signal.Weighted: it folds the departure
+// counters of the link's outgoing row into its estimator and returns
+// the estimated-routing gain, UTIL-BP's eq. (8) kernel (core.Rule.Gain)
 // with the routing-rate-weighted downstream movement queues
 // Σ_t r̂_t·q_{i',t} as the downstream pressure in place of the
 // aggregate b_{i'}. The estimator no-ops on unchanged join counters, so
 // a link outside the batch change set keeps its cached gain exactly.
-func (c *Controller) WeighLink(li int, l *signal.LinkObs) float64 {
+func (c *Controller) WeighLink(li int, l *signal.Link, rows []signal.Row) float64 {
 	e := &c.est[li]
-	e.Observe(l.OutTurnJoins)
+	out := &rows[l.Out]
+	e.Observe(out.Joins)
 	down := 0.0
 	for t := 0; t < signal.NumTurns; t++ {
-		down += e.ratios[t] * float64(l.OutTurnQueue[t])
+		down += e.ratios[t] * float64(out.Queued[t])
 	}
-	q := int(l.Queue)
-	return c.tail.Rule().Gain(l, q, q, down)
+	q := int(rows[l.In].Queued[l.Turn])
+	return c.tail.Rule().Gain(out, l.Mu, q, q, down)
 }
 
 // Weigh implements signal.Weighted.
-func (c *Controller) Weigh(links []signal.LinkObs, gains []float64) {
+func (c *Controller) Weigh(links []signal.Link, rows []signal.Row, gains []float64) {
 	for i := range links {
-		gains[i] = c.WeighLink(i, &links[i])
+		gains[i] = c.WeighLink(i, &links[i], rows)
 	}
 }
 
@@ -113,7 +114,7 @@ func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 	if c.gains == nil {
 		c.gains = make([]float64, len(obs.Links))
 	}
-	c.Weigh(obs.Links, c.gains)
+	c.Weigh(obs.Links, obs.Rows, c.gains)
 	return c.tail.DecideWeighted(c.gains, obs)
 }
 

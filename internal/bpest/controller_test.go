@@ -15,8 +15,8 @@ import (
 // the outgoing road is full, alpha when the lane is empty, otherwise
 // the lane queue against the routing-rate-weighted downstream movement
 // queues, shifted by W*.
-func oracleGain(ratios [signal.NumTurns]float64, l *signal.LinkObs, alpha, beta float64, wStar int) float64 {
-	if l.OutFull() {
+func oracleGain(ratios [signal.NumTurns]float64, l *signaltest.LinkObs, alpha, beta float64, wStar int) float64 {
+	if l.OutCapacity > 0 && l.OutOccupancy >= l.OutCapacity {
 		return beta
 	}
 	if l.Queue == 0 {
@@ -72,7 +72,9 @@ func TestWeighLinkMatchesOracle(t *testing.T) {
 		for i := range twins {
 			twins[i] = NewTurnRatioEstimator(0.2)
 		}
-		var obs [links]signal.LinkObs
+		var obs [links]signaltest.LinkObs
+		table := make([]signal.Link, links)
+		rows := make([]signal.Row, 2*links)
 		for step := 0; step < 2000; step++ {
 			for li := range obs {
 				l := &obs[li]
@@ -87,8 +89,9 @@ func TestWeighLinkMatchesOracle(t *testing.T) {
 					l.OutTurnJoins[turn] += r.Int32N(3)
 				}
 				twins[li].Observe(l.OutTurnJoins)
+				signaltest.Put(table, rows, li, l)
 				want := math.Float64bits(oracleGain(twins[li].Ratios(), l, p.alpha, p.beta, p.wStar))
-				if got := math.Float64bits(c.WeighLink(li, l)); got != want {
+				if got := math.Float64bits(c.WeighLink(li, &table[li], rows)); got != want {
 					t.Fatalf("%+v step %d link %d: WeighLink %v, oracle %v for %+v",
 						p, step, li, math.Float64frombits(got), math.Float64frombits(want), *l)
 				}

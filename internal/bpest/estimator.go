@@ -2,7 +2,7 @@
 // routing rates (PAPERS.md 1401.3357): the frozen vehicle.RouteTable the
 // simulator routes with is invisible to the controller — instead each
 // link carries an online turn-ratio estimator fed by the engine-owned
-// "departures per movement" observation (signal.LinkObs.OutTurnJoins),
+// "departures per movement" column of its outgoing row (signal.Row.Joins),
 // and the link gain weighs the outgoing road's per-movement queues by
 // the estimated rates. The phase logic is UTIL-BP's own Algorithm 1
 // tail (core.Controller.DecideWeighted: amber hold, keep-phase

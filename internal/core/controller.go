@@ -97,25 +97,28 @@ func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 	if c.gains == nil {
 		c.gains = make([]float64, len(obs.Links))
 	}
-	c.Weigh(obs.Links, c.gains)
+	c.Weigh(obs.Links, obs.Rows, c.gains)
 	return c.DecideWeighted(c.gains, obs)
 }
 
-// Weigh implements signal.Weighted: the eq. (8) gain of every link,
-// with the rule's kernel inlined, so the sweep makes no call per link.
-func (c *Controller) Weigh(links []signal.LinkObs, gains []float64) {
+// Weigh implements signal.Weighted: the eq. (8) gain of every link from
+// its two rows, with the rule's kernel inlined, so the sweep makes no
+// call per link.
+func (c *Controller) Weigh(links []signal.Link, rows []signal.Row, gains []float64) {
 	r := &c.rule
 	for i := range links {
 		l := &links[i]
-		lane, in := r.counts(l)
-		gains[i] = r.Gain(l, lane, in, float64(l.OutQueue))
+		out := &rows[l.Out]
+		lane, p := r.counts(&rows[l.In], l.Turn)
+		gains[i] = r.Gain(out, l.Mu, lane, p, float64(out.Total))
 	}
 }
 
 // WeighLink implements signal.Weighted.
-func (c *Controller) WeighLink(_ int, l *signal.LinkObs) float64 {
-	lane, in := c.rule.counts(l)
-	return c.rule.Gain(l, lane, in, float64(l.OutQueue))
+func (c *Controller) WeighLink(_ int, l *signal.Link, rows []signal.Row) float64 {
+	out := &rows[l.Out]
+	lane, p := c.rule.counts(&rows[l.In], l.Turn)
+	return c.rule.Gain(out, l.Mu, lane, p, float64(out.Total))
 }
 
 // Rule is the controller's compiled eq. (8). BP-EST evaluates its

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"utilbp/internal/signal"
+	"utilbp/internal/signal/signaltest"
 )
 
 // testInfo builds a two-phase junction: phase 1 = links {0,1}, phase 2 =
@@ -24,8 +25,9 @@ func testInfo() signal.JunctionInfo {
 // outgoing roads have capacity 120 and occupancy out.
 func obsWith(step int, current signal.Phase, queues [4]int32, out [4]int32) *signal.Obs {
 	o := &signal.Obs{Step: step, Time: float64(step), Current: current}
+	var links []signaltest.LinkObs
 	for i := 0; i < 4; i++ {
-		o.Links = append(o.Links, signal.LinkObs{
+		links = append(links, signaltest.LinkObs{
 			Queue:         queues[i],
 			ApproachQueue: queues[i],
 			OutQueue:      out[i],
@@ -35,6 +37,7 @@ func obsWith(step int, current signal.Phase, queues [4]int32, out [4]int32) *sig
 			Mu:            1,
 		})
 	}
+	o.Links, o.Rows = signaltest.Pairs(links...)
 	return o
 }
 
@@ -126,12 +129,12 @@ func TestSelectionFallsBackToMaxLinkGain(t *testing.T) {
 	// max(beta, alpha) = alpha too... make phase 2 strictly worse: both
 	// its links full-outgoing (beta=-2). Phase 1 must win.
 	obs := &signal.Obs{Step: 0, Current: signal.Amber}
-	obs.Links = []signal.LinkObs{
-		{Queue: 0, OutQueue: 0, OutOccupancy: 0, OutCapacity: 120, Mu: 1},     // alpha
-		{Queue: 0, OutQueue: 0, OutOccupancy: 0, OutCapacity: 120, Mu: 1},     // alpha
-		{Queue: 5, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}, // beta
-		{Queue: 5, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}, // beta
-	}
+	obs.Links, obs.Rows = signaltest.Pairs(
+		signaltest.LinkObs{Queue: 0, OutQueue: 0, OutOccupancy: 0, OutCapacity: 120, Mu: 1},     // alpha
+		signaltest.LinkObs{Queue: 0, OutQueue: 0, OutOccupancy: 0, OutCapacity: 120, Mu: 1},     // alpha
+		signaltest.LinkObs{Queue: 5, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}, // beta
+		signaltest.LinkObs{Queue: 5, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}, // beta
+	)
 	if got := c.Decide(obs); got != 1 {
 		t.Fatalf("selected %v, want phase 1 (alpha > beta)", got)
 	}

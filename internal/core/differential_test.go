@@ -6,6 +6,7 @@ import (
 
 	"utilbp/internal/rng"
 	"utilbp/internal/signal"
+	"utilbp/internal/signal/signaltest"
 )
 
 // refController is an independent, literal transcription of Algorithm 1
@@ -23,7 +24,21 @@ type refController struct {
 	tDelta int // t_{Δk} as a step index
 }
 
-func (r *refController) gain(l signal.LinkObs) float64 {
+// refObs is the reference's observation: the junction's links as
+// scripted views, each read as the paper's per-link quantities.
+type refObs struct {
+	Step    int
+	Current signal.Phase
+	Links   []signaltest.LinkObs
+}
+
+// obs converts o into the production controller's observation.
+func (o *refObs) obs() *signal.Obs {
+	table, rows := signaltest.Pairs(o.Links...)
+	return &signal.Obs{Step: o.Step, Time: float64(o.Step), Current: o.Current, Links: table, Rows: rows}
+}
+
+func (r *refController) gain(l signaltest.LinkObs) float64 {
 	// eq. (8)
 	if l.OutCapacity > 0 && l.OutOccupancy >= l.OutCapacity {
 		return r.beta
@@ -34,7 +49,7 @@ func (r *refController) gain(l signal.LinkObs) float64 {
 	return (float64(l.Queue) - float64(l.OutQueue) + float64(r.info.WStar)) * l.Mu
 }
 
-func (r *refController) phaseGain(obs *signal.Obs, phase []int) (total, gmax float64, lmax int) {
+func (r *refController) phaseGain(obs *refObs, phase []int) (total, gmax float64, lmax int) {
 	lmax = -1
 	for _, li := range phase {
 		g := r.gain(obs.Links[li])
@@ -46,7 +61,7 @@ func (r *refController) phaseGain(obs *signal.Obs, phase []int) (total, gmax flo
 	return total, gmax, lmax
 }
 
-func (r *refController) decide(obs *signal.Obs) signal.Phase {
+func (r *refController) decide(obs *refObs) signal.Phase {
 	// Line 1-2: transition period not expired.
 	if obs.Current == signal.Amber && obs.Step < r.tDelta {
 		return signal.Amber
@@ -120,9 +135,9 @@ func TestDifferentialAgainstPaperTranscription(t *testing.T) {
 		src := rng.New(uint64(seed))
 		curProd, curRef := signal.Amber, signal.Amber
 		for k := 0; k < 300; k++ {
-			obs := signal.Obs{Step: k, Time: float64(k)}
+			obs := refObs{Step: k}
 			for li := 0; li < info.NumLinks; li++ {
-				l := signal.LinkObs{
+				l := signaltest.LinkObs{
 					Queue:       int32(src.Intn(12)),
 					OutQueue:    int32(src.Intn(12)),
 					OutCapacity: 40,
@@ -146,7 +161,7 @@ func TestDifferentialAgainstPaperTranscription(t *testing.T) {
 			obsProd.Current = curProd
 			obsRef := obs
 			obsRef.Current = curRef
-			curProd = prod.Decide(&obsProd)
+			curProd = prod.Decide(obsProd.obs())
 			curRef = ref.decide(&obsRef)
 			if curProd != curRef {
 				t.Logf("seed %d amber %d step %d: prod %v ref %v", seed, amber, k, curProd, curRef)
@@ -178,10 +193,10 @@ func TestDifferentialHeavyCongestion(t *testing.T) {
 	src := rng.New(99)
 	curProd, curRef := signal.Amber, signal.Amber
 	for k := 0; k < 2000; k++ {
-		obs := signal.Obs{Step: k, Time: float64(k)}
+		obs := refObs{Step: k}
 		for li := 0; li < info.NumLinks; li++ {
 			occ := int32(8 + src.Intn(3)) // 8..10 of capacity 10: often full
-			obs.Links = append(obs.Links, signal.LinkObs{
+			obs.Links = append(obs.Links, signaltest.LinkObs{
 				Queue:         int32(src.Intn(3)),
 				OutQueue:      occ,
 				OutOccupancy:  occ,
@@ -194,7 +209,7 @@ func TestDifferentialHeavyCongestion(t *testing.T) {
 		op, or := obs, obs
 		op.Current = curProd
 		or.Current = curRef
-		curProd = prod.Decide(&op)
+		curProd = prod.Decide(op.obs())
 		curRef = ref.decide(&or)
 		if curProd != curRef {
 			t.Fatalf("step %d: prod %v ref %v", k, curProd, curRef)

@@ -81,8 +81,8 @@ type Rule struct {
 	// or MaxInt32 under A3. Every count lies in [0, MaxInt32], so the A3
 	// gates never fire.
 	emptyAt, fullAbove int32
-	// transit masks InTransit into the lane count: -1 under
-	// CountApproaching, else 0. whole selects the whole-road pressure
+	// transit masks the approaching vehicles (Row.Transit) into the
+	// lane count: -1 under CountApproaching, else 0. whole selects the whole-road pressure
 	// q_i (A4).
 	transit int32
 	whole   bool
@@ -109,27 +109,28 @@ func compile(p Params, v GainVariant) Rule {
 	return r
 }
 
-// Gain is g(L_i^{i'}, k) of eq. (8) for the link observed by l:
+// Gain is g(L_i^{i'}, k) of eq. (8) for a link of service rate mu whose
+// outgoing road's row is out:
 //
 //	beta                    if the outgoing road is full,
 //	alpha                   if the incoming lane is empty,
 //	(in - down + W*) · µ    otherwise,
 //
 // where lane is the incoming lane's count, in the pressure count
-// b_i^{i'} and down the downstream pressure: b_{i'} = OutQueue for
+// b_i^{i'} and down the downstream pressure: b_{i'} = out.Total for
 // UTIL-BP, the estimated Σ r̂_t·q_{i',t} for BP-EST. It must stay
 // within the inliner's budget, so that a sweep over links makes no
-// call per link (CI checks that it is inlined); it costs 77 of 80, and
-// naming the result saves two of those. The two special cases
+// call per link (CI checks that it is inlined); naming the result
+// saves two of the budget's 80. The two special cases
 // are selects on the gain's bits, which the compiler emits as
 // conditional moves when both arms are in registers: α is loaded into a
 // local first, because a select whose arm loads a field stays a branch.
 // Full is written as two selects, since a && would stay a branch, and
 // it comes last so that a full road wins over an empty lane. The clamp
 // stays a comparison on floats: max would turn -0 into +0.
-func (r *Rule) Gain(l *signal.LinkObs, lane, in int, down float64) (g float64) {
+func (r *Rule) Gain(out *signal.Row, mu float64, lane, in int, down float64) (g float64) {
 	a := r.alpha
-	g = (float64(in) - down + r.shift) * l.Mu
+	g = (float64(in) - down + r.shift) * mu
 	if g < r.floor {
 		g = r.floor
 	}
@@ -138,25 +139,26 @@ func (r *Rule) Gain(l *signal.LinkObs, lane, in int, down float64) (g float64) {
 		bits = a
 	}
 	f := r.beta
-	if l.OutOccupancy < l.OutCapacity {
+	if out.Occ < out.Cap {
 		f = bits
 	}
-	if l.OutCapacity > r.fullAbove {
+	if out.Cap > r.fullAbove {
 		bits = f
 	}
 	return math.Float64frombits(bits)
 }
 
-// counts returns UTIL-BP's lane count, q_i^{i'} plus the approaching
-// vehicles under CountApproaching (widened, so the sum cannot
-// overflow), and its pressure count: the lane count, or q_i under A4.
-func (r *Rule) counts(l *signal.LinkObs) (lane, in int) {
-	lane = int(l.Queue) + int(l.InTransit&r.transit)
-	in = lane
+// counts returns UTIL-BP's lane count for movement t of the incoming
+// road's row, q_i^{i'} plus the approaching vehicles under
+// CountApproaching (widened, so the sum cannot overflow), and its
+// pressure count: the lane count, or q_i under A4.
+func (r *Rule) counts(in *signal.Row, t int32) (lane, p int) {
+	lane = int(in.Queued[t]) + int(in.Transit[t]&r.transit)
+	p = lane
 	if r.whole {
-		in = int(l.ApproachQueue)
+		p = int(in.Total)
 	}
-	return lane, in
+	return lane, p
 }
 
 // PhaseGain is g(c_j, k) of eq. (10): the sum of the constituent link

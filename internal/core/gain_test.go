@@ -6,21 +6,22 @@ import (
 	"testing/quick"
 
 	"utilbp/internal/signal"
+	"utilbp/internal/signal/signaltest"
 )
 
 func TestLinkGainSpecialCases(t *testing.T) {
 	p := Params{Alpha: -1, Beta: -2, WStar: 120}
-	full := signal.LinkObs{Queue: 10, OutOccupancy: 50, OutCapacity: 50, Mu: 1}
+	full := signaltest.LinkObs{Queue: 10, OutOccupancy: 50, OutCapacity: 50, Mu: 1}
 	if got := gainOf(&full, p, GainVariant{}); got != -2 {
 		t.Errorf("full outgoing road gain = %v, want beta=-2", got)
 	}
-	empty := signal.LinkObs{Queue: 0, OutQueue: 10, OutOccupancy: 10, OutCapacity: 50, Mu: 1}
+	empty := signaltest.LinkObs{Queue: 0, OutQueue: 10, OutOccupancy: 10, OutCapacity: 50, Mu: 1}
 	if got := gainOf(&empty, p, GainVariant{}); got != -1 {
 		t.Errorf("empty incoming lane gain = %v, want alpha=-1", got)
 	}
 	// The full-outgoing case takes precedence over the empty-incoming
 	// case, per eq. (8)'s ordering.
-	both := signal.LinkObs{Queue: 0, OutOccupancy: 50, OutCapacity: 50, Mu: 1}
+	both := signaltest.LinkObs{Queue: 0, OutOccupancy: 50, OutCapacity: 50, Mu: 1}
 	if got := gainOf(&both, p, GainVariant{}); got != -2 {
 		t.Errorf("full+empty gain = %v, want beta=-2", got)
 	}
@@ -29,14 +30,14 @@ func TestLinkGainSpecialCases(t *testing.T) {
 func TestLinkGainFormula(t *testing.T) {
 	p := Params{Alpha: -1, Beta: -2, WStar: 120}
 	// eq. (6): (b_i^{i'} - b_{i'} + W*)·µ.
-	l := signal.LinkObs{Queue: 7, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 2}
+	l := signaltest.LinkObs{Queue: 7, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 2}
 	want := (7.0 - 30.0 + 120.0) * 2
 	if got := gainOf(&l, p, GainVariant{}); got != want {
 		t.Errorf("gain = %v, want %v", got, want)
 	}
 	// Negative pressure difference still yields a positive gain thanks
 	// to the W* shift — the paper's utilization mechanism.
-	neg := signal.LinkObs{Queue: 3, OutQueue: 100, OutOccupancy: 100, OutCapacity: 120, Mu: 1}
+	neg := signaltest.LinkObs{Queue: 3, OutQueue: 100, OutOccupancy: 100, OutCapacity: 120, Mu: 1}
 	if got := gainOf(&neg, p, GainVariant{}); got <= 0 {
 		t.Errorf("negative-pressure gain = %v, want positive", got)
 	}
@@ -51,7 +52,7 @@ func TestLinkGainAlwaysPositiveWhenServiceable(t *testing.T) {
 		queue := int32(q%120) + 1        // >= 1
 		outOcc := int32(occ % 120)       // < capacity
 		rate := float64(mu%4)/2.0 + 0.25 // 0.25..1.75
-		l := signal.LinkObs{
+		l := signaltest.LinkObs{
 			Queue: queue, OutQueue: outOcc, OutOccupancy: outOcc, OutCapacity: 120,
 			InCapacity: 120, Mu: rate,
 		}
@@ -67,7 +68,7 @@ func TestLinkGainMonotonicInQueue(t *testing.T) {
 	p := Params{Alpha: -1, Beta: -2, WStar: 120}
 	prev := math.Inf(-1)
 	for q := int32(1); q <= 120; q++ {
-		l := signal.LinkObs{Queue: q, OutQueue: 40, OutOccupancy: 40, OutCapacity: 120, Mu: 1}
+		l := signaltest.LinkObs{Queue: q, OutQueue: 40, OutOccupancy: 40, OutCapacity: 120, Mu: 1}
 		g := gainOf(&l, p, GainVariant{})
 		if g <= prev {
 			t.Fatalf("gain not strictly increasing at queue %d: %v <= %v", q, g, prev)
@@ -78,7 +79,7 @@ func TestLinkGainMonotonicInQueue(t *testing.T) {
 
 func TestLinkGainVariants(t *testing.T) {
 	p := Params{Alpha: -1, Beta: -2, WStar: 120}
-	l := signal.LinkObs{Queue: 5, ApproachQueue: 40, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 1}
+	l := signaltest.LinkObs{Queue: 5, ApproachQueue: 40, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 1}
 
 	// A4: whole-road pressure uses q_i instead of q_i^{i'}.
 	whole := gainOf(&l, p, GainVariant{WholeRoadPressure: true})
@@ -87,21 +88,21 @@ func TestLinkGainVariants(t *testing.T) {
 	}
 
 	// A1: no W* shift clamps at zero.
-	neg := signal.LinkObs{Queue: 5, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 1}
+	neg := signaltest.LinkObs{Queue: 5, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 1}
 	if got := gainOf(&neg, p, GainVariant{NoWStarShift: true}); got != 0 {
 		t.Errorf("no-shift negative gain = %v, want 0", got)
 	}
-	pos := signal.LinkObs{Queue: 50, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 1}
+	pos := signaltest.LinkObs{Queue: 50, OutQueue: 30, OutOccupancy: 30, OutCapacity: 120, Mu: 1}
 	if got := gainOf(&pos, p, GainVariant{NoWStarShift: true}); got != 20 {
 		t.Errorf("no-shift positive gain = %v, want 20", got)
 	}
 
 	// A3: no special cases scores full/empty links by the formula.
-	full := signal.LinkObs{Queue: 10, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}
+	full := signaltest.LinkObs{Queue: 10, OutQueue: 120, OutOccupancy: 120, OutCapacity: 120, Mu: 1}
 	if got := gainOf(&full, p, GainVariant{NoSpecialCases: true}); got != 10 {
 		t.Errorf("no-special full gain = %v, want 10", got)
 	}
-	empty := signal.LinkObs{Queue: 0, OutQueue: 0, OutOccupancy: 0, OutCapacity: 120, Mu: 1}
+	empty := signaltest.LinkObs{Queue: 0, OutQueue: 0, OutOccupancy: 0, OutCapacity: 120, Mu: 1}
 	if got := gainOf(&empty, p, GainVariant{NoSpecialCases: true}); got != 120 {
 		t.Errorf("no-special empty gain = %v, want 120", got)
 	}
@@ -155,7 +156,7 @@ func TestPhaseGains(t *testing.T) {
 // gains into the caller's slice in place, which is how the batched
 // controller fills its slab window.
 func TestGainsBufferReuse(t *testing.T) {
-	links := []signal.LinkObs{
+	links := []signaltest.LinkObs{
 		{Queue: 1, OutCapacity: 10, Mu: 1},
 		{Queue: 0, OutCapacity: 10, Mu: 1},
 	}
@@ -164,12 +165,13 @@ func TestGainsBufferReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	table, rows := signaltest.Pairs(links...)
 	buf := []float64{7, 7, 7}
-	c.Weigh(links, buf[:2])
+	c.Weigh(table, rows, buf[:2])
 	if buf[0] != 11 || buf[1] != -1 || buf[2] != 7 {
 		t.Errorf("Weigh wrote %v, want [11 -1 7] (gain, alpha, untouched)", buf)
 	}
-	if g := c.WeighLink(1, &links[1]); g != buf[1] {
+	if g := c.WeighLink(1, &table[1], rows); g != buf[1] {
 		t.Errorf("WeighLink = %v, Weigh wrote %v", g, buf[1])
 	}
 }

@@ -11,24 +11,26 @@ import (
 )
 
 // gainOf is eq. (8) through the compiled rule, as WeighLink evaluates
-// it.
-func gainOf(l *signal.LinkObs, p Params, v GainVariant) float64 {
+// it, for the link l scripts.
+func gainOf(l *signaltest.LinkObs, p Params, v GainVariant) float64 {
 	r := compile(p, v)
-	lane, in := r.counts(l)
-	return r.Gain(l, lane, in, float64(l.OutQueue))
+	table, rows := signaltest.Pairs(*l)
+	in, out := &rows[table[0].In], &rows[table[0].Out]
+	lane, pin := r.counts(in, table[0].Turn)
+	return r.Gain(out, l.Mu, lane, pin, float64(out.Total))
 }
 
 // oracleGain is eq. (8) written case by case, with one branch per
 // special scenario and per variant switch: the body the link gain had
 // before it was compiled into a Rule. TestRuleMatchesOracle holds the
 // kernel to it bit for bit.
-func oracleGain(l *signal.LinkObs, p Params, v GainVariant) float64 {
+func oracleGain(l *signaltest.LinkObs, p Params, v GainVariant) float64 {
 	laneQueue := int(l.Queue)
 	if v.CountApproaching {
 		laneQueue += int(l.InTransit)
 	}
 	if !v.NoSpecialCases {
-		if l.OutFull() {
+		if l.OutCapacity > 0 && l.OutOccupancy >= l.OutCapacity {
 			return p.Beta
 		}
 		if laneQueue == 0 {
@@ -84,8 +86,8 @@ func randomCount(r *rand.Rand) int32 {
 // randomLink draws an observation for the property tests: capacities
 // of 0 (unbounded) and of MaxInt32, occupancies at and past capacity,
 // and µ of 0, subnormal, ordinary and huge.
-func randomLink(r *rand.Rand) signal.LinkObs {
-	l := signal.LinkObs{
+func randomLink(r *rand.Rand) signaltest.LinkObs {
+	l := signaltest.LinkObs{
 		Queue:         randomCount(r),
 		InTransit:     randomCount(r),
 		ApproachQueue: randomCount(r),
@@ -121,7 +123,7 @@ var ruleParams = []Params{
 // full road over an empty lane, a lane count past MaxInt32 under
 // CountApproaching, an unbounded road at MaxInt32 occupancy, a deficit
 // at µ = 0, whose A1 gain is −0, a subnormal µ, and a balanced link.
-var ruleEdges = []signal.LinkObs{
+var ruleEdges = []signaltest.LinkObs{
 	{Queue: 0, OutOccupancy: 5, OutCapacity: 5, Mu: 1},
 	{Queue: 0, OutOccupancy: math.MaxInt32, OutCapacity: math.MaxInt32, Mu: 1},
 	{Queue: math.MaxInt32, InTransit: math.MaxInt32, OutQueue: 3, Mu: 0.5},
@@ -137,10 +139,11 @@ var ruleEdges = []signal.LinkObs{
 // and random observations.
 func TestRuleMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewPCG(23, 8))
-	links := append([]signal.LinkObs(nil), ruleEdges...)
+	links := append([]signaltest.LinkObs(nil), ruleEdges...)
 	for len(links) < 4096 {
 		links = append(links, randomLink(r))
 	}
+	table, rows := signaltest.Pairs(links...)
 	gains := make([]float64, len(links))
 	for _, p := range ruleParams {
 		info := signal.JunctionInfo{Label: "J", NumLinks: len(links), Phases: [][]int{{0}}, WStar: p.WStar, DeltaT: 1}
@@ -149,14 +152,14 @@ func TestRuleMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.Weigh(links, gains)
+			c.Weigh(table, rows, gains)
 			for i := range links {
 				want := math.Float64bits(oracleGain(&links[i], p, v))
 				if got := math.Float64bits(gains[i]); got != want {
 					t.Fatalf("%+v %+v: Weigh gave %v for %+v, oracle %v",
 						p, v, gains[i], links[i], math.Float64frombits(want))
 				}
-				if got := math.Float64bits(c.WeighLink(i, &links[i])); got != want {
+				if got := math.Float64bits(c.WeighLink(i, &table[i], rows)); got != want {
 					t.Fatalf("%+v %+v: WeighLink gave %v for %+v, oracle %v",
 						p, v, math.Float64frombits(got), links[i], math.Float64frombits(want))
 				}

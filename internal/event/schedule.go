@@ -20,7 +20,7 @@ const (
 	// of an incident compile to this one kind.
 	TransCapacity TransKind = iota
 	// TransMark only marks the road dirty, forcing the sense substep to
-	// refresh its links despite the dirty-link gating; outage window
+	// list its links for the sensor although no count moved; outage window
 	// boundaries compile to it so blanking and resynchronization are
 	// not deferred until traffic happens to move.
 	TransMark

@@ -103,7 +103,7 @@ func (c *Controller) Name() string { return "GAPOUT" }
 func (c *Controller) demand(obs *signal.Obs, p signal.Phase) bool {
 	for _, li := range c.info.Phases[p-1] {
 		l := &obs.Links[li]
-		if l.Queue > 0 || l.InTransit > 0 {
+		if in := &obs.Rows[l.In]; in.Queued[l.Turn] > 0 || in.Transit[l.Turn] > 0 {
 			return true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"utilbp/internal/signal"
+	"utilbp/internal/signal/signaltest"
 )
 
 func testInfo() signal.JunctionInfo {
@@ -47,20 +48,17 @@ func TestGapOutTerminatesEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := &signal.Obs{Links: make([]signal.LinkObs, 4), Current: signal.Amber}
-	for i := range obs.Links {
-		obs.Links[i].Mu = 0.5
-	}
+	obs := &signal.Obs{Current: signal.Amber}
+	obs.Links, obs.Rows = signaltest.Pairs(make([]signaltest.LinkObs, 4)...)
+	lane0 := &obs.Rows[obs.Links[0].In].Queued[obs.Links[0].Turn]
 	// Demand on phase 1 only for the first 2 steps of its green.
 	greenLen := 0
 	var phase signal.Phase
 	for step := 0; step < 40; step++ {
 		obs.Step = step
-		for i := range obs.Links {
-			obs.Links[i].Queue = 0
-		}
+		*lane0 = 0
 		if phase == 1 && greenLen < 2 {
-			obs.Links[0].Queue = 3
+			*lane0 = 3
 		}
 		got := c.Decide(obs)
 		if got == phase && phase != signal.Amber {

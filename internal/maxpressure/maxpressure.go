@@ -4,10 +4,9 @@
 // pressure weighs its own queue against the queues of the downstream
 // movements its vehicles will join. Unlike the back-pressure variants of
 // internal/core and internal/bp, the downstream term is per-movement —
-// it reads the engine-owned signal.LinkObs.OutTurnQueue resolution of
-// the outgoing road instead of the aggregate OutQueue — with uniform
-// routing weights (the unknown-routing-rate refinement lives in
-// internal/bpest). A minimum green hold and amber insertion between
+// it reads the per-movement Queued columns of the outgoing road's row
+// instead of its aggregate Total — with uniform routing weights (the
+// unknown-routing-rate refinement lives in internal/bpest). A minimum green hold and amber insertion between
 // distinct greens make the controller actuation-safe under the
 // signal/signaltest conformance contract.
 package maxpressure
@@ -48,17 +47,18 @@ func (o Options) withDefaults() Options {
 // downstream movement queue) · µ. The downstream term averages the
 // outgoing road's per-movement queues with uniform routing weights
 // 1/NumTurns — the Varaiya pressure with unknown turn ratios replaced
-// by their uninformative prior. It is a pure function of the link
-// observation, which is what lets the batched controller cache it per
+// by their uninformative prior. It is a pure function of the link's
+// two rows, which is what lets the batched controller cache it per
 // link under the change-set contract.
-func Weight(l *signal.LinkObs, countApproaching bool) float64 {
-	q := int(l.Queue)
+func Weight(l *signal.Link, rows []signal.Row, countApproaching bool) float64 {
+	in, out := &rows[l.In], &rows[l.Out]
+	q := int(in.Queued[l.Turn])
 	if countApproaching {
-		q += int(l.InTransit)
+		q += int(in.Transit[l.Turn])
 	}
 	down := 0
 	for t := 0; t < signal.NumTurns; t++ {
-		down += int(l.OutTurnQueue[t])
+		down += int(out.Queued[t])
 	}
 	return (float64(q) - float64(down)/signal.NumTurns) * l.Mu
 }
@@ -105,20 +105,20 @@ func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 	if c.weights == nil {
 		c.weights = make([]float64, len(obs.Links))
 	}
-	c.Weigh(obs.Links, c.weights)
+	c.Weigh(obs.Links, obs.Rows, c.weights)
 	return c.DecideWeighted(c.weights, obs)
 }
 
 // Weigh implements signal.Weighted: the Weight of every link.
-func (c *Controller) Weigh(links []signal.LinkObs, weights []float64) {
+func (c *Controller) Weigh(links []signal.Link, rows []signal.Row, weights []float64) {
 	for i := range links {
-		weights[i] = Weight(&links[i], c.opts.CountApproaching)
+		weights[i] = Weight(&links[i], rows, c.opts.CountApproaching)
 	}
 }
 
 // WeighLink implements signal.Weighted.
-func (c *Controller) WeighLink(_ int, l *signal.LinkObs) float64 {
-	return Weight(l, c.opts.CountApproaching)
+func (c *Controller) WeighLink(_ int, l *signal.Link, rows []signal.Row) float64 {
+	return Weight(l, rows, c.opts.CountApproaching)
 }
 
 // KeepsQuiet implements signal.QuietRule: a quiet junction keeps

@@ -16,17 +16,19 @@ func testInfo() signal.JunctionInfo {
 // movement queue) · µ, with InTransit folded in only under the
 // approach-counting variant.
 func TestWeight(t *testing.T) {
-	l := signal.LinkObs{Queue: 10, InTransit: 4, Mu: 0.5, OutTurnQueue: [signal.NumTurns]int32{6, 3, 0}}
-	if got, want := Weight(&l, false), (10.0-3.0)*0.5; math.Abs(got-want) > 1e-12 {
+	l := signaltest.LinkObs{Queue: 10, InTransit: 4, Mu: 0.5, OutTurnQueue: [signal.NumTurns]int32{6, 3, 0}}
+	table, rows := signaltest.Pairs(l)
+	if got, want := Weight(&table[0], rows, false), (10.0-3.0)*0.5; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Weight = %v, want %v", got, want)
 	}
-	if got, want := Weight(&l, true), (14.0-3.0)*0.5; math.Abs(got-want) > 1e-12 {
+	if got, want := Weight(&table[0], rows, true), (14.0-3.0)*0.5; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Weight(approaching) = %v, want %v", got, want)
 	}
 	// Congested downstream drives the weight negative: the pressure
 	// term de-prioritises feeding a saturated road.
 	l.OutTurnQueue = [signal.NumTurns]int32{40, 40, 40}
-	if got := Weight(&l, false); got >= 0 {
+	table, rows = signaltest.Pairs(l)
+	if got := Weight(&table[0], rows, false); got >= 0 {
 		t.Errorf("Weight with saturated downstream = %v, want negative", got)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"utilbp/internal/rng"
-	"utilbp/internal/signal"
 	"utilbp/internal/snap"
 )
 
@@ -66,11 +65,14 @@ func oracleCountIntegrator(max, est float64, s oracleSample) float64 {
 }
 
 // oraclePerfect is Perfect's per-link body.
-func oraclePerfect(_ Sensor, _ int, truth, obs *signal.LinkObs, _ int) { *obs = *truth }
+func oraclePerfect(_ Sensor, _ int, truth, obs *linkObs, _ int) {
+	obs.Queue, obs.InTransit, obs.ApproachQueue = truth.Queue, truth.InTransit, truth.ApproachQueue
+	obs.OutQueue, obs.OutOccupancy = truth.OutQueue, truth.OutOccupancy
+}
 
 // oracleLoop is LoopDetector's per-link body, its default estimator
 // bounded by the saturation.
-func oracleLoop(s Sensor, link int, truth, obs *signal.LinkObs, _ int) {
+func oracleLoop(s Sensor, link int, truth, obs *linkObs, _ int) {
 	ld := s.(*LoopDetector)
 	max := 0.0
 	if ld.opts.Saturation > 0 {
@@ -78,7 +80,7 @@ func oracleLoop(s Sensor, link int, truth, obs *signal.LinkObs, _ int) {
 	}
 	st := &ld.links[link]
 	failed := ld.src.Bool(ld.opts.FailProb)
-	tf := truthFields(truth)
+	tf := scriptedFields(truth)
 	for f := range tf {
 		delta := tf[f] - int(st.last[f])
 		st.last[f] = int32(tf[f])
@@ -95,19 +97,19 @@ func oracleLoop(s Sensor, link int, truth, obs *signal.LinkObs, _ int) {
 			Empty: tf[f] == 0,
 		})
 	}
-	writeFields(obs, &st.est)
+	writeScripted(obs, &st.est)
 	obs.InTransit = 0
 }
 
 // oracleCV is ConnectedVehicle's per-link body.
-func oracleCV(s Sensor, link int, truth, obs *signal.LinkObs, step int) {
+func oracleCV(s Sensor, link int, truth, obs *linkObs, step int) {
 	cv := s.(*ConnectedVehicle)
 	st := &cv.links[link]
 	if cv.opts.LatencySteps > 0 && st.lastReport >= 0 && step-int(st.lastReport) < cv.opts.LatencySteps {
 		return
 	}
 	st.lastReport = int32(step)
-	tf := truthFields(truth)
+	tf := scriptedFields(truth)
 	for f := range tf {
 		seen := oracleBinomial(cv.src, tf[f], cv.opts.Rate)
 		level := float64(seen) / cv.opts.Rate
@@ -123,16 +125,31 @@ func oracleCV(s Sensor, link int, truth, obs *signal.LinkObs, step int) {
 			Empty: tf[f] == 0 && seen == 0 && cv.opts.Rate >= 1,
 		})
 	}
-	writeFields(obs, &st.est)
+	writeScripted(obs, &st.est)
+}
+
+// scriptedFields is truthFields of a scripted link: its five sensed
+// fields, widened.
+func scriptedFields(o *linkObs) [numFields]int {
+	return [numFields]int{int(o.Queue), int(o.InTransit), int(o.ApproachQueue), int(o.OutQueue), int(o.OutOccupancy)}
+}
+
+// writeScripted is writeFields into a scripted link.
+func writeScripted(o *linkObs, est *[numFields]float64) {
+	o.Queue = roundCount(est[fQueue])
+	o.InTransit = roundCount(est[fInTransit])
+	o.ApproachQueue = roundCount(est[fApproach])
+	o.OutQueue = roundCount(est[fOutQueue])
+	o.OutOccupancy = roundCount(est[fOutOcc])
 }
 
 // oracleFunc senses one link the old way, on the state of s.
-type oracleFunc func(s Sensor, link int, truth, obs *signal.LinkObs, step int)
+type oracleFunc func(s Sensor, link int, truth, obs *linkObs, step int)
 
 // oracleOutage wraps an inner oracle with the outage wrapper's per-link
 // body.
 func oracleOutage(inner oracleFunc) oracleFunc {
-	return func(s Sensor, link int, truth, obs *signal.LinkObs, step int) {
+	return func(s Sensor, link int, truth, obs *linkObs, step int) {
 		o := s.(*outageSensor)
 		for i := range o.windows {
 			if o.windows[i].covers(link, step) {
@@ -164,7 +181,7 @@ func sensorState(s Sensor) []byte {
 // randomTruth fills the dynamic fields of every link with queue-like
 // counts: mostly road-sized, some zero, and on rare links large enough
 // that one link's trials overflow the kernel's scratch.
-func randomTruth(r *rng.Source, truth []signal.LinkObs) {
+func randomTruth(r *rng.Source, truth []linkObs) {
 	for i := range truth {
 		hi := 121
 		if r.Intn(40) == 0 {
@@ -176,7 +193,7 @@ func randomTruth(r *rng.Source, truth []signal.LinkObs) {
 			}
 			return int32(r.Intn(hi))
 		}
-		truth[i] = signal.LinkObs{
+		truth[i] = linkObs{
 			Queue:         field(),
 			InTransit:     field() / 4,
 			ApproachQueue: field(),
@@ -213,13 +230,13 @@ func checkAgainstOracle(t *testing.T, a, b Sensor, oracle oracleFunc, seed uint6
 		s.Reseed(seed)
 	}
 	r := rng.New(seed)
-	truth := make([]signal.LinkObs, nlinks)
-	obsA := make([]signal.LinkObs, nlinks)
-	obsB := make([]signal.LinkObs, nlinks)
+	truth := make([]linkObs, nlinks)
+	obsA := make([]linkObs, nlinks)
+	obsB := make([]linkObs, nlinks)
 	for step := 0; step < steps; step++ {
 		randomTruth(r, truth)
 		links := randomLinks(r, nlinks)
-		a.Sense(links, truth, obsA, step)
+		senseLinks(a, links, truth, obsA, step)
 		for _, l := range links {
 			oracle(b, int(l), &truth[l], &obsB[l], step)
 		}
@@ -282,17 +299,17 @@ func TestCVKernelOverflowLink(t *testing.T) {
 		s.Prepare(4)
 		s.Reseed(5)
 	}
-	truth := []signal.LinkObs{
+	truth := []linkObs{
 		truthObs(30, 4, 60, 20, 80),
 		truthObs(cvChunk, 3, cvChunk/2, 1, cvChunk), // alone over the bound
 		truthObs(0, 0, 0, 0, 0),
 		truthObs(100, 10, 120, 120, 120),
 	}
-	obsA := make([]signal.LinkObs, len(truth))
-	obsB := make([]signal.LinkObs, len(truth))
+	obsA := make([]linkObs, len(truth))
+	obsB := make([]linkObs, len(truth))
 	links := []int32{3, 1, 2, 0}
 	for step := 0; step < 3; step++ {
-		a.Sense(links, truth, obsA, step)
+		senseLinks(a, links, truth, obsA, step)
 		for _, l := range links {
 			oracleCV(b, int(l), &truth[l], &obsB[l], step)
 		}

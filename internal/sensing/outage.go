@@ -7,7 +7,7 @@ import "utilbp/internal/signal"
 type OutageMode int
 
 const (
-	// OutageBlank zeroes the dynamic observation fields for the window:
+	// OutageBlank zeroes the sensed columns for the window:
 	// the detector feed is gone and the controller sees empty links.
 	OutageBlank OutageMode = iota
 	// OutageFreeze holds the last pre-outage reading for the window: the
@@ -53,8 +53,8 @@ type outageSensor struct {
 
 // Outage wraps a sensor so the configured windows blank or freeze their
 // links. The inner sensor must be non-nil; callers modeling an outage
-// over perfect observation wrap Perfect{} (the engine's sensor-free fast
-// path cannot express an outage, since nothing intercepts the truth).
+// over perfect observation wrap Perfect{} (a sensor-free engine's
+// controllers read the truth rows, which nothing intercepts).
 func Outage(inner Sensor, windows []OutageWindow) Sensor {
 	return &outageSensor{inner: inner, windows: windows}
 }
@@ -76,30 +76,25 @@ func (o *outageSensor) Prepare(nlinks int) {
 func (o *outageSensor) Reseed(seed uint64) { o.inner.Reseed(seed) }
 
 // Sense implements Sensor. A link inside an active window never
-// reaches the inner sensor: blank zeroes the dynamic fields, freeze
-// leaves the latched observation untouched. Suppressed sensing events
+// reaches the inner sensor: blank zeroes the sensed columns of its
+// observed pair, freeze leaves them untouched. Suppressed sensing events
 // are dropped entirely — like a real dead detector, the inner model's
 // per-link state (count snapshots, report clocks) does not advance and
 // resynchronizes from scratch when the feed returns. The other links
 // reach the inner sensor in order, in one call.
-func (o *outageSensor) Sense(links []int32, truth, obs []signal.LinkObs, step int) {
+func (o *outageSensor) Sense(links []int32, table []signal.Link, truth, obs []signal.Row, step int) {
 	pass := o.pass[:0]
 	for _, l := range links {
 		if w := o.covering(int(l), step); w != nil {
 			if w.Mode == OutageBlank {
-				b := &obs[l]
-				b.Queue = 0
-				b.InTransit = 0
-				b.ApproachQueue = 0
-				b.OutQueue = 0
-				b.OutOccupancy = 0
+				writeFields(obs, l, table[l].Turn, &[numFields]float64{})
 			}
 			continue
 		}
 		pass = append(pass, l)
 	}
 	o.pass = pass
-	o.inner.Sense(pass, truth, obs, step)
+	o.inner.Sense(pass, table, truth, obs, step)
 }
 
 // covering returns the first window that suppresses the link at the

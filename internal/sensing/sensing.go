@@ -1,21 +1,21 @@
 // Package sensing models the cyber half of the paper's CPS split: the
 // detection hardware sitting between the physical queues and the signal
-// controllers. The simulation engine maintains exact per-link state (the
-// plant); a Sensor maps that ground truth onto the signal.Obs queue
-// values a controller actually sees — bit-for-bit for Perfect, through a
-// stop-bar count model for LoopDetector, or through per-vehicle
-// penetration sampling for ConnectedVehicle. Each sensor folds its raw
+// controllers. The simulation engine maintains exact per-road state,
+// its truth rows (the plant); a Sensor maps that ground truth onto the
+// observed rows a controller actually reads — bit-for-bit for Perfect,
+// through a stop-bar count model for LoopDetector, or through
+// per-vehicle penetration sampling for ConnectedVehicle. Each sensor folds its raw
 // readings into queue estimates (count integration for the detector, an
 // exponential filter for probe vehicles), following the estimated-queue
 // back-pressure literature (arXiv:2006.15549, arXiv:1401.3357).
 //
-// Sensors are engine-local and event-driven: the engine marks a link
-// dirty whenever the underlying road state changes (spawn, serve,
-// stop-line arrival) and, once per mini-slot, hands Sense the list of
-// links it refreshed, so a link whose queues did not move keeps its
-// previous reading — exactly how count-based roadside detection
-// behaves, and what keeps the perfect-observation path cheaper than the
-// old full walk (DESIGN.md §10). All sensing randomness draws from a
+// Sensors are engine-local and event-driven: the engine marks a road
+// dirty whenever its state changes (spawn, serve, stop-line arrival)
+// and, once per mini-slot, hands Sense the list of links reading a
+// dirty road, so a link whose queues did not move keeps its previous
+// reading — exactly how count-based roadside detection behaves
+// (DESIGN.md §10). Each link is sensed on its own and keeps its own
+// observed pair of rows (signal.PairRows). All sensing randomness draws from a
 // dedicated "sensing" stream derived from the run seed
 // (rng.New(seed).Split("sensing")), so installing or tuning a sensor
 // never perturbs the demand or routing streams, and Engine.Reset replays
@@ -30,18 +30,19 @@ import (
 	"utilbp/internal/signal"
 )
 
-// Sensor maps the ground-truth state of junction links onto the
-// observations their controllers see. Implementations are stateful
+// Sensor maps the ground-truth road rows of junction links onto the
+// observed rows their controllers see. Implementations are stateful
 // (they hold per-link estimates and their RNG stream) and are NOT safe
 // for concurrent use: one sensor serves one running engine at a time.
 //
 // The engine calls Sense once per mini-slot with the links whose
-// underlying road state changed during the previous mini-slot; readings
-// for unchanged links persist in the observation. Sensors write only the
-// dynamic queue fields of an observation (Queue, InTransit,
-// ApproachQueue, OutQueue, OutOccupancy) — the static fields
-// (capacities, µ) and the per-movement downstream fields are
-// engine-owned.
+// incoming or outgoing road changed during the previous mini-slot;
+// readings for unchanged links persist in their observed rows. Sensors
+// write only the five sensed columns of a link's observed pair: of the
+// incoming row Queued[Turn], Transit[Turn] and Total, of the outgoing
+// row Total and Occ. The other columns a link reads — both capacities
+// and the outgoing row's per-movement Queued and Joins — are
+// engine-owned, and µ is in the link table.
 type Sensor interface {
 	// Name identifies the sensor model and every option that changes
 	// what it writes (e.g. "cv:0.3", "loop:10,fail=0.3"). The engine's
@@ -56,13 +57,16 @@ type Sensor interface {
 	Prepare(nlinks int)
 	// Sense observes one mini-slot's changed links. links holds dense
 	// global link indexes, each at most once, in the order the engine
-	// refreshed them; for each l in links, truth[l] is the exact state
-	// the engine maintains and obs[l] the entry the controller will
-	// read. step is the mini-slot index; a link is sensed at most once
-	// per step. The result is the same as sensing the links one at a
-	// time in list order — no link's reading depends on another's — so
-	// implementations are free to batch the work across links.
-	Sense(links []int32, truth, obs []signal.LinkObs, step int)
+	// lists them; for each l in links, table[l] names the link's
+	// incoming and outgoing rows in truth, the exact state the engine
+	// maintains, and its movement, and the sensor writes the sensed
+	// columns of the link's pair in obs (signal.PairRows(l)), the rows
+	// the controller will read. step is the mini-slot index; a link is
+	// sensed at most once per step. The result is the same as sensing
+	// the links one at a time in list order — no link's reading depends
+	// on another's — so implementations are free to batch the work
+	// across links.
+	Sense(links []int32, table []signal.Link, truth, obs []signal.Row, step int)
 	// Reseed rewinds the sensor to the fresh deterministic state of a
 	// run with the given seed: per-link estimates cleared and the RNG
 	// rewound to rng.New(seed).Split("sensing"). Engine.Reset forwards
@@ -83,7 +87,7 @@ func sensingStream(seed uint64) *rng.Source {
 // state, reproducing the engine's historical behavior bit-for-bit. It
 // exists so sensor sweeps have an explicit zero-error reference; an
 // engine configured with no sensor at all takes an even shorter path
-// (the observation aliases the truth storage) with identical results.
+// (its controllers read the truth rows) with identical results.
 type Perfect struct{}
 
 // Name implements Sensor.
@@ -92,18 +96,23 @@ func (Perfect) Name() string { return "perfect" }
 // Prepare implements Sensor; the perfect sensor keeps no state.
 func (Perfect) Prepare(int) {}
 
-// Sense implements Sensor by copying the truth verbatim.
-func (Perfect) Sense(links []int32, truth, obs []signal.LinkObs, _ int) {
+// Sense implements Sensor by copying the sensed columns verbatim.
+func (Perfect) Sense(links []int32, table []signal.Link, truth, obs []signal.Row, _ int) {
 	for _, l := range links {
-		obs[l] = truth[l]
+		tl := &table[l]
+		tin, tout := &truth[tl.In], &truth[tl.Out]
+		in, out := pair(obs, l)
+		in.Queued[tl.Turn], in.Transit[tl.Turn], in.Total = tin.Queued[tl.Turn], tin.Transit[tl.Turn], tin.Total
+		out.Total, out.Occ = tout.Total, tout.Occ
 	}
 }
 
 // Reseed implements Sensor; the perfect sensor draws no randomness.
 func (Perfect) Reseed(uint64) {}
 
-// The dynamic queue-state fields a sensor estimates, as indexes into
-// the per-link estimate vectors. InTransit is special-cased by the
+// The sensed columns of a link, as indexes into the per-link estimate
+// vectors: the incoming row's Queued[Turn], Transit[Turn] and Total,
+// the outgoing row's Total and Occ. fInTransit is special-cased by the
 // stop-bar detector (it cannot see rolling vehicles).
 const (
 	fQueue = iota
@@ -114,21 +123,30 @@ const (
 	numFields
 )
 
-// truthFields gathers the dynamic fields of a link observation into a
-// vector so sensors can apply one model uniformly per field, widened so
-// sums and deltas of them cannot wrap.
-func truthFields(o *signal.LinkObs) [numFields]int {
-	return [numFields]int{int(o.Queue), int(o.InTransit), int(o.ApproachQueue), int(o.OutQueue), int(o.OutOccupancy)}
+// truthFields gathers the sensed columns of link l's two truth rows
+// into a vector so sensors can apply one model uniformly per field,
+// widened so sums and deltas of them cannot wrap.
+func truthFields(l *signal.Link, truth []signal.Row) [numFields]int {
+	in, out := &truth[l.In], &truth[l.Out]
+	return [numFields]int{int(in.Queued[l.Turn]), int(in.Transit[l.Turn]), int(in.Total), int(out.Total), int(out.Occ)}
+}
+
+// pair returns link gl's observed rows.
+func pair(obs []signal.Row, gl int32) (in, out *signal.Row) {
+	i, o := signal.PairRows(gl)
+	return &obs[i], &obs[o]
 }
 
 // writeFields stores rounded estimates, saturated to [0, MaxInt32],
-// into the dynamic fields of a link observation.
-func writeFields(o *signal.LinkObs, est *[numFields]float64) {
-	o.Queue = roundCount(est[fQueue])
-	o.InTransit = roundCount(est[fInTransit])
-	o.ApproachQueue = roundCount(est[fApproach])
-	o.OutQueue = roundCount(est[fOutQueue])
-	o.OutOccupancy = roundCount(est[fOutOcc])
+// into the sensed columns of link gl's observed pair; t is the link's
+// movement.
+func writeFields(obs []signal.Row, gl, t int32, est *[numFields]float64) {
+	in, out := pair(obs, gl)
+	in.Queued[t] = roundCount(est[fQueue])
+	in.Transit[t] = roundCount(est[fInTransit])
+	in.Total = roundCount(est[fApproach])
+	out.Total = roundCount(est[fOutQueue])
+	out.Occ = roundCount(est[fOutOcc])
 }
 
 // roundCount rounds an estimate to a vehicle count, saturated to
@@ -167,8 +185,8 @@ const DefaultSaturation = 60
 // across the detector (the count delta between sensing events),
 // integrates it into a running count bounded by the detector-zone
 // capacity, and occasionally misses an event entirely. Vehicles still
-// rolling toward the stop line are invisible to it, so InTransit reads
-// zero. Construct with NewLoopDetector.
+// rolling toward the stop line are invisible to it, so the observed
+// Transit column reads zero. Construct with NewLoopDetector.
 type LoopDetector struct {
 	opts LoopDetectorOptions
 	// max bounds the integrated count: the saturation, or 0 (unbounded)
@@ -241,17 +259,17 @@ func (ld *LoopDetector) Reseed(seed uint64) {
 // Sense implements Sensor. Each sensing event observes the per-field
 // count deltas since the previous event; a failed event loses them (the
 // estimate drifts) but an observed empty queue resynchronizes to zero.
-func (ld *LoopDetector) Sense(links []int32, truth, obs []signal.LinkObs, _ int) {
+func (ld *LoopDetector) Sense(links []int32, table []signal.Link, truth, obs []signal.Row, _ int) {
 	for _, l := range links {
-		ld.senseLink(&ld.links[l], &truth[l], &obs[l])
+		ld.senseLink(&ld.links[l], &table[l], truth, obs, l)
 	}
 }
 
-// senseLink is one link's sensing event: one failure draw, then the
+// senseLink is link gl's sensing event: one failure draw, then the
 // per-field count integration.
-func (ld *LoopDetector) senseLink(st *loopLink, truth, obs *signal.LinkObs) {
+func (ld *LoopDetector) senseLink(st *loopLink, l *signal.Link, truth, obs []signal.Row, gl int32) {
 	failed := ld.src.Bool(ld.opts.FailProb)
-	tf := truthFields(truth)
+	tf := truthFields(l, truth)
 	for f := range tf {
 		delta := tf[f] - int(st.last[f])
 		st.last[f] = int32(tf[f])
@@ -260,8 +278,9 @@ func (ld *LoopDetector) senseLink(st *loopLink, truth, obs *signal.LinkObs) {
 		}
 		st.est[f] = integrateCount(st.est[f], float64(delta), ld.max, tf[f] == 0)
 	}
-	writeFields(obs, &st.est)
-	obs.InTransit = 0 // rolling vehicles never reach the stop-bar loop
+	writeFields(obs, gl, l.Turn, &st.est)
+	in, _ := pair(obs, gl)
+	in.Transit[l.Turn] = 0 // rolling vehicles never reach the stop-bar loop
 }
 
 // ConnectedVehicleOptions configures the connected-vehicle model.
@@ -375,7 +394,7 @@ func (cv *ConnectedVehicle) Reseed(seed uint64) {
 // latency rule runs first over the whole list; afterwards a link
 // reports this step exactly when its lastReport is step, since a link
 // is sensed at most once per step.
-func (cv *ConnectedVehicle) Sense(links []int32, truth, obs []signal.LinkObs, step int) {
+func (cv *ConnectedVehicle) Sense(links []int32, table []signal.Link, truth, obs []signal.Row, step int) {
 	now, lat := int32(step), cv.opts.LatencySteps
 	for _, l := range links {
 		st := &cv.links[l]
@@ -387,21 +406,21 @@ func (cv *ConnectedVehicle) Sense(links []int32, truth, obs []signal.LinkObs, st
 	if cv.opts.NoiseStd > 0 || cv.opts.Rate >= 1 {
 		for _, l := range links {
 			if st := &cv.links[l]; st.lastReport == now {
-				cv.report(st, &truth[l], &obs[l])
+				cv.report(st, &table[l], truth, obs, l)
 			}
 		}
 		return
 	}
-	cv.senseKernel(links, truth, obs, now)
+	cv.senseKernel(links, table, truth, obs, now)
 }
 
-// report is one link's reading, field by field: a Binomial draw, then
+// report is link gl's reading, field by field: a Binomial draw, then
 // (with noise) a Gaussian one, folded through the filter. With noise the
 // two kinds of draw interleave, so this order is the sensor's definition;
 // at Rate 1 the Binomial is the exact count without a draw, and a
 // counted empty field snaps the estimate to zero.
-func (cv *ConnectedVehicle) report(st *cvLink, truth, obs *signal.LinkObs) {
-	tf := truthFields(truth)
+func (cv *ConnectedVehicle) report(st *cvLink, l *signal.Link, truth, obs []signal.Row, gl int32) {
+	tf := truthFields(l, truth)
 	for f := range tf {
 		seen := cv.src.Binomial(tf[f], cv.opts.Rate)
 		level := float64(seen) / cv.opts.Rate
@@ -414,7 +433,7 @@ func (cv *ConnectedVehicle) report(st *cvLink, truth, obs *signal.LinkObs) {
 		empty := tf[f] == 0 && seen == 0 && cv.opts.Rate >= 1
 		st.est[f] = expFilter(st.est[f], level, cv.opts.Alpha, empty)
 	}
-	writeFields(obs, &st.est)
+	writeFields(obs, gl, l.Turn, &st.est)
 }
 
 // senseKernel is Sense for a noiseless sensor below full penetration,
@@ -425,31 +444,31 @@ func (cv *ConnectedVehicle) report(st *cvLink, truth, obs *signal.LinkObs) {
 // same order, so the readings and the stream position are the same. A
 // link with more trials than the scratch holds draws field by field on
 // its own, between the chunks around it.
-func (cv *ConnectedVehicle) senseKernel(links []int32, truth, obs []signal.LinkObs, now int32) {
+func (cv *ConnectedVehicle) senseKernel(links []int32, table []signal.Link, truth, obs []signal.Row, now int32) {
 	first, n := 0, 0 // the pending chunk is links[first:k], n trials
 	for k, l := range links {
 		st := &cv.links[l]
 		if st.lastReport != now {
 			continue
 		}
-		d := trials(&truth[l])
+		d := trials(truthFields(&table[l], truth))
 		if n+d <= cvChunk {
 			n += d
 			continue
 		}
-		cv.drawChunk(links[first:k], n, truth, obs, now)
+		cv.drawChunk(links[first:k], n, table, truth, obs, now)
 		first, n = k, d
 		if d > cvChunk {
-			cv.report(st, &truth[l], &obs[l])
+			cv.report(st, &table[l], truth, obs, l)
 			first, n = k+1, 0
 		}
 	}
-	cv.drawChunk(links[first:], n, truth, obs, now)
+	cv.drawChunk(links[first:], n, table, truth, obs, now)
 }
 
 // drawChunk draws the n trials of the reporting links in chunk in one
 // BernoulliPrefix and folds each field's count through the filter.
-func (cv *ConnectedVehicle) drawChunk(chunk []int32, n int, truth, obs []signal.LinkObs, now int32) {
+func (cv *ConnectedVehicle) drawChunk(chunk []int32, n int, table []signal.Link, truth, obs []signal.Row, now int32) {
 	cum := cv.cum[:n+1]
 	cv.src.BernoulliPrefix(cum, cv.opts.Rate)
 	rate, alpha := cv.opts.Rate, cv.opts.Alpha
@@ -459,23 +478,27 @@ func (cv *ConnectedVehicle) drawChunk(chunk []int32, n int, truth, obs []signal.
 		if st.lastReport != now {
 			continue
 		}
-		for f, c := range truthFields(&truth[l]) {
+		tl := &table[l]
+		for f, c := range truthFields(tl, truth) {
 			c = max(c, 0)
 			level := float64(cum[at+c]-cum[at]) / rate
 			at += c
 			st.est[f] = expFilter(st.est[f], level, alpha, false)
 		}
-		writeFields(&obs[l], &st.est)
+		writeFields(obs, l, tl.Turn, &st.est)
 	}
 }
 
-// trials counts the Bernoulli trials of one link's reading: one per
-// vehicle in each field (Binomial draws nothing for a non-positive
-// count). The sum is taken in int, since five int32 counts can pass
-// int32.
-func trials(o *signal.LinkObs) int {
-	return max(int(o.Queue), 0) + max(int(o.InTransit), 0) + max(int(o.ApproachQueue), 0) +
-		max(int(o.OutQueue), 0) + max(int(o.OutOccupancy), 0)
+// trials counts the Bernoulli trials of one link's reading, whose
+// sensed truth is tf: one per vehicle in each field (Binomial draws
+// nothing for a non-positive count). The fields are int, since five
+// int32 counts can pass int32.
+func trials(tf [numFields]int) int {
+	n := 0
+	for _, c := range tf {
+		n += max(c, 0)
+	}
+	return n
 }
 
 var (

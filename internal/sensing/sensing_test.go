@@ -4,30 +4,48 @@ import (
 	"math"
 	"testing"
 
-	"utilbp/internal/signal"
+	"utilbp/internal/signal/signaltest"
 )
 
-func truthObs(queue, inTransit, approach, outQueue, outOcc int) signal.LinkObs {
-	return signal.LinkObs{
+// linkObs is a link's truth or observation as the tests script it; it
+// is put into the pair layout Sense reads and writes.
+type linkObs = signaltest.LinkObs
+
+func truthObs(queue, inTransit, approach, outQueue, outOcc int) linkObs {
+	return linkObs{
 		Queue: int32(queue), InTransit: int32(inTransit), ApproachQueue: int32(approach),
 		OutQueue: int32(outQueue), OutOccupancy: int32(outOcc),
 		OutCapacity: 120, InCapacity: 120, Mu: 0.5,
 	}
 }
 
+// senseLinks senses links through one Sense call: truth and obs are put
+// into the pair layout (the truth rows, like a sensed engine's observed
+// ones, one pair per link), and every observation is read back.
+func senseLinks(s Sensor, links []int32, truth, obs []linkObs, step int) {
+	table, truthRows := signaltest.Pairs(truth...)
+	obsTable, obsRows := signaltest.Pairs(obs...)
+	s.Sense(links, table, truthRows, obsRows, step)
+	for l := range obs {
+		obs[l] = signaltest.Get(&obsTable[l], obsRows)
+	}
+}
+
 // senseLink senses one link through Sense: the link's truth and
 // observation sit at index link of slabs sized to cover it.
-func senseLink(s Sensor, link int, truth, obs *signal.LinkObs, step int) {
-	truths := make([]signal.LinkObs, link+1)
-	obss := make([]signal.LinkObs, link+1)
+func senseLink(s Sensor, link int, truth, obs *linkObs, step int) {
+	truths := make([]linkObs, link+1)
+	obss := make([]linkObs, link+1)
 	truths[link], obss[link] = *truth, *obs
-	s.Sense([]int32{int32(link)}, truths, obss, step)
+	senseLinks(s, []int32{int32(link)}, truths, obss, step)
 	*obs = obss[link]
 }
 
+// TestPerfectCopiesTruth checks that Perfect copies the sensed columns;
+// the observation starts with the engine-owned ones the truth has.
 func TestPerfectCopiesTruth(t *testing.T) {
 	truth := truthObs(7, 3, 12, 5, 40)
-	var obs signal.LinkObs
+	obs := truthObs(0, 0, 0, 0, 0)
 	senseLink(Perfect{}, 0, &truth, &obs, 4)
 	if obs != truth {
 		t.Fatalf("Perfect obs %+v != truth %+v", obs, truth)
@@ -38,7 +56,7 @@ func TestLoopDetectorTracksAndSaturates(t *testing.T) {
 	ld := NewLoopDetector(LoopDetectorOptions{Saturation: 10})
 	ld.Prepare(4)
 	ld.Reseed(3)
-	var obs signal.LinkObs
+	var obs linkObs
 
 	truth := truthObs(6, 2, 6, 0, 0)
 	senseLink(ld, 1, &truth, &obs, 0)
@@ -70,7 +88,7 @@ func TestLoopDetectorFailureDrifts(t *testing.T) {
 	ld := NewLoopDetector(LoopDetectorOptions{FailProb: 0.999999})
 	ld.Prepare(1)
 	ld.Reseed(5)
-	var obs signal.LinkObs
+	var obs linkObs
 	for step := 0; step < 10; step++ {
 		truth := truthObs(step+1, 0, step+1, 0, 0)
 		senseLink(ld, 0, &truth, &obs, step)
@@ -86,7 +104,7 @@ func TestConnectedVehicleFullPenetrationExact(t *testing.T) {
 	cv.Prepare(2)
 	cv.Reseed(9)
 	truth := truthObs(8, 3, 11, 4, 77)
-	var obs signal.LinkObs
+	var obs linkObs
 	senseLink(cv, 0, &truth, &obs, 0)
 	if obs.Queue != 8 || obs.InTransit != 3 || obs.ApproachQueue != 11 || obs.OutQueue != 4 || obs.OutOccupancy != 77 {
 		t.Fatalf("full-penetration pass-through diverged: %+v", obs)
@@ -98,7 +116,7 @@ func TestConnectedVehicleUnbiased(t *testing.T) {
 	cv.Prepare(1)
 	cv.Reseed(11)
 	truth := truthObs(30, 0, 30, 0, 0)
-	var obs signal.LinkObs
+	var obs linkObs
 	sum := 0.0
 	const events = 4000
 	for step := 0; step < events; step++ {
@@ -115,7 +133,7 @@ func TestConnectedVehicleLatencyHoldsReports(t *testing.T) {
 	cv := NewConnectedVehicle(ConnectedVehicleOptions{Rate: 1, LatencySteps: 5, Alpha: 1})
 	cv.Prepare(1)
 	cv.Reseed(1)
-	var obs signal.LinkObs
+	var obs linkObs
 	truth := truthObs(4, 0, 4, 0, 0)
 	senseLink(cv, 0, &truth, &obs, 0) // first report is accepted
 	if obs.Queue != 4 {
@@ -137,7 +155,7 @@ func TestSensorReseedReplays(t *testing.T) {
 		s.Prepare(3)
 		s.Reseed(42)
 		var got []int32
-		var obs signal.LinkObs
+		var obs linkObs
 		for step := 0; step < 50; step++ {
 			truth := truthObs((step*7)%13, step%3, (step*7)%13+2, step%5, step%9)
 			senseLink(s, step%3, &truth, &obs, step)
@@ -290,7 +308,7 @@ func TestCVEstimatesSaturate(t *testing.T) {
 		cv := NewConnectedVehicle(ConnectedVehicleOptions{Rate: 0.3, NoiseStd: noise})
 		cv.Prepare(1)
 		cv.Reseed(3)
-		var obs signal.LinkObs
+		var obs linkObs
 		saturated := false
 		for step := 0; step < 40; step++ {
 			truth := truthObs(7, 3, 12, 5, 40)

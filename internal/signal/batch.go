@@ -6,16 +6,17 @@ import (
 )
 
 // Batch is the engine-owned structure-of-arrays view of every junction's
-// control state a BatchController decides over in one call: a dense slab
-// of link observations covering all junctions back-to-back, per-junction
-// phase state, and the change set of the current decision round. The
-// slab aliases the engine's incrementally maintained observation storage
-// (DESIGN.md §11), so handing it to a batched controller costs nothing —
-// no per-junction copying, no pointer chasing through junction structs.
+// control state a BatchController decides over in one call: the row
+// slab and the static link table covering all junctions back-to-back,
+// per-junction phase state, and the change set of the current decision
+// round. The rows are the engine's own (the truth rows, or a sensed
+// engine's observed pairs) and the table is built once (DESIGN.md §6,
+// §11), so handing them to a batched controller costs nothing — no
+// per-junction copying, no pointer chasing through junction structs.
 //
 // Junction j owns Links[JuncOff[j]:JuncOff[j+1]]; link li of junction j
 // therefore has the dense global index JuncOff[j]+li. A BatchController
-// reads Links/Current/Quiet and writes Decided; everything else is
+// reads Rows/Links/Current/Quiet and writes Decided; everything else is
 // input.
 type Batch struct {
 	// Step is the discrete time index k; Time is t_k in seconds. They
@@ -23,9 +24,10 @@ type Batch struct {
 	// junctions on one clock).
 	Step int
 	Time float64
-	// Links is the dense per-link observation slab, all junctions
-	// back-to-back in junction order.
-	Links []LinkObs
+	// Rows is the row slab and Links the link table indexing it, all
+	// junctions' links back-to-back in junction order.
+	Rows  []Row
+	Links []Link
 	// JuncOff is the prefix-sum offset table: junction j's links are
 	// Links[JuncOff[j]:JuncOff[j+1]]. len(JuncOff) == len(Current)+1.
 	JuncOff []int32
@@ -44,13 +46,14 @@ type Batch struct {
 	// slice); Infos is here so generic adapters need no side channel.
 	Infos []JunctionInfo
 	// Changed lists the dense global indexes of links whose observation
-	// may have changed since the previous decision round, deduplicated.
-	// AllChanged signals a full refresh instead (first round after
-	// construction or reset, or the engine's contiguous full-walk sense
-	// fallback); when it is set, Changed is meaningless. A controller
-	// caching per-link derived state (link gains) may recompute only the
-	// changed links — link observations outside the change set are
-	// bit-for-bit identical to the previous round.
+	// (the columns of its two rows it reads) may have changed since the
+	// previous decision round, deduplicated. AllChanged signals a full
+	// refresh instead (first round after construction or reset, or a
+	// step that dirtied a quarter of the roads); when it is set, Changed
+	// is meaningless. A controller caching per-link derived state (link
+	// gains) may recompute only the changed links — link observations
+	// outside the change set are bit-for-bit identical to the previous
+	// round.
 	Changed    []int32
 	AllChanged bool
 	// Quiet flags, per junction, a quiet fixed point: last round the
@@ -69,19 +72,20 @@ type Batch struct {
 // batch without Quiet flags none.
 func (b *Batch) IsQuiet(j int) bool { return b.Quiet != nil && b.Quiet[j] }
 
-// JunctionLinks returns junction j's window of the link slab.
-func (b *Batch) JunctionLinks(j int) []LinkObs {
+// JunctionLinks returns junction j's window of the link table.
+func (b *Batch) JunctionLinks(j int) []Link {
 	return b.Links[b.JuncOff[j]:b.JuncOff[j+1]]
 }
 
 // View fills dst with junction j's per-junction observation, aliasing
-// the batch's link slab. It is the bridge between the batched and
-// per-junction controller contracts: a Decide call on the filled
+// the batch's rows and link table. It is the bridge between the batched
+// and per-junction controller contracts: a Decide call on the filled
 // observation sees exactly what the batch holds.
 func (b *Batch) View(j int, dst *Obs) {
 	dst.Step = b.Step
 	dst.Time = b.Time
 	dst.Links = b.JunctionLinks(j)
+	dst.Rows = b.Rows
 	dst.Current = b.Current[j]
 }
 
@@ -89,7 +93,7 @@ func (b *Batch) View(j int, dst *Obs) {
 // network in one call. It is the batched counterpart of Controller: the
 // engine's control substep hands it the Batch once per mini-slot instead
 // of making one virtual Decide call per junction, which lets
-// implementations sweep dense per-link arrays (and cache derived state
+// implementations sweep the dense link table (and cache derived state
 // across rounds via the change set) with zero allocations.
 //
 // Implementations must be deterministic functions of the observation

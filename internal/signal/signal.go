@@ -11,8 +11,8 @@ package signal
 import "fmt"
 
 // NumTurns is the number of turning movements a road fans out into
-// (left, straight, right). It sizes the per-movement downstream arrays
-// of LinkObs and matches the network's per-road turn layout.
+// (left, straight, right). It sizes the per-movement columns of Row and
+// matches the network's per-road turn layout.
 const NumTurns = 3
 
 // Phase identifies a control phase at a junction. Control phases are
@@ -26,66 +26,80 @@ const Amber Phase = 0
 // String renders the phase like the paper ("c0".."c4").
 func (p Phase) String() string { return fmt.Sprintf("c%d", int(p)) }
 
-// LinkObs is the observable state of one feasible link L_i^{i'} at a
-// decision instant k.
+// Row is the observable state of one road at a decision instant k: the
+// per-movement columns of the paper's Q(k) (q_i^{i'} is a lane of road
+// i) and the road totals capacity blocking reads. A controller reads a
+// link's state from two rows, its incoming road's and its outgoing
+// road's, through the link table (Link); the engine keeps its own road
+// counters in this layout, so a sensor-free engine hands controllers
+// its truth rows with no copy (DESIGN.md §6).
 //
-// The counts are int32 and the struct is 64 bytes, one cache line: the
-// engine rewrites the observations of the changed links every step and
-// the controllers re-read them in their weight sweep, so the width is
-// the memory traffic of both (DESIGN.md §6). A road holds at most its
-// capacity and a cumulative join count at most the vehicles spawned,
-// so the engine's counts fit; a sensor saturates its estimates to
-// [0, math.MaxInt32]. Readers widen before they sum counts that could
-// pass int32, and float64 of an int32 is exact.
-type LinkObs struct {
-	// Queue is q_i^{i'}(k): the number of vehicles in this link's
-	// dedicated turning lane (stopped at the stop line).
-	Queue int32
-	// InTransit counts vehicles already on the incoming road and bound
-	// for this link's lane but still rolling toward the stop line. The
-	// paper's queuing-network model treats the whole road as the queue,
-	// so gain variants may add this to Queue.
-	InTransit int32
-	// ApproachQueue is q_i(k): the total queued on the incoming road
-	// across all its turning lanes (eq. 1). ORIG-BP's gain (eq. 5) and
-	// ablation A4 use it instead of Queue.
-	ApproachQueue int32
-	// OutQueue is q_{i'}(k): the total queue length on the outgoing
-	// road (vehicles stopped at its downstream stop line), the pressure
-	// term b_{i'} of eq. (5)/(6).
-	OutQueue int32
-	// OutOccupancy counts all vehicles currently on the outgoing road
-	// (travelling + queued); capacity blocking applies to it.
-	OutOccupancy int32
-	// OutCapacity is W_{i'}; 0 means unbounded (a boundary sink).
-	OutCapacity int32
-	// InCapacity is W_i of the incoming road, used by capacity-
-	// normalized pressure variants; 0 means unbounded.
-	InCapacity int32
-	// Mu is the link's full service rate µ_i^{i'} in veh/s.
-	Mu float64
-	// OutTurnQueue resolves OutQueue per turning movement of the
-	// OUTGOING road: OutTurnQueue[t] counts the vehicles queued in the
-	// outgoing road's movement-t lane. Downstream-aware controllers
-	// (MaxPressure, unknown-routing-rate BP) weight these by routing
-	// rates instead of using the aggregate OutQueue. Engine-owned like
-	// the capacity fields: sensors never write it (the engine copies
-	// it from the truth to the sensed observation of every changed link
-	// before its one sensing.Sensor.Sense call per step), so adding it
-	// perturbs no sensor's draw sequence. Zero for boundary sinks.
-	OutTurnQueue [NumTurns]int32
-	// OutTurnJoins is the cumulative count of vehicles that have joined
-	// each turning movement's queue on the outgoing road since engine
-	// reset — the observable "departures per movement" signal an online
-	// turn-ratio estimator consumes in place of the frozen
-	// vehicle.RouteTable (PAPERS.md 1401.3357). Engine-owned like
-	// OutTurnQueue. Zero for boundary sinks.
-	OutTurnJoins [NumTurns]int32
+// A link reads only some columns of each row. Of the incoming road's
+// row: Queued[Turn] (q_i^{i'}), Transit[Turn], Total (q_i) and Cap (W_i).
+// Of the outgoing road's row: Total (q_{i'}), Occ, Cap (W_{i'}), and
+// the per-movement Queued and Joins. A sensed engine gives every link
+// its own two observed rows (PairRows) and fills only these columns.
+//
+// The counts are int32 and the row is 64 bytes, one cache line. A road
+// holds at most its capacity and a cumulative join count at most the
+// vehicles spawned, so the engine's counts fit; a sensor saturates its
+// estimates to [0, math.MaxInt32]. Readers widen before they sum counts
+// that could pass int32, and float64 of an int32 is exact.
+type Row struct {
+	// Queued[t] is q_i^{i'} for movement t: the vehicles stopped in the
+	// road's movement-t turning lane (under mixed lanes, the vehicles
+	// of the mixed lane bound for t). Of an outgoing road it resolves
+	// Total per movement, the downstream term of MaxPressure and
+	// BP-EST.
+	Queued [NumTurns]int32
+	// Transit[t] counts the vehicles on the road bound for movement t
+	// but still rolling toward the stop line. The paper's
+	// queuing-network model treats the whole road as the queue, so gain
+	// variants may add it to Queued[t].
+	Transit [NumTurns]int32
+	// Joins[t] is the cumulative count of vehicles that have joined the
+	// movement-t queue since the engine's reset: the "departures per
+	// movement" signal an online turn-ratio estimator consumes in place
+	// of the frozen route table (PAPERS.md 1401.3357).
+	Joins [NumTurns]int32
+	// Total is q_i(k), the sum of Queued: every vehicle at the stop
+	// line. It is the incoming pressure of ORIG-BP (eq. 5) and ablation
+	// A4, and the outgoing pressure b_{i'} of eq. (5)/(6).
+	Total int32
+	// Occ counts every vehicle on the road, travelling and queued;
+	// capacity blocking applies to it.
+	Occ int32
+	// Cap is the road's effective capacity W_i, reduced inside incident
+	// windows; 0 means unbounded (a boundary sink).
+	Cap int32
+	_   [4]int32
 }
 
-// OutFull reports whether the outgoing road has reached its capacity, the
-// first special scenario of eq. (8).
-func (l *LinkObs) OutFull() bool { return l.OutCapacity > 0 && l.OutOccupancy >= l.OutCapacity }
+// Full reports whether the road has reached its capacity, the first
+// special scenario of eq. (8) when the road is a link's outgoing one.
+func (r *Row) Full() bool { return r.Cap > 0 && r.Occ >= r.Cap }
+
+// Link is one feasible link L_i^{i'} of the static link table: the rows
+// of its incoming and outgoing roads, its movement and its service
+// rate. The engine builds the table once. A sensor-free engine points
+// In and Out at its truth rows, road IDs; a sensed engine points link
+// gl at its observed pair (PairRows).
+type Link struct {
+	// Mu is the link's full service rate µ_i^{i'} in veh/s.
+	Mu float64
+	// In and Out index the row slab the table is read with.
+	In, Out int32
+	// Turn is the movement t in [0, NumTurns) the link serves: it
+	// selects the incoming road's Queued and Transit column.
+	Turn int32
+}
+
+// PairRows returns the rows of link gl in the pair layout of a sensed
+// engine's observed slab: row 2gl holds what the link's sensor reported
+// of its incoming road, row 2gl+1 of its outgoing road. Each link keeps
+// its own readings, so two links reading one road may see it
+// differently (DESIGN.md §10).
+func PairRows(gl int32) (in, out int32) { return 2 * gl, 2*gl + 1 }
 
 // Obs is the junction observation passed to Controller.Decide at every
 // mini-slot.
@@ -93,8 +107,10 @@ type Obs struct {
 	// Step is the discrete time index k; Time is t_k in seconds.
 	Step int
 	Time float64
-	// Links is indexed by the junction's link index.
-	Links []LinkObs
+	// Links is the junction's window of the link table, indexed by the
+	// junction's link index; Rows is the row slab its In and Out index.
+	Links []Link
+	Rows  []Row
 	// Current is c(k-1), the phase applied during the previous
 	// mini-slot (Amber at the first step).
 	Current Phase

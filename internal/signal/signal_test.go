@@ -15,30 +15,32 @@ func TestPhaseString(t *testing.T) {
 	}
 }
 
+// TestOutFull checks Row.Full, which a link applies to its outgoing
+// road's row.
 func TestOutFull(t *testing.T) {
 	cases := []struct {
-		obs  LinkObs
+		out  Row
 		want bool
 	}{
-		{LinkObs{OutOccupancy: 10, OutCapacity: 10}, true},
-		{LinkObs{OutOccupancy: 11, OutCapacity: 10}, true},
-		{LinkObs{OutOccupancy: 9, OutCapacity: 10}, false},
-		{LinkObs{OutOccupancy: 1000, OutCapacity: 0}, false}, // unbounded
+		{Row{Occ: 10, Cap: 10}, true},
+		{Row{Occ: 11, Cap: 10}, true},
+		{Row{Occ: 9, Cap: 10}, false},
+		{Row{Occ: 1000, Cap: 0}, false}, // unbounded
 	}
 	for i, c := range cases {
-		if got := c.obs.OutFull(); got != c.want {
-			t.Errorf("case %d: OutFull = %v", i, got)
+		if got := c.out.Full(); got != c.want {
+			t.Errorf("case %d: Full = %v", i, got)
 		}
 	}
 }
 
 func TestOutFullProperty(t *testing.T) {
 	f := func(occ uint16, cap uint16) bool {
-		l := LinkObs{OutOccupancy: int32(occ), OutCapacity: int32(cap)}
+		out := Row{Occ: int32(occ), Cap: int32(cap)}
 		if cap == 0 {
-			return !l.OutFull()
+			return !out.Full()
 		}
-		return l.OutFull() == (int(occ) >= int(cap))
+		return out.Full() == (int(occ) >= int(cap))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -105,10 +107,22 @@ func TestFactoryFunc(t *testing.T) {
 	}
 }
 
-// TestLinkObsIsOneCacheLine pins the observation at 64 bytes, so the
-// engine's observation slab keeps one link per cache line.
-func TestLinkObsIsOneCacheLine(t *testing.T) {
-	if n := unsafe.Sizeof(LinkObs{}); n != 64 {
-		t.Fatalf("LinkObs is %d bytes, want 64", n)
+// TestRowIsOneCacheLine pins a road row at 64 bytes, so a slab that
+// starts on a cache line keeps every row on one line and a link reads
+// two lines, and a link table entry at 24 bytes.
+func TestRowIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Row{}); n != 64 {
+		t.Fatalf("Row is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(Link{}); n != 24 {
+		t.Fatalf("Link is %d bytes, want 24", n)
+	}
+}
+
+func TestPairRows(t *testing.T) {
+	for gl := int32(0); gl < 4; gl++ {
+		if in, out := PairRows(gl); in != 2*gl || out != 2*gl+1 {
+			t.Errorf("PairRows(%d) = %d, %d", gl, in, out)
+		}
 	}
 }

@@ -55,19 +55,43 @@ func testJunction(label string) signal.JunctionInfo {
 }
 
 // script drives one junction's observation trajectory: fill overwrites
-// the dynamic fields of the link observations for a step. Static fields
-// (capacities, Mu) are preset by staticFill and must not be touched.
+// the dynamic fields of the scripted link observations for a step.
+// Static fields (capacities, Mu) are preset by staticFill and must not
+// be touched. A view puts them into the pair layout controllers read.
 type script struct {
 	name  string
 	steps int
-	fill  func(step int, links []signal.LinkObs)
+	fill  func(step int, links []LinkObs)
 }
 
 // staticFill sets the immutable observation fields the engine would fill
 // at construction.
-func staticFill(links []signal.LinkObs) {
+func staticFill(links []LinkObs) {
 	for i := range links {
-		links[i] = signal.LinkObs{InCapacity: 120, OutCapacity: 120, Mu: 0.5}
+		links[i] = LinkObs{InCapacity: 120, OutCapacity: 120, Mu: 0.5}
+	}
+}
+
+// view holds a junction's scripted links and the link table and rows
+// they are put into.
+type view struct {
+	links []LinkObs
+	table []signal.Link
+	rows  []signal.Row
+}
+
+// newView returns a view of n statically filled links.
+func newView(n int) *view {
+	v := &view{links: make([]LinkObs, n)}
+	staticFill(v.links)
+	v.table, v.rows = Pairs(v.links...)
+	return v
+}
+
+// put writes the scripted links into the table and rows.
+func (v *view) put() {
+	for gl := range v.links {
+		Put(v.table, v.rows, gl, &v.links[gl])
 	}
 }
 
@@ -78,7 +102,7 @@ func staticFill(links []signal.LinkObs) {
 // script to shape — it must be monotone in the step for engine
 // fidelity, which a fill that never touches it (frozen at zero)
 // trivially satisfies.
-func setQueues(l *signal.LinkObs, queue, inTransit, outQueue, outExtra int32) {
+func setQueues(l *LinkObs, queue, inTransit, outQueue, outExtra int32) {
 	l.Queue = queue
 	l.InTransit = inTransit
 	l.ApproachQueue = queue + inTransit
@@ -106,12 +130,12 @@ func splitmix(state *uint64) uint64 {
 // scripts returns the scripted scenarios every invariant runs over.
 func scripts() []script {
 	return []script{
-		{"empty", 160, func(step int, links []signal.LinkObs) {
+		{"empty", 160, func(step int, links []LinkObs) {
 			for i := range links {
 				setQueues(&links[i], 0, 0, 0, 0)
 			}
 		}},
-		{"steady-bias", 240, func(step int, links []signal.LinkObs) {
+		{"steady-bias", 240, func(step int, links []LinkObs) {
 			// Phase 1's links carry sustained load; phase 2 stays light.
 			// Two links see their downstream departure counters advance
 			// at different (slow) cadences, so estimator-carrying
@@ -124,7 +148,7 @@ func scripts() []script {
 			links[0].OutTurnJoins = joins(step/3, step/5, step/11)
 			links[2].OutTurnJoins = joins(step/4, 0, step/6)
 		}},
-		{"alternating", 320, func(step int, links []signal.LinkObs) {
+		{"alternating", 320, func(step int, links []LinkObs) {
 			// The heavy side flips every 40 slots, forcing transitions.
 			heavy, light := 0, 2
 			if (step/40)%2 == 1 {
@@ -136,7 +160,7 @@ func scripts() []script {
 			setQueues(&links[light+1], 0, 1, 4, 1)
 			links[1].OutTurnJoins = joins(step/2, step/8, 0)
 		}},
-		{"downstream-full", 200, func(step int, links []signal.LinkObs) {
+		{"downstream-full", 200, func(step int, links []LinkObs) {
 			// Phase 1's outgoing roads sit at capacity (the eq. 8 beta
 			// scenario); phase 2 is serviceable.
 			setQueues(&links[0], 16, 1, 40, 80)
@@ -144,7 +168,7 @@ func scripts() []script {
 			setQueues(&links[2], 6, 1, 3, 1)
 			setQueues(&links[3], 4, 0, 2, 0)
 		}},
-		{"noisy", 400, func(step int, links []signal.LinkObs) {
+		{"noisy", 400, func(step int, links []LinkObs) {
 			state := uint64(step)*2654435761 + 12345
 			for i := range links {
 				q := int32(splitmix(&state) % 20)
@@ -156,7 +180,7 @@ func scripts() []script {
 				links[i].OutTurnJoins = joins(step*(i+1)/4, step/3, step/5)
 			}
 		}},
-		{"burst-gap", 260, func(step int, links []signal.LinkObs) {
+		{"burst-gap", 260, func(step int, links []LinkObs) {
 			// Phase 1 sees 15-slot demand bursts separated by 35 quiet
 			// slots — the actuated gap-out pattern: greens extend under
 			// the burst and gap out after it; phase 2 never presents
@@ -171,7 +195,7 @@ func scripts() []script {
 			setQueues(&links[3], 0, 0, 2, 0)
 			links[0].OutTurnJoins = joins(step/2, step/7, step/13)
 		}},
-		{frozenScript, 200, func(step int, links []signal.LinkObs) {
+		{frozenScript, 200, func(step int, links []LinkObs) {
 			// Frozen stretches, where the engine offers Quiet: an empty
 			// junction before step 60, a short phase 2 load that turns
 			// phase 2 green, then a steady phase 1 load frozen from step
@@ -215,12 +239,13 @@ func driveDark(t *testing.T, f signal.Factory, info signal.JunctionInfo, sc scri
 		t.Fatalf("factory %s: New: %v", f.Name(), err)
 	}
 	release := pol.ReleaseStep(onset, end)
-	obs := signal.Obs{Links: make([]signal.LinkObs, info.NumLinks)}
-	staticFill(obs.Links)
+	v := newView(info.NumLinks)
+	obs := signal.Obs{Links: v.table, Rows: v.rows}
 	out := make([]signal.Phase, sc.steps)
 	cur := signal.Amber
 	for k := 0; k < sc.steps; k++ {
-		sc.fill(k, obs.Links)
+		sc.fill(k, v.links)
+		v.put()
 		obs.Step = k
 		obs.Time = float64(k) * info.DeltaT
 		obs.Current = cur
@@ -274,12 +299,13 @@ func drive(t *testing.T, f signal.Factory, info signal.JunctionInfo, sc script) 
 	if err != nil {
 		t.Fatalf("factory %s: New: %v", f.Name(), err)
 	}
-	obs := signal.Obs{Links: make([]signal.LinkObs, info.NumLinks)}
-	staticFill(obs.Links)
+	v := newView(info.NumLinks)
+	obs := signal.Obs{Links: v.table, Rows: v.rows}
 	out := make([]signal.Phase, sc.steps)
 	cur := signal.Amber
 	for k := 0; k < sc.steps; k++ {
-		sc.fill(k, obs.Links)
+		sc.fill(k, v.links)
+		v.put()
 		obs.Step = k
 		obs.Time = float64(k) * info.DeltaT
 		obs.Current = cur
@@ -327,16 +353,17 @@ func driveBatchController(t *testing.T, bc signal.BatchController, infos []signa
 			steps = scs[i].steps
 		}
 	}
+	v := newView(total)
 	b := signal.Batch{
-		Links:   make([]signal.LinkObs, total),
+		Rows:    v.rows,
+		Links:   v.table,
 		JuncOff: off,
 		Current: make([]signal.Phase, len(infos)),
 		Decided: make([]signal.Phase, len(infos)),
 		Infos:   infos,
 		Changed: make([]int32, 0, total),
 	}
-	staticFill(b.Links)
-	prev := make([]signal.LinkObs, total)
+	prev := make([]LinkObs, total)
 	settled := make([]bool, len(infos))
 	if quiet {
 		b.Quiet = make([]bool, len(infos))
@@ -348,19 +375,20 @@ func driveBatchController(t *testing.T, bc signal.BatchController, infos []signa
 		b.Current[j] = signal.Amber
 	}
 	for k := 0; k < steps; k++ {
-		copy(prev, b.Links)
+		copy(prev, v.links)
 		for j, sc := range scs {
 			step := k
 			if step >= sc.steps {
 				step = sc.steps - 1 // shorter scripts hold their last state
 			}
-			sc.fill(step, b.JunctionLinks(j))
+			sc.fill(step, v.links[off[j]:off[j+1]])
 		}
+		v.put()
 		b.Changed = b.Changed[:0]
 		b.AllChanged = k == 0
 		if !b.AllChanged {
-			for gl := range b.Links {
-				if b.Links[gl] != prev[gl] {
+			for gl := range v.links {
+				if v.links[gl] != prev[gl] {
 					b.Changed = append(b.Changed, int32(gl))
 				}
 			}
@@ -703,19 +731,20 @@ func Run(t *testing.T, c Case) {
 		if scB.steps < steps {
 			steps = scB.steps
 		}
-		obsA := signal.Obs{Links: make([]signal.LinkObs, info.NumLinks)}
-		obsB := signal.Obs{Links: make([]signal.LinkObs, info.NumLinks)}
-		staticFill(obsA.Links)
-		staticFill(obsB.Links)
+		vA, vB := newView(info.NumLinks), newView(info.NumLinks)
+		obsA := signal.Obs{Links: vA.table, Rows: vA.rows}
+		obsB := signal.Obs{Links: vB.table, Rows: vB.rows}
 		traceA := make([]signal.Phase, steps)
 		traceB := make([]signal.Phase, steps)
 		curA, curB := signal.Amber, signal.Amber
 		for k := 0; k < steps; k++ {
-			scA.fill(k, obsA.Links)
+			scA.fill(k, vA.links)
+			vA.put()
 			obsA.Step, obsA.Time, obsA.Current = k, float64(k), curA
 			curA = a.Decide(&obsA)
 			traceA[k] = curA
-			scB.fill(k, obsB.Links)
+			scB.fill(k, vB.links)
+			vB.put()
 			obsB.Step, obsB.Time, obsB.Current = k, float64(k), curB
 			curB = b.Decide(&obsB)
 			traceB[k] = curB

@@ -7,8 +7,9 @@ import (
 )
 
 // Weighted is a Controller whose decision is a phase rule over per-link
-// weights, each weight a function of its own link's observation (and of
-// per-link state that advances only when that observation changes).
+// weights, each weight a function of its own link's observation, the
+// columns of its two rows it reads (and of per-link state that advances
+// only when that observation changes).
 // UTIL-BP's gain, BP-EST's estimated gain and MaxPressure's pressure are
 // such weights. Splitting the weighing from the phase rule lets one
 // batched controller (NewWeightedBatch) keep every junction's weights in
@@ -23,11 +24,11 @@ import (
 type Weighted interface {
 	Controller
 	// Weigh writes the weight of every link of the junction into w
-	// (len(w) == len(links)): the full sweep.
-	Weigh(links []LinkObs, w []float64)
-	// WeighLink returns the weight of link li, whose observation is l:
-	// the change-set refresh of one link.
-	WeighLink(li int, l *LinkObs) float64
+	// (len(w) == len(links)), each read from rows: the full sweep.
+	Weigh(links []Link, rows []Row, w []float64)
+	// WeighLink returns the weight of link li, whose table entry is l,
+	// read from rows: the change-set refresh of one link.
+	WeighLink(li int, l *Link, rows []Row) float64
 	// DecideWeighted is the phase rule: c(k) from the junction's link
 	// weights and its observation. Decide must equal Weigh followed by
 	// DecideWeighted.
@@ -119,13 +120,13 @@ func (b *weightedBatch) DecideAll(batch *Batch) {
 	if batch.AllChanged || !b.primed || 2*len(batch.Changed) > len(b.w) {
 		for j, c := range b.ctrls {
 			lo, hi := batch.JuncOff[j], batch.JuncOff[j+1]
-			c.Weigh(batch.Links[lo:hi], b.w[lo:hi])
+			c.Weigh(batch.Links[lo:hi], batch.Rows, b.w[lo:hi])
 		}
 		b.primed = true
 	} else {
 		for _, gl := range batch.Changed {
 			j := b.juncOf[gl]
-			b.w[gl] = b.ctrls[j].WeighLink(int(gl-batch.JuncOff[j]), &batch.Links[gl])
+			b.w[gl] = b.ctrls[j].WeighLink(int(gl-batch.JuncOff[j]), &batch.Links[gl], batch.Rows)
 		}
 	}
 	// The quiet rules run in a pass of their own: a call in the decide
@@ -151,8 +152,8 @@ func (b *weightedBatch) DecideAll(batch *Batch) {
 // SnapshotState implements Snapshotter with one section per junction
 // controller, the per-junction dispatch layout. The weight slab and
 // primed flag are cache: a restored engine rebuilds the batch, whose
-// first full sweep recomputes the slab from the restored observations
-// and controller state.
+// first full sweep recomputes the slab from the restored rows and
+// controller state.
 func (b *weightedBatch) SnapshotState(w *snap.Writer) {
 	SnapshotStates(w, b.ctrls)
 }

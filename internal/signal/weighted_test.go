@@ -8,7 +8,7 @@ import (
 )
 
 // countingWeighted is a Weighted controller that records how the batch
-// calls it. Its weight is the link's Queue, its phase rule returns
+// calls it. Its weight is the link's incoming row's Total, its phase rule returns
 // phase 1 and remembers the weights it saw, and its snapshot state is
 // one integer.
 type countingWeighted struct {
@@ -31,20 +31,20 @@ func (c *countingWeighted) Name() string { return "COUNTING" }
 
 func (c *countingWeighted) Decide(obs *Obs) Phase {
 	w := make([]float64, len(obs.Links))
-	c.Weigh(obs.Links, w)
+	c.Weigh(obs.Links, obs.Rows, w)
 	return c.DecideWeighted(w, obs)
 }
 
-func (c *countingWeighted) Weigh(links []LinkObs, w []float64) {
+func (c *countingWeighted) Weigh(links []Link, rows []Row, w []float64) {
 	c.weighs++
 	for i := range links {
-		w[i] = float64(links[i].Queue)
+		w[i] = float64(rows[links[i].In].Total)
 	}
 }
 
-func (c *countingWeighted) WeighLink(li int, l *LinkObs) float64 {
+func (c *countingWeighted) WeighLink(li int, l *Link, rows []Row) float64 {
 	c.weighLinks = append(c.weighLinks, li)
-	return float64(l.Queue)
+	return float64(rows[l.In].Total)
 }
 
 func (c *countingWeighted) DecideWeighted(w []float64, _ *Obs) Phase {
@@ -83,14 +83,16 @@ func countingBatch(t *testing.T) (bc BatchController, b *Batch, fakes []*countin
 		t.Fatal(err)
 	}
 	b = &Batch{
-		Links:   make([]LinkObs, 6),
+		Rows:    make([]Row, 6),
+		Links:   make([]Link, 6),
 		JuncOff: []int32{0, 2, 5, 6},
 		Current: make([]Phase, 3),
 		Decided: make([]Phase, 3),
 		Infos:   infos,
 	}
 	for gl := range b.Links {
-		b.Links[gl].Queue = int32(10 + gl)
+		b.Links[gl].In = int32(gl)
+		b.Rows[gl].Total = int32(10 + gl)
 	}
 	return bc, b, fakes, clock
 }
@@ -127,7 +129,7 @@ func TestWeightedBatchCacheContract(t *testing.T) {
 	// A change-set round re-weighs exactly the changed links, by their
 	// junction-local index, and the phase rule sees the new weights.
 	resetCounts(fakes)
-	b.Links[1].Queue, b.Links[3].Queue, b.Links[5].Queue = 31, 33, 35
+	b.Rows[1].Total, b.Rows[3].Total, b.Rows[5].Total = 31, 33, 35
 	b.Changed = []int32{1, 3, 5}
 	bc.DecideAll(b)
 	wantLinks := [][]int{{1}, {1}, {0}}

@@ -69,10 +69,10 @@ type Config struct {
 	ExpectedVehicles int
 	// Sensor filters the queue observations controllers see
 	// (internal/sensing, DESIGN.md §10). Nil means perfect observation:
-	// the observation aliases the engine's ground-truth link state, the
+	// controllers read the engine's ground-truth road rows, the
 	// zero-overhead path. A non-nil sensor receives every link whose
 	// road state changed during the previous mini-slot and writes the
-	// observed queue values controllers decide on. Sensors are
+	// observed rows controllers decide on. Sensors are
 	// engine-local; never share one across concurrently running
 	// engines.
 	Sensor sensing.Sensor
@@ -121,57 +121,31 @@ type Hooks struct {
 // numTurns mirrors the three movements of network.Turns.
 const numTurns = 3
 
-// roadRow is one road's counters: everything sense reads of the road
-// and everything serve, travel and arrivals update per vehicle. The
-// engine keeps the rows of all roads back to back in one slab indexed
-// by road ID (Engine.rows), so a link's refresh reads two 64-byte rows
-// instead of chasing two roadStates across the road array (DESIGN.md
-// §5). The counters are int32: a road holds at most Capacity vehicles,
-// and a cumulative join count is bounded by the vehicles spawned,
-// which the arena already caps at int32 IDs.
-type roadRow struct {
-	// queued[t] is q_i^{i'}, the vehicles queued for movement t: the
-	// length of turning lane t, or under Config.MixedLanes the vehicles
-	// in the mixed lane whose pending movement is t.
-	queued [numTurns]int32
-	// transit[t] counts vehicles on the road bound for movement t but
-	// not yet at the stop line.
-	transit [numTurns]int32
-	// joins[t] is the cumulative count of vehicles that have joined the
-	// movement-t queue of this road since the last Reset — the
-	// "departures per movement" signal behind the engine-owned
-	// signal.LinkObs.OutTurnJoins field an online turn-ratio estimator
-	// consumes (DESIGN.md §13). It increments exactly where a vehicle
-	// enters a turning (or mixed) lane, a path that already marks the
-	// road dirty, so the incremental sense protocol keeps it fresh.
-	joins [numTurns]int32
-	// total is the sum of queued over the movements: every vehicle at
-	// the stop line, the spawn queue excluded.
-	total int32
-	// occ is the occupancy capacity blocking applies to: vehicles in
-	// transit plus queued.
-	occ int32
-	// effCap is the road's effective capacity: Road.Capacity outside
-	// incident windows, the event schedule's reduced value inside them
-	// (clamped to >= 1 at compile time, so it never collides with the
-	// unbounded encoding 0). Admission checks read it; the travel
-	// reservations stay sized to the nominal capacity and lanes own no
-	// storage, so lowering and restoring it mid-run never reallocates
-	// (DESIGN.md §12).
-	effCap int32
-	// bounded is 1 when the road has a finite capacity, 0 for the
-	// unbounded exit sinks.
-	bounded int32
-	_       [3]int32
-}
-
-// hasRoom reports whether the road can accept one more vehicle at its
-// effective (possibly incident-reduced) capacity. Occupancy above the
-// effective capacity is legal transiently — vehicles already on the
-// road when an incident hits stay — it only blocks further admission.
-func (row *roadRow) hasRoom() bool {
-	return row.bounded == 0 || row.occ < row.effCap
-}
+// A road's counters are one signal.Row: everything controllers and
+// sensors read of the road and everything serve, travel and arrivals
+// update per vehicle. The engine keeps the rows of all roads back to
+// back in one slab indexed by road ID (Engine.rows), the truth rows a
+// sensor-free engine's controllers read through the link table
+// (DESIGN.md §5, §6). The counters are int32: a road holds at most
+// Capacity vehicles, and a cumulative join count is bounded by the
+// vehicles spawned, which the arena already caps at int32 IDs. Each
+// column changes only where the road is marked dirty, the incremental
+// sense protocol's contract:
+//   - Queued[t] is the length of turning lane t, or under
+//     Config.MixedLanes the vehicles in the mixed lane whose pending
+//     movement is t; Total is their sum, the spawn queue excluded;
+//   - Transit[t] counts the vehicles on the transit list bound for t;
+//   - Joins[t] counts every vehicle that has joined the movement-t
+//     queue since the last Reset (DESIGN.md §13), incremented where a
+//     vehicle enters a lane;
+//   - Occ is Total plus the transit list, the occupancy capacity
+//     blocking applies to;
+//   - Cap is Road.Capacity outside incident windows and the event
+//     schedule's reduced value inside them (clamped to >= 1 at compile
+//     time, so it never collides with the unbounded encoding 0).
+//     Admission checks read it (Row.Full); lanes own no storage, so
+//     lowering and restoring it mid-run never reallocates
+//     (DESIGN.md §12).
 
 // roadState is the rest of one road's runtime state: the queues (the
 // turning lanes or the mixed lane, the entry spawn queue and the transit
@@ -250,13 +224,9 @@ type junctionState struct {
 	current signal.Phase
 	prev    signal.Phase
 	credits []float64
-	obs     signal.Obs
-	// truth is the exact per-link queue state the engine maintains
-	// incrementally (the physical plant of the CPS split). With no
-	// sensor it aliases obs.Links, so the controller reads the truth
-	// directly; with a sensor installed it is a separate array the
-	// sensor maps onto obs.Links (DESIGN.md §10).
-	truth []signal.LinkObs
+	// obs is the junction's per-junction observation: its window of the
+	// batch's link table and the batch's rows (setSensor points both).
+	obs signal.Obs
 	// linkBase is the junction's offset into the engine's dense global
 	// link index space, the key sensors track per-link state under.
 	linkBase int32
@@ -284,9 +254,11 @@ type Engine struct {
 	routes *vehicle.RouteTable
 	dt     float64
 	step   int
-	// rows is the counter slab, one roadRow per road indexed by road
-	// ID; roads holds the same roads' queues.
-	rows    []roadRow
+	// rows is the counter slab, one signal.Row per road indexed by road
+	// ID; roads holds the same roads' queues. links is the static link
+	// table over rows, one entry per link in global link order.
+	rows    []signal.Row
+	links   []signal.Link
 	roads   []roadState
 	juncs   []junctionState
 	arena   vehicle.Arena
@@ -314,39 +286,42 @@ type Engine struct {
 	// when nothing listens.
 	hasPhaseHook bool
 	finalized    bool
+	// ctrlEntry and sensorEntry are the snapshot fingerprint's
+	// controller and sensor entries (factoryName, Sensor.Name; "" for
+	// no sensor), formatted once where the factory or sensor is set.
+	ctrlEntry, sensorEntry string
 
-	// Incremental observation maintenance (DESIGN.md §10): instead of
-	// walking every link of every junction each mini-slot, the engine
-	// marks a road dirty whenever its observable state changes (lane
-	// push/pop, transit, occupancy) and the sense substep refreshes only
-	// the links reading a dirty road. sensor is cfg.Sensor, hoisted for
-	// the hot path; roadLinks[r] lists the links whose observation
-	// depends on road r (as incoming or outgoing road); dirtyRoads is
-	// the pending dirty set (pre-sized to the road count, so marking
-	// never allocates); linkSeen[gl] holds the step a global link was
-	// last refreshed at, deduplicating links whose two roads are both
-	// dirty.
+	// Incremental observation maintenance (DESIGN.md §10): the engine
+	// marks a road dirty whenever its row changes (lane push/pop,
+	// transit, occupancy, capacity), and the sense substep lists the
+	// links reading a dirty road for the change set and the sensor.
+	// sensor is cfg.Sensor, hoisted for the hot path; roadLinks[r] lists
+	// the global links whose observation reads road r (as incoming or
+	// outgoing road); dirtyRoads is the pending dirty set (pre-sized to
+	// the road count, so marking never allocates); linkSeen[gl] holds
+	// the step a global link was last listed at, deduplicating links
+	// whose two roads are both dirty.
 	sensor     sensing.Sensor
-	roadLinks  [][]linkRef
-	roadSites  [][]obsSite
-	allSites   []obsSite
+	roadLinks  [][]int32
 	dirtyRoads []int32
 	roadDirty  []bool
 	linkSeen   []int32
 	numLinks   int
+	// Under a sensor, controllers read the observed slab obsRows
+	// through pairs, the link table that points link gl at its pair
+	// (signal.PairRows); the sensor fills the pair from the truth rows.
+	// Both are nil until a sensor is first installed.
+	pairs   []signal.Link
+	obsRows []signal.Row
 
-	// Batched control plane (DESIGN.md §11). obsSlab is the dense
-	// all-junction observation storage every junction's obs.Links is a
-	// window of — the slab batch.Links exposes to batched controllers.
-	// truthSlab is its sensor-mode counterpart backing the per-junction
-	// truth windows (nil until a sensor is first installed). batchCtrl
-	// is non-nil exactly when the control substep dispatches batched;
-	// trackChanged mirrors it. sense appends each refreshed link to
-	// batch.Changed when trackChanged is set or a sensor is installed
-	// (the sensor's list); the per-junction path never drains it, so
-	// there sense truncates the list again after the Sense call.
-	obsSlab      []signal.LinkObs
-	truthSlab    []signal.LinkObs
+	// Batched control plane (DESIGN.md §11). batch holds the rows and
+	// link table controllers read: rows and links without a sensor,
+	// obsRows and pairs with one. batchCtrl is non-nil exactly when the
+	// control substep dispatches batched; trackChanged mirrors it. sense
+	// appends each link reading a dirty road to batch.Changed when
+	// trackChanged is set or a sensor is installed (the sensor's list);
+	// the per-junction path never drains it, so there sense truncates
+	// the list again after the Sense call.
 	batch        signal.Batch
 	batchCtrl    signal.BatchController
 	trackChanged bool
@@ -423,44 +398,6 @@ type Engine struct {
 	tailDue []float64
 }
 
-// linkRef addresses one junction link in the engine's observation
-// tables: the junction index in juncs and the link index within it.
-type linkRef struct {
-	junc int32
-	link int32
-}
-
-// obsSite is one link's observation refresh site, fully resolved so
-// the sense hot loop performs no junction/link index chasing: a direct
-// pointer to the truth entry (the observation entry itself when no
-// sensor is installed), the IDs of the incoming and outgoing roads,
-// whose rows refresh reads, the movement, and the link's dense global
-// index, which also addresses the link's entries in truthSlab and
-// obsSlab. Sites are rebuilt by setSensor (installing a sensor moves
-// the truth to a separate array); the observation arrays they point
-// into are stable for the engine's lifetime.
-type obsSite struct {
-	truth   *signal.LinkObs
-	in, out int32
-	gl      int32
-	turn    network.Turn
-}
-
-// refresh recomputes the site's ground-truth fields from the two road
-// rows it reads: five scalar copies and two array copies, since the
-// observation's counts are int32 like the rows' (DESIGN.md §10).
-func (s *obsSite) refresh(rows []roadRow) {
-	in, out := &rows[s.in], &rows[s.out]
-	tr := s.truth
-	tr.Queue = in.queued[s.turn]
-	tr.InTransit = in.transit[s.turn]
-	tr.ApproachQueue = in.total
-	tr.OutQueue = out.total
-	tr.OutOccupancy = out.occ
-	tr.OutTurnQueue = out.queued
-	tr.OutTurnJoins = out.joins
-}
-
 // New validates the configuration, instantiates one controller per
 // junction, and returns a ready engine.
 func New(cfg Config) (*Engine, error) {
@@ -501,6 +438,7 @@ func New(cfg Config) (*Engine, error) {
 		routes:    cfg.Routes,
 		dt:        cfg.DeltaT,
 		juncIndex: make([]int32, len(cfg.Net.Nodes)),
+		ctrlEntry: factoryName(cfg.Controllers),
 	}
 	for i := range e.juncIndex {
 		e.juncIndex[i] = -1
@@ -510,7 +448,7 @@ func New(cfg Config) (*Engine, error) {
 		e.store.Reserve(cfg.ExpectedVehicles)
 	}
 
-	e.rows = make([]roadRow, len(e.net.Roads))
+	e.rows = make([]signal.Row, len(e.net.Roads))
 	e.roads = make([]roadState, len(e.net.Roads))
 	e.entries = append(e.entries, e.net.EntryRoads()...)
 	// A road's queues reserve nothing: they thread through the link
@@ -539,11 +477,11 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.net.Junctions {
 		totalLinks += len(e.net.Junctions[i].Links)
 	}
-	// All junction observations live back-to-back in one dense slab:
-	// junction j's obs.Links is a capacity-clamped window of it, and the
-	// whole slab doubles as the batched control plane's link array
-	// (signal.Batch.Links) with no copying (DESIGN.md §11).
-	e.obsSlab = make([]signal.LinkObs, totalLinks)
+	// Every junction's links live back-to-back in one static table over
+	// the truth rows: junction j's obs.Links is a window of it, and the
+	// whole table is the batched control plane's (signal.Batch.Links)
+	// with no copying (DESIGN.md §6, §11).
+	e.links = make([]signal.Link, 0, totalLinks)
 	juncOff := make([]int32, 0, len(e.net.Junctions)+1)
 	infos := make([]signal.JunctionInfo, 0, len(e.net.Junctions))
 	for i := range e.net.Junctions {
@@ -567,19 +505,19 @@ func New(cfg Config) (*Engine, error) {
 				phaseActive[pi][li] = true
 			}
 		}
-		// resetDerived fills the observations, the service rates and
-		// capacities included, from the network and the road rows.
 		base := e.numLinks
-		obsLinks := e.obsSlab[base : base+len(j.Links) : base+len(j.Links)]
+		for li := range j.Links {
+			l := &j.Links[li]
+			e.links = append(e.links, signal.Link{Mu: l.Mu, In: int32(l.In), Out: int32(l.Out), Turn: int32(l.Turn)})
+		}
 		e.juncIndex[j.Node] = int32(len(e.juncs))
 		e.juncs = append(e.juncs, junctionState{
 			j:       j,
 			info:    info,
 			current: signal.Amber,
 			// credits is bound to its creditSlab window by
-			// buildServePlane below.
-			obs:         signal.Obs{Links: obsLinks},
-			truth:       obsLinks, // aliased until a sensor is installed
+			// buildServePlane below, obs to its link window by
+			// setSensor.
 			linkBase:    int32(base),
 			phaseActive: phaseActive,
 		})
@@ -589,7 +527,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	juncOff = append(juncOff, int32(e.numLinks))
 	e.batch = signal.Batch{
-		Links:   e.obsSlab,
 		JuncOff: juncOff,
 		Current: make([]signal.Phase, len(e.juncs)),
 		Decided: make([]signal.Phase, len(e.juncs)),
@@ -606,25 +543,25 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	// Incremental-observation adjacency: roadLinks[r] holds every link
-	// whose observation reads road r, either as its incoming road
-	// (Queue, InTransit, ApproachQueue) or its outgoing road (OutQueue,
-	// OutOccupancy). Each road's list is a window of one slab, sized by
-	// a counting pass, so the adjacency costs one allocation instead of
-	// a few appends per road. The dirty set and the per-link refresh
+	// whose observation reads road r, either as its incoming road or
+	// its outgoing road. Each road's list is a window of one slab, sized
+	// by a counting pass, so the adjacency costs one allocation instead
+	// of a few appends per road. The dirty set and the per-link listing
 	// stamps are pre-sized here so the step loop never allocates.
 	deg := make([]int, len(e.net.Roads))
-	for ji := range e.juncs {
-		for _, l := range e.juncs[ji].j.Links {
-			deg[l.In]++
-			if l.Out != l.In {
-				deg[l.Out]++
-			}
+	refs := 0
+	for _, l := range e.links {
+		deg[l.In]++
+		refs++
+		if l.Out != l.In {
+			deg[l.Out]++
+			refs++
 		}
 	}
-	refs := make([]linkRef, 2*e.numLinks)
-	e.roadLinks = make([][]linkRef, len(e.net.Roads))
+	slab := make([]int32, refs)
+	e.roadLinks = make([][]int32, len(e.net.Roads))
 	for r, d := range deg {
-		e.roadLinks[r], refs = refs[:0:d], refs[d:]
+		e.roadLinks[r], slab = slab[:0:d], slab[d:]
 	}
 	e.roadWakeJunc = make([]int32, len(e.net.Roads))
 	e.roadTailJunc = make([]int32, len(e.net.Roads))
@@ -633,14 +570,15 @@ func New(cfg Config) (*Engine, error) {
 		e.roadTailJunc[i] = -1
 	}
 	for ji := range e.juncs {
-		for li := range e.juncs[ji].j.Links {
-			l := &e.juncs[ji].j.Links[li]
-			ref := linkRef{junc: int32(ji), link: int32(li)}
-			e.roadLinks[l.In] = append(e.roadLinks[l.In], ref)
+		js := &e.juncs[ji]
+		for li := range js.j.Links {
+			l := &js.j.Links[li]
+			gl := js.linkBase + int32(li)
+			e.roadLinks[l.In] = append(e.roadLinks[l.In], gl)
 			e.roadWakeJunc[l.In] = int32(ji)
 			e.roadTailJunc[l.Out] = int32(ji)
 			if l.Out != l.In {
-				e.roadLinks[l.Out] = append(e.roadLinks[l.Out], ref)
+				e.roadLinks[l.Out] = append(e.roadLinks[l.Out], gl)
 			}
 		}
 	}
@@ -740,71 +678,36 @@ func (e *Engine) buildControlPlane() error {
 // than the per-junction Decide loop.
 func (e *Engine) Batched() bool { return e.batchCtrl != nil }
 
-// setSensor installs (or clears) the observation sensor: with none, the
-// observation aliases the truth storage; with one, the truth moves to a
-// separate slab the sensor maps onto the observation. Callers rewind
-// the engine afterwards (New starts at step zero, ResetWith resets), so
-// resetDerived fills both arrays.
+// setSensor installs (or clears) the observation sensor and points the
+// batch and every junction's observation at the rows controllers read:
+// with none, the truth rows through the link table; with one, the
+// observed slab through the pair table, both allocated on the first
+// install. Callers rewind the engine afterwards (New starts at step
+// zero, ResetWith resets), so resetDerived fills the pairs'
+// engine-owned columns.
 func (e *Engine) setSensor(s sensing.Sensor) {
 	e.cfg.Sensor = s
 	e.sensor = s
-	if s != nil && e.truthSlab == nil {
-		e.truthSlab = make([]signal.LinkObs, e.numLinks)
-	}
-	for i := range e.juncs {
-		js := &e.juncs[i]
-		aliased := &js.truth[0] == &js.obs.Links[0]
-		switch {
-		case s == nil && !aliased:
-			js.truth = js.obs.Links
-		case s != nil && aliased:
-			lo, hi := js.linkBase, js.linkBase+int32(len(js.obs.Links))
-			js.truth = e.truthSlab[lo:hi:hi]
-		}
-	}
+	e.sensorEntry = ""
+	links, rows := e.links, e.rows
 	if s != nil {
+		e.sensorEntry = s.Name()
+		if e.pairs == nil {
+			e.pairs = make([]signal.Link, len(e.links))
+			for gl, l := range e.links {
+				l.In, l.Out = signal.PairRows(int32(gl))
+				e.pairs[gl] = l
+			}
+			e.obsRows = make([]signal.Row, 2*len(e.links))
+		}
+		links, rows = e.pairs, e.obsRows
 		s.Prepare(e.numLinks)
 	}
-	e.rebuildObsSites()
-}
-
-// rebuildObsSites resolves the observation refresh sites: allSites in
-// junction/link order (the contiguous full-walk path) and roadSites per
-// road (the incremental path), both pointing at the current truth and
-// observation arrays.
-func (e *Engine) rebuildObsSites() {
-	if e.allSites == nil {
-		e.allSites = make([]obsSite, 0, e.numLinks)
-	}
-	e.allSites = e.allSites[:0]
-	for ji := range e.juncs {
-		js := &e.juncs[ji]
-		for li := range js.j.Links {
-			l := &js.j.Links[li]
-			e.allSites = append(e.allSites, obsSite{
-				truth: &js.truth[li],
-				in:    int32(l.In),
-				out:   int32(l.Out),
-				gl:    js.linkBase + int32(li),
-				turn:  l.Turn,
-			})
-		}
-	}
-	if e.roadSites == nil {
-		// One slab holds every road's sites, windowed like roadLinks.
-		sites := make([]obsSite, 2*e.numLinks)
-		e.roadSites = make([][]obsSite, len(e.roads))
-		for rid, refs := range e.roadLinks {
-			e.roadSites[rid], sites = sites[:0:len(refs)], sites[len(refs):]
-		}
-	}
-	for rid, refs := range e.roadLinks {
-		sites := e.roadSites[rid][:0]
-		for _, lr := range refs {
-			js := &e.juncs[lr.junc]
-			sites = append(sites, e.allSites[int(js.linkBase)+int(lr.link)])
-		}
-		e.roadSites[rid] = sites
+	e.batch.Links, e.batch.Rows = links, rows
+	for i := range e.juncs {
+		js := &e.juncs[i]
+		lo, hi := js.linkBase, js.linkBase+int32(len(js.j.Links))
+		js.obs.Links, js.obs.Rows = links[lo:hi:hi], rows
 	}
 }
 
@@ -823,7 +726,7 @@ func (e *Engine) EffectiveCapacity(rid network.RoadID) int {
 	if int(rid) >= len(e.roads) || rid < 0 {
 		return 0
 	}
-	return int(e.rows[rid].effCap)
+	return int(e.rows[rid].Cap)
 }
 
 // Dark reports whether the junction's controller is currently offline
@@ -859,10 +762,9 @@ func (e *Engine) Reset(seed uint64) error {
 		clear(js.credits)
 	}
 	// A sensor's readings are state, and it starts the run having read
-	// nothing. Without one the slab is the truth, which resetDerived
-	// rewrites whole.
+	// nothing.
 	if e.sensor != nil {
-		clear(e.obsSlab)
+		clear(e.obsRows)
 	}
 	for _, rid := range e.dirtyRoads {
 		e.roadDirty[rid] = false
@@ -872,7 +774,7 @@ func (e *Engine) Reset(seed uint64) error {
 		for _, q := range e.roads[i].queues() {
 			q.Reset()
 		}
-		e.rows[i].joins = [numTurns]int32{}
+		e.rows[i].Joins = [numTurns]int32{}
 	}
 	e.arena.Reset()
 	clear(e.hooks) // drop recorder closures before truncating
@@ -902,17 +804,17 @@ func (e *Engine) Reset(seed uint64) error {
 // queues, the arena, the step and each road's join counts hold their
 // final values, so the three cannot disagree, and the snapshot stream
 // carries none of it:
-//   - each road row: queued[t] and total from its lanes (the mixed
-//     lane by each vehicle's pending turn), transit[t] from the pending
-//     turns on its transit list, occ, bounded and the nominal effCap;
+//   - each road row: Queued[t] and Total from its lanes (the mixed
+//     lane by each vehicle's pending turn), Transit[t] from the pending
+//     turns on its transit list, Occ and the nominal Cap;
 //   - the network queue total and the travel due-time index;
 //   - the event cursor, as the number of transitions due before the
 //     current step, and the effective capacities and dark state those
 //     transitions leave, replayed in order;
 //   - Spawned, Entered, Exited and Served from the arena;
-//   - every link's truth, and under a sensor the observation fields the
-//     engine owns, from the rows (the sensed fields are state);
-//   - the refresh stamps and the serve and control skip flags.
+//   - under a sensor, the columns of each link's observed pair the
+//     engine owns, from the rows (the sensed columns are state);
+//   - the listing stamps and the serve and control skip flags.
 //
 // Clearing the skip flags is conservative, never lossy: the next serve
 // pass and the next decision round run in full, and each re-derives
@@ -921,27 +823,24 @@ func (e *Engine) resetDerived() {
 	e.netQueued = 0
 	for ri := range e.roads {
 		rs, road := &e.roads[ri], &e.net.Roads[ri]
-		row := roadRow{joins: e.rows[ri].joins, effCap: int32(road.Capacity)}
-		if road.Bounded() {
-			row.bounded = 1
-		}
+		row := signal.Row{Joins: e.rows[ri].Joins, Cap: int32(road.Capacity)}
 		// recountQueued's count, inline: as a call it made Reset about
 		// 15 % slower on a 16×16 grid (2-vCPU amd64 VM).
 		for t := range rs.lanes {
-			row.queued[t] = int32(rs.lanes[t].Len())
+			row.Queued[t] = int32(rs.lanes[t].Len())
 		}
 		for it := range e.store.Items(&rs.mixed) {
-			row.queued[e.arena.PendingTurn(vehicle.ID(it.Vehicle))]++
+			row.Queued[e.arena.PendingTurn(vehicle.ID(it.Vehicle))]++
 		}
 		if !rs.exits {
 			for it := range e.store.Items(&rs.transit) {
-				row.transit[e.arena.PendingTurn(vehicle.ID(it.Vehicle))]++
+				row.Transit[e.arena.PendingTurn(vehicle.ID(it.Vehicle))]++
 			}
 		}
-		row.total = row.queued[0] + row.queued[1] + row.queued[2]
-		row.occ = int32(rs.transit.Len()) + row.total
+		row.Total = row.Queued[0] + row.Queued[1] + row.Queued[2]
+		row.Occ = int32(rs.transit.Len()) + row.Total
 		e.rows[ri] = row
-		e.netQueued += int(row.total)
+		e.netQueued += int(row.Total)
 		e.tailDue[ri] = e.headDue(ri)
 	}
 
@@ -957,7 +856,7 @@ func (e *Engine) resetDerived() {
 			tr := &trs[e.evCursor]
 			switch tr.Kind {
 			case event.TransCapacity:
-				e.rows[tr.Road].effCap = tr.Cap
+				e.rows[tr.Road].Cap = tr.Cap
 			case event.TransDarkOn:
 				js := &e.juncs[e.juncIndex[tr.Junction]]
 				js.darkSince, js.darkPol = tr.Step, tr.Policy
@@ -970,24 +869,16 @@ func (e *Engine) resetDerived() {
 	e.totals.Spawned = e.arena.Len()
 	e.totals.Entered, e.totals.Exited, e.totals.Served = e.arena.Counts()
 
-	for ji := range e.juncs {
-		js := &e.juncs[ji]
-		for li := range js.j.Links {
-			l := &js.j.Links[li]
-			in, out, tr := &e.rows[l.In], &e.rows[l.Out], &js.truth[li]
-			tr.Queue, tr.InTransit, tr.ApproachQueue = in.queued[l.Turn], in.transit[l.Turn], in.total
-			tr.OutQueue, tr.OutOccupancy = out.total, out.occ
-			tr.OutCapacity, tr.InCapacity, tr.Mu = out.effCap, in.effCap, l.Mu
-			tr.OutTurnQueue, tr.OutTurnJoins = out.queued, out.joins
-			if e.sensor != nil {
-				o := &js.obs.Links[li]
-				o.OutCapacity, o.InCapacity, o.Mu = tr.OutCapacity, tr.InCapacity, tr.Mu
-				o.OutTurnQueue, o.OutTurnJoins = tr.OutTurnQueue, tr.OutTurnJoins
-			}
+	if e.sensor != nil {
+		for gl, l := range e.links {
+			in, out := e.pair(int32(gl))
+			tout := &e.rows[l.Out]
+			in.Cap = e.rows[l.In].Cap
+			out.Cap, out.Queued, out.Joins = tout.Cap, tout.Queued, tout.Joins
 		}
 	}
 
-	// Refresh stamps only deduplicate within the step that wrote them;
+	// Listing stamps only deduplicate within the step that wrote them;
 	// at inter-step points every stamp is stale, so -1 is equivalent.
 	for i := range e.linkSeen {
 		e.linkSeen[i] = -1
@@ -996,6 +887,12 @@ func (e *Engine) resetDerived() {
 	clear(e.ctrlDirty)
 	clear(e.settled)
 	clear(e.batch.Quiet)
+}
+
+// pair returns link gl's observed rows under a sensor.
+func (e *Engine) pair(gl int32) (in, out *signal.Row) {
+	i, o := signal.PairRows(gl)
+	return &e.obsRows[i], &e.obsRows[o]
 }
 
 // headDue returns the arrival time at the head of road ri's transit
@@ -1069,6 +966,7 @@ type ResetOptions struct {
 func (e *Engine) ResetWith(seed uint64, opts ResetOptions) error {
 	if opts.Controllers != nil {
 		e.cfg.Controllers = opts.Controllers
+		e.ctrlEntry = factoryName(opts.Controllers)
 	}
 	if opts.Demand != nil {
 		e.cfg.Demand = opts.Demand
@@ -1164,7 +1062,7 @@ func (e *Engine) QueueLen(rid network.RoadID, turn network.Turn) int {
 	if int(rid) >= len(e.roads) || rid < 0 {
 		return 0
 	}
-	return int(e.rows[rid].queued[turn])
+	return int(e.rows[rid].Queued[turn])
 }
 
 // ApproachQueue returns the total queued on a road across movements.
@@ -1172,7 +1070,7 @@ func (e *Engine) ApproachQueue(rid network.RoadID) int {
 	if int(rid) >= len(e.roads) || rid < 0 {
 		return 0
 	}
-	return int(e.rows[rid].total)
+	return int(e.rows[rid].Total)
 }
 
 // Occupancy returns the vehicles on the road (in transit plus queued).
@@ -1180,7 +1078,7 @@ func (e *Engine) Occupancy(rid network.RoadID) int {
 	if int(rid) >= len(e.roads) || rid < 0 {
 		return 0
 	}
-	return int(e.rows[rid].occ)
+	return int(e.rows[rid].Occ)
 }
 
 // SpawnQueueLen returns the vehicles waiting to enter a full entry road.
@@ -1302,30 +1200,29 @@ func (e *Engine) applyEvents() {
 	}
 }
 
-// setEffCap installs a road's effective capacity and propagates it into
-// the observation arrays. The static capacity fields are engine-owned —
-// sensors only write the dynamic queue fields — so a capacity event is
-// the one place they change after construction, and it must write BOTH
-// the truth and the observed entry (identical storage when no sensor is
-// installed). The dirty mark routes the change through the incremental
-// sense path, which feeds the batched control plane's change set so
-// gain caches recompute exactly the affected links.
+// setEffCap installs a road's effective capacity. The capacity columns
+// of a sensed engine's observed pairs are engine-owned — sensors write
+// only the sensed columns — so a capacity event is the one place they
+// change after construction, and it writes them eagerly. The dirty
+// mark routes the change through the incremental sense path, which
+// feeds the batched control plane's change set so gain caches
+// recompute exactly the affected links.
 func (e *Engine) setEffCap(rid network.RoadID, cap int32) {
 	row := &e.rows[rid]
-	if row.effCap == cap {
+	if row.Cap == cap {
 		return
 	}
-	row.effCap = cap
-	for _, lr := range e.roadLinks[rid] {
-		js := &e.juncs[lr.junc]
-		l := &js.j.Links[lr.link]
-		if l.Out == rid {
-			js.truth[lr.link].OutCapacity = cap
-			js.obs.Links[lr.link].OutCapacity = cap
-		}
-		if l.In == rid {
-			js.truth[lr.link].InCapacity = cap
-			js.obs.Links[lr.link].InCapacity = cap
+	row.Cap = cap
+	if e.sensor != nil {
+		for _, gl := range e.roadLinks[rid] {
+			l := &e.links[gl]
+			in, out := e.pair(gl)
+			if l.Out == int32(rid) {
+				out.Cap = cap
+			}
+			if l.In == int32(rid) {
+				in.Cap = cap
+			}
 		}
 	}
 	e.markDirty(rid)
@@ -1353,52 +1250,52 @@ func (e *Engine) markDirty(rid network.RoadID) {
 	}
 }
 
-// sense refreshes the observations of every link whose road state
-// changed during the previous mini-slot: the truth fields are recomputed
-// from the road state, and the installed sensor (if any) maps them onto
-// the observation the controller reads. Links reading two dirty roads
-// are refreshed once (linkSeen stamp). With no sensor the truth array
-// IS the observation, so the refresh alone completes the update. With a
-// sensor, the refreshed links are listed in refresh order and sensed in
-// one Sense call at the end; that equals sensing each link right after
-// its refresh, because no link's refresh reads another link's
-// observation.
+// sense consumes the dirty set of the previous mini-slot. It wakes
+// each dirty road's junctions (wake) and lists every link reading a
+// dirty road, once (linkSeen stamp), in batch.Changed: the change set a
+// batched controller re-weighs, and the links the installed sensor
+// senses, in one Sense call at the end. Controllers read the rows
+// themselves, so a sensor-free engine copies nothing. Under a sensor,
+// the engine first copies the outgoing row's per-movement queues and
+// joins into each listed link's observed pair: they are engine-owned,
+// so the exact counts reach the observation whatever the sensor model,
+// and no sensor's draw sequence shifts. The list order is the dirty
+// order, road by road, each road's links in junction and link order; a
+// sensor draws in it, so it is part of every sensed output.
 //
-// When many roads are dirty — a loaded network — the scattered per-road
-// iteration plus dedup bookkeeping costs more than a contiguous walk
-// over all links, so the sensor-free path falls back to senseFull past
-// a quarter of the roads (each dirty road fans out to ~2 links per
-// touching junction and a deduped scattered visit costs roughly twice a
-// sequential one, putting the crossover near len(roads)/4). Only the
-// sensor-free path may fall back: refreshing a clean link is idempotent
-// on the truth, but a sensor must see exactly the links that changed
-// (event-driven detection).
+// Without a sensor and with a quarter of the roads or more dirty — a
+// loaded network — the list would name most links anyway, and a
+// batched controller past half of them sweeps every link: the step
+// then wakes the dirty roads' junctions and flags AllChanged instead.
+// Only the sensor-free path may do so, since a sensor must see exactly
+// the links that changed (event-driven detection). The per-junction
+// path without a sensor drains no list, so it only wakes.
 func (e *Engine) sense() {
-	if e.sensor == nil && 4*len(e.dirtyRoads) >= len(e.roads) {
-		e.senseFull()
+	list := e.trackChanged || e.sensor != nil
+	if !list || e.sensor == nil && 4*len(e.dirtyRoads) >= len(e.roads) {
+		for _, rd := range e.dirtyRoads {
+			e.roadDirty[rd] = false
+			e.wake(rd)
+		}
+		e.dirtyRoads = e.dirtyRoads[:0]
+		if list {
+			e.batch.AllChanged = true
+		}
 		return
 	}
+	// The stamp dedup guarantees one entry per link per step, so the
+	// buffer, pre-sized to the link count, never reallocates.
 	stamp := int32(e.step)
-	// The refreshed links are listed in batch.Changed, the batched
-	// control plane's change set, when the control plane drains it or a
-	// sensor reads it. The stamp dedup guarantees one entry per link per
-	// step, so the buffer, pre-sized to the link count, never
-	// reallocates.
-	list := e.trackChanged || e.sensor != nil
 	start := len(e.batch.Changed)
 	for _, rd := range e.dirtyRoads {
 		e.roadDirty[rd] = false
 		e.wake(rd)
-		for si := range e.roadSites[rd] {
-			s := &e.roadSites[rd][si]
-			if e.linkSeen[s.gl] == stamp {
+		for _, gl := range e.roadLinks[rd] {
+			if e.linkSeen[gl] == stamp {
 				continue
 			}
-			e.linkSeen[s.gl] = stamp
-			s.refresh(e.rows)
-			if list {
-				e.batch.Changed = append(e.batch.Changed, s.gl)
-			}
+			e.linkSeen[gl] = stamp
+			e.batch.Changed = append(e.batch.Changed, gl)
 		}
 	}
 	e.dirtyRoads = e.dirtyRoads[:0]
@@ -1407,14 +1304,11 @@ func (e *Engine) sense() {
 	}
 	changed := e.batch.Changed[start:]
 	for _, gl := range changed {
-		// The per-movement downstream fields are engine-owned like the
-		// capacities: sensors never write them, so the exact counts flow
-		// to the observation regardless of the sensor model (and no
-		// sensor's draw sequence shifts).
-		e.obsSlab[gl].OutTurnQueue = e.truthSlab[gl].OutTurnQueue
-		e.obsSlab[gl].OutTurnJoins = e.truthSlab[gl].OutTurnJoins
+		_, out := e.pair(gl)
+		tout := &e.rows[e.links[gl].Out]
+		out.Queued, out.Joins = tout.Queued, tout.Joins
 	}
-	e.sensor.Sense(changed, e.truthSlab, e.obsSlab, e.step)
+	e.sensor.Sense(changed, e.links, e.rows, e.obsRows, e.step)
 	if !e.trackChanged {
 		// The per-junction control path never drains the change set.
 		e.batch.Changed = e.batch.Changed[:start]
@@ -1426,9 +1320,9 @@ func (e *Engine) sense() {
 // pass this step (DESIGN.md §16), while junctions the road feeds into
 // keep their idle claims, which never read it. The control plane marks
 // both the head junction (the road is an In road of its links) and the
-// tail junction (an Out road): every observation the road feeds lives
-// at one of the two, so a junction left unmarked sees the same link
-// window as last round (DESIGN.md §11).
+// tail junction (an Out road): every link reading the road belongs to
+// one of the two, so a junction left unmarked sees the same rows as
+// last round (DESIGN.md §11).
 func (e *Engine) wake(rd int32) {
 	if j := e.roadWakeJunc[rd]; j >= 0 {
 		e.juncWoke[j] = true
@@ -1439,33 +1333,8 @@ func (e *Engine) wake(rd int32) {
 	}
 }
 
-// senseFull refreshes every link contiguously — the old full-walk
-// observation build, kept as the dense-dirty fast path of sense. It
-// produces the same truth as the incremental refresh (writing a clean
-// link's fields is a no-op by value), so the two paths are
-// interchangeable on the sensor-free engine.
-func (e *Engine) senseFull() {
-	// The refresh below is a dense walk, but the serve wake stays
-	// precise: even with most of the network dirty, the junctions whose
-	// incoming roads did NOT change keep their idle claims — exactly the
-	// drained fringe of a loaded grid, where the skip pays most.
-	for _, rd := range e.dirtyRoads {
-		e.roadDirty[rd] = false
-		e.wake(rd)
-	}
-	e.dirtyRoads = e.dirtyRoads[:0]
-	for i := range e.allSites {
-		e.allSites[i].refresh(e.rows)
-	}
-	if e.trackChanged {
-		// Every link was rewritten; the batched controller must not
-		// trust its cached per-link state this round.
-		e.batch.AllChanged = true
-	}
-}
-
 // control asks the control plane for c(k) based on the observed Q(k),
-// maintained incrementally by sense: one DecideAll over the dense batch
+// the rows sense left: one DecideAll over the dense batch
 // when a batched controller is installed (DESIGN.md §11), otherwise one
 // Decide call per junction. Both paths apply the same phase-range
 // coercion and fire hooks in junction order, so they are observably
@@ -1531,11 +1400,11 @@ func (js *junctionState) hasPhase(phase signal.Phase) bool {
 //
 // Quiet is settled && !ctrlDirty (DESIGN.md §11, "Quiet junctions"): a
 // junction that last round decided its Current green while live, and
-// none of whose roads changed since. Link observations change only in
-// sense (for the links of dirty roads, which mark their head and tail
-// junctions), in setEffCap (which marks the road dirty) and on
-// Reset/Restore (which clear settled), so a quiet junction decides on
-// the same link window and the same Current as last round.
+// none of whose roads changed since. A row changes only where its road
+// is marked dirty, which marks the road's head and tail junctions in
+// the next sense, and on Reset/Restore (which clear settled), so a
+// quiet junction decides on the same rows and the same Current as last
+// round.
 func (e *Engine) controlBatched(t float64) {
 	b := &e.batch
 	b.Step = e.step
@@ -1589,20 +1458,20 @@ func (e *Engine) completeTravel(t float64) {
 				// Vehicles never travel on exit roads in this model
 				// (they leave at service), but a general topology can
 				// route an entry road straight into a terminal.
-				row.occ--
+				row.Occ--
 				e.exitVehicle(id, a.EnqueuedAt)
 				continue
 			}
 			turn := e.arena.PendingTurn(id)
-			row.transit[turn]--
+			row.Transit[turn]--
 			if e.cfg.MixedLanes {
 				e.store.Push(&rs.mixed, int32(id), a.EnqueuedAt)
 			} else {
 				e.store.Push(&rs.lanes[turn], int32(id), a.EnqueuedAt)
 			}
-			row.queued[turn]++
-			row.joins[turn]++
-			row.total++
+			row.Queued[turn]++
+			row.Joins[turn]++
+			row.Total++
 			e.netQueued++
 		}
 		e.tailDue[ri] = e.headDue(ri)
@@ -1618,11 +1487,11 @@ func (e *Engine) completeTravel(t float64) {
 // arrival time down the list.
 func (e *Engine) enterRoad(ri int32, id vehicle.ID, t float64) {
 	rs, row := &e.roads[ri], &e.rows[ri]
-	row.occ++
+	row.Occ++
 	turn := network.Straight
 	if !rs.exits {
 		turn = e.resolveTurn(rs.feasible, id)
-		row.transit[turn]++
+		row.Transit[turn]++
 	}
 	e.arena.SetPendingTurn(id, turn)
 	at := t + rs.travel
@@ -1668,7 +1537,7 @@ func (e *Engine) arrivals(t float64) {
 			e.totals.Spawned++
 		}
 		admitted := false
-		for rs.spawn.Len() > 0 && row.hasRoom() {
+		for rs.spawn.Len() > 0 && !row.Full() {
 			item, _ := e.store.Pop(&rs.spawn)
 			id := vehicle.ID(item.Vehicle)
 			e.arena.Admit(id, t)
@@ -1843,7 +1712,7 @@ func (e *Engine) checkQueues() error {
 			}
 			prev = it.EnqueuedAt
 		}
-		if transit := e.rows[ri].transit; transit != bound {
+		if transit := e.rows[ri].Transit; transit != bound {
 			return fmt.Errorf("sim: road %d per-movement transit %v, its transit list is bound for %v", ri, transit, bound)
 		}
 	}
@@ -1868,20 +1737,20 @@ func (e *Engine) CheckInvariants() error {
 	for ri := range e.roads {
 		rs, row, road := &e.roads[ri], &e.rows[ri], &e.net.Roads[ri]
 		perTurn, total := e.recountQueued(rs)
-		if int(row.total) != total {
-			return fmt.Errorf("sim: road %d incremental queue total %d != lane recount %d", ri, row.total, total)
+		if int(row.Total) != total {
+			return fmt.Errorf("sim: road %d incremental queue total %d != lane recount %d", ri, row.Total, total)
 		}
 		for t, n := range perTurn {
-			if int(row.queued[t]) != n {
-				return fmt.Errorf("sim: road %d movement %d queued count %d != lane recount %d", ri, t, row.queued[t], n)
+			if int(row.Queued[t]) != n {
+				return fmt.Errorf("sim: road %d movement %d queued count %d != lane recount %d", ri, t, row.Queued[t], n)
 			}
 		}
 		transit := 0
-		for t := range row.transit {
-			if row.transit[t] < 0 || row.joins[t] < 0 {
-				return fmt.Errorf("sim: road %d movement %d transit %d / joins %d negative", ri, t, row.transit[t], row.joins[t])
+		for t := range row.Transit {
+			if row.Transit[t] < 0 || row.Joins[t] < 0 {
+				return fmt.Errorf("sim: road %d movement %d transit %d / joins %d negative", ri, t, row.Transit[t], row.Joins[t])
 			}
-			transit += int(row.transit[t])
+			transit += int(row.Transit[t])
 		}
 		// Vehicles heading for a terminal carry no movement, so an exit
 		// road counts none in transit.
@@ -1892,17 +1761,17 @@ func (e *Engine) CheckInvariants() error {
 		if transit != want {
 			return fmt.Errorf("sim: road %d per-movement transit sums to %d, want %d", ri, transit, want)
 		}
-		onRoad := rs.transit.Len() + int(row.total)
-		if onRoad != int(row.occ) {
-			return fmt.Errorf("sim: road %d occupancy %d != transit+queued %d", ri, row.occ, onRoad)
+		onRoad := rs.transit.Len() + int(row.Total)
+		if onRoad != int(row.Occ) {
+			return fmt.Errorf("sim: road %d occupancy %d != transit+queued %d", ri, row.Occ, onRoad)
 		}
-		if road.Bounded() && int(row.occ) > road.Capacity {
-			return fmt.Errorf("sim: road %d occupancy %d exceeds capacity %d", ri, row.occ, road.Capacity)
+		if road.Bounded() && int(row.Occ) > road.Capacity {
+			return fmt.Errorf("sim: road %d occupancy %d exceeds capacity %d", ri, row.Occ, road.Capacity)
 		}
 		if due, head := e.tailDue[ri], e.headDue(ri); due != head {
 			return fmt.Errorf("sim: road %d due-time index %v != transit list head %v", ri, due, head)
 		}
-		inNetwork += int(row.occ)
+		inNetwork += int(row.Occ)
 	}
 	waiting := 0
 	for _, rid := range e.entries {
@@ -1910,7 +1779,7 @@ func (e *Engine) CheckInvariants() error {
 	}
 	queued := 0
 	for ri := range e.rows {
-		queued += int(e.rows[ri].total)
+		queued += int(e.rows[ri].Total)
 	}
 	if queued != e.netQueued {
 		return fmt.Errorf("sim: network queue total %d != per-road sum %d", e.netQueued, queued)
@@ -1974,39 +1843,24 @@ func (e *Engine) CheckInvariants() error {
 			}
 		}
 	}
-	// Incremental-observation consistency: for every link neither of
-	// whose roads is pending in the dirty set, the maintained truth must
-	// equal a fresh recompute from the road state. (Links with a pending
-	// dirty road are refreshed by the next sense substep and are
-	// legitimately stale here.)
-	for ji := range e.juncs {
-		js := &e.juncs[ji]
-		for li := range js.j.Links {
-			l := &js.j.Links[li]
-			if e.roadDirty[l.In] || e.roadDirty[l.Out] {
-				continue
+	// Under a sensor, each link's observed pair carries the columns the
+	// engine owns: both capacities, which setEffCap writes eagerly, and
+	// the outgoing road's per-movement queues and joins, which sense
+	// copies for every link it lists, so they may lag only behind a road
+	// pending in the dirty set. Which rows changed since the last sense
+	// is not checkable here, as the engine keeps no copy of them: a test
+	// shadows the rows instead (TestDirtySetCoversChangedRows).
+	if e.sensor != nil {
+		for gl, l := range e.links {
+			tin, tout := &e.rows[l.In], &e.rows[l.Out]
+			in, out := e.pair(int32(gl))
+			if in.Cap != tin.Cap || out.Cap != tout.Cap {
+				return fmt.Errorf("sim: link %d observed capacities in=%d out=%d, effective %d / %d",
+					gl, in.Cap, out.Cap, tin.Cap, tout.Cap)
 			}
-			in := &e.rows[l.In]
-			out := &e.rows[l.Out]
-			tr := &js.truth[li]
-			if tr.Queue != in.queued[l.Turn] ||
-				tr.InTransit != in.transit[l.Turn] ||
-				tr.ApproachQueue != in.total ||
-				tr.OutQueue != out.total ||
-				tr.OutOccupancy != out.occ {
-				return fmt.Errorf("sim: junction %s link %d observation truth %+v is stale (roads %d->%d clean)",
-					js.info.Label, li, *tr, l.In, l.Out)
-			}
-			if tr.OutTurnQueue != out.queued || tr.OutTurnJoins != out.joins {
-				return fmt.Errorf("sim: junction %s link %d per-movement truth %+v stale vs out road %d",
-					js.info.Label, li, *tr, l.Out)
-			}
-			// The engine-owned capacity fields must track the effective
-			// capacities the event plane maintains (setEffCap writes
-			// them eagerly, so no dirty-set exemption applies).
-			if tr.OutCapacity != out.effCap || tr.InCapacity != in.effCap {
-				return fmt.Errorf("sim: junction %s link %d observed capacities out=%d in=%d, effective %d / %d",
-					js.info.Label, li, tr.OutCapacity, tr.InCapacity, out.effCap, in.effCap)
+			if !e.roadDirty[l.Out] && (out.Queued != tout.Queued || out.Joins != tout.Joins) {
+				return fmt.Errorf("sim: link %d observed per-movement queues %v / joins %v, road %d (clean) has %v / %v",
+					gl, out.Queued, out.Joins, l.Out, tout.Queued, tout.Joins)
 			}
 		}
 	}

@@ -45,12 +45,12 @@ func RoadTables(e *Engine, rid network.RoadID) (travel float64, feasible uint8) 
 // DiffDerived compares every value resetDerived rebuilds on two engines
 // at the same step — road rows with their effective capacities, the
 // network queue total and due-time index, the event cursor, each
-// junction's dark state, the totals, and the truth and observation of
-// every link whose roads are both clean — and returns the first
+// junction's dark state, the totals, and under a sensor the observed
+// pair of every link whose roads are both clean — and returns the first
 // difference, nil when they agree. A link with a dirty road is
-// skipped: the next sense substep refreshes it, and until then a
-// restored engine holds it fresh where the uninterrupted one still
-// holds the previous step's values.
+// skipped: the next sense substep copies its engine-owned columns, and
+// until then a restored engine holds them fresh where the uninterrupted
+// one still holds the previous step's values.
 func DiffDerived(got, want *Engine) error {
 	for ri := range want.rows {
 		if got.rows[ri] != want.rows[ri] {
@@ -75,15 +75,15 @@ func DiffDerived(got, want *Engine) error {
 			return fmt.Errorf("junction %s dark since %d under %+v, want %d under %+v",
 				w.info.Label, g.darkSince, g.darkPol, w.darkSince, w.darkPol)
 		}
-		for li := range w.j.Links {
-			l := &w.j.Links[li]
-			if want.roadDirty[l.In] || want.roadDirty[l.Out] {
-				continue
-			}
-			if g.truth[li] != w.truth[li] || g.obs.Links[li] != w.obs.Links[li] {
-				return fmt.Errorf("junction %s link %d truth %+v obs %+v, want %+v and %+v",
-					w.info.Label, li, g.truth[li], g.obs.Links[li], w.truth[li], w.obs.Links[li])
-			}
+	}
+	for gl, l := range want.links {
+		if want.sensor == nil || want.roadDirty[l.In] || want.roadDirty[l.Out] {
+			continue
+		}
+		gin, gout := got.pair(int32(gl))
+		win, wout := want.pair(int32(gl))
+		if *gin != *win || *gout != *wout {
+			return fmt.Errorf("link %d observed pair %+v %+v, want %+v %+v", gl, *gin, *gout, *win, *wout)
 		}
 	}
 	return nil
@@ -104,7 +104,7 @@ func DiffDerived(got, want *Engine) error {
 func CorruptDerived(e *Engine, what string) error {
 	loaded := -1
 	for ri := range e.rows {
-		if e.rows[ri].bounded == 1 && e.rows[ri].total > 0 {
+		if e.rows[ri].Cap > 0 && e.rows[ri].Total > 0 {
 			loaded = ri
 			break
 		}
@@ -116,7 +116,7 @@ func CorruptDerived(e *Engine, what string) error {
 	switch what {
 	case "transit-moved":
 		for _, rd := range e.dirtyRoads {
-			tr := &e.rows[rd].transit
+			tr := &e.rows[rd].Transit
 			for t := range tr {
 				if tr[t] > 0 {
 					tr[t]--
@@ -137,16 +137,16 @@ func CorruptDerived(e *Engine, what string) error {
 		}
 		return fmt.Errorf("no junction is dark")
 	case "occupancy":
-		row.occ++
+		row.Occ++
 	case "occupancy-above-capacity":
-		row.occ = int32(e.net.Roads[loaded].Capacity) + 1
+		row.Occ = int32(e.net.Roads[loaded].Capacity) + 1
 	case "effective-capacity":
-		row.effCap++
+		row.Cap++
 	case "zero-effective-capacity":
-		row.effCap = 0
+		row.Cap = 0
 	case "mixed-movement-count":
-		row.queued[network.Straight]--
-		row.queued[network.Left]++
+		row.Queued[network.Straight]--
+		row.Queued[network.Left]++
 	default:
 		return fmt.Errorf("unknown corruption %q", what)
 	}

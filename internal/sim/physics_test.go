@@ -6,21 +6,24 @@ import (
 	"utilbp/internal/network"
 	"utilbp/internal/rng"
 	"utilbp/internal/signal"
+	"utilbp/internal/signal/signaltest"
 	"utilbp/internal/vehicle"
 )
 
-// captureCtrl records the observations it receives while holding one
-// phase.
+// captureCtrl records the observations it receives, each link read
+// from its rows, while holding one phase.
 type captureCtrl struct {
 	phase signal.Phase
-	seen  []signal.Obs
+	seen  [][]signaltest.LinkObs
 }
 
 func (c *captureCtrl) Name() string { return "capture" }
 func (c *captureCtrl) Decide(obs *signal.Obs) signal.Phase {
-	cp := *obs
-	cp.Links = append([]signal.LinkObs(nil), obs.Links...)
-	c.seen = append(c.seen, cp)
+	links := make([]signaltest.LinkObs, len(obs.Links))
+	for li := range links {
+		links[li] = signaltest.Get(&obs.Links[li], obs.Rows)
+	}
+	c.seen = append(c.seen, links)
 	return c.phase
 }
 
@@ -170,8 +173,8 @@ func TestTransitObservation(t *testing.T) {
 		t.Fatal("no north-left link")
 	}
 	sawTransit, sawQueue := false, false
-	for _, obs := range ctrl.seen {
-		l := obs.Links[leftLink]
+	for _, links := range ctrl.seen {
+		l := links[leftLink]
 		if l.InTransit == 2 && l.Queue == 0 {
 			sawTransit = true
 		}
@@ -182,7 +185,7 @@ func TestTransitObservation(t *testing.T) {
 			t.Fatalf("overcounted lane: %+v", l)
 		}
 		// The straight lane must never see these left-bound vehicles.
-		s := obs.Links[j.LinkFor(network.North, network.Straight)]
+		s := links[j.LinkFor(network.North, network.Straight)]
 		if s.Queue != 0 || s.InTransit != 0 {
 			t.Fatalf("left-bound vehicles leaked into the straight lane: %+v", s)
 		}

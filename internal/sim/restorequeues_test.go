@@ -41,9 +41,9 @@ func newQueueSplicer(t testing.TB, e *Engine) *queueSplicer {
 	t.Helper()
 	sp := &queueSplicer{base: e.Snapshot()}
 	for ri := range e.roads {
-		e.rows[ri].joins[0] ^= 1
+		e.rows[ri].Joins[0] ^= 1
 		flipped := e.Snapshot()
-		e.rows[ri].joins[0] ^= 1
+		e.rows[ri].Joins[0] ^= 1
 		at := 0
 		for at < len(flipped) && flipped[at] == sp.base[at] {
 			at++

@@ -29,9 +29,10 @@ func buildSensed(t *testing.T, seed uint64, sensor sensing.Sensor) *sim.Engine {
 }
 
 // TestPerfectSensorMatchesSensorFree pins the acceptance contract: an
-// engine with the explicit sensing.Perfect sensor installed (separate
-// truth array, per-link copy) reproduces the sensor-free fast path
-// (observation aliasing the truth) bit-for-bit.
+// engine with the explicit sensing.Perfect sensor installed (observed
+// pairs the sensor fills from the truth rows) reproduces the
+// sensor-free fast path (controllers reading the truth rows)
+// bit-for-bit.
 func TestPerfectSensorMatchesSensorFree(t *testing.T) {
 	const steps = 900
 	bare := buildSensed(t, 11, nil)
@@ -297,9 +298,9 @@ func TestRunTracedMatchesRunSensed(t *testing.T) {
 type perLinkCV struct{ *sensing.ConnectedVehicle }
 
 // Sense forwards each link on its own.
-func (p perLinkCV) Sense(links []int32, truth, obs []signal.LinkObs, step int) {
+func (p perLinkCV) Sense(links []int32, table []signal.Link, truth, obs []signal.Row, step int) {
 	for i := range links {
-		p.ConnectedVehicle.Sense(links[i:i+1], truth, obs, step)
+		p.ConnectedVehicle.Sense(links[i:i+1], table, truth, obs, step)
 	}
 }
 

@@ -270,9 +270,9 @@ func (e *Engine) serveLinkAt(gl int32, t float64) (empty, subNext bool) {
 	}
 	// The lane this link serves from and the count of its vehicles:
 	// turning lane t and q_i^{i'}, or the mixed lane and the road total.
-	lane, waiting := &in.lanes[s.turn], &inRow.queued[s.turn]
+	lane, waiting := &in.lanes[s.turn], &inRow.Queued[s.turn]
 	if e.cfg.MixedLanes {
-		lane, waiting = &in.mixed, &inRow.total
+		lane, waiting = &in.mixed, &inRow.Total
 	}
 	served := false
 	for credit >= 1 {
@@ -287,18 +287,18 @@ func (e *Engine) serveLinkAt(gl int32, t float64) (empty, subNext bool) {
 				break
 			}
 		}
-		if !outRow.hasRoom() {
+		if outRow.Full() {
 			break
 		}
 		item, _ := e.store.Pop(lane)
-		inRow.queued[s.turn]--
-		inRow.total--
+		inRow.Queued[s.turn]--
+		inRow.Total--
 		e.netQueued--
 		credit--
 		served = true
 		id := vehicle.ID(item.Vehicle)
 		e.arena.Serve(id, t-item.EnqueuedAt)
-		inRow.occ--
+		inRow.Occ--
 		e.totals.Served++
 		if s.outExits {
 			e.exitVehicle(id, t)

@@ -90,7 +90,7 @@ func (e *Engine) serveLink(js *junctionState, li int, t float64) {
 			credit = 0
 			break
 		}
-		if !outRow.hasRoom() {
+		if outRow.Full() {
 			break
 		}
 		if e.cfg.MixedLanes {
@@ -98,14 +98,14 @@ func (e *Engine) serveLink(js *junctionState, li int, t float64) {
 		} else {
 			e.store.Pop(&in.lanes[l.Turn])
 		}
-		inRow.queued[l.Turn]--
-		inRow.total--
+		inRow.Queued[l.Turn]--
+		inRow.Total--
 		e.netQueued--
 		credit--
 		served = true
 		id := vehicle.ID(item.Vehicle)
 		e.arena.Serve(id, t-item.EnqueuedAt)
-		inRow.occ--
+		inRow.Occ--
 		e.totals.Served++
 		if out.exits {
 			e.exitVehicle(id, t)

@@ -10,7 +10,7 @@
 // A snapshot is taken and restored between mini-slots (after stepOnce
 // returns), which is what keeps the per-step scratch out of the format:
 // the batch change set is empty at every inter-step point (sense fills
-// it, the same step's control drains it), the link refresh stamps only
+// it, the same step's control drains it), the link listing stamps only
 // matter within the step that wrote them, and the controllers' gain
 // slabs are per-decision scratch. Restore rebuilds the control plane
 // and re-arms a full sweep (AllChanged), which recomputes exactly the
@@ -77,8 +77,8 @@ func (e *Engine) Snapshot() []byte {
 	w.Bool(e.cfg.MixedLanes)
 	w.Int(e.cfg.StartupLostSteps)
 	w.Bool(e.batchCtrl != nil)
-	w.String(factoryName(e.cfg.Controllers))
-	w.String(e.sensorName())
+	w.String(e.ctrlEntry)
+	w.String(e.sensorEntry)
 	w.Int(e.transitionCount())
 
 	w.Int(e.step)
@@ -91,7 +91,7 @@ func (e *Engine) Snapshot() []byte {
 
 	// Roads: the join counts, then the queues in queues() order.
 	for i := range e.roads {
-		for _, j := range e.rows[i].joins {
+		for _, j := range e.rows[i].Joins {
 			w.Int(int(j))
 		}
 		for _, l := range e.roads[i].queues() {
@@ -109,21 +109,22 @@ func (e *Engine) Snapshot() []byte {
 		}
 	}
 
-	// Under a sensor, the fields it writes: its readings are state of
-	// their own, while the truth and the other fields follow the roads.
+	// Under a sensor, the five columns it writes of each link's
+	// observed pair: its readings are state of their own, while the
+	// other columns follow the roads.
 	if e.sensor != nil {
-		for i := range e.obsSlab {
-			o := &e.obsSlab[i]
-			w.Int32(o.Queue)
-			w.Int32(o.InTransit)
-			w.Int32(o.ApproachQueue)
-			w.Int32(o.OutQueue)
-			w.Int32(o.OutOccupancy)
+		for gl, l := range e.links {
+			in, out := e.pair(int32(gl))
+			w.Int32(in.Queued[l.Turn])
+			w.Int32(in.Transit[l.Turn])
+			w.Int32(in.Total)
+			w.Int32(out.Total)
+			w.Int32(out.Occ)
 		}
 	}
 
 	// Pending dirty-road set, in marking order: the order fixes the
-	// refresh (and hence sensor-draw) sequence of the next mini-slot.
+	// listing (and hence sensor-draw) sequence of the next mini-slot.
 	w.Int(len(e.dirtyRoads))
 	for _, rd := range e.dirtyRoads {
 		w.Int32(rd)
@@ -216,13 +217,13 @@ func (e *Engine) Restore(data []byte) error {
 	}
 
 	if e.sensor != nil {
-		if err := readSensed(r, e.obsSlab); err != nil {
+		if err := e.readSensed(r); err != nil {
 			return err
 		}
 	}
 
 	// Dirty set: clear the engine's current flags, then install the
-	// snapshot's list verbatim (order fixes the next refresh sequence).
+	// snapshot's list verbatim (order fixes the next listing sequence).
 	for _, rd := range e.dirtyRoads {
 		e.roadDirty[rd] = false
 	}
@@ -300,12 +301,12 @@ func (e *Engine) Restore(data []byte) error {
 // where a run would have put it.
 func (e *Engine) restoreRoad(r *snap.Reader, i, waiting int) error {
 	road, row := &e.net.Roads[i], &e.rows[i]
-	for t := range row.joins {
+	for t := range row.Joins {
 		v := r.Int()
 		if r.Err() == nil && (v < 0 || v > math.MaxInt32) {
 			return fmt.Errorf("sim: road %d join count %d outside [0, %d]", i, v, math.MaxInt32)
 		}
-		row.joins[t] = int32(v)
+		row.Joins[t] = int32(v)
 	}
 	limit := math.MaxInt32
 	if road.Bounded() {
@@ -359,11 +360,11 @@ func (e *Engine) checkFingerprint(r *snap.Reader) error {
 	if b := r.Bool(); r.Err() == nil && b != (e.batchCtrl != nil) {
 		return fmt.Errorf("sim: snapshot batched=%v, engine batched=%v", b, e.batchCtrl != nil)
 	}
-	if f := r.String(); r.Err() == nil && f != factoryName(e.cfg.Controllers) {
-		return fmt.Errorf("sim: snapshot controller %q, engine has %q", f, factoryName(e.cfg.Controllers))
+	if f := r.String(); r.Err() == nil && f != e.ctrlEntry {
+		return fmt.Errorf("sim: snapshot controller %q, engine has %q", f, e.ctrlEntry)
 	}
-	if s := r.String(); r.Err() == nil && s != e.sensorName() {
-		return fmt.Errorf("sim: snapshot sensor %q, engine has %q", s, e.sensorName())
+	if s := r.String(); r.Err() == nil && s != e.sensorEntry {
+		return fmt.Errorf("sim: snapshot sensor %q, engine has %q", s, e.sensorEntry)
 	}
 	if n := r.Int(); r.Err() == nil && n != e.transitionCount() {
 		return fmt.Errorf("sim: snapshot schedule has %d transitions, engine schedule has %d", n, e.transitionCount())
@@ -374,20 +375,13 @@ func (e *Engine) checkFingerprint(r *snap.Reader) error {
 // factoryName is the fingerprint's controller entry: the family Name
 // and, for a factory that states them (signal.Parameterized), its
 // parameters, so a snapshot restores only into controllers that decide
-// as the captured ones did.
+// as the captured ones did. New and ResetWith format it once, when they
+// set the factory (Engine.ctrlEntry).
 func factoryName(f signal.Factory) string {
 	if p, ok := f.(signal.Parameterized); ok {
 		return f.Name() + " " + p.Params()
 	}
 	return f.Name()
-}
-
-// sensorName is the fingerprint's sensor entry, "" without a sensor.
-func (e *Engine) sensorName() string {
-	if e.sensor == nil {
-		return ""
-	}
-	return e.sensor.Name()
 }
 
 // transitionCount is the fingerprint's schedule entry: the armed
@@ -415,18 +409,19 @@ func (e *Engine) snapshotSizeHint() int {
 	return hint
 }
 
-// readSensed decodes the five fields a sensor writes per link. It
-// rejects a negative count: sensors write through a saturation to
-// [0, MaxInt32] and an outage blanks to 0, so a negative word is a
-// corrupt stream, not a reading.
-func readSensed(r *snap.Reader, links []signal.LinkObs) error {
-	for i := range links {
-		o := &links[i]
-		o.Queue, o.InTransit, o.ApproachQueue = r.Int32(), r.Int32(), r.Int32()
-		o.OutQueue, o.OutOccupancy = r.Int32(), r.Int32()
-		if min(o.Queue, o.InTransit, o.ApproachQueue, o.OutQueue, o.OutOccupancy) < 0 {
+// readSensed decodes the five columns a sensor writes of each link's
+// observed pair. It rejects a negative count: sensors write through a
+// saturation to [0, MaxInt32] and an outage blanks to 0, so a negative
+// word is a corrupt stream, not a reading.
+func (e *Engine) readSensed(r *snap.Reader) error {
+	for gl, l := range e.links {
+		in, out := e.pair(int32(gl))
+		t := l.Turn
+		in.Queued[t], in.Transit[t], in.Total = r.Int32(), r.Int32(), r.Int32()
+		out.Total, out.Occ = r.Int32(), r.Int32()
+		if min(in.Queued[t], in.Transit[t], in.Total, out.Total, out.Occ) < 0 {
 			return fmt.Errorf("sim: snapshot observation link %d counts %d, %d, %d, %d, %d, one of them negative",
-				i, o.Queue, o.InTransit, o.ApproachQueue, o.OutQueue, o.OutOccupancy)
+				gl, in.Queued[t], in.Transit[t], in.Total, out.Total, out.Occ)
 		}
 	}
 	return r.Err()

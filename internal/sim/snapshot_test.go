@@ -218,7 +218,7 @@ func TestRestoreRejectsContradictoryRoad(t *testing.T) {
 	// loaded returns the first bounded road holding queued vehicles.
 	loaded := func(e *Engine) int {
 		for ri := range e.rows {
-			if e.rows[ri].bounded == 1 && e.rows[ri].total > 0 {
+			if e.rows[ri].Cap > 0 && e.rows[ri].Total > 0 {
 				return ri
 			}
 		}
@@ -230,14 +230,14 @@ func TestRestoreRejectsContradictoryRoad(t *testing.T) {
 	const marker = 0x5a5a5a5
 	cases := []struct {
 		name    string
-		corrupt func(row *roadRow)
+		corrupt func(row *signal.Row)
 		// patch, when set, replaces the marker's 8 stream bytes with
 		// this value before the restore.
 		patch int64
 		want  string
 	}{
-		{"negative-joins", func(row *roadRow) { row.joins[network.Right] = -1 }, 0, "join count -1"},
-		{"joins-past-int32", func(row *roadRow) { row.joins[network.Right] = marker }, 1 << 31, "join count 2147483648"},
+		{"negative-joins", func(row *signal.Row) { row.Joins[network.Right] = -1 }, 0, "join count -1"},
+		{"joins-past-int32", func(row *signal.Row) { row.Joins[network.Right] = marker }, 1 << 31, "join count 2147483648"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -326,8 +326,8 @@ func TestRestoreRejectsObservedCountOutOfRange(t *testing.T) {
 		}
 		return e
 	}
-	// marker stands in for link 0's observed Queue so the test can find
-	// the word in the stream and overwrite it there.
+	// marker stands in for link 0's observed lane count so the test can
+	// find the word in the stream and overwrite it there.
 	const marker = 0x5a5a5a5
 	for _, patch := range []int32{-1, -(1 << 20), math.MinInt32} {
 		e := build()
@@ -335,7 +335,8 @@ func TestRestoreRejectsObservedCountOutOfRange(t *testing.T) {
 		if err := build().Restore(e.Snapshot()); err != nil {
 			t.Fatalf("intact snapshot rejected: %v", err)
 		}
-		e.obsSlab[0].Queue = marker
+		in, _ := e.pair(0)
+		in.Queued[e.links[0].Turn] = marker
 		b := e.Snapshot()
 		var want, with [4]byte
 		binary.LittleEndian.PutUint32(want[:], marker)
@@ -374,11 +375,12 @@ func TestRestoreBitFlips(t *testing.T) {
 	t.Logf("%d bytes: %d flips rejected, %d accepted", len(b), rejected, accepted)
 }
 
-// TestRoadRowIsOneCacheLine pins the counter row at 64 bytes, so a
-// slab that starts on a cache line keeps every row on one line.
+// TestRoadRowIsOneCacheLine pins the engine's counter row at 64 bytes,
+// so a slab that starts on a cache line keeps every row on one line.
 func TestRoadRowIsOneCacheLine(t *testing.T) {
-	if n := unsafe.Sizeof(roadRow{}); n != 64 {
-		t.Fatalf("roadRow is %d bytes, want 64", n)
+	var e Engine
+	if n := unsafe.Sizeof(e.rows[:1][0]); n != 64 {
+		t.Fatalf("a road row is %d bytes, want 64", n)
 	}
 }
 

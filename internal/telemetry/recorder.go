@@ -232,21 +232,21 @@ func (r *Recorder) RecordNet(step int, s NetSample) {
 
 // RecordJunc records one tracked junction's channels for the step
 // RecordNet just opened. ji indexes the JuncMeta slice passed to Arm;
-// links is the junction's ground-truth observation window, applied the
-// phase actuated this step, active the applied phase's link-membership
-// row (nil when amber), and dark whether the junction's controller is
-// offline.
+// links is the junction's window of the link table, rows the ground-
+// truth road rows it indexes, applied the phase actuated this step,
+// active the applied phase's link-membership row (nil when amber), and
+// dark whether the junction's controller is offline.
 //
 // The channels derived here: queued sums the per-link turning-lane
-// queues; pressure is the applied phase's ORIG-BP-style pressure
-// Σ (Queue − OutQueue) over its links (eq. 5 flavor — the differential
+// queues q_i^{i'}; pressure is the applied phase's ORIG-BP-style
+// pressure Σ (q_i^{i'} − q_{i'}) over its links (eq. 5 flavor — the differential
 // the decision actuated); switches counts green onsets onto a different
 // phase; estErr is the mean absolute gap between an online turn-ratio
 // estimate (the BP-EST estimator family at DefaultEstimatorAlpha, fed
 // the realized per-movement join counters) and the cumulative turning
 // fractions the frozen route table realizes — the convergence signal of
 // the estimated-state controllers, -1 while no link has turning data.
-func (r *Recorder) RecordJunc(ji int, links []signal.LinkObs, applied signal.Phase, active []bool, dark bool) {
+func (r *Recorder) RecordJunc(ji int, links []signal.Link, rows []signal.Row, applied signal.Phase, active []bool, dark bool) {
 	jc := &r.juncs[ji]
 	c := r.cur
 	queued := 0
@@ -255,24 +255,26 @@ func (r *Recorder) RecordJunc(ji int, links []signal.LinkObs, applied signal.Pha
 	errN := 0
 	for li := range links {
 		l := &links[li]
-		queued += int(l.Queue)
+		out := &rows[l.Out]
+		queue := int(rows[l.In].Queued[l.Turn])
+		queued += queue
 		if active != nil && active[li] {
-			pressure += int(l.Queue) - int(l.OutQueue)
+			pressure += queue - int(out.Total)
 		}
 		total := 0
-		for _, j := range l.OutTurnJoins {
+		for _, j := range out.Joins {
 			total += int(j)
 		}
 		if total > 0 {
 			if int32(total) != jc.lastTotal[li] {
-				jc.est[li].Observe(l.OutTurnJoins)
+				jc.est[li].Observe(out.Joins)
 				ratios := jc.est[li].Ratios()
 				sum := 0.0
-				for t, j := range l.OutTurnJoins {
+				for t, j := range out.Joins {
 					sum += math.Abs(ratios[t] - float64(j)/float64(total))
 				}
 				jc.lastTotal[li] = int32(total)
-				jc.lastErr[li] = float32(sum / float64(len(l.OutTurnJoins)))
+				jc.lastErr[li] = float32(sum / float64(len(out.Joins)))
 			}
 			errSum += float64(jc.lastErr[li])
 			errN++

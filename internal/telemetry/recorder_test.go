@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"utilbp/internal/signal"
+	"utilbp/internal/signal/signaltest"
 )
 
 func TestNewRecorderRejects(t *testing.T) {
@@ -105,16 +106,16 @@ func TestRecorderRewind(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Arm(1.0, []JuncMeta{{Label: "J00", NumLinks: 2}})
-	links := make([]signal.LinkObs, 2)
+	links, rows := signaltest.Pairs(make([]signaltest.LinkObs, 2)...)
 	r.RecordNet(0, NetSample{Queued: 5})
-	r.RecordJunc(0, links, signal.Phase(1), []bool{true, false}, false)
+	r.RecordJunc(0, links, rows, signal.Phase(1), []bool{true, false}, false)
 	r.Rewind()
 	if r.Len() != 0 || r.FirstStep() != -1 {
 		t.Fatalf("rewind left len %d first %d", r.Len(), r.FirstStep())
 	}
 	// Switch counter restarts: the same phase counts as a fresh onset.
 	r.RecordNet(0, NetSample{})
-	r.RecordJunc(0, links, signal.Phase(1), []bool{true, false}, false)
+	r.RecordJunc(0, links, rows, signal.Phase(1), []bool{true, false}, false)
 	cols := r.Columns()
 	heads := r.Headers()
 	idx := func(name string) int {
@@ -137,25 +138,25 @@ func TestRecorderJuncChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Arm(1.0, []JuncMeta{{Label: "J00", NumLinks: 2}})
-	links := []signal.LinkObs{
-		{Queue: 4, OutQueue: 1},
-		{Queue: 2, OutQueue: 5},
-	}
+	links, rows := signaltest.Pairs(
+		signaltest.LinkObs{Queue: 4, OutQueue: 1},
+		signaltest.LinkObs{Queue: 2, OutQueue: 5},
+	)
 	phase1 := []bool{true, false}
 	phase2 := []bool{false, true}
 
 	// Step 0: amber — no pressure, no switch.
 	r.RecordNet(0, NetSample{})
-	r.RecordJunc(0, links, signal.Amber, nil, false)
+	r.RecordJunc(0, links, rows, signal.Amber, nil, false)
 	// Step 1: phase 1 green onset.
 	r.RecordNet(1, NetSample{})
-	r.RecordJunc(0, links, signal.Phase(1), phase1, false)
+	r.RecordJunc(0, links, rows, signal.Phase(1), phase1, false)
 	// Step 2: phase 1 held — no new switch.
 	r.RecordNet(2, NetSample{})
-	r.RecordJunc(0, links, signal.Phase(1), phase1, false)
+	r.RecordJunc(0, links, rows, signal.Phase(1), phase1, false)
 	// Step 3: phase 2, dark.
 	r.RecordNet(3, NetSample{})
-	r.RecordJunc(0, links, signal.Phase(2), phase2, true)
+	r.RecordJunc(0, links, rows, signal.Phase(2), phase2, true)
 
 	heads := r.Headers()
 	cols := r.Columns()
@@ -199,16 +200,16 @@ func TestRecorderEstimatorError(t *testing.T) {
 	// Feed a 60/30/10 turning split; the EWMA estimate starts at the
 	// uniform prior and must converge toward the realized ratios, so
 	// the error series must shrink.
-	links := make([]signal.LinkObs, 1)
+	links, rows := signaltest.Pairs(signaltest.LinkObs{})
 	joins := [signal.NumTurns]int32{}
 	var first, last float64
 	for step := 0; step < 60; step++ {
 		joins[0] += 6
 		joins[1] += 3
 		joins[2]++
-		links[0].OutTurnJoins = joins
+		rows[links[0].Out].Joins = joins
 		r.RecordNet(step, NetSample{})
-		r.RecordJunc(0, links, signal.Phase(1), []bool{true}, false)
+		r.RecordJunc(0, links, rows, signal.Phase(1), []bool{true}, false)
 	}
 	heads := r.Headers()
 	cols := r.Columns()
