@@ -30,7 +30,7 @@ func Std(xs []float64) float64 {
 	ss := 0.0
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(xs)))
 }
@@ -69,12 +69,12 @@ func Trend(xs []float64) float64 {
 		x := float64(i)
 		sx += x
 		sy += y
-		sxx += x * x
-		sxy += x * y
+		sxx += float64(x * x)
+		sxy += float64(x * y)
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den == 0 {
 		return 0
 	}
-	return (n*sxy - sx*sy) / den
+	return (float64(n*sxy) - float64(sx*sy)) / den
 }

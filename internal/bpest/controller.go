@@ -90,7 +90,7 @@ func (c *Controller) WeighLink(li int, l *signal.Link, rows []signal.Row) float6
 	e.Observe(out.Joins)
 	down := 0.0
 	for t := 0; t < signal.NumTurns; t++ {
-		down += e.ratios[t] * float64(out.Queued[t])
+		down += float64(e.ratios[t] * float64(out.Queued[t]))
 	}
 	q := int(rows[l.In].Queued[l.Turn])
 	return c.tail.Rule().Gain(out, l.Mu, q, q, down)

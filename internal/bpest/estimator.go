@@ -74,7 +74,7 @@ func (e *TurnRatioEstimator) Observe(joins [signal.NumTurns]int32) {
 	keep := math.Pow(1-e.alpha, float64(n))
 	w := (1 - keep) / float64(n)
 	for t := range e.ratios {
-		e.ratios[t] = keep*e.ratios[t] + w*float64(d[t])
+		e.ratios[t] = float64(keep*e.ratios[t]) + float64(w*float64(d[t]))
 	}
 }
 

@@ -86,10 +86,10 @@ func Generate(seed uint64) (Scenario, error) {
 	case 1:
 		setup.Sensor = sensing.Loop()
 	case 2:
-		setup.Sensor = sensing.CV(0.1 + 0.9*r.Float64())
+		setup.Sensor = sensing.CV(0.1 + float64(0.9*r.Float64()))
 	}
 	if r.Bool(0.5) {
-		setup.DemandScale = 0.7 + 0.8*r.Float64()
+		setup.DemandScale = 0.7 + float64(0.8*r.Float64())
 	}
 	if r.Bool(0.3) {
 		setup.Control = signal.ControlPerJunction
@@ -113,7 +113,7 @@ func Generate(seed uint64) (Scenario, error) {
 		k := 1 + r.Intn(min(setup.Grid.Rows, setup.Grid.Cols))
 		setup, err = setup.WithAreaIncidentAt(
 			r.Intn(setup.Grid.Rows), r.Intn(setup.Grid.Cols), k,
-			t0, dur, 0.05+0.9*r.Float64())
+			t0, dur, 0.05+float64(0.9*r.Float64()))
 		if err != nil {
 			return Scenario{}, fmt.Errorf("chaos: seed %d area incident: %w", seed, err)
 		}
@@ -174,7 +174,7 @@ func Generate(seed uint64) (Scenario, error) {
 		if t0 >= horizon {
 			break
 		}
-		setup.Events = append(setup.Events, event.Surge(t0, dur, 0.5+1.3*r.Float64()))
+		setup.Events = append(setup.Events, event.Surge(t0, dur, 0.5+float64(1.3*r.Float64())))
 	}
 
 	// Two strictly increasing checkpoints in the first three quarters of

@@ -126,7 +126,7 @@ func Compile(net *network.Network, deltaT float64, specs []Spec) (*Schedule, err
 			}
 			// Clamp the reduced capacity to at least one vehicle: effective
 			// capacity zero would collide with the "unbounded" encoding.
-			reduced := int32(max(1, int(spec.CapFrac*float64(road.Capacity)+0.5)))
+			reduced := int32(max(1, int(float64(spec.CapFrac*float64(road.Capacity))+0.5)))
 			capWins[road.ID] = append(capWins[road.ID], window{t0, end, i})
 			s.transitions = append(s.transitions,
 				Transition{Step: int32(t0), Kind: TransCapacity, Road: road.ID, Cap: reduced},

@@ -113,8 +113,8 @@ func Grid(spec GridSpec) (*GridNetwork, error) {
 		dx, dy := side.Vector()
 		jn := b.nodes[j]
 		t := b.AddNode(TerminalNode,
-			jn.X+float64(dx)*spec.BoundaryLength,
-			jn.Y+float64(dy)*spec.BoundaryLength,
+			jn.X+float64(float64(dx)*spec.BoundaryLength),
+			jn.Y+float64(float64(dy)*spec.BoundaryLength),
 			fmt.Sprintf("T%v-%s", side, jn.Name))
 		entry := b.AddRoad(t, j, side.Opposite(), spec.BoundaryLength, spec.Speed, spec.Capacity,
 			fmt.Sprintf("in-%v-%s", side, jn.Name))

@@ -116,7 +116,7 @@ func (r *Source) SplitIndexed(label string, index int) *Source {
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
 	// 53 high-quality bits -> [0,1) with full double precision.
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0, mirroring
@@ -281,7 +281,7 @@ func (r *Source) PoissonWithLimit(mean, limit float64) int {
 		return 0
 	case mean > 60:
 		// Normal approximation with continuity correction.
-		n := r.Norm()*math.Sqrt(mean) + mean + 0.5
+		n := float64(r.Norm()*math.Sqrt(mean)) + mean + 0.5
 		if n < 0 {
 			return 0
 		}

@@ -173,12 +173,12 @@ func (a *Artifact) ExpectedVehicles(durationSec float64) int {
 				if rem := durationSec - t; rem < step {
 					step = rem
 				}
-				total += a.Rate(rid, t) * step
+				total += float64(a.Rate(rid, t) * step)
 			}
 		}
 	}
 	// ~4σ Poisson headroom plus a constant floor for tiny horizons.
-	return int(total+4*math.Sqrt(total)) + 64
+	return int(total+float64(4*math.Sqrt(total))) + 64
 }
 
 // ArtifactCache builds and shares immutable scenario artifacts, one per

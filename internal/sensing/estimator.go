@@ -9,7 +9,7 @@ func expFilter(est, level, alpha float64, empty bool) float64 {
 	if empty {
 		return 0
 	}
-	return est + alpha*(level-est)
+	return est + float64(alpha*(level-est))
 }
 
 // integrateCount is the loop detector's estimator, the classic queue

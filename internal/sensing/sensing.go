@@ -425,7 +425,7 @@ func (cv *ConnectedVehicle) report(st *cvLink, l *signal.Link, truth, obs []sign
 		seen := cv.src.Binomial(tf[f], cv.opts.Rate)
 		level := float64(seen) / cv.opts.Rate
 		if cv.opts.NoiseStd > 0 {
-			level += cv.src.Norm() * cv.opts.NoiseStd
+			level += float64(cv.src.Norm() * cv.opts.NoiseStd)
 		}
 		if level < 0 {
 			level = 0

@@ -1035,7 +1035,7 @@ func (e *Engine) AddHooks(h Hooks) {
 func (e *Engine) Step() int { return e.step }
 
 // Time returns the simulation clock in seconds.
-func (e *Engine) Time() float64 { return float64(e.step) * e.dt }
+func (e *Engine) Time() float64 { return float64(float64(e.step) * e.dt) }
 
 // DeltaT returns the mini-slot length in seconds.
 func (e *Engine) DeltaT() float64 { return e.dt }

@@ -27,9 +27,10 @@ import (
 // and the per-slot service constants, precomputed once so the hot loop
 // performs no junction/link chasing and no repeated float arithmetic.
 // The constants are computed with exactly the reference loop's
-// expressions (serveref_test.go: muDt = l.Mu*Δt, creditCap = l.Mu*Δt+1,
-// startDebt = -float64(StartupLostSteps)*l.Mu*Δt, same association), so
-// they are bit-identical to its inline ones.
+// expressions (serveref_test.go: muDt = l.Mu*Δt, creditCap =
+// float64(l.Mu*Δt)+1, startDebt = -float64(StartupLostSteps)*l.Mu*Δt,
+// same association and the same rounded product), so they are
+// bit-identical to its inline ones.
 type serveSite struct {
 	muDt      float64
 	creditCap float64
@@ -89,7 +90,7 @@ func (e *Engine) buildServePlane() {
 				in:        int32(l.In),
 				out:       int32(l.Out),
 				muDt:      l.Mu * e.dt,
-				creditCap: l.Mu*e.dt + 1,
+				creditCap: float64(l.Mu*e.dt) + 1,
 				startDebt: -float64(e.cfg.StartupLostSteps) * l.Mu * e.dt,
 				turn:      l.Turn,
 				outExits:  e.roads[l.Out].exits,

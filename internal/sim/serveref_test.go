@@ -66,8 +66,8 @@ func (e *Engine) serveLink(js *junctionState, li int, t float64) {
 	l := &js.j.Links[li]
 	in, inRow := &e.roads[l.In], &e.rows[l.In]
 	out, outRow := &e.roads[l.Out], &e.rows[l.Out]
-	credit := js.credits[li] + l.Mu*e.dt
-	if max := l.Mu*e.dt + 1; credit > max {
+	credit := js.credits[li] + float64(l.Mu*e.dt)
+	if max := float64(l.Mu*e.dt) + 1; credit > max {
 		credit = max
 	}
 	served := false

@@ -144,7 +144,7 @@ func (e *Engine) flushTelemetry() {
 			active++
 		}
 	}
-	ts.waitSec += float64(queued+spawnQ) * e.dt
+	ts.waitSec += float64(float64(queued+spawnQ) * e.dt)
 	ts.rec.RecordNet(step, telemetry.NetSample{
 		Queued:       queued,
 		SpawnQueued:  spawnQ,

@@ -88,12 +88,12 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[n-1]
 	}
-	pos := p / 100 * float64(n-1)
+	pos := float64(p / 100 * float64(n-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
