@@ -120,8 +120,8 @@ func compile(p Params, v GainVariant) Rule {
 // b_i^{i'} and down the downstream pressure: b_{i'} = out.Total for
 // UTIL-BP, the estimated Σ r̂_t·q_{i',t} for BP-EST. It must stay
 // within the inliner's budget, so that a sweep over links makes no
-// call per link (CI checks that it is inlined); naming the result
-// saves two of the budget's 80. The two special cases
+// call per link (CI checks that it is inlined); it costs 76 of 80, and
+// naming the result saves two of those. The two special cases
 // are selects on the gain's bits, which the compiler emits as
 // conditional moves when both arms are in registers: α is loaded into a
 // local first, because a select whose arm loads a field stays a branch.
