@@ -86,6 +86,29 @@ func deriveEngine(t *testing.T, setup scenario.Setup, pattern scenario.Pattern, 
 	return e
 }
 
+// TestDirtySetCoversChangedRows steps each derive engine through its
+// first 400 steps, its incident, dark and outage windows included, and
+// requires every road row a step changed after its sense to belong to a
+// road in the dirty set (sim.StepCheckingDirty). The engine keeps no
+// copy of the rows it could check this against, so CheckInvariants
+// cannot: controllers and sensors read the rows themselves, and sense
+// lists only the links of dirty roads.
+func TestDirtySetCoversChangedRows(t *testing.T) {
+	for _, tc := range deriveCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.build(t)
+			for range 400 {
+				if err := sim.StepCheckingDirty(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestRestoreDerivesState restores a mid-run snapshot of each engine
 // into a fresh one and requires every derived value to equal the
 // uninterrupted engine's, at the restore and again 50 steps on.

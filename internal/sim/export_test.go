@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"utilbp/internal/network"
@@ -84,6 +85,31 @@ func DiffDerived(got, want *Engine) error {
 		win, wout := want.pair(int32(gl))
 		if *gin != *win || *gout != *wout {
 			return fmt.Errorf("link %d observed pair %+v %+v, want %+v %+v", gl, *gin, *gout, *win, *wout)
+		}
+	}
+	return nil
+}
+
+// StepCheckingDirty runs one step, stepOnce's substeps in its order,
+// and then checks the dirty-set contract the incremental sense rests
+// on: every road row that changed since the step's sense belongs to a
+// road pending in the dirty set. A row changed without its mark would
+// keep its junctions' batched gains, quiet flags and serve idle claims
+// stale, and a sensor would never read it.
+func StepCheckingDirty(e *Engine) error {
+	t := e.Time()
+	e.applyEvents()
+	e.sense()
+	shadow := slices.Clone(e.rows)
+	e.control(t)
+	e.serve(t)
+	e.completeTravel(t)
+	e.arrivals(t)
+	e.endStep()
+	for ri := range e.rows {
+		if e.rows[ri] != shadow[ri] && !e.roadDirty[ri] {
+			return fmt.Errorf("step %d: road %d row changed from %+v to %+v, and the road is not in the dirty set",
+				e.step-1, ri, shadow[ri], e.rows[ri])
 		}
 	}
 	return nil

@@ -14,7 +14,7 @@ import (
 // loadedSnapshotEngine builds the paper's 3×3 UTIL-BP engine under
 // Pattern II demand and runs it into a loaded mid-run state, the
 // representative checkpoint subject.
-func loadedSnapshotEngine(b *testing.B) *sim.Engine {
+func loadedSnapshotEngine(b testing.TB) *sim.Engine {
 	b.Helper()
 	setup := scenario.Default()
 	setup.Seed = 7
@@ -45,6 +45,17 @@ func BenchmarkSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = engine.Snapshot()
+	}
+}
+
+// TestSnapshotAllocs pins Snapshot at two allocations on the loaded
+// paper grid. The fingerprint's controller and sensor entries are
+// formatted once, when the engine's factory or sensor is set; formatted
+// on every call, they made it five.
+func TestSnapshotAllocs(t *testing.T) {
+	engine := loadedSnapshotEngine(t)
+	if allocs := testing.AllocsPerRun(50, func() { _ = engine.Snapshot() }); allocs > 2 {
+		t.Fatalf("Snapshot makes %v allocations, want at most 2", allocs)
 	}
 }
 

@@ -208,7 +208,7 @@ func checkPinnedRun(t *testing.T, setup scenario.Setup, factory signal.Factory, 
 
 // centralOutage returns an outage window over every approach of the
 // grid's central junction, from t0 for dur seconds.
-func centralOutage(t *testing.T, setup scenario.Setup, t0, dur float64, mode sensing.OutageMode) []event.Spec {
+func centralOutage(t testing.TB, setup scenario.Setup, t0, dur float64, mode sensing.OutageMode) []event.Spec {
 	t.Helper()
 	g, err := network.Grid(setup.Grid)
 	if err != nil {

@@ -292,7 +292,9 @@ func TestResetWithSwapsCollaborators(t *testing.T) {
 // TestNewAllocsCityGrid bounds what constructing a city-grid engine
 // allocates: the queues of its 1 000-odd roads — lanes, spawn queues
 // and transit lists — reserve nothing, so a sweep that builds an engine
-// per cell pays no allocation per road.
+// per cell pays no allocation per road. It measures 3 640 allocations;
+// the bound keeps the 37 % margin it had over the 3 648 of the engine
+// that still copied every link's observation.
 func TestNewAllocsCityGrid(t *testing.T) {
 	w, ok := scenario.WorkloadByName("city-grid")
 	if !ok {
@@ -317,8 +319,8 @@ func TestNewAllocsCityGrid(t *testing.T) {
 		}
 	})
 	t.Logf("sim.New on city-grid: %.0f allocations", allocs)
-	if allocs > 5000 {
-		t.Fatalf("sim.New on city-grid made %.0f allocations, want at most 5000", allocs)
+	if allocs > 4990 {
+		t.Fatalf("sim.New on city-grid made %.0f allocations, want at most 4990", allocs)
 	}
 }
 
@@ -327,12 +329,14 @@ func TestNewAllocsCityGrid(t *testing.T) {
 // benchmark driver reserves it: no queue owns storage — every lane,
 // spawn queue and transit list threads through one 16-byte link per
 // expected vehicle — so what remains is that link store, the arena and
-// the control plane, 3.73 MiB. With lanes reserved at road capacity it
+// the control plane, 3.36 MiB. The bound keeps the 21 % margin it had
+// over the 3.73 MiB of the engine that kept a 64-byte observation per
+// link and its refresh sites. With lanes reserved at road capacity it
 // was 9.6 MiB, and 5.6 MiB with the travel heaps reserved there.
 func TestNewBytesCityGrid(t *testing.T) {
 	const (
 		horizon = 3600
-		limit   = 4.5 * (1 << 20)
+		limit   = 4147 << 10 // 4.05 MiB
 	)
 	w, ok := scenario.WorkloadByName("city-grid")
 	if !ok {
@@ -365,6 +369,6 @@ func TestNewBytesCityGrid(t *testing.T) {
 	bytes := after.TotalAlloc - before.TotalAlloc
 	t.Logf("sim.New on city-grid: %.2f MiB in %d allocations", float64(bytes)/(1<<20), after.Mallocs-before.Mallocs)
 	if bytes > limit {
-		t.Fatalf("sim.New on city-grid allocated %.2f MiB, want at most %.1f MiB", float64(bytes)/(1<<20), limit/(1<<20))
+		t.Fatalf("sim.New on city-grid allocated %.2f MiB, want at most %.2f MiB", float64(bytes)/(1<<20), float64(limit)/(1<<20))
 	}
 }
