@@ -326,6 +326,10 @@ type ConnectedVehicle struct {
 	// cum is the kernel's prefix-count scratch (senseKernel), reused
 	// across steps and Reseed.
 	cum [cvChunk + 1]int32
+	// seen is the kernel's other scratch, sized at Prepare: the sensed
+	// truth of each listed link, by list position, gathered from the
+	// rows once for both of the kernel's passes.
+	seen [][numFields]int
 }
 
 // cvLink is the per-link probe state: running estimates and the step of
@@ -375,6 +379,9 @@ func (cv *ConnectedVehicle) Prepare(nlinks int) {
 			grown[i].lastReport = -1
 		}
 		cv.links = grown
+	}
+	if nlinks > len(cv.seen) {
+		cv.seen = make([][numFields]int, nlinks)
 	}
 	cv.n = nlinks
 }
@@ -443,49 +450,53 @@ func (cv *ConnectedVehicle) report(st *cvLink, l *signal.Link, truth, obs []sign
 // These are the trials report's per-field Binomial calls make, in the
 // same order, so the readings and the stream position are the same. A
 // link with more trials than the scratch holds draws field by field on
-// its own, between the chunks around it.
+// its own, between the chunks around it. The first pass gathers each
+// reporting link's sensed truth from the rows into seen, where the
+// draw reads it.
 func (cv *ConnectedVehicle) senseKernel(links []int32, table []signal.Link, truth, obs []signal.Row, now int32) {
+	seen := cv.seen[:len(links)]
 	first, n := 0, 0 // the pending chunk is links[first:k], n trials
 	for k, l := range links {
 		st := &cv.links[l]
 		if st.lastReport != now {
 			continue
 		}
-		d := trials(truthFields(&table[l], truth))
+		seen[k] = truthFields(&table[l], truth)
+		d := trials(seen[k])
 		if n+d <= cvChunk {
 			n += d
 			continue
 		}
-		cv.drawChunk(links[first:k], n, table, truth, obs, now)
+		cv.drawChunk(links[first:k], seen[first:k], n, table, obs, now)
 		first, n = k, d
 		if d > cvChunk {
 			cv.report(st, &table[l], truth, obs, l)
 			first, n = k+1, 0
 		}
 	}
-	cv.drawChunk(links[first:], n, table, truth, obs, now)
+	cv.drawChunk(links[first:], seen[first:], n, table, obs, now)
 }
 
-// drawChunk draws the n trials of the reporting links in chunk in one
-// BernoulliPrefix and folds each field's count through the filter.
-func (cv *ConnectedVehicle) drawChunk(chunk []int32, n int, table []signal.Link, truth, obs []signal.Row, now int32) {
+// drawChunk draws the n trials of the reporting links in chunk, whose
+// sensed truth is seen, in one BernoulliPrefix and folds each field's
+// count through the filter.
+func (cv *ConnectedVehicle) drawChunk(chunk []int32, seen [][numFields]int, n int, table []signal.Link, obs []signal.Row, now int32) {
 	cum := cv.cum[:n+1]
 	cv.src.BernoulliPrefix(cum, cv.opts.Rate)
 	rate, alpha := cv.opts.Rate, cv.opts.Alpha
 	at := 0
-	for _, l := range chunk {
+	for i, l := range chunk {
 		st := &cv.links[l]
 		if st.lastReport != now {
 			continue
 		}
-		tl := &table[l]
-		for f, c := range truthFields(tl, truth) {
+		for f, c := range seen[i] {
 			c = max(c, 0)
 			level := float64(cum[at+c]-cum[at]) / rate
 			at += c
 			st.est[f] = expFilter(st.est[f], level, alpha, false)
 		}
-		writeFields(obs, l, tl.Turn, &st.est)
+		writeFields(obs, l, table[l].Turn, &st.est)
 	}
 }
 
