@@ -450,18 +450,23 @@ func (cv *ConnectedVehicle) report(st *cvLink, l *signal.Link, truth, obs []sign
 // These are the trials report's per-field Binomial calls make, in the
 // same order, so the readings and the stream position are the same. A
 // link with more trials than the scratch holds draws field by field on
-// its own, between the chunks around it. The first pass gathers each
+// its own, between the chunks around it. A first pass gathers each
 // reporting link's sensed truth from the rows into seen, where the
-// draw reads it.
+// chunking and the draw read it: a loop of independent gathers, which
+// the draws would otherwise interrupt.
 func (cv *ConnectedVehicle) senseKernel(links []int32, table []signal.Link, truth, obs []signal.Row, now int32) {
 	seen := cv.seen[:len(links)]
+	for k, l := range links {
+		if cv.links[l].lastReport == now {
+			seen[k] = truthFields(&table[l], truth)
+		}
+	}
 	first, n := 0, 0 // the pending chunk is links[first:k], n trials
 	for k, l := range links {
 		st := &cv.links[l]
 		if st.lastReport != now {
 			continue
 		}
-		seen[k] = truthFields(&table[l], truth)
 		d := trials(seen[k])
 		if n+d <= cvChunk {
 			n += d
