@@ -124,11 +124,11 @@ const (
 )
 
 // truthFields gathers the sensed columns of link l's two truth rows
-// into a vector so sensors can apply one model uniformly per field,
-// widened so sums and deltas of them cannot wrap.
-func truthFields(l *signal.Link, truth []signal.Row) [numFields]int {
+// into a vector so sensors can apply one model uniformly per field.
+// Readers widen a field before they sum or subtract it.
+func truthFields(l *signal.Link, truth []signal.Row) [numFields]int32 {
 	in, out := &truth[l.In], &truth[l.Out]
-	return [numFields]int{int(in.Queued[l.Turn]), int(in.Transit[l.Turn]), int(in.Total), int(out.Total), int(out.Occ)}
+	return [numFields]int32{in.Queued[l.Turn], in.Transit[l.Turn], in.Total, out.Total, out.Occ}
 }
 
 // pair returns link gl's observed rows.
@@ -271,8 +271,8 @@ func (ld *LoopDetector) senseLink(st *loopLink, l *signal.Link, truth, obs []sig
 	failed := ld.src.Bool(ld.opts.FailProb)
 	tf := truthFields(l, truth)
 	for f := range tf {
-		delta := tf[f] - int(st.last[f])
-		st.last[f] = int32(tf[f])
+		delta := int(tf[f]) - int(st.last[f])
+		st.last[f] = tf[f]
 		if failed || f == fInTransit {
 			continue
 		}
@@ -326,17 +326,17 @@ type ConnectedVehicle struct {
 	// cum is the kernel's prefix-count scratch (senseKernel), reused
 	// across steps and Reseed.
 	cum [cvChunk + 1]int32
-	// seen is the kernel's other scratch, sized at Prepare: the sensed
-	// truth of each listed link, by list position, gathered from the
-	// rows once for both of the kernel's passes.
-	seen [][numFields]int
 }
 
 // cvLink is the per-link probe state: running estimates and the step of
-// the last accepted report (-1 before the first).
+// the last accepted report (-1 before the first). seen is not state but
+// the kernel's scratch: the link's sensed truth this step, gathered from
+// the rows once for both of its passes (senseKernel). It fills the
+// struct to 64 bytes, so a link's state and scratch share one line.
 type cvLink struct {
 	est        [numFields]float64
 	lastReport int32
+	seen       [numFields]int32
 }
 
 // NewConnectedVehicle builds a probe-vehicle sensor. It starts seeded
@@ -379,9 +379,6 @@ func (cv *ConnectedVehicle) Prepare(nlinks int) {
 			grown[i].lastReport = -1
 		}
 		cv.links = grown
-	}
-	if nlinks > len(cv.seen) {
-		cv.seen = make([][numFields]int, nlinks)
 	}
 	cv.n = nlinks
 }
@@ -429,7 +426,7 @@ func (cv *ConnectedVehicle) Sense(links []int32, table []signal.Link, truth, obs
 func (cv *ConnectedVehicle) report(st *cvLink, l *signal.Link, truth, obs []signal.Row, gl int32) {
 	tf := truthFields(l, truth)
 	for f := range tf {
-		seen := cv.src.Binomial(tf[f], cv.opts.Rate)
+		seen := cv.src.Binomial(int(tf[f]), cv.opts.Rate)
 		level := float64(seen) / cv.opts.Rate
 		if cv.opts.NoiseStd > 0 {
 			level += float64(cv.src.Norm() * cv.opts.NoiseStd)
@@ -451,14 +448,13 @@ func (cv *ConnectedVehicle) report(st *cvLink, l *signal.Link, truth, obs []sign
 // same order, so the readings and the stream position are the same. A
 // link with more trials than the scratch holds draws field by field on
 // its own, between the chunks around it. A first pass gathers each
-// reporting link's sensed truth from the rows into seen, where the
-// chunking and the draw read it: a loop of independent gathers, which
-// the draws would otherwise interrupt.
+// reporting link's sensed truth from the rows into its seen scratch,
+// where the chunking and the draw read it: a loop of independent
+// gathers, which the draws would otherwise interrupt.
 func (cv *ConnectedVehicle) senseKernel(links []int32, table []signal.Link, truth, obs []signal.Row, now int32) {
-	seen := cv.seen[:len(links)]
-	for k, l := range links {
-		if cv.links[l].lastReport == now {
-			seen[k] = truthFields(&table[l], truth)
+	for _, l := range links {
+		if st := &cv.links[l]; st.lastReport == now {
+			st.seen = truthFields(&table[l], truth)
 		}
 	}
 	first, n := 0, 0 // the pending chunk is links[first:k], n trials
@@ -467,36 +463,36 @@ func (cv *ConnectedVehicle) senseKernel(links []int32, table []signal.Link, trut
 		if st.lastReport != now {
 			continue
 		}
-		d := trials(seen[k])
+		d := trials(st.seen)
 		if n+d <= cvChunk {
 			n += d
 			continue
 		}
-		cv.drawChunk(links[first:k], seen[first:k], n, table, obs, now)
+		cv.drawChunk(links[first:k], n, table, obs, now)
 		first, n = k, d
 		if d > cvChunk {
 			cv.report(st, &table[l], truth, obs, l)
 			first, n = k+1, 0
 		}
 	}
-	cv.drawChunk(links[first:], seen[first:], n, table, obs, now)
+	cv.drawChunk(links[first:], n, table, obs, now)
 }
 
-// drawChunk draws the n trials of the reporting links in chunk, whose
-// sensed truth is seen, in one BernoulliPrefix and folds each field's
-// count through the filter.
-func (cv *ConnectedVehicle) drawChunk(chunk []int32, seen [][numFields]int, n int, table []signal.Link, obs []signal.Row, now int32) {
+// drawChunk draws the n trials of the reporting links in chunk in one
+// BernoulliPrefix and folds each field's count, from the link's seen
+// scratch, through the filter.
+func (cv *ConnectedVehicle) drawChunk(chunk []int32, n int, table []signal.Link, obs []signal.Row, now int32) {
 	cum := cv.cum[:n+1]
 	cv.src.BernoulliPrefix(cum, cv.opts.Rate)
 	rate, alpha := cv.opts.Rate, cv.opts.Alpha
 	at := 0
-	for i, l := range chunk {
+	for _, l := range chunk {
 		st := &cv.links[l]
 		if st.lastReport != now {
 			continue
 		}
-		for f, c := range seen[i] {
-			c = max(c, 0)
+		for f, c := range st.seen {
+			c := max(int(c), 0)
 			level := float64(cum[at+c]-cum[at]) / rate
 			at += c
 			st.est[f] = expFilter(st.est[f], level, alpha, false)
@@ -507,12 +503,12 @@ func (cv *ConnectedVehicle) drawChunk(chunk []int32, seen [][numFields]int, n in
 
 // trials counts the Bernoulli trials of one link's reading, whose
 // sensed truth is tf: one per vehicle in each field (Binomial draws
-// nothing for a non-positive count). The fields are int, since five
-// int32 counts can pass int32.
-func trials(tf [numFields]int) int {
+// nothing for a non-positive count). The sum is taken in int, since
+// five int32 counts can pass int32.
+func trials(tf [numFields]int32) int {
 	n := 0
 	for _, c := range tf {
-		n += max(c, 0)
+		n += max(int(c), 0)
 	}
 	return n
 }
