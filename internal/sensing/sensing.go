@@ -326,17 +326,17 @@ type ConnectedVehicle struct {
 	// cum is the kernel's prefix-count scratch (senseKernel), reused
 	// across steps and Reseed.
 	cum [cvChunk + 1]int32
+	// seen is the kernel's other scratch, sized at Prepare: each listed
+	// link's sensed truth, by list position, gathered from the rows once
+	// for both of the kernel's passes.
+	seen [][numFields]int32
 }
 
 // cvLink is the per-link probe state: running estimates and the step of
-// the last accepted report (-1 before the first). seen is not state but
-// the kernel's scratch: the link's sensed truth this step, gathered from
-// the rows once for both of its passes (senseKernel). It fills the
-// struct to 64 bytes, so a link's state and scratch share one line.
+// the last accepted report (-1 before the first).
 type cvLink struct {
 	est        [numFields]float64
 	lastReport int32
-	seen       [numFields]int32
 }
 
 // NewConnectedVehicle builds a probe-vehicle sensor. It starts seeded
@@ -379,6 +379,9 @@ func (cv *ConnectedVehicle) Prepare(nlinks int) {
 			grown[i].lastReport = -1
 		}
 		cv.links = grown
+	}
+	if nlinks > len(cv.seen) {
+		cv.seen = make([][numFields]int32, nlinks)
 	}
 	cv.n = nlinks
 }
@@ -448,13 +451,14 @@ func (cv *ConnectedVehicle) report(st *cvLink, l *signal.Link, truth, obs []sign
 // same order, so the readings and the stream position are the same. A
 // link with more trials than the scratch holds draws field by field on
 // its own, between the chunks around it. A first pass gathers each
-// reporting link's sensed truth from the rows into its seen scratch,
-// where the chunking and the draw read it: a loop of independent
+// reporting link's sensed truth from the rows into seen, where the
+// chunking and the draw read it in list order: a loop of independent
 // gathers, which the draws would otherwise interrupt.
 func (cv *ConnectedVehicle) senseKernel(links []int32, table []signal.Link, truth, obs []signal.Row, now int32) {
-	for _, l := range links {
-		if st := &cv.links[l]; st.lastReport == now {
-			st.seen = truthFields(&table[l], truth)
+	seen := cv.seen[:len(links)]
+	for k, l := range links {
+		if cv.links[l].lastReport == now {
+			seen[k] = truthFields(&table[l], truth)
 		}
 	}
 	first, n := 0, 0 // the pending chunk is links[first:k], n trials
@@ -463,35 +467,35 @@ func (cv *ConnectedVehicle) senseKernel(links []int32, table []signal.Link, trut
 		if st.lastReport != now {
 			continue
 		}
-		d := trials(st.seen)
+		d := trials(seen[k])
 		if n+d <= cvChunk {
 			n += d
 			continue
 		}
-		cv.drawChunk(links[first:k], n, table, obs, now)
+		cv.drawChunk(links[first:k], seen[first:k], n, table, obs, now)
 		first, n = k, d
 		if d > cvChunk {
 			cv.report(st, &table[l], truth, obs, l)
 			first, n = k+1, 0
 		}
 	}
-	cv.drawChunk(links[first:], n, table, obs, now)
+	cv.drawChunk(links[first:], seen[first:], n, table, obs, now)
 }
 
-// drawChunk draws the n trials of the reporting links in chunk in one
-// BernoulliPrefix and folds each field's count, from the link's seen
-// scratch, through the filter.
-func (cv *ConnectedVehicle) drawChunk(chunk []int32, n int, table []signal.Link, obs []signal.Row, now int32) {
+// drawChunk draws the n trials of the reporting links in chunk, whose
+// sensed truth is seen, in one BernoulliPrefix and folds each field's
+// count through the filter.
+func (cv *ConnectedVehicle) drawChunk(chunk []int32, seen [][numFields]int32, n int, table []signal.Link, obs []signal.Row, now int32) {
 	cum := cv.cum[:n+1]
 	cv.src.BernoulliPrefix(cum, cv.opts.Rate)
 	rate, alpha := cv.opts.Rate, cv.opts.Alpha
 	at := 0
-	for _, l := range chunk {
+	for i, l := range chunk {
 		st := &cv.links[l]
 		if st.lastReport != now {
 			continue
 		}
-		for f, c := range st.seen {
+		for f, c := range seen[i] {
 			c := max(int(c), 0)
 			level := float64(cum[at+c]-cum[at]) / rate
 			at += c

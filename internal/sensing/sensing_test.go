@@ -3,7 +3,6 @@ package sensing
 import (
 	"math"
 	"testing"
-	"unsafe"
 
 	"utilbp/internal/signal/signaltest"
 )
@@ -296,15 +295,6 @@ func TestSensorNamesCarryOptions(t *testing.T) {
 	b, _ := Spec{Kind: KindConnectedVehicle, Rate: 0.3, NoiseStd: 1.04}.New()
 	if a.Name() == b.Name() {
 		t.Fatalf("noise 1.01 and 1.04 share the name %q", a.Name())
-	}
-}
-
-// TestCVLinkIsOneCacheLine pins the connected-vehicle sensor's
-// per-link state, its scratch included, at one 64-byte line: the kernel
-// reads and writes a reporting link's state and gathered truth together.
-func TestCVLinkIsOneCacheLine(t *testing.T) {
-	if n := unsafe.Sizeof(cvLink{}); n != 64 {
-		t.Fatalf("cvLink is %d bytes, want 64", n)
 	}
 }
 
