@@ -455,16 +455,18 @@ func (cv *ConnectedVehicle) report(st *cvLink, l *signal.Link, truth, obs []sign
 // chunking and the draw read it in list order: a loop of independent
 // gathers, which the draws would otherwise interrupt.
 func (cv *ConnectedVehicle) senseKernel(links []int32, table []signal.Link, truth, obs []signal.Row, now int32) {
+	// Without a report latency every listed link reports, so the first
+	// two passes need not read the links' state.
+	all := cv.opts.LatencySteps == 0
 	seen := cv.seen[:len(links)]
 	for k, l := range links {
-		if cv.links[l].lastReport == now {
+		if all || cv.links[l].lastReport == now {
 			seen[k] = truthFields(&table[l], truth)
 		}
 	}
 	first, n := 0, 0 // the pending chunk is links[first:k], n trials
 	for k, l := range links {
-		st := &cv.links[l]
-		if st.lastReport != now {
+		if !all && cv.links[l].lastReport != now {
 			continue
 		}
 		d := trials(seen[k])
@@ -475,7 +477,7 @@ func (cv *ConnectedVehicle) senseKernel(links []int32, table []signal.Link, trut
 		cv.drawChunk(links[first:k], seen[first:k], n, table, obs, now)
 		first, n = k, d
 		if d > cvChunk {
-			cv.report(st, &table[l], truth, obs, l)
+			cv.report(&cv.links[l], &table[l], truth, obs, l)
 			first, n = k+1, 0
 		}
 	}

@@ -1256,12 +1256,13 @@ func (e *Engine) markDirty(rid network.RoadID) {
 // batched controller re-weighs, and the links the installed sensor
 // senses, in one Sense call at the end. Controllers read the rows
 // themselves, so a sensor-free engine copies nothing. Under a sensor,
-// the engine first copies the outgoing row's per-movement queues and
-// joins into each listed link's observed pair: they are engine-owned,
-// so the exact counts reach the observation whatever the sensor model,
-// and no sensor's draw sequence shifts. The list order is the dirty
-// order, road by road, each road's links in junction and link order; a
-// sensor draws in it, so it is part of every sensed output.
+// the engine first copies each dirty road's per-movement queues and
+// joins into the observed pair of every link it is the outgoing road
+// of: they are engine-owned, so the exact counts reach the observation
+// whatever the sensor model, and no sensor's draw sequence shifts. The
+// list order is the dirty order, road by road, each road's links in
+// junction and link order; a sensor draws in it, so it is part of
+// every sensed output.
 //
 // Without a sensor and with a quarter of the roads or more dirty — a
 // loaded network — the list would name most links anyway, and a
@@ -1287,10 +1288,16 @@ func (e *Engine) sense() {
 	// buffer, pre-sized to the link count, never reallocates.
 	stamp := int32(e.step)
 	start := len(e.batch.Changed)
+	sensed := e.sensor != nil
 	for _, rd := range e.dirtyRoads {
 		e.roadDirty[rd] = false
 		e.wake(rd)
+		row := &e.rows[rd]
 		for _, gl := range e.roadLinks[rd] {
+			if sensed && e.links[gl].Out == rd {
+				_, out := e.pair(gl)
+				out.Queued, out.Joins = row.Queued, row.Joins
+			}
 			if e.linkSeen[gl] == stamp {
 				continue
 			}
@@ -1299,15 +1306,10 @@ func (e *Engine) sense() {
 		}
 	}
 	e.dirtyRoads = e.dirtyRoads[:0]
-	if e.sensor == nil {
+	if !sensed {
 		return
 	}
 	changed := e.batch.Changed[start:]
-	for _, gl := range changed {
-		_, out := e.pair(gl)
-		tout := &e.rows[e.links[gl].Out]
-		out.Queued, out.Joins = tout.Queued, tout.Joins
-	}
 	e.sensor.Sense(changed, e.links, e.rows, e.obsRows, e.step)
 	if !e.trackChanged {
 		// The per-junction control path never drains the change set.
