@@ -1848,7 +1848,7 @@ func (e *Engine) CheckInvariants() error {
 	// Under a sensor, each link's observed pair carries the columns the
 	// engine owns: both capacities, which setEffCap writes eagerly, and
 	// the outgoing road's per-movement queues and joins, which sense
-	// copies for every link it lists, so they may lag only behind a road
+	// copies when that road is dirty, so they may lag only behind a road
 	// pending in the dirty set. Which rows changed since the last sense
 	// is not checkable here, as the engine keeps no copy of them: a test
 	// shadows the rows instead (TestDirtySetCoversChangedRows).
