@@ -82,8 +82,8 @@ type Rule struct {
 	// gates never fire.
 	emptyAt, fullAbove int32
 	// transit masks the approaching vehicles (Row.Transit) into the
-	// lane count: -1 under CountApproaching, else 0. whole selects the whole-road pressure
-	// q_i (A4).
+	// lane count: -1 under CountApproaching, else 0. whole selects the
+	// whole-road pressure q_i (A4).
 	transit int32
 	whole   bool
 }

@@ -6,9 +6,10 @@
 // internal/core and internal/bp, the downstream term is per-movement —
 // it reads the per-movement Queued columns of the outgoing road's row
 // instead of its aggregate Total — with uniform routing weights (the
-// unknown-routing-rate refinement lives in internal/bpest). A minimum green hold and amber insertion between
-// distinct greens make the controller actuation-safe under the
-// signal/signaltest conformance contract.
+// unknown-routing-rate refinement lives in internal/bpest). A minimum
+// green hold and amber insertion between distinct greens make the
+// controller actuation-safe under the signal/signaltest conformance
+// contract.
 package maxpressure
 
 import (

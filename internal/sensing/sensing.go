@@ -4,10 +4,11 @@
 // its truth rows (the plant); a Sensor maps that ground truth onto the
 // observed rows a controller actually reads — bit-for-bit for Perfect,
 // through a stop-bar count model for LoopDetector, or through
-// per-vehicle penetration sampling for ConnectedVehicle. Each sensor folds its raw
-// readings into queue estimates (count integration for the detector, an
-// exponential filter for probe vehicles), following the estimated-queue
-// back-pressure literature (arXiv:2006.15549, arXiv:1401.3357).
+// per-vehicle penetration sampling for ConnectedVehicle. Each sensor
+// folds its raw readings into queue estimates (count integration for
+// the detector, an exponential filter for probe vehicles), following
+// the estimated-queue back-pressure literature (arXiv:2006.15549,
+// arXiv:1401.3357).
 //
 // Sensors are engine-local and event-driven: the engine marks a road
 // dirty whenever its state changes (spawn, serve, stop-line arrival)
@@ -15,8 +16,8 @@
 // dirty road, so a link whose queues did not move keeps its previous
 // reading — exactly how count-based roadside detection behaves
 // (DESIGN.md §10). Each link is sensed on its own and keeps its own
-// observed pair of rows (signal.PairRows). All sensing randomness draws from a
-// dedicated "sensing" stream derived from the run seed
+// observed pair of rows (signal.PairRows). All sensing randomness
+// draws from a dedicated "sensing" stream derived from the run seed
 // (rng.New(seed).Split("sensing")), so installing or tuning a sensor
 // never perturbs the demand or routing streams, and Engine.Reset replays
 // runs bit-for-bit.

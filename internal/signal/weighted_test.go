@@ -8,9 +8,9 @@ import (
 )
 
 // countingWeighted is a Weighted controller that records how the batch
-// calls it. Its weight is the link's incoming row's Total, its phase rule returns
-// phase 1 and remembers the weights it saw, and its snapshot state is
-// one integer.
+// calls it. Its weight is the link's incoming row's Total, its phase
+// rule returns phase 1 and remembers the weights it saw, and its
+// snapshot state is one integer.
 type countingWeighted struct {
 	weighs     int
 	weighLinks []int

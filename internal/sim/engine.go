@@ -306,7 +306,6 @@ type Engine struct {
 	dirtyRoads []int32
 	roadDirty  []bool
 	linkSeen   []int32
-	numLinks   int
 	// Under a sensor, controllers read the observed slab obsRows
 	// through pairs, the link table that points link gl at its pair
 	// (signal.PairRows); the sensor fills the pair from the truth rows.
@@ -505,7 +504,7 @@ func New(cfg Config) (*Engine, error) {
 				phaseActive[pi][li] = true
 			}
 		}
-		base := e.numLinks
+		base := len(e.links)
 		for li := range j.Links {
 			l := &j.Links[li]
 			e.links = append(e.links, signal.Link{Mu: l.Mu, In: int32(l.In), Out: int32(l.Out), Turn: int32(l.Turn)})
@@ -523,15 +522,14 @@ func New(cfg Config) (*Engine, error) {
 		})
 		juncOff = append(juncOff, int32(base))
 		infos = append(infos, info)
-		e.numLinks += len(j.Links)
 	}
-	juncOff = append(juncOff, int32(e.numLinks))
+	juncOff = append(juncOff, int32(len(e.links)))
 	e.batch = signal.Batch{
 		JuncOff: juncOff,
 		Current: make([]signal.Phase, len(e.juncs)),
 		Decided: make([]signal.Phase, len(e.juncs)),
 		Infos:   infos,
-		Changed: make([]int32, 0, e.numLinks),
+		Changed: make([]int32, 0, len(e.links)),
 		Quiet:   make([]bool, len(e.juncs)),
 	}
 	e.ctrlDirty = make([]bool, len(e.juncs))
@@ -584,7 +582,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.dirtyRoads = make([]int32, 0, len(e.net.Roads))
 	e.roadDirty = make([]bool, len(e.net.Roads))
-	e.linkSeen = make([]int32, e.numLinks)
+	e.linkSeen = make([]int32, len(e.links))
 	e.setSensor(cfg.Sensor)
 	if err := e.checkEvents(cfg.Events); err != nil {
 		return nil, err
@@ -602,9 +600,9 @@ func (e *Engine) checkEvents(s *event.Schedule) error {
 	if s == nil {
 		return nil
 	}
-	if s.NumRoads() != len(e.net.Roads) || s.NumLinks() != e.numLinks {
+	if s.NumRoads() != len(e.net.Roads) || s.NumLinks() != len(e.links) {
 		return fmt.Errorf("sim: event schedule compiled for %d roads / %d links, engine has %d / %d",
-			s.NumRoads(), s.NumLinks(), len(e.net.Roads), e.numLinks)
+			s.NumRoads(), s.NumLinks(), len(e.net.Roads), len(e.links))
 	}
 	if s.DeltaT() != e.dt {
 		return fmt.Errorf("sim: event schedule compiled for Δt=%v, engine steps at Δt=%v", s.DeltaT(), e.dt)
@@ -701,7 +699,7 @@ func (e *Engine) setSensor(s sensing.Sensor) {
 			e.obsRows = make([]signal.Row, 2*len(e.links))
 		}
 		links, rows = e.pairs, e.obsRows
-		s.Prepare(e.numLinks)
+		s.Prepare(len(e.links))
 	}
 	e.batch.Links, e.batch.Rows = links, rows
 	for i := range e.juncs {

@@ -75,8 +75,8 @@ const (
 // tables it resolves are stable for the engine's lifetime.
 func (e *Engine) buildServePlane() {
 	e.phaseTab = signal.BuildPhaseTable(e.batch.Infos, e.batch.JuncOff)
-	e.serveSites = make([]serveSite, e.numLinks)
-	e.creditSlab = make([]float64, e.numLinks)
+	e.serveSites = make([]serveSite, len(e.links))
+	e.creditSlab = make([]float64, len(e.links))
 	e.serveIdle = make([]uint8, len(e.juncs))
 	e.juncWoke = make([]bool, len(e.juncs))
 	e.serveSub = make([]bool, len(e.juncs))

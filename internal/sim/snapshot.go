@@ -72,7 +72,7 @@ func (e *Engine) Snapshot() []byte {
 	// Fingerprint: the structural facts a restore target must match.
 	w.Int(len(e.roads))
 	w.Int(len(e.juncs))
-	w.Int(e.numLinks)
+	w.Int(len(e.links))
 	w.Float64(e.dt)
 	w.Bool(e.cfg.MixedLanes)
 	w.Int(e.cfg.StartupLostSteps)
@@ -345,8 +345,8 @@ func (e *Engine) checkFingerprint(r *snap.Reader) error {
 	if n := r.Int(); r.Err() == nil && n != len(e.juncs) {
 		return fmt.Errorf("sim: snapshot has %d junctions, engine has %d", n, len(e.juncs))
 	}
-	if n := r.Int(); r.Err() == nil && n != e.numLinks {
-		return fmt.Errorf("sim: snapshot has %d links, engine has %d", n, e.numLinks)
+	if n := r.Int(); r.Err() == nil && n != len(e.links) {
+		return fmt.Errorf("sim: snapshot has %d links, engine has %d", n, len(e.links))
 	}
 	if dt := r.Float64(); r.Err() == nil && dt != e.dt {
 		return fmt.Errorf("sim: snapshot Δt=%v, engine Δt=%v", dt, e.dt)
@@ -404,7 +404,7 @@ func (e *Engine) snapshotSizeHint() int {
 	hint := 512 + len(e.roads)*roadFixed + e.arena.Len()*(vehBytes+16) +
 		len(e.juncs)*16 + len(e.creditSlab)*8
 	if e.sensor != nil {
-		hint += e.numLinks * sensedBytes
+		hint += len(e.links) * sensedBytes
 	}
 	return hint
 }

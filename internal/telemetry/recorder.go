@@ -239,13 +239,14 @@ func (r *Recorder) RecordNet(step int, s NetSample) {
 //
 // The channels derived here: queued sums the per-link turning-lane
 // queues q_i^{i'}; pressure is the applied phase's ORIG-BP-style
-// pressure Σ (q_i^{i'} − q_{i'}) over its links (eq. 5 flavor — the differential
-// the decision actuated); switches counts green onsets onto a different
-// phase; estErr is the mean absolute gap between an online turn-ratio
-// estimate (the BP-EST estimator family at DefaultEstimatorAlpha, fed
-// the realized per-movement join counters) and the cumulative turning
-// fractions the frozen route table realizes — the convergence signal of
-// the estimated-state controllers, -1 while no link has turning data.
+// pressure Σ (q_i^{i'} − q_{i'}) over its links (eq. 5 flavor — the
+// differential the decision actuated); switches counts green onsets
+// onto a different phase; estErr is the mean absolute gap between an
+// online turn-ratio estimate (the BP-EST estimator family at
+// DefaultEstimatorAlpha, fed the realized per-movement join counters)
+// and the cumulative turning fractions the frozen route table realizes
+// — the convergence signal of the estimated-state controllers, -1 while
+// no link has turning data.
 func (r *Recorder) RecordJunc(ji int, links []signal.Link, rows []signal.Row, applied signal.Phase, active []bool, dark bool) {
 	jc := &r.juncs[ji]
 	c := r.cur
