@@ -695,9 +695,9 @@ func cityGridRows(b *testing.B) ([][]signal.Row, []signal.Link, []signal.Weighte
 }
 
 // obsCapture is a per-junction signal.Factory whose controllers decide
-// as inner's do and copy their window of the link table into links, at
-// their junction's offset; the first junction also copies the rows it
-// is shown at every step k with k%every == every-1 into rows[k/every].
+// as inner's do and, at every step k with k%every == every-1, copy
+// their window of the link table into links, at their junction's
+// offset; the first junction also copies the rows into rows[k/every].
 type obsCapture struct {
 	inner signal.Factory
 	every int
@@ -731,9 +731,11 @@ type capturingController struct {
 
 // Decide implements signal.Controller.
 func (c *capturingController) Decide(obs *signal.Obs) signal.Phase {
-	copy(c.o.links[c.lo:], obs.Links)
-	if k := obs.Step / c.o.every; c.lo == 0 && obs.Step%c.o.every == c.o.every-1 && k < len(c.o.rows) {
-		c.o.rows[k] = append([]signal.Row(nil), obs.Rows...)
+	if k := obs.Step / c.o.every; obs.Step%c.o.every == c.o.every-1 && k < len(c.o.rows) {
+		copy(c.o.links[c.lo:], obs.Links)
+		if c.lo == 0 {
+			c.o.rows[k] = append([]signal.Row(nil), obs.Rows...)
+		}
 	}
 	return c.Controller.Decide(obs)
 }
