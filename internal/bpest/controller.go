@@ -104,18 +104,26 @@ func (c *Controller) Weigh(links []signal.Link, rows []signal.Row, gains []float
 }
 
 // DecideWeighted implements signal.Weighted with UTIL-BP's Algorithm 1
-// tail.
-func (c *Controller) DecideWeighted(gains []float64, obs *signal.Obs) signal.Phase {
-	return c.tail.DecideWeighted(gains, obs)
+// tail. A stale window is weighed whole before the tail reads it,
+// whatever its case: each estimator must fold a join change in the
+// round it happens, because Observe folds n events into one update,
+// which is not bitwise equal to two (DESIGN.md §11). A quiet junction
+// changed nothing, so the batch may keep it on a stale window.
+func (c *Controller) DecideWeighted(gains []float64, stale bool, obs *signal.Obs) (signal.Phase, bool) {
+	if stale {
+		c.Weigh(obs.Links, obs.Rows, gains)
+	}
+	return c.tail.DecideWeighted(gains, false, obs)
 }
 
-// Decide implements signal.Controller.
+// Decide implements signal.Controller: DecideWeighted on a stale window
+// of its own scratch.
 func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 	if c.gains == nil {
 		c.gains = make([]float64, len(obs.Links))
 	}
-	c.Weigh(obs.Links, obs.Rows, c.gains)
-	return c.tail.DecideWeighted(c.gains, obs)
+	p, _ := c.DecideWeighted(c.gains, true, obs)
+	return p
 }
 
 // Factory returns a signal.Factory building estimated-routing BP

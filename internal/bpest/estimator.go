@@ -53,8 +53,10 @@ func NewTurnRatioEstimator(alpha float64) TurnRatioEstimator {
 //
 //	r̂ ← (1−α)ⁿ·r̂ + (1−(1−α)ⁿ)·d/n
 //
-// so one call per mini-slot and one call per event history are
-// identical, and n = 0 changes nothing.
+// It weighs the n events alike, so the estimate depends on the calls
+// the events are split into: one call over two rounds' events differs
+// from a call per round, beyond rounding, and a controller must call it
+// every round its joins change (DESIGN.md §11). n = 0 changes nothing.
 func (e *TurnRatioEstimator) Observe(joins [signal.NumTurns]int32) {
 	n := 0
 	var d [signal.NumTurns]int

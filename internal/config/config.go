@@ -107,6 +107,9 @@ func (e *Experiment) Validate() error {
 		if e.Grid.Capacity <= 0 || e.Grid.Mu <= 0 || e.Grid.SpacingM <= 0 || e.Grid.SpeedMPS <= 0 {
 			return fmt.Errorf("config: grid capacity, mu, spacing and speed must be positive")
 		}
+		if e.Grid.BoundaryM < 0 {
+			return fmt.Errorf("config: grid boundary_m must be non-negative (0 = the spacing), got %v", e.Grid.BoundaryM)
+		}
 	}
 	return nil
 }

@@ -31,6 +31,7 @@ func TestValidateRejects(t *testing.T) {
 		{Pattern: "I", Controller: Controller{Algorithm: "util"}, AmberSec: -3},
 		{Pattern: "I", Controller: Controller{Algorithm: "util"}, Grid: &Grid{Rows: 0, Cols: 3, SpacingM: 100, SpeedMPS: 10, Capacity: 10, Mu: 1}},
 		{Pattern: "I", Controller: Controller{Algorithm: "util"}, Grid: &Grid{Rows: 2, Cols: 2, SpacingM: 100, SpeedMPS: 10, Capacity: 0, Mu: 1}},
+		{Pattern: "I", Controller: Controller{Algorithm: "util"}, Grid: &Grid{Rows: 2, Cols: 2, SpacingM: 100, BoundaryM: -50, SpeedMPS: 10, Capacity: 10, Mu: 1}},
 	}
 	for i, e := range bad {
 		if err := e.Validate(); err == nil {

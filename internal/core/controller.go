@@ -92,13 +92,14 @@ func New(info signal.JunctionInfo, opts Options) (*Controller, error) {
 // Name implements signal.Controller.
 func (c *Controller) Name() string { return "UTIL-BP" }
 
-// Decide implements signal.Controller with Algorithm 1.
+// Decide implements signal.Controller with Algorithm 1, run on a stale
+// window of its own scratch: it weighs only the gains its case reads.
 func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 	if c.gains == nil {
 		c.gains = make([]float64, len(obs.Links))
 	}
-	c.Weigh(obs.Links, obs.Rows, c.gains)
-	return c.DecideWeighted(c.gains, obs)
+	p, _ := c.DecideWeighted(c.gains, true, obs)
+	return p
 }
 
 // Weigh implements signal.Weighted: the eq. (8) gain of every link from
@@ -121,20 +122,42 @@ func (c *Controller) WeighLink(_ int, l *signal.Link, rows []signal.Row) float64
 	return c.rule.Gain(out, l.Mu, lane, p, float64(out.Total))
 }
 
+// weighMax is gmax(c_j, k) of eq. (11) and its link, as PhaseGains
+// returns them, for the links of phase weighed from their rows: the
+// keep test of a stale window, with the rule's kernel inlined, so it
+// makes no call per link. It writes no gain, since the window stays
+// stale.
+func (c *Controller) weighMax(links []signal.Link, rows []signal.Row, phase []int) (float64, int) {
+	r := &c.rule
+	best, bestLink := 0.0, -1
+	for _, li := range phase {
+		l := &links[li]
+		out := &rows[l.Out]
+		lane, p := r.counts(&rows[l.In], l.Turn)
+		if g := r.Gain(out, l.Mu, lane, p, float64(out.Total)); bestLink == -1 || g > best {
+			best, bestLink = g, li
+		}
+	}
+	return best, bestLink
+}
+
 // Rule is the controller's compiled eq. (8). BP-EST evaluates its
 // estimated gain with its tail's rule.
 func (c *Controller) Rule() *Rule { return &c.rule }
 
 // DecideWeighted implements signal.Weighted: Algorithm 1 over link
-// gains already evaluated. It is the one decision tail of the
-// per-junction Decide, of the batched controller and of BP-EST, which
-// hands it its estimated gains.
-func (c *Controller) DecideWeighted(gains []float64, obs *signal.Obs) signal.Phase {
+// gains. It is the one decision tail of the per-junction Decide, of the
+// batched controller and of BP-EST, which hands it its estimated gains
+// on a fresh window. On a stale window it weighs only what its case
+// reads: nothing under amber (Case 1), the current phase's links for
+// the keep test (Case 2), which leaves the window stale, and every link
+// for a selection (Case 3), which makes it fresh.
+func (c *Controller) DecideWeighted(gains []float64, stale bool, obs *signal.Obs) (signal.Phase, bool) {
 	cur := obs.Current
 
 	// Case 1 (lines 1-2): the transition period Δk has not expired.
 	if cur == signal.Amber && obs.Step < c.amberUntil {
-		return signal.Amber
+		return signal.Amber, !stale
 	}
 
 	// Case 2 (lines 3-4): keep the current phase while its best link
@@ -142,29 +165,38 @@ func (c *Controller) DecideWeighted(gains []float64, obs *signal.Obs) signal.Pha
 	// limits the number of transition phases. g* is 0 for an empty
 	// phase.
 	if cur != signal.Amber && !c.noKeepPhase {
-		gmax, maxLink := PhaseMaxGain(gains, c.phases[cur-1])
+		var gmax float64
+		var maxLink int
+		if stale {
+			gmax, maxLink = c.weighMax(obs.Links, obs.Rows, c.phases[cur-1])
+		} else {
+			gmax, maxLink, _ = PhaseGains(gains, c.phases[cur-1])
+		}
 		threshold := 0.0
 		if maxLink >= 0 {
 			threshold = float64(c.wStar) * obs.Links[maxLink].Mu
 		}
 		if gmax > threshold {
-			return cur
+			return cur, !stale
 		}
 	}
 
 	// Case 3 (lines 5-17): select the best phase.
+	if stale {
+		c.Weigh(obs.Links, obs.Rows, gains)
+	}
 	next := c.selectPhase(gains, cur)
 
 	// Lines 12-16: adopt it directly when it is the current phase or a
 	// transition just ended; otherwise start a transition of Δk slots.
 	if next == cur || cur == signal.Amber {
-		return next
+		return next, true
 	}
 	c.amberUntil = obs.Step + c.amberSteps
 	if c.amberSteps == 0 {
-		return next
+		return next, true
 	}
-	return signal.Amber
+	return signal.Amber, true
 }
 
 // selectPhase implements lines 6-11: among phases guaranteeing some
@@ -178,8 +210,8 @@ func (c *Controller) selectPhase(gains []float64, cur signal.Phase) signal.Phase
 	alpha := math.Float64frombits(c.rule.alpha)
 	anyUsable := false
 	for pi, phase := range c.phases {
-		gmax, _ := PhaseMaxGain(gains, phase)
-		scores[pi] = phaseScore{gmax: gmax, total: PhaseGain(gains, phase)}
+		gmax, _, total := PhaseGains(gains, phase)
+		scores[pi] = phaseScore{gmax: gmax, total: total}
 		if gmax > alpha {
 			anyUsable = true
 		}

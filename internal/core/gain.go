@@ -161,24 +161,19 @@ func (r *Rule) counts(in *signal.Row, t int32) (lane, p int) {
 	return lane, p
 }
 
-// PhaseGain is g(c_j, k) of eq. (10): the sum of the constituent link
-// gains. gains is indexed by link, phase lists link indexes.
-func PhaseGain(gains []float64, phase []int) float64 {
-	total := 0.0
+// PhaseGains walks a phase's links once and returns gmax(c_j, k) of
+// eq. (11), the maximum constituent link gain, with the index of the
+// maximizing link (-1 for an empty phase), and g(c_j, k) of eq. (10),
+// the sum of the constituent link gains in phase order. gains is
+// indexed by link, phase lists link indexes.
+func PhaseGains(gains []float64, phase []int) (gmax float64, maxLink int, total float64) {
+	maxLink = -1
 	for _, li := range phase {
-		total += gains[li]
-	}
-	return total
-}
-
-// PhaseMaxGain is gmax(c_j, k) of eq. (11): the maximum constituent link
-// gain, and the index of the maximizing link (-1 for an empty phase).
-func PhaseMaxGain(gains []float64, phase []int) (float64, int) {
-	best, bestLink := 0.0, -1
-	for _, li := range phase {
-		if bestLink == -1 || gains[li] > best {
-			best, bestLink = gains[li], li
+		g := gains[li]
+		total += g
+		if maxLink == -1 || g > gmax {
+			gmax, maxLink = g, li
 		}
 	}
-	return best, bestLink
+	return gmax, maxLink, total
 }

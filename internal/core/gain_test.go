@@ -135,20 +135,24 @@ func TestParamsValidate(t *testing.T) {
 func TestPhaseGains(t *testing.T) {
 	gains := []float64{5, -1, 3, -2}
 	phase := []int{0, 2, 3}
-	if got := PhaseGain(gains, phase); got != 6 {
-		t.Errorf("PhaseGain = %v, want 6", got)
+	if gmax, link, total := PhaseGains(gains, phase); gmax != 5 || link != 0 || total != 6 {
+		t.Errorf("PhaseGains = %v/%d/%v, want 5/0/6", gmax, link, total)
 	}
-	gmax, link := PhaseMaxGain(gains, phase)
-	if gmax != 5 || link != 0 {
-		t.Errorf("PhaseMaxGain = %v/%d, want 5/0", gmax, link)
-	}
-	if g, l := PhaseMaxGain(gains, nil); g != 0 || l != -1 {
-		t.Errorf("empty phase max = %v/%d", g, l)
+	if g, l, total := PhaseGains(gains, nil); g != 0 || l != -1 || total != 0 {
+		t.Errorf("empty phase = %v/%d/%v", g, l, total)
 	}
 	// All-negative phases still report their (negative) max.
-	gmax, link = PhaseMaxGain(gains, []int{1, 3})
-	if gmax != -1 || link != 1 {
-		t.Errorf("negative PhaseMaxGain = %v/%d, want -1/1", gmax, link)
+	if gmax, link, total := PhaseGains(gains, []int{1, 3}); gmax != -1 || link != 1 || total != -3 {
+		t.Errorf("negative PhaseGains = %v/%d/%v, want -1/1/-3", gmax, link, total)
+	}
+	// A tie keeps the first maximizing link, and the total sums in
+	// phase order: 1e16+1 rounds to 1e16, so the order below gives 0
+	// where summing 1 last would give 1.
+	if gmax, link, total := PhaseGains([]float64{1e16, 1, -1e16, 1e16}, []int{0, 1, 2, 3}); gmax != 1e16 || link != 0 || total != 1e16 {
+		t.Errorf("PhaseGains = %v/%d/%v, want 1e16/0/1e16", gmax, link, total)
+	}
+	if _, _, total := PhaseGains([]float64{1e16, 1, -1e16}, []int{0, 1, 2}); total != 0 {
+		t.Errorf("total = %v, want 0: the sum must run in phase order", total)
 	}
 }
 

@@ -101,13 +101,14 @@ func New(info signal.JunctionInfo, opts Options) (*Controller, error) {
 // Name implements signal.Controller.
 func (c *Controller) Name() string { return "MAXPRESSURE" }
 
-// Decide implements signal.Controller.
+// Decide implements signal.Controller: DecideWeighted on a stale window
+// of its own scratch, which weighs only when it selects.
 func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 	if c.weights == nil {
 		c.weights = make([]float64, len(obs.Links))
 	}
-	c.Weigh(obs.Links, obs.Rows, c.weights)
-	return c.DecideWeighted(c.weights, obs)
+	p, _ := c.DecideWeighted(c.weights, true, obs)
+	return p
 }
 
 // Weigh implements signal.Weighted: the Weight of every link.
@@ -131,9 +132,10 @@ func (c *Controller) KeepsQuiet(step int) bool {
 }
 
 // DecideWeighted implements signal.Weighted: the phase logic over link
-// weights already evaluated, the one decision tail of the per-junction
-// Decide and the batched controller.
-func (c *Controller) DecideWeighted(weights []float64, obs *signal.Obs) signal.Phase {
+// weights, the one decision tail of the per-junction Decide and the
+// batched controller. Amber and the minimum green hold read no weight,
+// so a stale window is weighed, whole, only when the rule selects.
+func (c *Controller) DecideWeighted(weights []float64, stale bool, obs *signal.Obs) (signal.Phase, bool) {
 	cur := obs.Current
 	if cur != c.prevCur {
 		if cur != signal.Amber {
@@ -145,21 +147,24 @@ func (c *Controller) DecideWeighted(weights []float64, obs *signal.Obs) signal.P
 	}
 	// Self-commanded transition in progress.
 	if cur == signal.Amber && obs.Step < c.amberUntil {
-		return signal.Amber
+		return signal.Amber, !stale
 	}
 	// Minimum green hold.
 	if cur != signal.Amber && obs.Step-c.greenStart < c.opts.MinGreenSteps {
-		return cur
+		return cur, !stale
+	}
+	if stale {
+		c.Weigh(obs.Links, obs.Rows, weights)
 	}
 	next := c.selectPhase(weights, cur)
 	if next == cur || cur == signal.Amber {
-		return next
+		return next, true
 	}
 	c.amberUntil = obs.Step + c.opts.AmberSteps
 	if c.opts.AmberSteps == 0 {
-		return next
+		return next, true
 	}
-	return signal.Amber
+	return signal.Amber, true
 }
 
 // selectPhase returns the phase with the maximum total pressure. Ties

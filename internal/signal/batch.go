@@ -47,13 +47,16 @@ type Batch struct {
 	Infos []JunctionInfo
 	// Changed lists the dense global indexes of links whose observation
 	// (the columns of its two rows it reads) may have changed since the
-	// previous decision round, deduplicated. AllChanged signals a full
-	// refresh instead (first round after construction or reset, or a
-	// step that dirtied a quarter of the roads); when it is set, Changed
-	// is meaningless. A controller caching per-link derived state (link
-	// gains) may recompute only the changed links — link observations
-	// outside the change set are bit-for-bit identical to the previous
-	// round.
+	// previous decision round, deduplicated. AllChanged signals that any
+	// link may have changed instead (first round after construction or
+	// reset, or a step that dirtied a quarter of the roads); when it is
+	// set, Changed is meaningless. A controller caching per-link derived
+	// state (link gains) may recompute only the changed links — link
+	// observations outside the change set are bit-for-bit identical to
+	// the previous round — or, on AllChanged, drop its cache and
+	// recompute what it next reads (the weighted batch marks its weight
+	// windows stale, DESIGN.md §11). Quiet still holds on an AllChanged
+	// round: a junction none of whose roads changed may be quiet.
 	Changed    []int32
 	AllChanged bool
 	// Quiet flags, per junction, a quiet fixed point: last round the

@@ -4,8 +4,9 @@
 // distinct greens, minimum green holding, max-green preemption,
 // factory independence, reset-rebuild coldness (Engine.Reset rebuilds
 // controllers through the factory), batched-dispatch equivalence,
-// quiet-skip equivalence (signal.Batch.Quiet), and dark-mode
-// fallback/recovery (the engine-side override of DESIGN.md
+// quiet-skip equivalence (signal.Batch.Quiet), stale-window
+// equivalence (a signal.Weighted rule weighs what it reads), and
+// dark-mode fallback/recovery (the engine-side override of DESIGN.md
 // §12) — driven over a set of scripted observation scenarios.
 // Controller packages (internal/core, internal/bp, internal/fixedtime,
 // internal/maxpressure, internal/gapout, internal/bpest) run their
@@ -16,6 +17,8 @@ package signaltest
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"utilbp/internal/signal"
@@ -332,12 +335,16 @@ func driveBatched(t *testing.T, f signal.Factory, info signal.JunctionInfo, sc s
 // maintaining the batch exactly as the engine does: Current feeds back
 // the previous decisions, Decided is pre-filled with Amber, and the
 // change set lists the links whose observation differs from the
-// previous round (AllChanged on the first). With quiet set, Quiet flags
-// each junction that last round decided its Current green and none of
-// whose links changed since — the engine's settled && !ctrlDirty, with
-// the junction's own links standing in for its roads. With quiet unset
-// Quiet stays nil, "nothing quiet". It returns the traces and the number
-// of junction-rounds offered as quiet.
+// previous round, past half the links when a script changes them all.
+// AllChanged is raised on the first round and on every
+// allChangedEvery-th round after it, as the engine raises it on a
+// loaded step, with Changed left empty, so a controller that read it
+// would miss every change. With quiet set, Quiet flags each junction
+// that last round decided its Current green and none of whose links
+// changed since, on AllChanged rounds too — the engine's settled &&
+// !ctrlDirty, with the junction's own links standing in for its roads.
+// With quiet unset Quiet stays nil, "nothing quiet". It returns the
+// traces and the number of junction-rounds offered as quiet.
 func driveBatchController(t *testing.T, bc signal.BatchController, infos []signal.JunctionInfo, scs []script, quiet bool) ([][]signal.Phase, int) {
 	t.Helper()
 	if len(infos) != len(scs) {
@@ -385,12 +392,9 @@ func driveBatchController(t *testing.T, bc signal.BatchController, infos []signa
 		}
 		v.put()
 		b.Changed = b.Changed[:0]
-		b.AllChanged = k == 0
-		if !b.AllChanged {
-			for gl := range v.links {
-				if v.links[gl] != prev[gl] {
-					b.Changed = append(b.Changed, int32(gl))
-				}
+		for gl := range v.links {
+			if v.links[gl] != prev[gl] {
+				b.Changed = append(b.Changed, int32(gl))
 			}
 		}
 		b.Step = k
@@ -398,11 +402,15 @@ func driveBatchController(t *testing.T, bc signal.BatchController, infos []signa
 		for j := range infos {
 			b.Decided[j] = signal.Amber
 			if quiet {
-				b.Quiet[j] = settled[j] && !b.AllChanged && !changedIn(b.Changed, b.JuncOff[j], b.JuncOff[j+1])
+				b.Quiet[j] = settled[j] && !changedIn(b.Changed, b.JuncOff[j], b.JuncOff[j+1])
 				if b.Quiet[j] {
 					offered++
 				}
 			}
+		}
+		b.AllChanged = k%allChangedEvery == 0
+		if b.AllChanged {
+			b.Changed = b.Changed[:0]
 		}
 		bc.DecideAll(&b)
 		for j := range infos {
@@ -412,6 +420,106 @@ func driveBatchController(t *testing.T, bc signal.BatchController, infos []signa
 		}
 	}
 	return out, offered
+}
+
+// allChangedEvery is the period, in rounds, at which
+// driveBatchController raises AllChanged, round 0 included.
+const allChangedEvery = 7
+
+// driveEager is the eager oracle of a Weighted family: each step it
+// weighs the junction's whole window, then runs the phase rule on the
+// fresh window. It returns the decision trace and each step's window.
+// The lazy rule, batched or per-junction, must reproduce the trace, and
+// every window the batch holds fresh must equal the oracle's.
+func driveEager(t *testing.T, f signal.Factory, info signal.JunctionInfo, sc script) ([]signal.Phase, [][]float64) {
+	t.Helper()
+	ctrl, err := f.New(info)
+	if err != nil {
+		t.Fatalf("factory %s: New: %v", f.Name(), err)
+	}
+	wc, ok := ctrl.(signal.Weighted)
+	if !ok {
+		t.Fatalf("factory %s: controller is not signal.Weighted", f.Name())
+	}
+	v := newView(info.NumLinks)
+	obs := signal.Obs{Links: v.table, Rows: v.rows}
+	out := make([]signal.Phase, sc.steps)
+	windows := make([][]float64, sc.steps)
+	cur := signal.Amber
+	for k := 0; k < sc.steps; k++ {
+		sc.fill(k, v.links)
+		v.put()
+		obs.Step = k
+		obs.Time = float64(k) * info.DeltaT
+		obs.Current = cur
+		w := make([]float64, info.NumLinks)
+		wc.Weigh(obs.Links, obs.Rows, w)
+		p, fresh := wc.DecideWeighted(w, false, &obs)
+		if !fresh {
+			t.Fatalf("step %d: a fresh window came back stale", k)
+		}
+		out[k], windows[k] = p, w
+		cur = p
+	}
+	return out, windows
+}
+
+// window is a copy of a junction's weights at a step.
+type window struct {
+	step int
+	w    []float64
+}
+
+// nanFactory builds its factory's controllers wrapped so that every
+// window the weighted batch hands their phase rule as stale is filled
+// with NaN first: a rule that reads a stale weight without weighing it
+// then decides on NaN instead of last round's value. Each window a
+// rule leaves fresh is appended to *fresh.
+type nanFactory struct {
+	signal.Factory
+	fresh *[]window
+}
+
+// New implements signal.Factory.
+func (f nanFactory) New(info signal.JunctionInfo) (signal.Controller, error) {
+	c, err := f.Factory.New(info)
+	if err != nil {
+		return nil, err
+	}
+	w, ok := c.(signal.Weighted)
+	if !ok {
+		return nil, fmt.Errorf("signaltest: %s controller is not signal.Weighted", f.Name())
+	}
+	if r, ok := c.(signal.QuietRule); ok {
+		return nanQuiet{nanWeighted{w, f.fresh}, r}, nil
+	}
+	return nanWeighted{w, f.fresh}, nil
+}
+
+// nanWeighted is a Weighted controller behind nanFactory.
+type nanWeighted struct {
+	signal.Weighted
+	fresh *[]window
+}
+
+// DecideWeighted implements signal.Weighted.
+func (n nanWeighted) DecideWeighted(w []float64, stale bool, obs *signal.Obs) (signal.Phase, bool) {
+	if stale {
+		for i := range w {
+			w[i] = math.NaN()
+		}
+	}
+	p, fresh := n.Weighted.DecideWeighted(w, stale, obs)
+	if fresh {
+		*n.fresh = append(*n.fresh, window{obs.Step, slices.Clone(w)})
+	}
+	return p, fresh
+}
+
+// nanQuiet keeps the wrapped controller's QuietRule.
+type nanQuiet struct {
+	nanWeighted
+	signal.QuietRule
 }
 
 // WeightedBatchControllers builds the weighted batch of a Weighted
@@ -552,8 +660,10 @@ func equalTraces(a, b []signal.Phase) (int, bool) {
 // is replayed through the signal.Batched adapter — and, when the
 // factory implements signal.BatchFactory, through its batched
 // controller with an engine-faithful change set — requiring bit-for-bit
-// identical traces. A final subtest drives two controllers from the
-// same factory against different scripts to catch shared mutable state.
+// identical traces. A family whose controllers are signal.Weighted is
+// also held to its eager oracle on NaN-filled stale windows (checkStale).
+// A final subtest drives two controllers from the same factory against
+// different scripts to catch shared mutable state.
 func Run(t *testing.T, c Case) {
 	info := testJunction(c.Name)
 	scs := scripts()
@@ -634,6 +744,11 @@ func Run(t *testing.T, c Case) {
 				}
 			}
 		})
+		if ctrl, err := c.Factory.New(info); err == nil {
+			if _, ok := ctrl.(signal.Weighted); ok {
+				t.Run("stale-equivalence", func(t *testing.T) { checkStale(t, c.Factory, info, scs) })
+			}
+		}
 	}
 	t.Run("dark-mode", func(t *testing.T) {
 		// The policy the robustness events arm: all-red strictly longer
@@ -754,6 +869,46 @@ func Run(t *testing.T, c Case) {
 		sameOrFatal(t, soloA, traceA, "interleaved controller A")
 		sameOrFatal(t, soloB, traceB, "interleaved controller B")
 	})
+}
+
+// checkStale is the stale-equivalence invariant of a Weighted family:
+// a rule weighs only what it reads, so the weighted batch may leave a
+// window stale (AllChanged, a change set past half the links, a new
+// batch, a rule that read part of it) and the rule must weigh before
+// it reads. The batch is driven with every stale window filled with
+// NaN before its rule runs, with Quiet nil and with Quiet maintained,
+// and each trace must equal the per-junction trace, itself a lazy rule
+// on a stale window, and the eager oracle: the whole window weighed,
+// then the rule on a fresh window. Every window a rule leaves fresh
+// must hold the oracle's weights bit for bit, so an estimator that
+// skipped a round's observation fails even where no decision moves.
+func checkStale(t *testing.T, f signal.Factory, info signal.JunctionInfo, scs []script) {
+	infos := []signal.JunctionInfo{info}
+	for _, sc := range scs {
+		eager, windows := driveEager(t, f, info, sc)
+		if !sameOrFatal(t, eager, drive(t, f, info, sc), sc.name+": per-junction vs eager oracle") {
+			return
+		}
+		for _, quiet := range []bool{false, true} {
+			var fresh []window
+			bc, err := signal.NewWeightedBatch(nanFactory{f, &fresh}, infos)
+			if err != nil {
+				t.Fatalf("NewWeightedBatch: %v", err)
+			}
+			traces, _ := driveBatchController(t, bc, infos, []script{sc}, quiet)
+			what := fmt.Sprintf("%s, Quiet maintained %v: NaN-filled stale windows vs eager oracle", sc.name, quiet)
+			if !sameOrFatal(t, eager, traces[0], what) {
+				return
+			}
+			for _, got := range fresh {
+				for li, g := range got.w {
+					if want := windows[got.step][li]; math.Float64bits(g) != math.Float64bits(want) {
+						t.Fatalf("%s: step %d, link %d: fresh window holds %v, eager oracle weighed %v", what, got.step, li, g, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // sameOrFatal fails the test when two traces differ, reporting the

@@ -13,8 +13,8 @@ import (
 // UTIL-BP's gain, BP-EST's estimated gain and MaxPressure's pressure are
 // such weights. Splitting the weighing from the phase rule lets one
 // batched controller (NewWeightedBatch) keep every junction's weights in
-// a slab parallel to Batch.Links and re-weigh only the change set
-// (DESIGN.md §11).
+// a slab parallel to Batch.Links, re-weigh only the change set, and
+// leave a window stale where its rule reads no weight (DESIGN.md §11).
 //
 // A junction flagged quiet (Batch.Quiet) keeps its Current phase
 // without a call into the phase rule: on unchanged weights and the same
@@ -24,15 +24,20 @@ import (
 type Weighted interface {
 	Controller
 	// Weigh writes the weight of every link of the junction into w
-	// (len(w) == len(links)), each read from rows: the full sweep.
+	// (len(w) == len(links)), each read from rows: the whole window.
 	Weigh(links []Link, rows []Row, w []float64)
 	// WeighLink returns the weight of link li, whose table entry is l,
 	// read from rows: the change-set refresh of one link.
 	WeighLink(li int, l *Link, rows []Row) float64
-	// DecideWeighted is the phase rule: c(k) from the junction's link
-	// weights and its observation. Decide must equal Weigh followed by
-	// DecideWeighted.
-	DecideWeighted(w []float64, obs *Obs) Phase
+	// DecideWeighted is the phase rule: c(k) from the junction's window
+	// of link weights w and its observation. A fresh window (stale
+	// false) holds every link's current weight. A stale window's
+	// entries mean nothing: the rule weighs from obs.Rows what it reads,
+	// and may write weights into w. fresh reports whether w holds every
+	// current weight on return; it is true whenever stale is false.
+	// Decide must equal DecideWeighted on a stale window, and both must
+	// decide as Weigh followed by DecideWeighted on the fresh window.
+	DecideWeighted(w []float64, stale bool, obs *Obs) (p Phase, fresh bool)
 }
 
 // QuietRule is implemented by a Weighted controller whose phase rule
@@ -47,8 +52,9 @@ type QuietRule interface {
 
 // NewWeightedBatch builds the batched controller of a Weighted family:
 // one controller per junction from f.New, in batch junction order, and
-// a weight slab parallel to Batch.Links. Every controller f builds must
-// implement Weighted. The batch allocates nothing after construction.
+// a weight slab parallel to Batch.Links whose windows start stale.
+// Every controller f builds must implement Weighted. The batch
+// allocates nothing after construction.
 func NewWeightedBatch(f Factory, infos []JunctionInfo) (BatchController, error) {
 	if len(infos) == 0 {
 		return nil, fmt.Errorf("signal: %s batch needs at least one junction", f.Name())
@@ -59,6 +65,7 @@ func NewWeightedBatch(f Factory, infos []JunctionInfo) (BatchController, error) 
 	}
 	b := &weightedBatch{
 		ctrls:  make([]Weighted, len(infos)),
+		fresh:  make([]bool, len(infos)),
 		w:      make([]float64, total),
 		juncOf: make([]int32, 0, total),
 	}
@@ -95,38 +102,36 @@ type weightedBatch struct {
 	rules []QuietRule
 	keep  []bool
 	// w is the weight slab, indexed like Batch.Links; juncOf maps a
-	// dense link index to its junction.
+	// dense link index to its junction. fresh[j] reports whether
+	// junction j's window of w holds every current weight; a window
+	// that does not is stale, and its entries mean nothing.
 	w      []float64
 	juncOf []int32
+	fresh  []bool
 	// obs is the scratch per-junction view.
 	obs Obs
-	// primed reports whether w holds the previous round's weights;
-	// until the first full sweep the change set cannot be trusted.
-	primed bool
 }
 
 // Name implements BatchController.
 func (b *weightedBatch) Name() string { return b.ctrls[0].Name() }
 
-// DecideAll implements BatchController: refresh the weight slab, fully
-// (first round, AllChanged, or a change set over half the links) or for
-// the change set only, then decide each junction over its slab window.
-// A full sweep is exact whatever changed, and past half the links it is
-// the cheaper refresh: one call per junction and a contiguous walk
-// against one call per scattered link. A quiet junction keeps Current
-// without a view or a call into its phase rule, unless its QuietRule
-// says otherwise.
+// DecideAll implements BatchController. AllChanged, or a change set
+// over half the links, marks every window stale; a smaller change set
+// re-weighs its links in fresh windows, one WeighLink call each, and
+// skips the links of stale windows. Each junction is then decided on
+// its window and its stale flag, and the phase rule weighs from the
+// rows only what it reads, so a round where a junction's rule reads no
+// weight, or the current phase's alone, weighs no more than that. A
+// quiet junction keeps Current, and its window's flag, without a view
+// or a call into its phase rule, unless its QuietRule says otherwise.
 func (b *weightedBatch) DecideAll(batch *Batch) {
-	if batch.AllChanged || !b.primed || 2*len(batch.Changed) > len(b.w) {
-		for j, c := range b.ctrls {
-			lo, hi := batch.JuncOff[j], batch.JuncOff[j+1]
-			c.Weigh(batch.Links[lo:hi], batch.Rows, b.w[lo:hi])
-		}
-		b.primed = true
+	if batch.AllChanged || 2*len(batch.Changed) > len(b.w) {
+		clear(b.fresh)
 	} else {
 		for _, gl := range batch.Changed {
-			j := b.juncOf[gl]
-			b.w[gl] = b.ctrls[j].WeighLink(int(gl-batch.JuncOff[j]), &batch.Links[gl], batch.Rows)
+			if j := b.juncOf[gl]; b.fresh[j] {
+				b.w[gl] = b.ctrls[j].WeighLink(int(gl-batch.JuncOff[j]), &batch.Links[gl], batch.Rows)
+			}
 		}
 	}
 	// The quiet rules run in a pass of their own: a call in the decide
@@ -145,15 +150,15 @@ func (b *weightedBatch) DecideAll(batch *Batch) {
 			continue
 		}
 		batch.View(j, &b.obs)
-		batch.Decided[j] = b.ctrls[j].DecideWeighted(b.w[batch.JuncOff[j]:batch.JuncOff[j+1]], &b.obs)
+		batch.Decided[j], b.fresh[j] = b.ctrls[j].DecideWeighted(b.w[batch.JuncOff[j]:batch.JuncOff[j+1]], !b.fresh[j], &b.obs)
 	}
 }
 
 // SnapshotState implements Snapshotter with one section per junction
-// controller, the per-junction dispatch layout. The weight slab and
-// primed flag are cache: a restored engine rebuilds the batch, whose
-// first full sweep recomputes the slab from the restored rows and
-// controller state.
+// controller, the per-junction dispatch layout. The weight slab and its
+// fresh flags are cache: a restored engine rebuilds the batch, whose
+// windows start stale, so each rule weighs what it reads from the
+// restored rows and controller state.
 func (b *weightedBatch) SnapshotState(w *snap.Writer) {
 	SnapshotStates(w, b.ctrls)
 }

@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -8,14 +9,17 @@ import (
 )
 
 // countingWeighted is a Weighted controller that records how the batch
-// calls it. Its weight is the link's incoming row's Total, its phase
-// rule returns phase 1 and remembers the weights it saw, and its
-// snapshot state is one integer.
+// calls it. Its weight is the link's incoming row's Total. Its phase
+// rule returns phase 1 and remembers the weights it decided on: it
+// weighs a stale window itself, from the view's rows, and reports it
+// fresh unless partial is set. Its snapshot state is one integer.
 type countingWeighted struct {
 	weighs     int
 	weighLinks []int
 	decides    int
+	stale      []bool
 	seen       []float64
+	partial    bool
 	state      int
 }
 
@@ -30,9 +34,8 @@ func (c *clockWeighted) KeepsQuiet(int) bool { return c.keepsQuiet }
 func (c *countingWeighted) Name() string { return "COUNTING" }
 
 func (c *countingWeighted) Decide(obs *Obs) Phase {
-	w := make([]float64, len(obs.Links))
-	c.Weigh(obs.Links, obs.Rows, w)
-	return c.DecideWeighted(w, obs)
+	p, _ := c.DecideWeighted(make([]float64, len(obs.Links)), true, obs)
+	return p
 }
 
 func (c *countingWeighted) Weigh(links []Link, rows []Row, w []float64) {
@@ -47,10 +50,16 @@ func (c *countingWeighted) WeighLink(li int, l *Link, rows []Row) float64 {
 	return float64(rows[l.In].Total)
 }
 
-func (c *countingWeighted) DecideWeighted(w []float64, _ *Obs) Phase {
+func (c *countingWeighted) DecideWeighted(w []float64, stale bool, obs *Obs) (Phase, bool) {
 	c.decides++
+	c.stale = append(c.stale, stale)
+	if stale {
+		for i := range obs.Links {
+			w[i] = float64(obs.Rows[obs.Links[i].In].Total)
+		}
+	}
 	c.seen = append(c.seen[:0], w...)
-	return 1
+	return 1, !stale || !c.partial
 }
 
 func (c *countingWeighted) SnapshotState(w *snap.Writer) { w.Int(c.state) }
@@ -100,51 +109,68 @@ func countingBatch(t *testing.T) (bc BatchController, b *Batch, fakes []*countin
 // resetCounts clears the fakes' call records between rounds.
 func resetCounts(fakes []*countingWeighted) {
 	for _, c := range fakes {
-		c.weighs, c.weighLinks, c.decides = 0, nil, 0
+		c.weighs, c.weighLinks, c.decides, c.stale = 0, nil, 0, nil
+	}
+}
+
+// checkCalls fails unless, this round, the batch made no Weigh call,
+// made the WeighLink calls in links (by junction-local index, nil for
+// none) and decided each junction as decided says, one byte per
+// junction: 's' once on a stale window, 'f' once on a fresh one, '-'
+// not at all.
+func checkCalls(t *testing.T, round string, fakes []*countingWeighted, links [][]int, decided string) {
+	t.Helper()
+	for j, c := range fakes {
+		got := "-"
+		switch {
+		case c.decides > 1:
+			got = fmt.Sprintf("%d decisions", c.decides)
+		case c.decides == 1 && c.stale[0]:
+			got = "s"
+		case c.decides == 1:
+			got = "f"
+		}
+		if c.weighs != 0 || !slices.Equal(c.weighLinks, links[j]) || got != decided[j:j+1] {
+			t.Fatalf("%s, junction %d: Weigh %d, WeighLink %v, decided %s; want 0, %v, %s",
+				round, j, c.weighs, c.weighLinks, got, links[j], decided[j:j+1])
+		}
 	}
 }
 
 // TestWeightedBatchCacheContract pins what the shared batch calls, not
 // only what it decides: a batch that re-weighed every link every round,
-// or ran the phase rule of every quiet junction, would still produce
-// the same phase traces.
+// weighed windows its rules do not read, or ran the phase rule of every
+// quiet junction would still produce the same phase traces.
 func TestWeightedBatchCacheContract(t *testing.T) {
 	bc, b, fakes, clock := countingBatch(t)
 	if bc.Name() != "COUNTING" {
 		t.Errorf("Name = %q", bc.Name())
 	}
+	none := [][]int{nil, nil, nil}
 
-	// The first round is a full sweep even without AllChanged.
+	// A new batch's windows are stale, even without AllChanged: the
+	// batch weighs nothing, and each rule decides on a stale window.
 	bc.DecideAll(b)
-	for j, c := range fakes {
-		if c.weighs != 1 || c.weighLinks != nil || c.decides != 1 {
-			t.Fatalf("first round, junction %d: Weigh %d, WeighLink %v, DecideWeighted %d; want 1, none, 1",
-				j, c.weighs, c.weighLinks, c.decides)
-		}
-	}
+	checkCalls(t, "first round", fakes, none, "sss")
 	if want := []float64{12, 13, 14}; !slices.Equal(fakes[1].seen, want) {
-		t.Fatalf("junction 1 decided on %v, want its slab window %v", fakes[1].seen, want)
+		t.Fatalf("junction 1 decided on %v, want its rows' weights %v", fakes[1].seen, want)
 	}
 
-	// A change-set round re-weighs exactly the changed links, by their
-	// junction-local index, and the phase rule sees the new weights.
+	// The rules left their windows fresh, so a change-set round
+	// re-weighs exactly the changed links, one by one, by their
+	// junction-local index, and each rule sees the new weights.
 	resetCounts(fakes)
 	b.Rows[1].Total, b.Rows[3].Total, b.Rows[5].Total = 31, 33, 35
 	b.Changed = []int32{1, 3, 5}
 	bc.DecideAll(b)
-	wantLinks := [][]int{{1}, {1}, {0}}
-	for j, c := range fakes {
-		if c.weighs != 0 || !slices.Equal(c.weighLinks, wantLinks[j]) {
-			t.Fatalf("change-set round, junction %d: Weigh %d, WeighLink %v; want 0, %v",
-				j, c.weighs, c.weighLinks, wantLinks[j])
-		}
-	}
+	checkCalls(t, "change-set round", fakes, [][]int{{1}, {1}, {0}}, "fff")
 	if want := []float64{12, 33, 14}; !slices.Equal(fakes[1].seen, want) {
 		t.Fatalf("junction 1 decided on %v after the change set, want %v", fakes[1].seen, want)
 	}
 
 	// A change set over half the links, and AllChanged whatever Changed
-	// holds, are full sweeps again.
+	// holds, make no weigh call from the batch: they mark every window
+	// stale.
 	for _, all := range []bool{false, true} {
 		resetCounts(fakes)
 		b.Changed = []int32{0, 1, 2, 4}
@@ -153,13 +179,31 @@ func TestWeightedBatchCacheContract(t *testing.T) {
 		}
 		b.AllChanged = all
 		bc.DecideAll(b)
-		for j, c := range fakes {
-			if c.weighs != 1 || c.weighLinks != nil {
-				t.Fatalf("AllChanged %v, %d changed, junction %d: Weigh %d, WeighLink %v; want 1, none",
-					all, len(b.Changed), j, c.weighs, c.weighLinks)
-			}
-		}
+		checkCalls(t, fmt.Sprintf("AllChanged %v, %d changed", all, len(b.Changed)), fakes, none, "sss")
 	}
+
+	// A kept quiet junction is not weighed: junction 0, quiet on an
+	// AllChanged round, keeps its stale window, and a later change set
+	// skips its links. A window its rule leaves stale (junction 2's
+	// partial rule) is skipped too, while junction 1's fresh window
+	// re-weighs its changed link.
+	resetCounts(fakes)
+	b.Current = []Phase{1, 1, 1}
+	b.Quiet = []bool{true, false, false}
+	fakes[2].partial = true
+	bc.DecideAll(b)
+	checkCalls(t, "quiet junction 0 on AllChanged", fakes, none, "-ss")
+	resetCounts(fakes)
+	b.AllChanged = false
+	b.Quiet = nil
+	b.Rows[0].Total, b.Rows[2].Total, b.Rows[5].Total = 40, 42, 45
+	b.Changed = []int32{0, 2, 5}
+	bc.DecideAll(b)
+	checkCalls(t, "change set after stale windows", fakes, [][]int{nil, {0}, nil}, "sfs")
+	if want := []float64{40, 31}; !slices.Equal(fakes[0].seen, want) {
+		t.Fatalf("junction 0 decided on %v, want its rows' weights %v", fakes[0].seen, want)
+	}
+	fakes[2].partial = false
 
 	// Quiet junctions keep Current without a call into the phase rule,
 	// unless their QuietRule says otherwise; others are decided (c1).

@@ -1264,8 +1264,9 @@ func (e *Engine) markDirty(rid network.RoadID) {
 //
 // Without a sensor and with a quarter of the roads or more dirty — a
 // loaded network — the list would name most links anyway, and a
-// batched controller past half of them sweeps every link: the step
-// then wakes the dirty roads' junctions and flags AllChanged instead.
+// batched controller past half of them drops its weight cache: the
+// step then wakes the dirty roads' junctions and flags AllChanged
+// instead.
 // Only the sensor-free path may do so, since a sensor must see exactly
 // the links that changed (event-driven detection). The per-junction
 // path without a sensor drains no list, so it only wakes.

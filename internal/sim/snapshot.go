@@ -12,10 +12,11 @@
 // the batch change set is empty at every inter-step point (sense fills
 // it, the same step's control drains it), the link listing stamps only
 // matter within the step that wrote them, and the controllers' gain
-// slabs are per-decision scratch. Restore rebuilds the control plane
-// and re-arms a full sweep (AllChanged), which recomputes exactly the
-// cached values the uninterrupted run carries — the gain caches are pure
-// functions of the observation, so the next decision is bit-identical.
+// slabs are per-decision cache. Restore rebuilds the control plane,
+// whose weight windows start stale, and flags AllChanged, so each rule
+// recomputes exactly the weights the uninterrupted run reads — they are
+// pure functions of the observation and the restored controller state,
+// so the next decision is bit-identical.
 package sim
 
 import (
@@ -178,9 +179,9 @@ func (e *Engine) Restore(data []byte) error {
 		return err
 	}
 
-	// Fresh controllers with a full sweep armed; their captured state is
-	// restored below, and the first post-restore sweep recomputes the
-	// gain caches bit-exactly (pure functions of the observation).
+	// Fresh controllers on stale weight windows; their captured state
+	// is restored below, and each rule weighs what it reads bit-exactly
+	// (pure functions of the observation and that state).
 	if err := e.buildControlPlane(); err != nil {
 		return err
 	}

@@ -329,15 +329,19 @@ func TestNewAllocsCityGrid(t *testing.T) {
 // benchmark driver reserves it: no queue owns storage — every lane,
 // spawn queue and transit list threads through one 16-byte link per
 // expected vehicle — so what remains is that link store, the arena and
-// the control plane, 3.36 MiB. The bound keeps the 21 % margin it had
-// over the 3.73 MiB of the engine that kept a 64-byte observation per
-// link and its refresh sites. With lanes reserved at road capacity it
-// was 9.6 MiB, and 5.6 MiB with the travel heaps reserved there.
+// the control plane, 3.36 MiB. The bound sits 8.6 % above it, below the
+// 3.74 MiB that the 0.38 MiB of per-link observation storage (a 64-byte
+// observation per link and its refresh sites) would bring back. Under
+// the race detector the same construction allocates 3.96 MiB, so a race
+// build is held to its own bound with the same margin. With lanes
+// reserved at road capacity it was 9.6 MiB, and 5.6 MiB with the travel
+// heaps reserved there.
 func TestNewBytesCityGrid(t *testing.T) {
-	const (
-		horizon = 3600
-		limit   = 4147 << 10 // 4.05 MiB
-	)
+	const horizon = 3600
+	limit := uint64(3737 << 10) // 3.65 MiB
+	if raceEnabled {
+		limit = 4403 << 10 // 4.30 MiB
+	}
 	w, ok := scenario.WorkloadByName("city-grid")
 	if !ok {
 		t.Fatal("city-grid is not registered")
