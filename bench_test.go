@@ -429,7 +429,7 @@ func BenchmarkStepOnceDisrupted(b *testing.B) {
 // controller zoo (DESIGN.md §13): MaxPressure and BP-EST on the batched
 // plane, the stateful actuated gap-out through the per-junction loop.
 // Every family is CI-gated at 0 B/op and 0 allocs/op alongside the
-// UTIL-BP siblings — controller state (weight slabs, per-link turn-ratio
+// UTIL-BP siblings — controller state (weight scratch, per-link turn-ratio
 // estimators, gap timers) must be pre-sized at construction, never grown
 // on the hot path.
 func BenchmarkStepOnceZoo(b *testing.B) {

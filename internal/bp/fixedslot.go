@@ -133,10 +133,8 @@ func (c *Controller) selectPhase(obs *signal.Obs) signal.Phase {
 // factory builds fixed-slot controllers with one gain function. It is
 // deliberately NOT a signal.BatchFactory: a fixed-slot controller
 // evaluates pressures only at slot boundaries, so there is no
-// every-round gain sweep for a dense slab to amortize (unlike UTIL-BP
-// on signal.NewWeightedBatch) — and a batch-capable factory would switch
-// auto-mode engines onto batched dispatch, paying the change-set upkeep
-// in sense with nothing consuming it. Forced batched dispatch
+// every-round gain sweep for a batch to amortize (unlike UTIL-BP on
+// signal.NewWeightedBatch). Forced batched dispatch
 // (signal.ControlBatched) still works: the engine adapter-wraps the
 // per-junction controllers with signal.Batched, decision-identical.
 type factory struct {

@@ -10,10 +10,11 @@ import (
 // TestConformanceBPEst runs the shared controller conformance suite
 // over the estimated-routing BP family at several estimator forgetting
 // rates. The scripts advance per-movement departure counters on a
-// subset of links, so the batch-factory equivalence subtests verify the
-// change-set caching of estimator state against per-junction dispatch
-// bit-for-bit, and the reset-rebuild subtest verifies estimators start
-// back at the uniform prior on every factory build.
+// subset of links, so the batch-factory and stale-equivalence subtests
+// verify that estimator state folds every round's joins, under batched
+// and per-junction dispatch, bit-for-bit, and the reset-rebuild subtest
+// verifies estimators start back at the uniform prior on every factory
+// build.
 func TestConformanceBPEst(t *testing.T) {
 	cases := []signaltest.Case{
 		{Name: "BP-EST", Factory: bpest.Factory(bpest.Options{}), AmberSteps: 4, MinGreenSteps: 1},

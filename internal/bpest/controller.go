@@ -77,29 +77,24 @@ func New(info signal.JunctionInfo, opts Options) (*Controller, error) {
 // Name implements signal.Controller.
 func (c *Controller) Name() string { return "BP-EST" }
 
-// WeighLink implements signal.Weighted: it folds the departure
-// counters of the link's outgoing row into its estimator and returns
-// the estimated-routing gain, UTIL-BP's eq. (8) kernel (core.Rule.Gain)
-// with the routing-rate-weighted downstream movement queues
-// Σ_t r̂_t·q_{i',t} as the downstream pressure in place of the
-// aggregate b_{i'}. The estimator no-ops on unchanged join counters, so
-// a link outside the batch change set keeps its cached gain exactly.
-func (c *Controller) WeighLink(li int, l *signal.Link, rows []signal.Row) float64 {
-	e := &c.est[li]
-	out := &rows[l.Out]
-	e.Observe(out.Joins)
-	down := 0.0
-	for t := 0; t < signal.NumTurns; t++ {
-		down += float64(e.ratios[t] * float64(out.Queued[t]))
-	}
-	q := int(rows[l.In].Queued[l.Turn])
-	return c.tail.Rule().Gain(out, l.Mu, q, q, down)
-}
-
-// Weigh implements signal.Weighted.
+// Weigh implements signal.Weighted: for each link it folds the
+// departure counters of the outgoing row into the link's estimator and
+// writes the estimated-routing gain, UTIL-BP's eq. (8) kernel
+// (core.Rule.Gain, inlined) with the routing-rate-weighted downstream
+// movement queues Σ_t r̂_t·q_{i',t} as the downstream pressure in place
+// of the aggregate b_{i'}.
 func (c *Controller) Weigh(links []signal.Link, rows []signal.Row, gains []float64) {
+	r := c.tail.Rule()
 	for i := range links {
-		gains[i] = c.WeighLink(i, &links[i], rows)
+		l, e := &links[i], &c.est[i]
+		out := &rows[l.Out]
+		e.Observe(out.Joins)
+		down := 0.0
+		for t := 0; t < signal.NumTurns; t++ {
+			down += float64(e.ratios[t] * float64(out.Queued[t]))
+		}
+		q := int(rows[l.In].Queued[l.Turn])
+		gains[i] = r.Gain(out, l.Mu, q, q, down)
 	}
 }
 
@@ -108,8 +103,8 @@ func (c *Controller) Weigh(links []signal.Link, rows []signal.Row, gains []float
 // whatever its case: each estimator must fold a join change in the
 // round it happens, because Observe folds n events into one update,
 // which is not bitwise equal to two (DESIGN.md §11). A quiet junction
-// changed nothing, so the batch may keep it on a stale window.
-func (c *Controller) DecideWeighted(gains []float64, stale bool, obs *signal.Obs) (signal.Phase, bool) {
+// changed nothing, so the batch may keep it without a call.
+func (c *Controller) DecideWeighted(gains []float64, stale bool, obs *signal.Obs) signal.Phase {
 	if stale {
 		c.Weigh(obs.Links, obs.Rows, gains)
 	}
@@ -122,16 +117,14 @@ func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 	if c.gains == nil {
 		c.gains = make([]float64, len(obs.Links))
 	}
-	p, _ := c.DecideWeighted(c.gains, true, obs)
-	return p
+	return c.DecideWeighted(c.gains, true, obs)
 }
 
 // Factory returns a signal.Factory building estimated-routing BP
 // controllers with the given options. The returned factory also
 // implements signal.BatchFactory through the shared weighted batch
-// (signal.NewWeightedBatch): the estimator no-ops on unchanged join
-// counters, so its change-set gain cache is exact and batched dispatch
-// stays bit-for-bit equal to per-junction.
+// (signal.NewWeightedBatch), which runs the same phase rule, so batched
+// dispatch stays bit-for-bit equal to per-junction.
 func Factory(opts Options) signal.Factory {
 	return factory{opts: opts}
 }

@@ -44,11 +44,11 @@ func randomCount(r *rand.Rand) int32 {
 	}
 }
 
-// TestWeighLinkMatchesOracle drives BP-EST's WeighLink and a twin
-// estimator through the same random join streams and observations, and
-// checks every gain bit for bit against oracleGain: the paper's and
-// extreme α, β and W*, counts of 0 and MaxInt32, unbounded outgoing
-// roads, and µ of 0 and subnormal.
+// TestWeighLinkMatchesOracle drives BP-EST's Weigh and a twin
+// estimator per link through the same random join streams and
+// observations, and checks every gain bit for bit against oracleGain:
+// the paper's and extreme α, β and W*, counts of 0 and MaxInt32,
+// unbounded outgoing roads, and µ of 0 and subnormal.
 func TestWeighLinkMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewPCG(23, 9))
 	params := []struct {
@@ -73,6 +73,7 @@ func TestWeighLinkMatchesOracle(t *testing.T) {
 			twins[i] = NewTurnRatioEstimator(0.2)
 		}
 		var obs [links]signaltest.LinkObs
+		var gains [links]float64
 		table := make([]signal.Link, links)
 		rows := make([]signal.Row, 2*links)
 		for step := 0; step < 2000; step++ {
@@ -90,10 +91,13 @@ func TestWeighLinkMatchesOracle(t *testing.T) {
 				}
 				twins[li].Observe(l.OutTurnJoins)
 				signaltest.Put(table, rows, li, l)
-				want := math.Float64bits(oracleGain(twins[li].Ratios(), l, p.alpha, p.beta, p.wStar))
-				if got := math.Float64bits(c.WeighLink(li, &table[li], rows)); got != want {
-					t.Fatalf("%+v step %d link %d: WeighLink %v, oracle %v for %+v",
-						p, step, li, math.Float64frombits(got), math.Float64frombits(want), *l)
+			}
+			c.Weigh(table, rows, gains[:])
+			for li := range obs {
+				want := math.Float64bits(oracleGain(twins[li].Ratios(), &obs[li], p.alpha, p.beta, p.wStar))
+				if got := math.Float64bits(gains[li]); got != want {
+					t.Fatalf("%+v step %d link %d: Weigh %v, oracle %v for %+v",
+						p, step, li, gains[li], math.Float64frombits(want), obs[li])
 				}
 			}
 		}
@@ -102,8 +106,8 @@ func TestWeighLinkMatchesOracle(t *testing.T) {
 
 // TestBatchBuiltHoldsNoScratch checks that a controller built for the
 // weighted batch allocates no Decide scratch, neither its own nor its
-// Algorithm 1 tail's: the batch hands it its window of the shared
-// weight slab.
+// Algorithm 1 tail's: the batch hands it a window of its shared
+// scratch.
 func TestBatchBuiltHoldsNoScratch(t *testing.T) {
 	for j, bc := range signaltest.WeightedBatchControllers(t, Factory(Options{})) {
 		c := bc.(*Controller)

@@ -22,9 +22,9 @@ import (
 // movement. It is a per-event exponential-forgetting average over the
 // observed join counts, seeded with the uniform prior. Observe is a
 // no-op when the cumulative counts did not advance, which is the
-// property that makes change-set caching of estimated gains exact: a
-// link observation outside the batch change set is bit-for-bit
-// unchanged, so its estimator state and gain are too.
+// property that lets the weighted batch keep a quiet junction without
+// weighing it: none of its rows changed, so neither would its
+// estimators.
 type TurnRatioEstimator struct {
 	// ratios is the current estimate r̂; it stays a convex combination
 	// of movement indicators, so the components sum to 1 up to float

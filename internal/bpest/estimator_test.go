@@ -58,9 +58,9 @@ func TestTurnRatioEstimatorConverges(t *testing.T) {
 	}
 }
 
-// TestTurnRatioEstimatorNoEventNoOp pins the property the batch
-// change-set caching relies on: observing unchanged counters leaves the
-// estimator state bit-for-bit identical.
+// TestTurnRatioEstimatorNoEventNoOp pins the property the batch's quiet
+// skip relies on: observing unchanged counters leaves the estimator
+// state bit-for-bit identical.
 func TestTurnRatioEstimatorNoEventNoOp(t *testing.T) {
 	e := NewTurnRatioEstimator(0.05)
 	e.Observe([signal.NumTurns]int32{4, 2, 1})

@@ -50,8 +50,8 @@ type Controller struct {
 	amberSteps  int
 	noKeepPhase bool
 	// gains is Decide's per-link scratch, allocated by the first
-	// Decide: the batched path hands DecideWeighted its window of the
-	// shared weight slab instead, so a batch-built controller holds none.
+	// Decide: the batched path hands DecideWeighted a window of its
+	// shared scratch instead, so a batch-built controller holds none.
 	gains []float64
 	// scores is selectPhase's per-phase scratch space, kept on the
 	// controller so re-selection allocates nothing.
@@ -98,8 +98,7 @@ func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 	if c.gains == nil {
 		c.gains = make([]float64, len(obs.Links))
 	}
-	p, _ := c.DecideWeighted(c.gains, true, obs)
-	return p
+	return c.DecideWeighted(c.gains, true, obs)
 }
 
 // Weigh implements signal.Weighted: the eq. (8) gain of every link from
@@ -115,18 +114,11 @@ func (c *Controller) Weigh(links []signal.Link, rows []signal.Row, gains []float
 	}
 }
 
-// WeighLink implements signal.Weighted.
-func (c *Controller) WeighLink(_ int, l *signal.Link, rows []signal.Row) float64 {
-	out := &rows[l.Out]
-	lane, p := c.rule.counts(&rows[l.In], l.Turn)
-	return c.rule.Gain(out, l.Mu, lane, p, float64(out.Total))
-}
-
 // weighMax is gmax(c_j, k) of eq. (11) and its link, as PhaseGains
 // returns them, for the links of phase weighed from their rows: the
 // keep test of a stale window, with the rule's kernel inlined, so it
-// makes no call per link. It writes no gain, since the window stays
-// stale.
+// makes no call per link. It writes no gain: only a selection reads
+// the window.
 func (c *Controller) weighMax(links []signal.Link, rows []signal.Row, phase []int) (float64, int) {
 	r := &c.rule
 	best, bestLink := 0.0, -1
@@ -148,16 +140,15 @@ func (c *Controller) Rule() *Rule { return &c.rule }
 // DecideWeighted implements signal.Weighted: Algorithm 1 over link
 // gains. It is the one decision tail of the per-junction Decide, of the
 // batched controller and of BP-EST, which hands it its estimated gains
-// on a fresh window. On a stale window it weighs only what its case
+// already weighed. On a stale window it weighs only what its case
 // reads: nothing under amber (Case 1), the current phase's links for
-// the keep test (Case 2), which leaves the window stale, and every link
-// for a selection (Case 3), which makes it fresh.
-func (c *Controller) DecideWeighted(gains []float64, stale bool, obs *signal.Obs) (signal.Phase, bool) {
+// the keep test (Case 2), and every link for a selection (Case 3).
+func (c *Controller) DecideWeighted(gains []float64, stale bool, obs *signal.Obs) signal.Phase {
 	cur := obs.Current
 
 	// Case 1 (lines 1-2): the transition period Δk has not expired.
 	if cur == signal.Amber && obs.Step < c.amberUntil {
-		return signal.Amber, !stale
+		return signal.Amber
 	}
 
 	// Case 2 (lines 3-4): keep the current phase while its best link
@@ -177,7 +168,7 @@ func (c *Controller) DecideWeighted(gains []float64, stale bool, obs *signal.Obs
 			threshold = float64(c.wStar) * obs.Links[maxLink].Mu
 		}
 		if gmax > threshold {
-			return cur, !stale
+			return cur
 		}
 	}
 
@@ -190,13 +181,13 @@ func (c *Controller) DecideWeighted(gains []float64, stale bool, obs *signal.Obs
 	// Lines 12-16: adopt it directly when it is the current phase or a
 	// transition just ended; otherwise start a transition of Δk slots.
 	if next == cur || cur == signal.Amber {
-		return next, true
+		return next
 	}
 	c.amberUntil = obs.Step + c.amberSteps
 	if c.amberSteps == 0 {
-		return next, true
+		return next
 	}
-	return signal.Amber, true
+	return signal.Amber
 }
 
 // selectPhase implements lines 6-11: among phases guaranteeing some

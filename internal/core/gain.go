@@ -65,8 +65,8 @@ type GainVariant struct {
 // Rule is eq. (8) compiled for one controller: the Params and every
 // GainVariant switch folded into constants, so that one link's gain is
 // straight-line code with no branch on the observation (DESIGN.md §11).
-// UTIL-BP's Weigh and WeighLink and BP-EST's estimated gain evaluate it
-// through Gain.
+// UTIL-BP's Weigh and weighMax and BP-EST's Weigh evaluate it through
+// Gain.
 type Rule struct {
 	// alpha and beta are the special-scenario gains as math.Float64bits:
 	// the compiler selects an integer with a conditional move, a

@@ -157,8 +157,9 @@ func TestPhaseGains(t *testing.T) {
 }
 
 // TestGainsBufferReuse pins Weigh's contract: it writes the eq. (8)
-// gains into the caller's slice in place, which is how the batched
-// controller fills its slab window.
+// gains into the caller's slice in place, which is how a rule fills
+// the scratch window the batched controller hands it, and a link's gain
+// does not depend on the window it is weighed in.
 func TestGainsBufferReuse(t *testing.T) {
 	links := []signaltest.LinkObs{
 		{Queue: 1, OutCapacity: 10, Mu: 1},
@@ -175,7 +176,9 @@ func TestGainsBufferReuse(t *testing.T) {
 	if buf[0] != 11 || buf[1] != -1 || buf[2] != 7 {
 		t.Errorf("Weigh wrote %v, want [11 -1 7] (gain, alpha, untouched)", buf)
 	}
-	if g := c.WeighLink(1, &table[1], rows); g != buf[1] {
-		t.Errorf("WeighLink = %v, Weigh wrote %v", g, buf[1])
+	one := []float64{7}
+	c.Weigh(table[1:2], rows, one)
+	if one[0] != buf[1] {
+		t.Errorf("Weigh of link 1 alone wrote %v, of the window %v", one[0], buf[1])
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"utilbp/internal/signal/signaltest"
 )
 
-// gainOf is eq. (8) through the compiled rule, as WeighLink evaluates
-// it, for the link l scripts.
+// gainOf is eq. (8) through the compiled rule, as Weigh evaluates it,
+// for the link l scripts.
 func gainOf(l *signaltest.LinkObs, p Params, v GainVariant) float64 {
 	r := compile(p, v)
 	table, rows := signaltest.Pairs(*l)
@@ -135,8 +135,8 @@ var ruleEdges = []signaltest.LinkObs{
 
 // TestRuleMatchesOracle checks the compiled kernel bit for bit against
 // oracleGain, across all 16 variant combinations and every ruleParams
-// set, through Weigh over a slab and through WeighLink, on ruleEdges
-// and random observations.
+// set, through Weigh over a slab and through Weigh over each link
+// alone, on ruleEdges and random observations.
 func TestRuleMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewPCG(23, 8))
 	links := append([]signaltest.LinkObs(nil), ruleEdges...)
@@ -145,6 +145,7 @@ func TestRuleMatchesOracle(t *testing.T) {
 	}
 	table, rows := signaltest.Pairs(links...)
 	gains := make([]float64, len(links))
+	var one [1]float64
 	for _, p := range ruleParams {
 		info := signal.JunctionInfo{Label: "J", NumLinks: len(links), Phases: [][]int{{0}}, WStar: p.WStar, DeltaT: 1}
 		for _, v := range allVariants() {
@@ -159,9 +160,10 @@ func TestRuleMatchesOracle(t *testing.T) {
 					t.Fatalf("%+v %+v: Weigh gave %v for %+v, oracle %v",
 						p, v, gains[i], links[i], math.Float64frombits(want))
 				}
-				if got := math.Float64bits(c.WeighLink(i, &table[i], rows)); got != want {
-					t.Fatalf("%+v %+v: WeighLink gave %v for %+v, oracle %v",
-						p, v, math.Float64frombits(got), links[i], math.Float64frombits(want))
+				c.Weigh(table[i:i+1], rows, one[:])
+				if got := math.Float64bits(one[0]); got != want {
+					t.Fatalf("%+v %+v: Weigh of the link alone gave %v for %+v, oracle %v",
+						p, v, one[0], links[i], math.Float64frombits(want))
 				}
 			}
 		}
@@ -177,8 +179,8 @@ func TestControllerSize(t *testing.T) {
 }
 
 // TestBatchBuiltHoldsNoScratch checks that a controller built for the
-// weighted batch allocates no Decide scratch: the batch hands it its
-// window of the shared weight slab. A per-junction Decide allocates
+// weighted batch allocates no Decide scratch: the batch hands it a
+// window of its shared scratch. A per-junction Decide allocates
 // its own on first use.
 func TestBatchBuiltHoldsNoScratch(t *testing.T) {
 	built := signaltest.WeightedBatchControllers(t, Factory(Options{}))

@@ -153,8 +153,8 @@ func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 // The factory is deliberately NOT a signal.BatchFactory: the controller
 // evaluates no per-link derived quantity every round — its per-step
 // work is three integer timer comparisons plus a short demand scan of
-// the active phase — so there is no flat sweep or change-set cache for
-// a batched implementation to amortize (the same reasoning that keeps
+// the active phase — so there is no flat sweep for a batched
+// implementation to amortize (the same reasoning that keeps
 // bp's fixed-slot factory per-junction). Auto control mode keeps the
 // cheap per-junction loop; forcing signal.ControlBatched still works
 // through the engine-built signal.Batched adapter.

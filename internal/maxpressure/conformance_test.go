@@ -11,7 +11,7 @@ import (
 // suite over the MaxPressure family: the default configuration, the
 // approach-counting variant, and tightened timer variants — each must
 // satisfy the engine contract and match its own batched dispatch
-// bit-for-bit (the weight slab is change-set cached like UTIL-BP's).
+// bit-for-bit (it runs on the shared weighted batch like UTIL-BP).
 func TestConformanceMaxPressure(t *testing.T) {
 	cases := []signaltest.Case{
 		{Name: "MAXPRESSURE", Factory: maxpressure.Factory(maxpressure.Options{}), AmberSteps: 4, MinGreenSteps: 10},

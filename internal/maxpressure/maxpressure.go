@@ -49,8 +49,7 @@ func (o Options) withDefaults() Options {
 // outgoing road's per-movement queues with uniform routing weights
 // 1/NumTurns — the Varaiya pressure with unknown turn ratios replaced
 // by their uninformative prior. It is a pure function of the link's
-// two rows, which is what lets the batched controller cache it per
-// link under the change-set contract.
+// two rows, so a selection weighs it from the rows it reads.
 func Weight(l *signal.Link, rows []signal.Row, countApproaching bool) float64 {
 	in, out := &rows[l.In], &rows[l.Out]
 	q := int(in.Queued[l.Turn])
@@ -71,8 +70,8 @@ type Controller struct {
 	info signal.JunctionInfo
 	opts Options
 	// weights is Decide's per-link scratch, allocated by the first
-	// Decide: the batched path hands DecideWeighted its window of the
-	// shared weight slab instead, so a batch-built controller holds none.
+	// Decide: the batched path hands DecideWeighted a window of its
+	// shared scratch instead, so a batch-built controller holds none.
 	weights []float64
 	// prevCur tracks the last observed applied phase; greenStart the
 	// step the current green segment was first observed at.
@@ -107,8 +106,7 @@ func (c *Controller) Decide(obs *signal.Obs) signal.Phase {
 	if c.weights == nil {
 		c.weights = make([]float64, len(obs.Links))
 	}
-	p, _ := c.DecideWeighted(c.weights, true, obs)
-	return p
+	return c.DecideWeighted(c.weights, true, obs)
 }
 
 // Weigh implements signal.Weighted: the Weight of every link.
@@ -116,11 +114,6 @@ func (c *Controller) Weigh(links []signal.Link, rows []signal.Row, weights []flo
 	for i := range links {
 		weights[i] = Weight(&links[i], rows, c.opts.CountApproaching)
 	}
-}
-
-// WeighLink implements signal.Weighted.
-func (c *Controller) WeighLink(_ int, l *signal.Link, rows []signal.Row) float64 {
-	return Weight(l, rows, c.opts.CountApproaching)
 }
 
 // KeepsQuiet implements signal.QuietRule: a quiet junction keeps
@@ -135,7 +128,7 @@ func (c *Controller) KeepsQuiet(step int) bool {
 // weights, the one decision tail of the per-junction Decide and the
 // batched controller. Amber and the minimum green hold read no weight,
 // so a stale window is weighed, whole, only when the rule selects.
-func (c *Controller) DecideWeighted(weights []float64, stale bool, obs *signal.Obs) (signal.Phase, bool) {
+func (c *Controller) DecideWeighted(weights []float64, stale bool, obs *signal.Obs) signal.Phase {
 	cur := obs.Current
 	if cur != c.prevCur {
 		if cur != signal.Amber {
@@ -147,24 +140,24 @@ func (c *Controller) DecideWeighted(weights []float64, stale bool, obs *signal.O
 	}
 	// Self-commanded transition in progress.
 	if cur == signal.Amber && obs.Step < c.amberUntil {
-		return signal.Amber, !stale
+		return signal.Amber
 	}
 	// Minimum green hold.
 	if cur != signal.Amber && obs.Step-c.greenStart < c.opts.MinGreenSteps {
-		return cur, !stale
+		return cur
 	}
 	if stale {
 		c.Weigh(obs.Links, obs.Rows, weights)
 	}
 	next := c.selectPhase(weights, cur)
 	if next == cur || cur == signal.Amber {
-		return next, true
+		return next
 	}
 	c.amberUntil = obs.Step + c.opts.AmberSteps
 	if c.opts.AmberSteps == 0 {
-		return next, true
+		return next
 	}
-	return signal.Amber, true
+	return signal.Amber
 }
 
 // selectPhase returns the phase with the maximum total pressure. Ties

@@ -59,8 +59,8 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 // TestBatchBuiltHoldsNoScratch checks that a controller built for the
-// weighted batch allocates no Decide scratch: the batch hands it its
-// window of the shared weight slab.
+// weighted batch allocates no Decide scratch: the batch hands it a
+// window of its shared scratch.
 func TestBatchBuiltHoldsNoScratch(t *testing.T) {
 	for j, bc := range signaltest.WeightedBatchControllers(t, Factory(Options{})) {
 		if c := bc.(*Controller); c.weights != nil {

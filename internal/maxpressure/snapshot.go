@@ -7,7 +7,7 @@ import (
 
 // SnapshotState implements signal.Snapshotter: the phase timers keyed
 // on the observed applied phase — the last seen Current, the green
-// onset step and the self-commanded amber deadline. The weight slab is
+// onset step and the self-commanded amber deadline. The weights are
 // per-Decide scratch.
 func (c *Controller) SnapshotState(w *snap.Writer) {
 	w.Int(int(c.prevCur))

@@ -8,7 +8,7 @@ import (
 // Batch is the engine-owned structure-of-arrays view of every junction's
 // control state a BatchController decides over in one call: the row
 // slab and the static link table covering all junctions back-to-back,
-// per-junction phase state, and the change set of the current decision
+// per-junction phase state, and the quiet flags of the current decision
 // round. The rows are the engine's own (the truth rows, or a sensed
 // engine's observed pairs) and the table is built once (DESIGN.md §6,
 // §11), so handing them to a batched controller costs nothing — no
@@ -45,20 +45,6 @@ type Batch struct {
 	// need at construction (BatchFactory.NewBatch receives the same
 	// slice); Infos is here so generic adapters need no side channel.
 	Infos []JunctionInfo
-	// Changed lists the dense global indexes of links whose observation
-	// (the columns of its two rows it reads) may have changed since the
-	// previous decision round, deduplicated. AllChanged signals that any
-	// link may have changed instead (first round after construction or
-	// reset, or a step that dirtied a quarter of the roads); when it is
-	// set, Changed is meaningless. A controller caching per-link derived
-	// state (link gains) may recompute only the changed links — link
-	// observations outside the change set are bit-for-bit identical to
-	// the previous round — or, on AllChanged, drop its cache and
-	// recompute what it next reads (the weighted batch marks its weight
-	// windows stale, DESIGN.md §11). Quiet still holds on an AllChanged
-	// round: a junction none of whose roads changed may be quiet.
-	Changed    []int32
-	AllChanged bool
 	// Quiet flags, per junction, a quiet fixed point: last round the
 	// junction decided its Current phase (a green, not amber, and not
 	// under a dark-mode override), and since then neither its link
@@ -96,8 +82,7 @@ func (b *Batch) View(j int, dst *Obs) {
 // network in one call. It is the batched counterpart of Controller: the
 // engine's control substep hands it the Batch once per mini-slot instead
 // of making one virtual Decide call per junction, which lets
-// implementations sweep the dense link table (and cache derived state
-// across rounds via the change set) with zero allocations.
+// implementations walk the dense link table with zero allocations.
 //
 // Implementations must be deterministic functions of the observation
 // history, like per-junction controllers, and must decide each junction

@@ -16,12 +16,14 @@
 package signaltest
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"utilbp/internal/signal"
+	"utilbp/internal/snap"
 )
 
 // Case describes one controller family under conformance test.
@@ -142,8 +144,8 @@ func scripts() []script {
 			// Phase 1's links carry sustained load; phase 2 stays light.
 			// Two links see their downstream departure counters advance
 			// at different (slow) cadences, so estimator-carrying
-			// families exercise change-set cache invalidation without
-			// dirtying every link every round.
+			// families fold joins on some rounds and not on others,
+			// without every link changing every round.
 			setQueues(&links[0], 14, 2, 3, 1)
 			setQueues(&links[1], 9, 1, 2, 0)
 			setQueues(&links[2], 2, 0, 4, 1)
@@ -320,32 +322,27 @@ func drive(t *testing.T, f signal.Factory, info signal.JunctionInfo, sc script) 
 }
 
 // driveBatched runs the same script through the signal.Batched adapter
-// over a single-junction batch, change set maintained like the engine's.
+// over a single-junction batch maintained like the engine's.
 func driveBatched(t *testing.T, f signal.Factory, info signal.JunctionInfo, sc script) []signal.Phase {
 	t.Helper()
 	ctrl, err := f.New(info)
 	if err != nil {
 		t.Fatalf("factory %s: New: %v", f.Name(), err)
 	}
-	traces, _ := driveBatchController(t, signal.Batched(ctrl), []signal.JunctionInfo{info}, []script{sc}, true)
+	traces, _ := driveBatchController(t, signal.Batched(ctrl), []signal.JunctionInfo{info}, []script{sc}, true, nil)
 	return traces[0]
 }
 
 // driveBatchController feeds per-junction scripts to a BatchController,
 // maintaining the batch exactly as the engine does: Current feeds back
-// the previous decisions, Decided is pre-filled with Amber, and the
-// change set lists the links whose observation differs from the
-// previous round, past half the links when a script changes them all.
-// AllChanged is raised on the first round and on every
-// allChangedEvery-th round after it, as the engine raises it on a
-// loaded step, with Changed left empty, so a controller that read it
-// would miss every change. With quiet set, Quiet flags each junction
-// that last round decided its Current green and none of whose links
-// changed since, on AllChanged rounds too — the engine's settled &&
-// !ctrlDirty, with the junction's own links standing in for its roads.
-// With quiet unset Quiet stays nil, "nothing quiet". It returns the
+// the previous decisions and Decided is pre-filled with Amber. With
+// quiet set, Quiet flags each junction that last round decided its
+// Current green and none of whose links changed since — the engine's
+// settled && !ctrlDirty, with the junction's own links standing in for
+// its roads. With quiet unset Quiet stays nil, "nothing quiet". after,
+// when non-nil, runs after each round with its step. It returns the
 // traces and the number of junction-rounds offered as quiet.
-func driveBatchController(t *testing.T, bc signal.BatchController, infos []signal.JunctionInfo, scs []script, quiet bool) ([][]signal.Phase, int) {
+func driveBatchController(t *testing.T, bc signal.BatchController, infos []signal.JunctionInfo, scs []script, quiet bool, after func(step int)) ([][]signal.Phase, int) {
 	t.Helper()
 	if len(infos) != len(scs) {
 		t.Fatalf("driveBatchController: %d infos vs %d scripts", len(infos), len(scs))
@@ -368,7 +365,6 @@ func driveBatchController(t *testing.T, bc signal.BatchController, infos []signa
 		Current: make([]signal.Phase, len(infos)),
 		Decided: make([]signal.Phase, len(infos)),
 		Infos:   infos,
-		Changed: make([]int32, 0, total),
 	}
 	prev := make([]LinkObs, total)
 	settled := make([]bool, len(infos))
@@ -391,26 +387,17 @@ func driveBatchController(t *testing.T, bc signal.BatchController, infos []signa
 			sc.fill(step, v.links[off[j]:off[j+1]])
 		}
 		v.put()
-		b.Changed = b.Changed[:0]
-		for gl := range v.links {
-			if v.links[gl] != prev[gl] {
-				b.Changed = append(b.Changed, int32(gl))
-			}
-		}
 		b.Step = k
 		b.Time = float64(k) * infos[0].DeltaT
 		for j := range infos {
 			b.Decided[j] = signal.Amber
 			if quiet {
-				b.Quiet[j] = settled[j] && !changedIn(b.Changed, b.JuncOff[j], b.JuncOff[j+1])
+				lo, hi := off[j], off[j+1]
+				b.Quiet[j] = settled[j] && slices.Equal(v.links[lo:hi], prev[lo:hi])
 				if b.Quiet[j] {
 					offered++
 				}
 			}
-		}
-		b.AllChanged = k%allChangedEvery == 0
-		if b.AllChanged {
-			b.Changed = b.Changed[:0]
 		}
 		bc.DecideAll(&b)
 		for j := range infos {
@@ -418,20 +405,19 @@ func driveBatchController(t *testing.T, bc signal.BatchController, infos []signa
 			out[j][k] = b.Decided[j]
 			b.Current[j] = b.Decided[j]
 		}
+		if after != nil {
+			after(k)
+		}
 	}
 	return out, offered
 }
 
-// allChangedEvery is the period, in rounds, at which
-// driveBatchController raises AllChanged, round 0 included.
-const allChangedEvery = 7
-
 // driveEager is the eager oracle of a Weighted family: each step it
 // weighs the junction's whole window, then runs the phase rule on the
-// fresh window. It returns the decision trace and each step's window.
-// The lazy rule, batched or per-junction, must reproduce the trace, and
-// every window the batch holds fresh must equal the oracle's.
-func driveEager(t *testing.T, f signal.Factory, info signal.JunctionInfo, sc script) ([]signal.Phase, [][]float64) {
+// weighed window. It returns the decision trace and the controller's
+// state bytes after each step. The lazy rule, batched or per-junction,
+// must reproduce the trace, and a batch-built controller the states.
+func driveEager(t *testing.T, f signal.Factory, info signal.JunctionInfo, sc script) ([]signal.Phase, [][]byte) {
 	t.Helper()
 	ctrl, err := f.New(info)
 	if err != nil {
@@ -444,7 +430,8 @@ func driveEager(t *testing.T, f signal.Factory, info signal.JunctionInfo, sc scr
 	v := newView(info.NumLinks)
 	obs := signal.Obs{Links: v.table, Rows: v.rows}
 	out := make([]signal.Phase, sc.steps)
-	windows := make([][]float64, sc.steps)
+	states := make([][]byte, sc.steps)
+	w := make([]float64, info.NumLinks)
 	cur := signal.Amber
 	for k := 0; k < sc.steps; k++ {
 		sc.fill(k, v.links)
@@ -452,32 +439,27 @@ func driveEager(t *testing.T, f signal.Factory, info signal.JunctionInfo, sc scr
 		obs.Step = k
 		obs.Time = float64(k) * info.DeltaT
 		obs.Current = cur
-		w := make([]float64, info.NumLinks)
 		wc.Weigh(obs.Links, obs.Rows, w)
-		p, fresh := wc.DecideWeighted(w, false, &obs)
-		if !fresh {
-			t.Fatalf("step %d: a fresh window came back stale", k)
-		}
-		out[k], windows[k] = p, w
-		cur = p
+		out[k], states[k] = wc.DecideWeighted(w, false, &obs), stateOf(wc)
+		cur = out[k]
 	}
-	return out, windows
+	return out, states
 }
 
-// window is a copy of a junction's weights at a step.
-type window struct {
-	step int
-	w    []float64
+// stateOf returns a controller's snapshot state section
+// (signal.SnapshotStates), empty for a controller without state.
+func stateOf(c signal.Controller) []byte {
+	w := snap.NewWriter(0)
+	signal.SnapshotStates(w, []signal.Controller{c})
+	return w.Bytes()
 }
 
 // nanFactory builds its factory's controllers wrapped so that every
-// window the weighted batch hands their phase rule as stale is filled
-// with NaN first: a rule that reads a stale weight without weighing it
-// then decides on NaN instead of last round's value. Each window a
-// rule leaves fresh is appended to *fresh.
+// window the weighted batch hands their phase rule is filled with NaN
+// first: a rule that reads a weight without weighing it then decides on
+// NaN instead of a value from an earlier round.
 type nanFactory struct {
 	signal.Factory
-	fresh *[]window
 }
 
 // New implements signal.Factory.
@@ -491,29 +473,22 @@ func (f nanFactory) New(info signal.JunctionInfo) (signal.Controller, error) {
 		return nil, fmt.Errorf("signaltest: %s controller is not signal.Weighted", f.Name())
 	}
 	if r, ok := c.(signal.QuietRule); ok {
-		return nanQuiet{nanWeighted{w, f.fresh}, r}, nil
+		return nanQuiet{nanWeighted{w}, r}, nil
 	}
-	return nanWeighted{w, f.fresh}, nil
+	return nanWeighted{w}, nil
 }
 
 // nanWeighted is a Weighted controller behind nanFactory.
 type nanWeighted struct {
 	signal.Weighted
-	fresh *[]window
 }
 
 // DecideWeighted implements signal.Weighted.
-func (n nanWeighted) DecideWeighted(w []float64, stale bool, obs *signal.Obs) (signal.Phase, bool) {
-	if stale {
-		for i := range w {
-			w[i] = math.NaN()
-		}
+func (n nanWeighted) DecideWeighted(w []float64, stale bool, obs *signal.Obs) signal.Phase {
+	for i := range w {
+		w[i] = math.NaN()
 	}
-	p, fresh := n.Weighted.DecideWeighted(w, stale, obs)
-	if fresh {
-		*n.fresh = append(*n.fresh, window{obs.Step, slices.Clone(w)})
-	}
-	return p, fresh
+	return n.Weighted.DecideWeighted(w, stale, obs)
 }
 
 // nanQuiet keeps the wrapped controller's QuietRule.
@@ -539,7 +514,7 @@ func WeightedBatchControllers(t *testing.T, f signal.Factory) []signal.Controlle
 	if err != nil {
 		t.Fatalf("factory %s: NewWeightedBatch: %v", f.Name(), err)
 	}
-	driveBatchController(t, bc, infos, scs, true)
+	driveBatchController(t, bc, infos, scs, true, nil)
 	return rec.built
 }
 
@@ -556,16 +531,6 @@ func (r *recordingFactory) New(info signal.JunctionInfo) (signal.Controller, err
 		r.built = append(r.built, c)
 	}
 	return c, err
-}
-
-// changedIn reports whether the change set names a link in [lo, hi).
-func changedIn(changed []int32, lo, hi int32) bool {
-	for _, gl := range changed {
-		if gl >= lo && gl < hi {
-			return true
-		}
-	}
-	return false
 }
 
 // checkInRange fails on any decision outside [Amber, NumPhases] — the
@@ -659,9 +624,9 @@ func equalTraces(a, b []signal.Phase) (int, bool) {
 // determinism, amber insertion and minimum green, and the same scenario
 // is replayed through the signal.Batched adapter — and, when the
 // factory implements signal.BatchFactory, through its batched
-// controller with an engine-faithful change set — requiring bit-for-bit
+// controller with engine-faithful quiet flags — requiring bit-for-bit
 // identical traces. A family whose controllers are signal.Weighted is
-// also held to its eager oracle on NaN-filled stale windows (checkStale).
+// also held to its eager oracle on NaN-filled windows (checkStale).
 // A final subtest drives two controllers from the same factory against
 // different scripts to catch shared mutable state.
 func Run(t *testing.T, c Case) {
@@ -710,7 +675,7 @@ func Run(t *testing.T, c Case) {
 			if err != nil {
 				t.Fatalf("NewBatch: %v", err)
 			}
-			traces, _ := driveBatchController(t, bc, infos, picked, true)
+			traces, _ := driveBatchController(t, bc, infos, picked, true, nil)
 			for j := range infos {
 				solo := drive(t, c.Factory, infos[j], picked[j])
 				sameOrFatal(t, solo, traces[j], fmt.Sprintf("batch junction %d", j))
@@ -730,7 +695,7 @@ func Run(t *testing.T, c Case) {
 					if err != nil {
 						t.Fatalf("NewBatch: %v", err)
 					}
-					traces, offered := driveBatchController(t, bc, infos, []script{sc}, quiet)
+					traces, offered := driveBatchController(t, bc, infos, []script{sc}, quiet, nil)
 					return traces[0], offered
 				}
 				plain, _ := run(false)
@@ -821,12 +786,12 @@ func Run(t *testing.T, c Case) {
 			if err != nil {
 				t.Fatalf("NewBatch: %v", err)
 			}
-			driveBatchController(t, abandoned, infos, []script{partial}, true)
+			driveBatchController(t, abandoned, infos, []script{partial}, true, nil)
 			fresh, err := bf.NewBatch(infos)
 			if err != nil {
 				t.Fatalf("NewBatch: %v", err)
 			}
-			batchTraces, _ := driveBatchController(t, fresh, infos, []script{sc}, true)
+			batchTraces, _ := driveBatchController(t, fresh, infos, []script{sc}, true, nil)
 			sameOrFatal(t, full, batchTraces[0], "rebuilt batched controller after partial run")
 		}
 	})
@@ -872,40 +837,36 @@ func Run(t *testing.T, c Case) {
 }
 
 // checkStale is the stale-equivalence invariant of a Weighted family:
-// a rule weighs only what it reads, so the weighted batch may leave a
-// window stale (AllChanged, a change set past half the links, a new
-// batch, a rule that read part of it) and the rule must weigh before
-// it reads. The batch is driven with every stale window filled with
-// NaN before its rule runs, with Quiet nil and with Quiet maintained,
-// and each trace must equal the per-junction trace, itself a lazy rule
-// on a stale window, and the eager oracle: the whole window weighed,
-// then the rule on a fresh window. Every window a rule leaves fresh
-// must hold the oracle's weights bit for bit, so an estimator that
-// skipped a round's observation fails even where no decision moves.
+// the weighted batch hands every rule a stale window of scratch, and the
+// rule must weigh what it reads. The batch is driven with every window
+// filled with NaN before its rule runs, with Quiet nil and with Quiet
+// maintained, and each trace must equal the per-junction trace, itself
+// the rule on a stale window, and the eager oracle: the whole window
+// weighed, then the rule on the weighed window. After each round the
+// batch-built controller's state bytes must equal the oracle's, so an
+// estimator that folded a round late fails even where no decision
+// moves.
 func checkStale(t *testing.T, f signal.Factory, info signal.JunctionInfo, scs []script) {
 	infos := []signal.JunctionInfo{info}
 	for _, sc := range scs {
-		eager, windows := driveEager(t, f, info, sc)
+		eager, states := driveEager(t, f, info, sc)
 		if !sameOrFatal(t, eager, drive(t, f, info, sc), sc.name+": per-junction vs eager oracle") {
 			return
 		}
 		for _, quiet := range []bool{false, true} {
-			var fresh []window
-			bc, err := signal.NewWeightedBatch(nanFactory{f, &fresh}, infos)
+			rec := &recordingFactory{Factory: f}
+			bc, err := signal.NewWeightedBatch(nanFactory{rec}, infos)
 			if err != nil {
 				t.Fatalf("NewWeightedBatch: %v", err)
 			}
-			traces, _ := driveBatchController(t, bc, infos, []script{sc}, quiet)
-			what := fmt.Sprintf("%s, Quiet maintained %v: NaN-filled stale windows vs eager oracle", sc.name, quiet)
-			if !sameOrFatal(t, eager, traces[0], what) {
-				return
-			}
-			for _, got := range fresh {
-				for li, g := range got.w {
-					if want := windows[got.step][li]; math.Float64bits(g) != math.Float64bits(want) {
-						t.Fatalf("%s: step %d, link %d: fresh window holds %v, eager oracle weighed %v", what, got.step, li, g, want)
-					}
+			what := fmt.Sprintf("%s, Quiet maintained %v", sc.name, quiet)
+			traces, _ := driveBatchController(t, bc, infos, []script{sc}, quiet, func(k int) {
+				if got := stateOf(rec.built[0]); !bytes.Equal(got, states[k]) {
+					t.Fatalf("%s: after step %d the batch-built controller's state is %x, the eager oracle's %x", what, k, got, states[k])
 				}
+			})
+			if !sameOrFatal(t, eager, traces[0], what+": NaN-filled windows vs eager oracle") {
+				return
 			}
 		}
 	}

@@ -12,12 +12,13 @@ import (
 // only when that observation changes).
 // UTIL-BP's gain, BP-EST's estimated gain and MaxPressure's pressure are
 // such weights. Splitting the weighing from the phase rule lets one
-// batched controller (NewWeightedBatch) keep every junction's weights in
-// a slab parallel to Batch.Links, re-weigh only the change set, and
-// leave a window stale where its rule reads no weight (DESIGN.md §11).
+// batched controller (NewWeightedBatch) drive every family, and lets
+// each rule weigh only the links its case reads: the batch hands it a
+// window of scratch, never weights carried from an earlier round
+// (DESIGN.md §11).
 //
 // A junction flagged quiet (Batch.Quiet) keeps its Current phase
-// without a call into the phase rule: on unchanged weights and the same
+// without a call into the phase rule: on unchanged rows and the same
 // Current, the rule must return Current and change none of its state. A
 // family for which that fails at some steps, because its rule reads the
 // clock, also implements QuietRule.
@@ -26,18 +27,15 @@ type Weighted interface {
 	// Weigh writes the weight of every link of the junction into w
 	// (len(w) == len(links)), each read from rows: the whole window.
 	Weigh(links []Link, rows []Row, w []float64)
-	// WeighLink returns the weight of link li, whose table entry is l,
-	// read from rows: the change-set refresh of one link.
-	WeighLink(li int, l *Link, rows []Row) float64
 	// DecideWeighted is the phase rule: c(k) from the junction's window
-	// of link weights w and its observation. A fresh window (stale
-	// false) holds every link's current weight. A stale window's
-	// entries mean nothing: the rule weighs from obs.Rows what it reads,
-	// and may write weights into w. fresh reports whether w holds every
-	// current weight on return; it is true whenever stale is false.
-	// Decide must equal DecideWeighted on a stale window, and both must
-	// decide as Weigh followed by DecideWeighted on the fresh window.
-	DecideWeighted(w []float64, stale bool, obs *Obs) (p Phase, fresh bool)
+	// of link weights w and its observation. A stale window's entries
+	// mean nothing: the rule weighs from obs.Rows what it reads, and
+	// may write weights into w. With stale false, w holds every link's
+	// current weight, for a caller that has them in hand (BP-EST's
+	// Algorithm 1 tail, an eager oracle). Decide must equal
+	// DecideWeighted on a stale window, and both must decide as Weigh
+	// followed by DecideWeighted on the weighed window.
+	DecideWeighted(w []float64, stale bool, obs *Obs) Phase
 }
 
 // QuietRule is implemented by a Weighted controller whose phase rule
@@ -52,22 +50,20 @@ type QuietRule interface {
 
 // NewWeightedBatch builds the batched controller of a Weighted family:
 // one controller per junction from f.New, in batch junction order, and
-// a weight slab parallel to Batch.Links whose windows start stale.
-// Every controller f builds must implement Weighted. The batch
-// allocates nothing after construction.
+// one scratch window as wide as the widest junction. Every controller f
+// builds must implement Weighted. The batch allocates nothing after
+// construction.
 func NewWeightedBatch(f Factory, infos []JunctionInfo) (BatchController, error) {
 	if len(infos) == 0 {
 		return nil, fmt.Errorf("signal: %s batch needs at least one junction", f.Name())
 	}
-	total := 0
+	widest := 0
 	for _, info := range infos {
-		total += info.NumLinks
+		widest = max(widest, info.NumLinks)
 	}
 	b := &weightedBatch{
-		ctrls:  make([]Weighted, len(infos)),
-		fresh:  make([]bool, len(infos)),
-		w:      make([]float64, total),
-		juncOf: make([]int32, 0, total),
+		ctrls: make([]Weighted, len(infos)),
+		w:     make([]float64, widest),
 	}
 	for j, info := range infos {
 		c, err := f.New(info)
@@ -86,9 +82,6 @@ func NewWeightedBatch(f Factory, infos []JunctionInfo) (BatchController, error) 
 			}
 			b.rules[j] = r
 		}
-		for range info.NumLinks {
-			b.juncOf = append(b.juncOf, int32(j))
-		}
 	}
 	return b, nil
 }
@@ -101,13 +94,9 @@ type weightedBatch struct {
 	// the rules leave, allocated with rules.
 	rules []QuietRule
 	keep  []bool
-	// w is the weight slab, indexed like Batch.Links; juncOf maps a
-	// dense link index to its junction. fresh[j] reports whether
-	// junction j's window of w holds every current weight; a window
-	// that does not is stale, and its entries mean nothing.
-	w      []float64
-	juncOf []int32
-	fresh  []bool
+	// w is the scratch window each decided junction's rule gets, stale,
+	// cut to its link count.
+	w []float64
 	// obs is the scratch per-junction view.
 	obs Obs
 }
@@ -115,25 +104,13 @@ type weightedBatch struct {
 // Name implements BatchController.
 func (b *weightedBatch) Name() string { return b.ctrls[0].Name() }
 
-// DecideAll implements BatchController. AllChanged, or a change set
-// over half the links, marks every window stale; a smaller change set
-// re-weighs its links in fresh windows, one WeighLink call each, and
-// skips the links of stale windows. Each junction is then decided on
-// its window and its stale flag, and the phase rule weighs from the
-// rows only what it reads, so a round where a junction's rule reads no
-// weight, or the current phase's alone, weighs no more than that. A
-// quiet junction keeps Current, and its window's flag, without a view
-// or a call into its phase rule, unless its QuietRule says otherwise.
+// DecideAll implements BatchController. Each decided junction gets one
+// call into its phase rule, on a stale window of scratch, and the rule
+// weighs from the rows only what its case reads, so a round where it
+// reads no weight, or the current phase's alone, weighs no more than
+// that. A quiet junction keeps Current without a view or a call into
+// its phase rule, unless its QuietRule says otherwise.
 func (b *weightedBatch) DecideAll(batch *Batch) {
-	if batch.AllChanged || 2*len(batch.Changed) > len(b.w) {
-		clear(b.fresh)
-	} else {
-		for _, gl := range batch.Changed {
-			if j := b.juncOf[gl]; b.fresh[j] {
-				b.w[gl] = b.ctrls[j].WeighLink(int(gl-batch.JuncOff[j]), &batch.Links[gl], batch.Rows)
-			}
-		}
-	}
 	// The quiet rules run in a pass of their own: a call in the decide
 	// loop's quiet test, even one never taken, slows every quiet
 	// junction of every family.
@@ -150,15 +127,14 @@ func (b *weightedBatch) DecideAll(batch *Batch) {
 			continue
 		}
 		batch.View(j, &b.obs)
-		batch.Decided[j], b.fresh[j] = b.ctrls[j].DecideWeighted(b.w[batch.JuncOff[j]:batch.JuncOff[j+1]], !b.fresh[j], &b.obs)
+		batch.Decided[j] = b.ctrls[j].DecideWeighted(b.w[:len(b.obs.Links)], true, &b.obs)
 	}
 }
 
 // SnapshotState implements Snapshotter with one section per junction
-// controller, the per-junction dispatch layout. The weight slab and its
-// fresh flags are cache: a restored engine rebuilds the batch, whose
-// windows start stale, so each rule weighs what it reads from the
-// restored rows and controller state.
+// controller, the per-junction dispatch layout. The scratch window is
+// no state: each rule weighs what it reads from the restored rows and
+// controller state.
 func (b *weightedBatch) SnapshotState(w *snap.Writer) {
 	SnapshotStates(w, b.ctrls)
 }

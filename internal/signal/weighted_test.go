@@ -10,17 +10,15 @@ import (
 
 // countingWeighted is a Weighted controller that records how the batch
 // calls it. Its weight is the link's incoming row's Total. Its phase
-// rule returns phase 1 and remembers the weights it decided on: it
-// weighs a stale window itself, from the view's rows, and reports it
-// fresh unless partial is set. Its snapshot state is one integer.
+// rule returns phase 1 and remembers the window it decided on: it
+// weighs the window itself, from the view's rows. Its snapshot state is
+// one integer.
 type countingWeighted struct {
-	weighs     int
-	weighLinks []int
-	decides    int
-	stale      []bool
-	seen       []float64
-	partial    bool
-	state      int
+	weighs  int
+	decides int
+	stale   []bool
+	seen    []float64
+	state   int
 }
 
 // clockWeighted adds a QuietRule to countingWeighted.
@@ -34,8 +32,7 @@ func (c *clockWeighted) KeepsQuiet(int) bool { return c.keepsQuiet }
 func (c *countingWeighted) Name() string { return "COUNTING" }
 
 func (c *countingWeighted) Decide(obs *Obs) Phase {
-	p, _ := c.DecideWeighted(make([]float64, len(obs.Links)), true, obs)
-	return p
+	return c.DecideWeighted(make([]float64, len(obs.Links)), true, obs)
 }
 
 func (c *countingWeighted) Weigh(links []Link, rows []Row, w []float64) {
@@ -45,21 +42,14 @@ func (c *countingWeighted) Weigh(links []Link, rows []Row, w []float64) {
 	}
 }
 
-func (c *countingWeighted) WeighLink(li int, l *Link, rows []Row) float64 {
-	c.weighLinks = append(c.weighLinks, li)
-	return float64(rows[l.In].Total)
-}
-
-func (c *countingWeighted) DecideWeighted(w []float64, stale bool, obs *Obs) (Phase, bool) {
+func (c *countingWeighted) DecideWeighted(w []float64, stale bool, obs *Obs) Phase {
 	c.decides++
 	c.stale = append(c.stale, stale)
-	if stale {
-		for i := range obs.Links {
-			w[i] = float64(obs.Rows[obs.Links[i].In].Total)
-		}
+	for i := range w {
+		w[i] = float64(obs.Rows[obs.Links[i].In].Total)
 	}
 	c.seen = append(c.seen[:0], w...)
-	return 1, !stale || !c.partial
+	return 1
 }
 
 func (c *countingWeighted) SnapshotState(w *snap.Writer) { w.Int(c.state) }
@@ -109,16 +99,15 @@ func countingBatch(t *testing.T) (bc BatchController, b *Batch, fakes []*countin
 // resetCounts clears the fakes' call records between rounds.
 func resetCounts(fakes []*countingWeighted) {
 	for _, c := range fakes {
-		c.weighs, c.weighLinks, c.decides, c.stale = 0, nil, 0, nil
+		c.weighs, c.decides, c.stale = 0, 0, nil
 	}
 }
 
-// checkCalls fails unless, this round, the batch made no Weigh call,
-// made the WeighLink calls in links (by junction-local index, nil for
-// none) and decided each junction as decided says, one byte per
-// junction: 's' once on a stale window, 'f' once on a fresh one, '-'
-// not at all.
-func checkCalls(t *testing.T, round string, fakes []*countingWeighted, links [][]int, decided string) {
+// checkCalls fails unless, this round, the batch made no Weigh call
+// and decided each junction as decided says, one byte per junction:
+// 's' once on a stale window, 'f' once on a window handed as weighed,
+// '-' not at all.
+func checkCalls(t *testing.T, round string, fakes []*countingWeighted, decided string) {
 	t.Helper()
 	for j, c := range fakes {
 		got := "-"
@@ -130,84 +119,50 @@ func checkCalls(t *testing.T, round string, fakes []*countingWeighted, links [][
 		case c.decides == 1:
 			got = "f"
 		}
-		if c.weighs != 0 || !slices.Equal(c.weighLinks, links[j]) || got != decided[j:j+1] {
-			t.Fatalf("%s, junction %d: Weigh %d, WeighLink %v, decided %s; want 0, %v, %s",
-				round, j, c.weighs, c.weighLinks, got, links[j], decided[j:j+1])
+		if c.weighs != 0 || got != decided[j:j+1] {
+			t.Fatalf("%s, junction %d: Weigh %d, decided %s; want 0, %s", round, j, c.weighs, got, decided[j:j+1])
 		}
 	}
 }
 
 // TestWeightedBatchCacheContract pins what the shared batch calls, not
-// only what it decides: a batch that re-weighed every link every round,
-// weighed windows its rules do not read, or ran the phase rule of every
+// only what it decides: a batch that weighed links itself, handed a
+// rule a window as already weighed, or ran the phase rule of every
 // quiet junction would still produce the same phase traces.
 func TestWeightedBatchCacheContract(t *testing.T) {
 	bc, b, fakes, clock := countingBatch(t)
 	if bc.Name() != "COUNTING" {
 		t.Errorf("Name = %q", bc.Name())
 	}
-	none := [][]int{nil, nil, nil}
 
-	// A new batch's windows are stale, even without AllChanged: the
-	// batch weighs nothing, and each rule decides on a stale window.
-	bc.DecideAll(b)
-	checkCalls(t, "first round", fakes, none, "sss")
-	if want := []float64{12, 13, 14}; !slices.Equal(fakes[1].seen, want) {
-		t.Fatalf("junction 1 decided on %v, want its rows' weights %v", fakes[1].seen, want)
-	}
-
-	// The rules left their windows fresh, so a change-set round
-	// re-weighs exactly the changed links, one by one, by their
-	// junction-local index, and each rule sees the new weights.
-	resetCounts(fakes)
-	b.Rows[1].Total, b.Rows[3].Total, b.Rows[5].Total = 31, 33, 35
-	b.Changed = []int32{1, 3, 5}
-	bc.DecideAll(b)
-	checkCalls(t, "change-set round", fakes, [][]int{{1}, {1}, {0}}, "fff")
-	if want := []float64{12, 33, 14}; !slices.Equal(fakes[1].seen, want) {
-		t.Fatalf("junction 1 decided on %v after the change set, want %v", fakes[1].seen, want)
-	}
-
-	// A change set over half the links, and AllChanged whatever Changed
-	// holds, make no weigh call from the batch: they mark every window
-	// stale.
-	for _, all := range []bool{false, true} {
+	// Every round, each decided junction gets one call into its rule,
+	// on a stale window as wide as its links, and the batch weighs
+	// nothing: the rule weighs what it reads from this round's rows.
+	for round := range 3 {
 		resetCounts(fakes)
-		b.Changed = []int32{0, 1, 2, 4}
-		if all {
-			b.Changed = nil
+		for gl := range b.Rows {
+			b.Rows[gl].Total = int32(10*round + gl)
 		}
-		b.AllChanged = all
 		bc.DecideAll(b)
-		checkCalls(t, fmt.Sprintf("AllChanged %v, %d changed", all, len(b.Changed)), fakes, none, "sss")
+		what := fmt.Sprintf("round %d", round)
+		checkCalls(t, what, fakes, "sss")
+		for j, c := range fakes {
+			var want []float64
+			for gl := b.JuncOff[j]; gl < b.JuncOff[j+1]; gl++ {
+				want = append(want, float64(b.Rows[gl].Total))
+			}
+			if !slices.Equal(c.seen, want) {
+				t.Fatalf("%s, junction %d decided on %v, want its rows' weights %v", what, j, c.seen, want)
+			}
+			if b.Decided[j] != 1 {
+				t.Fatalf("%s, junction %d: Decided %v, want c1", what, j, b.Decided[j])
+			}
+		}
 	}
-
-	// A kept quiet junction is not weighed: junction 0, quiet on an
-	// AllChanged round, keeps its stale window, and a later change set
-	// skips its links. A window its rule leaves stale (junction 2's
-	// partial rule) is skipped too, while junction 1's fresh window
-	// re-weighs its changed link.
-	resetCounts(fakes)
-	b.Current = []Phase{1, 1, 1}
-	b.Quiet = []bool{true, false, false}
-	fakes[2].partial = true
-	bc.DecideAll(b)
-	checkCalls(t, "quiet junction 0 on AllChanged", fakes, none, "-ss")
-	resetCounts(fakes)
-	b.AllChanged = false
-	b.Quiet = nil
-	b.Rows[0].Total, b.Rows[2].Total, b.Rows[5].Total = 40, 42, 45
-	b.Changed = []int32{0, 2, 5}
-	bc.DecideAll(b)
-	checkCalls(t, "change set after stale windows", fakes, [][]int{nil, {0}, nil}, "sfs")
-	if want := []float64{40, 31}; !slices.Equal(fakes[0].seen, want) {
-		t.Fatalf("junction 0 decided on %v, want its rows' weights %v", fakes[0].seen, want)
-	}
-	fakes[2].partial = false
 
 	// Quiet junctions keep Current without a call into the phase rule,
-	// unless their QuietRule says otherwise; others are decided (c1).
-	b.AllChanged, b.Changed = false, nil
+	// unless their QuietRule says otherwise; others are decided (c1),
+	// each on a stale window.
 	b.Current = []Phase{2, 2, 2}
 	b.Quiet = []bool{true, true, false}
 	for _, keeps := range []bool{false, true} {
@@ -215,14 +170,14 @@ func TestWeightedBatchCacheContract(t *testing.T) {
 		b.Decided = []Phase{Amber, Amber, Amber}
 		clock.keepsQuiet = keeps
 		bc.DecideAll(b)
-		want, calls := []Phase{2, 1, 1}, []int{0, 1, 1}
+		want, calls := []Phase{2, 1, 1}, "-ss"
 		if keeps {
-			want, calls = []Phase{2, 2, 1}, []int{0, 0, 1}
+			want, calls = []Phase{2, 2, 1}, "--s"
 		}
-		for j, c := range fakes {
-			if b.Decided[j] != want[j] || c.decides != calls[j] {
-				t.Errorf("KeepsQuiet %v, junction %d: Decided %v after %d DecideWeighted calls, want %v after %d",
-					keeps, j, b.Decided[j], c.decides, want[j], calls[j])
+		checkCalls(t, fmt.Sprintf("KeepsQuiet %v", keeps), fakes, calls)
+		for j := range fakes {
+			if b.Decided[j] != want[j] {
+				t.Errorf("KeepsQuiet %v, junction %d: Decided %v, want %v", keeps, j, b.Decided[j], want[j])
 			}
 		}
 	}

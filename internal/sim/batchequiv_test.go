@@ -77,8 +77,8 @@ func compareTraces(t *testing.T, perJunction, batched []phaseEvent) {
 // to the per-junction reference on every registered workload — the
 // paper grid, the sensed estimated-grid, the 16×16 city grid and the
 // rest — across the batch-capable controller zoo: UTIL-BP, MaxPressure
-// and BP-EST (dense slabs with change-set caching; BP-EST additionally
-// carries per-link estimator state the caching must keep exact) plus
+// and BP-EST (the shared weighted batch; BP-EST additionally carries
+// per-link estimator state each decided round must fold) plus
 // the fixed-slot CAP-BP baseline (Batched adapter): identical phase
 // traces, vehicle arenas and totals.
 func TestBatchedControlEquivalenceWorkloads(t *testing.T) {
@@ -338,8 +338,8 @@ func TestControlModeResetWithSwitch(t *testing.T) {
 
 // TestBatchedSteadyStateAllocs extends the zero-allocation steady-state
 // contract to the batched control plane, for every batch-capable family
-// in the zoo: with the dense slabs and change set pre-sized at
-// construction (BP-EST's per-link estimators included), batched
+// in the zoo: with the weight scratch sized at construction (BP-EST's
+// per-link estimators included), batched
 // stepping must not touch the heap over the full drain window either.
 func TestBatchedSteadyStateAllocs(t *testing.T) {
 	const warmup = 600

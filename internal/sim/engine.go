@@ -293,37 +293,34 @@ type Engine struct {
 
 	// Incremental observation maintenance (DESIGN.md §10): the engine
 	// marks a road dirty whenever its row changes (lane push/pop,
-	// transit, occupancy, capacity), and the sense substep lists the
-	// links reading a dirty road for the change set and the sensor.
-	// sensor is cfg.Sensor, hoisted for the hot path; roadLinks[r] lists
-	// the global links whose observation reads road r (as incoming or
-	// outgoing road); dirtyRoads is the pending dirty set (pre-sized to
-	// the road count, so marking never allocates); linkSeen[gl] holds
-	// the step a global link was last listed at, deduplicating links
-	// whose two roads are both dirty.
+	// transit, occupancy, capacity), and the sense substep wakes the
+	// junctions reading a dirty road. sensor is cfg.Sensor, hoisted for
+	// the hot path; dirtyRoads is the pending dirty set (pre-sized to
+	// the road count, so marking never allocates).
 	sensor     sensing.Sensor
-	roadLinks  [][]int32
 	dirtyRoads []int32
 	roadDirty  []bool
-	linkSeen   []int32
 	// Under a sensor, controllers read the observed slab obsRows
 	// through pairs, the link table that points link gl at its pair
 	// (signal.PairRows); the sensor fills the pair from the truth rows.
-	// Both are nil until a sensor is first installed.
-	pairs   []signal.Link
-	obsRows []signal.Row
+	// sense lists the links reading a dirty road for it in listed:
+	// roadLinks[r] lists the global links whose observation reads road
+	// r (as incoming or outgoing road), and linkSeen[gl] holds the step
+	// a global link was last listed at, deduplicating links whose two
+	// roads are both dirty. All five are nil until a sensor is first
+	// installed.
+	pairs     []signal.Link
+	obsRows   []signal.Row
+	roadLinks [][]int32
+	linkSeen  []int32
+	listed    []int32
 
 	// Batched control plane (DESIGN.md §11). batch holds the rows and
 	// link table controllers read: rows and links without a sensor,
 	// obsRows and pairs with one. batchCtrl is non-nil exactly when the
-	// control substep dispatches batched; trackChanged mirrors it. sense
-	// appends each link reading a dirty road to batch.Changed when
-	// trackChanged is set or a sensor is installed (the sensor's list);
-	// the per-junction path never drains it, so there sense truncates
-	// the list again after the Sense call.
-	batch        signal.Batch
-	batchCtrl    signal.BatchController
-	trackChanged bool
+	// control substep dispatches batched.
+	batch     signal.Batch
+	batchCtrl signal.BatchController
 
 	// Event plane (DESIGN.md §12): events is cfg.Events hoisted for the
 	// hot path, evCursor the next pending transition in its sorted
@@ -529,7 +526,6 @@ func New(cfg Config) (*Engine, error) {
 		Current: make([]signal.Phase, len(e.juncs)),
 		Decided: make([]signal.Phase, len(e.juncs)),
 		Infos:   infos,
-		Changed: make([]int32, 0, len(e.links)),
 		Quiet:   make([]bool, len(e.juncs)),
 	}
 	e.ctrlDirty = make([]bool, len(e.juncs))
@@ -540,27 +536,8 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 
-	// Incremental-observation adjacency: roadLinks[r] holds every link
-	// whose observation reads road r, either as its incoming road or
-	// its outgoing road. Each road's list is a window of one slab, sized
-	// by a counting pass, so the adjacency costs one allocation instead
-	// of a few appends per road. The dirty set and the per-link listing
-	// stamps are pre-sized here so the step loop never allocates.
-	deg := make([]int, len(e.net.Roads))
-	refs := 0
-	for _, l := range e.links {
-		deg[l.In]++
-		refs++
-		if l.Out != l.In {
-			deg[l.Out]++
-			refs++
-		}
-	}
-	slab := make([]int32, refs)
-	e.roadLinks = make([][]int32, len(e.net.Roads))
-	for r, d := range deg {
-		e.roadLinks[r], slab = slab[:0:d], slab[d:]
-	}
+	// The wake fan-out: each road's head and tail junction. The dirty
+	// set is pre-sized here so the step loop never allocates.
 	e.roadWakeJunc = make([]int32, len(e.net.Roads))
 	e.roadTailJunc = make([]int32, len(e.net.Roads))
 	for i := range e.roadWakeJunc {
@@ -571,18 +548,12 @@ func New(cfg Config) (*Engine, error) {
 		js := &e.juncs[ji]
 		for li := range js.j.Links {
 			l := &js.j.Links[li]
-			gl := js.linkBase + int32(li)
-			e.roadLinks[l.In] = append(e.roadLinks[l.In], gl)
 			e.roadWakeJunc[l.In] = int32(ji)
 			e.roadTailJunc[l.Out] = int32(ji)
-			if l.Out != l.In {
-				e.roadLinks[l.Out] = append(e.roadLinks[l.Out], gl)
-			}
 		}
 	}
 	e.dirtyRoads = make([]int32, 0, len(e.net.Roads))
 	e.roadDirty = make([]bool, len(e.net.Roads))
-	e.linkSeen = make([]int32, len(e.links))
 	e.setSensor(cfg.Sensor)
 	if err := e.checkEvents(cfg.Events); err != nil {
 		return nil, err
@@ -631,9 +602,7 @@ func (e *Engine) checkEvents(s *event.Schedule) error {
 // two sets is built — a factory-batched engine constructs no unused
 // per-junction controllers, which matters on the engine-reuse path
 // where this runs on every sweep-cell rewind. New calls it once and
-// Reset on every rewind (controllers are stateful); it also re-arms the
-// batch change set, since a fresh batched controller has no gain cache
-// to reuse.
+// Reset on every rewind (controllers are stateful).
 func (e *Engine) buildControlPlane() error {
 	e.batchCtrl = nil
 	bf, hasBatch := e.cfg.Controllers.(signal.BatchFactory)
@@ -665,9 +634,6 @@ func (e *Engine) buildControlPlane() error {
 			e.batchCtrl = signal.Batched(ctrls...)
 		}
 	}
-	e.trackChanged = e.batchCtrl != nil
-	e.batch.Changed = e.batch.Changed[:0]
-	e.batch.AllChanged = true
 	return nil
 }
 
@@ -679,10 +645,11 @@ func (e *Engine) Batched() bool { return e.batchCtrl != nil }
 // setSensor installs (or clears) the observation sensor and points the
 // batch and every junction's observation at the rows controllers read:
 // with none, the truth rows through the link table; with one, the
-// observed slab through the pair table, both allocated on the first
-// install. Callers rewind the engine afterwards (New starts at step
-// zero, ResetWith resets), so resetDerived fills the pairs'
-// engine-owned columns.
+// observed slab through the pair table. The first install builds the
+// sensor's state (buildSensorState). Callers rewind the engine
+// afterwards (New starts at step zero, ResetWith resets), so
+// resetDerived fills the pairs' engine-owned columns and the listing
+// stamps.
 func (e *Engine) setSensor(s sensing.Sensor) {
 	e.cfg.Sensor = s
 	e.sensor = s
@@ -691,12 +658,7 @@ func (e *Engine) setSensor(s sensing.Sensor) {
 	if s != nil {
 		e.sensorEntry = s.Name()
 		if e.pairs == nil {
-			e.pairs = make([]signal.Link, len(e.links))
-			for gl, l := range e.links {
-				l.In, l.Out = signal.PairRows(int32(gl))
-				e.pairs[gl] = l
-			}
-			e.obsRows = make([]signal.Row, 2*len(e.links))
+			e.buildSensorState()
 		}
 		links, rows = e.pairs, e.obsRows
 		s.Prepare(len(e.links))
@@ -707,6 +669,45 @@ func (e *Engine) setSensor(s sensing.Sensor) {
 		lo, hi := js.linkBase, js.linkBase+int32(len(js.j.Links))
 		js.obs.Links, js.obs.Rows = links[lo:hi:hi], rows
 	}
+}
+
+// buildSensorState builds what only a sensed engine reads: the pair
+// table and the observed slab it indexes, and the listing state sense
+// fills the sensor's list with. Each road's roadLinks list, in junction
+// and link order, is a window of one slab, sized by a counting pass, so
+// the adjacency costs one allocation instead of a few appends per road.
+// The list and the stamps are pre-sized so the step loop never
+// allocates.
+func (e *Engine) buildSensorState() {
+	e.pairs = make([]signal.Link, len(e.links))
+	for gl, l := range e.links {
+		l.In, l.Out = signal.PairRows(int32(gl))
+		e.pairs[gl] = l
+	}
+	e.obsRows = make([]signal.Row, 2*len(e.links))
+	deg := make([]int, len(e.net.Roads))
+	refs := 0
+	for _, l := range e.links {
+		deg[l.In]++
+		refs++
+		if l.Out != l.In {
+			deg[l.Out]++
+			refs++
+		}
+	}
+	slab := make([]int32, refs)
+	e.roadLinks = make([][]int32, len(e.net.Roads))
+	for r, d := range deg {
+		e.roadLinks[r], slab = slab[:0:d], slab[d:]
+	}
+	for gl, l := range e.links {
+		e.roadLinks[l.In] = append(e.roadLinks[l.In], int32(gl))
+		if l.Out != l.In {
+			e.roadLinks[l.Out] = append(e.roadLinks[l.Out], int32(gl))
+		}
+	}
+	e.linkSeen = make([]int32, len(e.links))
+	e.listed = make([]int32, 0, len(e.links))
 }
 
 // Sensor returns the installed observation sensor, nil for perfect
@@ -812,7 +813,8 @@ func (e *Engine) Reset(seed uint64) error {
 //   - Spawned, Entered, Exited and Served from the arena;
 //   - under a sensor, the columns of each link's observed pair the
 //     engine owns, from the rows (the sensed columns are state);
-//   - the listing stamps and the serve and control skip flags.
+//   - the listing stamps, under a sensor, and the serve and control
+//     skip flags.
 //
 // Clearing the skip flags is conservative, never lossy: the next serve
 // pass and the next decision round run in full, and each re-derives
@@ -1203,8 +1205,7 @@ func (e *Engine) applyEvents() {
 // only the sensed columns — so a capacity event is the one place they
 // change after construction, and it writes them eagerly. The dirty
 // mark routes the change through the incremental sense path, which
-// feeds the batched control plane's change set so gain caches
-// recompute exactly the affected links.
+// wakes the road's junctions and, under a sensor, lists its links.
 func (e *Engine) setEffCap(rid network.RoadID, cap int32) {
 	row := &e.rows[rid]
 	if row.Cap == cap {
@@ -1249,51 +1250,37 @@ func (e *Engine) markDirty(rid network.RoadID) {
 }
 
 // sense consumes the dirty set of the previous mini-slot. It wakes
-// each dirty road's junctions (wake) and lists every link reading a
-// dirty road, once (linkSeen stamp), in batch.Changed: the change set a
-// batched controller re-weighs, and the links the installed sensor
-// senses, in one Sense call at the end. Controllers read the rows
-// themselves, so a sensor-free engine copies nothing. Under a sensor,
-// the engine first copies each dirty road's per-movement queues and
-// joins into the observed pair of every link it is the outgoing road
-// of: they are engine-owned, so the exact counts reach the observation
-// whatever the sensor model, and no sensor's draw sequence shifts. The
-// list order is the dirty order, road by road, each road's links in
-// junction and link order; a sensor draws in it, so it is part of
-// every sensed output.
-//
-// Without a sensor and with a quarter of the roads or more dirty — a
-// loaded network — the list would name most links anyway, and a
-// batched controller past half of them drops its weight cache: the
-// step then wakes the dirty roads' junctions and flags AllChanged
-// instead.
-// Only the sensor-free path may do so, since a sensor must see exactly
-// the links that changed (event-driven detection). The per-junction
-// path without a sensor drains no list, so it only wakes.
+// each dirty road's junctions (wake); controllers read the rows
+// themselves, so a sensor-free engine does nothing more. Under a
+// sensor it also lists every link reading a dirty road, once (linkSeen
+// stamp), and makes one Sense call over the list at the end. As it
+// walks a dirty road's links, it first copies the road's per-movement
+// queues and joins into the observed pair of every link it is the
+// outgoing road of: they are engine-owned, so the exact counts reach
+// the observation whatever the sensor model, and no sensor's draw
+// sequence shifts. The list order is the dirty order, road by road,
+// each road's links in junction and link order; a sensor draws in it,
+// so it is part of every sensed output. A sensor sees exactly the links
+// that changed (event-driven detection).
 func (e *Engine) sense() {
-	list := e.trackChanged || e.sensor != nil
-	if !list || e.sensor == nil && 4*len(e.dirtyRoads) >= len(e.roads) {
+	if e.sensor == nil {
 		for _, rd := range e.dirtyRoads {
 			e.roadDirty[rd] = false
 			e.wake(rd)
 		}
 		e.dirtyRoads = e.dirtyRoads[:0]
-		if list {
-			e.batch.AllChanged = true
-		}
 		return
 	}
 	// The stamp dedup guarantees one entry per link per step, so the
-	// buffer, pre-sized to the link count, never reallocates.
+	// list, pre-sized to the link count, never reallocates.
 	stamp := int32(e.step)
-	start := len(e.batch.Changed)
-	sensed := e.sensor != nil
+	list := e.listed
 	for _, rd := range e.dirtyRoads {
 		e.roadDirty[rd] = false
 		e.wake(rd)
 		row := &e.rows[rd]
 		for _, gl := range e.roadLinks[rd] {
-			if sensed && e.links[gl].Out == rd {
+			if e.links[gl].Out == rd {
 				_, out := e.pair(gl)
 				out.Queued, out.Joins = row.Queued, row.Joins
 			}
@@ -1301,19 +1288,12 @@ func (e *Engine) sense() {
 				continue
 			}
 			e.linkSeen[gl] = stamp
-			e.batch.Changed = append(e.batch.Changed, gl)
+			list = append(list, gl)
 		}
 	}
 	e.dirtyRoads = e.dirtyRoads[:0]
-	if !sensed {
-		return
-	}
-	changed := e.batch.Changed[start:]
-	e.sensor.Sense(changed, e.links, e.rows, e.obsRows, e.step)
-	if !e.trackChanged {
-		// The per-junction control path never drains the change set.
-		e.batch.Changed = e.batch.Changed[:start]
-	}
+	e.sensor.Sense(list, e.links, e.rows, e.obsRows, e.step)
+	e.listed = list[:0]
 }
 
 // wake fans one dirty road out to the junctions that read it. The serve
@@ -1396,8 +1376,8 @@ func (js *junctionState) hasPhase(phase signal.Phase) bool {
 // per-junction inputs, make one DecideAll call, then apply the decisions
 // with the same phase-range coercion and hook firing as the per-junction
 // loop. Decided is pre-filled with Amber so a controller that writes
-// nothing for a junction leaves it inactive; the change set and the
-// control dirty marks are consumed by exactly one decision round.
+// nothing for a junction leaves it inactive; the control dirty marks
+// are consumed by exactly one decision round.
 //
 // Quiet is settled && !ctrlDirty (DESIGN.md §11, "Quiet junctions"): a
 // junction that last round decided its Current green while live, and
@@ -1419,8 +1399,6 @@ func (e *Engine) controlBatched(t float64) {
 		e.ctrlDirty[ji] = false
 	}
 	e.batchCtrl.DecideAll(b)
-	b.Changed = b.Changed[:0]
-	b.AllChanged = false
 	for ji := range e.juncs {
 		js := &e.juncs[ji]
 		cur, dec := b.Current[ji], b.Decided[ji]

@@ -306,9 +306,9 @@ func (p perLinkCV) Sense(links []int32, table []signal.Link, truth, obs []signal
 
 // TestSenseOneCallMatchesPerLink pins the engine's one Sense call per
 // step to sensing each refreshed link on its own: the same run, the
-// same snapshot bytes. UTIL-BP lists the links in the batched control
-// plane's change set; CAP-BP runs the per-junction loop, where sense
-// lists them for the sensor only and empties the list again.
+// same snapshot bytes. UTIL-BP runs the batched control plane and
+// CAP-BP the per-junction loop; under either, sense lists the links
+// for the sensor only and empties the list again.
 func TestSenseOneCallMatchesPerLink(t *testing.T) {
 	const steps = 900
 	setup := scenario.Default()

@@ -9,14 +9,14 @@
 //
 // A snapshot is taken and restored between mini-slots (after stepOnce
 // returns), which is what keeps the per-step scratch out of the format:
-// the batch change set is empty at every inter-step point (sense fills
-// it, the same step's control drains it), the link listing stamps only
-// matter within the step that wrote them, and the controllers' gain
-// slabs are per-decision cache. Restore rebuilds the control plane,
-// whose weight windows start stale, and flags AllChanged, so each rule
-// recomputes exactly the weights the uninterrupted run reads — they are
-// pure functions of the observation and the restored controller state,
-// so the next decision is bit-identical.
+// a sensor's link list is empty at every inter-step point (sense fills
+// it and hands it to the same step's Sense call), the link listing
+// stamps only matter within the step that wrote them, and the weight
+// windows controllers decide on are scratch within one call. Restore
+// rebuilds the control plane, and each rule weighs exactly the weights
+// the uninterrupted run reads — they are pure functions of the
+// observation and the restored controller state, so the next decision
+// is bit-identical.
 package sim
 
 import (
@@ -179,9 +179,9 @@ func (e *Engine) Restore(data []byte) error {
 		return err
 	}
 
-	// Fresh controllers on stale weight windows; their captured state
-	// is restored below, and each rule weighs what it reads bit-exactly
-	// (pure functions of the observation and that state).
+	// Fresh controllers; their captured state is restored below, and
+	// each rule weighs what it reads bit-exactly (pure functions of the
+	// observation and that state).
 	if err := e.buildControlPlane(); err != nil {
 		return err
 	}

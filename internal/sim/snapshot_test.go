@@ -139,13 +139,10 @@ func TestResetWithRestoreFrom(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsMismatch checks the structural fingerprint guards:
-// foreign bytes, truncation and wrong-shaped engines all fail loudly
-// instead of silently corrupting state.
 // TestChangeSetEmptyBetweenSteps pins the inter-step fact the snapshot
-// format relies on: the batch change set is empty after every step. A
-// sensed engine lists every refreshed link there for its Sense call,
-// also under the per-junction control path, which never drains it.
+// format relies on: the sensor's link list is empty after every step,
+// under either control path, although sense lists every link reading a
+// dirty road there for its Sense call.
 func TestChangeSetEmptyBetweenSteps(t *testing.T) {
 	for _, control := range []signal.ControlMode{signal.ControlPerJunction, signal.ControlBatched} {
 		g, err := network.Grid(network.DefaultGridSpec())
@@ -167,9 +164,63 @@ func TestChangeSetEmptyBetweenSteps(t *testing.T) {
 		}
 		for step := 0; step < 300; step++ {
 			e.Run(1)
-			if n := len(e.batch.Changed); n != 0 {
-				t.Fatalf("control %v, after step %d: %d links left in the change set", control, step, n)
+			if n := len(e.listed); n != 0 {
+				t.Fatalf("control %v, after step %d: %d links left in the sensor's list", control, step, n)
 			}
+		}
+	}
+}
+
+// TestSensorFreeEngineListsNothing: the link listing belongs to the
+// sensor. A sensor-free engine, under either control path, builds no
+// listing state and lists no link however many roads its steps dirty;
+// the first sensor install builds it, and an engine whose sensor is
+// cleared again lists nothing.
+func TestSensorFreeEngineListsNothing(t *testing.T) {
+	for _, control := range []signal.ControlMode{signal.ControlPerJunction, signal.ControlBatched} {
+		g, err := network.Grid(network.DefaultGridSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(Config{
+			Net:         g.Network,
+			Controllers: staticFactory(1),
+			Demand:      NewPoissonDemand(rng.New(7), ConstantRate(0.15)),
+			Control:     control,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		unlisted := func(when string) {
+			t.Helper()
+			if e.roadLinks != nil || e.linkSeen != nil || e.listed != nil || e.pairs != nil || e.obsRows != nil {
+				t.Fatalf("control %v, %s: a sensor-free engine holds listing state", control, when)
+			}
+		}
+		unlisted("after New")
+		for step := 0; step < 300; step++ {
+			e.Run(1)
+			unlisted(fmt.Sprintf("after step %d", step))
+		}
+		if e.Totals().Entered == 0 {
+			t.Fatalf("control %v: no vehicle entered, so no step dirtied a road", control)
+		}
+
+		if err := e.ResetWith(7, ResetOptions{Sensor: sensing.Perfect{}}); err != nil {
+			t.Fatal(err)
+		}
+		if len(e.roadLinks) != len(e.rows) || len(e.linkSeen) != len(e.links) || cap(e.listed) != len(e.links) {
+			t.Fatalf("control %v: a sensor install built %d road lists, %d stamps and a list of capacity %d; want %d, %d and %d",
+				control, len(e.roadLinks), len(e.linkSeen), cap(e.listed), len(e.rows), len(e.links), len(e.links))
+		}
+		e.Run(50)
+		if err := e.ResetWith(7, ResetOptions{ClearSensor: true}); err != nil {
+			t.Fatal(err)
+		}
+		seen := slices.Clone(e.linkSeen)
+		e.Run(50)
+		if len(e.listed) != 0 || !slices.Equal(seen, e.linkSeen) {
+			t.Fatalf("control %v: an engine whose sensor was cleared listed links", control)
 		}
 	}
 }
@@ -384,6 +435,9 @@ func TestRoadRowIsOneCacheLine(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsMismatch checks the structural fingerprint guards:
+// foreign bytes, truncation and wrong-shaped engines all fail loudly
+// instead of silently corrupting state.
 func TestSnapshotRejectsMismatch(t *testing.T) {
 	e := snapTestEngine(t)
 	e.Run(40)

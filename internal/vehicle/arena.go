@@ -1,6 +1,8 @@
 package vehicle
 
 import (
+	"fmt"
+
 	"utilbp/internal/network"
 	"utilbp/internal/snap"
 )
@@ -227,14 +229,23 @@ func (a *Arena) SnapshotState(w *snap.Writer) {
 	}
 }
 
+// vehicleBytes is one vehicle's share of the arena's stream: eight
+// columns of 8, 4, 4, 8, 8, 8, 8 and 8 bytes.
+const vehicleBytes = 56
+
 // RestoreState implements snap.Snapshotter, reinstating the columns a
 // SnapshotState captured. Column storage is reused when it is large
 // enough (the engine-reuse contract: restoring into a pooled engine
-// does not reallocate its arenas).
+// does not reallocate its arenas). A count whose columns the rest of
+// the stream cannot hold is refused before any column grows, so a
+// corrupt count costs no allocation.
 func (a *Arena) RestoreState(r *snap.Reader) error {
 	n := r.Count()
 	if r.Err() != nil {
 		return r.Err()
+	}
+	if n > r.Len()/vehicleBytes {
+		return fmt.Errorf("vehicle: arena of %d vehicles needs %d bytes, %d left", n, n*vehicleBytes, r.Len())
 	}
 	a.route = growTo(a.route, n)
 	a.pending = growTo(a.pending, n)

@@ -208,6 +208,46 @@ func TestArenaRestoreRejectsCorruptCount(t *testing.T) {
 	}
 }
 
+// TestArenaRestoreBoundsColumns: a count that Count accepts, because
+// it does not exceed the bytes left, but whose eight columns those
+// bytes cannot hold, is refused before any column grows.
+func TestArenaRestoreBoundsColumns(t *testing.T) {
+	const n = 100
+	w := snap.NewWriter(0)
+	w.Int(n)
+	for range (n + 7) / 8 {
+		w.Uint64(0) // n bytes: enough for Count, not for n vehicles
+	}
+	var a Arena
+	a.Reserve(8)
+	before := [8]int{cap(a.route), cap(a.pending), cap(a.junctions), cap(a.queueWait),
+		cap(a.entryRoad), cap(a.spawnedAt), cap(a.enteredAt), cap(a.exitedAt)}
+	r := snap.NewReader(w.Bytes())
+	if err := a.RestoreState(r); err == nil {
+		t.Fatal("a count past the column bound was accepted")
+	}
+	after := [8]int{cap(a.route), cap(a.pending), cap(a.junctions), cap(a.queueWait),
+		cap(a.entryRoad), cap(a.spawnedAt), cap(a.enteredAt), cap(a.exitedAt)}
+	if after != before {
+		t.Fatalf("refused restore grew the columns: capacities %v, were %v", after, before)
+	}
+
+	// The bound is exact: n vehicles' columns restore from exactly
+	// n·vehicleBytes bytes.
+	var full Arena
+	for range n {
+		full.Spawn(1, 2, StraightRoute)
+	}
+	w = snap.NewWriter(0)
+	full.SnapshotState(w)
+	if got, want := w.Len(), 8+n*vehicleBytes; got != want {
+		t.Fatalf("a %d-vehicle arena writes %d bytes, want %d", n, got, want)
+	}
+	if err := a.RestoreState(snap.NewReader(w.Bytes())); err != nil || a.Len() != n {
+		t.Fatalf("restore of %d vehicles: %v, %d rows", n, err, a.Len())
+	}
+}
+
 // TestArenaResetAndReserve: Reset empties without shedding storage, and
 // Reserve never shrinks or disturbs content.
 func TestArenaResetAndReserve(t *testing.T) {
